@@ -28,16 +28,13 @@ from frgc.bitcoder import (
     code_length,
 )
 from frgc.codec import (
-    EstimatorState,
     HeaderError,
     StreamHeader,
     decode_stream,
     decode_symbol,
     encode_stream,
     encode_symbol,
-    estimator_update,
     read_header,
-    theta_hat,
 )
 from frgc.predictor import LpcConfig
 from frgc.qmap import (
@@ -59,7 +56,6 @@ __all__ = [
     "BitSink",
     "BitSource",
     "CorruptStreamError",
-    "EstimatorState",
     "GolombParam",
     "HeaderError",
     "LaplaceModel",
@@ -75,7 +71,6 @@ __all__ = [
     "decode_symbol",
     "encode_stream",
     "encode_symbol",
-    "estimator_update",
     "golomb_mstar",
     "interval_code_length",
     "laplace_pdf",
@@ -88,6 +83,5 @@ __all__ = [
     "redundancy_percent",
     "residual",
     "round_prediction",
-    "theta_hat",
     "unmap",
 ]

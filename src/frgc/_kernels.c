@@ -1530,7 +1530,7 @@ static const char* const __pyx_f[] = {
 /*--- Type declarations ---*/
 struct __pyx_obj_4frgc_8_kernels__Writer;
 
-/* "frgc/_kernels.pyx":31
+/* "frgc/_kernels.pyx":30
  * 
  * 
  * cdef class _Writer:             # <<<<<<<<<<<<<<
@@ -2492,8 +2492,6 @@ static PyObject *__pyx_f_4frgc_8_kernels_7_Writer_finish(struct __pyx_obj_4frgc_
 /* Module declarations from "libc.math" */
 
 /* Module declarations from "frgc._kernels" */
-static double __pyx_v_4frgc_8_kernels_THETA_MIN;
-static double __pyx_v_4frgc_8_kernels_THETA_MAX;
 static PY_LONG_LONG __pyx_v_4frgc_8_kernels_SAT;
 static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__fdiv(PY_LONG_LONG, PY_LONG_LONG); /*proto*/
 static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *, Py_ssize_t *, Py_ssize_t, PY_LONG_LONG); /*proto*/
@@ -2513,7 +2511,7 @@ int __pyx_module_is_main_frgc___kernels = 0;
 /* Implementation of "frgc._kernels" */
 /* #### Code section: global_var ### */
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_stream_loops_bit_identi[] = "Compiled stream loops; bit-identical to frgc._pure (see its contract).\n\nThe estimator accumulator is an int64 saturated at the shared constant so\nit can never overflow, and theta is computed with the same two-cast\ndouble expression as the pure code.\n";
+static const char __pyx_k_Compiled_stream_loops_bit_identi[] = "Compiled stream loops; bit-identical to frgc._pure (see its contract).\n\nThe estimator accumulator is an int64 saturated at the shared constant so\nit can never overflow.  m is chosen as in _estcore.select_m: ln theta,\ncomputed with the same two-cast double expression as the pure code, is\nbisected against the ascending log-boundaries, with no libm call.\n";
 /* #### Code section: decls ### */
 static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_kernels__Writer *__pyx_v_self); /* proto */
 static void __pyx_pf_4frgc_8_kernels_7_Writer_2__dealloc__(struct __pyx_obj_4frgc_8_kernels__Writer *__pyx_v_self); /* proto */
@@ -2756,7 +2754,7 @@ return 0;
 #endif
 /* #### Code section: module_code ### */
 
-/* "frgc/_kernels.pyx":23
+/* "frgc/_kernels.pyx":22
  * 
  * 
  * cdef inline long long _fdiv(long long a, long long b):             # <<<<<<<<<<<<<<
@@ -2770,7 +2768,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__fdiv(PY_LONG_LONG __p
   int __pyx_t_1;
   int __pyx_t_2;
 
-  /* "frgc/_kernels.pyx":25
+  /* "frgc/_kernels.pyx":24
  * cdef inline long long _fdiv(long long a, long long b):
  *     # floor division (C / truncates toward zero)
  *     cdef long long q = a / b             # <<<<<<<<<<<<<<
@@ -2779,7 +2777,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__fdiv(PY_LONG_LONG __p
 */
   __pyx_v_q = (__pyx_v_a / __pyx_v_b);
 
-  /* "frgc/_kernels.pyx":26
+  /* "frgc/_kernels.pyx":25
  *     # floor division (C / truncates toward zero)
  *     cdef long long q = a / b
  *     if a % b != 0 and (a ^ b) < 0:             # <<<<<<<<<<<<<<
@@ -2797,7 +2795,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__fdiv(PY_LONG_LONG __p
   __pyx_L4_bool_binop_done:;
   if (__pyx_t_1) {
 
-    /* "frgc/_kernels.pyx":27
+    /* "frgc/_kernels.pyx":26
  *     cdef long long q = a / b
  *     if a % b != 0 and (a ^ b) < 0:
  *         q -= 1             # <<<<<<<<<<<<<<
@@ -2806,7 +2804,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__fdiv(PY_LONG_LONG __p
 */
     __pyx_v_q = (__pyx_v_q - 1);
 
-    /* "frgc/_kernels.pyx":26
+    /* "frgc/_kernels.pyx":25
  *     # floor division (C / truncates toward zero)
  *     cdef long long q = a / b
  *     if a % b != 0 and (a ^ b) < 0:             # <<<<<<<<<<<<<<
@@ -2815,7 +2813,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__fdiv(PY_LONG_LONG __p
 */
   }
 
-  /* "frgc/_kernels.pyx":28
+  /* "frgc/_kernels.pyx":27
  *     if a % b != 0 and (a ^ b) < 0:
  *         q -= 1
  *     return q             # <<<<<<<<<<<<<<
@@ -2825,7 +2823,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__fdiv(PY_LONG_LONG __p
   __pyx_r = __pyx_v_q;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":23
+  /* "frgc/_kernels.pyx":22
  * 
  * 
  * cdef inline long long _fdiv(long long a, long long b):             # <<<<<<<<<<<<<<
@@ -2838,7 +2836,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__fdiv(PY_LONG_LONG __p
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":39
+/* "frgc/_kernels.pyx":38
  *     cdef long long total
  * 
  *     def __cinit__(self):             # <<<<<<<<<<<<<<
@@ -2878,7 +2876,7 @@ static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
 
-  /* "frgc/_kernels.pyx":40
+  /* "frgc/_kernels.pyx":39
  * 
  *     def __cinit__(self):
  *         self.cap = 1024             # <<<<<<<<<<<<<<
@@ -2887,7 +2885,7 @@ static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_
 */
   __pyx_v_self->cap = 0x400;
 
-  /* "frgc/_kernels.pyx":41
+  /* "frgc/_kernels.pyx":40
  *     def __cinit__(self):
  *         self.cap = 1024
  *         self.buf = <unsigned char*> PyMem_Malloc(self.cap)             # <<<<<<<<<<<<<<
@@ -2896,7 +2894,7 @@ static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_
 */
   __pyx_v_self->buf = ((unsigned char *)PyMem_Malloc(__pyx_v_self->cap));
 
-  /* "frgc/_kernels.pyx":42
+  /* "frgc/_kernels.pyx":41
  *         self.cap = 1024
  *         self.buf = <unsigned char*> PyMem_Malloc(self.cap)
  *         if self.buf == NULL:             # <<<<<<<<<<<<<<
@@ -2906,16 +2904,16 @@ static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_
   __pyx_t_1 = (__pyx_v_self->buf == NULL);
   if (unlikely(__pyx_t_1)) {
 
-    /* "frgc/_kernels.pyx":43
+    /* "frgc/_kernels.pyx":42
  *         self.buf = <unsigned char*> PyMem_Malloc(self.cap)
  *         if self.buf == NULL:
  *             raise MemoryError()             # <<<<<<<<<<<<<<
  *         self.n = 0
  *         self.acc = 0
 */
-    PyErr_NoMemory(); __PYX_ERR(0, 43, __pyx_L1_error)
+    PyErr_NoMemory(); __PYX_ERR(0, 42, __pyx_L1_error)
 
-    /* "frgc/_kernels.pyx":42
+    /* "frgc/_kernels.pyx":41
  *         self.cap = 1024
  *         self.buf = <unsigned char*> PyMem_Malloc(self.cap)
  *         if self.buf == NULL:             # <<<<<<<<<<<<<<
@@ -2924,7 +2922,7 @@ static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_
 */
   }
 
-  /* "frgc/_kernels.pyx":44
+  /* "frgc/_kernels.pyx":43
  *         if self.buf == NULL:
  *             raise MemoryError()
  *         self.n = 0             # <<<<<<<<<<<<<<
@@ -2933,7 +2931,7 @@ static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_
 */
   __pyx_v_self->n = 0;
 
-  /* "frgc/_kernels.pyx":45
+  /* "frgc/_kernels.pyx":44
  *             raise MemoryError()
  *         self.n = 0
  *         self.acc = 0             # <<<<<<<<<<<<<<
@@ -2942,7 +2940,7 @@ static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_
 */
   __pyx_v_self->acc = 0;
 
-  /* "frgc/_kernels.pyx":46
+  /* "frgc/_kernels.pyx":45
  *         self.n = 0
  *         self.acc = 0
  *         self.nacc = 0             # <<<<<<<<<<<<<<
@@ -2951,7 +2949,7 @@ static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_
 */
   __pyx_v_self->nacc = 0;
 
-  /* "frgc/_kernels.pyx":47
+  /* "frgc/_kernels.pyx":46
  *         self.acc = 0
  *         self.nacc = 0
  *         self.total = 0             # <<<<<<<<<<<<<<
@@ -2960,7 +2958,7 @@ static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_
 */
   __pyx_v_self->total = 0;
 
-  /* "frgc/_kernels.pyx":39
+  /* "frgc/_kernels.pyx":38
  *     cdef long long total
  * 
  *     def __cinit__(self):             # <<<<<<<<<<<<<<
@@ -2978,7 +2976,7 @@ static int __pyx_pf_4frgc_8_kernels_7_Writer___cinit__(struct __pyx_obj_4frgc_8_
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":49
+/* "frgc/_kernels.pyx":48
  *         self.total = 0
  * 
  *     def __dealloc__(self):             # <<<<<<<<<<<<<<
@@ -3002,7 +3000,7 @@ static void __pyx_pw_4frgc_8_kernels_7_Writer_3__dealloc__(PyObject *__pyx_v_sel
 static void __pyx_pf_4frgc_8_kernels_7_Writer_2__dealloc__(struct __pyx_obj_4frgc_8_kernels__Writer *__pyx_v_self) {
   int __pyx_t_1;
 
-  /* "frgc/_kernels.pyx":50
+  /* "frgc/_kernels.pyx":49
  * 
  *     def __dealloc__(self):
  *         if self.buf != NULL:             # <<<<<<<<<<<<<<
@@ -3012,7 +3010,7 @@ static void __pyx_pf_4frgc_8_kernels_7_Writer_2__dealloc__(struct __pyx_obj_4frg
   __pyx_t_1 = (__pyx_v_self->buf != NULL);
   if (__pyx_t_1) {
 
-    /* "frgc/_kernels.pyx":51
+    /* "frgc/_kernels.pyx":50
  *     def __dealloc__(self):
  *         if self.buf != NULL:
  *             PyMem_Free(self.buf)             # <<<<<<<<<<<<<<
@@ -3021,7 +3019,7 @@ static void __pyx_pf_4frgc_8_kernels_7_Writer_2__dealloc__(struct __pyx_obj_4frg
 */
     PyMem_Free(__pyx_v_self->buf);
 
-    /* "frgc/_kernels.pyx":50
+    /* "frgc/_kernels.pyx":49
  * 
  *     def __dealloc__(self):
  *         if self.buf != NULL:             # <<<<<<<<<<<<<<
@@ -3030,7 +3028,7 @@ static void __pyx_pf_4frgc_8_kernels_7_Writer_2__dealloc__(struct __pyx_obj_4frg
 */
   }
 
-  /* "frgc/_kernels.pyx":49
+  /* "frgc/_kernels.pyx":48
  *         self.total = 0
  * 
  *     def __dealloc__(self):             # <<<<<<<<<<<<<<
@@ -3041,7 +3039,7 @@ static void __pyx_pf_4frgc_8_kernels_7_Writer_2__dealloc__(struct __pyx_obj_4frg
   /* function exit code */
 }
 
-/* "frgc/_kernels.pyx":53
+/* "frgc/_kernels.pyx":52
  *             PyMem_Free(self.buf)
  * 
  *     cdef int _ensure(self, Py_ssize_t extra) except -1:             # <<<<<<<<<<<<<<
@@ -3060,7 +3058,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
 
-  /* "frgc/_kernels.pyx":54
+  /* "frgc/_kernels.pyx":53
  * 
  *     cdef int _ensure(self, Py_ssize_t extra) except -1:
  *         cdef Py_ssize_t need = self.n + extra             # <<<<<<<<<<<<<<
@@ -3069,7 +3067,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
 */
   __pyx_v_need = (__pyx_v_self->n + __pyx_v_extra);
 
-  /* "frgc/_kernels.pyx":55
+  /* "frgc/_kernels.pyx":54
  *     cdef int _ensure(self, Py_ssize_t extra) except -1:
  *         cdef Py_ssize_t need = self.n + extra
  *         cdef Py_ssize_t cap = self.cap             # <<<<<<<<<<<<<<
@@ -3079,7 +3077,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
   __pyx_t_1 = __pyx_v_self->cap;
   __pyx_v_cap = __pyx_t_1;
 
-  /* "frgc/_kernels.pyx":57
+  /* "frgc/_kernels.pyx":56
  *         cdef Py_ssize_t cap = self.cap
  *         cdef unsigned char* nb
  *         if need <= cap:             # <<<<<<<<<<<<<<
@@ -3089,7 +3087,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
   __pyx_t_2 = (__pyx_v_need <= __pyx_v_cap);
   if (__pyx_t_2) {
 
-    /* "frgc/_kernels.pyx":58
+    /* "frgc/_kernels.pyx":57
  *         cdef unsigned char* nb
  *         if need <= cap:
  *             return 0             # <<<<<<<<<<<<<<
@@ -3099,7 +3097,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
     __pyx_r = 0;
     goto __pyx_L0;
 
-    /* "frgc/_kernels.pyx":57
+    /* "frgc/_kernels.pyx":56
  *         cdef Py_ssize_t cap = self.cap
  *         cdef unsigned char* nb
  *         if need <= cap:             # <<<<<<<<<<<<<<
@@ -3108,7 +3106,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
 */
   }
 
-  /* "frgc/_kernels.pyx":59
+  /* "frgc/_kernels.pyx":58
  *         if need <= cap:
  *             return 0
  *         while cap < need:             # <<<<<<<<<<<<<<
@@ -3119,7 +3117,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
     __pyx_t_2 = (__pyx_v_cap < __pyx_v_need);
     if (!__pyx_t_2) break;
 
-    /* "frgc/_kernels.pyx":60
+    /* "frgc/_kernels.pyx":59
  *             return 0
  *         while cap < need:
  *             cap <<= 1             # <<<<<<<<<<<<<<
@@ -3129,7 +3127,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
     __pyx_v_cap = (__pyx_v_cap << 1);
   }
 
-  /* "frgc/_kernels.pyx":61
+  /* "frgc/_kernels.pyx":60
  *         while cap < need:
  *             cap <<= 1
  *         nb = <unsigned char*> PyMem_Realloc(self.buf, cap)             # <<<<<<<<<<<<<<
@@ -3138,7 +3136,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
 */
   __pyx_v_nb = ((unsigned char *)PyMem_Realloc(__pyx_v_self->buf, __pyx_v_cap));
 
-  /* "frgc/_kernels.pyx":62
+  /* "frgc/_kernels.pyx":61
  *             cap <<= 1
  *         nb = <unsigned char*> PyMem_Realloc(self.buf, cap)
  *         if nb == NULL:             # <<<<<<<<<<<<<<
@@ -3148,16 +3146,16 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
   __pyx_t_2 = (__pyx_v_nb == NULL);
   if (unlikely(__pyx_t_2)) {
 
-    /* "frgc/_kernels.pyx":63
+    /* "frgc/_kernels.pyx":62
  *         nb = <unsigned char*> PyMem_Realloc(self.buf, cap)
  *         if nb == NULL:
  *             raise MemoryError()             # <<<<<<<<<<<<<<
  *         self.buf = nb
  *         self.cap = cap
 */
-    PyErr_NoMemory(); __PYX_ERR(0, 63, __pyx_L1_error)
+    PyErr_NoMemory(); __PYX_ERR(0, 62, __pyx_L1_error)
 
-    /* "frgc/_kernels.pyx":62
+    /* "frgc/_kernels.pyx":61
  *             cap <<= 1
  *         nb = <unsigned char*> PyMem_Realloc(self.buf, cap)
  *         if nb == NULL:             # <<<<<<<<<<<<<<
@@ -3166,7 +3164,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
 */
   }
 
-  /* "frgc/_kernels.pyx":64
+  /* "frgc/_kernels.pyx":63
  *         if nb == NULL:
  *             raise MemoryError()
  *         self.buf = nb             # <<<<<<<<<<<<<<
@@ -3175,7 +3173,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
 */
   __pyx_v_self->buf = __pyx_v_nb;
 
-  /* "frgc/_kernels.pyx":65
+  /* "frgc/_kernels.pyx":64
  *             raise MemoryError()
  *         self.buf = nb
  *         self.cap = cap             # <<<<<<<<<<<<<<
@@ -3184,7 +3182,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
 */
   __pyx_v_self->cap = __pyx_v_cap;
 
-  /* "frgc/_kernels.pyx":66
+  /* "frgc/_kernels.pyx":65
  *         self.buf = nb
  *         self.cap = cap
  *         return 0             # <<<<<<<<<<<<<<
@@ -3194,7 +3192,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
   __pyx_r = 0;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":53
+  /* "frgc/_kernels.pyx":52
  *             PyMem_Free(self.buf)
  * 
  *     cdef int _ensure(self, Py_ssize_t extra) except -1:             # <<<<<<<<<<<<<<
@@ -3210,7 +3208,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer__ensure(struct __pyx_obj_4frgc_8_ker
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":68
+/* "frgc/_kernels.pyx":67
  *         return 0
  * 
  *     cdef int put(self, unsigned long long value, int nbits) except -1:             # <<<<<<<<<<<<<<
@@ -3226,7 +3224,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
 
-  /* "frgc/_kernels.pyx":70
+  /* "frgc/_kernels.pyx":69
  *     cdef int put(self, unsigned long long value, int nbits) except -1:
  *         # nbits <= 33, so acc never holds more than 40 bits
  *         self.acc = (self.acc << nbits) | value             # <<<<<<<<<<<<<<
@@ -3235,7 +3233,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
 */
   __pyx_v_self->acc = ((__pyx_v_self->acc << __pyx_v_nbits) | __pyx_v_value);
 
-  /* "frgc/_kernels.pyx":71
+  /* "frgc/_kernels.pyx":70
  *         # nbits <= 33, so acc never holds more than 40 bits
  *         self.acc = (self.acc << nbits) | value
  *         self.nacc += nbits             # <<<<<<<<<<<<<<
@@ -3244,7 +3242,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
 */
   __pyx_v_self->nacc = (__pyx_v_self->nacc + __pyx_v_nbits);
 
-  /* "frgc/_kernels.pyx":72
+  /* "frgc/_kernels.pyx":71
  *         self.acc = (self.acc << nbits) | value
  *         self.nacc += nbits
  *         self.total += nbits             # <<<<<<<<<<<<<<
@@ -3253,16 +3251,16 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
 */
   __pyx_v_self->total = (__pyx_v_self->total + __pyx_v_nbits);
 
-  /* "frgc/_kernels.pyx":73
+  /* "frgc/_kernels.pyx":72
  *         self.nacc += nbits
  *         self.total += nbits
  *         self._ensure(self.nacc >> 3)             # <<<<<<<<<<<<<<
  *         while self.nacc >= 8:
  *             self.nacc -= 8
 */
-  __pyx_t_1 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_self->__pyx_vtab)->_ensure(__pyx_v_self, (__pyx_v_self->nacc >> 3)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 73, __pyx_L1_error)
+  __pyx_t_1 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_self->__pyx_vtab)->_ensure(__pyx_v_self, (__pyx_v_self->nacc >> 3)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 72, __pyx_L1_error)
 
-  /* "frgc/_kernels.pyx":74
+  /* "frgc/_kernels.pyx":73
  *         self.total += nbits
  *         self._ensure(self.nacc >> 3)
  *         while self.nacc >= 8:             # <<<<<<<<<<<<<<
@@ -3273,7 +3271,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
     __pyx_t_2 = (__pyx_v_self->nacc >= 8);
     if (!__pyx_t_2) break;
 
-    /* "frgc/_kernels.pyx":75
+    /* "frgc/_kernels.pyx":74
  *         self._ensure(self.nacc >> 3)
  *         while self.nacc >= 8:
  *             self.nacc -= 8             # <<<<<<<<<<<<<<
@@ -3282,7 +3280,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
 */
     __pyx_v_self->nacc = (__pyx_v_self->nacc - 8);
 
-    /* "frgc/_kernels.pyx":76
+    /* "frgc/_kernels.pyx":75
  *         while self.nacc >= 8:
  *             self.nacc -= 8
  *             self.buf[self.n] = <unsigned char> ((self.acc >> self.nacc) & 0xFF)             # <<<<<<<<<<<<<<
@@ -3291,7 +3289,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
 */
     (__pyx_v_self->buf[__pyx_v_self->n]) = ((unsigned char)((__pyx_v_self->acc >> __pyx_v_self->nacc) & 0xFF));
 
-    /* "frgc/_kernels.pyx":77
+    /* "frgc/_kernels.pyx":76
  *             self.nacc -= 8
  *             self.buf[self.n] = <unsigned char> ((self.acc >> self.nacc) & 0xFF)
  *             self.n += 1             # <<<<<<<<<<<<<<
@@ -3301,7 +3299,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
     __pyx_v_self->n = (__pyx_v_self->n + 1);
   }
 
-  /* "frgc/_kernels.pyx":78
+  /* "frgc/_kernels.pyx":77
  *             self.buf[self.n] = <unsigned char> ((self.acc >> self.nacc) & 0xFF)
  *             self.n += 1
  *         self.acc &= (<unsigned long long> 1 << self.nacc) - 1             # <<<<<<<<<<<<<<
@@ -3310,7 +3308,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
 */
   __pyx_v_self->acc = (__pyx_v_self->acc & ((((unsigned PY_LONG_LONG)1) << __pyx_v_self->nacc) - 1));
 
-  /* "frgc/_kernels.pyx":79
+  /* "frgc/_kernels.pyx":78
  *             self.n += 1
  *         self.acc &= (<unsigned long long> 1 << self.nacc) - 1
  *         return 0             # <<<<<<<<<<<<<<
@@ -3320,7 +3318,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
   __pyx_r = 0;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":68
+  /* "frgc/_kernels.pyx":67
  *         return 0
  * 
  *     cdef int put(self, unsigned long long value, int nbits) except -1:             # <<<<<<<<<<<<<<
@@ -3336,7 +3334,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put(struct __pyx_obj_4frgc_8_kernels
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":81
+/* "frgc/_kernels.pyx":80
  *         return 0
  * 
  *     cdef int put_unary(self, long long j) except -1:             # <<<<<<<<<<<<<<
@@ -3352,7 +3350,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put_unary(struct __pyx_obj_4frgc_8_k
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
 
-  /* "frgc/_kernels.pyx":82
+  /* "frgc/_kernels.pyx":81
  * 
  *     cdef int put_unary(self, long long j) except -1:
  *         while j >= 32:             # <<<<<<<<<<<<<<
@@ -3363,16 +3361,16 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put_unary(struct __pyx_obj_4frgc_8_k
     __pyx_t_1 = (__pyx_v_j >= 32);
     if (!__pyx_t_1) break;
 
-    /* "frgc/_kernels.pyx":83
+    /* "frgc/_kernels.pyx":82
  *     cdef int put_unary(self, long long j) except -1:
  *         while j >= 32:
  *             self.put(<unsigned long long> 0xFFFFFFFF, 32)             # <<<<<<<<<<<<<<
  *             j -= 32
  *         self.put(((<unsigned long long> 1 << j) - 1) << 1, <int> (j + 1))
 */
-    __pyx_t_2 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_self->__pyx_vtab)->put(__pyx_v_self, ((unsigned PY_LONG_LONG)0xFFFFFFFF), 32); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(0, 83, __pyx_L1_error)
+    __pyx_t_2 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_self->__pyx_vtab)->put(__pyx_v_self, ((unsigned PY_LONG_LONG)0xFFFFFFFF), 32); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(0, 82, __pyx_L1_error)
 
-    /* "frgc/_kernels.pyx":84
+    /* "frgc/_kernels.pyx":83
  *         while j >= 32:
  *             self.put(<unsigned long long> 0xFFFFFFFF, 32)
  *             j -= 32             # <<<<<<<<<<<<<<
@@ -3382,16 +3380,16 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put_unary(struct __pyx_obj_4frgc_8_k
     __pyx_v_j = (__pyx_v_j - 32);
   }
 
-  /* "frgc/_kernels.pyx":85
+  /* "frgc/_kernels.pyx":84
  *             self.put(<unsigned long long> 0xFFFFFFFF, 32)
  *             j -= 32
  *         self.put(((<unsigned long long> 1 << j) - 1) << 1, <int> (j + 1))             # <<<<<<<<<<<<<<
  *         return 0
  * 
 */
-  __pyx_t_2 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_self->__pyx_vtab)->put(__pyx_v_self, (((((unsigned PY_LONG_LONG)1) << __pyx_v_j) - 1) << 1), ((int)(__pyx_v_j + 1))); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(0, 85, __pyx_L1_error)
+  __pyx_t_2 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_self->__pyx_vtab)->put(__pyx_v_self, (((((unsigned PY_LONG_LONG)1) << __pyx_v_j) - 1) << 1), ((int)(__pyx_v_j + 1))); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(0, 84, __pyx_L1_error)
 
-  /* "frgc/_kernels.pyx":86
+  /* "frgc/_kernels.pyx":85
  *             j -= 32
  *         self.put(((<unsigned long long> 1 << j) - 1) << 1, <int> (j + 1))
  *         return 0             # <<<<<<<<<<<<<<
@@ -3401,7 +3399,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put_unary(struct __pyx_obj_4frgc_8_k
   __pyx_r = 0;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":81
+  /* "frgc/_kernels.pyx":80
  *         return 0
  * 
  *     cdef int put_unary(self, long long j) except -1:             # <<<<<<<<<<<<<<
@@ -3417,7 +3415,7 @@ static int __pyx_f_4frgc_8_kernels_7_Writer_put_unary(struct __pyx_obj_4frgc_8_k
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":88
+/* "frgc/_kernels.pyx":87
  *         return 0
  * 
  *     cdef bytes finish(self):             # <<<<<<<<<<<<<<
@@ -3436,7 +3434,7 @@ static PyObject *__pyx_f_4frgc_8_kernels_7_Writer_finish(struct __pyx_obj_4frgc_
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("finish", 0);
 
-  /* "frgc/_kernels.pyx":89
+  /* "frgc/_kernels.pyx":88
  * 
  *     cdef bytes finish(self):
  *         if self.nacc:             # <<<<<<<<<<<<<<
@@ -3446,16 +3444,16 @@ static PyObject *__pyx_f_4frgc_8_kernels_7_Writer_finish(struct __pyx_obj_4frgc_
   __pyx_t_1 = (__pyx_v_self->nacc != 0);
   if (__pyx_t_1) {
 
-    /* "frgc/_kernels.pyx":90
+    /* "frgc/_kernels.pyx":89
  *     cdef bytes finish(self):
  *         if self.nacc:
  *             self._ensure(1)             # <<<<<<<<<<<<<<
  *             self.buf[self.n] = <unsigned char> ((self.acc << (8 - self.nacc)) & 0xFF)
  *             self.n += 1
 */
-    __pyx_t_2 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_self->__pyx_vtab)->_ensure(__pyx_v_self, 1); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(0, 90, __pyx_L1_error)
+    __pyx_t_2 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_self->__pyx_vtab)->_ensure(__pyx_v_self, 1); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(0, 89, __pyx_L1_error)
 
-    /* "frgc/_kernels.pyx":91
+    /* "frgc/_kernels.pyx":90
  *         if self.nacc:
  *             self._ensure(1)
  *             self.buf[self.n] = <unsigned char> ((self.acc << (8 - self.nacc)) & 0xFF)             # <<<<<<<<<<<<<<
@@ -3464,7 +3462,7 @@ static PyObject *__pyx_f_4frgc_8_kernels_7_Writer_finish(struct __pyx_obj_4frgc_
 */
     (__pyx_v_self->buf[__pyx_v_self->n]) = ((unsigned char)((__pyx_v_self->acc << (8 - __pyx_v_self->nacc)) & 0xFF));
 
-    /* "frgc/_kernels.pyx":92
+    /* "frgc/_kernels.pyx":91
  *             self._ensure(1)
  *             self.buf[self.n] = <unsigned char> ((self.acc << (8 - self.nacc)) & 0xFF)
  *             self.n += 1             # <<<<<<<<<<<<<<
@@ -3473,7 +3471,7 @@ static PyObject *__pyx_f_4frgc_8_kernels_7_Writer_finish(struct __pyx_obj_4frgc_
 */
     __pyx_v_self->n = (__pyx_v_self->n + 1);
 
-    /* "frgc/_kernels.pyx":93
+    /* "frgc/_kernels.pyx":92
  *             self.buf[self.n] = <unsigned char> ((self.acc << (8 - self.nacc)) & 0xFF)
  *             self.n += 1
  *             self.acc = 0             # <<<<<<<<<<<<<<
@@ -3482,7 +3480,7 @@ static PyObject *__pyx_f_4frgc_8_kernels_7_Writer_finish(struct __pyx_obj_4frgc_
 */
     __pyx_v_self->acc = 0;
 
-    /* "frgc/_kernels.pyx":94
+    /* "frgc/_kernels.pyx":93
  *             self.n += 1
  *             self.acc = 0
  *             self.nacc = 0             # <<<<<<<<<<<<<<
@@ -3491,7 +3489,7 @@ static PyObject *__pyx_f_4frgc_8_kernels_7_Writer_finish(struct __pyx_obj_4frgc_
 */
     __pyx_v_self->nacc = 0;
 
-    /* "frgc/_kernels.pyx":89
+    /* "frgc/_kernels.pyx":88
  * 
  *     cdef bytes finish(self):
  *         if self.nacc:             # <<<<<<<<<<<<<<
@@ -3500,7 +3498,7 @@ static PyObject *__pyx_f_4frgc_8_kernels_7_Writer_finish(struct __pyx_obj_4frgc_
 */
   }
 
-  /* "frgc/_kernels.pyx":95
+  /* "frgc/_kernels.pyx":94
  *             self.acc = 0
  *             self.nacc = 0
  *         return PyBytes_FromStringAndSize(<char*> self.buf, self.n)             # <<<<<<<<<<<<<<
@@ -3508,13 +3506,13 @@ static PyObject *__pyx_f_4frgc_8_kernels_7_Writer_finish(struct __pyx_obj_4frgc_
  * 
 */
   __Pyx_XDECREF(__pyx_r);
-  __pyx_t_3 = PyBytes_FromStringAndSize(((char *)__pyx_v_self->buf), __pyx_v_self->n); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 95, __pyx_L1_error)
+  __pyx_t_3 = PyBytes_FromStringAndSize(((char *)__pyx_v_self->buf), __pyx_v_self->n); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 94, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_3);
   __pyx_r = ((PyObject*)__pyx_t_3);
   __pyx_t_3 = 0;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":88
+  /* "frgc/_kernels.pyx":87
  *         return 0
  * 
  *     cdef bytes finish(self):             # <<<<<<<<<<<<<<
@@ -3737,7 +3735,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_7_Writer_6__setstate_cython__(CYTHON_U
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":98
+/* "frgc/_kernels.pyx":97
  * 
  * 
  * cdef long long _read_unary(const unsigned char* data, Py_ssize_t* ppos,             # <<<<<<<<<<<<<<
@@ -3764,7 +3762,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("_read_unary", 0);
 
-  /* "frgc/_kernels.pyx":100
+  /* "frgc/_kernels.pyx":99
  * cdef long long _read_unary(const unsigned char* data, Py_ssize_t* ppos,
  *                            Py_ssize_t nbits, long long max_run) except -1:
  *     cdef Py_ssize_t pos = ppos[0]             # <<<<<<<<<<<<<<
@@ -3773,7 +3771,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
   __pyx_v_pos = (__pyx_v_ppos[0]);
 
-  /* "frgc/_kernels.pyx":101
+  /* "frgc/_kernels.pyx":100
  *                            Py_ssize_t nbits, long long max_run) except -1:
  *     cdef Py_ssize_t pos = ppos[0]
  *     cdef long long count = 0             # <<<<<<<<<<<<<<
@@ -3782,7 +3780,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
   __pyx_v_count = 0;
 
-  /* "frgc/_kernels.pyx":102
+  /* "frgc/_kernels.pyx":101
  *     cdef Py_ssize_t pos = ppos[0]
  *     cdef long long count = 0
  *     while True:             # <<<<<<<<<<<<<<
@@ -3791,7 +3789,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
   while (1) {
 
-    /* "frgc/_kernels.pyx":103
+    /* "frgc/_kernels.pyx":102
  *     cdef long long count = 0
  *     while True:
  *         if pos >= nbits:             # <<<<<<<<<<<<<<
@@ -3801,7 +3799,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
     __pyx_t_1 = (__pyx_v_pos >= __pyx_v_nbits);
     if (unlikely(__pyx_t_1)) {
 
-      /* "frgc/_kernels.pyx":104
+      /* "frgc/_kernels.pyx":103
  *     while True:
  *         if pos >= nbits:
  *             raise CorruptStreamError("unexpected end of stream")             # <<<<<<<<<<<<<<
@@ -3809,7 +3807,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
  *             while pos + 8 <= nbits and data[pos >> 3] == 0xFF:
 */
       __pyx_t_3 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_CorruptStreamError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 104, __pyx_L1_error)
+      __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_CorruptStreamError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 103, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_4);
       __pyx_t_5 = 1;
       #if CYTHON_UNPACK_METHODS
@@ -3828,14 +3826,14 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
         __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
         __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
         __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 104, __pyx_L1_error)
+        if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 103, __pyx_L1_error)
         __Pyx_GOTREF(__pyx_t_2);
       }
       __Pyx_Raise(__pyx_t_2, 0, 0, 0);
       __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __PYX_ERR(0, 104, __pyx_L1_error)
+      __PYX_ERR(0, 103, __pyx_L1_error)
 
-      /* "frgc/_kernels.pyx":103
+      /* "frgc/_kernels.pyx":102
  *     cdef long long count = 0
  *     while True:
  *         if pos >= nbits:             # <<<<<<<<<<<<<<
@@ -3844,7 +3842,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
     }
 
-    /* "frgc/_kernels.pyx":105
+    /* "frgc/_kernels.pyx":104
  *         if pos >= nbits:
  *             raise CorruptStreamError("unexpected end of stream")
  *         if (pos & 7) == 0:             # <<<<<<<<<<<<<<
@@ -3854,7 +3852,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
     __pyx_t_1 = ((__pyx_v_pos & 7) == 0);
     if (__pyx_t_1) {
 
-      /* "frgc/_kernels.pyx":106
+      /* "frgc/_kernels.pyx":105
  *             raise CorruptStreamError("unexpected end of stream")
  *         if (pos & 7) == 0:
  *             while pos + 8 <= nbits and data[pos >> 3] == 0xFF:             # <<<<<<<<<<<<<<
@@ -3873,7 +3871,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
         __pyx_L9_bool_binop_done:;
         if (!__pyx_t_1) break;
 
-        /* "frgc/_kernels.pyx":107
+        /* "frgc/_kernels.pyx":106
  *         if (pos & 7) == 0:
  *             while pos + 8 <= nbits and data[pos >> 3] == 0xFF:
  *                 pos += 8             # <<<<<<<<<<<<<<
@@ -3882,7 +3880,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
         __pyx_v_pos = (__pyx_v_pos + 8);
 
-        /* "frgc/_kernels.pyx":108
+        /* "frgc/_kernels.pyx":107
  *             while pos + 8 <= nbits and data[pos >> 3] == 0xFF:
  *                 pos += 8
  *                 count += 8             # <<<<<<<<<<<<<<
@@ -3891,7 +3889,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
         __pyx_v_count = (__pyx_v_count + 8);
 
-        /* "frgc/_kernels.pyx":109
+        /* "frgc/_kernels.pyx":108
  *                 pos += 8
  *                 count += 8
  *                 if count > max_run:             # <<<<<<<<<<<<<<
@@ -3901,7 +3899,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
         __pyx_t_1 = (__pyx_v_count > __pyx_v_max_run);
         if (unlikely(__pyx_t_1)) {
 
-          /* "frgc/_kernels.pyx":110
+          /* "frgc/_kernels.pyx":109
  *                 count += 8
  *                 if count > max_run:
  *                     raise CorruptStreamError(f"unary run exceeds {max_run} bits")             # <<<<<<<<<<<<<<
@@ -3909,15 +3907,15 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
  *                 raise CorruptStreamError("unexpected end of stream")
 */
           __pyx_t_4 = NULL;
-          __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_CorruptStreamError); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 110, __pyx_L1_error)
+          __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_CorruptStreamError); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 109, __pyx_L1_error)
           __Pyx_GOTREF(__pyx_t_3);
-          __pyx_t_7 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_max_run, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 110, __pyx_L1_error)
+          __pyx_t_7 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_max_run, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 109, __pyx_L1_error)
           __Pyx_GOTREF(__pyx_t_7);
           __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_unary_run_exceeds;
           __pyx_t_8[1] = __pyx_t_7;
           __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_bits;
           __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 18 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 5, 127);
-          if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 110, __pyx_L1_error)
+          if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 109, __pyx_L1_error)
           __Pyx_GOTREF(__pyx_t_9);
           __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
           __pyx_t_5 = 1;
@@ -3938,14 +3936,14 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
             __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
             __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
             __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-            if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 110, __pyx_L1_error)
+            if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 109, __pyx_L1_error)
             __Pyx_GOTREF(__pyx_t_2);
           }
           __Pyx_Raise(__pyx_t_2, 0, 0, 0);
           __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-          __PYX_ERR(0, 110, __pyx_L1_error)
+          __PYX_ERR(0, 109, __pyx_L1_error)
 
-          /* "frgc/_kernels.pyx":109
+          /* "frgc/_kernels.pyx":108
  *                 pos += 8
  *                 count += 8
  *                 if count > max_run:             # <<<<<<<<<<<<<<
@@ -3955,7 +3953,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
         }
       }
 
-      /* "frgc/_kernels.pyx":111
+      /* "frgc/_kernels.pyx":110
  *                 if count > max_run:
  *                     raise CorruptStreamError(f"unary run exceeds {max_run} bits")
  *             if pos >= nbits:             # <<<<<<<<<<<<<<
@@ -3965,7 +3963,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
       __pyx_t_1 = (__pyx_v_pos >= __pyx_v_nbits);
       if (unlikely(__pyx_t_1)) {
 
-        /* "frgc/_kernels.pyx":112
+        /* "frgc/_kernels.pyx":111
  *                     raise CorruptStreamError(f"unary run exceeds {max_run} bits")
  *             if pos >= nbits:
  *                 raise CorruptStreamError("unexpected end of stream")             # <<<<<<<<<<<<<<
@@ -3973,7 +3971,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
  *             pos += 1
 */
         __pyx_t_3 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_CorruptStreamError); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 112, __pyx_L1_error)
+        __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_CorruptStreamError); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 111, __pyx_L1_error)
         __Pyx_GOTREF(__pyx_t_9);
         __pyx_t_5 = 1;
         #if CYTHON_UNPACK_METHODS
@@ -3992,14 +3990,14 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
           __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
           __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
           __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 112, __pyx_L1_error)
+          if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 111, __pyx_L1_error)
           __Pyx_GOTREF(__pyx_t_2);
         }
         __Pyx_Raise(__pyx_t_2, 0, 0, 0);
         __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-        __PYX_ERR(0, 112, __pyx_L1_error)
+        __PYX_ERR(0, 111, __pyx_L1_error)
 
-        /* "frgc/_kernels.pyx":111
+        /* "frgc/_kernels.pyx":110
  *                 if count > max_run:
  *                     raise CorruptStreamError(f"unary run exceeds {max_run} bits")
  *             if pos >= nbits:             # <<<<<<<<<<<<<<
@@ -4008,7 +4006,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
       }
 
-      /* "frgc/_kernels.pyx":105
+      /* "frgc/_kernels.pyx":104
  *         if pos >= nbits:
  *             raise CorruptStreamError("unexpected end of stream")
  *         if (pos & 7) == 0:             # <<<<<<<<<<<<<<
@@ -4017,7 +4015,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
     }
 
-    /* "frgc/_kernels.pyx":113
+    /* "frgc/_kernels.pyx":112
  *             if pos >= nbits:
  *                 raise CorruptStreamError("unexpected end of stream")
  *         if (data[pos >> 3] >> (7 - (pos & 7))) & 1:             # <<<<<<<<<<<<<<
@@ -4027,7 +4025,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
     __pyx_t_1 = ((((__pyx_v_data[(__pyx_v_pos >> 3)]) >> (7 - (__pyx_v_pos & 7))) & 1) != 0);
     if (__pyx_t_1) {
 
-      /* "frgc/_kernels.pyx":114
+      /* "frgc/_kernels.pyx":113
  *                 raise CorruptStreamError("unexpected end of stream")
  *         if (data[pos >> 3] >> (7 - (pos & 7))) & 1:
  *             pos += 1             # <<<<<<<<<<<<<<
@@ -4036,7 +4034,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
       __pyx_v_pos = (__pyx_v_pos + 1);
 
-      /* "frgc/_kernels.pyx":115
+      /* "frgc/_kernels.pyx":114
  *         if (data[pos >> 3] >> (7 - (pos & 7))) & 1:
  *             pos += 1
  *             count += 1             # <<<<<<<<<<<<<<
@@ -4045,7 +4043,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
       __pyx_v_count = (__pyx_v_count + 1);
 
-      /* "frgc/_kernels.pyx":116
+      /* "frgc/_kernels.pyx":115
  *             pos += 1
  *             count += 1
  *             if count > max_run:             # <<<<<<<<<<<<<<
@@ -4055,7 +4053,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
       __pyx_t_1 = (__pyx_v_count > __pyx_v_max_run);
       if (unlikely(__pyx_t_1)) {
 
-        /* "frgc/_kernels.pyx":117
+        /* "frgc/_kernels.pyx":116
  *             count += 1
  *             if count > max_run:
  *                 raise CorruptStreamError(f"unary run exceeds {max_run} bits")             # <<<<<<<<<<<<<<
@@ -4063,15 +4061,15 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
  *             pos += 1
 */
         __pyx_t_9 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_CorruptStreamError); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 117, __pyx_L1_error)
+        __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_CorruptStreamError); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 116, __pyx_L1_error)
         __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_4 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_max_run, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 117, __pyx_L1_error)
+        __pyx_t_4 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_max_run, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 116, __pyx_L1_error)
         __Pyx_GOTREF(__pyx_t_4);
         __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_unary_run_exceeds;
         __pyx_t_8[1] = __pyx_t_4;
         __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_bits;
         __pyx_t_7 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 18 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + 5, 127);
-        if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 117, __pyx_L1_error)
+        if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 116, __pyx_L1_error)
         __Pyx_GOTREF(__pyx_t_7);
         __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
         __pyx_t_5 = 1;
@@ -4092,14 +4090,14 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
           __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
           __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
           __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-          if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 117, __pyx_L1_error)
+          if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 116, __pyx_L1_error)
           __Pyx_GOTREF(__pyx_t_2);
         }
         __Pyx_Raise(__pyx_t_2, 0, 0, 0);
         __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-        __PYX_ERR(0, 117, __pyx_L1_error)
+        __PYX_ERR(0, 116, __pyx_L1_error)
 
-        /* "frgc/_kernels.pyx":116
+        /* "frgc/_kernels.pyx":115
  *             pos += 1
  *             count += 1
  *             if count > max_run:             # <<<<<<<<<<<<<<
@@ -4108,7 +4106,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
       }
 
-      /* "frgc/_kernels.pyx":113
+      /* "frgc/_kernels.pyx":112
  *             if pos >= nbits:
  *                 raise CorruptStreamError("unexpected end of stream")
  *         if (data[pos >> 3] >> (7 - (pos & 7))) & 1:             # <<<<<<<<<<<<<<
@@ -4118,7 +4116,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
       goto __pyx_L13;
     }
 
-    /* "frgc/_kernels.pyx":119
+    /* "frgc/_kernels.pyx":118
  *                 raise CorruptStreamError(f"unary run exceeds {max_run} bits")
  *         else:
  *             pos += 1             # <<<<<<<<<<<<<<
@@ -4128,7 +4126,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
     /*else*/ {
       __pyx_v_pos = (__pyx_v_pos + 1);
 
-      /* "frgc/_kernels.pyx":120
+      /* "frgc/_kernels.pyx":119
  *         else:
  *             pos += 1
  *             break             # <<<<<<<<<<<<<<
@@ -4141,7 +4139,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
   }
   __pyx_L4_break:;
 
-  /* "frgc/_kernels.pyx":121
+  /* "frgc/_kernels.pyx":120
  *             pos += 1
  *             break
  *     ppos[0] = pos             # <<<<<<<<<<<<<<
@@ -4150,7 +4148,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
 */
   (__pyx_v_ppos[0]) = __pyx_v_pos;
 
-  /* "frgc/_kernels.pyx":122
+  /* "frgc/_kernels.pyx":121
  *             break
  *     ppos[0] = pos
  *     return count             # <<<<<<<<<<<<<<
@@ -4160,7 +4158,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
   __pyx_r = __pyx_v_count;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":98
+  /* "frgc/_kernels.pyx":97
  * 
  * 
  * cdef long long _read_unary(const unsigned char* data, Py_ssize_t* ppos,             # <<<<<<<<<<<<<<
@@ -4182,7 +4180,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_unary(unsigned char const *__p
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":125
+/* "frgc/_kernels.pyx":124
  * 
  * 
  * cdef long long _read_bits(const unsigned char* data, Py_ssize_t* ppos,             # <<<<<<<<<<<<<<
@@ -4208,7 +4206,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("_read_bits", 0);
 
-  /* "frgc/_kernels.pyx":127
+  /* "frgc/_kernels.pyx":126
  * cdef long long _read_bits(const unsigned char* data, Py_ssize_t* ppos,
  *                           Py_ssize_t nbits, int n) except -1:
  *     cdef Py_ssize_t pos = ppos[0]             # <<<<<<<<<<<<<<
@@ -4217,7 +4215,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
 */
   __pyx_v_pos = (__pyx_v_ppos[0]);
 
-  /* "frgc/_kernels.pyx":128
+  /* "frgc/_kernels.pyx":127
  *                           Py_ssize_t nbits, int n) except -1:
  *     cdef Py_ssize_t pos = ppos[0]
  *     cdef long long result = 0             # <<<<<<<<<<<<<<
@@ -4226,7 +4224,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
 */
   __pyx_v_result = 0;
 
-  /* "frgc/_kernels.pyx":130
+  /* "frgc/_kernels.pyx":129
  *     cdef long long result = 0
  *     cdef int avail, take
  *     if pos + n > nbits:             # <<<<<<<<<<<<<<
@@ -4236,7 +4234,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
   __pyx_t_1 = ((__pyx_v_pos + __pyx_v_n) > __pyx_v_nbits);
   if (unlikely(__pyx_t_1)) {
 
-    /* "frgc/_kernels.pyx":131
+    /* "frgc/_kernels.pyx":130
  *     cdef int avail, take
  *     if pos + n > nbits:
  *         raise CorruptStreamError("unexpected end of stream")             # <<<<<<<<<<<<<<
@@ -4244,7 +4242,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
  *         avail = 8 - <int> (pos & 7)
 */
     __pyx_t_3 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_CorruptStreamError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 131, __pyx_L1_error)
+    __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_CorruptStreamError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 130, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_4);
     __pyx_t_5 = 1;
     #if CYTHON_UNPACK_METHODS
@@ -4263,14 +4261,14 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
       __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
       __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
       __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 131, __pyx_L1_error)
+      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 130, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_2);
     }
     __Pyx_Raise(__pyx_t_2, 0, 0, 0);
     __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 131, __pyx_L1_error)
+    __PYX_ERR(0, 130, __pyx_L1_error)
 
-    /* "frgc/_kernels.pyx":130
+    /* "frgc/_kernels.pyx":129
  *     cdef long long result = 0
  *     cdef int avail, take
  *     if pos + n > nbits:             # <<<<<<<<<<<<<<
@@ -4279,7 +4277,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
 */
   }
 
-  /* "frgc/_kernels.pyx":132
+  /* "frgc/_kernels.pyx":131
  *     if pos + n > nbits:
  *         raise CorruptStreamError("unexpected end of stream")
  *     while n > 0:             # <<<<<<<<<<<<<<
@@ -4290,7 +4288,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
     __pyx_t_1 = (__pyx_v_n > 0);
     if (!__pyx_t_1) break;
 
-    /* "frgc/_kernels.pyx":133
+    /* "frgc/_kernels.pyx":132
  *         raise CorruptStreamError("unexpected end of stream")
  *     while n > 0:
  *         avail = 8 - <int> (pos & 7)             # <<<<<<<<<<<<<<
@@ -4299,7 +4297,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
 */
     __pyx_v_avail = (8 - ((int)(__pyx_v_pos & 7)));
 
-    /* "frgc/_kernels.pyx":134
+    /* "frgc/_kernels.pyx":133
  *     while n > 0:
  *         avail = 8 - <int> (pos & 7)
  *         take = avail if avail < n else n             # <<<<<<<<<<<<<<
@@ -4314,7 +4312,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
     }
     __pyx_v_take = __pyx_t_6;
 
-    /* "frgc/_kernels.pyx":135
+    /* "frgc/_kernels.pyx":134
  *         avail = 8 - <int> (pos & 7)
  *         take = avail if avail < n else n
  *         result = (result << take) | \             # <<<<<<<<<<<<<<
@@ -4323,7 +4321,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
 */
     __pyx_v_result = ((__pyx_v_result << __pyx_v_take) | (((__pyx_v_data[(__pyx_v_pos >> 3)]) >> (__pyx_v_avail - __pyx_v_take)) & ((1 << __pyx_v_take) - 1)));
 
-    /* "frgc/_kernels.pyx":137
+    /* "frgc/_kernels.pyx":136
  *         result = (result << take) | \
  *             ((data[pos >> 3] >> (avail - take)) & ((1 << take) - 1))
  *         pos += take             # <<<<<<<<<<<<<<
@@ -4332,7 +4330,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
 */
     __pyx_v_pos = (__pyx_v_pos + __pyx_v_take);
 
-    /* "frgc/_kernels.pyx":138
+    /* "frgc/_kernels.pyx":137
  *             ((data[pos >> 3] >> (avail - take)) & ((1 << take) - 1))
  *         pos += take
  *         n -= take             # <<<<<<<<<<<<<<
@@ -4342,7 +4340,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
     __pyx_v_n = (__pyx_v_n - __pyx_v_take);
   }
 
-  /* "frgc/_kernels.pyx":139
+  /* "frgc/_kernels.pyx":138
  *         pos += take
  *         n -= take
  *     ppos[0] = pos             # <<<<<<<<<<<<<<
@@ -4351,7 +4349,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
 */
   (__pyx_v_ppos[0]) = __pyx_v_pos;
 
-  /* "frgc/_kernels.pyx":140
+  /* "frgc/_kernels.pyx":139
  *         n -= take
  *     ppos[0] = pos
  *     return result             # <<<<<<<<<<<<<<
@@ -4361,7 +4359,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
   __pyx_r = __pyx_v_result;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":125
+  /* "frgc/_kernels.pyx":124
  * 
  * 
  * cdef long long _read_bits(const unsigned char* data, Py_ssize_t* ppos,             # <<<<<<<<<<<<<<
@@ -4381,7 +4379,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_bits(unsigned char const *__py
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":143
+/* "frgc/_kernels.pyx":142
  * 
  * 
  * cdef long long _read_minbin(const unsigned char* data, Py_ssize_t* ppos,             # <<<<<<<<<<<<<<
@@ -4398,7 +4396,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_minbin(unsigned char const *__
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
 
-  /* "frgc/_kernels.pyx":146
+  /* "frgc/_kernels.pyx":145
  *                             Py_ssize_t nbits, int b, long long u) except -1:
  *     cdef long long v
  *     if b == 0:             # <<<<<<<<<<<<<<
@@ -4408,7 +4406,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_minbin(unsigned char const *__
   __pyx_t_1 = (__pyx_v_b == 0);
   if (__pyx_t_1) {
 
-    /* "frgc/_kernels.pyx":147
+    /* "frgc/_kernels.pyx":146
  *     cdef long long v
  *     if b == 0:
  *         return 0             # <<<<<<<<<<<<<<
@@ -4418,7 +4416,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_minbin(unsigned char const *__
     __pyx_r = 0;
     goto __pyx_L0;
 
-    /* "frgc/_kernels.pyx":146
+    /* "frgc/_kernels.pyx":145
  *                             Py_ssize_t nbits, int b, long long u) except -1:
  *     cdef long long v
  *     if b == 0:             # <<<<<<<<<<<<<<
@@ -4427,17 +4425,17 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_minbin(unsigned char const *__
 */
   }
 
-  /* "frgc/_kernels.pyx":148
+  /* "frgc/_kernels.pyx":147
  *     if b == 0:
  *         return 0
  *     v = _read_bits(data, ppos, nbits, b - 1)             # <<<<<<<<<<<<<<
  *     if v < u:
  *         return v
 */
-  __pyx_t_2 = __pyx_f_4frgc_8_kernels__read_bits(__pyx_v_data, __pyx_v_ppos, __pyx_v_nbits, (__pyx_v_b - 1)); if (unlikely(__pyx_t_2 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 148, __pyx_L1_error)
+  __pyx_t_2 = __pyx_f_4frgc_8_kernels__read_bits(__pyx_v_data, __pyx_v_ppos, __pyx_v_nbits, (__pyx_v_b - 1)); if (unlikely(__pyx_t_2 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 147, __pyx_L1_error)
   __pyx_v_v = __pyx_t_2;
 
-  /* "frgc/_kernels.pyx":149
+  /* "frgc/_kernels.pyx":148
  *         return 0
  *     v = _read_bits(data, ppos, nbits, b - 1)
  *     if v < u:             # <<<<<<<<<<<<<<
@@ -4447,7 +4445,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_minbin(unsigned char const *__
   __pyx_t_1 = (__pyx_v_v < __pyx_v_u);
   if (__pyx_t_1) {
 
-    /* "frgc/_kernels.pyx":150
+    /* "frgc/_kernels.pyx":149
  *     v = _read_bits(data, ppos, nbits, b - 1)
  *     if v < u:
  *         return v             # <<<<<<<<<<<<<<
@@ -4457,7 +4455,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_minbin(unsigned char const *__
     __pyx_r = __pyx_v_v;
     goto __pyx_L0;
 
-    /* "frgc/_kernels.pyx":149
+    /* "frgc/_kernels.pyx":148
  *         return 0
  *     v = _read_bits(data, ppos, nbits, b - 1)
  *     if v < u:             # <<<<<<<<<<<<<<
@@ -4466,18 +4464,18 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_minbin(unsigned char const *__
 */
   }
 
-  /* "frgc/_kernels.pyx":151
+  /* "frgc/_kernels.pyx":150
  *     if v < u:
  *         return v
  *     return ((v << 1) | _read_bits(data, ppos, nbits, 1)) - u             # <<<<<<<<<<<<<<
  * 
  * 
 */
-  __pyx_t_2 = __pyx_f_4frgc_8_kernels__read_bits(__pyx_v_data, __pyx_v_ppos, __pyx_v_nbits, 1); if (unlikely(__pyx_t_2 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 151, __pyx_L1_error)
+  __pyx_t_2 = __pyx_f_4frgc_8_kernels__read_bits(__pyx_v_data, __pyx_v_ppos, __pyx_v_nbits, 1); if (unlikely(__pyx_t_2 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 150, __pyx_L1_error)
   __pyx_r = (((__pyx_v_v << 1) | __pyx_t_2) - __pyx_v_u);
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":143
+  /* "frgc/_kernels.pyx":142
  * 
  * 
  * cdef long long _read_minbin(const unsigned char* data, Py_ssize_t* ppos,             # <<<<<<<<<<<<<<
@@ -4493,7 +4491,7 @@ static PY_LONG_LONG __pyx_f_4frgc_8_kernels__read_minbin(unsigned char const *__
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":154
+/* "frgc/_kernels.pyx":153
  * 
  * 
  * cdef inline int _ceil_lg(long long m):             # <<<<<<<<<<<<<<
@@ -4506,7 +4504,7 @@ static CYTHON_INLINE int __pyx_f_4frgc_8_kernels__ceil_lg(PY_LONG_LONG __pyx_v_m
   int __pyx_r;
   int __pyx_t_1;
 
-  /* "frgc/_kernels.pyx":155
+  /* "frgc/_kernels.pyx":154
  * 
  * cdef inline int _ceil_lg(long long m):
  *     cdef int b = 0             # <<<<<<<<<<<<<<
@@ -4515,7 +4513,7 @@ static CYTHON_INLINE int __pyx_f_4frgc_8_kernels__ceil_lg(PY_LONG_LONG __pyx_v_m
 */
   __pyx_v_b = 0;
 
-  /* "frgc/_kernels.pyx":156
+  /* "frgc/_kernels.pyx":155
  * cdef inline int _ceil_lg(long long m):
  *     cdef int b = 0
  *     while (<long long> 1 << b) < m:             # <<<<<<<<<<<<<<
@@ -4526,7 +4524,7 @@ static CYTHON_INLINE int __pyx_f_4frgc_8_kernels__ceil_lg(PY_LONG_LONG __pyx_v_m
     __pyx_t_1 = ((((PY_LONG_LONG)1) << __pyx_v_b) < __pyx_v_m);
     if (!__pyx_t_1) break;
 
-    /* "frgc/_kernels.pyx":157
+    /* "frgc/_kernels.pyx":156
  *     cdef int b = 0
  *     while (<long long> 1 << b) < m:
  *         b += 1             # <<<<<<<<<<<<<<
@@ -4536,7 +4534,7 @@ static CYTHON_INLINE int __pyx_f_4frgc_8_kernels__ceil_lg(PY_LONG_LONG __pyx_v_m
     __pyx_v_b = (__pyx_v_b + 1);
   }
 
-  /* "frgc/_kernels.pyx":158
+  /* "frgc/_kernels.pyx":157
  *     while (<long long> 1 << b) < m:
  *         b += 1
  *     return b             # <<<<<<<<<<<<<<
@@ -4546,7 +4544,7 @@ static CYTHON_INLINE int __pyx_f_4frgc_8_kernels__ceil_lg(PY_LONG_LONG __pyx_v_m
   __pyx_r = __pyx_v_b;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":154
+  /* "frgc/_kernels.pyx":153
  * 
  * 
  * cdef inline int _ceil_lg(long long m):             # <<<<<<<<<<<<<<
@@ -4559,7 +4557,7 @@ static CYTHON_INLINE int __pyx_f_4frgc_8_kernels__ceil_lg(PY_LONG_LONG __pyx_v_m
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":161
+/* "frgc/_kernels.pyx":160
  * 
  * 
  * def golomb_encode(ms, long long m):             # <<<<<<<<<<<<<<
@@ -4607,39 +4605,39 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   {
     PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_ms,&__pyx_mstate_global->__pyx_n_u_m,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 161, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 160, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
         case  2:
         values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 161, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 160, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  1:
         values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 161, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 160, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "golomb_encode", 0) < (0)) __PYX_ERR(0, 161, __pyx_L3_error)
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "golomb_encode", 0) < (0)) __PYX_ERR(0, 160, __pyx_L3_error)
       for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("golomb_encode", 1, 2, 2, i); __PYX_ERR(0, 161, __pyx_L3_error) }
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("golomb_encode", 1, 2, 2, i); __PYX_ERR(0, 160, __pyx_L3_error) }
       }
     } else if (unlikely(__pyx_nargs != 2)) {
       goto __pyx_L5_argtuple_error;
     } else {
       values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 161, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 160, __pyx_L3_error)
       values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 161, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 160, __pyx_L3_error)
     }
     __pyx_v_ms = values[0];
-    __pyx_v_m = __Pyx_PyLong_As_PY_LONG_LONG(values[1]); if (unlikely((__pyx_v_m == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 161, __pyx_L3_error)
+    __pyx_v_m = __Pyx_PyLong_As_PY_LONG_LONG(values[1]); if (unlikely((__pyx_v_m == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 160, __pyx_L3_error)
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("golomb_encode", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 161, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("golomb_encode", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 160, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -4688,7 +4686,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("golomb_encode", 0);
 
-  /* "frgc/_kernels.pyx":162
+  /* "frgc/_kernels.pyx":161
  * 
  * def golomb_encode(ms, long long m):
  *     cdef list values = ms if type(ms) is list else list(ms)             # <<<<<<<<<<<<<<
@@ -4699,11 +4697,11 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
   if (__pyx_t_2) {
     __pyx_t_3 = __pyx_v_ms;
     __Pyx_INCREF(__pyx_t_3);
-    if (!(likely(PyList_CheckExact(__pyx_t_3))||((__pyx_t_3) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_3))) __PYX_ERR(0, 162, __pyx_L1_error)
+    if (!(likely(PyList_CheckExact(__pyx_t_3))||((__pyx_t_3) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_3))) __PYX_ERR(0, 161, __pyx_L1_error)
     __pyx_t_1 = __pyx_t_3;
     __pyx_t_3 = 0;
   } else {
-    __pyx_t_3 = PySequence_List(__pyx_v_ms); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 162, __pyx_L1_error)
+    __pyx_t_3 = PySequence_List(__pyx_v_ms); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 161, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_3);
     __pyx_t_1 = __pyx_t_3;
     __pyx_t_3 = 0;
@@ -4711,7 +4709,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
   __pyx_v_values = ((PyObject*)__pyx_t_1);
   __pyx_t_1 = 0;
 
-  /* "frgc/_kernels.pyx":163
+  /* "frgc/_kernels.pyx":162
  * def golomb_encode(ms, long long m):
  *     cdef list values = ms if type(ms) is list else list(ms)
  *     cdef _Writer w = _Writer()             # <<<<<<<<<<<<<<
@@ -4724,23 +4722,23 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
     PyObject *__pyx_callargs[2] = {__pyx_t_3, NULL};
     __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_4frgc_8_kernels__Writer, __pyx_callargs+__pyx_t_4, (1-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
     __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 163, __pyx_L1_error)
+    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 162, __pyx_L1_error)
     __Pyx_GOTREF((PyObject *)__pyx_t_1);
   }
   __pyx_v_w = ((struct __pyx_obj_4frgc_8_kernels__Writer *)__pyx_t_1);
   __pyx_t_1 = 0;
 
-  /* "frgc/_kernels.pyx":164
+  /* "frgc/_kernels.pyx":163
  *     cdef list values = ms if type(ms) is list else list(ms)
  *     cdef _Writer w = _Writer()
  *     cdef int b = _ceil_lg(m)             # <<<<<<<<<<<<<<
  *     cdef long long u = (<long long> 1 << b) - m
  *     cdef Py_ssize_t i, n = len(values)
 */
-  __pyx_t_5 = __pyx_f_4frgc_8_kernels__ceil_lg(__pyx_v_m); if (unlikely(__pyx_t_5 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 164, __pyx_L1_error)
+  __pyx_t_5 = __pyx_f_4frgc_8_kernels__ceil_lg(__pyx_v_m); if (unlikely(__pyx_t_5 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 163, __pyx_L1_error)
   __pyx_v_b = __pyx_t_5;
 
-  /* "frgc/_kernels.pyx":165
+  /* "frgc/_kernels.pyx":164
  *     cdef _Writer w = _Writer()
  *     cdef int b = _ceil_lg(m)
  *     cdef long long u = (<long long> 1 << b) - m             # <<<<<<<<<<<<<<
@@ -4749,7 +4747,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
 */
   __pyx_v_u = ((((PY_LONG_LONG)1) << __pyx_v_b) - __pyx_v_m);
 
-  /* "frgc/_kernels.pyx":166
+  /* "frgc/_kernels.pyx":165
  *     cdef int b = _ceil_lg(m)
  *     cdef long long u = (<long long> 1 << b) - m
  *     cdef Py_ssize_t i, n = len(values)             # <<<<<<<<<<<<<<
@@ -4758,12 +4756,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
 */
   if (unlikely(__pyx_v_values == Py_None)) {
     PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 166, __pyx_L1_error)
+    __PYX_ERR(0, 165, __pyx_L1_error)
   }
-  __pyx_t_6 = __Pyx_PyList_GET_SIZE(__pyx_v_values); if (unlikely(__pyx_t_6 == ((Py_ssize_t)-1))) __PYX_ERR(0, 166, __pyx_L1_error)
+  __pyx_t_6 = __Pyx_PyList_GET_SIZE(__pyx_v_values); if (unlikely(__pyx_t_6 == ((Py_ssize_t)-1))) __PYX_ERR(0, 165, __pyx_L1_error)
   __pyx_v_n = __pyx_t_6;
 
-  /* "frgc/_kernels.pyx":168
+  /* "frgc/_kernels.pyx":167
  *     cdef Py_ssize_t i, n = len(values)
  *     cdef long long mv, j, k
  *     if m < 1:             # <<<<<<<<<<<<<<
@@ -4773,7 +4771,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
   __pyx_t_2 = (__pyx_v_m < 1);
   if (unlikely(__pyx_t_2)) {
 
-    /* "frgc/_kernels.pyx":169
+    /* "frgc/_kernels.pyx":168
  *     cdef long long mv, j, k
  *     if m < 1:
  *         raise ValueError(f"golomb parameter must be >= 1, got {m}")             # <<<<<<<<<<<<<<
@@ -4781,9 +4779,9 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
  *         mv = values[i]
 */
     __pyx_t_3 = NULL;
-    __pyx_t_7 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_m, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 169, __pyx_L1_error)
+    __pyx_t_7 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_m, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 168, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_golomb_parameter_must_be_1_got, __pyx_t_7); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 169, __pyx_L1_error)
+    __pyx_t_8 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_golomb_parameter_must_be_1_got, __pyx_t_7); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 168, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_8);
     __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
     __pyx_t_4 = 1;
@@ -4792,14 +4790,14 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
       __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
       __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
       __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 169, __pyx_L1_error)
+      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 168, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_1);
     }
     __Pyx_Raise(__pyx_t_1, 0, 0, 0);
     __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 169, __pyx_L1_error)
+    __PYX_ERR(0, 168, __pyx_L1_error)
 
-    /* "frgc/_kernels.pyx":168
+    /* "frgc/_kernels.pyx":167
  *     cdef Py_ssize_t i, n = len(values)
  *     cdef long long mv, j, k
  *     if m < 1:             # <<<<<<<<<<<<<<
@@ -4808,7 +4806,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
 */
   }
 
-  /* "frgc/_kernels.pyx":170
+  /* "frgc/_kernels.pyx":169
  *     if m < 1:
  *         raise ValueError(f"golomb parameter must be >= 1, got {m}")
  *     for i in range(n):             # <<<<<<<<<<<<<<
@@ -4820,7 +4818,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
   for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
     __pyx_v_i = __pyx_t_10;
 
-    /* "frgc/_kernels.pyx":171
+    /* "frgc/_kernels.pyx":170
  *         raise ValueError(f"golomb parameter must be >= 1, got {m}")
  *     for i in range(n):
  *         mv = values[i]             # <<<<<<<<<<<<<<
@@ -4829,12 +4827,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
 */
     if (unlikely(__pyx_v_values == Py_None)) {
       PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-      __PYX_ERR(0, 171, __pyx_L1_error)
+      __PYX_ERR(0, 170, __pyx_L1_error)
     }
-    __pyx_t_11 = __Pyx_PyLong_As_PY_LONG_LONG(__Pyx_PyList_GET_ITEM(__pyx_v_values, __pyx_v_i)); if (unlikely((__pyx_t_11 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 171, __pyx_L1_error)
+    __pyx_t_11 = __Pyx_PyLong_As_PY_LONG_LONG(__Pyx_PyList_GET_ITEM(__pyx_v_values, __pyx_v_i)); if (unlikely((__pyx_t_11 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 170, __pyx_L1_error)
     __pyx_v_mv = __pyx_t_11;
 
-    /* "frgc/_kernels.pyx":172
+    /* "frgc/_kernels.pyx":171
  *     for i in range(n):
  *         mv = values[i]
  *         if mv < 0:             # <<<<<<<<<<<<<<
@@ -4844,7 +4842,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
     __pyx_t_2 = (__pyx_v_mv < 0);
     if (unlikely(__pyx_t_2)) {
 
-      /* "frgc/_kernels.pyx":173
+      /* "frgc/_kernels.pyx":172
  *         mv = values[i]
  *         if mv < 0:
  *             raise ValueError(f"mapped residual must be non-negative, got {mv}")             # <<<<<<<<<<<<<<
@@ -4852,9 +4850,9 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
  *         k = mv - j * m
 */
       __pyx_t_8 = NULL;
-      __pyx_t_3 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_mv, 0, ' ', 'd'); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 173, __pyx_L1_error)
+      __pyx_t_3 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_mv, 0, ' ', 'd'); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 172, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_7 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_mapped_residual_must_be_non_nega, __pyx_t_3); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 173, __pyx_L1_error)
+      __pyx_t_7 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_mapped_residual_must_be_non_nega, __pyx_t_3); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 172, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_7);
       __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
       __pyx_t_4 = 1;
@@ -4863,14 +4861,14 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
         __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
         __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
         __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 173, __pyx_L1_error)
+        if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 172, __pyx_L1_error)
         __Pyx_GOTREF(__pyx_t_1);
       }
       __Pyx_Raise(__pyx_t_1, 0, 0, 0);
       __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __PYX_ERR(0, 173, __pyx_L1_error)
+      __PYX_ERR(0, 172, __pyx_L1_error)
 
-      /* "frgc/_kernels.pyx":172
+      /* "frgc/_kernels.pyx":171
  *     for i in range(n):
  *         mv = values[i]
  *         if mv < 0:             # <<<<<<<<<<<<<<
@@ -4879,7 +4877,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
 */
     }
 
-    /* "frgc/_kernels.pyx":174
+    /* "frgc/_kernels.pyx":173
  *         if mv < 0:
  *             raise ValueError(f"mapped residual must be non-negative, got {mv}")
  *         j = mv / m             # <<<<<<<<<<<<<<
@@ -4888,7 +4886,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
 */
     __pyx_v_j = (__pyx_v_mv / __pyx_v_m);
 
-    /* "frgc/_kernels.pyx":175
+    /* "frgc/_kernels.pyx":174
  *             raise ValueError(f"mapped residual must be non-negative, got {mv}")
  *         j = mv / m
  *         k = mv - j * m             # <<<<<<<<<<<<<<
@@ -4897,16 +4895,16 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
 */
     __pyx_v_k = (__pyx_v_mv - (__pyx_v_j * __pyx_v_m));
 
-    /* "frgc/_kernels.pyx":176
+    /* "frgc/_kernels.pyx":175
  *         j = mv / m
  *         k = mv - j * m
  *         w.put_unary(j)             # <<<<<<<<<<<<<<
  *         if b:
  *             if k < u:
 */
-    __pyx_t_5 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put_unary(__pyx_v_w, __pyx_v_j); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 176, __pyx_L1_error)
+    __pyx_t_5 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put_unary(__pyx_v_w, __pyx_v_j); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 175, __pyx_L1_error)
 
-    /* "frgc/_kernels.pyx":177
+    /* "frgc/_kernels.pyx":176
  *         k = mv - j * m
  *         w.put_unary(j)
  *         if b:             # <<<<<<<<<<<<<<
@@ -4916,7 +4914,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
     __pyx_t_2 = (__pyx_v_b != 0);
     if (__pyx_t_2) {
 
-      /* "frgc/_kernels.pyx":178
+      /* "frgc/_kernels.pyx":177
  *         w.put_unary(j)
  *         if b:
  *             if k < u:             # <<<<<<<<<<<<<<
@@ -4926,16 +4924,16 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
       __pyx_t_2 = (__pyx_v_k < __pyx_v_u);
       if (__pyx_t_2) {
 
-        /* "frgc/_kernels.pyx":179
+        /* "frgc/_kernels.pyx":178
  *         if b:
  *             if k < u:
  *                 w.put(<unsigned long long> k, b - 1)             # <<<<<<<<<<<<<<
  *             else:
  *                 w.put(<unsigned long long> (k + u), b)
 */
-        __pyx_t_5 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put(__pyx_v_w, ((unsigned PY_LONG_LONG)__pyx_v_k), (__pyx_v_b - 1)); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 179, __pyx_L1_error)
+        __pyx_t_5 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put(__pyx_v_w, ((unsigned PY_LONG_LONG)__pyx_v_k), (__pyx_v_b - 1)); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 178, __pyx_L1_error)
 
-        /* "frgc/_kernels.pyx":178
+        /* "frgc/_kernels.pyx":177
  *         w.put_unary(j)
  *         if b:
  *             if k < u:             # <<<<<<<<<<<<<<
@@ -4945,7 +4943,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
         goto __pyx_L8;
       }
 
-      /* "frgc/_kernels.pyx":181
+      /* "frgc/_kernels.pyx":180
  *                 w.put(<unsigned long long> k, b - 1)
  *             else:
  *                 w.put(<unsigned long long> (k + u), b)             # <<<<<<<<<<<<<<
@@ -4953,11 +4951,11 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
  * 
 */
       /*else*/ {
-        __pyx_t_5 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put(__pyx_v_w, ((unsigned PY_LONG_LONG)(__pyx_v_k + __pyx_v_u)), __pyx_v_b); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 181, __pyx_L1_error)
+        __pyx_t_5 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put(__pyx_v_w, ((unsigned PY_LONG_LONG)(__pyx_v_k + __pyx_v_u)), __pyx_v_b); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 180, __pyx_L1_error)
       }
       __pyx_L8:;
 
-      /* "frgc/_kernels.pyx":177
+      /* "frgc/_kernels.pyx":176
  *         k = mv - j * m
  *         w.put_unary(j)
  *         if b:             # <<<<<<<<<<<<<<
@@ -4967,7 +4965,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
     }
   }
 
-  /* "frgc/_kernels.pyx":182
+  /* "frgc/_kernels.pyx":181
  *             else:
  *                 w.put(<unsigned long long> (k + u), b)
  *     return w.finish(), w.total             # <<<<<<<<<<<<<<
@@ -4975,23 +4973,23 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
  * 
 */
   __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->finish(__pyx_v_w); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 182, __pyx_L1_error)
+  __pyx_t_1 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->finish(__pyx_v_w); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 181, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_7 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_w->total); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 182, __pyx_L1_error)
+  __pyx_t_7 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_w->total); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 181, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_8 = PyTuple_New(2); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 182, __pyx_L1_error)
+  __pyx_t_8 = PyTuple_New(2); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 181, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_8);
   __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 182, __pyx_L1_error);
+  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 181, __pyx_L1_error);
   __Pyx_GIVEREF(__pyx_t_7);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 182, __pyx_L1_error);
+  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 181, __pyx_L1_error);
   __pyx_t_1 = 0;
   __pyx_t_7 = 0;
   __pyx_r = __pyx_t_8;
   __pyx_t_8 = 0;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":161
+  /* "frgc/_kernels.pyx":160
  * 
  * 
  * def golomb_encode(ms, long long m):             # <<<<<<<<<<<<<<
@@ -5015,7 +5013,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_golomb_encode(CYTHON_UNUSED PyObject *
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":185
+/* "frgc/_kernels.pyx":184
  * 
  * 
  * def golomb_decode(bytes payload, Py_ssize_t count, long long m, long long max_run):             # <<<<<<<<<<<<<<
@@ -5065,53 +5063,53 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   {
     PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_payload,&__pyx_mstate_global->__pyx_n_u_count,&__pyx_mstate_global->__pyx_n_u_m,&__pyx_mstate_global->__pyx_n_u_max_run,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 185, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 184, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
         case  4:
         values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 185, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 184, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  3:
         values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 185, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 184, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  2:
         values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 185, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 184, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  1:
         values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 185, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 184, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "golomb_decode", 0) < (0)) __PYX_ERR(0, 185, __pyx_L3_error)
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "golomb_decode", 0) < (0)) __PYX_ERR(0, 184, __pyx_L3_error)
       for (Py_ssize_t i = __pyx_nargs; i < 4; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("golomb_decode", 1, 4, 4, i); __PYX_ERR(0, 185, __pyx_L3_error) }
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("golomb_decode", 1, 4, 4, i); __PYX_ERR(0, 184, __pyx_L3_error) }
       }
     } else if (unlikely(__pyx_nargs != 4)) {
       goto __pyx_L5_argtuple_error;
     } else {
       values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 185, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 184, __pyx_L3_error)
       values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 185, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 184, __pyx_L3_error)
       values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 185, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 184, __pyx_L3_error)
       values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 185, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 184, __pyx_L3_error)
     }
     __pyx_v_payload = ((PyObject*)values[0]);
-    __pyx_v_count = __Pyx_PyIndex_AsSsize_t(values[1]); if (unlikely((__pyx_v_count == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 185, __pyx_L3_error)
-    __pyx_v_m = __Pyx_PyLong_As_PY_LONG_LONG(values[2]); if (unlikely((__pyx_v_m == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 185, __pyx_L3_error)
-    __pyx_v_max_run = __Pyx_PyLong_As_PY_LONG_LONG(values[3]); if (unlikely((__pyx_v_max_run == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 185, __pyx_L3_error)
+    __pyx_v_count = __Pyx_PyIndex_AsSsize_t(values[1]); if (unlikely((__pyx_v_count == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 184, __pyx_L3_error)
+    __pyx_v_m = __Pyx_PyLong_As_PY_LONG_LONG(values[2]); if (unlikely((__pyx_v_m == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 184, __pyx_L3_error)
+    __pyx_v_max_run = __Pyx_PyLong_As_PY_LONG_LONG(values[3]); if (unlikely((__pyx_v_max_run == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 184, __pyx_L3_error)
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("golomb_decode", 1, 4, 4, __pyx_nargs); __PYX_ERR(0, 185, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("golomb_decode", 1, 4, 4, __pyx_nargs); __PYX_ERR(0, 184, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -5122,7 +5120,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_payload), (&PyBytes_Type), 1, "payload", 1))) __PYX_ERR(0, 185, __pyx_L1_error)
+  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_payload), (&PyBytes_Type), 1, "payload", 1))) __PYX_ERR(0, 184, __pyx_L1_error)
   __pyx_r = __pyx_pf_4frgc_8_kernels_2golomb_decode(__pyx_self, __pyx_v_payload, __pyx_v_count, __pyx_v_m, __pyx_v_max_run);
 
   /* function exit code */
@@ -5172,7 +5170,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("golomb_decode", 0);
 
-  /* "frgc/_kernels.pyx":186
+  /* "frgc/_kernels.pyx":185
  * 
  * def golomb_decode(bytes payload, Py_ssize_t count, long long m, long long max_run):
  *     cdef const unsigned char* d = payload             # <<<<<<<<<<<<<<
@@ -5181,12 +5179,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
 */
   if (unlikely(__pyx_v_payload == Py_None)) {
     PyErr_SetString(PyExc_TypeError, "expected bytes, NoneType found");
-    __PYX_ERR(0, 186, __pyx_L1_error)
+    __PYX_ERR(0, 185, __pyx_L1_error)
   }
-  __pyx_t_1 = __Pyx_PyBytes_AsUString(__pyx_v_payload); if (unlikely((!__pyx_t_1) && PyErr_Occurred())) __PYX_ERR(0, 186, __pyx_L1_error)
+  __pyx_t_1 = __Pyx_PyBytes_AsUString(__pyx_v_payload); if (unlikely((!__pyx_t_1) && PyErr_Occurred())) __PYX_ERR(0, 185, __pyx_L1_error)
   __pyx_v_d = __pyx_t_1;
 
-  /* "frgc/_kernels.pyx":187
+  /* "frgc/_kernels.pyx":186
  * def golomb_decode(bytes payload, Py_ssize_t count, long long m, long long max_run):
  *     cdef const unsigned char* d = payload
  *     cdef Py_ssize_t nbits = 8 * len(payload)             # <<<<<<<<<<<<<<
@@ -5195,12 +5193,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
 */
   if (unlikely(__pyx_v_payload == Py_None)) {
     PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 187, __pyx_L1_error)
+    __PYX_ERR(0, 186, __pyx_L1_error)
   }
-  __pyx_t_2 = __Pyx_PyBytes_GET_SIZE(__pyx_v_payload); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 187, __pyx_L1_error)
+  __pyx_t_2 = __Pyx_PyBytes_GET_SIZE(__pyx_v_payload); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 186, __pyx_L1_error)
   __pyx_v_nbits = (8 * __pyx_t_2);
 
-  /* "frgc/_kernels.pyx":188
+  /* "frgc/_kernels.pyx":187
  *     cdef const unsigned char* d = payload
  *     cdef Py_ssize_t nbits = 8 * len(payload)
  *     cdef Py_ssize_t pos = 0             # <<<<<<<<<<<<<<
@@ -5209,17 +5207,17 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
 */
   __pyx_v_pos = 0;
 
-  /* "frgc/_kernels.pyx":189
+  /* "frgc/_kernels.pyx":188
  *     cdef Py_ssize_t nbits = 8 * len(payload)
  *     cdef Py_ssize_t pos = 0
  *     cdef int b = _ceil_lg(m)             # <<<<<<<<<<<<<<
  *     cdef long long u = (<long long> 1 << b) - m
  *     cdef list out = []
 */
-  __pyx_t_3 = __pyx_f_4frgc_8_kernels__ceil_lg(__pyx_v_m); if (unlikely(__pyx_t_3 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 189, __pyx_L1_error)
+  __pyx_t_3 = __pyx_f_4frgc_8_kernels__ceil_lg(__pyx_v_m); if (unlikely(__pyx_t_3 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 188, __pyx_L1_error)
   __pyx_v_b = __pyx_t_3;
 
-  /* "frgc/_kernels.pyx":190
+  /* "frgc/_kernels.pyx":189
  *     cdef Py_ssize_t pos = 0
  *     cdef int b = _ceil_lg(m)
  *     cdef long long u = (<long long> 1 << b) - m             # <<<<<<<<<<<<<<
@@ -5228,19 +5226,19 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
 */
   __pyx_v_u = ((((PY_LONG_LONG)1) << __pyx_v_b) - __pyx_v_m);
 
-  /* "frgc/_kernels.pyx":191
+  /* "frgc/_kernels.pyx":190
  *     cdef int b = _ceil_lg(m)
  *     cdef long long u = (<long long> 1 << b) - m
  *     cdef list out = []             # <<<<<<<<<<<<<<
  *     cdef Py_ssize_t i
  *     cdef long long j, k
 */
-  __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 191, __pyx_L1_error)
+  __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 190, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_4);
   __pyx_v_out = ((PyObject*)__pyx_t_4);
   __pyx_t_4 = 0;
 
-  /* "frgc/_kernels.pyx":194
+  /* "frgc/_kernels.pyx":193
  *     cdef Py_ssize_t i
  *     cdef long long j, k
  *     if m < 1:             # <<<<<<<<<<<<<<
@@ -5250,7 +5248,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
   __pyx_t_5 = (__pyx_v_m < 1);
   if (unlikely(__pyx_t_5)) {
 
-    /* "frgc/_kernels.pyx":195
+    /* "frgc/_kernels.pyx":194
  *     cdef long long j, k
  *     if m < 1:
  *         raise ValueError(f"golomb parameter must be >= 1, got {m}")             # <<<<<<<<<<<<<<
@@ -5258,9 +5256,9 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
  *         j = _read_unary(d, &pos, nbits, max_run)
 */
     __pyx_t_6 = NULL;
-    __pyx_t_7 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_m, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 195, __pyx_L1_error)
+    __pyx_t_7 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_m, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 194, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_golomb_parameter_must_be_1_got, __pyx_t_7); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 195, __pyx_L1_error)
+    __pyx_t_8 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_golomb_parameter_must_be_1_got, __pyx_t_7); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 194, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_8);
     __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
     __pyx_t_9 = 1;
@@ -5269,14 +5267,14 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
       __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
       __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
       __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 195, __pyx_L1_error)
+      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 194, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_4);
     }
     __Pyx_Raise(__pyx_t_4, 0, 0, 0);
     __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 195, __pyx_L1_error)
+    __PYX_ERR(0, 194, __pyx_L1_error)
 
-    /* "frgc/_kernels.pyx":194
+    /* "frgc/_kernels.pyx":193
  *     cdef Py_ssize_t i
  *     cdef long long j, k
  *     if m < 1:             # <<<<<<<<<<<<<<
@@ -5285,7 +5283,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
 */
   }
 
-  /* "frgc/_kernels.pyx":196
+  /* "frgc/_kernels.pyx":195
  *     if m < 1:
  *         raise ValueError(f"golomb parameter must be >= 1, got {m}")
  *     for i in range(count):             # <<<<<<<<<<<<<<
@@ -5297,40 +5295,40 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
   for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
     __pyx_v_i = __pyx_t_11;
 
-    /* "frgc/_kernels.pyx":197
+    /* "frgc/_kernels.pyx":196
  *         raise ValueError(f"golomb parameter must be >= 1, got {m}")
  *     for i in range(count):
  *         j = _read_unary(d, &pos, nbits, max_run)             # <<<<<<<<<<<<<<
  *         k = _read_minbin(d, &pos, nbits, b, u)
  *         out.append(j * m + k)
 */
-    __pyx_t_12 = __pyx_f_4frgc_8_kernels__read_unary(__pyx_v_d, (&__pyx_v_pos), __pyx_v_nbits, __pyx_v_max_run); if (unlikely(__pyx_t_12 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 197, __pyx_L1_error)
+    __pyx_t_12 = __pyx_f_4frgc_8_kernels__read_unary(__pyx_v_d, (&__pyx_v_pos), __pyx_v_nbits, __pyx_v_max_run); if (unlikely(__pyx_t_12 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 196, __pyx_L1_error)
     __pyx_v_j = __pyx_t_12;
 
-    /* "frgc/_kernels.pyx":198
+    /* "frgc/_kernels.pyx":197
  *     for i in range(count):
  *         j = _read_unary(d, &pos, nbits, max_run)
  *         k = _read_minbin(d, &pos, nbits, b, u)             # <<<<<<<<<<<<<<
  *         out.append(j * m + k)
  *     return out
 */
-    __pyx_t_12 = __pyx_f_4frgc_8_kernels__read_minbin(__pyx_v_d, (&__pyx_v_pos), __pyx_v_nbits, __pyx_v_b, __pyx_v_u); if (unlikely(__pyx_t_12 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 198, __pyx_L1_error)
+    __pyx_t_12 = __pyx_f_4frgc_8_kernels__read_minbin(__pyx_v_d, (&__pyx_v_pos), __pyx_v_nbits, __pyx_v_b, __pyx_v_u); if (unlikely(__pyx_t_12 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 197, __pyx_L1_error)
     __pyx_v_k = __pyx_t_12;
 
-    /* "frgc/_kernels.pyx":199
+    /* "frgc/_kernels.pyx":198
  *         j = _read_unary(d, &pos, nbits, max_run)
  *         k = _read_minbin(d, &pos, nbits, b, u)
  *         out.append(j * m + k)             # <<<<<<<<<<<<<<
  *     return out
  * 
 */
-    __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG(((__pyx_v_j * __pyx_v_m) + __pyx_v_k)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 199, __pyx_L1_error)
+    __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG(((__pyx_v_j * __pyx_v_m) + __pyx_v_k)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 198, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_13 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_4); if (unlikely(__pyx_t_13 == ((int)-1))) __PYX_ERR(0, 199, __pyx_L1_error)
+    __pyx_t_13 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_4); if (unlikely(__pyx_t_13 == ((int)-1))) __PYX_ERR(0, 198, __pyx_L1_error)
     __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
   }
 
-  /* "frgc/_kernels.pyx":200
+  /* "frgc/_kernels.pyx":199
  *         k = _read_minbin(d, &pos, nbits, b, u)
  *         out.append(j * m + k)
  *     return out             # <<<<<<<<<<<<<<
@@ -5342,7 +5340,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
   __pyx_r = __pyx_v_out;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":185
+  /* "frgc/_kernels.pyx":184
  * 
  * 
  * def golomb_decode(bytes payload, Py_ssize_t count, long long m, long long max_run):             # <<<<<<<<<<<<<<
@@ -5365,131 +5363,127 @@ static PyObject *__pyx_pf_4frgc_8_kernels_2golomb_decode(CYTHON_UNUSED PyObject 
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":203
+/* "frgc/_kernels.pyx":202
  * 
  * 
  * cdef inline double _theta_rounded(long long t, long long s_int, long long tau):             # <<<<<<<<<<<<<<
- *     cdef double theta
+ *     # ln theta; -inf (so m = 1) while the residual sum is 0
  *     if s_int <= 0:
 */
 
 static CYTHON_INLINE double __pyx_f_4frgc_8_kernels__theta_rounded(PY_LONG_LONG __pyx_v_t, PY_LONG_LONG __pyx_v_s_int, PY_LONG_LONG __pyx_v_tau) {
-  double __pyx_v_theta;
   double __pyx_r;
   int __pyx_t_1;
 
-  /* "frgc/_kernels.pyx":205
+  /* "frgc/_kernels.pyx":204
  * cdef inline double _theta_rounded(long long t, long long s_int, long long tau):
- *     cdef double theta
+ *     # ln theta; -inf (so m = 1) while the residual sum is 0
  *     if s_int <= 0:             # <<<<<<<<<<<<<<
- *         return THETA_MIN
- *     theta = exp(-(<double> (t * tau)) / (<double> s_int))
+ *         return -INFINITY
+ *     return -(<double> (t * tau)) / (<double> s_int)
 */
   __pyx_t_1 = (__pyx_v_s_int <= 0);
   if (__pyx_t_1) {
 
-    /* "frgc/_kernels.pyx":206
- *     cdef double theta
- *     if s_int <= 0:
- *         return THETA_MIN             # <<<<<<<<<<<<<<
- *     theta = exp(-(<double> (t * tau)) / (<double> s_int))
- *     if theta < THETA_MIN:
-*/
-    __pyx_r = __pyx_v_4frgc_8_kernels_THETA_MIN;
-    goto __pyx_L0;
-
     /* "frgc/_kernels.pyx":205
- * cdef inline double _theta_rounded(long long t, long long s_int, long long tau):
- *     cdef double theta
- *     if s_int <= 0:             # <<<<<<<<<<<<<<
- *         return THETA_MIN
- *     theta = exp(-(<double> (t * tau)) / (<double> s_int))
-*/
-  }
-
-  /* "frgc/_kernels.pyx":207
+ *     # ln theta; -inf (so m = 1) while the residual sum is 0
  *     if s_int <= 0:
- *         return THETA_MIN
- *     theta = exp(-(<double> (t * tau)) / (<double> s_int))             # <<<<<<<<<<<<<<
- *     if theta < THETA_MIN:
- *         return THETA_MIN
+ *         return -INFINITY             # <<<<<<<<<<<<<<
+ *     return -(<double> (t * tau)) / (<double> s_int)
+ * 
 */
-  __pyx_v_theta = exp(((-((double)(__pyx_v_t * __pyx_v_tau))) / ((double)__pyx_v_s_int)));
-
-  /* "frgc/_kernels.pyx":208
- *         return THETA_MIN
- *     theta = exp(-(<double> (t * tau)) / (<double> s_int))
- *     if theta < THETA_MIN:             # <<<<<<<<<<<<<<
- *         return THETA_MIN
- *     if theta > THETA_MAX:
-*/
-  __pyx_t_1 = (__pyx_v_theta < __pyx_v_4frgc_8_kernels_THETA_MIN);
-  if (__pyx_t_1) {
-
-    /* "frgc/_kernels.pyx":209
- *     theta = exp(-(<double> (t * tau)) / (<double> s_int))
- *     if theta < THETA_MIN:
- *         return THETA_MIN             # <<<<<<<<<<<<<<
- *     if theta > THETA_MAX:
- *         return THETA_MAX
-*/
-    __pyx_r = __pyx_v_4frgc_8_kernels_THETA_MIN;
+    __pyx_r = (-INFINITY);
     goto __pyx_L0;
 
-    /* "frgc/_kernels.pyx":208
- *         return THETA_MIN
- *     theta = exp(-(<double> (t * tau)) / (<double> s_int))
- *     if theta < THETA_MIN:             # <<<<<<<<<<<<<<
- *         return THETA_MIN
- *     if theta > THETA_MAX:
+    /* "frgc/_kernels.pyx":204
+ * cdef inline double _theta_rounded(long long t, long long s_int, long long tau):
+ *     # ln theta; -inf (so m = 1) while the residual sum is 0
+ *     if s_int <= 0:             # <<<<<<<<<<<<<<
+ *         return -INFINITY
+ *     return -(<double> (t * tau)) / (<double> s_int)
 */
   }
+
+  /* "frgc/_kernels.pyx":206
+ *     if s_int <= 0:
+ *         return -INFINITY
+ *     return -(<double> (t * tau)) / (<double> s_int)             # <<<<<<<<<<<<<<
+ * 
+ * 
+*/
+  __pyx_r = ((-((double)(__pyx_v_t * __pyx_v_tau))) / ((double)__pyx_v_s_int));
+  goto __pyx_L0;
+
+  /* "frgc/_kernels.pyx":202
+ * 
+ * 
+ * cdef inline double _theta_rounded(long long t, long long s_int, long long tau):             # <<<<<<<<<<<<<<
+ *     # ln theta; -inf (so m = 1) while the residual sum is 0
+ *     if s_int <= 0:
+*/
+
+  /* function exit code */
+  __pyx_L0:;
+  return __pyx_r;
+}
+
+/* "frgc/_kernels.pyx":209
+ * 
+ * 
+ * cdef inline double _theta_raw(long long t, double s_raw):             # <<<<<<<<<<<<<<
+ *     if s_raw <= 0.0:
+ *         return -INFINITY
+*/
+
+static CYTHON_INLINE double __pyx_f_4frgc_8_kernels__theta_raw(PY_LONG_LONG __pyx_v_t, double __pyx_v_s_raw) {
+  double __pyx_r;
+  int __pyx_t_1;
 
   /* "frgc/_kernels.pyx":210
- *     if theta < THETA_MIN:
- *         return THETA_MIN
- *     if theta > THETA_MAX:             # <<<<<<<<<<<<<<
- *         return THETA_MAX
- *     return theta
+ * 
+ * cdef inline double _theta_raw(long long t, double s_raw):
+ *     if s_raw <= 0.0:             # <<<<<<<<<<<<<<
+ *         return -INFINITY
+ *     return -(<double> t) / s_raw
 */
-  __pyx_t_1 = (__pyx_v_theta > __pyx_v_4frgc_8_kernels_THETA_MAX);
+  __pyx_t_1 = (__pyx_v_s_raw <= 0.0);
   if (__pyx_t_1) {
 
     /* "frgc/_kernels.pyx":211
- *         return THETA_MIN
- *     if theta > THETA_MAX:
- *         return THETA_MAX             # <<<<<<<<<<<<<<
- *     return theta
+ * cdef inline double _theta_raw(long long t, double s_raw):
+ *     if s_raw <= 0.0:
+ *         return -INFINITY             # <<<<<<<<<<<<<<
+ *     return -(<double> t) / s_raw
  * 
 */
-    __pyx_r = __pyx_v_4frgc_8_kernels_THETA_MAX;
+    __pyx_r = (-INFINITY);
     goto __pyx_L0;
 
     /* "frgc/_kernels.pyx":210
- *     if theta < THETA_MIN:
- *         return THETA_MIN
- *     if theta > THETA_MAX:             # <<<<<<<<<<<<<<
- *         return THETA_MAX
- *     return theta
+ * 
+ * cdef inline double _theta_raw(long long t, double s_raw):
+ *     if s_raw <= 0.0:             # <<<<<<<<<<<<<<
+ *         return -INFINITY
+ *     return -(<double> t) / s_raw
 */
   }
 
   /* "frgc/_kernels.pyx":212
- *     if theta > THETA_MAX:
- *         return THETA_MAX
- *     return theta             # <<<<<<<<<<<<<<
+ *     if s_raw <= 0.0:
+ *         return -INFINITY
+ *     return -(<double> t) / s_raw             # <<<<<<<<<<<<<<
  * 
  * 
 */
-  __pyx_r = __pyx_v_theta;
+  __pyx_r = ((-((double)__pyx_v_t)) / __pyx_v_s_raw);
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":203
+  /* "frgc/_kernels.pyx":209
  * 
  * 
- * cdef inline double _theta_rounded(long long t, long long s_int, long long tau):             # <<<<<<<<<<<<<<
- *     cdef double theta
- *     if s_int <= 0:
+ * cdef inline double _theta_raw(long long t, double s_raw):             # <<<<<<<<<<<<<<
+ *     if s_raw <= 0.0:
+ *         return -INFINITY
 */
 
   /* function exit code */
@@ -5500,140 +5494,8 @@ static CYTHON_INLINE double __pyx_f_4frgc_8_kernels__theta_rounded(PY_LONG_LONG 
 /* "frgc/_kernels.pyx":215
  * 
  * 
- * cdef inline double _theta_raw(long long t, double s_raw):             # <<<<<<<<<<<<<<
- *     cdef double theta
- *     if s_raw <= 0.0:
-*/
-
-static CYTHON_INLINE double __pyx_f_4frgc_8_kernels__theta_raw(PY_LONG_LONG __pyx_v_t, double __pyx_v_s_raw) {
-  double __pyx_v_theta;
-  double __pyx_r;
-  int __pyx_t_1;
-
-  /* "frgc/_kernels.pyx":217
- * cdef inline double _theta_raw(long long t, double s_raw):
- *     cdef double theta
- *     if s_raw <= 0.0:             # <<<<<<<<<<<<<<
- *         return THETA_MIN
- *     theta = exp(-(<double> t) / s_raw)
-*/
-  __pyx_t_1 = (__pyx_v_s_raw <= 0.0);
-  if (__pyx_t_1) {
-
-    /* "frgc/_kernels.pyx":218
- *     cdef double theta
- *     if s_raw <= 0.0:
- *         return THETA_MIN             # <<<<<<<<<<<<<<
- *     theta = exp(-(<double> t) / s_raw)
- *     if theta < THETA_MIN:
-*/
-    __pyx_r = __pyx_v_4frgc_8_kernels_THETA_MIN;
-    goto __pyx_L0;
-
-    /* "frgc/_kernels.pyx":217
- * cdef inline double _theta_raw(long long t, double s_raw):
- *     cdef double theta
- *     if s_raw <= 0.0:             # <<<<<<<<<<<<<<
- *         return THETA_MIN
- *     theta = exp(-(<double> t) / s_raw)
-*/
-  }
-
-  /* "frgc/_kernels.pyx":219
- *     if s_raw <= 0.0:
- *         return THETA_MIN
- *     theta = exp(-(<double> t) / s_raw)             # <<<<<<<<<<<<<<
- *     if theta < THETA_MIN:
- *         return THETA_MIN
-*/
-  __pyx_v_theta = exp(((-((double)__pyx_v_t)) / __pyx_v_s_raw));
-
-  /* "frgc/_kernels.pyx":220
- *         return THETA_MIN
- *     theta = exp(-(<double> t) / s_raw)
- *     if theta < THETA_MIN:             # <<<<<<<<<<<<<<
- *         return THETA_MIN
- *     if theta > THETA_MAX:
-*/
-  __pyx_t_1 = (__pyx_v_theta < __pyx_v_4frgc_8_kernels_THETA_MIN);
-  if (__pyx_t_1) {
-
-    /* "frgc/_kernels.pyx":221
- *     theta = exp(-(<double> t) / s_raw)
- *     if theta < THETA_MIN:
- *         return THETA_MIN             # <<<<<<<<<<<<<<
- *     if theta > THETA_MAX:
- *         return THETA_MAX
-*/
-    __pyx_r = __pyx_v_4frgc_8_kernels_THETA_MIN;
-    goto __pyx_L0;
-
-    /* "frgc/_kernels.pyx":220
- *         return THETA_MIN
- *     theta = exp(-(<double> t) / s_raw)
- *     if theta < THETA_MIN:             # <<<<<<<<<<<<<<
- *         return THETA_MIN
- *     if theta > THETA_MAX:
-*/
-  }
-
-  /* "frgc/_kernels.pyx":222
- *     if theta < THETA_MIN:
- *         return THETA_MIN
- *     if theta > THETA_MAX:             # <<<<<<<<<<<<<<
- *         return THETA_MAX
- *     return theta
-*/
-  __pyx_t_1 = (__pyx_v_theta > __pyx_v_4frgc_8_kernels_THETA_MAX);
-  if (__pyx_t_1) {
-
-    /* "frgc/_kernels.pyx":223
- *         return THETA_MIN
- *     if theta > THETA_MAX:
- *         return THETA_MAX             # <<<<<<<<<<<<<<
- *     return theta
- * 
-*/
-    __pyx_r = __pyx_v_4frgc_8_kernels_THETA_MAX;
-    goto __pyx_L0;
-
-    /* "frgc/_kernels.pyx":222
- *     if theta < THETA_MIN:
- *         return THETA_MIN
- *     if theta > THETA_MAX:             # <<<<<<<<<<<<<<
- *         return THETA_MAX
- *     return theta
-*/
-  }
-
-  /* "frgc/_kernels.pyx":224
- *     if theta > THETA_MAX:
- *         return THETA_MAX
- *     return theta             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_theta;
-  goto __pyx_L0;
-
-  /* "frgc/_kernels.pyx":215
- * 
- * 
- * cdef inline double _theta_raw(long long t, double s_raw):             # <<<<<<<<<<<<<<
- *     cdef double theta
- *     if s_raw <= 0.0:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "frgc/_kernels.pyx":227
- * 
- * 
  * cdef inline long long _select(double theta, const double* bnd, Py_ssize_t nb):             # <<<<<<<<<<<<<<
- *     # bisect_left, in lockstep with the table lookup
+ *     # bisect_left, in lockstep with _estcore.select_m
  *     cdef Py_ssize_t lo = 0, hi = nb, mid
 */
 
@@ -5645,9 +5507,9 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__select(double __pyx_v
   int __pyx_t_1;
   Py_ssize_t __pyx_t_2;
 
-  /* "frgc/_kernels.pyx":229
+  /* "frgc/_kernels.pyx":217
  * cdef inline long long _select(double theta, const double* bnd, Py_ssize_t nb):
- *     # bisect_left, in lockstep with the table lookup
+ *     # bisect_left, in lockstep with _estcore.select_m
  *     cdef Py_ssize_t lo = 0, hi = nb, mid             # <<<<<<<<<<<<<<
  *     while lo < hi:
  *         mid = (lo + hi) >> 1
@@ -5655,8 +5517,8 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__select(double __pyx_v
   __pyx_v_lo = 0;
   __pyx_v_hi = __pyx_v_nb;
 
-  /* "frgc/_kernels.pyx":230
- *     # bisect_left, in lockstep with the table lookup
+  /* "frgc/_kernels.pyx":218
+ *     # bisect_left, in lockstep with _estcore.select_m
  *     cdef Py_ssize_t lo = 0, hi = nb, mid
  *     while lo < hi:             # <<<<<<<<<<<<<<
  *         mid = (lo + hi) >> 1
@@ -5666,7 +5528,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__select(double __pyx_v
     __pyx_t_1 = (__pyx_v_lo < __pyx_v_hi);
     if (!__pyx_t_1) break;
 
-    /* "frgc/_kernels.pyx":231
+    /* "frgc/_kernels.pyx":219
  *     cdef Py_ssize_t lo = 0, hi = nb, mid
  *     while lo < hi:
  *         mid = (lo + hi) >> 1             # <<<<<<<<<<<<<<
@@ -5675,7 +5537,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__select(double __pyx_v
 */
     __pyx_v_mid = ((__pyx_v_lo + __pyx_v_hi) >> 1);
 
-    /* "frgc/_kernels.pyx":232
+    /* "frgc/_kernels.pyx":220
  *     while lo < hi:
  *         mid = (lo + hi) >> 1
  *         if bnd[mid] < theta:             # <<<<<<<<<<<<<<
@@ -5685,7 +5547,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__select(double __pyx_v
     __pyx_t_1 = ((__pyx_v_bnd[__pyx_v_mid]) < __pyx_v_theta);
     if (__pyx_t_1) {
 
-      /* "frgc/_kernels.pyx":233
+      /* "frgc/_kernels.pyx":221
  *         mid = (lo + hi) >> 1
  *         if bnd[mid] < theta:
  *             lo = mid + 1             # <<<<<<<<<<<<<<
@@ -5694,7 +5556,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__select(double __pyx_v
 */
       __pyx_v_lo = (__pyx_v_mid + 1);
 
-      /* "frgc/_kernels.pyx":232
+      /* "frgc/_kernels.pyx":220
  *     while lo < hi:
  *         mid = (lo + hi) >> 1
  *         if bnd[mid] < theta:             # <<<<<<<<<<<<<<
@@ -5704,7 +5566,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__select(double __pyx_v
       goto __pyx_L5;
     }
 
-    /* "frgc/_kernels.pyx":235
+    /* "frgc/_kernels.pyx":223
  *             lo = mid + 1
  *         else:
  *             hi = mid             # <<<<<<<<<<<<<<
@@ -5717,7 +5579,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__select(double __pyx_v
     __pyx_L5:;
   }
 
-  /* "frgc/_kernels.pyx":236
+  /* "frgc/_kernels.pyx":224
  *         else:
  *             hi = mid
  *     return lo + 1 if lo < nb else nb             # <<<<<<<<<<<<<<
@@ -5733,11 +5595,11 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__select(double __pyx_v
   __pyx_r = __pyx_t_2;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":227
+  /* "frgc/_kernels.pyx":215
  * 
  * 
  * cdef inline long long _select(double theta, const double* bnd, Py_ssize_t nb):             # <<<<<<<<<<<<<<
- *     # bisect_left, in lockstep with the table lookup
+ *     # bisect_left, in lockstep with _estcore.select_m
  *     cdef Py_ssize_t lo = 0, hi = nb, mid
 */
 
@@ -5746,7 +5608,7 @@ static CYTHON_INLINE PY_LONG_LONG __pyx_f_4frgc_8_kernels__select(double __pyx_v
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":239
+/* "frgc/_kernels.pyx":227
  * 
  * 
  * cdef double* _copy_bounds(boundaries, Py_ssize_t* pnb) except NULL:             # <<<<<<<<<<<<<<
@@ -5771,17 +5633,17 @@ static double *__pyx_f_4frgc_8_kernels__copy_bounds(PyObject *__pyx_v_boundaries
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("_copy_bounds", 0);
 
-  /* "frgc/_kernels.pyx":240
+  /* "frgc/_kernels.pyx":228
  * 
  * cdef double* _copy_bounds(boundaries, Py_ssize_t* pnb) except NULL:
  *     cdef Py_ssize_t nb = len(boundaries)             # <<<<<<<<<<<<<<
  *     cdef double* bnd = <double*> PyMem_Malloc(nb * sizeof(double))
  *     cdef Py_ssize_t i
 */
-  __pyx_t_1 = PyObject_Length(__pyx_v_boundaries); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 240, __pyx_L1_error)
+  __pyx_t_1 = PyObject_Length(__pyx_v_boundaries); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 228, __pyx_L1_error)
   __pyx_v_nb = __pyx_t_1;
 
-  /* "frgc/_kernels.pyx":241
+  /* "frgc/_kernels.pyx":229
  * cdef double* _copy_bounds(boundaries, Py_ssize_t* pnb) except NULL:
  *     cdef Py_ssize_t nb = len(boundaries)
  *     cdef double* bnd = <double*> PyMem_Malloc(nb * sizeof(double))             # <<<<<<<<<<<<<<
@@ -5790,7 +5652,7 @@ static double *__pyx_f_4frgc_8_kernels__copy_bounds(PyObject *__pyx_v_boundaries
 */
   __pyx_v_bnd = ((double *)PyMem_Malloc((__pyx_v_nb * (sizeof(double)))));
 
-  /* "frgc/_kernels.pyx":243
+  /* "frgc/_kernels.pyx":231
  *     cdef double* bnd = <double*> PyMem_Malloc(nb * sizeof(double))
  *     cdef Py_ssize_t i
  *     if bnd == NULL:             # <<<<<<<<<<<<<<
@@ -5800,16 +5662,16 @@ static double *__pyx_f_4frgc_8_kernels__copy_bounds(PyObject *__pyx_v_boundaries
   __pyx_t_2 = (__pyx_v_bnd == NULL);
   if (unlikely(__pyx_t_2)) {
 
-    /* "frgc/_kernels.pyx":244
+    /* "frgc/_kernels.pyx":232
  *     cdef Py_ssize_t i
  *     if bnd == NULL:
  *         raise MemoryError()             # <<<<<<<<<<<<<<
  *     for i in range(nb):
  *         bnd[i] = boundaries[i]
 */
-    PyErr_NoMemory(); __PYX_ERR(0, 244, __pyx_L1_error)
+    PyErr_NoMemory(); __PYX_ERR(0, 232, __pyx_L1_error)
 
-    /* "frgc/_kernels.pyx":243
+    /* "frgc/_kernels.pyx":231
  *     cdef double* bnd = <double*> PyMem_Malloc(nb * sizeof(double))
  *     cdef Py_ssize_t i
  *     if bnd == NULL:             # <<<<<<<<<<<<<<
@@ -5818,7 +5680,7 @@ static double *__pyx_f_4frgc_8_kernels__copy_bounds(PyObject *__pyx_v_boundaries
 */
   }
 
-  /* "frgc/_kernels.pyx":245
+  /* "frgc/_kernels.pyx":233
  *     if bnd == NULL:
  *         raise MemoryError()
  *     for i in range(nb):             # <<<<<<<<<<<<<<
@@ -5830,21 +5692,21 @@ static double *__pyx_f_4frgc_8_kernels__copy_bounds(PyObject *__pyx_v_boundaries
   for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
     __pyx_v_i = __pyx_t_4;
 
-    /* "frgc/_kernels.pyx":246
+    /* "frgc/_kernels.pyx":234
  *         raise MemoryError()
  *     for i in range(nb):
  *         bnd[i] = boundaries[i]             # <<<<<<<<<<<<<<
  *     pnb[0] = nb
  *     return bnd
 */
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_boundaries, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 246, __pyx_L1_error)
+    __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_boundaries, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 234, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyFloat_AsDouble(__pyx_t_5); if (unlikely((__pyx_t_6 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 246, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_PyFloat_AsDouble(__pyx_t_5); if (unlikely((__pyx_t_6 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 234, __pyx_L1_error)
     __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
     (__pyx_v_bnd[__pyx_v_i]) = __pyx_t_6;
   }
 
-  /* "frgc/_kernels.pyx":247
+  /* "frgc/_kernels.pyx":235
  *     for i in range(nb):
  *         bnd[i] = boundaries[i]
  *     pnb[0] = nb             # <<<<<<<<<<<<<<
@@ -5853,7 +5715,7 @@ static double *__pyx_f_4frgc_8_kernels__copy_bounds(PyObject *__pyx_v_boundaries
 */
   (__pyx_v_pnb[0]) = __pyx_v_nb;
 
-  /* "frgc/_kernels.pyx":248
+  /* "frgc/_kernels.pyx":236
  *         bnd[i] = boundaries[i]
  *     pnb[0] = nb
  *     return bnd             # <<<<<<<<<<<<<<
@@ -5863,7 +5725,7 @@ static double *__pyx_f_4frgc_8_kernels__copy_bounds(PyObject *__pyx_v_boundaries
   __pyx_r = __pyx_v_bnd;
   goto __pyx_L0;
 
-  /* "frgc/_kernels.pyx":239
+  /* "frgc/_kernels.pyx":227
  * 
  * 
  * cdef double* _copy_bounds(boundaries, Py_ssize_t* pnb) except NULL:             # <<<<<<<<<<<<<<
@@ -5881,7 +5743,7 @@ static double *__pyx_f_4frgc_8_kernels__copy_bounds(PyObject *__pyx_v_boundaries
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":251
+/* "frgc/_kernels.pyx":239
  * 
  * 
  * def adaptive_encode(ms, est_int, est_raw, long long tau, boundaries,             # <<<<<<<<<<<<<<
@@ -5933,67 +5795,67 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   {
     PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_ms,&__pyx_mstate_global->__pyx_n_u_est_int,&__pyx_mstate_global->__pyx_n_u_est_raw,&__pyx_mstate_global->__pyx_n_u_tau,&__pyx_mstate_global->__pyx_n_u_boundaries,&__pyx_mstate_global->__pyx_n_u_collect_trace,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 251, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 239, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
         case  6:
         values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 251, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 239, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  5:
         values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 251, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 239, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  4:
         values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 251, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 239, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  3:
         values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 251, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 239, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  2:
         values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 251, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 239, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  1:
         values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 251, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 239, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "adaptive_encode", 0) < (0)) __PYX_ERR(0, 251, __pyx_L3_error)
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "adaptive_encode", 0) < (0)) __PYX_ERR(0, 239, __pyx_L3_error)
       for (Py_ssize_t i = __pyx_nargs; i < 6; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("adaptive_encode", 1, 6, 6, i); __PYX_ERR(0, 251, __pyx_L3_error) }
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("adaptive_encode", 1, 6, 6, i); __PYX_ERR(0, 239, __pyx_L3_error) }
       }
     } else if (unlikely(__pyx_nargs != 6)) {
       goto __pyx_L5_argtuple_error;
     } else {
       values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 251, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 239, __pyx_L3_error)
       values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 251, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 239, __pyx_L3_error)
       values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 251, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 239, __pyx_L3_error)
       values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 251, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 239, __pyx_L3_error)
       values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 251, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 239, __pyx_L3_error)
       values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 251, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 239, __pyx_L3_error)
     }
     __pyx_v_ms = values[0];
     __pyx_v_est_int = values[1];
     __pyx_v_est_raw = values[2];
-    __pyx_v_tau = __Pyx_PyLong_As_PY_LONG_LONG(values[3]); if (unlikely((__pyx_v_tau == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 251, __pyx_L3_error)
+    __pyx_v_tau = __Pyx_PyLong_As_PY_LONG_LONG(values[3]); if (unlikely((__pyx_v_tau == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 239, __pyx_L3_error)
     __pyx_v_boundaries = values[4];
-    __pyx_v_collect_trace = __Pyx_PyObject_IsTrue(values[5]); if (unlikely((__pyx_v_collect_trace == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 252, __pyx_L3_error)
+    __pyx_v_collect_trace = __Pyx_PyObject_IsTrue(values[5]); if (unlikely((__pyx_v_collect_trace == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 240, __pyx_L3_error)
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("adaptive_encode", 1, 6, 6, __pyx_nargs); __PYX_ERR(0, 251, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("adaptive_encode", 1, 6, 6, __pyx_nargs); __PYX_ERR(0, 239, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -6063,7 +5925,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("adaptive_encode", 0);
 
-  /* "frgc/_kernels.pyx":253
+  /* "frgc/_kernels.pyx":241
  * def adaptive_encode(ms, est_int, est_raw, long long tau, boundaries,
  *                     bint collect_trace):
  *     cdef list values = ms if type(ms) is list else list(ms)             # <<<<<<<<<<<<<<
@@ -6074,11 +5936,11 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
   if (__pyx_t_2) {
     __pyx_t_3 = __pyx_v_ms;
     __Pyx_INCREF(__pyx_t_3);
-    if (!(likely(PyList_CheckExact(__pyx_t_3))||((__pyx_t_3) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_3))) __PYX_ERR(0, 253, __pyx_L1_error)
+    if (!(likely(PyList_CheckExact(__pyx_t_3))||((__pyx_t_3) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_3))) __PYX_ERR(0, 241, __pyx_L1_error)
     __pyx_t_1 = __pyx_t_3;
     __pyx_t_3 = 0;
   } else {
-    __pyx_t_3 = PySequence_List(__pyx_v_ms); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 253, __pyx_L1_error)
+    __pyx_t_3 = PySequence_List(__pyx_v_ms); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 241, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_3);
     __pyx_t_1 = __pyx_t_3;
     __pyx_t_3 = 0;
@@ -6086,7 +5948,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
   __pyx_v_values = ((PyObject*)__pyx_t_1);
   __pyx_t_1 = 0;
 
-  /* "frgc/_kernels.pyx":254
+  /* "frgc/_kernels.pyx":242
  *                     bint collect_trace):
  *     cdef list values = ms if type(ms) is list else list(ms)
  *     cdef bint raw = est_raw is not None             # <<<<<<<<<<<<<<
@@ -6096,7 +5958,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
   __pyx_t_2 = (__pyx_v_est_raw != Py_None);
   __pyx_v_raw = __pyx_t_2;
 
-  /* "frgc/_kernels.pyx":255
+  /* "frgc/_kernels.pyx":243
  *     cdef list values = ms if type(ms) is list else list(ms)
  *     cdef bint raw = est_raw is not None
  *     cdef list inc_int = None             # <<<<<<<<<<<<<<
@@ -6106,7 +5968,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
   __Pyx_INCREF(Py_None);
   __pyx_v_inc_int = ((PyObject*)Py_None);
 
-  /* "frgc/_kernels.pyx":256
+  /* "frgc/_kernels.pyx":244
  *     cdef bint raw = est_raw is not None
  *     cdef list inc_int = None
  *     cdef list inc_raw = None             # <<<<<<<<<<<<<<
@@ -6116,7 +5978,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
   __Pyx_INCREF(Py_None);
   __pyx_v_inc_raw = ((PyObject*)Py_None);
 
-  /* "frgc/_kernels.pyx":257
+  /* "frgc/_kernels.pyx":245
  *     cdef list inc_int = None
  *     cdef list inc_raw = None
  *     cdef Py_ssize_t nb = 0             # <<<<<<<<<<<<<<
@@ -6125,17 +5987,17 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
   __pyx_v_nb = 0;
 
-  /* "frgc/_kernels.pyx":258
+  /* "frgc/_kernels.pyx":246
  *     cdef list inc_raw = None
  *     cdef Py_ssize_t nb = 0
  *     cdef double* bnd = _copy_bounds(boundaries, &nb)             # <<<<<<<<<<<<<<
  *     cdef _Writer w = _Writer()
  *     cdef list trace = [] if collect_trace else None
 */
-  __pyx_t_4 = __pyx_f_4frgc_8_kernels__copy_bounds(__pyx_v_boundaries, (&__pyx_v_nb)); if (unlikely(__pyx_t_4 == ((void *)NULL))) __PYX_ERR(0, 258, __pyx_L1_error)
+  __pyx_t_4 = __pyx_f_4frgc_8_kernels__copy_bounds(__pyx_v_boundaries, (&__pyx_v_nb)); if (unlikely(__pyx_t_4 == ((void *)NULL))) __PYX_ERR(0, 246, __pyx_L1_error)
   __pyx_v_bnd = __pyx_t_4;
 
-  /* "frgc/_kernels.pyx":259
+  /* "frgc/_kernels.pyx":247
  *     cdef Py_ssize_t nb = 0
  *     cdef double* bnd = _copy_bounds(boundaries, &nb)
  *     cdef _Writer w = _Writer()             # <<<<<<<<<<<<<<
@@ -6148,13 +6010,13 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
     PyObject *__pyx_callargs[2] = {__pyx_t_3, NULL};
     __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_4frgc_8_kernels__Writer, __pyx_callargs+__pyx_t_5, (1-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
     __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 259, __pyx_L1_error)
+    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 247, __pyx_L1_error)
     __Pyx_GOTREF((PyObject *)__pyx_t_1);
   }
   __pyx_v_w = ((struct __pyx_obj_4frgc_8_kernels__Writer *)__pyx_t_1);
   __pyx_t_1 = 0;
 
-  /* "frgc/_kernels.pyx":260
+  /* "frgc/_kernels.pyx":248
  *     cdef double* bnd = _copy_bounds(boundaries, &nb)
  *     cdef _Writer w = _Writer()
  *     cdef list trace = [] if collect_trace else None             # <<<<<<<<<<<<<<
@@ -6162,7 +6024,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
  *     cdef long long t = 0, s_int = 0, m, mv, j, k, u
 */
   if (__pyx_v_collect_trace) {
-    __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 260, __pyx_L1_error)
+    __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 248, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_3);
     __pyx_t_1 = __pyx_t_3;
     __pyx_t_3 = 0;
@@ -6170,11 +6032,11 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
     __Pyx_INCREF(Py_None);
     __pyx_t_1 = Py_None;
   }
-  if (!(likely(PyList_CheckExact(__pyx_t_1))||((__pyx_t_1) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_1))) __PYX_ERR(0, 260, __pyx_L1_error)
+  if (!(likely(PyList_CheckExact(__pyx_t_1))||((__pyx_t_1) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_1))) __PYX_ERR(0, 248, __pyx_L1_error)
   __pyx_v_trace = ((PyObject*)__pyx_t_1);
   __pyx_t_1 = 0;
 
-  /* "frgc/_kernels.pyx":261
+  /* "frgc/_kernels.pyx":249
  *     cdef _Writer w = _Writer()
  *     cdef list trace = [] if collect_trace else None
  *     cdef Py_ssize_t i, n = len(values)             # <<<<<<<<<<<<<<
@@ -6183,12 +6045,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
   if (unlikely(__pyx_v_values == Py_None)) {
     PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 261, __pyx_L1_error)
+    __PYX_ERR(0, 249, __pyx_L1_error)
   }
-  __pyx_t_6 = __Pyx_PyList_GET_SIZE(__pyx_v_values); if (unlikely(__pyx_t_6 == ((Py_ssize_t)-1))) __PYX_ERR(0, 261, __pyx_L1_error)
+  __pyx_t_6 = __Pyx_PyList_GET_SIZE(__pyx_v_values); if (unlikely(__pyx_t_6 == ((Py_ssize_t)-1))) __PYX_ERR(0, 249, __pyx_L1_error)
   __pyx_v_n = __pyx_t_6;
 
-  /* "frgc/_kernels.pyx":262
+  /* "frgc/_kernels.pyx":250
  *     cdef list trace = [] if collect_trace else None
  *     cdef Py_ssize_t i, n = len(values)
  *     cdef long long t = 0, s_int = 0, m, mv, j, k, u             # <<<<<<<<<<<<<<
@@ -6198,7 +6060,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
   __pyx_v_t = 0;
   __pyx_v_s_int = 0;
 
-  /* "frgc/_kernels.pyx":263
+  /* "frgc/_kernels.pyx":251
  *     cdef Py_ssize_t i, n = len(values)
  *     cdef long long t = 0, s_int = 0, m, mv, j, k, u
  *     cdef double s_raw = 0.0             # <<<<<<<<<<<<<<
@@ -6207,7 +6069,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
   __pyx_v_s_raw = 0.0;
 
-  /* "frgc/_kernels.pyx":265
+  /* "frgc/_kernels.pyx":253
  *     cdef double s_raw = 0.0
  *     cdef int b
  *     if raw:             # <<<<<<<<<<<<<<
@@ -6216,7 +6078,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
   if (__pyx_v_raw) {
 
-    /* "frgc/_kernels.pyx":266
+    /* "frgc/_kernels.pyx":254
  *     cdef int b
  *     if raw:
  *         inc_raw = est_raw if type(est_raw) is list else list(est_raw)             # <<<<<<<<<<<<<<
@@ -6227,11 +6089,11 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
     if (__pyx_t_2) {
       __pyx_t_3 = __pyx_v_est_raw;
       __Pyx_INCREF(__pyx_t_3);
-      if (!(likely(PyList_CheckExact(__pyx_t_3))||((__pyx_t_3) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_3))) __PYX_ERR(0, 266, __pyx_L1_error)
+      if (!(likely(PyList_CheckExact(__pyx_t_3))||((__pyx_t_3) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_3))) __PYX_ERR(0, 254, __pyx_L1_error)
       __pyx_t_1 = __pyx_t_3;
       __pyx_t_3 = 0;
     } else {
-      __pyx_t_3 = PySequence_List(__pyx_v_est_raw); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 266, __pyx_L1_error)
+      __pyx_t_3 = PySequence_List(__pyx_v_est_raw); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 254, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_3);
       __pyx_t_1 = __pyx_t_3;
       __pyx_t_3 = 0;
@@ -6239,7 +6101,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
     __Pyx_DECREF_SET(__pyx_v_inc_raw, ((PyObject*)__pyx_t_1));
     __pyx_t_1 = 0;
 
-    /* "frgc/_kernels.pyx":265
+    /* "frgc/_kernels.pyx":253
  *     cdef double s_raw = 0.0
  *     cdef int b
  *     if raw:             # <<<<<<<<<<<<<<
@@ -6249,7 +6111,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
     goto __pyx_L3;
   }
 
-  /* "frgc/_kernels.pyx":268
+  /* "frgc/_kernels.pyx":256
  *         inc_raw = est_raw if type(est_raw) is list else list(est_raw)
  *     else:
  *         inc_int = est_int if type(est_int) is list else list(est_int)             # <<<<<<<<<<<<<<
@@ -6261,11 +6123,11 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
     if (__pyx_t_2) {
       __pyx_t_3 = __pyx_v_est_int;
       __Pyx_INCREF(__pyx_t_3);
-      if (!(likely(PyList_CheckExact(__pyx_t_3))||((__pyx_t_3) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_3))) __PYX_ERR(0, 268, __pyx_L1_error)
+      if (!(likely(PyList_CheckExact(__pyx_t_3))||((__pyx_t_3) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_3))) __PYX_ERR(0, 256, __pyx_L1_error)
       __pyx_t_1 = __pyx_t_3;
       __pyx_t_3 = 0;
     } else {
-      __pyx_t_3 = PySequence_List(__pyx_v_est_int); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 268, __pyx_L1_error)
+      __pyx_t_3 = PySequence_List(__pyx_v_est_int); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 256, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_3);
       __pyx_t_1 = __pyx_t_3;
       __pyx_t_3 = 0;
@@ -6275,7 +6137,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
   }
   __pyx_L3:;
 
-  /* "frgc/_kernels.pyx":269
+  /* "frgc/_kernels.pyx":257
  *     else:
  *         inc_int = est_int if type(est_int) is list else list(est_int)
  *     try:             # <<<<<<<<<<<<<<
@@ -6284,7 +6146,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
   /*try:*/ {
 
-    /* "frgc/_kernels.pyx":270
+    /* "frgc/_kernels.pyx":258
  *         inc_int = est_int if type(est_int) is list else list(est_int)
  *     try:
  *         for i in range(n):             # <<<<<<<<<<<<<<
@@ -6296,7 +6158,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
     for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
       __pyx_v_i = __pyx_t_8;
 
-      /* "frgc/_kernels.pyx":271
+      /* "frgc/_kernels.pyx":259
  *     try:
  *         for i in range(n):
  *             if t == 0:             # <<<<<<<<<<<<<<
@@ -6306,7 +6168,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
       __pyx_t_2 = (__pyx_v_t == 0);
       if (__pyx_t_2) {
 
-        /* "frgc/_kernels.pyx":272
+        /* "frgc/_kernels.pyx":260
  *         for i in range(n):
  *             if t == 0:
  *                 m = 1             # <<<<<<<<<<<<<<
@@ -6315,7 +6177,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
         __pyx_v_m = 1;
 
-        /* "frgc/_kernels.pyx":271
+        /* "frgc/_kernels.pyx":259
  *     try:
  *         for i in range(n):
  *             if t == 0:             # <<<<<<<<<<<<<<
@@ -6325,7 +6187,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
         goto __pyx_L9;
       }
 
-      /* "frgc/_kernels.pyx":273
+      /* "frgc/_kernels.pyx":261
  *             if t == 0:
  *                 m = 1
  *             elif raw:             # <<<<<<<<<<<<<<
@@ -6334,18 +6196,18 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
       if (__pyx_v_raw) {
 
-        /* "frgc/_kernels.pyx":274
+        /* "frgc/_kernels.pyx":262
  *                 m = 1
  *             elif raw:
  *                 m = _select(_theta_raw(t, s_raw), bnd, nb)             # <<<<<<<<<<<<<<
  *             else:
  *                 m = _select(_theta_rounded(t, s_int, tau), bnd, nb)
 */
-        __pyx_t_9 = __pyx_f_4frgc_8_kernels__theta_raw(__pyx_v_t, __pyx_v_s_raw); if (unlikely(__pyx_t_9 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 274, __pyx_L5_error)
-        __pyx_t_10 = __pyx_f_4frgc_8_kernels__select(__pyx_t_9, __pyx_v_bnd, __pyx_v_nb); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 274, __pyx_L5_error)
+        __pyx_t_9 = __pyx_f_4frgc_8_kernels__theta_raw(__pyx_v_t, __pyx_v_s_raw); if (unlikely(__pyx_t_9 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 262, __pyx_L5_error)
+        __pyx_t_10 = __pyx_f_4frgc_8_kernels__select(__pyx_t_9, __pyx_v_bnd, __pyx_v_nb); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 262, __pyx_L5_error)
         __pyx_v_m = __pyx_t_10;
 
-        /* "frgc/_kernels.pyx":273
+        /* "frgc/_kernels.pyx":261
  *             if t == 0:
  *                 m = 1
  *             elif raw:             # <<<<<<<<<<<<<<
@@ -6355,7 +6217,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
         goto __pyx_L9;
       }
 
-      /* "frgc/_kernels.pyx":276
+      /* "frgc/_kernels.pyx":264
  *                 m = _select(_theta_raw(t, s_raw), bnd, nb)
  *             else:
  *                 m = _select(_theta_rounded(t, s_int, tau), bnd, nb)             # <<<<<<<<<<<<<<
@@ -6363,23 +6225,23 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
  *             u = (<long long> 1 << b) - m
 */
       /*else*/ {
-        __pyx_t_9 = __pyx_f_4frgc_8_kernels__theta_rounded(__pyx_v_t, __pyx_v_s_int, __pyx_v_tau); if (unlikely(__pyx_t_9 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 276, __pyx_L5_error)
-        __pyx_t_10 = __pyx_f_4frgc_8_kernels__select(__pyx_t_9, __pyx_v_bnd, __pyx_v_nb); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 276, __pyx_L5_error)
+        __pyx_t_9 = __pyx_f_4frgc_8_kernels__theta_rounded(__pyx_v_t, __pyx_v_s_int, __pyx_v_tau); if (unlikely(__pyx_t_9 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 264, __pyx_L5_error)
+        __pyx_t_10 = __pyx_f_4frgc_8_kernels__select(__pyx_t_9, __pyx_v_bnd, __pyx_v_nb); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 264, __pyx_L5_error)
         __pyx_v_m = __pyx_t_10;
       }
       __pyx_L9:;
 
-      /* "frgc/_kernels.pyx":277
+      /* "frgc/_kernels.pyx":265
  *             else:
  *                 m = _select(_theta_rounded(t, s_int, tau), bnd, nb)
  *             b = _ceil_lg(m)             # <<<<<<<<<<<<<<
  *             u = (<long long> 1 << b) - m
  *             mv = values[i]
 */
-      __pyx_t_11 = __pyx_f_4frgc_8_kernels__ceil_lg(__pyx_v_m); if (unlikely(__pyx_t_11 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 277, __pyx_L5_error)
+      __pyx_t_11 = __pyx_f_4frgc_8_kernels__ceil_lg(__pyx_v_m); if (unlikely(__pyx_t_11 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 265, __pyx_L5_error)
       __pyx_v_b = __pyx_t_11;
 
-      /* "frgc/_kernels.pyx":278
+      /* "frgc/_kernels.pyx":266
  *                 m = _select(_theta_rounded(t, s_int, tau), bnd, nb)
  *             b = _ceil_lg(m)
  *             u = (<long long> 1 << b) - m             # <<<<<<<<<<<<<<
@@ -6388,7 +6250,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
       __pyx_v_u = ((((PY_LONG_LONG)1) << __pyx_v_b) - __pyx_v_m);
 
-      /* "frgc/_kernels.pyx":279
+      /* "frgc/_kernels.pyx":267
  *             b = _ceil_lg(m)
  *             u = (<long long> 1 << b) - m
  *             mv = values[i]             # <<<<<<<<<<<<<<
@@ -6397,12 +6259,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
       if (unlikely(__pyx_v_values == Py_None)) {
         PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-        __PYX_ERR(0, 279, __pyx_L5_error)
+        __PYX_ERR(0, 267, __pyx_L5_error)
       }
-      __pyx_t_10 = __Pyx_PyLong_As_PY_LONG_LONG(__Pyx_PyList_GET_ITEM(__pyx_v_values, __pyx_v_i)); if (unlikely((__pyx_t_10 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 279, __pyx_L5_error)
+      __pyx_t_10 = __Pyx_PyLong_As_PY_LONG_LONG(__Pyx_PyList_GET_ITEM(__pyx_v_values, __pyx_v_i)); if (unlikely((__pyx_t_10 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 267, __pyx_L5_error)
       __pyx_v_mv = __pyx_t_10;
 
-      /* "frgc/_kernels.pyx":280
+      /* "frgc/_kernels.pyx":268
  *             u = (<long long> 1 << b) - m
  *             mv = values[i]
  *             if mv < 0:             # <<<<<<<<<<<<<<
@@ -6412,7 +6274,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
       __pyx_t_2 = (__pyx_v_mv < 0);
       if (unlikely(__pyx_t_2)) {
 
-        /* "frgc/_kernels.pyx":281
+        /* "frgc/_kernels.pyx":269
  *             mv = values[i]
  *             if mv < 0:
  *                 raise ValueError(f"mapped residual must be non-negative, got {mv}")             # <<<<<<<<<<<<<<
@@ -6420,9 +6282,9 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
  *             k = mv - j * m
 */
         __pyx_t_3 = NULL;
-        __pyx_t_12 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_mv, 0, ' ', 'd'); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 281, __pyx_L5_error)
+        __pyx_t_12 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_mv, 0, ' ', 'd'); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 269, __pyx_L5_error)
         __Pyx_GOTREF(__pyx_t_12);
-        __pyx_t_13 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_mapped_residual_must_be_non_nega, __pyx_t_12); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 281, __pyx_L5_error)
+        __pyx_t_13 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_mapped_residual_must_be_non_nega, __pyx_t_12); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 269, __pyx_L5_error)
         __Pyx_GOTREF(__pyx_t_13);
         __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
         __pyx_t_5 = 1;
@@ -6431,14 +6293,14 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
           __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
           __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
           __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-          if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 281, __pyx_L5_error)
+          if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 269, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_1);
         }
         __Pyx_Raise(__pyx_t_1, 0, 0, 0);
         __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-        __PYX_ERR(0, 281, __pyx_L5_error)
+        __PYX_ERR(0, 269, __pyx_L5_error)
 
-        /* "frgc/_kernels.pyx":280
+        /* "frgc/_kernels.pyx":268
  *             u = (<long long> 1 << b) - m
  *             mv = values[i]
  *             if mv < 0:             # <<<<<<<<<<<<<<
@@ -6447,7 +6309,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
       }
 
-      /* "frgc/_kernels.pyx":282
+      /* "frgc/_kernels.pyx":270
  *             if mv < 0:
  *                 raise ValueError(f"mapped residual must be non-negative, got {mv}")
  *             j = mv / m             # <<<<<<<<<<<<<<
@@ -6456,7 +6318,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
       __pyx_v_j = (__pyx_v_mv / __pyx_v_m);
 
-      /* "frgc/_kernels.pyx":283
+      /* "frgc/_kernels.pyx":271
  *                 raise ValueError(f"mapped residual must be non-negative, got {mv}")
  *             j = mv / m
  *             k = mv - j * m             # <<<<<<<<<<<<<<
@@ -6465,16 +6327,16 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
       __pyx_v_k = (__pyx_v_mv - (__pyx_v_j * __pyx_v_m));
 
-      /* "frgc/_kernels.pyx":284
+      /* "frgc/_kernels.pyx":272
  *             j = mv / m
  *             k = mv - j * m
  *             w.put_unary(j)             # <<<<<<<<<<<<<<
  *             if b:
  *                 if k < u:
 */
-      __pyx_t_11 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put_unary(__pyx_v_w, __pyx_v_j); if (unlikely(__pyx_t_11 == ((int)-1))) __PYX_ERR(0, 284, __pyx_L5_error)
+      __pyx_t_11 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put_unary(__pyx_v_w, __pyx_v_j); if (unlikely(__pyx_t_11 == ((int)-1))) __PYX_ERR(0, 272, __pyx_L5_error)
 
-      /* "frgc/_kernels.pyx":285
+      /* "frgc/_kernels.pyx":273
  *             k = mv - j * m
  *             w.put_unary(j)
  *             if b:             # <<<<<<<<<<<<<<
@@ -6484,7 +6346,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
       __pyx_t_2 = (__pyx_v_b != 0);
       if (__pyx_t_2) {
 
-        /* "frgc/_kernels.pyx":286
+        /* "frgc/_kernels.pyx":274
  *             w.put_unary(j)
  *             if b:
  *                 if k < u:             # <<<<<<<<<<<<<<
@@ -6494,16 +6356,16 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
         __pyx_t_2 = (__pyx_v_k < __pyx_v_u);
         if (__pyx_t_2) {
 
-          /* "frgc/_kernels.pyx":287
+          /* "frgc/_kernels.pyx":275
  *             if b:
  *                 if k < u:
  *                     w.put(<unsigned long long> k, b - 1)             # <<<<<<<<<<<<<<
  *                 else:
  *                     w.put(<unsigned long long> (k + u), b)
 */
-          __pyx_t_11 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put(__pyx_v_w, ((unsigned PY_LONG_LONG)__pyx_v_k), (__pyx_v_b - 1)); if (unlikely(__pyx_t_11 == ((int)-1))) __PYX_ERR(0, 287, __pyx_L5_error)
+          __pyx_t_11 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put(__pyx_v_w, ((unsigned PY_LONG_LONG)__pyx_v_k), (__pyx_v_b - 1)); if (unlikely(__pyx_t_11 == ((int)-1))) __PYX_ERR(0, 275, __pyx_L5_error)
 
-          /* "frgc/_kernels.pyx":286
+          /* "frgc/_kernels.pyx":274
  *             w.put_unary(j)
  *             if b:
  *                 if k < u:             # <<<<<<<<<<<<<<
@@ -6513,7 +6375,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
           goto __pyx_L12;
         }
 
-        /* "frgc/_kernels.pyx":289
+        /* "frgc/_kernels.pyx":277
  *                     w.put(<unsigned long long> k, b - 1)
  *                 else:
  *                     w.put(<unsigned long long> (k + u), b)             # <<<<<<<<<<<<<<
@@ -6521,11 +6383,11 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
  *             if raw:
 */
         /*else*/ {
-          __pyx_t_11 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put(__pyx_v_w, ((unsigned PY_LONG_LONG)(__pyx_v_k + __pyx_v_u)), __pyx_v_b); if (unlikely(__pyx_t_11 == ((int)-1))) __PYX_ERR(0, 289, __pyx_L5_error)
+          __pyx_t_11 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->put(__pyx_v_w, ((unsigned PY_LONG_LONG)(__pyx_v_k + __pyx_v_u)), __pyx_v_b); if (unlikely(__pyx_t_11 == ((int)-1))) __PYX_ERR(0, 277, __pyx_L5_error)
         }
         __pyx_L12:;
 
-        /* "frgc/_kernels.pyx":285
+        /* "frgc/_kernels.pyx":273
  *             k = mv - j * m
  *             w.put_unary(j)
  *             if b:             # <<<<<<<<<<<<<<
@@ -6534,7 +6396,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
       }
 
-      /* "frgc/_kernels.pyx":290
+      /* "frgc/_kernels.pyx":278
  *                 else:
  *                     w.put(<unsigned long long> (k + u), b)
  *             t += 1             # <<<<<<<<<<<<<<
@@ -6543,7 +6405,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
       __pyx_v_t = (__pyx_v_t + 1);
 
-      /* "frgc/_kernels.pyx":291
+      /* "frgc/_kernels.pyx":279
  *                     w.put(<unsigned long long> (k + u), b)
  *             t += 1
  *             if raw:             # <<<<<<<<<<<<<<
@@ -6552,7 +6414,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
       if (__pyx_v_raw) {
 
-        /* "frgc/_kernels.pyx":292
+        /* "frgc/_kernels.pyx":280
  *             t += 1
  *             if raw:
  *                 s_raw += <double> inc_raw[i]             # <<<<<<<<<<<<<<
@@ -6561,12 +6423,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
         if (unlikely(__pyx_v_inc_raw == Py_None)) {
           PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-          __PYX_ERR(0, 292, __pyx_L5_error)
+          __PYX_ERR(0, 280, __pyx_L5_error)
         }
-        __pyx_t_9 = __Pyx_PyFloat_AsDouble(__Pyx_PyList_GET_ITEM(__pyx_v_inc_raw, __pyx_v_i)); if (unlikely((__pyx_t_9 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 292, __pyx_L5_error)
+        __pyx_t_9 = __Pyx_PyFloat_AsDouble(__Pyx_PyList_GET_ITEM(__pyx_v_inc_raw, __pyx_v_i)); if (unlikely((__pyx_t_9 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 280, __pyx_L5_error)
         __pyx_v_s_raw = (__pyx_v_s_raw + ((double)__pyx_t_9));
 
-        /* "frgc/_kernels.pyx":291
+        /* "frgc/_kernels.pyx":279
  *                     w.put(<unsigned long long> (k + u), b)
  *             t += 1
  *             if raw:             # <<<<<<<<<<<<<<
@@ -6576,7 +6438,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
         goto __pyx_L13;
       }
 
-      /* "frgc/_kernels.pyx":294
+      /* "frgc/_kernels.pyx":282
  *                 s_raw += <double> inc_raw[i]
  *             else:
  *                 s_int += <long long> inc_int[i]             # <<<<<<<<<<<<<<
@@ -6586,12 +6448,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
       /*else*/ {
         if (unlikely(__pyx_v_inc_int == Py_None)) {
           PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-          __PYX_ERR(0, 294, __pyx_L5_error)
+          __PYX_ERR(0, 282, __pyx_L5_error)
         }
-        __pyx_t_10 = __Pyx_PyLong_As_PY_LONG_LONG(__Pyx_PyList_GET_ITEM(__pyx_v_inc_int, __pyx_v_i)); if (unlikely((__pyx_t_10 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 294, __pyx_L5_error)
+        __pyx_t_10 = __Pyx_PyLong_As_PY_LONG_LONG(__Pyx_PyList_GET_ITEM(__pyx_v_inc_int, __pyx_v_i)); if (unlikely((__pyx_t_10 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 282, __pyx_L5_error)
         __pyx_v_s_int = (__pyx_v_s_int + ((PY_LONG_LONG)__pyx_t_10));
 
-        /* "frgc/_kernels.pyx":295
+        /* "frgc/_kernels.pyx":283
  *             else:
  *                 s_int += <long long> inc_int[i]
  *                 if s_int > SAT:             # <<<<<<<<<<<<<<
@@ -6601,7 +6463,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
         __pyx_t_2 = (__pyx_v_s_int > __pyx_v_4frgc_8_kernels_SAT);
         if (__pyx_t_2) {
 
-          /* "frgc/_kernels.pyx":296
+          /* "frgc/_kernels.pyx":284
  *                 s_int += <long long> inc_int[i]
  *                 if s_int > SAT:
  *                     s_int = SAT             # <<<<<<<<<<<<<<
@@ -6610,7 +6472,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
           __pyx_v_s_int = __pyx_v_4frgc_8_kernels_SAT;
 
-          /* "frgc/_kernels.pyx":295
+          /* "frgc/_kernels.pyx":283
  *             else:
  *                 s_int += <long long> inc_int[i]
  *                 if s_int > SAT:             # <<<<<<<<<<<<<<
@@ -6621,7 +6483,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
       }
       __pyx_L13:;
 
-      /* "frgc/_kernels.pyx":297
+      /* "frgc/_kernels.pyx":285
  *                 if s_int > SAT:
  *                     s_int = SAT
  *             if collect_trace:             # <<<<<<<<<<<<<<
@@ -6630,7 +6492,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
       if (__pyx_v_collect_trace) {
 
-        /* "frgc/_kernels.pyx":298
+        /* "frgc/_kernels.pyx":286
  *                     s_int = SAT
  *             if collect_trace:
  *                 if raw:             # <<<<<<<<<<<<<<
@@ -6639,7 +6501,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
         if (__pyx_v_raw) {
 
-          /* "frgc/_kernels.pyx":299
+          /* "frgc/_kernels.pyx":287
  *             if collect_trace:
  *                 if raw:
  *                     trace.append((m, t, s_raw))             # <<<<<<<<<<<<<<
@@ -6648,29 +6510,29 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
 */
           if (unlikely(__pyx_v_trace == Py_None)) {
             PyErr_Format(PyExc_AttributeError, "'NoneType' object has no attribute '%.30s'", "append");
-            __PYX_ERR(0, 299, __pyx_L5_error)
+            __PYX_ERR(0, 287, __pyx_L5_error)
           }
-          __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_m); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 299, __pyx_L5_error)
+          __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_m); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 287, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_1);
-          __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_t); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 299, __pyx_L5_error)
+          __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_t); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 287, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_13);
-          __pyx_t_3 = PyFloat_FromDouble(__pyx_v_s_raw); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 299, __pyx_L5_error)
+          __pyx_t_3 = PyFloat_FromDouble(__pyx_v_s_raw); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 287, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_3);
-          __pyx_t_12 = PyTuple_New(3); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 299, __pyx_L5_error)
+          __pyx_t_12 = PyTuple_New(3); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 287, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_12);
           __Pyx_GIVEREF(__pyx_t_1);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_12, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 299, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_12, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 287, __pyx_L5_error);
           __Pyx_GIVEREF(__pyx_t_13);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_12, 1, __pyx_t_13) != (0)) __PYX_ERR(0, 299, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_12, 1, __pyx_t_13) != (0)) __PYX_ERR(0, 287, __pyx_L5_error);
           __Pyx_GIVEREF(__pyx_t_3);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_12, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 299, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_12, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 287, __pyx_L5_error);
           __pyx_t_1 = 0;
           __pyx_t_13 = 0;
           __pyx_t_3 = 0;
-          __pyx_t_14 = __Pyx_PyList_Append(__pyx_v_trace, __pyx_t_12); if (unlikely(__pyx_t_14 == ((int)-1))) __PYX_ERR(0, 299, __pyx_L5_error)
+          __pyx_t_14 = __Pyx_PyList_Append(__pyx_v_trace, __pyx_t_12); if (unlikely(__pyx_t_14 == ((int)-1))) __PYX_ERR(0, 287, __pyx_L5_error)
           __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
 
-          /* "frgc/_kernels.pyx":298
+          /* "frgc/_kernels.pyx":286
  *                     s_int = SAT
  *             if collect_trace:
  *                 if raw:             # <<<<<<<<<<<<<<
@@ -6680,7 +6542,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
           goto __pyx_L16;
         }
 
-        /* "frgc/_kernels.pyx":301
+        /* "frgc/_kernels.pyx":289
  *                     trace.append((m, t, s_raw))
  *                 else:
  *                     trace.append((m, t, s_int))             # <<<<<<<<<<<<<<
@@ -6690,31 +6552,31 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
         /*else*/ {
           if (unlikely(__pyx_v_trace == Py_None)) {
             PyErr_Format(PyExc_AttributeError, "'NoneType' object has no attribute '%.30s'", "append");
-            __PYX_ERR(0, 301, __pyx_L5_error)
+            __PYX_ERR(0, 289, __pyx_L5_error)
           }
-          __pyx_t_12 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_m); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 301, __pyx_L5_error)
+          __pyx_t_12 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_m); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 289, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_12);
-          __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_t); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 301, __pyx_L5_error)
+          __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_t); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 289, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_3);
-          __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s_int); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 301, __pyx_L5_error)
+          __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s_int); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 289, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_13);
-          __pyx_t_1 = PyTuple_New(3); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 301, __pyx_L5_error)
+          __pyx_t_1 = PyTuple_New(3); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 289, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_1);
           __Pyx_GIVEREF(__pyx_t_12);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 0, __pyx_t_12) != (0)) __PYX_ERR(0, 301, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 0, __pyx_t_12) != (0)) __PYX_ERR(0, 289, __pyx_L5_error);
           __Pyx_GIVEREF(__pyx_t_3);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 301, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 289, __pyx_L5_error);
           __Pyx_GIVEREF(__pyx_t_13);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 2, __pyx_t_13) != (0)) __PYX_ERR(0, 301, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 2, __pyx_t_13) != (0)) __PYX_ERR(0, 289, __pyx_L5_error);
           __pyx_t_12 = 0;
           __pyx_t_3 = 0;
           __pyx_t_13 = 0;
-          __pyx_t_14 = __Pyx_PyList_Append(__pyx_v_trace, __pyx_t_1); if (unlikely(__pyx_t_14 == ((int)-1))) __PYX_ERR(0, 301, __pyx_L5_error)
+          __pyx_t_14 = __Pyx_PyList_Append(__pyx_v_trace, __pyx_t_1); if (unlikely(__pyx_t_14 == ((int)-1))) __PYX_ERR(0, 289, __pyx_L5_error)
           __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
         }
         __pyx_L16:;
 
-        /* "frgc/_kernels.pyx":297
+        /* "frgc/_kernels.pyx":285
  *                 if s_int > SAT:
  *                     s_int = SAT
  *             if collect_trace:             # <<<<<<<<<<<<<<
@@ -6724,7 +6586,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
       }
     }
 
-    /* "frgc/_kernels.pyx":302
+    /* "frgc/_kernels.pyx":290
  *                 else:
  *                     trace.append((m, t, s_int))
  *         return w.finish(), w.total, trace             # <<<<<<<<<<<<<<
@@ -6732,19 +6594,19 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
  *         PyMem_Free(bnd)
 */
     __Pyx_XDECREF(__pyx_r);
-    __pyx_t_1 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->finish(__pyx_v_w); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 302, __pyx_L5_error)
+    __pyx_t_1 = ((struct __pyx_vtabstruct_4frgc_8_kernels__Writer *)__pyx_v_w->__pyx_vtab)->finish(__pyx_v_w); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 290, __pyx_L5_error)
     __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_w->total); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 302, __pyx_L5_error)
+    __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_w->total); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 290, __pyx_L5_error)
     __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_3 = PyTuple_New(3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 302, __pyx_L5_error)
+    __pyx_t_3 = PyTuple_New(3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 290, __pyx_L5_error)
     __Pyx_GOTREF(__pyx_t_3);
     __Pyx_GIVEREF(__pyx_t_1);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 302, __pyx_L5_error);
+    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 290, __pyx_L5_error);
     __Pyx_GIVEREF(__pyx_t_13);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_13) != (0)) __PYX_ERR(0, 302, __pyx_L5_error);
+    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_13) != (0)) __PYX_ERR(0, 290, __pyx_L5_error);
     __Pyx_INCREF(__pyx_v_trace);
     __Pyx_GIVEREF(__pyx_v_trace);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 2, __pyx_v_trace) != (0)) __PYX_ERR(0, 302, __pyx_L5_error);
+    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 2, __pyx_v_trace) != (0)) __PYX_ERR(0, 290, __pyx_L5_error);
     __pyx_t_1 = 0;
     __pyx_t_13 = 0;
     __pyx_r = __pyx_t_3;
@@ -6752,7 +6614,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
     goto __pyx_L4_return;
   }
 
-  /* "frgc/_kernels.pyx":304
+  /* "frgc/_kernels.pyx":292
  *         return w.finish(), w.total, trace
  *     finally:
  *         PyMem_Free(bnd)             # <<<<<<<<<<<<<<
@@ -6803,7 +6665,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
     }
   }
 
-  /* "frgc/_kernels.pyx":251
+  /* "frgc/_kernels.pyx":239
  * 
  * 
  * def adaptive_encode(ms, est_int, est_raw, long long tau, boundaries,             # <<<<<<<<<<<<<<
@@ -6830,7 +6692,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_4adaptive_encode(CYTHON_UNUSED PyObjec
   return __pyx_r;
 }
 
-/* "frgc/_kernels.pyx":307
+/* "frgc/_kernels.pyx":295
  * 
  * 
  * def adaptive_decode(bytes payload, Py_ssize_t count, pred_n, pred_x,             # <<<<<<<<<<<<<<
@@ -6886,95 +6748,95 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   {
     PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_payload,&__pyx_mstate_global->__pyx_n_u_count,&__pyx_mstate_global->__pyx_n_u_pred_n,&__pyx_mstate_global->__pyx_n_u_pred_x,&__pyx_mstate_global->__pyx_n_u_rho,&__pyx_mstate_global->__pyx_n_u_tau,&__pyx_mstate_global->__pyx_n_u_boundaries,&__pyx_mstate_global->__pyx_n_u_raw_estimator,&__pyx_mstate_global->__pyx_n_u_max_run,&__pyx_mstate_global->__pyx_n_u_collect_trace,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 307, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 295, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
         case 10:
         values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 307, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 295, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  9:
         values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 307, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 295, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  8:
         values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 307, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 295, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  7:
         values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 307, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 295, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  6:
         values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 307, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 295, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  5:
         values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 307, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 295, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  4:
         values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 307, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 295, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  3:
         values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 307, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 295, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  2:
         values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 307, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 295, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  1:
         values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 307, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 295, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "adaptive_decode", 0) < (0)) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "adaptive_decode", 0) < (0)) __PYX_ERR(0, 295, __pyx_L3_error)
       for (Py_ssize_t i = __pyx_nargs; i < 10; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("adaptive_decode", 1, 10, 10, i); __PYX_ERR(0, 307, __pyx_L3_error) }
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("adaptive_decode", 1, 10, 10, i); __PYX_ERR(0, 295, __pyx_L3_error) }
       }
     } else if (unlikely(__pyx_nargs != 10)) {
       goto __pyx_L5_argtuple_error;
     } else {
       values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 295, __pyx_L3_error)
       values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 295, __pyx_L3_error)
       values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 295, __pyx_L3_error)
       values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 295, __pyx_L3_error)
       values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 295, __pyx_L3_error)
       values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 295, __pyx_L3_error)
       values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 295, __pyx_L3_error)
       values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 295, __pyx_L3_error)
       values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 295, __pyx_L3_error)
       values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 307, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 295, __pyx_L3_error)
     }
     __pyx_v_payload = ((PyObject*)values[0]);
-    __pyx_v_count = __Pyx_PyIndex_AsSsize_t(values[1]); if (unlikely((__pyx_v_count == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 307, __pyx_L3_error)
+    __pyx_v_count = __Pyx_PyIndex_AsSsize_t(values[1]); if (unlikely((__pyx_v_count == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 295, __pyx_L3_error)
     __pyx_v_pred_n = values[2];
     __pyx_v_pred_x = values[3];
-    __pyx_v_rho = __Pyx_PyLong_As_PY_LONG_LONG(values[4]); if (unlikely((__pyx_v_rho == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 308, __pyx_L3_error)
-    __pyx_v_tau = __Pyx_PyLong_As_PY_LONG_LONG(values[5]); if (unlikely((__pyx_v_tau == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 308, __pyx_L3_error)
+    __pyx_v_rho = __Pyx_PyLong_As_PY_LONG_LONG(values[4]); if (unlikely((__pyx_v_rho == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 296, __pyx_L3_error)
+    __pyx_v_tau = __Pyx_PyLong_As_PY_LONG_LONG(values[5]); if (unlikely((__pyx_v_tau == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 296, __pyx_L3_error)
     __pyx_v_boundaries = values[6];
-    __pyx_v_raw_estimator = __Pyx_PyObject_IsTrue(values[7]); if (unlikely((__pyx_v_raw_estimator == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 309, __pyx_L3_error)
-    __pyx_v_max_run = __Pyx_PyLong_As_PY_LONG_LONG(values[8]); if (unlikely((__pyx_v_max_run == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 309, __pyx_L3_error)
-    __pyx_v_collect_trace = __Pyx_PyObject_IsTrue(values[9]); if (unlikely((__pyx_v_collect_trace == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 309, __pyx_L3_error)
+    __pyx_v_raw_estimator = __Pyx_PyObject_IsTrue(values[7]); if (unlikely((__pyx_v_raw_estimator == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 297, __pyx_L3_error)
+    __pyx_v_max_run = __Pyx_PyLong_As_PY_LONG_LONG(values[8]); if (unlikely((__pyx_v_max_run == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 297, __pyx_L3_error)
+    __pyx_v_collect_trace = __Pyx_PyObject_IsTrue(values[9]); if (unlikely((__pyx_v_collect_trace == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 297, __pyx_L3_error)
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("adaptive_decode", 1, 10, 10, __pyx_nargs); __PYX_ERR(0, 307, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("adaptive_decode", 1, 10, 10, __pyx_nargs); __PYX_ERR(0, 295, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -6985,7 +6847,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   __Pyx_RefNannyFinishContext();
   return NULL;
   __pyx_L4_argument_unpacking_done:;
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_payload), (&PyBytes_Type), 1, "payload", 1))) __PYX_ERR(0, 307, __pyx_L1_error)
+  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_payload), (&PyBytes_Type), 1, "payload", 1))) __PYX_ERR(0, 295, __pyx_L1_error)
   __pyx_r = __pyx_pf_4frgc_8_kernels_6adaptive_decode(__pyx_self, __pyx_v_payload, __pyx_v_count, __pyx_v_pred_n, __pyx_v_pred_x, __pyx_v_rho, __pyx_v_tau, __pyx_v_boundaries, __pyx_v_raw_estimator, __pyx_v_max_run, __pyx_v_collect_trace);
 
   /* function exit code */
@@ -7059,7 +6921,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("adaptive_decode", 0);
 
-  /* "frgc/_kernels.pyx":310
+  /* "frgc/_kernels.pyx":298
  *                     long long rho, long long tau, boundaries,
  *                     bint raw_estimator, long long max_run, bint collect_trace):
  *     cdef const unsigned char* d = payload             # <<<<<<<<<<<<<<
@@ -7068,12 +6930,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
   if (unlikely(__pyx_v_payload == Py_None)) {
     PyErr_SetString(PyExc_TypeError, "expected bytes, NoneType found");
-    __PYX_ERR(0, 310, __pyx_L1_error)
+    __PYX_ERR(0, 298, __pyx_L1_error)
   }
-  __pyx_t_1 = __Pyx_PyBytes_AsUString(__pyx_v_payload); if (unlikely((!__pyx_t_1) && PyErr_Occurred())) __PYX_ERR(0, 310, __pyx_L1_error)
+  __pyx_t_1 = __Pyx_PyBytes_AsUString(__pyx_v_payload); if (unlikely((!__pyx_t_1) && PyErr_Occurred())) __PYX_ERR(0, 298, __pyx_L1_error)
   __pyx_v_d = __pyx_t_1;
 
-  /* "frgc/_kernels.pyx":311
+  /* "frgc/_kernels.pyx":299
  *                     bint raw_estimator, long long max_run, bint collect_trace):
  *     cdef const unsigned char* d = payload
  *     cdef Py_ssize_t nbits = 8 * len(payload)             # <<<<<<<<<<<<<<
@@ -7082,12 +6944,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
   if (unlikely(__pyx_v_payload == Py_None)) {
     PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 311, __pyx_L1_error)
+    __PYX_ERR(0, 299, __pyx_L1_error)
   }
-  __pyx_t_2 = __Pyx_PyBytes_GET_SIZE(__pyx_v_payload); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 311, __pyx_L1_error)
+  __pyx_t_2 = __Pyx_PyBytes_GET_SIZE(__pyx_v_payload); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 299, __pyx_L1_error)
   __pyx_v_nbits = (8 * __pyx_t_2);
 
-  /* "frgc/_kernels.pyx":312
+  /* "frgc/_kernels.pyx":300
  *     cdef const unsigned char* d = payload
  *     cdef Py_ssize_t nbits = 8 * len(payload)
  *     cdef Py_ssize_t pos = 0             # <<<<<<<<<<<<<<
@@ -7096,7 +6958,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
   __pyx_v_pos = 0;
 
-  /* "frgc/_kernels.pyx":313
+  /* "frgc/_kernels.pyx":301
  *     cdef Py_ssize_t nbits = 8 * len(payload)
  *     cdef Py_ssize_t pos = 0
  *     cdef list preds_n = pred_n if type(pred_n) is list else list(pred_n)             # <<<<<<<<<<<<<<
@@ -7107,11 +6969,11 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
   if (__pyx_t_4) {
     __pyx_t_5 = __pyx_v_pred_n;
     __Pyx_INCREF(__pyx_t_5);
-    if (!(likely(PyList_CheckExact(__pyx_t_5))||((__pyx_t_5) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_5))) __PYX_ERR(0, 313, __pyx_L1_error)
+    if (!(likely(PyList_CheckExact(__pyx_t_5))||((__pyx_t_5) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_5))) __PYX_ERR(0, 301, __pyx_L1_error)
     __pyx_t_3 = __pyx_t_5;
     __pyx_t_5 = 0;
   } else {
-    __pyx_t_5 = PySequence_List(__pyx_v_pred_n); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 313, __pyx_L1_error)
+    __pyx_t_5 = PySequence_List(__pyx_v_pred_n); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 301, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_5);
     __pyx_t_3 = __pyx_t_5;
     __pyx_t_5 = 0;
@@ -7119,7 +6981,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
   __pyx_v_preds_n = ((PyObject*)__pyx_t_3);
   __pyx_t_3 = 0;
 
-  /* "frgc/_kernels.pyx":314
+  /* "frgc/_kernels.pyx":302
  *     cdef Py_ssize_t pos = 0
  *     cdef list preds_n = pred_n if type(pred_n) is list else list(pred_n)
  *     cdef list preds_x = None             # <<<<<<<<<<<<<<
@@ -7129,7 +6991,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
   __Pyx_INCREF(Py_None);
   __pyx_v_preds_x = ((PyObject*)Py_None);
 
-  /* "frgc/_kernels.pyx":315
+  /* "frgc/_kernels.pyx":303
  *     cdef list preds_n = pred_n if type(pred_n) is list else list(pred_n)
  *     cdef list preds_x = None
  *     cdef Py_ssize_t nb = 0             # <<<<<<<<<<<<<<
@@ -7138,29 +7000,29 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
   __pyx_v_nb = 0;
 
-  /* "frgc/_kernels.pyx":316
+  /* "frgc/_kernels.pyx":304
  *     cdef list preds_x = None
  *     cdef Py_ssize_t nb = 0
  *     cdef double* bnd = _copy_bounds(boundaries, &nb)             # <<<<<<<<<<<<<<
  *     cdef list out = []
  *     cdef list trace = [] if collect_trace else None
 */
-  __pyx_t_6 = __pyx_f_4frgc_8_kernels__copy_bounds(__pyx_v_boundaries, (&__pyx_v_nb)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 316, __pyx_L1_error)
+  __pyx_t_6 = __pyx_f_4frgc_8_kernels__copy_bounds(__pyx_v_boundaries, (&__pyx_v_nb)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 304, __pyx_L1_error)
   __pyx_v_bnd = __pyx_t_6;
 
-  /* "frgc/_kernels.pyx":317
+  /* "frgc/_kernels.pyx":305
  *     cdef Py_ssize_t nb = 0
  *     cdef double* bnd = _copy_bounds(boundaries, &nb)
  *     cdef list out = []             # <<<<<<<<<<<<<<
  *     cdef list trace = [] if collect_trace else None
  *     cdef Py_ssize_t i
 */
-  __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 317, __pyx_L1_error)
+  __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 305, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_3);
   __pyx_v_out = ((PyObject*)__pyx_t_3);
   __pyx_t_3 = 0;
 
-  /* "frgc/_kernels.pyx":318
+  /* "frgc/_kernels.pyx":306
  *     cdef double* bnd = _copy_bounds(boundaries, &nb)
  *     cdef list out = []
  *     cdef list trace = [] if collect_trace else None             # <<<<<<<<<<<<<<
@@ -7168,7 +7030,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
  *     cdef long long t = 0, s_int = 0, m, mv, j, k, u, n_num, c, s, x, r
 */
   if (__pyx_v_collect_trace) {
-    __pyx_t_5 = PyList_New(0); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 318, __pyx_L1_error)
+    __pyx_t_5 = PyList_New(0); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 306, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_5);
     __pyx_t_3 = __pyx_t_5;
     __pyx_t_5 = 0;
@@ -7176,11 +7038,11 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
     __Pyx_INCREF(Py_None);
     __pyx_t_3 = Py_None;
   }
-  if (!(likely(PyList_CheckExact(__pyx_t_3))||((__pyx_t_3) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_3))) __PYX_ERR(0, 318, __pyx_L1_error)
+  if (!(likely(PyList_CheckExact(__pyx_t_3))||((__pyx_t_3) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_3))) __PYX_ERR(0, 306, __pyx_L1_error)
   __pyx_v_trace = ((PyObject*)__pyx_t_3);
   __pyx_t_3 = 0;
 
-  /* "frgc/_kernels.pyx":320
+  /* "frgc/_kernels.pyx":308
  *     cdef list trace = [] if collect_trace else None
  *     cdef Py_ssize_t i
  *     cdef long long t = 0, s_int = 0, m, mv, j, k, u, n_num, c, s, x, r             # <<<<<<<<<<<<<<
@@ -7190,7 +7052,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
   __pyx_v_t = 0;
   __pyx_v_s_int = 0;
 
-  /* "frgc/_kernels.pyx":321
+  /* "frgc/_kernels.pyx":309
  *     cdef Py_ssize_t i
  *     cdef long long t = 0, s_int = 0, m, mv, j, k, u, n_num, c, s, x, r
  *     cdef double s_raw = 0.0             # <<<<<<<<<<<<<<
@@ -7199,7 +7061,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
   __pyx_v_s_raw = 0.0;
 
-  /* "frgc/_kernels.pyx":323
+  /* "frgc/_kernels.pyx":311
  *     cdef double s_raw = 0.0
  *     cdef int b
  *     if raw_estimator:             # <<<<<<<<<<<<<<
@@ -7208,7 +7070,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
   if (__pyx_v_raw_estimator) {
 
-    /* "frgc/_kernels.pyx":324
+    /* "frgc/_kernels.pyx":312
  *     cdef int b
  *     if raw_estimator:
  *         preds_x = pred_x if type(pred_x) is list else list(pred_x)             # <<<<<<<<<<<<<<
@@ -7219,11 +7081,11 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
     if (__pyx_t_4) {
       __pyx_t_5 = __pyx_v_pred_x;
       __Pyx_INCREF(__pyx_t_5);
-      if (!(likely(PyList_CheckExact(__pyx_t_5))||((__pyx_t_5) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_5))) __PYX_ERR(0, 324, __pyx_L1_error)
+      if (!(likely(PyList_CheckExact(__pyx_t_5))||((__pyx_t_5) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_5))) __PYX_ERR(0, 312, __pyx_L1_error)
       __pyx_t_3 = __pyx_t_5;
       __pyx_t_5 = 0;
     } else {
-      __pyx_t_5 = PySequence_List(__pyx_v_pred_x); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 324, __pyx_L1_error)
+      __pyx_t_5 = PySequence_List(__pyx_v_pred_x); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 312, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_5);
       __pyx_t_3 = __pyx_t_5;
       __pyx_t_5 = 0;
@@ -7231,7 +7093,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
     __Pyx_DECREF_SET(__pyx_v_preds_x, ((PyObject*)__pyx_t_3));
     __pyx_t_3 = 0;
 
-    /* "frgc/_kernels.pyx":323
+    /* "frgc/_kernels.pyx":311
  *     cdef double s_raw = 0.0
  *     cdef int b
  *     if raw_estimator:             # <<<<<<<<<<<<<<
@@ -7240,7 +7102,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
   }
 
-  /* "frgc/_kernels.pyx":325
+  /* "frgc/_kernels.pyx":313
  *     if raw_estimator:
  *         preds_x = pred_x if type(pred_x) is list else list(pred_x)
  *     try:             # <<<<<<<<<<<<<<
@@ -7249,7 +7111,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
   /*try:*/ {
 
-    /* "frgc/_kernels.pyx":326
+    /* "frgc/_kernels.pyx":314
  *         preds_x = pred_x if type(pred_x) is list else list(pred_x)
  *     try:
  *         for i in range(count):             # <<<<<<<<<<<<<<
@@ -7261,7 +7123,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
     for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
       __pyx_v_i = __pyx_t_8;
 
-      /* "frgc/_kernels.pyx":327
+      /* "frgc/_kernels.pyx":315
  *     try:
  *         for i in range(count):
  *             if t == 0:             # <<<<<<<<<<<<<<
@@ -7271,7 +7133,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
       __pyx_t_4 = (__pyx_v_t == 0);
       if (__pyx_t_4) {
 
-        /* "frgc/_kernels.pyx":328
+        /* "frgc/_kernels.pyx":316
  *         for i in range(count):
  *             if t == 0:
  *                 m = 1             # <<<<<<<<<<<<<<
@@ -7280,7 +7142,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
         __pyx_v_m = 1;
 
-        /* "frgc/_kernels.pyx":327
+        /* "frgc/_kernels.pyx":315
  *     try:
  *         for i in range(count):
  *             if t == 0:             # <<<<<<<<<<<<<<
@@ -7290,7 +7152,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
         goto __pyx_L9;
       }
 
-      /* "frgc/_kernels.pyx":329
+      /* "frgc/_kernels.pyx":317
  *             if t == 0:
  *                 m = 1
  *             elif raw_estimator:             # <<<<<<<<<<<<<<
@@ -7299,18 +7161,18 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
       if (__pyx_v_raw_estimator) {
 
-        /* "frgc/_kernels.pyx":330
+        /* "frgc/_kernels.pyx":318
  *                 m = 1
  *             elif raw_estimator:
  *                 m = _select(_theta_raw(t, s_raw), bnd, nb)             # <<<<<<<<<<<<<<
  *             else:
  *                 m = _select(_theta_rounded(t, s_int, tau), bnd, nb)
 */
-        __pyx_t_9 = __pyx_f_4frgc_8_kernels__theta_raw(__pyx_v_t, __pyx_v_s_raw); if (unlikely(__pyx_t_9 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 330, __pyx_L5_error)
-        __pyx_t_10 = __pyx_f_4frgc_8_kernels__select(__pyx_t_9, __pyx_v_bnd, __pyx_v_nb); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 330, __pyx_L5_error)
+        __pyx_t_9 = __pyx_f_4frgc_8_kernels__theta_raw(__pyx_v_t, __pyx_v_s_raw); if (unlikely(__pyx_t_9 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 318, __pyx_L5_error)
+        __pyx_t_10 = __pyx_f_4frgc_8_kernels__select(__pyx_t_9, __pyx_v_bnd, __pyx_v_nb); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 318, __pyx_L5_error)
         __pyx_v_m = __pyx_t_10;
 
-        /* "frgc/_kernels.pyx":329
+        /* "frgc/_kernels.pyx":317
  *             if t == 0:
  *                 m = 1
  *             elif raw_estimator:             # <<<<<<<<<<<<<<
@@ -7320,7 +7182,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
         goto __pyx_L9;
       }
 
-      /* "frgc/_kernels.pyx":332
+      /* "frgc/_kernels.pyx":320
  *                 m = _select(_theta_raw(t, s_raw), bnd, nb)
  *             else:
  *                 m = _select(_theta_rounded(t, s_int, tau), bnd, nb)             # <<<<<<<<<<<<<<
@@ -7328,23 +7190,23 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
  *             u = (<long long> 1 << b) - m
 */
       /*else*/ {
-        __pyx_t_9 = __pyx_f_4frgc_8_kernels__theta_rounded(__pyx_v_t, __pyx_v_s_int, __pyx_v_tau); if (unlikely(__pyx_t_9 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 332, __pyx_L5_error)
-        __pyx_t_10 = __pyx_f_4frgc_8_kernels__select(__pyx_t_9, __pyx_v_bnd, __pyx_v_nb); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 332, __pyx_L5_error)
+        __pyx_t_9 = __pyx_f_4frgc_8_kernels__theta_rounded(__pyx_v_t, __pyx_v_s_int, __pyx_v_tau); if (unlikely(__pyx_t_9 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 320, __pyx_L5_error)
+        __pyx_t_10 = __pyx_f_4frgc_8_kernels__select(__pyx_t_9, __pyx_v_bnd, __pyx_v_nb); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 320, __pyx_L5_error)
         __pyx_v_m = __pyx_t_10;
       }
       __pyx_L9:;
 
-      /* "frgc/_kernels.pyx":333
+      /* "frgc/_kernels.pyx":321
  *             else:
  *                 m = _select(_theta_rounded(t, s_int, tau), bnd, nb)
  *             b = _ceil_lg(m)             # <<<<<<<<<<<<<<
  *             u = (<long long> 1 << b) - m
  *             j = _read_unary(d, &pos, nbits, max_run)
 */
-      __pyx_t_11 = __pyx_f_4frgc_8_kernels__ceil_lg(__pyx_v_m); if (unlikely(__pyx_t_11 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 333, __pyx_L5_error)
+      __pyx_t_11 = __pyx_f_4frgc_8_kernels__ceil_lg(__pyx_v_m); if (unlikely(__pyx_t_11 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 321, __pyx_L5_error)
       __pyx_v_b = __pyx_t_11;
 
-      /* "frgc/_kernels.pyx":334
+      /* "frgc/_kernels.pyx":322
  *                 m = _select(_theta_rounded(t, s_int, tau), bnd, nb)
  *             b = _ceil_lg(m)
  *             u = (<long long> 1 << b) - m             # <<<<<<<<<<<<<<
@@ -7353,27 +7215,27 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
       __pyx_v_u = ((((PY_LONG_LONG)1) << __pyx_v_b) - __pyx_v_m);
 
-      /* "frgc/_kernels.pyx":335
+      /* "frgc/_kernels.pyx":323
  *             b = _ceil_lg(m)
  *             u = (<long long> 1 << b) - m
  *             j = _read_unary(d, &pos, nbits, max_run)             # <<<<<<<<<<<<<<
  *             k = _read_minbin(d, &pos, nbits, b, u)
  *             mv = j * m + k
 */
-      __pyx_t_10 = __pyx_f_4frgc_8_kernels__read_unary(__pyx_v_d, (&__pyx_v_pos), __pyx_v_nbits, __pyx_v_max_run); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 335, __pyx_L5_error)
+      __pyx_t_10 = __pyx_f_4frgc_8_kernels__read_unary(__pyx_v_d, (&__pyx_v_pos), __pyx_v_nbits, __pyx_v_max_run); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 323, __pyx_L5_error)
       __pyx_v_j = __pyx_t_10;
 
-      /* "frgc/_kernels.pyx":336
+      /* "frgc/_kernels.pyx":324
  *             u = (<long long> 1 << b) - m
  *             j = _read_unary(d, &pos, nbits, max_run)
  *             k = _read_minbin(d, &pos, nbits, b, u)             # <<<<<<<<<<<<<<
  *             mv = j * m + k
  *             n_num = preds_n[i]
 */
-      __pyx_t_10 = __pyx_f_4frgc_8_kernels__read_minbin(__pyx_v_d, (&__pyx_v_pos), __pyx_v_nbits, __pyx_v_b, __pyx_v_u); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 336, __pyx_L5_error)
+      __pyx_t_10 = __pyx_f_4frgc_8_kernels__read_minbin(__pyx_v_d, (&__pyx_v_pos), __pyx_v_nbits, __pyx_v_b, __pyx_v_u); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL))) __PYX_ERR(0, 324, __pyx_L5_error)
       __pyx_v_k = __pyx_t_10;
 
-      /* "frgc/_kernels.pyx":337
+      /* "frgc/_kernels.pyx":325
  *             j = _read_unary(d, &pos, nbits, max_run)
  *             k = _read_minbin(d, &pos, nbits, b, u)
  *             mv = j * m + k             # <<<<<<<<<<<<<<
@@ -7382,7 +7244,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
       __pyx_v_mv = ((__pyx_v_j * __pyx_v_m) + __pyx_v_k);
 
-      /* "frgc/_kernels.pyx":338
+      /* "frgc/_kernels.pyx":326
  *             k = _read_minbin(d, &pos, nbits, b, u)
  *             mv = j * m + k
  *             n_num = preds_n[i]             # <<<<<<<<<<<<<<
@@ -7391,22 +7253,22 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
       if (unlikely(__pyx_v_preds_n == Py_None)) {
         PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-        __PYX_ERR(0, 338, __pyx_L5_error)
+        __PYX_ERR(0, 326, __pyx_L5_error)
       }
-      __pyx_t_10 = __Pyx_PyLong_As_PY_LONG_LONG(__Pyx_PyList_GET_ITEM(__pyx_v_preds_n, __pyx_v_i)); if (unlikely((__pyx_t_10 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 338, __pyx_L5_error)
+      __pyx_t_10 = __Pyx_PyLong_As_PY_LONG_LONG(__Pyx_PyList_GET_ITEM(__pyx_v_preds_n, __pyx_v_i)); if (unlikely((__pyx_t_10 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 326, __pyx_L5_error)
       __pyx_v_n_num = __pyx_t_10;
 
-      /* "frgc/_kernels.pyx":339
+      /* "frgc/_kernels.pyx":327
  *             mv = j * m + k
  *             n_num = preds_n[i]
  *             c = -_fdiv(-2 * n_num, tau)             # <<<<<<<<<<<<<<
  *             s = mv + c
  *             if (s & 1) == 0:
 */
-      __pyx_t_10 = __pyx_f_4frgc_8_kernels__fdiv((-2LL * __pyx_v_n_num), __pyx_v_tau); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 339, __pyx_L5_error)
+      __pyx_t_10 = __pyx_f_4frgc_8_kernels__fdiv((-2LL * __pyx_v_n_num), __pyx_v_tau); if (unlikely(__pyx_t_10 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 327, __pyx_L5_error)
       __pyx_v_c = (-__pyx_t_10);
 
-      /* "frgc/_kernels.pyx":340
+      /* "frgc/_kernels.pyx":328
  *             n_num = preds_n[i]
  *             c = -_fdiv(-2 * n_num, tau)
  *             s = mv + c             # <<<<<<<<<<<<<<
@@ -7415,7 +7277,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
       __pyx_v_s = (__pyx_v_mv + __pyx_v_c);
 
-      /* "frgc/_kernels.pyx":341
+      /* "frgc/_kernels.pyx":329
  *             c = -_fdiv(-2 * n_num, tau)
  *             s = mv + c
  *             if (s & 1) == 0:             # <<<<<<<<<<<<<<
@@ -7425,7 +7287,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
       __pyx_t_4 = ((__pyx_v_s & 1) == 0);
       if (__pyx_t_4) {
 
-        /* "frgc/_kernels.pyx":342
+        /* "frgc/_kernels.pyx":330
  *             s = mv + c
  *             if (s & 1) == 0:
  *                 x = s >> 1             # <<<<<<<<<<<<<<
@@ -7434,7 +7296,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
         __pyx_v_x = (__pyx_v_s >> 1);
 
-        /* "frgc/_kernels.pyx":341
+        /* "frgc/_kernels.pyx":329
  *             c = -_fdiv(-2 * n_num, tau)
  *             s = mv + c
  *             if (s & 1) == 0:             # <<<<<<<<<<<<<<
@@ -7444,7 +7306,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
         goto __pyx_L10;
       }
 
-      /* "frgc/_kernels.pyx":344
+      /* "frgc/_kernels.pyx":332
  *                 x = s >> 1
  *             else:
  *                 x = (c - mv - 1) >> 1             # <<<<<<<<<<<<<<
@@ -7456,19 +7318,19 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
       }
       __pyx_L10:;
 
-      /* "frgc/_kernels.pyx":345
+      /* "frgc/_kernels.pyx":333
  *             else:
  *                 x = (c - mv - 1) >> 1
  *             out.append(x)             # <<<<<<<<<<<<<<
  *             t += 1
  *             if raw_estimator:
 */
-      __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_x); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 345, __pyx_L5_error)
+      __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_x); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 333, __pyx_L5_error)
       __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_12 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_3); if (unlikely(__pyx_t_12 == ((int)-1))) __PYX_ERR(0, 345, __pyx_L5_error)
+      __pyx_t_12 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_3); if (unlikely(__pyx_t_12 == ((int)-1))) __PYX_ERR(0, 333, __pyx_L5_error)
       __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
 
-      /* "frgc/_kernels.pyx":346
+      /* "frgc/_kernels.pyx":334
  *                 x = (c - mv - 1) >> 1
  *             out.append(x)
  *             t += 1             # <<<<<<<<<<<<<<
@@ -7477,7 +7339,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
       __pyx_v_t = (__pyx_v_t + 1);
 
-      /* "frgc/_kernels.pyx":347
+      /* "frgc/_kernels.pyx":335
  *             out.append(x)
  *             t += 1
  *             if raw_estimator:             # <<<<<<<<<<<<<<
@@ -7486,7 +7348,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
       if (__pyx_v_raw_estimator) {
 
-        /* "frgc/_kernels.pyx":348
+        /* "frgc/_kernels.pyx":336
  *             t += 1
  *             if raw_estimator:
  *                 s_raw += fabs((<double> x) - (<double> preds_x[i]))             # <<<<<<<<<<<<<<
@@ -7495,12 +7357,12 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
         if (unlikely(__pyx_v_preds_x == Py_None)) {
           PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-          __PYX_ERR(0, 348, __pyx_L5_error)
+          __PYX_ERR(0, 336, __pyx_L5_error)
         }
-        __pyx_t_9 = __Pyx_PyFloat_AsDouble(__Pyx_PyList_GET_ITEM(__pyx_v_preds_x, __pyx_v_i)); if (unlikely((__pyx_t_9 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 348, __pyx_L5_error)
+        __pyx_t_9 = __Pyx_PyFloat_AsDouble(__Pyx_PyList_GET_ITEM(__pyx_v_preds_x, __pyx_v_i)); if (unlikely((__pyx_t_9 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 336, __pyx_L5_error)
         __pyx_v_s_raw = (__pyx_v_s_raw + fabs((((double)__pyx_v_x) - ((double)__pyx_t_9))));
 
-        /* "frgc/_kernels.pyx":347
+        /* "frgc/_kernels.pyx":335
  *             out.append(x)
  *             t += 1
  *             if raw_estimator:             # <<<<<<<<<<<<<<
@@ -7510,7 +7372,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
         goto __pyx_L11;
       }
 
-      /* "frgc/_kernels.pyx":350
+      /* "frgc/_kernels.pyx":338
  *                 s_raw += fabs((<double> x) - (<double> preds_x[i]))
  *             else:
  *                 r = tau * x - n_num             # <<<<<<<<<<<<<<
@@ -7520,7 +7382,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
       /*else*/ {
         __pyx_v_r = ((__pyx_v_tau * __pyx_v_x) - __pyx_v_n_num);
 
-        /* "frgc/_kernels.pyx":351
+        /* "frgc/_kernels.pyx":339
  *             else:
  *                 r = tau * x - n_num
  *                 s_int += r if r >= 0 else -r             # <<<<<<<<<<<<<<
@@ -7535,7 +7397,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
         }
         __pyx_v_s_int = (__pyx_v_s_int + __pyx_t_10);
 
-        /* "frgc/_kernels.pyx":352
+        /* "frgc/_kernels.pyx":340
  *                 r = tau * x - n_num
  *                 s_int += r if r >= 0 else -r
  *                 if s_int > SAT:             # <<<<<<<<<<<<<<
@@ -7545,7 +7407,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
         __pyx_t_4 = (__pyx_v_s_int > __pyx_v_4frgc_8_kernels_SAT);
         if (__pyx_t_4) {
 
-          /* "frgc/_kernels.pyx":353
+          /* "frgc/_kernels.pyx":341
  *                 s_int += r if r >= 0 else -r
  *                 if s_int > SAT:
  *                     s_int = SAT             # <<<<<<<<<<<<<<
@@ -7554,7 +7416,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
           __pyx_v_s_int = __pyx_v_4frgc_8_kernels_SAT;
 
-          /* "frgc/_kernels.pyx":352
+          /* "frgc/_kernels.pyx":340
  *                 r = tau * x - n_num
  *                 s_int += r if r >= 0 else -r
  *                 if s_int > SAT:             # <<<<<<<<<<<<<<
@@ -7565,7 +7427,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
       }
       __pyx_L11:;
 
-      /* "frgc/_kernels.pyx":354
+      /* "frgc/_kernels.pyx":342
  *                 if s_int > SAT:
  *                     s_int = SAT
  *             if collect_trace:             # <<<<<<<<<<<<<<
@@ -7574,7 +7436,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
       if (__pyx_v_collect_trace) {
 
-        /* "frgc/_kernels.pyx":355
+        /* "frgc/_kernels.pyx":343
  *                     s_int = SAT
  *             if collect_trace:
  *                 if raw_estimator:             # <<<<<<<<<<<<<<
@@ -7583,7 +7445,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
         if (__pyx_v_raw_estimator) {
 
-          /* "frgc/_kernels.pyx":356
+          /* "frgc/_kernels.pyx":344
  *             if collect_trace:
  *                 if raw_estimator:
  *                     trace.append((m, t, s_raw))             # <<<<<<<<<<<<<<
@@ -7592,29 +7454,29 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
 */
           if (unlikely(__pyx_v_trace == Py_None)) {
             PyErr_Format(PyExc_AttributeError, "'NoneType' object has no attribute '%.30s'", "append");
-            __PYX_ERR(0, 356, __pyx_L5_error)
+            __PYX_ERR(0, 344, __pyx_L5_error)
           }
-          __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_m); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 356, __pyx_L5_error)
+          __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_m); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 344, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_3);
-          __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_t); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 356, __pyx_L5_error)
+          __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_t); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 344, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_5);
-          __pyx_t_13 = PyFloat_FromDouble(__pyx_v_s_raw); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 356, __pyx_L5_error)
+          __pyx_t_13 = PyFloat_FromDouble(__pyx_v_s_raw); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 344, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_13);
-          __pyx_t_14 = PyTuple_New(3); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 356, __pyx_L5_error)
+          __pyx_t_14 = PyTuple_New(3); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 344, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_14);
           __Pyx_GIVEREF(__pyx_t_3);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 356, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 344, __pyx_L5_error);
           __Pyx_GIVEREF(__pyx_t_5);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 1, __pyx_t_5) != (0)) __PYX_ERR(0, 356, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 1, __pyx_t_5) != (0)) __PYX_ERR(0, 344, __pyx_L5_error);
           __Pyx_GIVEREF(__pyx_t_13);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 2, __pyx_t_13) != (0)) __PYX_ERR(0, 356, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 2, __pyx_t_13) != (0)) __PYX_ERR(0, 344, __pyx_L5_error);
           __pyx_t_3 = 0;
           __pyx_t_5 = 0;
           __pyx_t_13 = 0;
-          __pyx_t_12 = __Pyx_PyList_Append(__pyx_v_trace, __pyx_t_14); if (unlikely(__pyx_t_12 == ((int)-1))) __PYX_ERR(0, 356, __pyx_L5_error)
+          __pyx_t_12 = __Pyx_PyList_Append(__pyx_v_trace, __pyx_t_14); if (unlikely(__pyx_t_12 == ((int)-1))) __PYX_ERR(0, 344, __pyx_L5_error)
           __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
 
-          /* "frgc/_kernels.pyx":355
+          /* "frgc/_kernels.pyx":343
  *                     s_int = SAT
  *             if collect_trace:
  *                 if raw_estimator:             # <<<<<<<<<<<<<<
@@ -7624,7 +7486,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
           goto __pyx_L14;
         }
 
-        /* "frgc/_kernels.pyx":358
+        /* "frgc/_kernels.pyx":346
  *                     trace.append((m, t, s_raw))
  *                 else:
  *                     trace.append((m, t, s_int))             # <<<<<<<<<<<<<<
@@ -7634,31 +7496,31 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
         /*else*/ {
           if (unlikely(__pyx_v_trace == Py_None)) {
             PyErr_Format(PyExc_AttributeError, "'NoneType' object has no attribute '%.30s'", "append");
-            __PYX_ERR(0, 358, __pyx_L5_error)
+            __PYX_ERR(0, 346, __pyx_L5_error)
           }
-          __pyx_t_14 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_m); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 358, __pyx_L5_error)
+          __pyx_t_14 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_m); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 346, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_14);
-          __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_t); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 358, __pyx_L5_error)
+          __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_t); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 346, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_13);
-          __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s_int); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 358, __pyx_L5_error)
+          __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s_int); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 346, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_5);
-          __pyx_t_3 = PyTuple_New(3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 358, __pyx_L5_error)
+          __pyx_t_3 = PyTuple_New(3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 346, __pyx_L5_error)
           __Pyx_GOTREF(__pyx_t_3);
           __Pyx_GIVEREF(__pyx_t_14);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_14) != (0)) __PYX_ERR(0, 358, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_14) != (0)) __PYX_ERR(0, 346, __pyx_L5_error);
           __Pyx_GIVEREF(__pyx_t_13);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_13) != (0)) __PYX_ERR(0, 358, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_13) != (0)) __PYX_ERR(0, 346, __pyx_L5_error);
           __Pyx_GIVEREF(__pyx_t_5);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 2, __pyx_t_5) != (0)) __PYX_ERR(0, 358, __pyx_L5_error);
+          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 2, __pyx_t_5) != (0)) __PYX_ERR(0, 346, __pyx_L5_error);
           __pyx_t_14 = 0;
           __pyx_t_13 = 0;
           __pyx_t_5 = 0;
-          __pyx_t_12 = __Pyx_PyList_Append(__pyx_v_trace, __pyx_t_3); if (unlikely(__pyx_t_12 == ((int)-1))) __PYX_ERR(0, 358, __pyx_L5_error)
+          __pyx_t_12 = __Pyx_PyList_Append(__pyx_v_trace, __pyx_t_3); if (unlikely(__pyx_t_12 == ((int)-1))) __PYX_ERR(0, 346, __pyx_L5_error)
           __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
         }
         __pyx_L14:;
 
-        /* "frgc/_kernels.pyx":354
+        /* "frgc/_kernels.pyx":342
  *                 if s_int > SAT:
  *                     s_int = SAT
  *             if collect_trace:             # <<<<<<<<<<<<<<
@@ -7668,7 +7530,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
       }
     }
 
-    /* "frgc/_kernels.pyx":359
+    /* "frgc/_kernels.pyx":347
  *                 else:
  *                     trace.append((m, t, s_int))
  *         return out, trace             # <<<<<<<<<<<<<<
@@ -7676,20 +7538,20 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
  *         PyMem_Free(bnd)
 */
     __Pyx_XDECREF(__pyx_r);
-    __pyx_t_3 = PyTuple_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 359, __pyx_L5_error)
+    __pyx_t_3 = PyTuple_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 347, __pyx_L5_error)
     __Pyx_GOTREF(__pyx_t_3);
     __Pyx_INCREF(__pyx_v_out);
     __Pyx_GIVEREF(__pyx_v_out);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_v_out) != (0)) __PYX_ERR(0, 359, __pyx_L5_error);
+    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_v_out) != (0)) __PYX_ERR(0, 347, __pyx_L5_error);
     __Pyx_INCREF(__pyx_v_trace);
     __Pyx_GIVEREF(__pyx_v_trace);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_v_trace) != (0)) __PYX_ERR(0, 359, __pyx_L5_error);
+    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_v_trace) != (0)) __PYX_ERR(0, 347, __pyx_L5_error);
     __pyx_r = __pyx_t_3;
     __pyx_t_3 = 0;
     goto __pyx_L4_return;
   }
 
-  /* "frgc/_kernels.pyx":361
+  /* "frgc/_kernels.pyx":349
  *         return out, trace
  *     finally:
  *         PyMem_Free(bnd)             # <<<<<<<<<<<<<<
@@ -7738,7 +7600,7 @@ static PyObject *__pyx_pf_4frgc_8_kernels_6adaptive_decode(CYTHON_UNUSED PyObjec
     }
   }
 
-  /* "frgc/_kernels.pyx":307
+  /* "frgc/_kernels.pyx":295
  * 
  * 
  * def adaptive_decode(bytes payload, Py_ssize_t count, pred_n, pred_x,             # <<<<<<<<<<<<<<
@@ -7963,15 +7825,15 @@ static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
   __pyx_vtable_4frgc_8_kernels__Writer.put_unary = (int (*)(struct __pyx_obj_4frgc_8_kernels__Writer *, PY_LONG_LONG))__pyx_f_4frgc_8_kernels_7_Writer_put_unary;
   __pyx_vtable_4frgc_8_kernels__Writer.finish = (PyObject *(*)(struct __pyx_obj_4frgc_8_kernels__Writer *))__pyx_f_4frgc_8_kernels_7_Writer_finish;
   #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_4frgc_8_kernels__Writer_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer)) __PYX_ERR(0, 31, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_4frgc_8_kernels__Writer_spec, __pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 31, __pyx_L1_error)
+  __pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_4frgc_8_kernels__Writer_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer)) __PYX_ERR(0, 30, __pyx_L1_error)
+  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_4frgc_8_kernels__Writer_spec, __pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
   #else
   __pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer = &__pyx_type_4frgc_8_kernels__Writer;
   #endif
   #if !CYTHON_COMPILING_IN_LIMITED_API
   #endif
   #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 31, __pyx_L1_error)
+  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
   #endif
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer);
@@ -7981,10 +7843,10 @@ static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
     __pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer->tp_getattro = PyObject_GenericGetAttr;
   }
   #endif
-  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer, __pyx_vtabptr_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 31, __pyx_L1_error)
-  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 31, __pyx_L1_error)
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_Writer, (PyObject *) __pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 31, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 31, __pyx_L1_error)
+  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer, __pyx_vtabptr_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
+  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
+  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_Writer, (PyObject *) __pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
+  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_4frgc_8_kernels__Writer) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
   __Pyx_RefNannyFinishContext();
   return 0;
   __pyx_L1_error:;
@@ -8221,7 +8083,6 @@ static CYTHON_SMALL_CODE int __pyx_pymod_exec__kernels(PyObject *__pyx_pyinit_mo
   PyObject *__pyx_t_2 = NULL;
   Py_ssize_t __pyx_t_3;
   PyObject *__pyx_t_4 = NULL;
-  double __pyx_t_5;
   PY_LONG_LONG __pyx_t_6;
   int __pyx_lineno = 0;
   const char *__pyx_filename = NULL;
@@ -8309,8 +8170,8 @@ __Pyx_RefNannySetupContext("PyInit__kernels", 0);
   (void)__Pyx_modinit_function_import_code(__pyx_mstate);
   /*--- Execution code ---*/
 
-  /* "frgc/_kernels.pyx":13
- * from libc.math cimport exp, fabs
+  /* "frgc/_kernels.pyx":14
+ * from libc.math cimport INFINITY, fabs
  * 
  * from frgc import _estcore             # <<<<<<<<<<<<<<
  * from frgc.bitcoder import CorruptStreamError
@@ -8318,36 +8179,12 @@ __Pyx_RefNannySetupContext("PyInit__kernels", 0);
 */
   {
     PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_estcore};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_frgc, __pyx_imported_names, 1, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 13, __pyx_L1_error)
+    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_frgc, __pyx_imported_names, 1, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 14, __pyx_L1_error)
   }
   __pyx_t_2 = __pyx_t_1;
   __Pyx_GOTREF(__pyx_t_2);
   {
     PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_estcore};
-    __pyx_t_3 = 0; {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 13, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 13, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "frgc/_kernels.pyx":14
- * 
- * from frgc import _estcore
- * from frgc.bitcoder import CorruptStreamError             # <<<<<<<<<<<<<<
- * 
- * BACKEND_NAME = "compiled"
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_CorruptStreamError};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_frgc_bitcoder, __pyx_imported_names, 1, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 14, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_CorruptStreamError};
     __pyx_t_3 = 0; {
       __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 14, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_4);
@@ -8357,60 +8194,52 @@ __Pyx_RefNannySetupContext("PyInit__kernels", 0);
   }
   __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
 
-  /* "frgc/_kernels.pyx":16
+  /* "frgc/_kernels.pyx":15
+ * 
+ * from frgc import _estcore
+ * from frgc.bitcoder import CorruptStreamError             # <<<<<<<<<<<<<<
+ * 
+ * BACKEND_NAME = "compiled"
+*/
+  {
+    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_CorruptStreamError};
+    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_frgc_bitcoder, __pyx_imported_names, 1, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 15, __pyx_L1_error)
+  }
+  __pyx_t_2 = __pyx_t_1;
+  __Pyx_GOTREF(__pyx_t_2);
+  {
+    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_CorruptStreamError};
+    __pyx_t_3 = 0; {
+      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 15, __pyx_L1_error)
+      __Pyx_GOTREF(__pyx_t_4);
+      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 15, __pyx_L1_error)
+      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
+    }
+  }
+  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
+
+  /* "frgc/_kernels.pyx":17
  * from frgc.bitcoder import CorruptStreamError
  * 
  * BACKEND_NAME = "compiled"             # <<<<<<<<<<<<<<
  * 
- * cdef double THETA_MIN = _estcore.THETA_MIN
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_BACKEND_NAME, __pyx_mstate_global->__pyx_n_u_compiled) < (0)) __PYX_ERR(0, 16, __pyx_L1_error)
-
-  /* "frgc/_kernels.pyx":18
- * BACKEND_NAME = "compiled"
- * 
- * cdef double THETA_MIN = _estcore.THETA_MIN             # <<<<<<<<<<<<<<
- * cdef double THETA_MAX = _estcore.THETA_MAX
  * cdef long long SAT = _estcore.EST_SATURATION
 */
-  __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_estcore); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = __Pyx_PyObject_GetAttrStr(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_THETA_MIN); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_5 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_5 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_v_4frgc_8_kernels_THETA_MIN = __pyx_t_5;
+  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_BACKEND_NAME, __pyx_mstate_global->__pyx_n_u_compiled) < (0)) __PYX_ERR(0, 17, __pyx_L1_error)
 
   /* "frgc/_kernels.pyx":19
+ * BACKEND_NAME = "compiled"
  * 
- * cdef double THETA_MIN = _estcore.THETA_MIN
- * cdef double THETA_MAX = _estcore.THETA_MAX             # <<<<<<<<<<<<<<
- * cdef long long SAT = _estcore.EST_SATURATION
- * 
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_estcore); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 19, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_2 = __Pyx_PyObject_GetAttrStr(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_THETA_MAX); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 19, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_t_5 = __Pyx_PyFloat_AsDouble(__pyx_t_2); if (unlikely((__pyx_t_5 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 19, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_4frgc_8_kernels_THETA_MAX = __pyx_t_5;
-
-  /* "frgc/_kernels.pyx":20
- * cdef double THETA_MIN = _estcore.THETA_MIN
- * cdef double THETA_MAX = _estcore.THETA_MAX
  * cdef long long SAT = _estcore.EST_SATURATION             # <<<<<<<<<<<<<<
  * 
  * 
 */
-  __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_estcore); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 20, __pyx_L1_error)
+  __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_estcore); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 19, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = __Pyx_PyObject_GetAttrStr(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_EST_SATURATION); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 20, __pyx_L1_error)
+  __pyx_t_4 = __Pyx_PyObject_GetAttrStr(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_EST_SATURATION); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 19, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_4);
   __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_6 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_4); if (unlikely((__pyx_t_6 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 20, __pyx_L1_error)
+  __pyx_t_6 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_4); if (unlikely((__pyx_t_6 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 19, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
   __pyx_v_4frgc_8_kernels_SAT = __pyx_t_6;
 
@@ -8441,64 +8270,64 @@ __Pyx_RefNannySetupContext("PyInit__kernels", 0);
   if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_4) < (0)) __PYX_ERR(1, 3, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
 
-  /* "frgc/_kernels.pyx":161
+  /* "frgc/_kernels.pyx":160
  * 
  * 
  * def golomb_encode(ms, long long m):             # <<<<<<<<<<<<<<
  *     cdef list values = ms if type(ms) is list else list(ms)
  *     cdef _Writer w = _Writer()
 */
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_4frgc_8_kernels_1golomb_encode, 0, __pyx_mstate_global->__pyx_n_u_golomb_encode, NULL, __pyx_mstate_global->__pyx_n_u_frgc__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 161, __pyx_L1_error)
+  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_4frgc_8_kernels_1golomb_encode, 0, __pyx_mstate_global->__pyx_n_u_golomb_encode, NULL, __pyx_mstate_global->__pyx_n_u_frgc__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 160, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_4);
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
   #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_golomb_encode, __pyx_t_4) < (0)) __PYX_ERR(0, 161, __pyx_L1_error)
+  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_golomb_encode, __pyx_t_4) < (0)) __PYX_ERR(0, 160, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
 
-  /* "frgc/_kernels.pyx":185
+  /* "frgc/_kernels.pyx":184
  * 
  * 
  * def golomb_decode(bytes payload, Py_ssize_t count, long long m, long long max_run):             # <<<<<<<<<<<<<<
  *     cdef const unsigned char* d = payload
  *     cdef Py_ssize_t nbits = 8 * len(payload)
 */
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_4frgc_8_kernels_3golomb_decode, 0, __pyx_mstate_global->__pyx_n_u_golomb_decode, NULL, __pyx_mstate_global->__pyx_n_u_frgc__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 185, __pyx_L1_error)
+  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_4frgc_8_kernels_3golomb_decode, 0, __pyx_mstate_global->__pyx_n_u_golomb_decode, NULL, __pyx_mstate_global->__pyx_n_u_frgc__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 184, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_4);
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
   #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_golomb_decode, __pyx_t_4) < (0)) __PYX_ERR(0, 185, __pyx_L1_error)
+  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_golomb_decode, __pyx_t_4) < (0)) __PYX_ERR(0, 184, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
 
-  /* "frgc/_kernels.pyx":251
+  /* "frgc/_kernels.pyx":239
  * 
  * 
  * def adaptive_encode(ms, est_int, est_raw, long long tau, boundaries,             # <<<<<<<<<<<<<<
  *                     bint collect_trace):
  *     cdef list values = ms if type(ms) is list else list(ms)
 */
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_4frgc_8_kernels_5adaptive_encode, 0, __pyx_mstate_global->__pyx_n_u_adaptive_encode, NULL, __pyx_mstate_global->__pyx_n_u_frgc__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 251, __pyx_L1_error)
+  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_4frgc_8_kernels_5adaptive_encode, 0, __pyx_mstate_global->__pyx_n_u_adaptive_encode, NULL, __pyx_mstate_global->__pyx_n_u_frgc__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 239, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_4);
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
   #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_adaptive_encode, __pyx_t_4) < (0)) __PYX_ERR(0, 251, __pyx_L1_error)
+  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_adaptive_encode, __pyx_t_4) < (0)) __PYX_ERR(0, 239, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
 
-  /* "frgc/_kernels.pyx":307
+  /* "frgc/_kernels.pyx":295
  * 
  * 
  * def adaptive_decode(bytes payload, Py_ssize_t count, pred_n, pred_x,             # <<<<<<<<<<<<<<
  *                     long long rho, long long tau, boundaries,
  *                     bint raw_estimator, long long max_run, bint collect_trace):
 */
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_4frgc_8_kernels_7adaptive_decode, 0, __pyx_mstate_global->__pyx_n_u_adaptive_decode, NULL, __pyx_mstate_global->__pyx_n_u_frgc__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 307, __pyx_L1_error)
+  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_4frgc_8_kernels_7adaptive_decode, 0, __pyx_mstate_global->__pyx_n_u_adaptive_decode, NULL, __pyx_mstate_global->__pyx_n_u_frgc__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 295, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_4);
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
   #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_adaptive_decode, __pyx_t_4) < (0)) __PYX_ERR(0, 307, __pyx_L1_error)
+  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_adaptive_decode, __pyx_t_4) < (0)) __PYX_ERR(0, 295, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
 
   /* "frgc/_kernels.pyx":1
@@ -8685,22 +8514,22 @@ static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
     __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
   }
   {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 11, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 161};
+    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 11, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 160};
     PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_ms, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_values, __pyx_mstate->__pyx_n_u_w, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_mv, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_k};
     __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_frgc__kernels_pyx, __pyx_mstate->__pyx_n_u_golomb_encode, __pyx_mstate->__pyx_kp_b_iso88591_vT_c_4q_WA_Bc_Ba_3aq_r_1_j_aq_U, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
   }
   {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 13, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 185};
+    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 13, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 184};
     PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_payload, __pyx_mstate->__pyx_n_u_count, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_max_run, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_nbits, __pyx_mstate->__pyx_n_u_pos, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_k};
     __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_frgc__kernels_pyx, __pyx_mstate->__pyx_n_u_golomb_decode, __pyx_mstate->__pyx_kp_b_iso88591_Bb_1A_Bc_Ba_A_r_1_j_aq_U_1_Kq_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
   }
   {
-    const __Pyx_PyCode_New_function_description descr = {6, 0, 0, 25, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 251};
+    const __Pyx_PyCode_New_function_description descr = {6, 0, 0, 25, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 239};
     PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_ms, __pyx_mstate->__pyx_n_u_est_int, __pyx_mstate->__pyx_n_u_est_raw, __pyx_mstate->__pyx_n_u_tau, __pyx_mstate->__pyx_n_u_boundaries, __pyx_mstate->__pyx_n_u_collect_trace, __pyx_mstate->__pyx_n_u_values, __pyx_mstate->__pyx_n_u_raw, __pyx_mstate->__pyx_n_u_inc_int, __pyx_mstate->__pyx_n_u_inc_raw, __pyx_mstate->__pyx_n_u_nb, __pyx_mstate->__pyx_n_u_bnd, __pyx_mstate->__pyx_n_u_w, __pyx_mstate->__pyx_n_u_trace, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_s_int, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_mv, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_s_raw, __pyx_mstate->__pyx_n_u_b};
     __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_frgc__kernels_pyx, __pyx_mstate->__pyx_n_u_adaptive_encode, __pyx_mstate->__pyx_kp_b_iso88591_vT_c_4q_HG1_1L_WA_f_q_3aq_q_T_3, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
   }
   {
-    const __Pyx_PyCode_New_function_description descr = {10, 0, 0, 34, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 307};
+    const __Pyx_PyCode_New_function_description descr = {10, 0, 0, 34, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 295};
     PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_payload, __pyx_mstate->__pyx_n_u_count, __pyx_mstate->__pyx_n_u_pred_n, __pyx_mstate->__pyx_n_u_pred_x, __pyx_mstate->__pyx_n_u_rho, __pyx_mstate->__pyx_n_u_tau, __pyx_mstate->__pyx_n_u_boundaries, __pyx_mstate->__pyx_n_u_raw_estimator, __pyx_mstate->__pyx_n_u_max_run, __pyx_mstate->__pyx_n_u_collect_trace, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_nbits, __pyx_mstate->__pyx_n_u_pos, __pyx_mstate->__pyx_n_u_preds_n, __pyx_mstate->__pyx_n_u_preds_x, __pyx_mstate->__pyx_n_u_nb, __pyx_mstate->__pyx_n_u_bnd, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_trace, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_s_int, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_mv, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_n_num, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_s_raw, __pyx_mstate->__pyx_n_u_b};
     __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_frgc__kernels_pyx, __pyx_mstate->__pyx_n_u_adaptive_decode, __pyx_mstate->__pyx_kp_b_iso88591_Bb_1A_axs_D_1L_A_f_q_q_D_Jd_1_E, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
   }

@@ -2,21 +2,20 @@
 """Compiled stream loops; bit-identical to frgc._pure (see its contract).
 
 The estimator accumulator is an int64 saturated at the shared constant so
-it can never overflow, and theta is computed with the same two-cast
-double expression as the pure code.
+it can never overflow.  m is chosen as in _estcore.select_m: ln theta,
+computed with the same two-cast double expression as the pure code, is
+bisected against the ascending log-boundaries, with no libm call.
 """
 
 from cpython.bytes cimport PyBytes_FromStringAndSize
 from cpython.mem cimport PyMem_Free, PyMem_Malloc, PyMem_Realloc
-from libc.math cimport exp, fabs
+from libc.math cimport INFINITY, fabs
 
 from frgc import _estcore
 from frgc.bitcoder import CorruptStreamError
 
 BACKEND_NAME = "compiled"
 
-cdef double THETA_MIN = _estcore.THETA_MIN
-cdef double THETA_MAX = _estcore.THETA_MAX
 cdef long long SAT = _estcore.EST_SATURATION
 
 
@@ -201,31 +200,20 @@ def golomb_decode(bytes payload, Py_ssize_t count, long long m, long long max_ru
 
 
 cdef inline double _theta_rounded(long long t, long long s_int, long long tau):
-    cdef double theta
+    # ln theta; -inf (so m = 1) while the residual sum is 0
     if s_int <= 0:
-        return THETA_MIN
-    theta = exp(-(<double> (t * tau)) / (<double> s_int))
-    if theta < THETA_MIN:
-        return THETA_MIN
-    if theta > THETA_MAX:
-        return THETA_MAX
-    return theta
+        return -INFINITY
+    return -(<double> (t * tau)) / (<double> s_int)
 
 
 cdef inline double _theta_raw(long long t, double s_raw):
-    cdef double theta
     if s_raw <= 0.0:
-        return THETA_MIN
-    theta = exp(-(<double> t) / s_raw)
-    if theta < THETA_MIN:
-        return THETA_MIN
-    if theta > THETA_MAX:
-        return THETA_MAX
-    return theta
+        return -INFINITY
+    return -(<double> t) / s_raw
 
 
 cdef inline long long _select(double theta, const double* bnd, Py_ssize_t nb):
-    # bisect_left, in lockstep with the table lookup
+    # bisect_left, in lockstep with _estcore.select_m
     cdef Py_ssize_t lo = 0, hi = nb, mid
     while lo < hi:
         mid = (lo + hi) >> 1

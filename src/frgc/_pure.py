@@ -15,18 +15,17 @@ Contract (shared by both backends):
 
 ``ms`` are the already-mapped residuals; ``est_int``/``est_raw`` the
 per-symbol estimator increments (|residual numerator| / raw |x - xhat|);
-``pred_n`` the rounded prediction numerators.  Trace entries are
-(m_t, t_after, s_after).
+``pred_n`` the rounded prediction numerators; ``boundaries`` is
+``_estcore.LOG_BOUNDARIES``, which the loops here reach through
+``_estcore.select_m``.  Trace entries are (m_t, t_after, s_after).
 """
 
 from __future__ import annotations
 
-from frgc import _estcore
+from frgc._estcore import EST_SATURATION as _SAT, select_m
 from frgc.bitcoder import BitSink, BitSource, GolombParam
 
 BACKEND_NAME = "pure"
-
-_SAT = _estcore.EST_SATURATION
 
 
 def golomb_encode(ms, m):
@@ -49,16 +48,6 @@ def golomb_decode(payload, count, m, max_run):
     return [unary() * m + binary(g) for _ in range(count)]
 
 
-def _select(t, s_int, s_raw, raw, tau, boundaries):
-    if t == 0:
-        return 1
-    if raw:
-        theta = _estcore.theta_from_raw(t, s_raw)
-    else:
-        theta = _estcore.theta_from_rounded(t, s_int, tau)
-    return _estcore.select_m(theta, boundaries)
-
-
 def adaptive_encode(ms, est_int, est_raw, tau, boundaries, collect_trace):
     raw = est_raw is not None
     sink = BitSink()
@@ -68,7 +57,7 @@ def adaptive_encode(ms, est_int, est_raw, tau, boundaries, collect_trace):
     s_int = 0
     s_raw = 0.0
     for i, value in enumerate(ms):
-        m = _select(t, s_int, s_raw, raw, tau, boundaries)
+        m = select_m(t, s_raw) if raw else select_m(t, s_int, tau)
         g = params.get(m)
         if g is None:
             g = params[m] = GolombParam(m)
@@ -98,7 +87,7 @@ def adaptive_decode(payload, count, pred_n, pred_x, rho, tau, boundaries,
     s_int = 0
     s_raw = 0.0
     for i in range(count):
-        m = _select(t, s_int, s_raw, raw, tau, boundaries)
+        m = select_m(t, s_raw) if raw else select_m(t, s_int, tau)
         g = params.get(m)
         if g is None:
             g = params[m] = GolombParam(m)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from frgc import _pure, analysis, codec, harness
+from frgc import _estcore, _pure, analysis, codec, harness
 from frgc.bitcoder import DEFAULT_MAX_RUN
 from frgc.qmap import Precision
 
@@ -48,7 +48,7 @@ def run_bench(n: int = 200_000, seed: int = harness.DEFAULT_SEED,
     est_int = np.abs(tau * xs - numerators).tolist()
     pred_n = numerators.tolist()
     m = analysis.lookup_m(BENCH_THETA)
-    boundaries = analysis.default_m_table().boundaries
+    boundaries = _estcore.LOG_BOUNDARIES
 
     rows = []
     for name, mod in _backends():

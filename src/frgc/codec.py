@@ -10,7 +10,9 @@ estimate after symbol t-1 (cold start: m=1), so the decoder mirrors the
 choice without side information.  The estimate is theta = e^(-t/S_t)
 with S_t the running sum of absolute residuals; by default the rounded
 residual |r|/tau is accumulated exactly as an integer numerator, and a
-header flag switches to the raw float |x - xhat| sum.
+header flag switches to the raw float |x - xhat| sum.  The choice compares
+ln theta with a table of log-boundaries (_estcore.select_m), so no libm
+call is involved.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from frgc import _backend, _estcore, analysis, predictor, qmap
+from frgc import _backend, _estcore, predictor, qmap
 from frgc.bitcoder import (
     DEFAULT_MAX_RUN,
     BitSink,
     BitSource,
+    CorruptStreamError,
     GolombParam,
 )
 from frgc.predictor import LpcConfig
@@ -33,11 +36,10 @@ from frgc.qmap import (
     SYMBOL_MIN,
     Precision,
     QuantizedPrediction,
-    ResidualNumerator,
 )
 
 MAGIC = b"FRGC"
-VERSION = 1
+VERSION = 2
 
 MODE_FIXED = "fixed"
 MODE_ADAPTIVE = "adaptive"
@@ -56,6 +58,13 @@ HEADER_SIZE = _HEADER.size
 
 class HeaderError(ValueError):
     """Malformed, truncated, or inconsistent stream header."""
+
+
+class TruncatedStreamError(HeaderError, CorruptStreamError):
+    """The header's count needs more payload bits than the stream holds.
+
+    Both a bad header and a short payload look like this, so it is both.
+    """
 
 
 @dataclass(frozen=True)
@@ -145,34 +154,6 @@ def read_header(data: bytes) -> tuple[StreamHeader, int]:
     return StreamHeader.unpack(data), HEADER_SIZE
 
 
-@dataclass(frozen=True)
-class EstimatorState:
-    """Running scale estimate: S_t = s_numer/tau is the sum of |residuals|."""
-
-    t: int
-    s_numer: int
-    tau: int
-
-    @property
-    def s(self) -> float:
-        return self.s_numer / self.tau
-
-
-def estimator_update(state: EstimatorState, e: ResidualNumerator) -> EstimatorState:
-    """Fold one residual into the estimate; exact integer accumulation."""
-    if e.tau != state.tau:
-        raise ValueError(f"residual scale {e.tau} != estimator scale {state.tau}")
-    s_numer = min(state.s_numer + abs(e.value), _estcore.EST_SATURATION)
-    return EstimatorState(state.t + 1, s_numer, state.tau)
-
-
-def theta_hat(state: EstimatorState) -> float:
-    """e^(-t/S_t), clamped to [theta_min, theta_max]."""
-    if state.t < 1:
-        raise ValueError("estimator is cold: no symbols seen yet")
-    return _estcore.theta_from_rounded(state.t, state.s_numer, state.tau)
-
-
 def encode_symbol(x: int, q: QuantizedPrediction, g: GolombParam,
                   sink: BitSink) -> None:
     """Map the residual of x against q and emit one codeword."""
@@ -230,7 +211,10 @@ def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> np.ndarray:
     floored = np.floor(scaled)
     if np.any(np.abs(floored) >= 2.0 ** 62):
         raise ValueError("prediction magnitude overflows the residual range")
-    return floored.astype(np.int64) * rho
+    k = floored.astype(np.int64)
+    if np.any(np.abs(k) > ((1 << 62) - 1) // rho):  # so |rho*k| < 2**62
+        raise ValueError("prediction magnitude overflows the residual range")
+    return k * rho
 
 
 def _prediction_array(predictions, n: int) -> np.ndarray:
@@ -244,6 +228,11 @@ def _prediction_array(predictions, n: int) -> np.ndarray:
 
 def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int) -> np.ndarray:
     """Vectorized twin of qmap.map_residual over residual numerators."""
+    # |tau*x| + |n| < 2**62 keeps tau*x - n and 2*(tau*x - n) in int64;
+    # the maxima are compared as Python integers, so exactly.
+    if xs.size and (tau * int(np.abs(xs).max())
+                    + int(np.abs(numerators).max())) >= 1 << 62:
+        raise ValueError("prediction magnitude overflows the residual range")
     r = tau * xs - numerators
     two_r = 2 * r
     return np.where(r >= 0, two_r // tau, -(two_r // tau) - 1)
@@ -293,10 +282,9 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
         else:
             est_int = np.abs(header.tau * arr - numerators).tolist()
             est_raw = None
-        boundaries = analysis.default_m_table().boundaries
         payload, _, trace = _backend.adaptive_encode(
-            mapped.tolist(), est_int, est_raw, header.tau, boundaries,
-            collect_trace)
+            mapped.tolist(), est_int, est_raw, header.tau,
+            _estcore.LOG_BOUNDARIES, collect_trace)
     else:
         payload, _ = _backend.golomb_encode(mapped.tolist(), header.m)
 
@@ -313,7 +301,6 @@ def _decode_lpc(payload: bytes, header: StreamHeader, collect_trace: bool):
     tau = header.tau
     adaptive = header.mode == MODE_ADAPTIVE
     raw = header.raw_error_estimator
-    boundaries = analysis.default_m_table().boundaries
     src = BitSource(payload, DEFAULT_MAX_RUN)
     params: dict[int, GolombParam] = {}
     out: list[int] = []
@@ -335,14 +322,10 @@ def _decode_lpc(payload: bytes, header: StreamHeader, collect_trace: bool):
         q = qmap.round_prediction(xhat, prec)
         if not adaptive:
             m = header.m
-        elif t_est == 0:
-            m = 1
+        elif raw:
+            m = _estcore.select_m(t_est, s_raw)
         else:
-            if raw:
-                theta = _estcore.theta_from_raw(t_est, s_raw)
-            else:
-                theta = _estcore.theta_from_rounded(t_est, s_int, tau)
-            m = _estcore.select_m(theta, boundaries)
+            m = _estcore.select_m(t_est, s_int, tau)
         g = params.get(m)
         if g is None:
             g = params[m] = GolombParam(m)
@@ -371,6 +354,9 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     header, offset = read_header(data)
     payload = bytes(data[offset:])
     n = header.count
+    if n > 8 * len(payload):  # every codeword is at least one bit
+        raise TruncatedStreamError(
+            f"count {n} exceeds the {8 * len(payload)} payload bits")
 
     if header.lpc is not None:
         if predictions is not None:
@@ -385,12 +371,11 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
 
     trace = None
     if header.mode == MODE_ADAPTIVE:
-        boundaries = analysis.default_m_table().boundaries
         pred_x = pred.tolist() if header.raw_error_estimator else None
         out, trace = _backend.adaptive_decode(
             payload, n, numerators.tolist(), pred_x, header.rho, header.tau,
-            boundaries, header.raw_error_estimator, DEFAULT_MAX_RUN,
-            collect_trace)
+            _estcore.LOG_BOUNDARIES, header.raw_error_estimator,
+            DEFAULT_MAX_RUN, collect_trace)
     else:
         values = _backend.golomb_decode(payload, n, header.m, DEFAULT_MAX_RUN)
         symbols = _unmap_vector(np.asarray(values, dtype=np.int64),

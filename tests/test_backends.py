@@ -1,18 +1,57 @@
-"""Compiled kernels agree bit for bit with the pure-Python reference."""
+"""Compiled kernels agree bit for bit with the pure-Python reference.
 
+The shipped ``_kernels.c`` is compiled once per run into a temporary copy
+of the package, with the interpreter's own compiler command and headers;
+the tests skip only where those are missing.
+"""
+
+import importlib.util
+import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frgc import _backend, _estcore, _pure, analysis
+import frgc
+from frgc import _backend, _estcore, _pure
 from frgc.bitcoder import CorruptStreamError
 
-kernels = pytest.importorskip("frgc._kernels", reason="compiled backend not built")
+BOUNDS = _estcore.LOG_BOUNDARIES
+PACKAGE = Path(frgc.__file__).parent
 
-BOUNDS = analysis.default_m_table().boundaries
+
+@pytest.fixture(scope="module")
+def build(tmp_path_factory):
+    """A copy of the package with the shipped _kernels.c compiled into it."""
+    ldshared = sysconfig.get_config_var("LDSHARED")
+    include = sysconfig.get_paths()["include"]
+    if not ldshared or shutil.which(shlex.split(ldshared)[0]) is None:
+        pytest.skip("no C compiler")
+    if not (Path(include) / "Python.h").exists():
+        pytest.skip("no Python.h")
+    root = tmp_path_factory.mktemp("kernels")
+    pkg = root / "frgc"
+    shutil.copytree(PACKAGE, pkg, ignore=shutil.ignore_patterns(
+        "__pycache__", "*.so", "*.pyd"))
+    so = pkg / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(shlex.split(ldshared) + [
+        "-fPIC", "-O2", "-ffp-contract=off", "-I", include,
+        str(pkg / "_kernels.c"), "-o", str(so)], check=True)
+    return root, so
+
+
+@pytest.fixture(scope="module")
+def kernels(build):
+    spec = importlib.util.spec_from_file_location("frgc._kernels", build[1])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_streams():
@@ -26,7 +65,7 @@ def random_streams():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 21, 64, 1000])
-def test_golomb_encode_parity(m):
+def test_golomb_encode_parity(m, kernels):
     for ms in random_streams():
         pure_payload, pure_bits = _pure.golomb_encode(ms, m)
         fast_payload, fast_bits = kernels.golomb_encode(ms, m)
@@ -35,7 +74,7 @@ def test_golomb_encode_parity(m):
 
 
 @pytest.mark.parametrize("m", [1, 3, 8, 64])
-def test_golomb_decode_parity(m):
+def test_golomb_decode_parity(m, kernels):
     for ms in random_streams():
         payload, _ = _pure.golomb_encode(ms, m)
         a = _pure.golomb_decode(payload, len(ms), m, 1 << 20)
@@ -58,7 +97,7 @@ def adaptive_case(n, tau, seed, spread):
 
 
 @pytest.mark.parametrize("tau,spread", [(1, 0.6), (16, 3.0), (64, 40.0)])
-def test_adaptive_encode_parity(tau, spread):
+def test_adaptive_encode_parity(tau, spread, kernels):
     _, _, _, ms, est_int, est_raw = adaptive_case(3000, tau, 7, spread)
     for raw in (False, True):
         est = est_raw if raw else est_int
@@ -73,7 +112,7 @@ def test_adaptive_encode_parity(tau, spread):
 
 
 @pytest.mark.parametrize("tau,spread", [(1, 0.6), (16, 3.0), (64, 40.0)])
-def test_adaptive_decode_parity(tau, spread):
+def test_adaptive_decode_parity(tau, spread, kernels):
     xs, pred_n, pred_x, ms, est_int, est_raw = adaptive_case(2500, tau, 13, spread)
     for raw in (False, True):
         payload, _, _ = _pure.adaptive_encode(
@@ -86,7 +125,7 @@ def test_adaptive_decode_parity(tau, spread):
         assert p_trace == k_trace
 
 
-def test_decode_corruption_parity():
+def test_decode_corruption_parity(kernels):
     payload, _ = _pure.golomb_encode([3, 1, 4], 2)
     for backend in (_pure, kernels):
         with pytest.raises(CorruptStreamError):
@@ -95,7 +134,7 @@ def test_decode_corruption_parity():
             backend.golomb_decode(b"\xff" * 512, 1, 1, 256)
 
 
-def test_backend_selection_env(tmp_path):
+def test_backend_selection_env(build):
     # FRGC_PURE forces the fallback and produces identical stream bytes
     script = (
         "import frgc, numpy as np\n"
@@ -109,7 +148,7 @@ def test_backend_selection_env(tmp_path):
     )
     outputs = {}
     for forced in ("0", "1"):
-        env = dict(os.environ, FRGC_PURE=forced)
+        env = dict(os.environ, FRGC_PURE=forced, PYTHONPATH=str(build[0]))
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, env=env, check=True
         )
@@ -127,9 +166,32 @@ def test_backend_module_exports():
 
 
 def test_estimator_constants_shared():
-    # compiled kernels bake in the same clamps and saturation point
-    assert _estcore.THETA_MIN == 1e-6
-    assert _estcore.THETA_MAX == 0.999
+    # the compiled kernels read the saturation point and the table from here
     assert _estcore.EST_SATURATION == 1 << 62
     assert _estcore.MAX_ADAPTIVE_M == 64
     assert len(BOUNDS) == 64
+    assert BOUNDS[0] == float.fromhex("-0x1.ecc2caec51608p-1")
+    assert BOUNDS[-1] == float.fromhex("-0x1.6025c8c56db20p-6")
+
+
+def test_saturation_and_boundary_parity(kernels):
+    sat = _estcore.EST_SATURATION
+    args = ([3] * 4, [sat - 1, 1000, 1000, 7], None, 16, BOUNDS, True)
+    assert _pure.adaptive_encode(*args) == kernels.adaptive_encode(*args)
+    # raw sums s with ln theta = -1/s exactly on the k-th log-boundary: m = k
+    hits = 0
+    for k, lb in enumerate(BOUNDS, start=1):
+        s = -1.0 / lb
+        near = [s]
+        for toward in (math.inf, 0.0):
+            x = s
+            for _ in range(4):
+                x = math.nextafter(x, toward)
+                near.append(x)
+        for s in [x for x in near if -1.0 / x == lb][:1]:
+            hits += 1
+            args = ([0, 0], None, [s, 0.0], 1, BOUNDS, True)
+            result = _pure.adaptive_encode(*args)
+            assert result == kernels.adaptive_encode(*args)
+            assert [m for m, _, _ in result[2]] == [1, k]
+    assert hits >= 32

@@ -1,32 +1,30 @@
 """Container format, online estimator, and stream round-trips."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgc import analysis, bitcoder, codec, harness, qmap
+from frgc import _backend, _estcore, analysis, bitcoder, codec, harness, qmap
 from frgc.bitcoder import BitSink, BitSource, CorruptStreamError, GolombParam
 from frgc.codec import (
     HEADER_SIZE,
     MODE_ADAPTIVE,
     MODE_FIXED,
     MODE_RICE,
-    EstimatorState,
     HeaderError,
     StreamHeader,
     decode_stream,
     decode_symbol,
     encode_stream,
     encode_symbol,
-    estimator_update,
     read_header,
-    theta_hat,
 )
 from frgc.predictor import LpcConfig
-from frgc.qmap import Precision, QuantizedPrediction, ResidualNumerator, round_prediction
+from frgc.qmap import SYMBOL_MAX, Precision, QuantizedPrediction, round_prediction
 
 
 def payload_of(data: bytes) -> bytes:
@@ -112,38 +110,55 @@ def test_unpack_rejects_mutations():
 # --- estimator --------------------------------------------------------------
 
 def test_estimator_update_example():
-    state = estimator_update(EstimatorState(0, 0, 4), ResidualNumerator(-3, 4))
-    assert state == EstimatorState(1, 3, 4)
-    assert state.s == pytest.approx(0.75)
+    # tau=4, prediction 0.75 -> numerator 3; symbol 0 adds |0 - 3| = 3
+    h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=4)
+    _, trace = encode_stream([0], h, predictions=[0.75], collect_trace=True)
+    assert trace == [(1, 1, 3)]
 
 
-def test_theta_hat_example():
-    assert theta_hat(EstimatorState(4, 16, 4)) == pytest.approx(math.exp(-1.0))
+def test_select_m_example():
+    # ln theta = -t*tau/S = -16/16
+    assert _estcore.select_m(4, 16, 4) == analysis.lookup_m(math.exp(-1.0)) == 1
+    assert _estcore.select_m(10, 100) == analysis.lookup_m(math.exp(-0.1))
 
 
-def test_theta_hat_cold_raises():
-    with pytest.raises(ValueError):
-        theta_hat(EstimatorState(0, 0, 4))
+def test_select_m_cold_start():
+    assert _estcore.select_m(0, 0, 4) == 1
+    assert _estcore.select_m(0, 0.0) == 1
+    assert _estcore.select_m(5, 0, 4) == 1  # only zero residuals so far
 
 
-def test_theta_hat_clamps():
-    assert theta_hat(EstimatorState(100, 1, 16)) == 1e-6
-    assert theta_hat(EstimatorState(1, 10**15, 16)) == 0.999
+def test_select_m_extremes():
+    assert _estcore.select_m(100, 1, 16) == 1
+    assert _estcore.select_m(1, 10**15, 16) == _estcore.MAX_ADAPTIVE_M
+    assert _estcore.select_m(1, _estcore.EST_SATURATION, 0xFFFF) == 64
+
+
+def test_log_boundaries_match_phi_roots():
+    table = _estcore.LOG_BOUNDARIES
+    assert len(table) == _estcore.MAX_ADAPTIVE_M
+    assert all(a < b for a, b in zip(table, table[1:]))
+    for k, lb in enumerate(table, start=1):
+        ref = 2 * math.log(analysis.phi_root(k))
+        assert abs(lb - ref) <= 2 * math.ulp(ref), k
+
+
+def test_select_m_agrees_with_exp_rule():
+    # the paper's rule on theta = exp(-t*tau/S), clamped to (0, 1)
+    rng = np.random.default_rng(17)
+    for _ in range(20_000):
+        t = int(rng.integers(1, 10**6))
+        tau = int(rng.integers(1, 0x10000))
+        s = int(rng.integers(1, t * tau * 200))
+        theta = min(max(math.exp(-t * tau / s), 1e-300), 0.999)
+        assert _estcore.select_m(t, s, tau) == analysis.lookup_m(theta)
 
 
 def test_estimator_saturates():
-    from frgc import _estcore
-
-    state = EstimatorState(1, _estcore.EST_SATURATION - 1, 16)
-    bumped = estimator_update(state, ResidualNumerator(1000, 16))
-    assert bumped.s_numer == _estcore.EST_SATURATION
-    again = estimator_update(bumped, ResidualNumerator(-1000, 16))
-    assert again.s_numer == _estcore.EST_SATURATION
-
-
-def test_estimator_rejects_scale_mismatch():
-    with pytest.raises(ValueError):
-        estimator_update(EstimatorState(0, 0, 4), ResidualNumerator(1, 8))
+    sat = _estcore.EST_SATURATION
+    _, _, trace = _backend.adaptive_encode(
+        [0, 0, 0], [sat - 1, 1000, 1000], None, 16, _estcore.LOG_BOUNDARIES, True)
+    assert trace == [(1, 1, sat - 1), (64, 2, sat), (64, 3, sat)]
 
 
 @given(
@@ -152,14 +167,23 @@ def test_estimator_rejects_scale_mismatch():
 )
 @settings(max_examples=200)
 def test_estimator_accumulates_abs_numerators(rs, tau):
-    state = EstimatorState(0, 0, tau)
-    for r in rs:
-        state = estimator_update(state, ResidualNumerator(r, tau))
-    assert state.t == len(rs)
-    assert state.s_numer == sum(abs(r) for r in rs)
-    if any(rs):
-        expected = math.exp(-state.t * tau / state.s_numer)
-        assert theta_hat(state) == pytest.approx(min(max(expected, 1e-6), 0.999))
+    # symbol 0 against prediction r/tau leaves residual numerator -r
+    h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=tau)
+    _, trace = encode_stream([0] * len(rs), h, predictions=[r / tau for r in rs],
+                             collect_trace=True)
+    total = 0
+    for i, (_, t, s) in enumerate(trace):
+        total += abs(rs[i])
+        assert (t, s) == (i + 1, total)
+
+
+def test_v1_stream_rejected():
+    h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16)
+    data = bytearray(encode_stream([3, 1, 4], h, predictions=[0.0] * 3))
+    assert data[4] == codec.VERSION == 2
+    data[4] = 1
+    with pytest.raises(HeaderError, match="version"):
+        decode_stream(bytes(data), predictions=[0.0] * 3)
 
 
 # --- symbol coding ----------------------------------------------------------
@@ -301,13 +325,15 @@ def test_adaptive_m_choices_follow_public_estimator():
     tau = 16
     h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=tau)
     _, trace = encode_stream(xs, h, predictions=preds, collect_trace=True)
-    state = EstimatorState(0, 0, tau)
+    # the paper's rule: m = lookup_m(theta) with theta = exp(-t*tau/S)
+    t = s = 0
     for (m_used, t_seen, s_seen), x, p in zip(trace, xs, preds):
-        expected = 1 if state.t == 0 else analysis.lookup_m(theta_hat(state))
+        expected = 1 if t == 0 else analysis.lookup_m(math.exp(-t * tau / s))
         assert m_used == expected
         q = round_prediction(p, Precision(1, tau))
-        state = estimator_update(state, qmap.residual(x, q))
-        assert (t_seen, s_seen) == (state.t, state.s_numer)
+        t += 1
+        s += abs(qmap.residual(x, q).value)
+        assert (t_seen, s_seen) == (t, s)
 
 
 # --- streams: corruption ------------------------------------------------------
@@ -318,6 +344,44 @@ def test_truncated_payload_raises():
     data = encode_stream(xs, h, predictions=[0.0] * 50)
     with pytest.raises(CorruptStreamError):
         decode_stream(data[:-3], predictions=[0.0] * 50)
+
+
+def test_header_count_beyond_payload_bits_raises():
+    # every codeword is at least one bit, so count <= 8 * payload bytes
+    h = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=3)
+    data = encode_stream(list(range(50)), h, predictions=[0.0] * 50)
+    payload = payload_of(data)
+    header = read_header(data)[0]
+    for count in (8 * len(payload) + 1, 1 << 50):
+        bad = replace(header, count=count).pack() + payload
+        with pytest.raises(HeaderError, match="payload bits"):
+            decode_stream(bad)
+
+
+def test_round_predictions_rejects_int64_overflow():
+    # n = rho*k would wrap: 2**61 * 65535
+    with pytest.raises(ValueError, match="overflows"):
+        codec._round_predictions(np.array([2.0 ** 61]), 0xFFFF, 0xFFFF)
+
+
+def test_map_vector_rejects_int64_overflow():
+    # n fits, but 2*(tau*x - n) would wrap for x = SYMBOL_MAX
+    n = codec._round_predictions(np.array([-(2.0 ** 62 - 1024)]), 1, 1)
+    with pytest.raises(ValueError, match="overflows"):
+        codec._map_vector(np.array([SYMBOL_MAX], dtype=np.int64), n, 1)
+
+
+@pytest.mark.parametrize("rho,tau", [(1, 1), (3, 16), (0xFFFF, 0xFFFF)])
+def test_map_vector_exact_at_prediction_limit(rho, tau):
+    # |n| just under the accepted limit still maps like the scalar qmap
+    k = ((1 << 62) - 1 - tau * (SYMBOL_MAX + 1)) // rho - 4096
+    preds = np.array([k, -k], dtype=np.float64) * rho / tau
+    n = codec._round_predictions(preds, rho, tau)
+    xs = np.array([-SYMBOL_MAX - 1, SYMBOL_MAX], dtype=np.int64)
+    mapped = codec._map_vector(xs, n, tau).tolist()
+    for x, ni, got in zip(xs.tolist(), n.tolist(), mapped):
+        q = QuantizedPrediction(ni, tau)
+        assert got == qmap.map_residual(qmap.residual(x, q))
 
 
 def test_unary_bomb_raises():
