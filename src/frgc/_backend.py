@@ -1,21 +1,16 @@
 """Select the stream-loop implementation.
 
-The compiled extension is used when it imports; FRGC_PURE=1 forces the
-pure-Python fallback.  Both produce byte-identical streams, so the choice
-only affects speed.
+The compiled extension (frgc._kernels) is used when it imports, and the
+pure-Python loops (frgc._pure) otherwise.  Both produce byte-identical
+streams, so the choice only affects speed.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("FRGC_PURE") == "1":
-    from frgc import _pure as _impl
-else:
-    try:
-        from frgc import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from frgc import _pure as _impl  # type: ignore[no-redef]
+try:
+    from frgc import _kernels as _impl
+except ImportError:
+    from frgc import _pure as _impl  # type: ignore[no-redef]
 
 BACKEND_NAME = _impl.BACKEND_NAME
 golomb_encode = _impl.golomb_encode

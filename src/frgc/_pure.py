@@ -1,23 +1,34 @@
-"""Pure-Python stream loops: the fallback backend.
+"""Pure-Python stream loops: the reference and the fallback backend.
 
-Same contract and bit-exact output as frgc._kernels; used when the
-compiled extension is unavailable or FRGC_PURE=1.
+frgc._kernels, compiled from the hand-written _kernels.c, has the same
+contract and bit-exact output; frgc._backend uses it when it imports and
+this module otherwise.
 
 Contract (shared by both backends):
 
-    golomb_encode(ms, m) -> (payload, nbits)
+    golomb_encode(ms, m, max_run) -> (payload, nbits)
     golomb_decode(payload, count, m, max_run) -> list of mapped residuals
-    adaptive_encode(ms, est_int, est_raw, tau, boundaries, collect_trace)
-        -> (payload, nbits, trace | None)
-    adaptive_decode(payload, count, pred_n, pred_x, rho, tau, boundaries,
+    adaptive_encode(ms, est_int, est_raw, tau, boundaries, max_run,
+                    collect_trace) -> (payload, nbits, trace | None)
+    adaptive_decode(payload, count, pred_n, pred_x, tau, boundaries,
                     raw_estimator, max_run, collect_trace)
         -> (symbols, trace | None)
 
-``ms`` are the already-mapped residuals; ``est_int``/``est_raw`` the
-per-symbol estimator increments (|residual numerator| / raw |x - xhat|);
-``pred_n`` the rounded prediction numerators; ``boundaries`` is
+``ms`` are the already-mapped residuals (non-negative); ``est_int``/
+``est_raw`` the per-symbol estimator increments (|residual numerator| /
+raw |x - xhat|, non-negative); ``pred_n`` the rounded prediction
+numerators, below 2**62 in magnitude; ``boundaries`` is
 ``_estcore.LOG_BOUNDARIES``, which the loops here reach through
-``_estcore.select_m``.  Trace entries are (m_t, t_after, s_after).
+``_estcore.select_m``.  A quotient above ``max_run`` raises ValueError on
+encode and CorruptStreamError on decode, so the encoder writes no
+codeword the decoder would refuse.  Sequences may be lists, tuples or
+numpy arrays.  Trace entries are (m_t, t_after, s_after).
+
+The compiled loops also raise ValueError for m > 2**32 and, on decode,
+for a max_run with (max_run + 1) * m > 2**62 (in adaptive mode
+(max_run + 1) * len(boundaries) * tau > 2**62), which keeps their 64-bit
+arithmetic exact; the codec's header limits and DEFAULT_MAX_RUN stay far
+inside both.
 """
 
 from __future__ import annotations
@@ -28,13 +39,19 @@ from frgc.bitcoder import BitSink, BitSource, GolombParam
 BACKEND_NAME = "pure"
 
 
-def golomb_encode(ms, m):
+def _quotient_too_long(j, max_run):
+    return ValueError(f"quotient {j} exceeds the {max_run}-bit unary limit")
+
+
+def golomb_encode(ms, m, max_run):
     g = GolombParam(m)
     sink = BitSink()
     unary = sink.write_unary
     binary = sink.write_minimal_binary
     for value in ms:
         j, k = divmod(value, m)
+        if j > max_run:
+            raise _quotient_too_long(j, max_run)
         unary(j)
         binary(k, g)
     return sink.finish(), sink.bit_length
@@ -48,7 +65,8 @@ def golomb_decode(payload, count, m, max_run):
     return [unary() * m + binary(g) for _ in range(count)]
 
 
-def adaptive_encode(ms, est_int, est_raw, tau, boundaries, collect_trace):
+def adaptive_encode(ms, est_int, est_raw, tau, boundaries, max_run,
+                    collect_trace):
     raw = est_raw is not None
     sink = BitSink()
     params = {}
@@ -62,6 +80,8 @@ def adaptive_encode(ms, est_int, est_raw, tau, boundaries, collect_trace):
         if g is None:
             g = params[m] = GolombParam(m)
         j, k = divmod(value, m)
+        if j > max_run:
+            raise _quotient_too_long(j, max_run)
         sink.write_unary(j)
         sink.write_minimal_binary(k, g)
         t += 1
@@ -76,7 +96,7 @@ def adaptive_encode(ms, est_int, est_raw, tau, boundaries, collect_trace):
     return sink.finish(), sink.bit_length, trace
 
 
-def adaptive_decode(payload, count, pred_n, pred_x, rho, tau, boundaries,
+def adaptive_decode(payload, count, pred_n, pred_x, tau, boundaries,
                     raw_estimator, max_run, collect_trace):
     raw = raw_estimator
     src = BitSource(payload, max_run)

@@ -52,17 +52,19 @@ def run_bench(n: int = 200_000, seed: int = harness.DEFAULT_SEED,
 
     rows = []
     for name, mod in _backends():
-        fixed_payload, _ = mod.golomb_encode(mapped, m)
+        fixed_payload, _ = mod.golomb_encode(mapped, m, DEFAULT_MAX_RUN)
         adaptive_payload, _, _ = mod.adaptive_encode(
-            mapped, est_int, None, tau, boundaries, False)
+            mapped, est_int, None, tau, boundaries, DEFAULT_MAX_RUN, False)
         ops = [
-            ("encode fixed", lambda: mod.golomb_encode(mapped, m)),
+            ("encode fixed", lambda: mod.golomb_encode(
+                mapped, m, DEFAULT_MAX_RUN)),
             ("decode fixed", lambda: mod.golomb_decode(
                 fixed_payload, n, m, DEFAULT_MAX_RUN)),
             ("encode adaptive", lambda: mod.adaptive_encode(
-                mapped, est_int, None, tau, boundaries, False)),
+                mapped, est_int, None, tau, boundaries, DEFAULT_MAX_RUN,
+                False)),
             ("decode adaptive", lambda: mod.adaptive_decode(
-                adaptive_payload, n, pred_n, None, rho, tau, boundaries,
+                adaptive_payload, n, pred_n, None, tau, boundaries,
                 False, DEFAULT_MAX_RUN, False)),
         ]
         for op, fn in ops:

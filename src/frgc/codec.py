@@ -253,7 +253,9 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     Returns the bytes, or (bytes, trace) when collect_trace is set; the
     trace lists (m, t, S) after each symbol in adaptive mode and is None
     otherwise.  predictions must be None in lpc mode and defaults to
-    all-zero predictions otherwise.
+    all-zero predictions otherwise.  A symbol whose codeword would need a
+    unary run over DEFAULT_MAX_RUN bits, which decode_stream refuses,
+    raises ValueError.
     """
     header.validate()
     arr = np.asarray(xs, dtype=np.int64)
@@ -284,9 +286,10 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
             est_raw = None
         payload, _, trace = _backend.adaptive_encode(
             mapped.tolist(), est_int, est_raw, header.tau,
-            _estcore.LOG_BOUNDARIES, collect_trace)
+            _estcore.LOG_BOUNDARIES, DEFAULT_MAX_RUN, collect_trace)
     else:
-        payload, _ = _backend.golomb_encode(mapped.tolist(), header.m)
+        payload, _ = _backend.golomb_encode(mapped.tolist(), header.m,
+                                            DEFAULT_MAX_RUN)
 
     data = header.pack() + payload
     if collect_trace:
@@ -373,7 +376,7 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     if header.mode == MODE_ADAPTIVE:
         pred_x = pred.tolist() if header.raw_error_estimator else None
         out, trace = _backend.adaptive_decode(
-            payload, n, numerators.tolist(), pred_x, header.rho, header.tau,
+            payload, n, numerators.tolist(), pred_x, header.tau,
             _estcore.LOG_BOUNDARIES, header.raw_error_estimator,
             DEFAULT_MAX_RUN, collect_trace)
     else:

@@ -258,7 +258,7 @@ def test_11_bitcoder_exhaustive():
         values = list(range(4097))
         for m in range(1, 65):
             g = GolombParam(m)
-            payload, nbits = _backend.golomb_encode(values, m)
+            payload, nbits = _backend.golomb_encode(values, m, 1 << 20)
             lengths = [code_length(v, g) for v in values]
             assert nbits == sum(lengths)
             # stated length law

@@ -157,17 +157,20 @@ def test_select_m_agrees_with_exp_rule():
 def test_estimator_saturates():
     sat = _estcore.EST_SATURATION
     _, _, trace = _backend.adaptive_encode(
-        [0, 0, 0], [sat - 1, 1000, 1000], None, 16, _estcore.LOG_BOUNDARIES, True)
+        [0, 0, 0], [sat - 1, 1000, 1000], None, 16, _estcore.LOG_BOUNDARIES,
+        1 << 20, True)
     assert trace == [(1, 1, sat - 1), (64, 2, sat), (64, 3, sat)]
 
 
 @given(
-    rs=st.lists(st.integers(-(2**20), 2**20), min_size=1, max_size=50),
+    rs=st.lists(st.integers(-(2**19), 2**19), min_size=1, max_size=50),
     tau=st.integers(1, 64),
 )
 @settings(max_examples=200)
 def test_estimator_accumulates_abs_numerators(rs, tau):
-    # symbol 0 against prediction r/tau leaves residual numerator -r
+    # symbol 0 against prediction r/tau leaves residual numerator -r; its
+    # mapped value, at most 2*|r|/tau, keeps every quotient within
+    # DEFAULT_MAX_RUN = 2**20, so the encoder accepts the stream
     h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=tau)
     _, trace = encode_stream([0] * len(rs), h, predictions=[r / tau for r in rs],
                              collect_trace=True)
