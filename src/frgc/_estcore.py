@@ -6,7 +6,8 @@ the smallest k with ln theta_hat <= ln b_k, and ln theta_hat = -t*tau/S is
 computed before any exp would be.  Deciding on the log avoids libm:
 int->float conversion and division are correctly rounded under IEEE 754,
 so encoder and decoder pick the same m on every platform.  The compiled
-kernels mirror the same two-cast expression in C.
+kernel copies LOG_BOUNDARIES when it is imported and mirrors the same
+two-cast expression in C.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ EST_SATURATION = 1 << 62
 MAX_ADAPTIVE_M = 64  # format constant: size of the boundary table
 
 # ln b_k = 2*ln(phi_k) for k = 1..64, as 2*math.log(analysis.phi_root(k));
-# exp of each entry is the analysis table's phi_k**2.  A format constant:
-# changing one changes streams.
+# analysis.M_BOUNDARIES is exp of each entry.  A format constant: changing
+# one changes streams.
 LOG_BOUNDARIES = tuple(map(float.fromhex, (
     "-0x1.ecc2caec51608p-1", "-0x1.1ff2c7fd77085p-1", "-0x1.987ec9a328df3p-2",
     "-0x1.3cd1acb95d380p-2", "-0x1.02d889220ef05p-2", "-0x1.b5b0388b9d961p-3",

@@ -3,15 +3,19 @@
  * Bits are MSB-first.  A codeword for a mapped residual v under parameter m
  * is the unary quotient v / m (that many ones, then a zero) followed by the
  * remainder in minimal binary, as in frgc.bitcoder.  The adaptive m is chosen
- * as in _estcore.select_m, by the same two-cast double expression and no libm
- * call; build with -ffp-contract=off so no float expression is fused.
+ * as in _estcore.select_m, over a copy of its table taken at import, by the
+ * same two-cast double expression and no libm call; build with
+ * -ffp-contract=off so no float expression is fused.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#define N_BOUNDS 64  /* entries of the m table, so the largest adaptive m */
+
 static PyObject *CorruptStreamError;  /* frgc.bitcoder.CorruptStreamError */
 static long long est_saturation;      /* frgc._estcore.EST_SATURATION */
+static double log_bounds[N_BOUNDS];   /* frgc._estcore.LOG_BOUNDARIES: ln b_k, ascending */
 
 #define VALUE_LIMIT (1LL << 62)  /* bounds decoding's numbers: see check_max_run */
 
@@ -179,30 +183,21 @@ static int check_max_run(long long max_run, long long m_max, long long tau)
 }
 
 typedef struct {
-    double *bnd;  /* ascending log-boundaries ln b_k, k = 1..nb */
-    Py_ssize_t nb, k;  /* k: the last index est_m found */
+    int k;        /* the last index est_m found */
     int raw;      /* sums raw |x - xhat| as a double, else |numerators| */
     long long tau, t, s_int;
     double s_raw;
 } Est;
 
-static int est_init(Est *e, PyObject *boundaries, long long tau, int raw)
+static int est_init(Est *e, long long tau, int raw)
 {
-    PyObject *seq = PySequence_Fast(boundaries, "boundaries must be a sequence");
-    Py_ssize_t i;
-    if (seq == NULL)
-        return -1;
-    e->nb = PySequence_Fast_GET_SIZE(seq);
     e->raw = raw;
     e->tau = tau;
-    if (e->nb == 0 || tau < 1)
-        PyErr_SetString(PyExc_ValueError, "need log-boundaries and tau >= 1");
-    else if ((e->bnd = PyMem_Malloc((size_t)e->nb * sizeof(double))) == NULL)
-        PyErr_NoMemory();
-    for (i = 0; e->bnd && i < e->nb && !PyErr_Occurred(); i++)
-        e->bnd[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seq, i));
-    Py_DECREF(seq);
-    return PyErr_Occurred() ? -1 : 0;
+    if (tau < 1) {
+        PyErr_SetString(PyExc_ValueError, "need tau >= 1");
+        return -1;
+    }
+    return 0;
 }
 
 /* m for the next symbol: select_m's bisect_left index, stepped to from the last. */
@@ -213,11 +208,11 @@ static long long est_m(Est *e)
         return 1;
     log_theta = e->raw ? -((double)e->t) / e->s_raw
                        : -((double)(e->t * e->tau)) / ((double)e->s_int);
-    while (e->k > 0 && !(e->bnd[e->k - 1] < log_theta))
+    while (e->k > 0 && !(log_bounds[e->k - 1] < log_theta))
         e->k--;
-    while (e->k < e->nb && e->bnd[e->k] < log_theta)
+    while (e->k < N_BOUNDS && log_bounds[e->k] < log_theta)
         e->k++;
-    return e->k < e->nb ? e->k + 1 : e->nb;
+    return e->k < N_BOUNDS ? e->k + 1 : N_BOUNDS;
 }
 
 /* Count a symbol coded with m by its |residual numerator| a >= 0 (the sum
@@ -318,7 +313,7 @@ static PyObject *golomb_decode(PyObject *Py_UNUSED(self), PyObject *args)
 
 static PyObject *adaptive_encode(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *ms, *est_int, *est_raw, *boundaries, *seq = NULL, *inc = NULL;
+    PyObject *ms, *est_int, *est_raw, *seq = NULL, *inc = NULL;
     PyObject *trace = NULL, *result = NULL;
     long long tau, max_run, m, v, a = 0;
     double d = 0.0;
@@ -327,11 +322,11 @@ static PyObject *adaptive_encode(PyObject *Py_UNUSED(self), PyObject *args)
     Code code = {0, 0, 0};
     Est e = {0};
     Py_ssize_t i, n = 0;
-    if (!PyArg_ParseTuple(args, "OOOLOLp", &ms, &est_int, &est_raw, &tau,
-                          &boundaries, &max_run, &collect))
+    if (!PyArg_ParseTuple(args, "OOOLLp", &ms, &est_int, &est_raw, &tau,
+                          &max_run, &collect))
         return NULL;
     if ((seq = PySequence_Fast(ms, "ms must be a sequence")) == NULL
-            || est_init(&e, boundaries, tau, est_raw != Py_None) < 0
+            || est_init(&e, tau, est_raw != Py_None) < 0
             || ((n = PySequence_Fast_GET_SIZE(seq))
                 && (inc = PySequence_Fast(e.raw ? est_raw : est_int,
                                           "increments must be a sequence")) == NULL)
@@ -349,7 +344,6 @@ static PyObject *adaptive_encode(PyObject *Py_UNUSED(self), PyObject *args)
     result = writer_result(&w, trace ? trace : Py_None);
 done:
     PyMem_Free(w.buf);
-    PyMem_Free(e.bnd);
     Py_XDECREF(seq);
     Py_XDECREF(inc);
     Py_XDECREF(trace);
@@ -360,19 +354,19 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer payload;
     Py_ssize_t count, i;
-    PyObject *pred_n, *pred_x, *boundaries, *preds = NULL, *raw_preds = NULL;
+    PyObject *pred_n, *pred_x, *preds = NULL, *raw_preds = NULL;
     PyObject *out = NULL, *trace = NULL, *result = NULL, *item;
     long long tau, max_run, m, v, n, x, d;
     double px = 0.0;
     int raw, collect;
     Code code = {0, 0, 0};
     Est e = {0};
-    if (!PyArg_ParseTuple(args, "y*nOOLOpLp", &payload, &count, &pred_n, &pred_x,
-                          &tau, &boundaries, &raw, &max_run, &collect))
+    if (!PyArg_ParseTuple(args, "y*nOOLpLp", &payload, &count, &pred_n, &pred_x,
+                          &tau, &raw, &max_run, &collect))
         return NULL;
     Reader r = {payload.buf, 0, 8 * payload.len};
-    if (est_init(&e, boundaries, tau, raw) < 0
-            || check_max_run(max_run, e.nb, tau) < 0
+    if (est_init(&e, tau, raw) < 0
+            || check_max_run(max_run, N_BOUNDS, tau) < 0
             || (preds = PySequence_Fast(pred_n, "pred_n must be a sequence")) == NULL
             || (raw && (raw_preds = PySequence_Fast(
                     pred_x, "pred_x must be a sequence")) == NULL)
@@ -401,7 +395,6 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
     result = Py_BuildValue("(OO)", out, trace ? trace : Py_None);
 done:
     PyBuffer_Release(&payload);
-    PyMem_Free(e.bnd);
     Py_XDECREF(preds);
     Py_XDECREF(raw_preds);
     Py_XDECREF(out);
@@ -431,6 +424,26 @@ static PyObject *import_attr(const char *module_name, const char *name)
     return attr;
 }
 
+/* Copy frgc._estcore.LOG_BOUNDARIES into log_bounds; it must have N_BOUNDS entries. */
+static int load_bounds(void)
+{
+    PyObject *table = import_attr("frgc._estcore", "LOG_BOUNDARIES"), *seq;
+    Py_ssize_t i;
+    if (table == NULL)
+        return -1;
+    seq = PySequence_Fast(table, "LOG_BOUNDARIES must be a sequence");
+    Py_DECREF(table);
+    if (seq == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(seq) != N_BOUNDS)
+        PyErr_Format(PyExc_ImportError, "LOG_BOUNDARIES must have %d entries, got %zd",
+                     N_BOUNDS, PySequence_Fast_GET_SIZE(seq));
+    for (i = 0; i < N_BOUNDS && !PyErr_Occurred(); i++)
+        log_bounds[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seq, i));
+    Py_DECREF(seq);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
 PyMODINIT_FUNC PyInit__kernels(void)
 {
     PyObject *mod, *sat = import_attr("frgc._estcore", "EST_SATURATION");
@@ -438,7 +451,7 @@ PyMODINIT_FUNC PyInit__kernels(void)
         return NULL;
     est_saturation = PyLong_AsLongLong(sat);
     Py_DECREF(sat);
-    CorruptStreamError = PyErr_Occurred() ? NULL
+    CorruptStreamError = PyErr_Occurred() || load_bounds() < 0 ? NULL
                          : import_attr("frgc.bitcoder", "CorruptStreamError");
     if (CorruptStreamError == NULL || (mod = PyModule_Create(&module)) == NULL)
         return NULL;

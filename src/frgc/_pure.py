@@ -8,27 +8,27 @@ Contract (shared by both backends):
 
     golomb_encode(ms, m, max_run) -> (payload, nbits)
     golomb_decode(payload, count, m, max_run) -> list of mapped residuals
-    adaptive_encode(ms, est_int, est_raw, tau, boundaries, max_run,
-                    collect_trace) -> (payload, nbits, trace | None)
-    adaptive_decode(payload, count, pred_n, pred_x, tau, boundaries,
-                    raw_estimator, max_run, collect_trace)
-        -> (symbols, trace | None)
+    adaptive_encode(ms, est_int, est_raw, tau, max_run, collect_trace)
+        -> (payload, nbits, trace | None)
+    adaptive_decode(payload, count, pred_n, pred_x, tau, raw_estimator,
+                    max_run, collect_trace) -> (symbols, trace | None)
 
 ``ms`` are the already-mapped residuals (non-negative); ``est_int``/
 ``est_raw`` the per-symbol estimator increments (|residual numerator| /
 raw |x - xhat|, non-negative); ``pred_n`` the rounded prediction
-numerators, below 2**62 in magnitude; ``boundaries`` is
-``_estcore.LOG_BOUNDARIES``, which the loops here reach through
-``_estcore.select_m``.  A quotient above ``max_run`` raises ValueError on
-encode and CorruptStreamError on decode, so the encoder writes no
-codeword the decoder would refuse.  Sequences may be lists, tuples or
-numpy arrays.  Trace entries are (m_t, t_after, s_after).
+numerators, below 2**62 in magnitude.  The adaptive m is
+``_estcore.select_m`` over ``_estcore.LOG_BOUNDARIES``, which the
+compiled module copies once, when it is imported.  A quotient above
+``max_run`` raises ValueError on encode and CorruptStreamError on
+decode, so the encoder writes no codeword the decoder would refuse.
+Sequences may be lists, tuples or numpy arrays.  Trace entries are
+(m_t, t_after, s_after).
 
 The compiled loops also raise ValueError for m > 2**32 and, on decode,
 for a max_run with (max_run + 1) * m > 2**62 (in adaptive mode
-(max_run + 1) * len(boundaries) * tau > 2**62), which keeps their 64-bit
-arithmetic exact; the codec's header limits and DEFAULT_MAX_RUN stay far
-inside both.
+(max_run + 1) * 64 * tau > 2**62), which keeps their 64-bit arithmetic
+exact; the codec's header limits and DEFAULT_MAX_RUN stay far inside
+both.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ def golomb_decode(payload, count, m, max_run):
     return [unary() * m + binary(g) for _ in range(count)]
 
 
-def adaptive_encode(ms, est_int, est_raw, tau, boundaries, max_run,
-                    collect_trace):
+def adaptive_encode(ms, est_int, est_raw, tau, max_run, collect_trace):
     raw = est_raw is not None
     sink = BitSink()
     params = {}
@@ -96,8 +95,8 @@ def adaptive_encode(ms, est_int, est_raw, tau, boundaries, max_run,
     return sink.finish(), sink.bit_length, trace
 
 
-def adaptive_decode(payload, count, pred_n, pred_x, tau, boundaries,
-                    raw_estimator, max_run, collect_trace):
+def adaptive_decode(payload, count, pred_n, pred_x, tau, raw_estimator,
+                    max_run, collect_trace):
     raw = raw_estimator
     src = BitSource(payload, max_run)
     params = {}

@@ -4,8 +4,9 @@ Provides the Laplace density/sampler, the average code length of a
 parameter-m Golomb code applied to grid-rounded residuals, the per-interval
 code lengths the average is built from, the optimal-m boundary table (the
 m-th boundary is the square of the unique root of phi^(m+1) + phi^m - 1 in
-(0,1)), the redundancy of keeping the asymptotically optimal m at a coarse
-grid, and the classic one-sided-geometric Golomb parameter for reference.
+(0,1); the adaptive codec chooses m by the same 64 entries), the
+redundancy of keeping the asymptotically optimal m at a coarse grid, and
+the classic one-sided-geometric Golomb parameter for reference.
 
 Grid notation: a ``Precision(rho, tau)`` shifts every residual interval left
 by s = rho/(2*tau); ``ASYMPTOTIC`` is the s = 0 limit.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from frgc._estcore import LOG_BOUNDARIES, MAX_ADAPTIVE_M
 from frgc.qmap import ASYMPTOTIC, Precision
 
 
@@ -148,78 +150,37 @@ def phi_root(m: int) -> float:
             hi = mid
 
 
-@dataclass(frozen=True)
-class OptimalMTable:
-    """Ascending boundaries [phi_1**2, ..., phi_max_m**2] for the m lookup."""
-
-    max_m: int
-    boundaries: tuple[float, ...]
+# The optimal-m boundaries phi_k**2, k = 1..64: exp of the codec's
+# log-boundaries, which equals phi_root(k)**2 exactly for every k.
+M_BOUNDARIES = tuple(math.exp(b) for b in LOG_BOUNDARIES)
 
 
-def build_m_table(max_m: int = 64) -> OptimalMTable:
-    if max_m < 1:
-        raise ValueError(f"max_m must be >= 1, got {max_m}")
-    bounds = tuple(phi_root(m) ** 2 for m in range(1, max_m + 1))
-    for a, b in zip(bounds, bounds[1:]):
-        if not a < b:
-            raise AssertionError("optimal-m boundaries must increase")
-    return OptimalMTable(max_m, bounds)
-
-
-_DEFAULT_TABLE: OptimalMTable | None = None
-
-
-def default_m_table() -> OptimalMTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = build_m_table(64)
-    return _DEFAULT_TABLE
-
-
-def lookup_m(theta: float, table: OptimalMTable | None = None) -> int:
-    """Smallest m whose boundary covers theta; max_m past the table's end.
+def lookup_m(theta: float) -> int:
+    """Smallest m whose boundary covers theta; 64 past the table's end.
 
     A theta exactly on a boundary belongs to the smaller m (both are
     optimal there).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0,1), got {theta}")
-    if table is None:
-        table = default_m_table()
-    i = bisect.bisect_left(table.boundaries, theta)
-    return i + 1 if i < table.max_m else table.max_m
+    return min(bisect.bisect_left(M_BOUNDARIES, theta) + 1, MAX_ADAPTIVE_M)
 
 
-def redundancy(theta: float, precision: Precision,
-               table: OptimalMTable | None = None) -> float:
+def redundancy(theta: float, precision: Precision) -> float:
     """Extra average bits from keeping m = lookup_m(theta) on a coarse grid.
 
     Computed as the literal difference of the two average-length formulas,
     avg_code_length(m, theta, precision) - avg_code_length(m, theta,
     ASYMPTOTIC), which equals (1/2) * coef * (theta**s + theta**-s - 2).
     """
-    m = lookup_m(theta, table)
+    m = lookup_m(theta)
     return avg_code_length(m, theta, precision) - avg_code_length(m, theta, ASYMPTOTIC)
 
 
-def redundancy_percent(theta: float, precision: Precision,
-                       table: OptimalMTable | None = None,
-                       relative_to: str = "asymptotic") -> float:
-    """Redundancy as a percentage of the average code length.
-
-    ``relative_to="asymptotic"`` (the default, which reproduces the known
-    maxima) divides by the asymptotic length; ``"finite"`` divides by the
-    finite-precision length instead.
-    """
-    m = lookup_m(theta, table)
-    delta = redundancy(theta, precision, table)
-    if relative_to == "asymptotic":
-        base = avg_code_length(m, theta, ASYMPTOTIC)
-    elif relative_to == "finite":
-        base = avg_code_length(m, theta, precision)
-    else:
-        raise ValueError(f"unknown normalization {relative_to!r}")
-    return 100.0 * delta / base
+def redundancy_percent(theta: float, precision: Precision) -> float:
+    """Redundancy as a percentage of the asymptotic average code length."""
+    m = lookup_m(theta)
+    return 100.0 * redundancy(theta, precision) / avg_code_length(m, theta, ASYMPTOTIC)
 
 
 def golomb_mstar(theta: float) -> int:

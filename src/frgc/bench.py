@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from frgc import _estcore, _pure, analysis, codec, harness
+from frgc import _pure, analysis, codec, harness
 from frgc.bitcoder import DEFAULT_MAX_RUN
 from frgc.qmap import Precision
 
@@ -48,24 +48,22 @@ def run_bench(n: int = 200_000, seed: int = harness.DEFAULT_SEED,
     est_int = np.abs(tau * xs - numerators).tolist()
     pred_n = numerators.tolist()
     m = analysis.lookup_m(BENCH_THETA)
-    boundaries = _estcore.LOG_BOUNDARIES
 
     rows = []
     for name, mod in _backends():
         fixed_payload, _ = mod.golomb_encode(mapped, m, DEFAULT_MAX_RUN)
         adaptive_payload, _, _ = mod.adaptive_encode(
-            mapped, est_int, None, tau, boundaries, DEFAULT_MAX_RUN, False)
+            mapped, est_int, None, tau, DEFAULT_MAX_RUN, False)
         ops = [
             ("encode fixed", lambda: mod.golomb_encode(
                 mapped, m, DEFAULT_MAX_RUN)),
             ("decode fixed", lambda: mod.golomb_decode(
                 fixed_payload, n, m, DEFAULT_MAX_RUN)),
             ("encode adaptive", lambda: mod.adaptive_encode(
-                mapped, est_int, None, tau, boundaries, DEFAULT_MAX_RUN,
-                False)),
+                mapped, est_int, None, tau, DEFAULT_MAX_RUN, False)),
             ("decode adaptive", lambda: mod.adaptive_decode(
-                adaptive_payload, n, pred_n, None, tau, boundaries,
-                False, DEFAULT_MAX_RUN, False)),
+                adaptive_payload, n, pred_n, None, tau, False,
+                DEFAULT_MAX_RUN, False)),
         ]
         for op, fn in ops:
             rows.append((name, op, _best_rate(fn, n, repeats)))

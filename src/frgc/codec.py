@@ -25,18 +25,12 @@ import numpy as np
 from frgc import _backend, _estcore, predictor, qmap
 from frgc.bitcoder import (
     DEFAULT_MAX_RUN,
-    BitSink,
     BitSource,
     CorruptStreamError,
     GolombParam,
 )
 from frgc.predictor import LpcConfig
-from frgc.qmap import (
-    SYMBOL_MAX,
-    SYMBOL_MIN,
-    Precision,
-    QuantizedPrediction,
-)
+from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN, Precision
 
 MAGIC = b"FRGC"
 VERSION = 2
@@ -154,20 +148,10 @@ def read_header(data: bytes) -> tuple[StreamHeader, int]:
     return StreamHeader.unpack(data), HEADER_SIZE
 
 
-def encode_symbol(x: int, q: QuantizedPrediction, g: GolombParam,
-                  sink: BitSink) -> None:
-    """Map the residual of x against q and emit one codeword."""
-    value = qmap.map_residual(qmap.residual(x, q))
-    j, k = divmod(value, g.m)
-    sink.write_unary(j)
-    sink.write_minimal_binary(k, g)
-
-
-def decode_symbol(q: QuantizedPrediction, g: GolombParam,
-                  src: BitSource) -> int:
-    """Read one codeword and invert the mapping against q."""
+def decode_symbol(n: int, tau: int, g: GolombParam, src: BitSource) -> int:
+    """Read one codeword and invert the mapping against the prediction n/tau."""
     value = src.read_unary() * g.m + src.read_minimal_binary(g)
-    return qmap.unmap(value, q)
+    return qmap.unmap(value, n, tau)
 
 
 def _check_symbols(xs: np.ndarray, alphabet_q: int) -> None:
@@ -183,23 +167,30 @@ def _check_symbols(xs: np.ndarray, alphabet_q: int) -> None:
             f"symbols outside declared alphabet [0, {alphabet_q}): saw [{lo}, {hi}]")
 
 
-def _lpc_predictions(xs: list, cfg: LpcConfig) -> list[float]:
-    """Per-symbol predictions from history only, as the decoder re-derives.
+def _lpc_prediction(history, t: int, cfg: LpcConfig, coeffs):
+    """(prediction of symbol t from history[:t], coefficients to carry on).
 
-    Position 0 predicts 0.0 and positions before the first full window
-    repeat the previous sample; from warmup on, coefficients are refit
-    every refit_interval symbols.
+    The one LPC schedule of encoder and decoder: position 0 predicts 0.0
+    and positions before the first full window repeat the previous
+    sample; from warmup on, coefficients are refit every refit_interval
+    symbols (a singular window keeps the previous ones).
     """
-    preds = [0.0] * len(xs)
-    coeffs: list[float] | None = None
-    warm = cfg.warmup
-    for t in range(1, len(xs)):
-        if t < warm:
-            preds[t] = float(xs[t - 1])
-        else:
-            if (t - warm) % cfg.refit_interval == 0:
-                coeffs = predictor.fit(xs, cfg, t, previous=coeffs)
-            preds[t] = predictor.predict_at(xs, coeffs, t)
+    if t == 0:
+        return 0.0, coeffs
+    if t < cfg.warmup:
+        return float(history[t - 1]), coeffs
+    if (t - cfg.warmup) % cfg.refit_interval == 0:
+        coeffs = predictor.fit(history, cfg, t, previous=coeffs)
+    return predictor.predict_at(history, coeffs, t), coeffs
+
+
+def _lpc_predictions(xs: list, cfg: LpcConfig) -> list[float]:
+    """Per-symbol predictions from history only, as the decoder re-derives."""
+    preds = []
+    coeffs = None
+    for t in range(len(xs)):
+        xhat, coeffs = _lpc_prediction(xs, t, cfg, coeffs)
+        preds.append(xhat)
     return preds
 
 
@@ -285,8 +276,8 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
             est_int = np.abs(header.tau * arr - numerators).tolist()
             est_raw = None
         payload, _, trace = _backend.adaptive_encode(
-            mapped.tolist(), est_int, est_raw, header.tau,
-            _estcore.LOG_BOUNDARIES, DEFAULT_MAX_RUN, collect_trace)
+            mapped.tolist(), est_int, est_raw, header.tau, DEFAULT_MAX_RUN,
+            collect_trace)
     else:
         payload, _ = _backend.golomb_encode(mapped.tolist(), header.m,
                                             DEFAULT_MAX_RUN)
@@ -307,22 +298,14 @@ def _decode_lpc(payload: bytes, header: StreamHeader, collect_trace: bool):
     src = BitSource(payload, DEFAULT_MAX_RUN)
     params: dict[int, GolombParam] = {}
     out: list[int] = []
-    coeffs: list[float] | None = None
-    warm = cfg.warmup
+    coeffs = None
     t_est = 0
     s_int = 0
     s_raw = 0.0
     trace = [] if (collect_trace and adaptive) else None
     for t in range(header.count):
-        if t == 0:
-            xhat = 0.0
-        elif t < warm:
-            xhat = float(out[t - 1])
-        else:
-            if (t - warm) % cfg.refit_interval == 0:
-                coeffs = predictor.fit(out, cfg, t, previous=coeffs)
-            xhat = predictor.predict_at(out, coeffs, t)
-        q = qmap.round_prediction(xhat, prec)
+        xhat, coeffs = _lpc_prediction(out, t, cfg, coeffs)
+        n = qmap.round_prediction(xhat, prec)
         if not adaptive:
             m = header.m
         elif raw:
@@ -332,14 +315,14 @@ def _decode_lpc(payload: bytes, header: StreamHeader, collect_trace: bool):
         g = params.get(m)
         if g is None:
             g = params[m] = GolombParam(m)
-        x = decode_symbol(q, g, src)
+        x = decode_symbol(n, tau, g, src)
         out.append(x)
         if adaptive:
             t_est += 1
             if raw:
                 s_raw += abs(x - xhat)
             else:
-                s_int += abs(tau * x - q.numerator)
+                s_int += abs(tau * x - n)
                 if s_int > _estcore.EST_SATURATION:
                     s_int = _estcore.EST_SATURATION
             if trace is not None:
@@ -377,8 +360,7 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
         pred_x = pred.tolist() if header.raw_error_estimator else None
         out, trace = _backend.adaptive_decode(
             payload, n, numerators.tolist(), pred_x, header.tau,
-            _estcore.LOG_BOUNDARIES, header.raw_error_estimator,
-            DEFAULT_MAX_RUN, collect_trace)
+            header.raw_error_estimator, DEFAULT_MAX_RUN, collect_trace)
     else:
         values = _backend.golomb_decode(payload, n, header.m, DEFAULT_MAX_RUN)
         symbols = _unmap_vector(np.asarray(values, dtype=np.int64),

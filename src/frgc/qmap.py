@@ -2,11 +2,13 @@
 
 A real-valued prediction ``xhat`` is rounded to the nearest point of the
 grid ``(rho/tau) * Z`` (ties round up), giving a quantized prediction held
-as an integer numerator over ``tau``.  The residual ``x - [xhat]`` then
-lives on a shifted ``1/tau`` lattice and is folded onto the non-negative
-integers by ``map_residual`` so a Golomb coder can handle it.  Everything
-past the single rounding step is integer arithmetic: floor/ceil divisions
-are mathematical (toward minus/plus infinity), never truncations.
+as an integer numerator ``n`` over ``tau``.  The residual ``x - n/tau``
+then lives on a shifted ``1/tau`` lattice; its numerator ``tau*x - n`` is
+folded onto the non-negative integers by ``map_residual`` so a Golomb
+coder can handle it.  Everything past the single rounding step takes and
+returns plain integers, with ``tau`` passed alongside: floor/ceil
+divisions are mathematical (toward minus/plus infinity), never
+truncations.
 """
 
 from __future__ import annotations
@@ -16,11 +18,6 @@ from dataclasses import dataclass
 
 SYMBOL_MIN = -(1 << 31)
 SYMBOL_MAX = (1 << 31) - 1
-
-
-def floordiv(a: int, b: int) -> int:
-    """Quotient rounded toward minus infinity (Python's native //)."""
-    return a // b
 
 
 def ceildiv(a: int, b: int) -> int:
@@ -71,37 +68,18 @@ class Precision:
 ASYMPTOTIC = Precision(0, 1)
 
 
-@dataclass(frozen=True)
-class QuantizedPrediction:
-    """A grid point ``numerator/tau``; numerator is always a multiple of rho."""
+def round_prediction(xhat: float, precision: Precision) -> int:
+    """Numerator over tau of the rho/tau grid point nearest ``xhat``.
 
-    numerator: int
-    tau: int
+    Ties round toward +inf.  The one floating-point operation in the
+    pipeline; everything downstream is exact.  The numerator is always a
+    multiple of rho.
 
-    @property
-    def value(self) -> float:
-        return self.numerator / self.tau
-
-
-@dataclass(frozen=True)
-class ResidualNumerator:
-    """The exact residual ``x - [xhat]`` scaled by tau: value = tau*x - numerator."""
-
-    value: int
-    tau: int
-
-
-def round_prediction(xhat: float, precision: Precision) -> QuantizedPrediction:
-    """Round ``xhat`` to the nearest rho/tau grid point, ties toward +inf.
-
-    The one floating-point operation in the pipeline; everything downstream
-    is exact.
-
-    >>> round_prediction(0.70, Precision(1, 4)).numerator
+    >>> round_prediction(0.70, Precision(1, 4))
     3
-    >>> round_prediction(0.625, Precision(1, 4)).numerator   # tie rounds up
+    >>> round_prediction(0.625, Precision(1, 4))   # tie rounds up
     3
-    >>> round_prediction(-0.625, Precision(1, 4)).numerator
+    >>> round_prediction(-0.625, Precision(1, 4))
     -2
     """
     if precision.is_asymptotic:
@@ -109,54 +87,43 @@ def round_prediction(xhat: float, precision: Precision) -> QuantizedPrediction:
     if not math.isfinite(xhat):
         raise ValueError(f"prediction must be finite, got {xhat!r}")
     k = math.floor(precision.tau * xhat / precision.rho + 0.5)
-    return QuantizedPrediction(precision.rho * k, precision.tau)
+    return precision.rho * k
 
 
-def residual(x: int, q: QuantizedPrediction) -> ResidualNumerator:
-    """Exact residual of symbol ``x`` against the quantized prediction.
+def residual(x: int, n: int, tau: int) -> int:
+    """Exact residual of symbol ``x`` against the prediction ``n/tau``,
+    scaled by tau: tau*x - n.
 
-    >>> residual(1, QuantizedPrediction(3, 4)).value
-    1
-    >>> residual(0, QuantizedPrediction(3, 4)).value
-    -3
+    >>> residual(1, 3, 4), residual(0, 3, 4)
+    (1, -3)
     """
     if not SYMBOL_MIN <= x <= SYMBOL_MAX:
         raise OverflowError(f"symbol {x} outside signed 32-bit range")
-    return ResidualNumerator(q.tau * x - q.numerator, q.tau)
+    return tau * x - n
 
 
-def map_residual(e: ResidualNumerator) -> int:
-    """Fold the lattice residual onto 0, 1, 2, ... by magnitude.
+def map_residual(r: int, tau: int) -> int:
+    """Fold the lattice residual ``r/tau`` onto 0, 1, 2, ... by magnitude.
 
-    With ebar = value/tau this is floor(2*ebar) for ebar >= 0 and
+    With ebar = r/tau this is floor(2*ebar) for ebar >= 0 and
     -floor(2*ebar) - 1 otherwise, computed without leaving the integers.
 
-    >>> [map_residual(ResidualNumerator(r, 4)) for r in (1, -3, 5, -7)]
+    >>> [map_residual(r, 4) for r in (1, -3, 5, -7)]
     [0, 1, 2, 3]
-    >>> [map_residual(ResidualNumerator(r, 1)) for r in (0, -1, 1, -2)]
+    >>> [map_residual(r, 1) for r in (0, -1, 1, -2)]
     [0, 1, 2, 3]
     """
-    two_r = 2 * e.value
-    if e.value >= 0:
-        return two_r // e.tau
-    return -(two_r // e.tau) - 1
-
-
-def gamma_delta(e: ResidualNumerator) -> tuple[int, int]:
-    """Split the residual numerator as value = gamma*tau + delta, 0 <= delta < tau.
-
-    >>> gamma_delta(ResidualNumerator(-3, 4))
-    (-1, 1)
-    """
-    return divmod(e.value, e.tau)
+    if r >= 0:
+        return 2 * r // tau
+    return -(2 * r // tau) - 1
 
 
 def map_by_cases(gamma: int, delta: int, tau: int) -> int:
     """Case-split form of the fold; independent route used as a test oracle.
 
-    Lattice points closer than half a unit to their integer part (delta
-    below tau/2) land on even/odd codes 2g / -2g-1; the far half lands one
-    slot later.
+    (gamma, delta) = divmod(r, tau).  Lattice points closer than half a
+    unit to their integer part (delta below tau/2) land on even/odd codes
+    2g / -2g-1; the far half lands one slot later.
     """
     if not 0 <= delta < tau:
         raise ValueError(f"need 0 <= delta < tau, got delta={delta}, tau={tau}")
@@ -165,30 +132,20 @@ def map_by_cases(gamma: int, delta: int, tau: int) -> int:
     return 2 * gamma + 1 if gamma >= 0 else -2 * gamma - 2
 
 
-def ceil_twice_prediction(q: QuantizedPrediction) -> int:
-    """ceil(2 * [xhat]), the decoder's parity anchor.
+def unmap(v: int, n: int, tau: int) -> int:
+    """Invert map_residual given the same prediction ``n/tau``.
 
-    >>> ceil_twice_prediction(QuantizedPrediction(3, 4))
-    2
-    """
-    return ceildiv(2 * q.numerator, q.tau)
-
-
-def unmap(m_value: int, q: QuantizedPrediction) -> int:
-    """Invert map_residual given the same quantized prediction.
-
-    The fold leaves exactly one integer consistent with each code: parity
-    of ``m_value + ceil(2*[xhat])`` says which side of the prediction the
+    The fold leaves exactly one integer consistent with each code: the
+    parity of ``v + ceil(2n/tau)`` says which side of the prediction the
     symbol sat on.
 
-    >>> q = QuantizedPrediction(3, 4)
-    >>> [unmap(m, q) for m in (0, 1, 2, 3)]
+    >>> [unmap(v, 3, 4) for v in (0, 1, 2, 3)]
     [1, 0, 2, -1]
     """
-    if m_value < 0:
-        raise ValueError(f"mapped residual must be non-negative, got {m_value}")
-    c = ceil_twice_prediction(q)
-    s = m_value + c
+    if v < 0:
+        raise ValueError(f"mapped residual must be non-negative, got {v}")
+    c = ceildiv(2 * n, tau)
+    s = v + c
     if s % 2 == 0:
         return s // 2
-    return (c - m_value - 1) // 2
+    return (c - v - 1) // 2

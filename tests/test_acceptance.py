@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from frgc import _backend, analysis, bitcoder, codec, harness, qmap
+from frgc import _backend, bitcoder, codec, harness, qmap
 from frgc.analysis import (
     ASYMPTOTIC,
     LaplaceModel,
@@ -86,11 +86,8 @@ def test_02_mapping_oracle_equivalence():
         mismatches = 0
         fold = qmap.map_residual
         cases = qmap.map_by_cases
-        split = qmap.gamma_delta
-        make = qmap.ResidualNumerator
         for r, tau in zip(rs.tolist(), taus.tolist()):
-            e = make(r, tau)
-            if fold(e) != cases(*split(e), tau):
+            if fold(r, tau) != cases(*divmod(r, tau), tau):
                 mismatches += 1
         assert mismatches == 0
 
@@ -139,12 +136,11 @@ def test_04_root_boundaries():
 
 def test_05_lookup_matches_brute_force():
     with criterion(5, "table lookup == exhaustive argmin over m <= 64"):
-        table = analysis.build_m_table(64)
         for k in range(1, 979):
             theta = k / 1000.0
             lengths = [avg_code_length(m, theta, ASYMPTOTIC) for m in range(1, 65)]
             best = min(lengths)
-            chosen = lookup_m(theta, table)
+            chosen = lookup_m(theta)
             # at an exact boundary both neighbors are optimal; accept either
             assert lengths[chosen - 1] <= best + 1e-9, f"theta={theta}"
 

@@ -12,9 +12,8 @@ from frgc.analysis import (
     ASYMPTOTIC,
     LaplaceModel,
     Precision,
+    M_BOUNDARIES,
     avg_code_length,
-    build_m_table,
-    default_m_table,
     golomb_mstar,
     interval_code_length,
     laplace_cdf,
@@ -104,9 +103,8 @@ def bit_level_length(eps: float, m: int, tau: int) -> int:
     # numerator is exactly round(eps * tau)
     r = round(eps * tau)
     assert abs(r - eps * tau) < 1e-9, "oracle needs lattice-aligned eps"
-    e = qmap.ResidualNumerator(r, tau)
-    value = qmap.map_by_cases(*qmap.gamma_delta(e), tau)
-    assert value == qmap.map_residual(e)
+    value = qmap.map_by_cases(*divmod(r, tau), tau)
+    assert value == qmap.map_residual(r, tau)
     return bitcoder.code_length(value, bitcoder.GolombParam(m))
 
 
@@ -208,25 +206,25 @@ def test_phi1_is_inverse_golden_ratio():
 
 
 def test_boundaries_strictly_increase():
-    table = build_m_table(63)
-    bounds = table.boundaries
-    assert len(bounds) == 63
+    bounds = M_BOUNDARIES
+    assert len(bounds) == 64
     assert all(a < b for a, b in zip(bounds, bounds[1:]))
-    # boundary for m is the squared root
-    for m in (1, 2, 10, 63):
-        assert bounds[m - 1] == pytest.approx(phi_root(m) ** 2, abs=1e-12)
+    # boundary for m is the squared root, to the last bit
+    for m in range(1, 65):
+        assert bounds[m - 1] == phi_root(m) ** 2
 
 
 def test_lookup_examples():
     assert lookup_m(0.3) == 1
     assert lookup_m(0.5) == 2
-    assert lookup_m(0.985, build_m_table(32)) == 32
+    # past the last boundary the table clamps at its 64 entries
+    assert M_BOUNDARIES[-1] < 0.985
+    assert lookup_m(0.985) == 64
 
 
 def test_lookup_boundary_prefers_smaller_m():
-    table = default_m_table()
-    for m in (1, 2, 5, 20):
-        assert lookup_m(table.boundaries[m - 1], table) == m
+    for m in range(1, 65):
+        assert lookup_m(M_BOUNDARIES[m - 1]) == m
 
 
 def test_lookup_monotone_in_theta():

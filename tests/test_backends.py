@@ -129,7 +129,7 @@ def test_adaptive_encode_parity(tau, spread, kernels):
     _, _, _, ms, est_int, est_raw = adaptive_case(3000, tau, 7, spread)
     for raw in (False, True):
         args = (ms, None if raw else est_int, est_raw if raw else None, tau,
-                BOUNDS, MAX_RUN, True)
+                MAX_RUN, True)
         p_payload, p_bits, p_trace = _pure.adaptive_encode(*args)
         k_payload, k_bits, k_trace = kernels.adaptive_encode(*args)
         assert p_payload == k_payload
@@ -144,9 +144,9 @@ def test_adaptive_decode_parity(tau, spread, kernels):
     xs, pred_n, pred_x, ms, est_int, est_raw = adaptive_case(2500, tau, 13, spread)
     for raw in (False, True):
         payload, _, _ = _pure.adaptive_encode(
-            ms, None if raw else est_int, est_raw if raw else None, tau, BOUNDS,
+            ms, None if raw else est_int, est_raw if raw else None, tau,
             MAX_RUN, False)
-        args = (payload, len(ms), pred_n, pred_x, tau, BOUNDS, raw, MAX_RUN, True)
+        args = (payload, len(ms), pred_n, pred_x, tau, raw, MAX_RUN, True)
         p_out, p_trace = _pure.adaptive_decode(*args)
         k_out, k_trace = kernels.adaptive_decode(*args)
         assert p_out == k_out == xs
@@ -208,9 +208,8 @@ def test_encode_max_run_parity(kernels):
     assert same_outcome(enc, [top, 0], m, limit)[0] == "ok"
     assert same_outcome(enc, [0, top + 1], m, limit) == ("raised", ValueError)
     # adaptive mode starts cold at m = 1, so the first quotient is the value
-    assert same_outcome(aenc, [limit, 0], [1, 1], None, 1, BOUNDS, limit,
-                        False)[0] == "ok"
-    assert same_outcome(aenc, [limit + 1, 0], [1, 1], None, 1, BOUNDS, limit,
+    assert same_outcome(aenc, [limit, 0], [1, 1], None, 1, limit, False)[0] == "ok"
+    assert same_outcome(aenc, [limit + 1, 0], [1, 1], None, 1, limit,
                         False) == ("raised", ValueError)
     payload, _ = kernels.golomb_encode([top, 0], m, limit)
     assert same_outcome(both(kernels, "golomb_decode"), payload, 2, m,
@@ -223,7 +222,7 @@ def test_error_path_parity(kernels):
     raised = ("raised", ValueError)
     # a negative mapped residual
     assert same_outcome(enc, [4, -1], 3, MAX_RUN) == raised
-    assert same_outcome(aenc, [4, -1], [1, 1], None, 16, BOUNDS, MAX_RUN, False) == raised
+    assert same_outcome(aenc, [4, -1], [1, 1], None, 16, MAX_RUN, False) == raised
     # m < 1
     for m in (0, -3):
         assert same_outcome(enc, [1, 2], m, MAX_RUN) == raised
@@ -233,40 +232,40 @@ def test_error_path_parity(kernels):
     assert same_outcome(dec, b"", 0, 5, MAX_RUN) == ("ok", [])
     for raw in (False, True):
         est = ([], None) if not raw else (None, [])
-        assert same_outcome(aenc, [], *est, 16, BOUNDS, MAX_RUN, True)[0] == "ok"
-        assert same_outcome(adec, b"", 0, [], [], 16, BOUNDS, raw, MAX_RUN,
+        assert same_outcome(aenc, [], *est, 16, MAX_RUN, True)[0] == "ok"
+        assert same_outcome(adec, b"", 0, [], [], 16, raw, MAX_RUN,
                             True) == ("ok", ([], []))
 
 
 def test_sequence_type_parity(kernels):
     xs, pred_n, pred_x, ms, est_int, est_raw = adaptive_case(400, 16, 3, 3.0)
-    payload, _, _ = _pure.adaptive_encode(ms, est_int, None, 16, BOUNDS, MAX_RUN, False)
+    payload, _, _ = _pure.adaptive_encode(ms, est_int, None, 16, MAX_RUN, False)
     for convert in (tuple, np.array):
         assert (_pure.golomb_encode(convert(ms), 7, MAX_RUN)
                 == kernels.golomb_encode(convert(ms), 7, MAX_RUN)
                 == _pure.golomb_encode(ms, 7, MAX_RUN))
         for raw in (False, True):
             args = (convert(ms), None if raw else convert(est_int),
-                    convert(est_raw) if raw else None, 16, convert(BOUNDS), MAX_RUN, False)
+                    convert(est_raw) if raw else None, 16, MAX_RUN, False)
             expect = _pure.adaptive_encode(ms, None if raw else est_int,
-                                           est_raw if raw else None, 16, BOUNDS,
+                                           est_raw if raw else None, 16,
                                            MAX_RUN, False)
             assert _pure.adaptive_encode(*args)[:2] == expect[:2]
             assert kernels.adaptive_encode(*args)[:2] == expect[:2]
         args = (payload, len(ms), convert(pred_n), convert(pred_x), 16,
-                convert(BOUNDS), False, MAX_RUN, False)
+                False, MAX_RUN, False)
         assert _pure.adaptive_decode(*args)[0] == kernels.adaptive_decode(*args)[0] == xs
 
 
 def test_truncated_adaptive_payload_parity(kernels):
     xs, pred_n, pred_x, ms, est_int, _ = adaptive_case(300, 16, 21, 20.0)
-    payload, _, _ = _pure.adaptive_encode(ms, est_int, None, 16, BOUNDS, MAX_RUN, False)
+    payload, _, _ = _pure.adaptive_encode(ms, est_int, None, 16, MAX_RUN, False)
     decode = both(kernels, "adaptive_decode")
     for cut in range(len(payload)):
         outcome = same_outcome(decode, payload[:cut], len(ms), pred_n, pred_x, 16,
-                               BOUNDS, False, MAX_RUN, False)
+                               False, MAX_RUN, False)
         assert outcome == ("raised", CorruptStreamError)
-    assert same_outcome(decode, payload, len(ms), pred_n, pred_x, 16, BOUNDS,
+    assert same_outcome(decode, payload, len(ms), pred_n, pred_x, 16,
                         False, MAX_RUN, False) == ("ok", (xs, None))
 
 
@@ -278,7 +277,7 @@ def test_unmap_parity_at_numerator_limit(tau, kernels):
     payload = rng.integers(0, 256, size=4000, dtype=np.uint8).tobytes()
     lim = (1 << 62) - 1
     pred_n = [int(v) for v in rng.choice([lim, -lim, lim - 12345, 1 - lim, 0], 600)]
-    args = (payload, 600, pred_n, None, tau, BOUNDS, False, MAX_RUN, True)
+    args = (payload, 600, pred_n, None, tau, False, MAX_RUN, True)
     assert same_outcome(both(kernels, "adaptive_decode"), *args)[0] == "ok"
 
 
@@ -289,8 +288,7 @@ def test_compiled_range_guards(kernels):
     with pytest.raises(ValueError):
         kernels.golomb_decode(b"\x00", 1, 1, 1 << 62)
     with pytest.raises(ValueError):
-        kernels.adaptive_decode(b"\x00", 1, [1 << 62], None, 1, BOUNDS, False,
-                                MAX_RUN, False)
+        kernels.adaptive_decode(b"\x00", 1, [1 << 62], None, 1, False, MAX_RUN, False)
 
 
 def test_backend_module_exports():
@@ -309,9 +307,30 @@ def test_estimator_constants_shared():
     assert BOUNDS[-1] == float.fromhex("-0x1.6025c8c56db20p-6")
 
 
+@pytest.mark.parametrize("size", [63, 65])
+def test_compiled_import_needs_the_64_entry_table(size, kernels):
+    # the module copies _estcore.LOG_BOUNDARIES once, at import; load the
+    # built package without its __init__ so the table can be cut first
+    script = "\n".join([
+        "import sys, types",
+        "pkg = types.ModuleType('frgc')",
+        f"pkg.__path__ = [{str(Path(kernels.__file__).parent)!r}]",
+        "sys.modules['frgc'] = pkg",
+        "import frgc._estcore as e",
+        f"e.LOG_BOUNDARIES = (e.LOG_BOUNDARIES * 2)[:{size}]",
+        "try:",
+        "    import frgc._kernels",
+        "except ImportError as exc:",
+        "    print('refused:', exc)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"refused: LOG_BOUNDARIES must have 64 entries, got {size}\n"
+
+
 def test_saturation_and_boundary_parity(kernels):
     sat = _estcore.EST_SATURATION
-    args = ([3] * 4, [sat - 1, 1000, 1000, 7], None, 16, BOUNDS, MAX_RUN, True)
+    args = ([3] * 4, [sat - 1, 1000, 1000, 7], None, 16, MAX_RUN, True)
     assert _pure.adaptive_encode(*args) == kernels.adaptive_encode(*args)
     # raw sums s with ln theta = -1/s exactly on the k-th log-boundary: m = k
     hits = 0
@@ -325,12 +344,12 @@ def test_saturation_and_boundary_parity(kernels):
                 near.append(x)
         for s in [x for x in near if -1.0 / x == lb][:1]:
             hits += 1
-            args = ([0, 0], None, [s, 0.0], 1, BOUNDS, MAX_RUN, True)
+            args = ([0, 0], None, [s, 0.0], 1, MAX_RUN, True)
             result = _pure.adaptive_encode(*args)
             assert result == kernels.adaptive_encode(*args)
             assert [m for m, _, _ in result[2]] == [1, k]
             # the same boundary reached from above: -1/(2s) then -2/(2s)
-            args = ([0, 0, 0], None, [2 * s, 0.0, 0.0], 1, BOUNDS, MAX_RUN, True)
+            args = ([0, 0, 0], None, [2 * s, 0.0, 0.0], 1, MAX_RUN, True)
             result = _pure.adaptive_encode(*args)
             assert result == kernels.adaptive_encode(*args)
             assert [m for m, _, _ in result[2]][2] == k

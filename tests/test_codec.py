@@ -20,11 +20,10 @@ from frgc.codec import (
     decode_stream,
     decode_symbol,
     encode_stream,
-    encode_symbol,
     read_header,
 )
 from frgc.predictor import LpcConfig
-from frgc.qmap import SYMBOL_MAX, Precision, QuantizedPrediction, round_prediction
+from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN, Precision, round_prediction
 
 
 def payload_of(data: bytes) -> bytes:
@@ -157,8 +156,7 @@ def test_select_m_agrees_with_exp_rule():
 def test_estimator_saturates():
     sat = _estcore.EST_SATURATION
     _, _, trace = _backend.adaptive_encode(
-        [0, 0, 0], [sat - 1, 1000, 1000], None, 16, _estcore.LOG_BOUNDARIES,
-        1 << 20, True)
+        [0, 0, 0], [sat - 1, 1000, 1000], None, 16, 1 << 20, True)
     assert trace == [(1, 1, sat - 1), (64, 2, sat), (64, 3, sat)]
 
 
@@ -191,30 +189,30 @@ def test_v1_stream_rejected():
 
 # --- symbol coding ----------------------------------------------------------
 
+def write_symbol(x: int, n: int, tau: int, g: GolombParam, sink: BitSink) -> None:
+    value = qmap.map_residual(qmap.residual(x, n, tau), tau)
+    sink.write_unary(value // g.m)
+    sink.write_minimal_binary(value % g.m, g)
+
+
 def test_encode_symbol_example():
-    q = round_prediction(0.70, Precision(1, 4))
+    # 2 against [0.70] = 3/4 maps to 2; m = 2 codes it as unary 1, remainder 0
+    n = round_prediction(0.70, Precision(1, 4))
     sink = BitSink()
-    encode_symbol(2, q, GolombParam(2), sink)
+    write_symbol(2, n, 4, GolombParam(2), sink)
     assert bits_of(sink.finish(), sink.bit_length) == "100"
-    assert decode_symbol(q, GolombParam(2), BitSource(b"\x80")) == 2
-
-
-def test_encode_symbol_zero_bit():
-    q = QuantizedPrediction(0, 1)
-    sink = BitSink()
-    encode_symbol(0, q, GolombParam(1), sink)
-    assert bits_of(sink.finish(), sink.bit_length) == "0"
+    assert decode_symbol(n, 4, GolombParam(2), BitSource(b"\x80")) == 2
 
 
 def test_symbol_roundtrip_sequence():
-    q = round_prediction(-2.3, Precision(1, 8))
+    n = round_prediction(-2.3, Precision(1, 8))
     g = GolombParam(3)
     xs = [0, -1, 5, -2, 3, -7]
     sink = BitSink()
     for x in xs:
-        encode_symbol(x, q, g, sink)
+        write_symbol(x, n, 8, g, sink)
     src = BitSource(sink.finish())
-    assert [decode_symbol(q, g, src) for _ in xs] == xs
+    assert [decode_symbol(n, 8, g, src) for _ in xs] == xs
 
 
 # --- streams: fixed and rice --------------------------------------------------
@@ -269,8 +267,9 @@ def test_payload_length_matches_code_lengths_fixed():
         g = GolombParam(m)
         total = 0
         for x, p in zip(xs, preds):
-            q = round_prediction(p, Precision(rho, tau))
-            total += bitcoder.code_length(qmap.map_residual(qmap.residual(x, q)), g)
+            n = round_prediction(p, Precision(rho, tau))
+            total += bitcoder.code_length(
+                qmap.map_residual(qmap.residual(x, n, tau), tau), g)
         assert len(payload_of(data)) == (total + 7) // 8
 
 
@@ -333,9 +332,9 @@ def test_adaptive_m_choices_follow_public_estimator():
     for (m_used, t_seen, s_seen), x, p in zip(trace, xs, preds):
         expected = 1 if t == 0 else analysis.lookup_m(math.exp(-t * tau / s))
         assert m_used == expected
-        q = round_prediction(p, Precision(1, tau))
+        n = round_prediction(p, Precision(1, tau))
         t += 1
-        s += abs(qmap.residual(x, q).value)
+        s += abs(qmap.residual(x, n, tau))
         assert (t_seen, s_seen) == (t, s)
 
 
@@ -383,8 +382,55 @@ def test_map_vector_exact_at_prediction_limit(rho, tau):
     xs = np.array([-SYMBOL_MAX - 1, SYMBOL_MAX], dtype=np.int64)
     mapped = codec._map_vector(xs, n, tau).tolist()
     for x, ni, got in zip(xs.tolist(), n.tolist(), mapped):
-        q = QuantizedPrediction(ni, tau)
-        assert got == qmap.map_residual(qmap.residual(x, q))
+        assert got == qmap.map_residual(qmap.residual(x, ni, tau), tau)
+
+
+@st.composite
+def twin_case(draw):
+    """(rho, tau, ties, predictions, symbols) for the vector/scalar twins.
+
+    The predictions are grid ties (k + 1/2)*rho/tau of both signs (exact
+    when tau is a power of two), arbitrary floats, and magnitudes whose
+    numerators come within 0.1% of the 2**62 limit.
+    """
+    tau = draw(st.one_of(st.integers(1, 0xFFFF),
+                         st.integers(0, 15).map(lambda b: 1 << b)))
+    rho = draw(st.integers(1, tau))
+    ks = draw(st.lists(st.integers(-(2**30), 2**30), min_size=1, max_size=12))
+    ties = [(k + 0.5) * rho / tau for k in ks]
+    k_max = ((1 << 62) - 1) // rho
+    big = [sign * (int(f * k_max) * rho / tau) for sign, f in draw(st.lists(
+        st.tuples(st.sampled_from((-1, 1)), st.floats(0.5, 0.999)), max_size=6))]
+    plain = draw(st.lists(st.floats(-(2.0**31), 2.0**31, allow_nan=False), max_size=12))
+    preds = ties + big + plain
+    xs = draw(st.lists(st.integers(SYMBOL_MIN, SYMBOL_MAX),
+                       min_size=len(preds), max_size=len(preds)))
+    return rho, tau, ks, preds, xs
+
+
+@given(case=twin_case(), extra=st.lists(st.integers(0, 2**36), max_size=8))
+@settings(max_examples=300)
+def test_vector_twins_match_scalar_elementwise(case, extra):
+    # lpc streams round with _round_predictions on encode and with
+    # qmap.round_prediction on decode; each vector twin must agree with
+    # its scalar reference on every element, not only in round trips
+    rho, tau, ks, preds, xs = case
+    p = Precision(rho, tau)
+    ns = codec._round_predictions(np.array(preds), rho, tau)
+    assert ns.tolist() == [round_prediction(x, p) for x in preds]
+    if tau & (tau - 1) == 0:  # exact ties round toward +inf
+        assert ns[:len(ks)].tolist() == [(k + 1) * rho for k in ks]
+    mapped = codec._map_vector(np.array(xs, dtype=np.int64), ns, tau)
+    assert mapped.tolist() == [qmap.map_residual(qmap.residual(x, n, tau), tau)
+                               for x, n in zip(xs, ns.tolist())]
+    # codeword values beyond the mapped ones, as golomb_decode can return
+    values = mapped.tolist() + extra
+    pred_n = ns.tolist() + ns.tolist()[:len(extra)]
+    values = values[:len(pred_n)]
+    got = codec._unmap_vector(np.array(values, dtype=np.int64),
+                              np.array(pred_n, dtype=np.int64), tau)
+    assert got.tolist() == [qmap.unmap(v, n, tau) for v, n in zip(values, pred_n)]
+    assert got.tolist()[:len(xs)] == xs
 
 
 def test_unary_bomb_raises():

@@ -62,8 +62,9 @@ def test_mapped_values_match_scalar_path():
     for p in (Precision(1, 1), Precision(4, 5), Precision(1, 16)):
         vec = mapped_values(xs, preds, p)
         for i in range(0, 400, 17):
-            q = qmap.round_prediction(float(preds[i]), p)
-            assert vec[i] == qmap.map_residual(qmap.residual(int(xs[i]), q))
+            n = qmap.round_prediction(float(preds[i]), p)
+            r = qmap.residual(int(xs[i]), n, p.tau)
+            assert vec[i] == qmap.map_residual(r, p.tau)
 
 
 def test_mapped_values_reject_asymptotic():

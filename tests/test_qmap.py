@@ -13,9 +13,6 @@ from frgc.qmap import (
     SYMBOL_MAX,
     SYMBOL_MIN,
     Precision,
-    QuantizedPrediction,
-    ceil_twice_prediction,
-    gamma_delta,
     map_by_cases,
     map_residual,
     residual,
@@ -58,21 +55,21 @@ def test_precision_rejects_bad_ratio(rho, tau):
 # --- round_prediction ------------------------------------------------------
 
 def test_round_prediction_examples():
-    assert round_prediction(0.70, Precision(1, 4)).numerator == 3
-    assert round_prediction(2.0, Precision(1, 1)).numerator == 2
+    assert round_prediction(0.70, Precision(1, 4)) == 3
+    assert round_prediction(2.0, Precision(1, 1)) == 2
     # tie 0.625 * 4 = 2.5 rounds up
-    assert round_prediction(0.625, Precision(1, 4)).numerator == 3
+    assert round_prediction(0.625, Precision(1, 4)) == 3
 
 
 def test_round_prediction_negative_tie():
     # -0.375 * 4 = -1.5 rounds toward +inf to -1
-    assert round_prediction(-0.375, Precision(1, 4)).numerator == -1
+    assert round_prediction(-0.375, Precision(1, 4)) == -1
 
 
 def test_round_prediction_rho_grid():
-    q = round_prediction(0.9, Precision(4, 5))
-    assert q.numerator % 4 == 0
-    assert q.numerator == 4  # 5*0.9/4 = 1.125 -> 1 -> times rho
+    n = round_prediction(0.9, Precision(4, 5))
+    assert n % 4 == 0
+    assert n == 4  # 5*0.9/4 = 1.125 -> 1 -> times rho
 
 
 def test_round_prediction_rejects_asymptotic_and_nonfinite():
@@ -93,41 +90,40 @@ def test_round_prediction_fixes_grid_points(k, rho, mult):
     tau = rho * mult
     p = Precision(rho, tau)
     xhat = (k * rho) / tau
-    assert round_prediction(xhat, p).numerator == k * rho
+    assert round_prediction(xhat, p) == k * rho
 
 
 # --- residual --------------------------------------------------------------
 
 def test_residual_examples():
-    q = QuantizedPrediction(3, 4)
-    assert residual(1, q).value == 1
-    assert residual(0, q).value == -3
-    assert residual(5, QuantizedPrediction(5, 1)).value == 0
+    assert residual(1, 3, 4) == 1
+    assert residual(0, 3, 4) == -3
+    assert residual(5, 5, 1) == 0
 
 
 def test_residual_symbol_range():
-    q = QuantizedPrediction(0, 1)
-    assert residual(SYMBOL_MAX, q).value == SYMBOL_MAX
-    assert residual(SYMBOL_MIN, q).value == SYMBOL_MIN
+    assert residual(SYMBOL_MAX, 0, 1) == SYMBOL_MAX
+    assert residual(SYMBOL_MIN, 0, 1) == SYMBOL_MIN
     with pytest.raises(OverflowError):
-        residual(SYMBOL_MAX + 1, q)
+        residual(SYMBOL_MAX + 1, 0, 1)
     with pytest.raises(OverflowError):
-        residual(SYMBOL_MIN - 1, q)
+        residual(SYMBOL_MIN - 1, 0, 1)
 
 
 # --- map_residual and the case-law oracle ----------------------------------
 
 def test_map_residual_examples():
-    assert map_residual(qmap.ResidualNumerator(1, 4)) == 0
-    assert map_residual(qmap.ResidualNumerator(-3, 4)) == 1
-    assert map_residual(qmap.ResidualNumerator(-1, 1)) == 1
-    assert map_residual(qmap.ResidualNumerator(1, 1)) == 2
+    assert map_residual(1, 4) == 0
+    assert map_residual(-3, 4) == 1
+    assert map_residual(-1, 1) == 1
+    assert map_residual(1, 1) == 2
 
 
 def test_gamma_delta_examples():
-    assert gamma_delta(qmap.ResidualNumerator(1, 4)) == (0, 1)
-    assert gamma_delta(qmap.ResidualNumerator(-3, 4)) == (-1, 1)
-    assert gamma_delta(qmap.ResidualNumerator(-7, 4)) == (-2, 1)
+    # the oracle's split (gamma, delta) is divmod(r, tau), 0 <= delta < tau
+    for r, split, code in ((1, (0, 1), 0), (-3, (-1, 1), 1), (-7, (-2, 1), 3)):
+        assert divmod(r, 4) == split
+        assert map_by_cases(*split, 4) == map_residual(r, 4) == code
 
 
 def test_map_by_cases_examples():
@@ -135,7 +131,7 @@ def test_map_by_cases_examples():
     assert map_by_cases(-1, 1, 4) == 1
     assert map_by_cases(0, 2, 4) == 1
     assert map_by_cases(-2, 1, 4) == 3
-    assert map_by_cases(-2, 1, 4) == map_residual(qmap.ResidualNumerator(-7, 4))
+    assert map_by_cases(-2, 1, 4) == map_residual(-7, 4)
 
 
 def test_map_by_cases_rejects_bad_delta():
@@ -148,31 +144,20 @@ def test_map_by_cases_rejects_bad_delta():
 @given(r=st.integers(-(2**40), 2**40), tau=st.integers(1, 2**16))
 @settings(max_examples=300)
 def test_map_matches_case_form(r, tau):
-    e = qmap.ResidualNumerator(r, tau)
-    gamma, delta = gamma_delta(e)
-    assert gamma * tau + delta == r
-    assert 0 <= delta < tau
-    assert map_residual(e) == map_by_cases(gamma, delta, tau)
+    assert map_residual(r, tau) == map_by_cases(*divmod(r, tau), tau)
 
 
-# --- ceil_twice_prediction and unmap ---------------------------------------
-
-def test_ceil_twice_examples():
-    assert ceil_twice_prediction(QuantizedPrediction(3, 4)) == 2
-    assert ceil_twice_prediction(QuantizedPrediction(2, 1)) == 4
-    assert ceil_twice_prediction(QuantizedPrediction(-3, 4)) == -1
-
+# --- unmap -------------------------------------------------------------------
 
 def test_unmap_examples():
-    q = QuantizedPrediction(3, 4)
-    assert unmap(0, q) == 1
-    assert unmap(1, q) == 0
-    assert unmap(2, QuantizedPrediction(2, 1)) == 3
+    assert unmap(0, 3, 4) == 1
+    assert unmap(1, 3, 4) == 0
+    assert unmap(2, 2, 1) == 3
 
 
 def test_unmap_rejects_negative():
     with pytest.raises(ValueError):
-        unmap(-1, QuantizedPrediction(0, 1))
+        unmap(-1, 0, 1)
 
 
 # --- round-trip and structural properties ----------------------------------
@@ -191,10 +176,10 @@ def _precisions():
 @settings(max_examples=500)
 def test_roundtrip_identity(x, rt, k):
     rho, tau = rt
-    q = QuantizedPrediction(k * rho, tau)
-    m_value = map_residual(residual(x, q))
+    n = k * rho
+    m_value = map_residual(residual(x, n, tau), tau)
     assert m_value >= 0
-    assert unmap(m_value, q) == x
+    assert unmap(m_value, n, tau) == x
 
 
 @given(
@@ -206,9 +191,9 @@ def test_roundtrip_identity(x, rt, k):
 def test_roundtrip_through_rounding(x, rt, xhat):
     rho, tau = rt
     p = Precision(rho, tau)
-    q = round_prediction(xhat, p)
-    assert q.tau == tau and q.numerator % rho == 0
-    assert unmap(map_residual(residual(x, q)), q) == x
+    n = round_prediction(xhat, p)
+    assert n % rho == 0
+    assert unmap(map_residual(residual(x, n, tau), tau), n, tau) == x
 
 
 @given(
@@ -221,8 +206,8 @@ def test_roundtrip_through_rounding(x, rt, xhat):
 def test_window_values_distinct(rt, k, x0, width):
     # consecutive symbols never collide under one quantized prediction
     rho, tau = rt
-    q = QuantizedPrediction(k * rho, tau)
-    ms = [map_residual(residual(x, q)) for x in range(x0, x0 + width)]
+    ms = [map_residual(residual(x, k * rho, tau), tau)
+          for x in range(x0, x0 + width)]
     assert len(set(ms)) == width
 
 
@@ -232,11 +217,10 @@ def test_centered_window_fills_low_ranks(rt, k, half):
     # the 2*half symbols nearest the prediction take ranks 0..2*half-1
     rho, tau = rt
     n = k * rho
-    q = QuantizedPrediction(n, tau)
     center = n // tau
     xs = range(center - half - 1, center + half + 2)
     ranked = sorted(xs, key=lambda x: (abs(2 * (tau * x - n)), tau * x - n >= 0))
-    ms = [map_residual(residual(x, q)) for x in ranked]
+    ms = [map_residual(residual(x, n, tau), tau) for x in ranked]
     assert ms[: 2 * half] == list(range(2 * half))
 
 
@@ -247,19 +231,16 @@ def test_parity_selects_branch():
         tau = int(rng.integers(1, 65))
         n = int(rng.integers(-(2**20), 2**20))
         x = int(rng.integers(-(2**20), 2**20))
-        q = QuantizedPrediction(n, tau)
-        e = residual(x, q)
-        m_value = map_residual(e)
-        c = ceil_twice_prediction(q)
-        assert ((m_value + c) % 2 == 0) == (e.value >= 0)
+        r = residual(x, n, tau)
+        c = qmap.ceildiv(2 * n, tau)
+        assert ((map_residual(r, tau) + c) % 2 == 0) == (r >= 0)
 
 
 def test_unit_precision_reduces_to_rice_fold():
     # rho = tau = 1 with integer predictions: even codes for x >= xhat
     xs = np.arange(-(10**6), 10**6 + 1, dtype=np.int64)
     expected = np.where(xs >= 0, 2 * xs, -2 * xs - 1)
-    q = QuantizedPrediction(0, 1)
-    got = np.array([map_residual(residual(int(x), q)) for x in xs[:: 10**4]])
+    got = np.array([map_residual(residual(int(x), 0, 1), 1) for x in xs[:: 10**4]])
     assert np.array_equal(got, expected[:: 10**4])
     # dense check through the vectorized twin
     from frgc import harness
@@ -271,14 +252,14 @@ def test_unit_precision_reduces_to_rice_fold():
 @given(x=st.integers(-(2**20), 2**20), shift=st.integers(-(2**20), 2**20))
 @settings(max_examples=200)
 def test_rice_fold_with_integer_prediction(x, shift):
-    q = QuantizedPrediction(shift, 1)
     d = x - shift
-    assert map_residual(residual(x, q)) == (2 * d if d >= 0 else -2 * d - 1)
+    assert map_residual(residual(x, shift, 1), 1) == (2 * d if d >= 0 else -2 * d - 1)
 
 
 # --- helper division -------------------------------------------------------
 
 @given(a=st.integers(-(2**50), 2**50), b=st.integers(1, 2**20))
 def test_floor_ceil_div(a, b):
-    assert qmap.floordiv(a, b) == a // b
-    assert qmap.ceildiv(a, b) == -((-a) // b)
+    q = qmap.ceildiv(a, b)
+    assert q == -((-a) // b)
+    assert (q - 1) * b < a <= q * b
