@@ -33,7 +33,7 @@ from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN, Precision
 
 MAGIC = b"FRGC"
-VERSION = 2
+VERSION = 3
 
 MODE_FIXED = "fixed"
 MODE_ADAPTIVE = "adaptive"
@@ -154,43 +154,45 @@ def decode_symbol(n: int, tau: int, g: GolombParam, src: BitSource) -> int:
     return qmap.unmap(value, n, tau)
 
 
+def _symbol_range(alphabet_q: int) -> tuple[int, int]:
+    """Inclusive bounds of the symbols a stream with this alphabet holds."""
+    if alphabet_q:
+        return 0, min(alphabet_q - 1, SYMBOL_MAX)
+    return SYMBOL_MIN, SYMBOL_MAX
+
+
 def _check_symbols(xs: np.ndarray, alphabet_q: int) -> None:
     if xs.size == 0:
         return
-    lo = int(xs.min())
-    hi = int(xs.max())
-    if lo < SYMBOL_MIN or hi > SYMBOL_MAX:
-        raise ValueError(
-            f"symbols outside [{SYMBOL_MIN}, {SYMBOL_MAX}]: saw [{lo}, {hi}]")
-    if alphabet_q and (lo < 0 or hi >= alphabet_q):
-        raise ValueError(
-            f"symbols outside declared alphabet [0, {alphabet_q}): saw [{lo}, {hi}]")
+    lo, hi = _symbol_range(alphabet_q)
+    smallest, largest = int(xs.min()), int(xs.max())
+    if smallest < lo or largest > hi:
+        raise ValueError(f"symbols outside [{lo}, {hi}]: saw [{smallest}, {largest}]")
 
 
-def _lpc_prediction(history, t: int, cfg: LpcConfig, coeffs):
-    """(prediction of symbol t from history[:t], coefficients to carry on).
+def _out_of_range(t: int, x: int, lo: int, hi: int) -> CorruptStreamError:
+    return CorruptStreamError(f"symbol {t} decodes to {x}, outside [{lo}, {hi}]")
 
-    The one LPC schedule of encoder and decoder: position 0 predicts 0.0
-    and positions before the first full window repeat the previous
-    sample; from warmup on, coefficients are refit every refit_interval
-    symbols (a singular window keeps the previous ones).
+
+def _check_decoded(symbols, smallest: int, largest: int, alphabet_q: int) -> None:
+    """Refuse a decode holding a symbol encode_stream would have refused.
+
+    smallest and largest are the extremes of ``symbols``, so one min/max
+    pass covers a valid stream; the error names the first bad symbol.
     """
-    if t == 0:
-        return 0.0, coeffs
-    if t < cfg.warmup:
-        return float(history[t - 1]), coeffs
-    if (t - cfg.warmup) % cfg.refit_interval == 0:
-        coeffs = predictor.fit(history, cfg, t, previous=coeffs)
-    return predictor.predict_at(history, coeffs, t), coeffs
+    lo, hi = _symbol_range(alphabet_q)
+    if smallest < lo or largest > hi:
+        t, x = next((t, int(x)) for t, x in enumerate(symbols) if not lo <= x <= hi)
+        raise _out_of_range(t, x, lo, hi)
 
 
 def _lpc_predictions(xs: list, cfg: LpcConfig) -> list[float]:
     """Per-symbol predictions from history only, as the decoder re-derives."""
+    state = predictor.LpcState(cfg)
     preds = []
-    coeffs = None
-    for t in range(len(xs)):
-        xhat, coeffs = _lpc_prediction(xs, t, cfg, coeffs)
-        preds.append(xhat)
+    for x in xs:
+        preds.append(state.predict())
+        state.push(x)
     return preds
 
 
@@ -295,16 +297,17 @@ def _decode_lpc(payload: bytes, header: StreamHeader, collect_trace: bool):
     tau = header.tau
     adaptive = header.mode == MODE_ADAPTIVE
     raw = header.raw_error_estimator
+    lo, hi = _symbol_range(header.alphabet_q)
     src = BitSource(payload, DEFAULT_MAX_RUN)
     params: dict[int, GolombParam] = {}
     out: list[int] = []
-    coeffs = None
+    state = predictor.LpcState(cfg)
     t_est = 0
     s_int = 0
     s_raw = 0.0
     trace = [] if (collect_trace and adaptive) else None
     for t in range(header.count):
-        xhat, coeffs = _lpc_prediction(out, t, cfg, coeffs)
+        xhat = state.predict()
         n = qmap.round_prediction(xhat, prec)
         if not adaptive:
             m = header.m
@@ -316,6 +319,9 @@ def _decode_lpc(payload: bytes, header: StreamHeader, collect_trace: bool):
         if g is None:
             g = params[m] = GolombParam(m)
         x = decode_symbol(n, tau, g, src)
+        if not lo <= x <= hi:
+            raise _out_of_range(t, x, lo, hi)
+        state.push(x)
         out.append(x)
         if adaptive:
             t_est += 1
@@ -361,10 +367,15 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
         out, trace = _backend.adaptive_decode(
             payload, n, numerators.tolist(), pred_x, header.tau,
             header.raw_error_estimator, DEFAULT_MAX_RUN, collect_trace)
+        if out:
+            _check_decoded(out, min(out), max(out), header.alphabet_q)
     else:
         values = _backend.golomb_decode(payload, n, header.m, DEFAULT_MAX_RUN)
         symbols = _unmap_vector(np.asarray(values, dtype=np.int64),
                                 numerators, header.tau)
+        if symbols.size:
+            _check_decoded(symbols, int(symbols.min()), int(symbols.max()),
+                           header.alphabet_q)
         out = symbols.tolist()
 
     if collect_trace:

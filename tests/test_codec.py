@@ -181,7 +181,7 @@ def test_estimator_accumulates_abs_numerators(rs, tau):
 def test_v1_stream_rejected():
     h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16)
     data = bytearray(encode_stream([3, 1, 4], h, predictions=[0.0] * 3))
-    assert data[4] == codec.VERSION == 2
+    assert data[4] == codec.VERSION == 3
     data[4] = 1
     with pytest.raises(HeaderError, match="version"):
         decode_stream(bytes(data), predictions=[0.0] * 3)

@@ -1,0 +1,151 @@
+"""LPC streams: frozen bytes, version, and corrupt-stream behaviour."""
+
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from frgc import codec
+from frgc.bitcoder import BitSink, CorruptStreamError, GolombParam
+from frgc.codec import (
+    HEADER_SIZE,
+    MODE_ADAPTIVE,
+    MODE_FIXED,
+    HeaderError,
+    StreamHeader,
+    decode_stream,
+    encode_stream,
+)
+from frgc.predictor import LpcConfig
+from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
+
+# SHA-256 of each golden stream with its version byte set to 0, recorded
+# from the version 2 encoder, which summed the normal equations in floats.
+# Every product and sum of these 16-bit signals is exact in a double, so
+# the exact integer sums must give the same bytes.
+GOLDEN = Path(__file__).with_name("data") / "lpc_golden_sha256.json"
+
+# The LpcConfig (order, window, refit interval) of each benchmark LPC frame.
+CONFIGS = ((2, 16, 16), (4, 64, 32), (8, 256, 256), (2, 32, 1))
+MODES = {
+    "adaptive-int": dict(mode=MODE_ADAPTIVE),
+    "adaptive-raw": dict(mode=MODE_ADAPTIVE, raw_error_estimator=True),
+    "fixed": dict(mode=MODE_FIXED, m=64),
+}
+GOLDEN_LENGTH = 700
+
+
+def ar2_signal(seed: int, n: int, scale: float = 50.0) -> list[int]:
+    """Integer AR(2) signal (1.6, -0.7) with Laplace innovations, 16-bit."""
+    e = np.random.default_rng(seed).laplace(0.0, scale, n)
+    y = []
+    prev1 = prev2 = 0.0
+    for t in range(n):
+        cur = 1.6 * prev1 - 0.7 * prev2 + e[t]
+        y.append(cur)
+        prev2, prev1 = prev1, cur
+    return np.clip(np.rint(y), -(1 << 15), (1 << 15) - 1).astype(np.int64).tolist()
+
+
+def golden_streams():
+    """{name: (symbols, header)} of the frozen pool."""
+    pool = {}
+    for k, cfg in enumerate(CONFIGS):
+        xs = ar2_signal(100 + k, GOLDEN_LENGTH)
+        for mode, kwargs in MODES.items():
+            header = StreamHeader(rho=1, tau=8, lpc=LpcConfig(*cfg), **kwargs)
+            pool[f"{mode} {cfg}"] = (xs, header)
+    return pool
+
+
+def normalised_digest(data: bytes) -> str:
+    data = bytearray(data)
+    data[4] = 0
+    return hashlib.sha256(bytes(data)).hexdigest()
+
+
+def test_lpc_streams_match_golden_bytes():
+    want = json.loads(GOLDEN.read_text())
+    pool = golden_streams()
+    assert sorted(want) == sorted(pool)
+    for name, (xs, header) in pool.items():
+        data = encode_stream(xs, header)
+        assert normalised_digest(data) == want[name], name
+        assert decode_stream(data) == xs, name
+
+
+def test_v2_lpc_stream_rejected():
+    xs, header = golden_streams()["adaptive-int (2, 32, 1)"]
+    data = bytearray(encode_stream(xs, header))
+    assert data[4] == codec.VERSION == 3
+    data[4] = 2
+    with pytest.raises(HeaderError, match="version"):
+        decode_stream(bytes(data))
+
+
+def flipped(data: bytes, rng: np.random.Generator) -> bytes:
+    """data with 1-4 random payload bits inverted."""
+    out = bytearray(data)
+    nbits = 8 * (len(data) - HEADER_SIZE)
+    for pos in rng.choice(nbits, size=int(rng.integers(1, 5)), replace=False):
+        out[HEADER_SIZE + pos // 8] ^= 0x80 >> (pos % 8)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("header", [
+    StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=8, lpc=LpcConfig(2, 16, 16)),
+    StreamHeader(mode=MODE_FIXED, rho=1, tau=8, m=16, lpc=LpcConfig(2, 8, 1)),
+], ids=["adaptive", "fixed"])
+def test_bit_flipped_lpc_streams_fail_cleanly_or_stay_in_range(header):
+    # A corrupt stream may decode to other symbols, but only to symbols
+    # encode_stream could have written, and exactly count of them.
+    rng = np.random.default_rng(5)
+    xs = ar2_signal(6, 400)
+    data = encode_stream(xs, header)
+    in_range = 0
+    for _ in range(150):
+        try:
+            out = decode_stream(flipped(data, rng))
+        except (HeaderError, CorruptStreamError):
+            continue
+        assert len(out) == len(xs)
+        assert all(SYMBOL_MIN <= x <= SYMBOL_MAX for x in out)
+        in_range += 1
+    assert in_range > 0  # some flips leave a decodable stream
+
+
+def crafted(header: StreamHeader, values: list[int], m: int) -> bytes:
+    """A stream of header holding the given mapped values coded at m."""
+    sink = BitSink()
+    g = GolombParam(m)
+    for v in values:
+        sink.write_unary(v // m)
+        sink.write_minimal_binary(v % m, g)
+    return replace(header, count=len(values)).pack() + sink.finish()
+
+
+@pytest.mark.parametrize("lpc", [None, LpcConfig(1, 1, 1)], ids=["external", "lpc"])
+def test_decode_names_the_first_symbol_outside_32_bits(lpc):
+    # 2**34 folds to a symbol near 2**33, which encode_stream refuses
+    header = StreamHeader(mode=MODE_FIXED, rho=1, tau=1, m=65535, lpc=lpc)
+    data = crafted(header, [0, 3, 1 << 34, 0, 1 << 34], 65535)
+    predictions = None if lpc else [0.0] * 5
+    with pytest.raises(CorruptStreamError, match="symbol 2 "):
+        decode_stream(data, predictions=predictions)
+
+
+@pytest.mark.parametrize("lpc", [None, LpcConfig(1, 1, 1)], ids=["external", "lpc"])
+@pytest.mark.parametrize("mode", [MODE_FIXED, MODE_ADAPTIVE])
+def test_decode_names_the_first_symbol_outside_the_alphabet(mode, lpc):
+    m = 1 if mode == MODE_FIXED else 0
+    header = StreamHeader(mode=mode, rho=1, tau=1, m=m, alphabet_q=4, lpc=lpc)
+    # Adaptive mode codes both symbols at m = 1 too (cold start, then
+    # theta = e**-1).  The second symbol decodes to 5 (external) or 6 (lpc,
+    # predicted from the first symbol, 1).
+    data = crafted(header, [2, 10], 1)
+    predictions = None if lpc else [0.0] * 2
+    with pytest.raises(CorruptStreamError, match="symbol 1 "):
+        decode_stream(data, predictions=predictions)

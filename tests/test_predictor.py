@@ -1,11 +1,14 @@
-"""Windowed least-squares predictor coefficients."""
+"""Windowed least-squares predictor: sliding exact sums against oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frgc import predictor
 from frgc.predictor import (
     LpcConfig,
-    fit,
+    LpcState,
     identity_coefficients,
     predict,
     predict_at,
@@ -18,6 +21,128 @@ def sse(history, coeffs, cfg, t):
         err = history[t - i] - predict_at(history, coeffs, t - i)
         total += err * err
     return total
+
+
+def fit_history(history, cfg, previous=None):
+    """Coefficients LpcState fits after pushing all of history."""
+    state = LpcState(cfg)
+    for x in history:
+        state.push(x)
+    state.coeffs = previous
+    return state.refit()
+
+
+# --- oracles: the normal equations summed from scratch at every refit -------
+
+def float_fit(history, cfg, t, previous):
+    """O(window * order**2) float sums over the history, as frgc once did."""
+    order = cfg.order
+    a = [[0.0] * order for _ in range(order)]
+    b = [0.0] * order
+    for i in range(1, cfg.window + 1):
+        target = float(history[t - i])
+        base = t - i - 1
+        for j in range(order):
+            xj = float(history[base - j])
+            b[j] += target * xj
+            for l in range(j, order):
+                a[j][l] += xj * float(history[base - l])
+    for j in range(order):
+        for l in range(j):
+            a[j][l] = a[l][j]
+    return solved(a, b, previous, order)
+
+
+def exact_fit(history, cfg, t, previous):
+    """The same normal equations summed in Python integers."""
+    order = cfg.order
+    b = [0] * order
+    a = [[0] * order for _ in range(order)]
+    for i in range(1, cfg.window + 1):
+        base = t - i - 1
+        for j in range(order):
+            b[j] += history[t - i] * history[base - j]
+            for l in range(order):
+                a[j][l] += history[base - j] * history[base - l]
+    return solved([[float(v) for v in row] for row in a],
+                  [float(v) for v in b], previous, order)
+
+
+def solved(a, b, previous, order):
+    coeffs = predictor._solve(a, b)
+    if coeffs is None:
+        return list(previous) if previous is not None else identity_coefficients(order)
+    return coeffs
+
+
+def oracle_run(xs, cfg, fit_fn):
+    """(predictions, coefficients after each refit) by the LPC schedule."""
+    preds, fits, coeffs = [], [], None
+    for t in range(len(xs)):
+        if t == 0:
+            preds.append(0.0)
+            continue
+        if t < cfg.warmup:
+            preds.append(float(xs[t - 1]))
+            continue
+        if (t - cfg.warmup) % cfg.refit_interval == 0:
+            coeffs = fit_fn(xs, cfg, t, coeffs)
+            fits.append((t, coeffs))
+        s = 0.0
+        for j, c in enumerate(coeffs):
+            s += c * xs[t - 1 - j]
+        preds.append(s)
+    return preds, fits
+
+
+def state_run(xs, cfg):
+    preds, fits, state = [], [], LpcState(cfg)
+    for t, x in enumerate(xs):
+        before = state.coeffs
+        preds.append(state.predict())
+        if state.coeffs is not before:
+            fits.append((t, state.coeffs))
+        state.push(x)
+    return preds, fits
+
+
+@pytest.mark.parametrize("cfg", [
+    LpcConfig(2, 32, 1),     # refit every symbol
+    LpcConfig(1, 1, 1),      # one-sample window
+    LpcConfig(3, 1, 2),
+    LpcConfig(8, 3, 5),      # window shorter than the order: singular
+    LpcConfig(8, 256, 64),
+    LpcConfig(16, 40, 7),
+    LpcConfig(255, 4, 60),   # deep history behind a short window
+], ids=str)
+def test_sliding_sums_bit_equal_to_float_oracle_on_16_bit_input(cfg):
+    # Products and window sums of 16-bit samples are exact in a double, so
+    # the float oracle sums exactly too and everything must match bit for bit.
+    rng = np.random.default_rng(cfg.order * 1000 + cfg.window)
+    n = cfg.warmup + 3 * cfg.refit_interval + 5
+    walk = np.cumsum(rng.integers(-900, 901, size=n))
+    xs = np.clip(walk, -(1 << 15), 1 << 15).tolist()
+    want_preds, want_fits = oracle_run(xs, cfg, float_fit)
+    got_preds, got_fits = state_run(xs, cfg)
+    assert [t for t, _ in got_fits] == [t for t, _ in want_fits]
+    assert got_fits == want_fits
+    assert got_preds == want_preds
+
+
+@given(order=st.integers(1, 6), window=st.integers(1, 24),
+       refit=st.integers(1, 7), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sliding_sums_match_exact_oracle_on_32_bit_input(order, window, refit, data):
+    # Window sums of 32-bit products reach far past 2**53, where float sums
+    # depend on their order; the integer sums must still equal a from-scratch
+    # integer sum at every refit.
+    cfg = LpcConfig(order, window, refit)
+    xs = data.draw(st.lists(st.integers(-(1 << 31), (1 << 31) - 1),
+                            min_size=cfg.warmup, max_size=cfg.warmup + 40))
+    want_preds, want_fits = oracle_run(xs, cfg, exact_fit)
+    got_preds, got_fits = state_run(xs, cfg)
+    assert got_fits == want_fits
+    assert got_preds == want_preds
 
 
 # --- config -----------------------------------------------------------------
@@ -56,12 +181,24 @@ def test_predict_at_indexes_history():
         predict_at(history, [1.0, 0.0], 1)
 
 
+def test_state_warms_up_on_the_previous_sample():
+    state = LpcState(LpcConfig(2, 3, 4))
+    assert state.predict() == 0.0
+    for x in (7, -2, 5, 9):
+        state.push(x)
+        assert state.predict() == float(x)
+        assert state.coeffs is None
+    state.push(4)  # fifth sample: the first full window
+    state.predict()
+    assert state.coeffs is not None
+
+
 # --- fitting ----------------------------------------------------------------
 
 def test_constant_history_fits_identity_like():
     cfg = LpcConfig(1, 8, 8)
     history = [5] * 16
-    coeffs = fit(history, cfg, len(history))
+    coeffs = fit_history(history, cfg)
     assert coeffs == pytest.approx([1.0], abs=1e-9)
 
 
@@ -69,7 +206,7 @@ def test_ramp_fits_second_order_recurrence():
     # x_t = 2 x_{t-1} - x_{t-2} holds exactly on a ramp
     cfg = LpcConfig(2, 16, 16)
     history = list(range(1, 40))
-    coeffs = fit(history, cfg, len(history))
+    coeffs = fit_history(history, cfg)
     assert coeffs == pytest.approx([2.0, -1.0], abs=1e-8)
     assert predict(history, coeffs) == pytest.approx(history[-1] + 1, abs=1e-6)
 
@@ -77,16 +214,15 @@ def test_ramp_fits_second_order_recurrence():
 def test_all_zero_window_is_singular():
     cfg = LpcConfig(2, 8, 8)
     history = [0] * 16
-    assert fit(history, cfg, len(history)) == identity_coefficients(2)
-    assert fit(history, cfg, len(history), previous=[0.25, 0.5]) == [0.25, 0.5]
+    assert fit_history(history, cfg) == identity_coefficients(2)
+    assert fit_history(history, cfg, previous=[0.25, 0.5]) == [0.25, 0.5]
 
 
 def test_fit_requires_enough_history():
     cfg = LpcConfig(2, 8, 8)
     with pytest.raises(ValueError):
-        fit([1] * 9, cfg, 9)
-    with pytest.raises(ValueError):
-        fit([1] * 12, cfg, 13)
+        fit_history([1] * 9, cfg)
+    assert fit_history([1] * 10, cfg) == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 def test_exact_recurrence_recovered():
@@ -95,7 +231,7 @@ def test_exact_recurrence_recovered():
     for _ in range(40):
         xs.append(xs[-1] - xs[-2])
     cfg = LpcConfig(2, 18, 18)
-    coeffs = fit(xs, cfg, len(xs))
+    coeffs = fit_history(xs, cfg)
     assert coeffs == pytest.approx([1.0, -1.0], abs=1e-9)
     assert predict(xs, coeffs) == pytest.approx(xs[-1] - xs[-2], abs=1e-9)
 
@@ -105,7 +241,7 @@ def test_fit_is_local_minimum():
     history = [int(v) for v in rng.integers(-50, 50, size=40)]
     cfg = LpcConfig(3, 20, 20)
     t = len(history)
-    coeffs = fit(history, cfg, t)
+    coeffs = fit_history(history[:t], cfg)
     base = sse(history, coeffs, cfg, t)
     for j in range(cfg.order):
         for d in (-1e-3, 1e-3):
@@ -118,8 +254,8 @@ def test_fit_deterministic():
     rng = np.random.default_rng(23)
     history = [int(v) for v in rng.integers(0, 1000, size=64)]
     cfg = LpcConfig(4, 32, 8)
-    a = fit(history, cfg, len(history))
-    b = fit(history, cfg, len(history))
+    a = fit_history(history, cfg)
+    b = fit_history(history, cfg)
     assert a == b
 
 
@@ -128,6 +264,8 @@ def test_fit_uses_only_window():
     rng = np.random.default_rng(31)
     tail = [int(v) for v in rng.integers(-100, 100, size=24)]
     cfg = LpcConfig(2, 16, 16)
-    a = fit([999999, -999999] + tail, cfg, 26)
-    b = fit([0, 0] + tail, cfg, 26)
-    assert a == pytest.approx(b, abs=1e-12)
+    # the sliding sums must drop them exactly, not merely approximately
+    a = fit_history([999999, -999999] + tail, cfg)
+    b = fit_history([0, 0] + tail, cfg)
+    assert a == b
+    assert a == float_fit([0, 0] + tail, cfg, 26, None)

@@ -42,14 +42,18 @@ def test_asymptotic_sentinel():
     assert not Precision(1, 1).is_asymptotic
 
 
-@pytest.mark.parametrize("rho,tau", [(0, 4), (-1, 4), (5, 4), (1, 0), (2, 3)])
+@pytest.mark.parametrize("rho,tau", [(0, 4), (-1, 4), (5, 4), (1, 0), (1, -3)])
 def test_precision_rejects_bad_ratio(rho, tau):
-    # rho must divide into a unit grid: 1 <= rho <= tau and tau % rho == 0
-    # is not required, but rho <= tau and positivity are.
-    if tau >= rho >= 1:
-        pytest.skip("valid")
+    # 1 <= rho <= tau, or the asymptotic Precision(0, 1)
     with pytest.raises(ValueError):
         Precision(rho, tau)
+
+
+def test_precision_accepts_a_ratio_tau_does_not_divide():
+    # tau % rho == 0 is not required
+    p = Precision(2, 3)
+    assert (p.rho, p.tau) == (2, 3)
+    assert p.half_shift == pytest.approx(1 / 3)
 
 
 # --- round_prediction ------------------------------------------------------
