@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+import numpy as np
+
 # The stream accumulator saturates here so 64-bit kernels can hold it.
 # Decision-neutral while t*tau < 2**56: any S >= 2**62 then puts -t*tau/S
 # above the last log-boundary, so m = 64 either way.
@@ -60,3 +62,21 @@ def select_m(t: int, s, tau: int = 1) -> int:
         return 1
     i = bisect_left(LOG_BOUNDARIES, -float(t * tau) / float(s))
     return i + 1 if i < MAX_ADAPTIVE_M else MAX_ADAPTIVE_M
+
+
+_LOG_BOUNDARY_ARRAY = np.array(LOG_BOUNDARIES)
+
+
+def select_m_array(t: np.ndarray, s: np.ndarray, tau: int = 1) -> np.ndarray:
+    """select_m for many symbols at once: t, s are arrays of the same shape.
+
+    s holds integer numerator sums (at most EST_SATURATION) or raw float
+    sums with tau=1.  The int64 -> float64 casts and the division are the
+    correctly rounded IEEE operations select_m does, and searchsorted on
+    the left is bisect_left, so each entry equals select_m's choice.
+    """
+    positive = s > 0
+    log_theta = (-(np.asarray(t, dtype=np.int64) * tau).astype(np.float64)
+                 / np.where(positive, s, 1).astype(np.float64))
+    m = np.searchsorted(_LOG_BOUNDARY_ARRAY, log_theta) + 1
+    return np.where(positive, np.minimum(m, MAX_ADAPTIVE_M), 1)

@@ -356,13 +356,13 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
     Py_ssize_t count, i;
     PyObject *pred_n, *pred_x, *preds = NULL, *raw_preds = NULL;
     PyObject *out = NULL, *trace = NULL, *result = NULL, *item;
-    long long tau, max_run, m, v, n, x, d;
+    long long tau, lo, hi, max_run, m, v, n, x, d;
     double px = 0.0;
     int raw, collect;
     Code code = {0, 0, 0};
     Est e = {0};
-    if (!PyArg_ParseTuple(args, "y*nOOLpLp", &payload, &count, &pred_n, &pred_x,
-                          &tau, &raw, &max_run, &collect))
+    if (!PyArg_ParseTuple(args, "y*nOOLpLLLp", &payload, &count, &pred_n, &pred_x,
+                          &tau, &raw, &lo, &hi, &max_run, &collect))
         return NULL;
     Reader r = {payload.buf, 0, 8 * payload.len};
     if (est_init(&e, tau, raw) < 0
@@ -385,6 +385,11 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
             goto done;
         }
         x = unfold(v, n, tau);
+        if (x < lo || x > hi) {
+            PyErr_Format(CorruptStreamError, "symbol %zd decodes to %lld, outside [%lld, %lld]",
+                         i, x, lo, hi);
+            goto done;
+        }
         if ((item = PyLong_FromLongLong(x)) == NULL)
             goto done;
         PyList_SET_ITEM(out, i, item);

@@ -1,4 +1,4 @@
-"""Pure-Python stream loops: the reference and the fallback backend.
+"""Stream loops in Python and numpy: the reference and the fallback backend.
 
 frgc._kernels, compiled from the hand-written _kernels.c, has the same
 contract and bit-exact output; frgc._backend uses it when it imports and
@@ -11,7 +11,7 @@ Contract (shared by both backends):
     adaptive_encode(ms, est_int, est_raw, tau, max_run, collect_trace)
         -> (payload, nbits, trace | None)
     adaptive_decode(payload, count, pred_n, pred_x, tau, raw_estimator,
-                    max_run, collect_trace) -> (symbols, trace | None)
+                    lo, hi, max_run, collect_trace) -> (symbols, trace | None)
 
 ``ms`` are the already-mapped residuals (non-negative); ``est_int``/
 ``est_raw`` the per-symbol estimator increments (|residual numerator| /
@@ -21,81 +21,268 @@ numerators, below 2**62 in magnitude.  The adaptive m is
 compiled module copies once, when it is imported.  A quotient above
 ``max_run`` raises ValueError on encode and CorruptStreamError on
 decode, so the encoder writes no codeword the decoder would refuse.
-Sequences may be lists, tuples or numpy arrays.  Trace entries are
-(m_t, t_after, s_after).
+adaptive_decode raises CorruptStreamError for the first symbol outside
+[lo, hi].  Sequences may be lists, tuples or numpy arrays.  Trace
+entries are (m_t, t_after, s_after).
 
-The compiled loops also raise ValueError for m > 2**32 and, on decode,
-for a max_run with (max_run + 1) * m > 2**62 (in adaptive mode
-(max_run + 1) * 64 * tau > 2**62), which keeps their 64-bit arithmetic
-exact; the codec's header limits and DEFAULT_MAX_RUN stay far inside
-both.
+Both backends raise ValueError for m > 2**32.  The compiled loops also
+raise ValueError, on decode, for a max_run with (max_run + 1) * m > 2**62
+(in adaptive mode (max_run + 1) * 64 * tau > 2**62), which keeps their
+64-bit arithmetic exact; the codec's header limits and DEFAULT_MAX_RUN
+stay far inside both.
+
+Here golomb_encode, golomb_decode and adaptive_encode work on whole
+arrays: every codeword of a fixed-m stream depends on its own symbol
+only, and the encoder knows every adaptive m in advance (the running
+sums give them all at once, _estcore.select_m_array).  The encoders take
+BLOCK_SYMBOLS symbols at a time and pack at most BLOCK_BITS bits at a
+time; the decoder reads WINDOW_BITS payload bits at a time, growing a
+window only to fit one codeword of at most max_run + ceil(lg m) + 1
+bits.  So, besides its input and output, a call holds a bounded amount
+of memory, whatever the stream's length.  adaptive_decode stays a loop
+over symbols, because each m depends on the symbols decoded before it.
 """
 
 from __future__ import annotations
 
-from frgc._estcore import EST_SATURATION as _SAT, select_m
-from frgc.bitcoder import BitSink, BitSource, GolombParam
+import numpy as np
+
+from frgc._estcore import EST_SATURATION as _SAT, select_m, select_m_array
+from frgc.bitcoder import (
+    BitSource,
+    CorruptStreamError,
+    GolombParam,
+    codeword_fields,
+    symbol_out_of_range,
+)
 
 BACKEND_NAME = "pure"
+
+BLOCK_SYMBOLS = 1 << 11  # symbols converted and split at a time
+BLOCK_BITS = 1 << 16     # payload bits packed at a time (or one longer codeword)
+WINDOW_BITS = 1 << 15    # payload bits parsed at a time (or one longer codeword)
+
+_M_LIMIT = 1 << 32  # so a quotient times m stays within int64
+
+
+def _param(m) -> GolombParam:
+    g = GolombParam(m)
+    if m > _M_LIMIT:
+        raise ValueError(f"golomb parameter must be in [1, 2**32], got {m}")
+    return g
 
 
 def _quotient_too_long(j, max_run):
     return ValueError(f"quotient {j} exceeds the {max_run}-bit unary limit")
 
 
+def _run_too_long(max_run):
+    return CorruptStreamError(f"unary run exceeds {max_run} bits")
+
+
+def _end_of_stream():
+    return CorruptStreamError("unexpected end of stream")
+
+
+class _Packer:
+    """Writes whole arrays of codewords, MSB first, as bitcoder.BitSink does."""
+
+    def __init__(self) -> None:
+        self._chunks: list[bytes] = []
+        self._carry = np.zeros(0, np.uint8)  # the last < 8 bits, not yet packed
+        self.bit_length = 0
+
+    def write(self, values: np.ndarray, m, max_run: int) -> None:
+        """Append the codewords of values under m (one, or one per value)."""
+        q, field, width = codeword_fields(values, m)
+        bad = (values < 0) | (q > max_run)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if values[i] < 0:
+                raise ValueError(f"mapped residual must be non-negative, got {values[i]}")
+            raise _quotient_too_long(int(q[i]), max_run)
+        ends = np.cumsum(q + 1 + width)
+        lo = 0
+        while lo < ends.size:
+            base = int(ends[lo - 1]) if lo else 0
+            hi = max(int(np.searchsorted(ends, base + BLOCK_BITS, "right")), lo + 1)
+            self._pack(q[lo:hi], field[lo:hi], width[lo:hi], ends[lo:hi] - base)
+            lo = hi
+
+    def _pack(self, q, field, width, ends) -> None:
+        """Pack codewords ending at bit offsets ends after the carried bits."""
+        carry = self._carry
+        size = carry.size + int(ends[-1])
+        stop = ends - width  # the zero closing each unary run
+        stop += carry.size - 1
+        # the unary runs: +1 where a run starts, -1 at its closing zero
+        steps = np.zeros(size, np.int8)
+        runs = np.flatnonzero(q)
+        steps[stop[runs] - q[runs]] = 1
+        steps[stop[runs]] = -1
+        bits = np.cumsum(steps, dtype=np.int8).view(np.uint8)
+        del steps, runs  # a block's arrays are most of a call's working memory
+        # the remainder fields, one bit plane at a time (plane 0 is last);
+        # a field is below 2**width, so its planes from width up are zero
+        last = stop + width
+        for plane in range(int(width.max())):
+            bits[last[((field >> plane) & 1).astype(bool)] - plane] = 1
+        bits[:carry.size] = carry
+        whole = size & ~7
+        self._chunks.append(np.packbits(bits[:whole]).tobytes())
+        self._carry = bits[whole:].copy()
+        self.bit_length += int(ends[-1])
+
+    def finish(self) -> bytes:
+        """Zero-pad to a whole byte and return every byte written."""
+        if self._carry.size:
+            self._chunks.append(np.packbits(self._carry).tobytes())
+            self._carry = self._carry[:0]
+        return b"".join(self._chunks)
+
+
 def golomb_encode(ms, m, max_run):
-    g = GolombParam(m)
-    sink = BitSink()
-    unary = sink.write_unary
-    binary = sink.write_minimal_binary
-    for value in ms:
-        j, k = divmod(value, m)
-        if j > max_run:
-            raise _quotient_too_long(j, max_run)
-        unary(j)
-        binary(k, g)
-    return sink.finish(), sink.bit_length
+    _param(m)
+    packer = _Packer()
+    for lo in range(0, len(ms), BLOCK_SYMBOLS):
+        packer.write(np.asarray(ms[lo:lo + BLOCK_SYMBOLS], dtype=np.int64), m, max_run)
+    return packer.finish(), packer.bit_length
 
 
-def golomb_decode(payload, count, m, max_run):
-    g = GolombParam(m)
-    src = BitSource(payload, max_run)
-    unary = src.read_unary
-    binary = src.read_minimal_binary
-    return [unary() * m + binary(g) for _ in range(count)]
+def _running_sums(before, inc: np.ndarray, raw: bool) -> np.ndarray:
+    """The estimator sum after each symbol, continuing from ``before``.
+
+    A float cumsum adds in order, as the scalar loop does.  The integer
+    sum saturates: before < 2**62 and each increment < 2**63, so the
+    uint64 cumsum is exact up to its first entry >= EST_SATURATION, and
+    every entry from there on is EST_SATURATION.
+    """
+    if raw:
+        return np.cumsum(np.concatenate(([before], inc)))[1:]
+    sums = np.cumsum(inc.astype(np.uint64)) + np.uint64(before)
+    full = sums >= _SAT
+    if full.any():
+        sums[int(np.argmax(full)):] = _SAT
+    return sums.astype(np.int64)
 
 
 def adaptive_encode(ms, est_int, est_raw, tau, max_run, collect_trace):
     raw = est_raw is not None
-    sink = BitSink()
-    params = {}
+    increments = est_raw if raw else est_int
+    n = len(ms)
+    if n and n > len(increments):
+        raise IndexError("list index out of range")
+    packer = _Packer()
     trace = [] if collect_trace else None
-    t = 0
-    s_int = 0
-    s_raw = 0.0
-    for i, value in enumerate(ms):
-        m = select_m(t, s_raw) if raw else select_m(t, s_int, tau)
-        g = params.get(m)
-        if g is None:
-            g = params[m] = GolombParam(m)
-        j, k = divmod(value, m)
-        if j > max_run:
-            raise _quotient_too_long(j, max_run)
-        sink.write_unary(j)
-        sink.write_minimal_binary(k, g)
-        t += 1
-        if raw:
-            s_raw += est_raw[i]
-        else:
-            s_int += est_int[i]
-            if s_int > _SAT:
-                s_int = _SAT
+    s = 0.0 if raw else 0  # the sum over the symbols before the block
+    for lo in range(0, n, BLOCK_SYMBOLS):
+        values = np.asarray(ms[lo:lo + BLOCK_SYMBOLS], dtype=np.int64)
+        hi = lo + values.size
+        inc = np.asarray(increments[lo:hi], dtype=np.float64 if raw else np.int64)
+        after = _running_sums(s, inc, raw)
+        del inc
+        m = select_m_array(np.arange(lo, hi), np.concatenate(([s], after[:-1])),
+                           1 if raw else tau)
+        packer.write(values, m, max_run)
         if trace is not None:
-            trace.append((m, t, s_raw if raw else s_int))
-    return sink.finish(), sink.bit_length, trace
+            trace.extend(zip(m.tolist(), range(lo + 1, hi + 1), after.tolist()))
+        s = after[-1].item()
+    return packer.finish(), packer.bit_length, trace
 
 
-def adaptive_decode(payload, count, pred_n, pred_x, tau, raw_estimator,
+def golomb_decode(payload, count, m, max_run):
+    g = _param(m)
+    data = np.frombuffer(payload, dtype=np.uint8)
+    # every codeword takes a bit, so a count past the payload's bits fails
+    # before it fills more slots than there are bits
+    out = [0] * max(0, min(count, 8 * data.size))
+    done = pos = 0
+    window = WINDOW_BITS
+    longest = max_run + g.bits + 2  # a window this long holds any legal codeword
+    while done < count:
+        left = 8 * data.size - pos
+        if left <= 0:
+            raise _end_of_stream()
+        size = min(window, left)
+        decoded = _decode_window(data, pos, size, g, count - done, max_run, size == left)
+        if decoded is None:  # the next codeword is longer than the window
+            window = min(2 * window, max(longest, WINDOW_BITS))
+            continue
+        values, used = decoded
+        out[done:done + values.size] = values.tolist()
+        done += values.size
+        pos += used
+        window = WINDOW_BITS
+    return out
+
+
+def _decode_window(data, pos, size, g, want, max_run, final):
+    """Up to ``want`` codewords from payload bits [pos, pos + size).
+
+    Returns (values, bits they take), or None when not even the first
+    codeword fits and more payload follows.  Raises CorruptStreamError as
+    BitSource would: for a unary run over max_run, or, when the window
+    reaches the end of the payload, for a codeword it cuts off.
+
+    Every codeword's unary run ends at a zero bit, and that zero fixes
+    where the codeword ends.  So the chain of codewords is a chain of
+    zeros: ``jump[r]`` is the rank of the zero closing the codeword after
+    the one the r-th zero closes (``nzero`` if the window holds no such
+    zero, ``nzero + 1`` if that codeword does not fit).  Pointer doubling
+    finds the chain from the first zero: after k rounds ``chain`` holds
+    its first 2**k entries and ``jump`` skips 2**k codewords.
+    """
+    m, b, threshold = g.m, g.bits, g.threshold
+    skip = pos & 7
+    bits = np.unpackbits(data[pos >> 3:(pos + size + 7) >> 3])[skip:skip + size]
+    iszero = bits == 0
+    zeros = np.flatnonzero(iszero)
+    nzero = zeros.size
+    if b == 0:
+        end = zeros + 1
+    else:
+        padded = np.zeros(size + b, np.uint8)  # zero bits past the window
+        padded[:size] = bits
+        field = np.zeros(nzero, np.intp)  # the b - 1 bits after each zero
+        for t in range(1, b):
+            field = (field << 1) | padded[zeros + t]
+        longer = field >= threshold
+        end = zeros + b + longer
+    sentinel = nzero + 1
+    jump = np.full(nzero + 2, sentinel, np.intp)
+    fits = end <= size
+    jump[:nzero][fits] = np.cumsum(iszero)[end[fits] - 1]  # zeros before end
+    chain = np.zeros(1, np.intp)
+    while True:
+        chain = np.concatenate((chain, jump[chain]))
+        if chain.size > want or chain[-1] == sentinel:
+            break
+        jump = jump[jump]
+    chain = chain[:min(int(np.searchsorted(chain, sentinel)), want + 1)]
+    closing = chain[:-1]  # the zeros closing the codewords that fit
+    stop = zeros[closing]
+    begin = np.concatenate(([0], end[closing[:-1]]))
+    resume = int(end[closing[-1]]) if closing.size else 0
+    runs = stop - begin
+    if closing.size and int(runs.max()) > max_run:
+        raise _run_too_long(max_run)
+    if closing.size < want:
+        last = int(chain[-1])
+        if (int(zeros[last]) if last < nzero else size) - resume > max_run:
+            raise _run_too_long(max_run)
+        if final:
+            raise _end_of_stream()
+        if not closing.size:
+            return None
+    values = runs * m
+    if b:
+        head = field[closing]
+        values += np.where(longer[closing],
+                           ((head << 1) | padded[stop + b]) - threshold, head)
+    return values, resume
+
+
+def adaptive_decode(payload, count, pred_n, pred_x, tau, raw_estimator, lo, hi,
                     max_run, collect_trace):
     raw = raw_estimator
     src = BitSource(payload, max_run)
@@ -115,6 +302,8 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw_estimator,
         c = -((-2 * n) // tau)
         s = value + c
         x = s // 2 if s % 2 == 0 else (c - value - 1) // 2
+        if not lo <= x <= hi:
+            raise symbol_out_of_range(i, x, lo, hi)
         out.append(x)
         t += 1
         if raw:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # Longest legal unary run while decoding; anything above is corruption.
 DEFAULT_MAX_RUN = 1 << 20
 
@@ -43,6 +45,32 @@ def minimal_binary_length(k: int, g: GolombParam) -> int:
     if not 0 <= k < g.m:
         raise ValueError(f"remainder {k} out of range for m={g.m}")
     return g.bits - 1 if k < g.threshold else g.bits
+
+
+def codeword_fields(values: np.ndarray, m):
+    """The codeword split of int64 mapped residuals, for a whole array.
+
+    m is one parameter or an array of them, one per value.  Returns
+    (quotients, remainder fields, field widths): each codeword is its
+    quotient in unary, then the field in ``width`` binary digits, as
+    write_unary and write_minimal_binary write them.  m must be at most
+    2**52, so that ceil(lg m) is exact in a double.
+    """
+    q, field = np.divmod(values, m)
+    if np.ndim(m) == 0:
+        g = GolombParam(int(m))
+        b, threshold = g.bits, g.threshold
+    else:
+        b = np.frexp(m - 1)[1].astype(np.int64)  # the bit length of m - 1
+        threshold = np.left_shift(1, b) - m
+    short = field < threshold
+    np.add(field, threshold, out=field, where=~short)
+    return q, field, b - short
+
+
+def symbol_out_of_range(t: int, x: int, lo: int, hi: int) -> CorruptStreamError:
+    """The error for decoded symbol t, x, outside the stream's [lo, hi]."""
+    return CorruptStreamError(f"symbol {t} decodes to {x}, outside [{lo}, {hi}]")
 
 
 def code_length(m_value: int, g: GolombParam) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from frgc import bench, codec, harness
+from frgc import codec, harness
 from frgc.bitcoder import CorruptStreamError
 from frgc.codec import HeaderError, StreamHeader
 from frgc.predictor import LpcConfig
@@ -193,12 +193,6 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    rows = bench.run_bench(n=args.n, repeats=args.repeats)
-    print(bench.format_report(rows))
-    return EXIT_OK
-
-
 def _add_encode_options(sub) -> None:
     sub.add_argument("--rho", type=int, default=1, help="precision numerator")
     sub.add_argument("--tau", type=int, default=16, help="precision denominator")
@@ -248,11 +242,6 @@ def _build_parser() -> _Parser:
                     help="samples per theta cell")
     an.add_argument("--out", required=True)
     an.set_defaults(func=_cmd_analyze)
-
-    be = sub.add_parser("bench", help="time the stream loops per backend")
-    be.add_argument("--n", type=int, default=200_000)
-    be.add_argument("--repeats", type=int, default=3)
-    be.set_defaults(func=_cmd_bench)
 
     return parser
 

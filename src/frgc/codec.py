@@ -28,6 +28,7 @@ from frgc.bitcoder import (
     BitSource,
     CorruptStreamError,
     GolombParam,
+    symbol_out_of_range,
 )
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN, Precision
@@ -170,20 +171,15 @@ def _check_symbols(xs: np.ndarray, alphabet_q: int) -> None:
         raise ValueError(f"symbols outside [{lo}, {hi}]: saw [{smallest}, {largest}]")
 
 
-def _out_of_range(t: int, x: int, lo: int, hi: int) -> CorruptStreamError:
-    return CorruptStreamError(f"symbol {t} decodes to {x}, outside [{lo}, {hi}]")
-
-
-def _check_decoded(symbols, smallest: int, largest: int, alphabet_q: int) -> None:
+def _check_decoded(symbols: np.ndarray, alphabet_q: int) -> None:
     """Refuse a decode holding a symbol encode_stream would have refused.
 
-    smallest and largest are the extremes of ``symbols``, so one min/max
-    pass covers a valid stream; the error names the first bad symbol.
+    The error names the first bad symbol.
     """
     lo, hi = _symbol_range(alphabet_q)
-    if smallest < lo or largest > hi:
-        t, x = next((t, int(x)) for t, x in enumerate(symbols) if not lo <= x <= hi)
-        raise _out_of_range(t, x, lo, hi)
+    if symbols.size and (symbols.min() < lo or symbols.max() > hi):
+        t = int(np.argmax((symbols < lo) | (symbols > hi)))
+        raise symbol_out_of_range(t, int(symbols[t]), lo, hi)
 
 
 def _lpc_predictions(xs: list, cfg: LpcConfig) -> list[float]:
@@ -320,7 +316,7 @@ def _decode_lpc(payload: bytes, header: StreamHeader, collect_trace: bool):
             g = params[m] = GolombParam(m)
         x = decode_symbol(n, tau, g, src)
         if not lo <= x <= hi:
-            raise _out_of_range(t, x, lo, hi)
+            raise symbol_out_of_range(t, x, lo, hi)
         state.push(x)
         out.append(x)
         if adaptive:
@@ -366,16 +362,13 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
         pred_x = pred.tolist() if header.raw_error_estimator else None
         out, trace = _backend.adaptive_decode(
             payload, n, numerators.tolist(), pred_x, header.tau,
-            header.raw_error_estimator, DEFAULT_MAX_RUN, collect_trace)
-        if out:
-            _check_decoded(out, min(out), max(out), header.alphabet_q)
+            header.raw_error_estimator, *_symbol_range(header.alphabet_q),
+            DEFAULT_MAX_RUN, collect_trace)
     else:
         values = _backend.golomb_decode(payload, n, header.m, DEFAULT_MAX_RUN)
         symbols = _unmap_vector(np.asarray(values, dtype=np.int64),
                                 numerators, header.tau)
-        if symbols.size:
-            _check_decoded(symbols, int(symbols.min()), int(symbols.max()),
-                           header.alphabet_q)
+        _check_decoded(symbols, header.alphabet_q)
         out = symbols.tolist()
 
     if collect_trace:

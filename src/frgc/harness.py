@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from frgc import analysis
+from frgc.bitcoder import codeword_fields
 from frgc.codec import _map_vector, _round_predictions
 from frgc.qmap import ASYMPTOTIC, Precision
 
@@ -112,12 +113,8 @@ def mapped_values(xs, predictions, precision: Precision) -> np.ndarray:
 
 def symbol_code_lengths(values, m: int) -> np.ndarray:
     """Golomb codeword length of each mapped residual."""
-    vals = np.asarray(values, dtype=np.int64)
-    b = (m - 1).bit_length()
-    u = (1 << b) - m
-    k = vals % m
-    blen = np.where(k < u, b - 1, b)
-    return vals // m + 1 + blen
+    q, _, width = codeword_fields(np.asarray(values, dtype=np.int64), m)
+    return q + 1 + width
 
 
 def mean_code_bits(values, m: int) -> float:

@@ -1,20 +1,13 @@
 """Compiled kernels agree bit for bit with the pure-Python reference.
 
-The shipped ``_kernels.c`` is built once per run by ``setup.py build_ext``
-in a temporary copy of the project, so the compile flags come from
-``setup.py`` alone; the build must print no compiler warning under
-``-Wall -Wextra``.  The tests skip only where there is no C compiler or
-no ``Python.h``.
+The ``kernels`` fixture (conftest.py) builds the shipped ``_kernels.c``
+once per run.
 """
 
-import importlib.util
 import math
-import os
-import shlex
-import shutil
 import subprocess
 import sys
-import sysconfig
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,40 +17,13 @@ from frgc import _backend, _estcore, _pure, codec
 from frgc.bitcoder import CorruptStreamError
 from frgc.codec import StreamHeader, decode_stream, encode_stream
 from frgc.predictor import LpcConfig
+from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
 BOUNDS = _estcore.LOG_BOUNDARIES
 MAX_RUN = 1 << 20
-ROOT = Path(__file__).resolve().parents[1]
+RANGE = (SYMBOL_MIN, SYMBOL_MAX)  # the decoded symbols' range with no alphabet
+WIDEST = (-(1 << 63), (1 << 63) - 1)
 ENTRY_POINTS = ("golomb_encode", "golomb_decode", "adaptive_encode", "adaptive_decode")
-
-
-@pytest.fixture(scope="module")
-def kernels(tmp_path_factory):
-    """frgc._kernels as setup.py builds it from the shipped _kernels.c."""
-    cc = sysconfig.get_config_var("CC")
-    include = sysconfig.get_paths()["include"]
-    if not cc or shutil.which(shlex.split(cc)[0]) is None:
-        pytest.skip("no C compiler")
-    if not (Path(include) / "Python.h").exists():
-        pytest.skip("no Python.h")
-    root = tmp_path_factory.mktemp("build")
-    for name in ("setup.py", "pyproject.toml", "README.md"):
-        shutil.copy(ROOT / name, root)
-    pkg = root / "src" / "frgc"
-    shutil.copytree(ROOT / "src" / "frgc", pkg, ignore=shutil.ignore_patterns(
-        "__pycache__", "*.so", "*.pyd"))
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"], cwd=root,
-        env=dict(os.environ, CFLAGS="-Wall -Wextra"), capture_output=True, text=True)
-    log = proc.stdout + proc.stderr
-    assert proc.returncode == 0, log
-    assert "warning:" not in log, log
-    built = list(pkg.glob("_kernels*" + sysconfig.get_config_var("EXT_SUFFIX")))
-    assert len(built) == 1, log
-    spec = importlib.util.spec_from_file_location("frgc._kernels", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def use_backend(monkeypatch, module):
@@ -146,7 +112,7 @@ def test_adaptive_decode_parity(tau, spread, kernels):
         payload, _, _ = _pure.adaptive_encode(
             ms, None if raw else est_int, est_raw if raw else None, tau,
             MAX_RUN, False)
-        args = (payload, len(ms), pred_n, pred_x, tau, raw, MAX_RUN, True)
+        args = (payload, len(ms), pred_n, pred_x, tau, raw, *RANGE, MAX_RUN, True)
         p_out, p_trace = _pure.adaptive_decode(*args)
         k_out, k_trace = kernels.adaptive_decode(*args)
         assert p_out == k_out == xs
@@ -233,7 +199,7 @@ def test_error_path_parity(kernels):
     for raw in (False, True):
         est = ([], None) if not raw else (None, [])
         assert same_outcome(aenc, [], *est, 16, MAX_RUN, True)[0] == "ok"
-        assert same_outcome(adec, b"", 0, [], [], 16, raw, MAX_RUN,
+        assert same_outcome(adec, b"", 0, [], [], 16, raw, *RANGE, MAX_RUN,
                             True) == ("ok", ([], []))
 
 
@@ -253,8 +219,39 @@ def test_sequence_type_parity(kernels):
             assert _pure.adaptive_encode(*args)[:2] == expect[:2]
             assert kernels.adaptive_encode(*args)[:2] == expect[:2]
         args = (payload, len(ms), convert(pred_n), convert(pred_x), 16,
-                False, MAX_RUN, False)
+                False, *RANGE, MAX_RUN, False)
         assert _pure.adaptive_decode(*args)[0] == kernels.adaptive_decode(*args)[0] == xs
+
+
+@pytest.mark.parametrize("bad", [0, 150, 299])
+def test_adaptive_decode_range_check_parity(bad, kernels, monkeypatch):
+    # one symbol (first, middle or last) outside [lo, hi] raises, naming its
+    # index, on both backends
+    rng = np.random.default_rng(bad)
+    xs = rng.integers(0, 200, size=300)
+    xs[bad] = 1100
+    pred_x = xs + rng.normal(0.0, 3.0, size=300)
+    pred_n = np.floor(16 * pred_x + 0.5).astype(np.int64)
+    r = 16 * xs - pred_n
+    ms = np.where(r >= 0, 2 * r // 16, -(2 * r // 16) - 1)
+    payload, _, _ = _pure.adaptive_encode(ms.tolist(), np.abs(r).tolist(), None, 16,
+                                          MAX_RUN, False)
+    args = (payload, 300, pred_n.tolist(), None, 16, False)
+    for backend in (_pure, kernels):
+        assert backend.adaptive_decode(*args, 0, 1100, MAX_RUN, False)[0] == xs.tolist()
+        with pytest.raises(CorruptStreamError) as info:
+            backend.adaptive_decode(*args, 0, 999, MAX_RUN, False)
+        assert str(info.value) == f"symbol {bad} decodes to 1100, outside [0, 999]"
+    # through decode_stream: a header whose alphabet leaves that symbol out
+    header = StreamHeader(mode="adaptive", rho=1, tau=16)
+    data = encode_stream(xs, header, predictions=pred_x)
+    narrow = replace(header, count=300, alphabet_q=1000).pack() + data[codec.HEADER_SIZE:]
+    for backend in (_pure, kernels):
+        use_backend(monkeypatch, backend)
+        assert decode_stream(data, predictions=pred_x) == xs.tolist()
+        with pytest.raises(CorruptStreamError,
+                           match=rf"^symbol {bad} decodes to 1100, outside \[0, 999\]$"):
+            decode_stream(narrow, predictions=pred_x)
 
 
 def test_truncated_adaptive_payload_parity(kernels):
@@ -263,10 +260,10 @@ def test_truncated_adaptive_payload_parity(kernels):
     decode = both(kernels, "adaptive_decode")
     for cut in range(len(payload)):
         outcome = same_outcome(decode, payload[:cut], len(ms), pred_n, pred_x, 16,
-                               False, MAX_RUN, False)
+                               False, *RANGE, MAX_RUN, False)
         assert outcome == ("raised", CorruptStreamError)
     assert same_outcome(decode, payload, len(ms), pred_n, pred_x, 16,
-                        False, MAX_RUN, False) == ("ok", (xs, None))
+                        False, *RANGE, MAX_RUN, False) == ("ok", (xs, None))
 
 
 @pytest.mark.parametrize("tau", [1, 7, 0xFFFF])
@@ -277,7 +274,7 @@ def test_unmap_parity_at_numerator_limit(tau, kernels):
     payload = rng.integers(0, 256, size=4000, dtype=np.uint8).tobytes()
     lim = (1 << 62) - 1
     pred_n = [int(v) for v in rng.choice([lim, -lim, lim - 12345, 1 - lim, 0], 600)]
-    args = (payload, 600, pred_n, None, tau, False, MAX_RUN, True)
+    args = (payload, 600, pred_n, None, tau, False, *WIDEST, MAX_RUN, True)
     assert same_outcome(both(kernels, "adaptive_decode"), *args)[0] == "ok"
 
 
@@ -288,7 +285,8 @@ def test_compiled_range_guards(kernels):
     with pytest.raises(ValueError):
         kernels.golomb_decode(b"\x00", 1, 1, 1 << 62)
     with pytest.raises(ValueError):
-        kernels.adaptive_decode(b"\x00", 1, [1 << 62], None, 1, False, MAX_RUN, False)
+        kernels.adaptive_decode(b"\x00", 1, [1 << 62], None, 1, False, *WIDEST,
+                                MAX_RUN, False)
 
 
 def test_backend_module_exports():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from frgc import analysis, bench, bitcoder, cli, codec, harness, qmap
+from frgc import analysis, bitcoder, cli, codec, harness, qmap
 from frgc.harness import (
     ASYMPTOTIC_SURROGATE,
     ExperimentSpec,
@@ -196,19 +196,6 @@ def test_write_csv_deterministic(tmp_path):
     assert len(text.splitlines()) == 3
 
 
-# --- benchmark -------------------------------------------------------------------
-
-def test_bench_reports_both_backends():
-    rows = bench.run_bench(n=2000, repeats=1)
-    backends = {row[0] for row in rows}
-    assert "pure" in backends
-    for name, op, rate in rows:
-        assert rate > 0.0
-        assert op in ("encode fixed", "decode fixed", "encode adaptive", "decode adaptive")
-    report = bench.format_report(rows)
-    assert "Msym/s" in report
-
-
 # --- command line ------------------------------------------------------------------
 
 @pytest.fixture
@@ -333,7 +320,3 @@ def test_cli_analyze_small_table3(tmp_path):
     assert lines[0] == "theta,precision,bits_per_symbol,analytic"
     assert len(lines) == 1 + 6 * 8
 
-
-def test_cli_bench_runs(capsys):
-    assert run_cli(["bench", "--n", "2000", "--repeats", "1"]) == cli.EXIT_OK
-    assert "Msym/s" in capsys.readouterr().out

@@ -1,0 +1,321 @@
+"""The whole-array pure coder against the per-symbol loops it replaced.
+
+``oracle_*`` below are the per-symbol loops frgc._pure ran before it
+coded whole arrays: one codeword at a time through bitcoder.BitSink and
+BitSource.  The numpy coder must agree with them bit for bit, in its
+results and in the type of every error, and so must the compiled
+kernels where they build.
+"""
+
+import math
+import tracemalloc
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frgc import _estcore, _pure
+from frgc.bitcoder import BitSink, BitSource, CorruptStreamError, GolombParam
+from frgc._estcore import select_m, select_m_array
+
+MAX_RUN = 1 << 20
+BLOCK = _pure.BLOCK_SYMBOLS
+WINDOW = _pure.WINDOW_BITS
+SAT = _estcore.EST_SATURATION
+FIXED_MS = (1, 2, 3, 13, 64, 65535)
+
+
+def _quotient_too_long(j, max_run):
+    return ValueError(f"quotient {j} exceeds the {max_run}-bit unary limit")
+
+
+def oracle_write(ms, params, max_run):
+    """Codewords of ms, the i-th under params[i], one at a time."""
+    sink = BitSink()
+    for value, g in zip(ms, params):
+        j, k = divmod(value, g.m)
+        if j > max_run:
+            raise _quotient_too_long(j, max_run)
+        sink.write_unary(j)
+        sink.write_minimal_binary(k, g)
+    return sink.finish(), sink.bit_length
+
+
+def oracle_golomb_encode(ms, m, max_run):
+    g = GolombParam(m)
+    return oracle_write(ms, [g] * len(ms), max_run)
+
+
+def oracle_golomb_decode(payload, count, m, max_run):
+    g = GolombParam(m)
+    src = BitSource(payload, max_run)
+    return [src.read_unary() * m + src.read_minimal_binary(g) for _ in range(count)]
+
+
+def oracle_adaptive_encode(ms, est_int, est_raw, tau, max_run, collect_trace):
+    raw = est_raw is not None
+    sink = BitSink()
+    trace = [] if collect_trace else None
+    t = 0
+    s_int = 0
+    s_raw = 0.0
+    for i, value in enumerate(ms):
+        m = select_m(t, s_raw) if raw else select_m(t, s_int, tau)
+        j, k = divmod(value, m)
+        if j > max_run:
+            raise _quotient_too_long(j, max_run)
+        sink.write_unary(j)
+        sink.write_minimal_binary(k, GolombParam(m))
+        t += 1
+        if raw:
+            s_raw += est_raw[i]
+        else:
+            s_int = min(s_int + est_int[i], SAT)
+        if trace is not None:
+            trace.append((m, t, s_raw if raw else s_int))
+    return sink.finish(), sink.bit_length, trace
+
+
+ORACLE = SimpleNamespace(golomb_encode=oracle_golomb_encode,
+                         golomb_decode=oracle_golomb_decode,
+                         adaptive_encode=oracle_adaptive_encode)
+
+
+@pytest.fixture(scope="module")
+def coders(request):
+    """The oracle, the numpy coder and the compiled kernels unless they cannot build."""
+    found = [ORACLE, _pure]
+    try:
+        found.append(request.getfixturevalue("kernels"))
+    except pytest.skip.Exception:
+        pass
+    return found
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return "raised", type(exc)
+
+
+def agree(coders, name, *args):
+    """Every coder's entry point `name` gives the oracle's result or error type."""
+    first, *rest = [outcome(getattr(c, name), *args) for c in coders]
+    for other in rest:
+        assert other == first
+        if first[0] == "ok" and name == "adaptive_encode" and first[1][2]:
+            for a, b in zip(first[1][2], other[1][2]):
+                assert [type(x) for x in a] == [type(x) for x in b]
+    return first
+
+
+def geometric(rng, n, m, spill=0.01):
+    """Mapped residuals of mean about 2m, with a few long quotients."""
+    values = rng.geometric(1.0 / (2 * m + 1), n) - 1
+    values[rng.random(n) < spill] *= 40
+    return values.tolist()
+
+
+# --- fixed m -------------------------------------------------------------------
+
+@given(m=st.sampled_from(FIXED_MS), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_fixed_m_parity(m, data, coders):
+    values = data.draw(st.lists(st.integers(0, 70 * m), max_size=300))
+    ok, (payload, nbits) = agree(coders, "golomb_encode", values, m, MAX_RUN)
+    assert ok == "ok"
+    assert agree(coders, "golomb_decode", payload, len(values), m, MAX_RUN) == ("ok", values)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_per_symbol_m_parity(data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 64)),
+                               max_size=300))
+    values = np.array([v for v, _ in pairs], dtype=np.int64)
+    ms = np.array([m for _, m in pairs], dtype=np.int64)
+    packer = _pure._Packer()
+    packer.write(values, ms, MAX_RUN)
+    got = packer.finish(), packer.bit_length
+    assert got == oracle_write(values.tolist(), [GolombParam(int(m)) for m in ms], MAX_RUN)
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_lengths_at_the_block_size(n, coders):
+    rng = np.random.default_rng(n)
+    values = geometric(rng, n, 3)
+    ok, (payload, _) = agree(coders, "golomb_encode", values, 3, MAX_RUN)
+    assert ok == "ok"
+    assert agree(coders, "golomb_decode", payload, n, 3, MAX_RUN) == ("ok", values)
+    est_int = rng.integers(0, 50, n).tolist()
+    est_raw = rng.exponential(4.0, n).tolist()
+    for args in ((est_int, None, 16), (None, est_raw, 1)):
+        assert agree(coders, "adaptive_encode", values, *args, MAX_RUN, True)[0] == "ok"
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("m", [1, 13])
+def test_payloads_at_the_window_size(extra, m, coders):
+    # payloads of one and of three windows' bits, give or take one, so
+    # codewords straddle every window edge at some offset
+    rng = np.random.default_rng(extra + 5)
+    for windows in (1, 3):
+        values = geometric(rng, windows * WINDOW // 7, m)
+        payload, nbits = _pure.golomb_encode(values, m, MAX_RUN)
+        target = windows * WINDOW + extra
+        if m == 1:  # pad with one-bit codewords up to exactly target bits
+            values += [0] * (target - nbits)
+            payload, nbits = _pure.golomb_encode(values, m, MAX_RUN)
+            assert nbits == target
+        assert agree(coders, "golomb_decode", payload, len(values), m,
+                     MAX_RUN) == ("ok", values)
+
+
+@pytest.mark.parametrize("m", [1, 3, 64])
+def test_codewords_longer_than_the_window(m, coders):
+    # quotients of one, two and three windows, at odd bit offsets
+    values = [5, m * (WINDOW + 3) + m - 1, 2, m * (3 * WINDOW), 1, m * (WINDOW - 1), 0]
+    ok, (payload, nbits) = agree(coders, "golomb_encode", values, m, MAX_RUN)
+    assert ok == "ok" and nbits > 5 * WINDOW
+    assert agree(coders, "golomb_decode", payload, len(values), m, MAX_RUN) == ("ok", values)
+
+
+def run_payload(j, m, tail=0):
+    """One codeword with quotient j (remainder m - 1) and tail zero codewords."""
+    sink = BitSink()
+    sink.write_unary(j)
+    sink.write_minimal_binary(m - 1, GolombParam(m))
+    for _ in range(tail):
+        sink.write_unary(0)
+        sink.write_minimal_binary(0, GolombParam(m))
+    return sink.finish()
+
+
+@pytest.mark.parametrize("max_run", [40, WINDOW + 5, MAX_RUN])
+@pytest.mark.parametrize("m", [1, 13])
+def test_unary_run_of_max_run_decodes_and_one_more_raises(max_run, m, coders):
+    payload = run_payload(max_run, m, tail=3)
+    assert agree(coders, "golomb_decode", payload, 4, m, max_run) == (
+        "ok", [max_run * m + m - 1, 0, 0, 0])
+    payload = run_payload(max_run + 1, m, tail=3)
+    assert agree(coders, "golomb_decode", payload, 4, m,
+                 max_run) == ("raised", CorruptStreamError)
+    # the same runs, cut off by the end of the payload
+    for j in (max_run, max_run + 1):
+        cut = b"\xff" * ((j + 7) // 8)
+        assert agree(coders, "golomb_decode", cut, 1, m,
+                     max_run) == ("raised", CorruptStreamError)
+
+
+@pytest.mark.parametrize("m", [1, 2, 13])
+def test_every_truncation_of_a_fixed_payload(m, coders):
+    values = geometric(np.random.default_rng(m), 400, m)
+    payload, _ = _pure.golomb_encode(values, m, MAX_RUN)
+    for cut in range(len(payload)):
+        assert agree(coders, "golomb_decode", payload[:cut], len(values), m,
+                     MAX_RUN) == ("raised", CorruptStreamError)
+    assert agree(coders, "golomb_decode", payload, len(values), m, MAX_RUN) == ("ok", values)
+
+
+def test_encode_error_parity(coders):
+    # the first bad symbol decides, whatever its block
+    big = [0] * (BLOCK + 3)
+    big[BLOCK + 1] = 50 * 3
+    assert agree(coders, "golomb_encode", big, 3, 49) == ("raised", ValueError)
+    assert agree(coders, "golomb_encode", big, 3, 50)[0] == "ok"
+    assert agree(coders, "adaptive_encode", [3, -2, 1], [1, 1, 1], None, 4, MAX_RUN,
+                 False) == ("raised", ValueError)
+    assert agree(coders, "golomb_encode", [1], 0, MAX_RUN) == ("raised", ValueError)
+    # both backends refuse an m whose quotient times m could leave int64
+    for backend in coders[1:]:
+        with pytest.raises(ValueError):
+            backend.golomb_encode([1], (1 << 32) + 1, MAX_RUN)
+        with pytest.raises(ValueError):
+            backend.golomb_decode(b"\x00", 1, (1 << 32) + 1, MAX_RUN)
+
+
+# --- adaptive m -----------------------------------------------------------------
+
+@pytest.mark.parametrize("at", [0, 100, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("overshoot", [0, 5])
+def test_saturation_inside_a_block_and_on_its_edge(at, overshoot, coders):
+    # the sum reaches EST_SATURATION (exactly, or past it) at symbol `at`,
+    # then takes increments that would wrap a 64-bit sum
+    n = BLOCK + 40
+    est = [1] * n
+    est[at] = SAT - at + overshoot
+    for i in range(at + 1, at + 6):
+        est[i] = SAT - 1
+    values = geometric(np.random.default_rng(at), n, 8)
+    ok, (_, _, trace) = agree(coders, "adaptive_encode", values, est, None, 16,
+                              MAX_RUN, True)
+    assert ok == "ok"
+    assert all(s == SAT for _, _, s in trace[at:])
+    if at:
+        assert trace[at - 1][2] == at
+
+
+def test_select_m_array_matches_select_m_on_seeded_triples():
+    # the 20,000 triples of test_codec.test_select_m_agrees_with_exp_rule
+    rng = np.random.default_rng(17)
+    triples = []
+    for _ in range(20_000):
+        t = int(rng.integers(1, 10**6))
+        tau = int(rng.integers(1, 0x10000))
+        s = int(rng.integers(1, t * tau * 200))
+        triples.append((t, s, tau))
+    for t, s, tau in triples[:500]:
+        assert select_m_array(np.array([t]), np.array([s]), tau)[0] == select_m(t, s, tau)
+    # select_m reads t and tau only as float(t * tau), exact in int64 here
+    t = np.array([t * tau for t, _, tau in triples], dtype=np.int64)
+    s = np.array([s for _, s, _ in triples], dtype=np.int64)
+    assert select_m_array(t, s).tolist() == [select_m(a, b, c) for a, b, c in triples]
+
+
+def test_select_m_array_on_log_boundary_ties_and_extremes():
+    sums, expect = [], []
+    for k, lb in enumerate(_estcore.LOG_BOUNDARIES, start=1):
+        s = -1.0 / lb
+        for x in (s, math.nextafter(s, 0.0), math.nextafter(s, math.inf)):
+            sums.append(x)
+            expect.append(select_m(1, x))
+            if -1.0 / x == lb:
+                assert expect[-1] == k
+    got = select_m_array(np.ones(len(sums), dtype=np.int64), np.array(sums))
+    assert got.tolist() == expect
+    t = np.array([0, 5, 100, 1, 1], dtype=np.int64)
+    s = np.array([0, 0, 1, 10**15, SAT], dtype=np.int64)
+    assert select_m_array(t, s, 16).tolist() == [select_m(a, b, 16) for a, b in zip(t, s)]
+    assert select_m_array(t, s, 16).tolist() == [1, 1, 1, 64, 64]
+
+
+# --- bounded memory -------------------------------------------------------------
+
+PEAK_BOUND = 8 << 20  # bytes; whole-array working sets at 1M symbols pass 80 MB
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_grow_with_the_stream():
+    n = 1_000_000
+    values = (np.random.default_rng(3).geometric(0.2, n) - 1).tolist()  # below 256
+    (payload, _), peak = traced_peak(_pure.golomb_encode, values, 3, MAX_RUN)
+    assert peak < PEAK_BOUND, peak
+    decoded, peak = traced_peak(_pure.golomb_decode, payload, n, 3, MAX_RUN)
+    assert decoded == values
+    # the result list's 8 bytes a symbol are the output, not working memory
+    assert peak - 8 * n < PEAK_BOUND, peak
+    est = [1] * n
+    (_, _, _), peak = traced_peak(_pure.adaptive_encode, values, est, None, 16,
+                                  MAX_RUN, False)
+    assert peak < PEAK_BOUND, peak
