@@ -1,4 +1,6 @@
 /* Compiled stream loops; bit-identical to frgc._pure (see its contract).
+ * Arrays come in through the buffer protocol (y*), the decoders' out as a
+ * bytearray: no Python object is made per symbol except trace entries.
  *
  * Bits are MSB-first.  A codeword for a mapped residual v under parameter m
  * is the unary quotient v / m (that many ones, then a zero) followed by the
@@ -235,27 +237,38 @@ static int est_add(Est *e, long long a, double d, PyObject *trace, long long m)
     return rc;
 }
 
-/* seq[i] of a fast sequence as a C integer into *a, or as a double into *d
- * when a is NULL; IndexError past the end, as Python indexing. */
-static int get_item(PyObject *seq, Py_ssize_t i, long long *a, double *d)
+/* The number of 8-byte values in b, or -1 with ValueError unless it holds a
+ * whole number of them, at least need; so no loop reads past its end. */
+static Py_ssize_t values_in(const Py_buffer *b, Py_ssize_t need, const char *name)
 {
-    PyObject *item;
-    if (i >= PySequence_Fast_GET_SIZE(seq)) {
-        PyErr_SetString(PyExc_IndexError, "list index out of range");
-        return -1;
-    }
-    item = PySequence_Fast_GET_ITEM(seq, i);
-    if (a ? (*a = PyLong_AsLongLong(item)) == -1 : (*d = PyFloat_AsDouble(item)) == -1.0)
-        return PyErr_Occurred() ? -1 : 0;
-    return 0;
+    if (b->len % 8 == 0 && b->len / 8 >= need)
+        return b->len / 8;
+    PyErr_Format(PyExc_ValueError, "%s holds %zd bytes, needs %zd 8-byte values",
+                 name, b->len, need);
+    return -1;
 }
 
-/* The output list.  Every codeword takes at least one bit, so a count over
- * the payload's bits fails before it fills more slots than there are bits. */
+/* Value i of a buffer of int64 (.i) or double (.d) values; memcpy, as a
+ * buffer need not be aligned. */
+typedef union { long long i; double d; } Item;
+
+static Item item_at(const Py_buffer *b, Py_ssize_t i)
+{
+    Item v;
+    memcpy(&v, (const char *)b->buf + 8 * i, sizeof v);
+    return v;
+}
+
+/* A bytearray for the decoded int64 values (its storage is malloc-aligned).
+ * Every codeword takes at least one bit, so a count over the payload's bits
+ * fails before it fills more slots than there are bits. */
 static PyObject *new_output(Py_ssize_t count, Py_ssize_t nbits)
 {
-    return PyList_New(count < 0 ? 0 : count < nbits ? count : nbits);
+    Py_ssize_t n = count < nbits ? count : nbits;
+    return PyByteArray_FromStringAndSize(NULL, n < 0 ? 0 : 8 * n);
 }
+
+#define OUT_VALUES(out) ((long long *)PyByteArray_AS_STRING(out))
 
 /* The symbol whose residual numerator against n folds to v, as qmap.unmap:
  * with c = ceil(2n / tau) and s = v + c it is s / 2 for even s, else
@@ -269,24 +282,24 @@ static long long unfold(long long v, long long n, long long tau)
 
 static PyObject *golomb_encode(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *ms, *seq;
-    long long m, max_run, v;
+    Py_buffer ms;
+    long long m, max_run;
     Writer w = {0};
     Code code;
     Py_ssize_t i, n;
-    if (!PyArg_ParseTuple(args, "OLL", &ms, &m, &max_run)
-            || code_set(&code, m) < 0
-            || (seq = PySequence_Fast(ms, "ms must be a sequence")) == NULL)
+    PyObject *result = NULL;
+    if (!PyArg_ParseTuple(args, "y*LL", &ms, &m, &max_run))
         return NULL;
-    n = PySequence_Fast_GET_SIZE(seq);
-    for (i = 0; i < n; i++)
-        if (get_item(seq, i, &v, NULL) < 0 || put_codeword(&w, v, &code, max_run) < 0)
-            break;
-    Py_DECREF(seq);
-    if (i == n)
-        return writer_result(&w, NULL);
+    if (code_set(&code, m) == 0 && (n = values_in(&ms, 0, "ms")) >= 0) {
+        for (i = 0; i < n; i++)
+            if (put_codeword(&w, item_at(&ms, i).i, &code, max_run) < 0)
+                break;
+        if (i == n)
+            result = writer_result(&w, NULL);
+    }
     PyMem_Free(w.buf);
-    return NULL;
+    PyBuffer_Release(&ms);
+    return result;
 }
 
 static PyObject *golomb_decode(PyObject *Py_UNUSED(self), PyObject *args)
@@ -294,7 +307,7 @@ static PyObject *golomb_decode(PyObject *Py_UNUSED(self), PyObject *args)
     Py_buffer payload;
     Py_ssize_t count, i;
     long long m, max_run, v;
-    PyObject *out = NULL, *item;
+    PyObject *out = NULL;
     Code code;
     if (!PyArg_ParseTuple(args, "y*nLL", &payload, &count, &m, &max_run))
         return NULL;
@@ -302,84 +315,74 @@ static PyObject *golomb_decode(PyObject *Py_UNUSED(self), PyObject *args)
     if (code_set(&code, m) == 0 && check_max_run(max_run, m, 1) == 0)
         out = new_output(count, r.nbits);
     for (i = 0; out && i < count; i++)
-        if ((v = get_codeword(&r, &code, max_run)) < 0
-                || (item = PyLong_FromLongLong(v)) == NULL)
+        if ((v = get_codeword(&r, &code, max_run)) < 0)
             Py_CLEAR(out);
         else
-            PyList_SET_ITEM(out, i, item);
+            OUT_VALUES(out)[i] = v;
     PyBuffer_Release(&payload);
     return out;
 }
 
 static PyObject *adaptive_encode(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *ms, *est_int, *est_raw, *seq = NULL, *inc = NULL;
+    Py_buffer ms, inc;
     PyObject *trace = NULL, *result = NULL;
-    long long tau, max_run, m, v, a = 0;
-    double d = 0.0;
-    int collect;
+    long long tau, max_run, m;
+    int raw, collect;
     Writer w = {0};
     Code code = {0, 0, 0};
     Est e = {0};
-    Py_ssize_t i, n = 0;
-    if (!PyArg_ParseTuple(args, "OOOLLp", &ms, &est_int, &est_raw, &tau,
-                          &max_run, &collect))
+    Py_ssize_t i, n;
+    if (!PyArg_ParseTuple(args, "y*y*pLLp", &ms, &inc, &raw, &tau, &max_run, &collect))
         return NULL;
-    if ((seq = PySequence_Fast(ms, "ms must be a sequence")) == NULL
-            || est_init(&e, tau, est_raw != Py_None) < 0
-            || ((n = PySequence_Fast_GET_SIZE(seq))
-                && (inc = PySequence_Fast(e.raw ? est_raw : est_int,
-                                          "increments must be a sequence")) == NULL)
+    if ((n = values_in(&ms, 0, "ms")) < 0
+            || values_in(&inc, n, "increments") < 0
+            || est_init(&e, tau, raw) < 0
             || (collect && (trace = PyList_New(0)) == NULL))
         goto done;
     for (i = 0; i < n; i++) {
         m = est_m(&e);
         if ((m != code.m && code_set(&code, m) < 0)
-                || get_item(seq, i, &v, NULL) < 0
-                || put_codeword(&w, v, &code, max_run) < 0
-                || get_item(inc, i, e.raw ? NULL : &a, &d) < 0
-                || est_add(&e, a, d, trace, m) < 0)
+                || put_codeword(&w, item_at(&ms, i).i, &code, max_run) < 0
+                || est_add(&e, item_at(&inc, i).i, item_at(&inc, i).d, trace, m) < 0)
             goto done;
     }
     result = writer_result(&w, trace ? trace : Py_None);
 done:
     PyMem_Free(w.buf);
-    Py_XDECREF(seq);
-    Py_XDECREF(inc);
+    PyBuffer_Release(&ms);
+    PyBuffer_Release(&inc);
     Py_XDECREF(trace);
     return result;
 }
 
 static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    Py_buffer payload;
+    Py_buffer payload, pred_n, pred_x;
     Py_ssize_t count, i;
-    PyObject *pred_n, *pred_x, *preds = NULL, *raw_preds = NULL;
-    PyObject *out = NULL, *trace = NULL, *result = NULL, *item;
+    PyObject *out = NULL, *trace = NULL, *result = NULL;
     long long tau, lo, hi, max_run, m, v, n, x, d;
-    double px = 0.0;
+    double px;
     int raw, collect;
     Code code = {0, 0, 0};
     Est e = {0};
-    if (!PyArg_ParseTuple(args, "y*nOOLpLLLp", &payload, &count, &pred_n, &pred_x,
+    if (!PyArg_ParseTuple(args, "y*ny*y*LpLLLp", &payload, &count, &pred_n, &pred_x,
                           &tau, &raw, &lo, &hi, &max_run, &collect))
         return NULL;
     Reader r = {payload.buf, 0, 8 * payload.len};
     if (est_init(&e, tau, raw) < 0
             || check_max_run(max_run, N_BOUNDS, tau) < 0
-            || (preds = PySequence_Fast(pred_n, "pred_n must be a sequence")) == NULL
-            || (raw && (raw_preds = PySequence_Fast(
-                    pred_x, "pred_x must be a sequence")) == NULL)
+            || values_in(&pred_n, count, "pred_n") < 0
+            || values_in(&pred_x, count, "pred_x") < 0
             || (out = new_output(count, r.nbits)) == NULL
             || (collect && (trace = PyList_New(0)) == NULL))
         goto done;
     for (i = 0; i < count; i++) {
         m = est_m(&e);
         if ((m != code.m && code_set(&code, m) < 0)
-                || (v = get_codeword(&r, &code, max_run)) < 0
-                || get_item(preds, i, &n, NULL) < 0
-                || (raw && get_item(raw_preds, i, NULL, &px) < 0))
+                || (v = get_codeword(&r, &code, max_run)) < 0)
             goto done;
+        n = item_at(&pred_n, i).i;
         if (n <= -VALUE_LIMIT || n >= VALUE_LIMIT) {
             PyErr_SetString(PyExc_ValueError, "prediction numerator out of range");
             goto done;
@@ -390,18 +393,17 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
                          i, x, lo, hi);
             goto done;
         }
-        if ((item = PyLong_FromLongLong(x)) == NULL)
-            goto done;
-        PyList_SET_ITEM(out, i, item);
+        OUT_VALUES(out)[i] = x;
         d = tau * x - n;  /* |d| < 2**61, see check_max_run */
+        px = item_at(&pred_x, i).d;
         if (est_add(&e, d < 0 ? -d : d, fabs((double)x - px), trace, m) < 0)
             goto done;
     }
     result = Py_BuildValue("(OO)", out, trace ? trace : Py_None);
 done:
     PyBuffer_Release(&payload);
-    Py_XDECREF(preds);
-    Py_XDECREF(raw_preds);
+    PyBuffer_Release(&pred_n);
+    PyBuffer_Release(&pred_x);
     Py_XDECREF(out);
     Py_XDECREF(trace);
     return result;
@@ -432,20 +434,20 @@ static PyObject *import_attr(const char *module_name, const char *name)
 /* Copy frgc._estcore.LOG_BOUNDARIES into log_bounds; it must have N_BOUNDS entries. */
 static int load_bounds(void)
 {
-    PyObject *table = import_attr("frgc._estcore", "LOG_BOUNDARIES"), *seq;
-    Py_ssize_t i;
+    PyObject *table = import_attr("frgc._estcore", "LOG_BOUNDARIES"), *item;
+    Py_ssize_t i, size;
     if (table == NULL)
         return -1;
-    seq = PySequence_Fast(table, "LOG_BOUNDARIES must be a sequence");
-    Py_DECREF(table);
-    if (seq == NULL)
-        return -1;
-    if (PySequence_Fast_GET_SIZE(seq) != N_BOUNDS)
+    if ((size = PySequence_Size(table)) != N_BOUNDS && !PyErr_Occurred())
         PyErr_Format(PyExc_ImportError, "LOG_BOUNDARIES must have %d entries, got %zd",
-                     N_BOUNDS, PySequence_Fast_GET_SIZE(seq));
-    for (i = 0; i < N_BOUNDS && !PyErr_Occurred(); i++)
-        log_bounds[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seq, i));
-    Py_DECREF(seq);
+                     N_BOUNDS, size);
+    for (i = 0; i < N_BOUNDS && !PyErr_Occurred(); i++) {
+        if ((item = PySequence_GetItem(table, i)) == NULL)
+            break;
+        log_bounds[i] = PyFloat_AsDouble(item);
+        Py_DECREF(item);
+    }
+    Py_DECREF(table);
     return PyErr_Occurred() ? -1 : 0;
 }
 

@@ -7,23 +7,29 @@ this module otherwise.
 Contract (shared by both backends):
 
     golomb_encode(ms, m, max_run) -> (payload, nbits)
-    golomb_decode(payload, count, m, max_run) -> list of mapped residuals
-    adaptive_encode(ms, est_int, est_raw, tau, max_run, collect_trace)
+    golomb_decode(payload, count, m, max_run) -> mapped residuals
+    adaptive_encode(ms, increments, raw, tau, max_run, collect_trace)
         -> (payload, nbits, trace | None)
-    adaptive_decode(payload, count, pred_n, pred_x, tau, raw_estimator,
-                    lo, hi, max_run, collect_trace) -> (symbols, trace | None)
+    adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi,
+                    max_run, collect_trace) -> (symbols, trace | None)
 
-``ms`` are the already-mapped residuals (non-negative); ``est_int``/
-``est_raw`` the per-symbol estimator increments (|residual numerator| /
-raw |x - xhat|, non-negative); ``pred_n`` the rounded prediction
-numerators, below 2**62 in magnitude.  The adaptive m is
+Arrays pass as buffers of native 8-byte values, C-contiguous: int64, or
+float64 for the raw estimator's ``increments`` and ``pred_x``.  Both
+backends read the bytes alone (np.frombuffer here, ``y*`` there), so a
+buffer that is not C-contiguous, not whole values, or shorter than
+``len(ms)`` (``count`` on decode) raises ValueError, and a list
+TypeError.  The decoders fill and return a bytearray of ``count`` int64
+values.  ``ms`` are the mapped residuals (non-negative); ``increments``
+the estimator's per-symbol |residual numerator| (int64) or, when
+``raw``, |x - xhat| (float64), non-negative; ``pred_n`` the rounded
+prediction numerators, below 2**62 in magnitude; ``pred_x`` the
+predictions, read only when ``raw``.  The adaptive m is
 ``_estcore.select_m`` over ``_estcore.LOG_BOUNDARIES``, which the
 compiled module copies once, when it is imported.  A quotient above
 ``max_run`` raises ValueError on encode and CorruptStreamError on
 decode, so the encoder writes no codeword the decoder would refuse.
 adaptive_decode raises CorruptStreamError for the first symbol outside
-[lo, hi].  Sequences may be lists, tuples or numpy arrays.  Trace
-entries are (m_t, t_after, s_after).
+[lo, hi].  Trace entries are (m_t, t_after, s_after).
 
 Both backends raise ValueError for m > 2**32.  The compiled loops also
 raise ValueError, on decode, for a max_run with (max_run + 1) * m > 2**62
@@ -58,7 +64,7 @@ from frgc.bitcoder import (
 
 BACKEND_NAME = "pure"
 
-BLOCK_SYMBOLS = 1 << 11  # symbols converted and split at a time
+BLOCK_SYMBOLS = 1 << 11  # symbols split at a time
 BLOCK_BITS = 1 << 16     # payload bits packed at a time (or one longer codeword)
 WINDOW_BITS = 1 << 15    # payload bits parsed at a time (or one longer codeword)
 
@@ -82,6 +88,19 @@ def _run_too_long(max_run):
 
 def _end_of_stream():
     return CorruptStreamError("unexpected end of stream")
+
+
+def _values(buf, dtype, need: int, name: str) -> np.ndarray:
+    """buf as the compiled loops read it: at least ``need`` values of dtype."""
+    values = np.frombuffer(buf, dtype)
+    if values.size < need:
+        raise ValueError(f"{name} holds {values.size} values, needs {need}")
+    return values
+
+
+def _output(count: int, nbits: int) -> bytearray:
+    """Room for count int64 values: a codeword takes a bit, so no more than nbits."""
+    return bytearray(8 * max(0, min(count, nbits)))
 
 
 class _Packer:
@@ -143,9 +162,10 @@ class _Packer:
 
 def golomb_encode(ms, m, max_run):
     _param(m)
+    ms = _values(ms, np.int64, 0, "ms")
     packer = _Packer()
-    for lo in range(0, len(ms), BLOCK_SYMBOLS):
-        packer.write(np.asarray(ms[lo:lo + BLOCK_SYMBOLS], dtype=np.int64), m, max_run)
+    for lo in range(0, ms.size, BLOCK_SYMBOLS):
+        packer.write(ms[lo:lo + BLOCK_SYMBOLS], m, max_run)
     return packer.finish(), packer.bit_length
 
 
@@ -166,21 +186,17 @@ def _running_sums(before, inc: np.ndarray, raw: bool) -> np.ndarray:
     return sums.astype(np.int64)
 
 
-def adaptive_encode(ms, est_int, est_raw, tau, max_run, collect_trace):
-    raw = est_raw is not None
-    increments = est_raw if raw else est_int
-    n = len(ms)
-    if n and n > len(increments):
-        raise IndexError("list index out of range")
+def adaptive_encode(ms, increments, raw, tau, max_run, collect_trace):
+    ms = _values(ms, np.int64, 0, "ms")
+    n = ms.size
+    increments = _values(increments, np.float64 if raw else np.int64, n, "increments")
     packer = _Packer()
     trace = [] if collect_trace else None
     s = 0.0 if raw else 0  # the sum over the symbols before the block
     for lo in range(0, n, BLOCK_SYMBOLS):
-        values = np.asarray(ms[lo:lo + BLOCK_SYMBOLS], dtype=np.int64)
+        values = ms[lo:lo + BLOCK_SYMBOLS]
         hi = lo + values.size
-        inc = np.asarray(increments[lo:hi], dtype=np.float64 if raw else np.int64)
-        after = _running_sums(s, inc, raw)
-        del inc
+        after = _running_sums(s, increments[lo:hi], raw)
         m = select_m_array(np.arange(lo, hi), np.concatenate(([s], after[:-1])),
                            1 if raw else tau)
         packer.write(values, m, max_run)
@@ -193,9 +209,8 @@ def adaptive_encode(ms, est_int, est_raw, tau, max_run, collect_trace):
 def golomb_decode(payload, count, m, max_run):
     g = _param(m)
     data = np.frombuffer(payload, dtype=np.uint8)
-    # every codeword takes a bit, so a count past the payload's bits fails
-    # before it fills more slots than there are bits
-    out = [0] * max(0, min(count, 8 * data.size))
+    out = _output(count, 8 * data.size)
+    filled = np.frombuffer(out, np.int64)
     done = pos = 0
     window = WINDOW_BITS
     longest = max_run + g.bits + 2  # a window this long holds any legal codeword
@@ -209,7 +224,7 @@ def golomb_decode(payload, count, m, max_run):
             window = min(2 * window, max(longest, WINDOW_BITS))
             continue
         values, used = decoded
-        out[done:done + values.size] = values.tolist()
+        filled[done:done + values.size] = values
         done += values.size
         pos += used
         window = WINDOW_BITS
@@ -282,13 +297,16 @@ def _decode_window(data, pos, size, g, want, max_run, final):
     return values, resume
 
 
-def adaptive_decode(payload, count, pred_n, pred_x, tau, raw_estimator, lo, hi,
+def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi,
                     max_run, collect_trace):
-    raw = raw_estimator
+    # memoryviews index to Python ints and floats, as the loop needs
+    pred_n = memoryview(_values(pred_n, np.int64, count, "pred_n"))
+    pred_x = memoryview(_values(pred_x, np.float64, count, "pred_x"))
     src = BitSource(payload, max_run)
     params = {}
     trace = [] if collect_trace else None
-    out = []
+    out = _output(count, src.bits_left)
+    symbols = memoryview(out).cast("q")
     t = 0
     s_int = 0
     s_raw = 0.0
@@ -304,7 +322,7 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw_estimator, lo, hi,
         x = s // 2 if s % 2 == 0 else (c - value - 1) // 2
         if not lo <= x <= hi:
             raise symbol_out_of_range(i, x, lo, hi)
-        out.append(x)
+        symbols[i] = x
         t += 1
         if raw:
             s_raw += abs(x - pred_x[i])

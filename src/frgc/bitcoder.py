@@ -40,13 +40,6 @@ class GolombParam:
         object.__setattr__(self, "threshold", (1 << b) - self.m)
 
 
-def minimal_binary_length(k: int, g: GolombParam) -> int:
-    """Bits needed for remainder k under g (0 for m = 1)."""
-    if not 0 <= k < g.m:
-        raise ValueError(f"remainder {k} out of range for m={g.m}")
-    return g.bits - 1 if k < g.threshold else g.bits
-
-
 def codeword_fields(values: np.ndarray, m):
     """The codeword split of int64 mapped residuals, for a whole array.
 

@@ -209,7 +209,7 @@ def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> np.ndarray:
 def _prediction_array(predictions, n: int) -> np.ndarray:
     if predictions is None:
         return np.zeros(n, dtype=np.float64)
-    pred = np.asarray(predictions, dtype=np.float64)
+    pred = np.ascontiguousarray(predictions, dtype=np.float64)
     if pred.shape != (n,):
         raise ValueError(f"expected {n} predictions, got shape {pred.shape}")
     return pred
@@ -218,8 +218,9 @@ def _prediction_array(predictions, n: int) -> np.ndarray:
 def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int) -> np.ndarray:
     """Vectorized twin of qmap.map_residual over residual numerators."""
     # |tau*x| + |n| < 2**62 keeps tau*x - n and 2*(tau*x - n) in int64;
-    # the maxima are compared as Python integers, so exactly.
-    if xs.size and (tau * int(np.abs(xs).max())
+    # the maxima are compared as Python integers, so exactly (np.abs
+    # would wrap x = -2**63 to itself).
+    if xs.size and (tau * max(-int(xs.min()), int(xs.max()))
                     + int(np.abs(numerators).max())) >= 1 << 62:
         raise ValueError("prediction magnitude overflows the residual range")
     r = tau * xs - numerators
@@ -267,18 +268,13 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
 
     trace = None
     if header.mode == MODE_ADAPTIVE:
-        if header.raw_error_estimator:
-            est_int = None
-            est_raw = np.abs(arr - pred).tolist()
-        else:
-            est_int = np.abs(header.tau * arr - numerators).tolist()
-            est_raw = None
+        raw = header.raw_error_estimator
+        increments = (np.abs(arr - pred) if raw
+                      else np.abs(header.tau * arr - numerators))
         payload, _, trace = _backend.adaptive_encode(
-            mapped.tolist(), est_int, est_raw, header.tau, DEFAULT_MAX_RUN,
-            collect_trace)
+            mapped, increments, raw, header.tau, DEFAULT_MAX_RUN, collect_trace)
     else:
-        payload, _ = _backend.golomb_encode(mapped.tolist(), header.m,
-                                            DEFAULT_MAX_RUN)
+        payload, _ = _backend.golomb_encode(mapped, header.m, DEFAULT_MAX_RUN)
 
     data = header.pack() + payload
     if collect_trace:
@@ -359,17 +355,17 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
 
     trace = None
     if header.mode == MODE_ADAPTIVE:
-        pred_x = pred.tolist() if header.raw_error_estimator else None
-        out, trace = _backend.adaptive_decode(
-            payload, n, numerators.tolist(), pred_x, header.tau,
+        decoded, trace = _backend.adaptive_decode(
+            payload, n, numerators, pred, header.tau,
             header.raw_error_estimator, *_symbol_range(header.alphabet_q),
             DEFAULT_MAX_RUN, collect_trace)
+        symbols = np.frombuffer(decoded, np.int64)
     else:
         values = _backend.golomb_decode(payload, n, header.m, DEFAULT_MAX_RUN)
-        symbols = _unmap_vector(np.asarray(values, dtype=np.int64),
+        symbols = _unmap_vector(np.frombuffer(values, np.int64),
                                 numerators, header.tau)
         _check_decoded(symbols, header.alphabet_q)
-        out = symbols.tolist()
+    out = symbols.tolist()
 
     if collect_trace:
         return out, trace

@@ -103,12 +103,9 @@ def mapped_values(xs, predictions, precision: Precision) -> np.ndarray:
     if precision.is_asymptotic:
         raise ValueError("sampled sweeps need a concrete precision; "
                          "use ASYMPTOTIC_SURROGATE")
-    arr = np.asarray(xs, dtype=np.int64)
-    if arr.size and max(abs(int(arr.min())), abs(int(arr.max()))) * precision.tau >= 1 << 62:
-        raise ValueError("tau * |x| overflows the exact integer range")
     pred = np.asarray(predictions, dtype=np.float64)
     numerators = _round_predictions(pred, precision.rho, precision.tau)
-    return _map_vector(arr, numerators, precision.tau)
+    return _map_vector(np.asarray(xs, dtype=np.int64), numerators, precision.tau)
 
 
 def symbol_code_lengths(values, m: int) -> np.ndarray:
@@ -128,11 +125,7 @@ def exhaustive_best_m(values, max_m: int = EXHAUSTIVE_MAX_M):
     n = int(counts.sum())
     best_m, best_total = 1, None
     for m in range(1, max_m + 1):
-        b = (m - 1).bit_length()
-        u = (1 << b) - m
-        k = vals % m
-        blen = np.where(k < u, b - 1, b)
-        total = int(((vals // m + 1 + blen) * counts).sum())
+        total = int((symbol_code_lengths(vals, m) * counts).sum())
         if best_total is None or total < best_total:
             best_m, best_total = m, total
     return best_m, best_total / n

@@ -109,11 +109,6 @@ def predict_at(history: Sequence[int], coeffs: Sequence[float], t: int) -> float
     return s
 
 
-def predict(history: Sequence[int], coeffs: Sequence[float]) -> float:
-    """Prediction for the sample following ``history``."""
-    return predict_at(history, coeffs, len(history))
-
-
 class LpcState:
     """The predictor of one stream, shared by its encoder and decoder.
 

@@ -3,8 +3,8 @@
 ``kernels`` is frgc._kernels as ``setup.py build_ext`` builds it from the
 shipped ``_kernels.c``, once per run, in a temporary copy of the project,
 so the compile flags come from ``setup.py`` alone; the build must print
-no compiler warning under ``-Wall -Wextra``.  Tests using it skip only
-where there is no C compiler or no ``Python.h``.
+no compiler warning under ``WARNINGS``.  Tests using it skip only where
+there is no C compiler or no ``Python.h``.
 """
 
 import importlib.util
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+WARNINGS = "-Wall -Wextra -Wpedantic -Wshadow -Wsign-conversion"
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +39,7 @@ def kernels(tmp_path_factory):
         "__pycache__", "*.so", "*.pyd"))
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--inplace"], cwd=root,
-        env=dict(os.environ, CFLAGS="-Wall -Wextra"), capture_output=True, text=True)
+        env=dict(os.environ, CFLAGS=WARNINGS), capture_output=True, text=True)
     log = proc.stdout + proc.stderr
     assert proc.returncode == 0, log
     assert "warning:" not in log, log

@@ -48,13 +48,22 @@ def both(kernels, name):
     return getattr(_pure, name), getattr(kernels, name)
 
 
+def ints(values):
+    return np.array(values, dtype=np.int64)
+
+
+def decoded(out):
+    """The int64 values a decoder's output buffer holds."""
+    return np.frombuffer(out, np.int64).tolist()
+
+
 def random_streams():
     rng = np.random.default_rng(101)
     cases = []
     for n in (0, 1, 7, 300, 5000):
-        cases.append(rng.integers(0, 4000, size=n).tolist())
-    cases.append([0] * 256)
-    cases.append([4095] * 64)
+        cases.append(rng.integers(0, 4000, size=n))
+    cases.append(np.zeros(256, np.int64))
+    cases.append(np.full(64, 4095))
     return cases
 
 
@@ -73,29 +82,28 @@ def test_golomb_decode_parity(m, kernels):
         payload, _ = _pure.golomb_encode(ms, m, MAX_RUN)
         a = _pure.golomb_decode(payload, len(ms), m, MAX_RUN)
         b = kernels.golomb_decode(payload, len(ms), m, MAX_RUN)
-        assert a == b == ms
+        assert a == b
+        assert decoded(a) == ms.tolist()
 
 
 def adaptive_case(n, tau, seed, spread):
     rng = np.random.default_rng(seed)
     xs = rng.integers(-2000, 2000, size=n)
     pred_x = xs + rng.normal(0.0, spread, size=n)
-    scaled = np.floor(tau * pred_x + 0.5).astype(np.int64)
-    pred_n = scaled.tolist()
-    r = tau * xs - scaled
+    pred_n = np.floor(tau * pred_x + 0.5).astype(np.int64)
+    r = tau * xs - pred_n
     two_r = 2 * r
-    ms = np.where(r >= 0, two_r // tau, -(two_r // tau) - 1).astype(np.int64)
-    est_int = np.abs(r).tolist()
-    est_raw = np.abs(xs - pred_x).tolist()
-    return xs.tolist(), pred_n, pred_x.tolist(), ms.tolist(), est_int, est_raw
+    ms = np.where(r >= 0, two_r // tau, -(two_r // tau) - 1)
+    est_int = np.abs(r)
+    est_raw = np.abs(xs - pred_x)
+    return xs, pred_n, pred_x, ms, est_int, est_raw
 
 
 @pytest.mark.parametrize("tau,spread", [(1, 0.6), (16, 3.0), (64, 40.0)])
 def test_adaptive_encode_parity(tau, spread, kernels):
     _, _, _, ms, est_int, est_raw = adaptive_case(3000, tau, 7, spread)
     for raw in (False, True):
-        args = (ms, None if raw else est_int, est_raw if raw else None, tau,
-                MAX_RUN, True)
+        args = (ms, est_raw if raw else est_int, raw, tau, MAX_RUN, True)
         p_payload, p_bits, p_trace = _pure.adaptive_encode(*args)
         k_payload, k_bits, k_trace = kernels.adaptive_encode(*args)
         assert p_payload == k_payload
@@ -109,18 +117,18 @@ def test_adaptive_encode_parity(tau, spread, kernels):
 def test_adaptive_decode_parity(tau, spread, kernels):
     xs, pred_n, pred_x, ms, est_int, est_raw = adaptive_case(2500, tau, 13, spread)
     for raw in (False, True):
-        payload, _, _ = _pure.adaptive_encode(
-            ms, None if raw else est_int, est_raw if raw else None, tau,
-            MAX_RUN, False)
+        payload, _, _ = _pure.adaptive_encode(ms, est_raw if raw else est_int, raw,
+                                              tau, MAX_RUN, False)
         args = (payload, len(ms), pred_n, pred_x, tau, raw, *RANGE, MAX_RUN, True)
         p_out, p_trace = _pure.adaptive_decode(*args)
         k_out, k_trace = kernels.adaptive_decode(*args)
-        assert p_out == k_out == xs
+        assert p_out == k_out
+        assert decoded(p_out) == xs.tolist()
         assert p_trace == k_trace
 
 
 def test_decode_corruption_parity(kernels):
-    payload, _ = _pure.golomb_encode([3, 1, 4], 2, MAX_RUN)
+    payload, _ = _pure.golomb_encode(ints([3, 1, 4]), 2, MAX_RUN)
     for backend in (_pure, kernels):
         with pytest.raises(CorruptStreamError):
             backend.golomb_decode(payload[:1], 3, 2, MAX_RUN)
@@ -155,6 +163,19 @@ def test_codec_streams_match_across_backends(mode, kernels, monkeypatch):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("mode", ["fixed", "adaptive+raw"])
+def test_strided_inputs_round_trip(mode, kernels, monkeypatch):
+    # the backends read C-contiguous buffers only; the codec makes them so
+    header = STREAM_HEADERS[mode]
+    rng = np.random.default_rng(9)
+    xs = np.repeat(np.cumsum(rng.integers(-40, 41, size=700)), 2)[::2]
+    preds = np.repeat(xs + rng.laplace(0.0, 6.0, size=xs.size), 2)[::2]
+    for module in (_pure, kernels):
+        use_backend(monkeypatch, module)
+        data = encode_stream(xs, header, predictions=preds)
+        assert decode_stream(data, predictions=preds) == xs.tolist()
+
+
 @pytest.mark.parametrize("mode,xs", [("fixed", [1 << 21]), ("adaptive", [1 << 21, 0])])
 def test_encoder_rejects_what_the_decoder_would(mode, xs, kernels, monkeypatch):
     # a quotient above DEFAULT_MAX_RUN used to encode into a stream that
@@ -171,15 +192,16 @@ def test_encode_max_run_parity(kernels):
     m, limit = 3, 40
     top = limit * m + m - 1
     enc, aenc = both(kernels, "golomb_encode"), both(kernels, "adaptive_encode")
-    assert same_outcome(enc, [top, 0], m, limit)[0] == "ok"
-    assert same_outcome(enc, [0, top + 1], m, limit) == ("raised", ValueError)
+    assert same_outcome(enc, ints([top, 0]), m, limit)[0] == "ok"
+    assert same_outcome(enc, ints([0, top + 1]), m, limit) == ("raised", ValueError)
     # adaptive mode starts cold at m = 1, so the first quotient is the value
-    assert same_outcome(aenc, [limit, 0], [1, 1], None, 1, limit, False)[0] == "ok"
-    assert same_outcome(aenc, [limit + 1, 0], [1, 1], None, 1, limit,
+    one = ints([1, 1])
+    assert same_outcome(aenc, ints([limit, 0]), one, False, 1, limit, False)[0] == "ok"
+    assert same_outcome(aenc, ints([limit + 1, 0]), one, False, 1, limit,
                         False) == ("raised", ValueError)
-    payload, _ = kernels.golomb_encode([top, 0], m, limit)
+    payload, _ = kernels.golomb_encode(ints([top, 0]), m, limit)
     assert same_outcome(both(kernels, "golomb_decode"), payload, 2, m,
-                        limit) == ("ok", [top, 0])
+                        limit) == ("ok", ints([top, 0]).tobytes())
 
 
 def test_error_path_parity(kernels):
@@ -187,40 +209,44 @@ def test_error_path_parity(kernels):
     aenc, adec = both(kernels, "adaptive_encode"), both(kernels, "adaptive_decode")
     raised = ("raised", ValueError)
     # a negative mapped residual
-    assert same_outcome(enc, [4, -1], 3, MAX_RUN) == raised
-    assert same_outcome(aenc, [4, -1], [1, 1], None, 16, MAX_RUN, False) == raised
+    assert same_outcome(enc, ints([4, -1]), 3, MAX_RUN) == raised
+    assert same_outcome(aenc, ints([4, -1]), ints([1, 1]), False, 16, MAX_RUN,
+                        False) == raised
     # m < 1
     for m in (0, -3):
-        assert same_outcome(enc, [1, 2], m, MAX_RUN) == raised
+        assert same_outcome(enc, ints([1, 2]), m, MAX_RUN) == raised
         assert same_outcome(dec, b"\x00", 1, m, MAX_RUN) == raised
     # empty input
-    assert same_outcome(enc, [], 5, MAX_RUN)[0] == "ok"
-    assert same_outcome(dec, b"", 0, 5, MAX_RUN) == ("ok", [])
+    empty, no_floats = ints([]), np.zeros(0)
+    assert same_outcome(enc, empty, 5, MAX_RUN)[0] == "ok"
+    assert same_outcome(dec, b"", 0, 5, MAX_RUN) == ("ok", b"")
     for raw in (False, True):
-        est = ([], None) if not raw else (None, [])
-        assert same_outcome(aenc, [], *est, 16, MAX_RUN, True)[0] == "ok"
-        assert same_outcome(adec, b"", 0, [], [], 16, raw, *RANGE, MAX_RUN,
-                            True) == ("ok", ([], []))
+        assert same_outcome(aenc, empty, no_floats if raw else empty, raw, 16, MAX_RUN,
+                            True)[0] == "ok"
+        assert same_outcome(adec, b"", 0, empty, no_floats, 16, raw, *RANGE, MAX_RUN,
+                            True) == ("ok", (b"", []))
 
 
-def test_sequence_type_parity(kernels):
+def test_short_buffer_parity(kernels):
+    # a buffer one value short of len(ms) or count, or not a whole number of
+    # values, raises ValueError before either backend reads it; a list is no
+    # buffer at all
     xs, pred_n, pred_x, ms, est_int, est_raw = adaptive_case(400, 16, 3, 3.0)
-    payload, _, _ = _pure.adaptive_encode(ms, est_int, None, 16, MAX_RUN, False)
-    for convert in (tuple, np.array):
-        assert (_pure.golomb_encode(convert(ms), 7, MAX_RUN)
-                == kernels.golomb_encode(convert(ms), 7, MAX_RUN)
-                == _pure.golomb_encode(ms, 7, MAX_RUN))
-        for raw in (False, True):
-            args = (convert(ms), None if raw else convert(est_int),
-                    convert(est_raw) if raw else None, 16, MAX_RUN, False)
-            expect = _pure.adaptive_encode(ms, None if raw else est_int,
-                                           est_raw if raw else None, 16,
-                                           MAX_RUN, False)
-            assert _pure.adaptive_encode(*args)[:2] == expect[:2]
-            assert kernels.adaptive_encode(*args)[:2] == expect[:2]
-        args = (payload, len(ms), convert(pred_n), convert(pred_x), 16,
-                False, *RANGE, MAX_RUN, False)
-        assert _pure.adaptive_decode(*args)[0] == kernels.adaptive_decode(*args)[0] == xs
+    aenc, adec = both(kernels, "adaptive_encode"), both(kernels, "adaptive_decode")
+    raised = ("raised", ValueError)
+    ragged = ms.tobytes()[:-1]
+    assert same_outcome(both(kernels, "golomb_encode"), ragged, 7, MAX_RUN) == raised
+    for raw, inc in ((False, est_int), (True, est_raw)):
+        assert same_outcome(aenc, ms, inc[:-1], raw, 16, MAX_RUN, False) == raised
+        assert same_outcome(aenc, ms, inc.tobytes()[:-1], raw, 16, MAX_RUN,
+                            False) == raised
+        payload, _, _ = _pure.adaptive_encode(ms, inc, raw, 16, MAX_RUN, False)
+        args = (payload, len(ms), pred_n, pred_x, 16, raw, *RANGE, MAX_RUN, False)
+        assert decoded(same_outcome(adec, *args)[1][0]) == xs.tolist()
+        assert same_outcome(adec, *args[:2], pred_n[:-1], *args[3:]) == raised
+        assert same_outcome(adec, *args[:3], pred_x[:-1], *args[4:]) == raised
+    assert same_outcome(aenc, ms.tolist(), est_int, False, 16, MAX_RUN,
+                        False) == ("raised", TypeError)
 
 
 @pytest.mark.parametrize("bad", [0, 150, 299])
@@ -234,11 +260,11 @@ def test_adaptive_decode_range_check_parity(bad, kernels, monkeypatch):
     pred_n = np.floor(16 * pred_x + 0.5).astype(np.int64)
     r = 16 * xs - pred_n
     ms = np.where(r >= 0, 2 * r // 16, -(2 * r // 16) - 1)
-    payload, _, _ = _pure.adaptive_encode(ms.tolist(), np.abs(r).tolist(), None, 16,
-                                          MAX_RUN, False)
-    args = (payload, 300, pred_n.tolist(), None, 16, False)
+    payload, _, _ = _pure.adaptive_encode(ms, np.abs(r), False, 16, MAX_RUN, False)
+    args = (payload, 300, pred_n, pred_x, 16, False)
     for backend in (_pure, kernels):
-        assert backend.adaptive_decode(*args, 0, 1100, MAX_RUN, False)[0] == xs.tolist()
+        out, _ = backend.adaptive_decode(*args, 0, 1100, MAX_RUN, False)
+        assert decoded(out) == xs.tolist()
         with pytest.raises(CorruptStreamError) as info:
             backend.adaptive_decode(*args, 0, 999, MAX_RUN, False)
         assert str(info.value) == f"symbol {bad} decodes to 1100, outside [0, 999]"
@@ -256,14 +282,14 @@ def test_adaptive_decode_range_check_parity(bad, kernels, monkeypatch):
 
 def test_truncated_adaptive_payload_parity(kernels):
     xs, pred_n, pred_x, ms, est_int, _ = adaptive_case(300, 16, 21, 20.0)
-    payload, _, _ = _pure.adaptive_encode(ms, est_int, None, 16, MAX_RUN, False)
+    payload, _, _ = _pure.adaptive_encode(ms, est_int, False, 16, MAX_RUN, False)
     decode = both(kernels, "adaptive_decode")
     for cut in range(len(payload)):
         outcome = same_outcome(decode, payload[:cut], len(ms), pred_n, pred_x, 16,
                                False, *RANGE, MAX_RUN, False)
         assert outcome == ("raised", CorruptStreamError)
     assert same_outcome(decode, payload, len(ms), pred_n, pred_x, 16,
-                        False, *RANGE, MAX_RUN, False) == ("ok", (xs, None))
+                        False, *RANGE, MAX_RUN, False) == ("ok", (xs.tobytes(), None))
 
 
 @pytest.mark.parametrize("tau", [1, 7, 0xFFFF])
@@ -273,20 +299,20 @@ def test_unmap_parity_at_numerator_limit(tau, kernels):
     rng = np.random.default_rng(tau)
     payload = rng.integers(0, 256, size=4000, dtype=np.uint8).tobytes()
     lim = (1 << 62) - 1
-    pred_n = [int(v) for v in rng.choice([lim, -lim, lim - 12345, 1 - lim, 0], 600)]
-    args = (payload, 600, pred_n, None, tau, False, *WIDEST, MAX_RUN, True)
+    pred_n = rng.choice(ints([lim, -lim, lim - 12345, 1 - lim, 0]), 600)
+    args = (payload, 600, pred_n, np.zeros(600), tau, False, *WIDEST, MAX_RUN, True)
     assert same_outcome(both(kernels, "adaptive_decode"), *args)[0] == "ok"
 
 
 def test_compiled_range_guards(kernels):
     # inputs outside what the 64-bit loops can hold exactly raise, not wrap
     with pytest.raises(ValueError):
-        kernels.golomb_encode([1], (1 << 32) + 1, MAX_RUN)
+        kernels.golomb_encode(ints([1]), (1 << 32) + 1, MAX_RUN)
     with pytest.raises(ValueError):
         kernels.golomb_decode(b"\x00", 1, 1, 1 << 62)
     with pytest.raises(ValueError):
-        kernels.adaptive_decode(b"\x00", 1, [1 << 62], None, 1, False, *WIDEST,
-                                MAX_RUN, False)
+        kernels.adaptive_decode(b"\x00", 1, ints([1 << 62]), np.zeros(1), 1, False,
+                                *WIDEST, MAX_RUN, False)
 
 
 def test_backend_module_exports():
@@ -328,7 +354,7 @@ def test_compiled_import_needs_the_64_entry_table(size, kernels):
 
 def test_saturation_and_boundary_parity(kernels):
     sat = _estcore.EST_SATURATION
-    args = ([3] * 4, [sat - 1, 1000, 1000, 7], None, 16, MAX_RUN, True)
+    args = (ints([3] * 4), ints([sat - 1, 1000, 1000, 7]), False, 16, MAX_RUN, True)
     assert _pure.adaptive_encode(*args) == kernels.adaptive_encode(*args)
     # raw sums s with ln theta = -1/s exactly on the k-th log-boundary: m = k
     hits = 0
@@ -342,12 +368,12 @@ def test_saturation_and_boundary_parity(kernels):
                 near.append(x)
         for s in [x for x in near if -1.0 / x == lb][:1]:
             hits += 1
-            args = ([0, 0], None, [s, 0.0], 1, MAX_RUN, True)
+            args = (ints([0, 0]), np.array([s, 0.0]), True, 1, MAX_RUN, True)
             result = _pure.adaptive_encode(*args)
             assert result == kernels.adaptive_encode(*args)
             assert [m for m, _, _ in result[2]] == [1, k]
             # the same boundary reached from above: -1/(2s) then -2/(2s)
-            args = ([0, 0, 0], None, [2 * s, 0.0, 0.0], 1, MAX_RUN, True)
+            args = (ints([0, 0, 0]), np.array([2 * s, 0.0, 0.0]), True, 1, MAX_RUN, True)
             result = _pure.adaptive_encode(*args)
             assert result == kernels.adaptive_encode(*args)
             assert [m for m, _, _ in result[2]][2] == k

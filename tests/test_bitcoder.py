@@ -10,7 +10,6 @@ from frgc.bitcoder import (
     CorruptStreamError,
     GolombParam,
     code_length,
-    minimal_binary_length,
 )
 
 
@@ -75,7 +74,7 @@ def test_minimal_binary_examples(k, m, expected):
     sink = BitSink()
     sink.write_minimal_binary(k, g)
     assert bits_of(sink.finish(), sink.bit_length) == expected
-    assert minimal_binary_length(k, g) == len(expected)
+    assert code_length(k, g) == 1 + len(expected)  # a zero quotient: one bit
 
 
 def test_minimal_binary_rejects_out_of_range():

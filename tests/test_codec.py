@@ -156,7 +156,7 @@ def test_select_m_agrees_with_exp_rule():
 def test_estimator_saturates():
     sat = _estcore.EST_SATURATION
     _, _, trace = _backend.adaptive_encode(
-        [0, 0, 0], [sat - 1, 1000, 1000], None, 16, 1 << 20, True)
+        np.zeros(3, np.int64), np.array([sat - 1, 1000, 1000]), False, 16, 1 << 20, True)
     assert trace == [(1, 1, sat - 1), (64, 2, sat), (64, 3, sat)]
 
 

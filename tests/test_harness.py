@@ -73,6 +73,18 @@ def test_mapped_values_reject_asymptotic():
         mapped_values(xs, preds, qmap.ASYMPTOTIC)
 
 
+def test_mapped_values_refuse_tau_x_from_2_62():
+    # codec._map_vector's range check guards the sweeps too; -2**63, which
+    # np.abs leaves negative, must not slip past it
+    p = Precision(1, 16)
+    edge = (1 << 58) - 1  # 16 * edge < 2**62
+    assert mapped_values([edge, -edge], [0.0, 0.0], p).tolist() == [2 * edge, 2 * edge - 1]
+    for precision, x in ((p, 1 << 58), (p, -(1 << 58)), (p, (1 << 63) - 1),
+                         (p, -(1 << 63)), (Precision(1, 1), -(1 << 63))):
+        with pytest.raises(ValueError, match="overflows"):
+            mapped_values([x], [0.0], precision)
+
+
 def test_symbol_code_lengths_match_bitcoder():
     rng = np.random.default_rng(12)
     values = rng.integers(0, 5000, size=600)

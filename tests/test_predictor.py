@@ -10,7 +10,6 @@ from frgc.predictor import (
     LpcConfig,
     LpcState,
     identity_coefficients,
-    predict,
     predict_at,
 )
 
@@ -168,9 +167,9 @@ def test_identity_coefficients():
 # --- prediction -------------------------------------------------------------
 
 def test_predict_examples():
-    assert predict([2, 9, 5], [1.0]) == 5.0
-    assert predict([1, 2, 3, 4], [2.0, -1.0]) == pytest.approx(5.0)
-    assert predict([3, 7], [0.5]) == pytest.approx(3.5)
+    assert predict_at([2, 9, 5], [1.0], 3) == 5.0
+    assert predict_at([1, 2, 3, 4], [2.0, -1.0], 4) == pytest.approx(5.0)
+    assert predict_at([3, 7], [0.5], 2) == pytest.approx(3.5)
 
 
 def test_predict_at_indexes_history():
@@ -208,7 +207,8 @@ def test_ramp_fits_second_order_recurrence():
     history = list(range(1, 40))
     coeffs = fit_history(history, cfg)
     assert coeffs == pytest.approx([2.0, -1.0], abs=1e-8)
-    assert predict(history, coeffs) == pytest.approx(history[-1] + 1, abs=1e-6)
+    assert predict_at(history, coeffs, len(history)) == pytest.approx(history[-1] + 1,
+                                                                      abs=1e-6)
 
 
 def test_all_zero_window_is_singular():
@@ -233,7 +233,7 @@ def test_exact_recurrence_recovered():
     cfg = LpcConfig(2, 18, 18)
     coeffs = fit_history(xs, cfg)
     assert coeffs == pytest.approx([1.0, -1.0], abs=1e-9)
-    assert predict(xs, coeffs) == pytest.approx(xs[-1] - xs[-2], abs=1e-9)
+    assert predict_at(xs, coeffs, len(xs)) == pytest.approx(xs[-1] - xs[-2], abs=1e-9)
 
 
 def test_fit_is_local_minimum():

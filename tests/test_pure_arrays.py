@@ -2,9 +2,9 @@
 
 ``oracle_*`` below are the per-symbol loops frgc._pure ran before it
 coded whole arrays: one codeword at a time through bitcoder.BitSink and
-BitSource.  The numpy coder must agree with them bit for bit, in its
-results and in the type of every error, and so must the compiled
-kernels where they build.
+BitSource, on Python ints.  The numpy coder must agree with them bit for
+bit, in its results and in the type of every error, and so must the
+compiled kernels where they build.
 """
 
 import math
@@ -45,17 +45,18 @@ def oracle_write(ms, params, max_run):
 
 def oracle_golomb_encode(ms, m, max_run):
     g = GolombParam(m)
-    return oracle_write(ms, [g] * len(ms), max_run)
+    return oracle_write(ms.tolist(), [g] * len(ms), max_run)
 
 
 def oracle_golomb_decode(payload, count, m, max_run):
     g = GolombParam(m)
     src = BitSource(payload, max_run)
-    return [src.read_unary() * m + src.read_minimal_binary(g) for _ in range(count)]
+    return ints([src.read_unary() * m + src.read_minimal_binary(g)
+                 for _ in range(count)]).tobytes()
 
 
-def oracle_adaptive_encode(ms, est_int, est_raw, tau, max_run, collect_trace):
-    raw = est_raw is not None
+def oracle_adaptive_encode(ms, increments, raw, tau, max_run, collect_trace):
+    ms, increments = ms.tolist(), increments.tolist()
     sink = BitSink()
     trace = [] if collect_trace else None
     t = 0
@@ -70,9 +71,9 @@ def oracle_adaptive_encode(ms, est_int, est_raw, tau, max_run, collect_trace):
         sink.write_minimal_binary(k, GolombParam(m))
         t += 1
         if raw:
-            s_raw += est_raw[i]
+            s_raw += increments[i]
         else:
-            s_int = min(s_int + est_int[i], SAT)
+            s_int = min(s_int + increments[i], SAT)
         if trace is not None:
             trace.append((m, t, s_raw if raw else s_int))
     return sink.finish(), sink.bit_length, trace
@@ -112,11 +113,15 @@ def agree(coders, name, *args):
     return first
 
 
+def ints(values):
+    return np.array(values, dtype=np.int64)
+
+
 def geometric(rng, n, m, spill=0.01):
     """Mapped residuals of mean about 2m, with a few long quotients."""
     values = rng.geometric(1.0 / (2 * m + 1), n) - 1
     values[rng.random(n) < spill] *= 40
-    return values.tolist()
+    return values
 
 
 # --- fixed m -------------------------------------------------------------------
@@ -124,10 +129,11 @@ def geometric(rng, n, m, spill=0.01):
 @given(m=st.sampled_from(FIXED_MS), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_fixed_m_parity(m, data, coders):
-    values = data.draw(st.lists(st.integers(0, 70 * m), max_size=300))
+    values = ints(data.draw(st.lists(st.integers(0, 70 * m), max_size=300)))
     ok, (payload, nbits) = agree(coders, "golomb_encode", values, m, MAX_RUN)
     assert ok == "ok"
-    assert agree(coders, "golomb_decode", payload, len(values), m, MAX_RUN) == ("ok", values)
+    assert agree(coders, "golomb_decode", payload, len(values), m,
+                 MAX_RUN) == ("ok", values.tobytes())
 
 
 @given(data=st.data())
@@ -149,10 +155,10 @@ def test_lengths_at_the_block_size(n, coders):
     values = geometric(rng, n, 3)
     ok, (payload, _) = agree(coders, "golomb_encode", values, 3, MAX_RUN)
     assert ok == "ok"
-    assert agree(coders, "golomb_decode", payload, n, 3, MAX_RUN) == ("ok", values)
-    est_int = rng.integers(0, 50, n).tolist()
-    est_raw = rng.exponential(4.0, n).tolist()
-    for args in ((est_int, None, 16), (None, est_raw, 1)):
+    assert agree(coders, "golomb_decode", payload, n, 3, MAX_RUN) == ("ok", values.tobytes())
+    est_int = rng.integers(0, 50, n)
+    est_raw = rng.exponential(4.0, n)
+    for args in ((est_int, False, 16), (est_raw, True, 1)):
         assert agree(coders, "adaptive_encode", values, *args, MAX_RUN, True)[0] == "ok"
 
 
@@ -167,20 +173,21 @@ def test_payloads_at_the_window_size(extra, m, coders):
         payload, nbits = _pure.golomb_encode(values, m, MAX_RUN)
         target = windows * WINDOW + extra
         if m == 1:  # pad with one-bit codewords up to exactly target bits
-            values += [0] * (target - nbits)
+            values = np.concatenate((values, np.zeros(target - nbits, np.int64)))
             payload, nbits = _pure.golomb_encode(values, m, MAX_RUN)
             assert nbits == target
         assert agree(coders, "golomb_decode", payload, len(values), m,
-                     MAX_RUN) == ("ok", values)
+                     MAX_RUN) == ("ok", values.tobytes())
 
 
 @pytest.mark.parametrize("m", [1, 3, 64])
 def test_codewords_longer_than_the_window(m, coders):
     # quotients of one, two and three windows, at odd bit offsets
-    values = [5, m * (WINDOW + 3) + m - 1, 2, m * (3 * WINDOW), 1, m * (WINDOW - 1), 0]
+    values = ints([5, m * (WINDOW + 3) + m - 1, 2, m * (3 * WINDOW), 1, m * (WINDOW - 1), 0])
     ok, (payload, nbits) = agree(coders, "golomb_encode", values, m, MAX_RUN)
     assert ok == "ok" and nbits > 5 * WINDOW
-    assert agree(coders, "golomb_decode", payload, len(values), m, MAX_RUN) == ("ok", values)
+    assert agree(coders, "golomb_decode", payload, len(values), m,
+                 MAX_RUN) == ("ok", values.tobytes())
 
 
 def run_payload(j, m, tail=0):
@@ -199,7 +206,7 @@ def run_payload(j, m, tail=0):
 def test_unary_run_of_max_run_decodes_and_one_more_raises(max_run, m, coders):
     payload = run_payload(max_run, m, tail=3)
     assert agree(coders, "golomb_decode", payload, 4, m, max_run) == (
-        "ok", [max_run * m + m - 1, 0, 0, 0])
+        "ok", ints([max_run * m + m - 1, 0, 0, 0]).tobytes())
     payload = run_payload(max_run + 1, m, tail=3)
     assert agree(coders, "golomb_decode", payload, 4, m,
                  max_run) == ("raised", CorruptStreamError)
@@ -217,22 +224,23 @@ def test_every_truncation_of_a_fixed_payload(m, coders):
     for cut in range(len(payload)):
         assert agree(coders, "golomb_decode", payload[:cut], len(values), m,
                      MAX_RUN) == ("raised", CorruptStreamError)
-    assert agree(coders, "golomb_decode", payload, len(values), m, MAX_RUN) == ("ok", values)
+    assert agree(coders, "golomb_decode", payload, len(values), m,
+                 MAX_RUN) == ("ok", values.tobytes())
 
 
 def test_encode_error_parity(coders):
     # the first bad symbol decides, whatever its block
-    big = [0] * (BLOCK + 3)
+    big = np.zeros(BLOCK + 3, np.int64)
     big[BLOCK + 1] = 50 * 3
     assert agree(coders, "golomb_encode", big, 3, 49) == ("raised", ValueError)
     assert agree(coders, "golomb_encode", big, 3, 50)[0] == "ok"
-    assert agree(coders, "adaptive_encode", [3, -2, 1], [1, 1, 1], None, 4, MAX_RUN,
-                 False) == ("raised", ValueError)
-    assert agree(coders, "golomb_encode", [1], 0, MAX_RUN) == ("raised", ValueError)
+    assert agree(coders, "adaptive_encode", ints([3, -2, 1]), ints([1, 1, 1]), False, 4,
+                 MAX_RUN, False) == ("raised", ValueError)
+    assert agree(coders, "golomb_encode", ints([1]), 0, MAX_RUN) == ("raised", ValueError)
     # both backends refuse an m whose quotient times m could leave int64
     for backend in coders[1:]:
         with pytest.raises(ValueError):
-            backend.golomb_encode([1], (1 << 32) + 1, MAX_RUN)
+            backend.golomb_encode(ints([1]), (1 << 32) + 1, MAX_RUN)
         with pytest.raises(ValueError):
             backend.golomb_decode(b"\x00", 1, (1 << 32) + 1, MAX_RUN)
 
@@ -245,12 +253,12 @@ def test_saturation_inside_a_block_and_on_its_edge(at, overshoot, coders):
     # the sum reaches EST_SATURATION (exactly, or past it) at symbol `at`,
     # then takes increments that would wrap a 64-bit sum
     n = BLOCK + 40
-    est = [1] * n
+    est = np.ones(n, np.int64)
     est[at] = SAT - at + overshoot
     for i in range(at + 1, at + 6):
         est[i] = SAT - 1
     values = geometric(np.random.default_rng(at), n, 8)
-    ok, (_, _, trace) = agree(coders, "adaptive_encode", values, est, None, 16,
+    ok, (_, _, trace) = agree(coders, "adaptive_encode", values, est, False, 16,
                               MAX_RUN, True)
     assert ok == "ok"
     assert all(s == SAT for _, _, s in trace[at:])
@@ -308,14 +316,14 @@ def traced_peak(fn, *args):
 
 def test_peak_memory_does_not_grow_with_the_stream():
     n = 1_000_000
-    values = (np.random.default_rng(3).geometric(0.2, n) - 1).tolist()  # below 256
+    values = np.random.default_rng(3).geometric(0.2, n) - 1
     (payload, _), peak = traced_peak(_pure.golomb_encode, values, 3, MAX_RUN)
     assert peak < PEAK_BOUND, peak
     decoded, peak = traced_peak(_pure.golomb_decode, payload, n, 3, MAX_RUN)
-    assert decoded == values
-    # the result list's 8 bytes a symbol are the output, not working memory
+    assert decoded == values.tobytes()
+    # the result's 8 bytes a symbol are the output, not working memory
     assert peak - 8 * n < PEAK_BOUND, peak
-    est = [1] * n
-    (_, _, _), peak = traced_peak(_pure.adaptive_encode, values, est, None, 16,
+    est = np.ones(n, np.int64)
+    (_, _, _), peak = traced_peak(_pure.adaptive_encode, values, est, False, 16,
                                   MAX_RUN, False)
     assert peak < PEAK_BOUND, peak
