@@ -80,3 +80,20 @@ def select_m_array(t: np.ndarray, s: np.ndarray, tau: int = 1) -> np.ndarray:
                  / np.where(positive, s, 1).astype(np.float64))
     m = np.searchsorted(_LOG_BOUNDARY_ARRAY, log_theta) + 1
     return np.where(positive, np.minimum(m, MAX_ADAPTIVE_M), 1)
+
+
+def running_sums(before, inc: np.ndarray, raw: bool) -> np.ndarray:
+    """The estimator sum after each symbol, continuing from ``before``.
+
+    A float cumsum adds in order, as the scalar loops do.  The integer
+    sum saturates: before < 2**62 and each increment < 2**63, so the
+    uint64 cumsum is exact up to its first entry >= EST_SATURATION, and
+    every entry from there on is EST_SATURATION.
+    """
+    if raw:
+        return np.cumsum(np.concatenate(([before], inc)))[1:]
+    sums = np.cumsum(inc.astype(np.uint64)) + np.uint64(before)
+    full = sums >= EST_SATURATION
+    if full.any():
+        sums[int(np.argmax(full)):] = EST_SATURATION
+    return sums.astype(np.int64)

@@ -1,6 +1,8 @@
 /* Compiled stream loops; bit-identical to frgc._pure (see its contract).
  * Arrays come in through the buffer protocol (y*), the decoders' out as a
- * bytearray: no Python object is made per symbol except trace entries.
+ * bytearray: no Python object is made per symbol.  The encoders return
+ * (payload, nbits), the decoders the bytearray; no loop reports its m, which
+ * frgc.codec derives from the symbols when asked for a trace.
  *
  * Bits are MSB-first.  A codeword for a mapped residual v under parameter m
  * is the unary quotient v / m (that many ones, then a zero) followed by the
@@ -95,9 +97,9 @@ static int put_codeword(Writer *w, long long v, const Code *c, long long max_run
                     : put_bits(w, (unsigned long long)(k + c->u), c->b);
 }
 
-/* (payload, nbits), or (payload, nbits, trace) unless trace is NULL; pads
- * the payload with zeros to a whole byte and frees the buffer. */
-static PyObject *writer_result(Writer *w, PyObject *trace)
+/* (payload, nbits); pads the payload with zeros to a whole byte and frees
+ * the buffer. */
+static PyObject *writer_result(Writer *w)
 {
     long long nbits = w->nbits;
     PyObject *payload = NULL;
@@ -105,8 +107,6 @@ static PyObject *writer_result(Writer *w, PyObject *trace)
         payload = PyBytes_FromStringAndSize((char *)w->buf, w->len);
     PyMem_Free(w->buf);
     w->buf = NULL;
-    if (trace)
-        return Py_BuildValue("(NLO)", payload, nbits, trace);
     return Py_BuildValue("(NL)", payload, nbits);
 }
 
@@ -217,24 +217,15 @@ static long long est_m(Est *e)
     return e->k < N_BOUNDS ? e->k + 1 : N_BOUNDS;
 }
 
-/* Count a symbol coded with m by its |residual numerator| a >= 0 (the sum
- * saturates), or raw |x - xhat| d; append (m, t, S) to trace if not NULL. */
-static int est_add(Est *e, long long a, double d, PyObject *trace, long long m)
+/* Count a symbol by its |residual numerator| a >= 0 (the sum saturates), or
+ * raw |x - xhat| d. */
+static void est_add(Est *e, long long a, double d)
 {
-    PyObject *item;
-    int rc;
     e->t++;
     if (e->raw)
         e->s_raw += d;
     else
         e->s_int = a > est_saturation - e->s_int ? est_saturation : e->s_int + a;
-    if (trace == NULL)
-        return 0;
-    item = e->raw ? Py_BuildValue("(LLd)", m, e->t, e->s_raw)
-                  : Py_BuildValue("(LLL)", m, e->t, e->s_int);
-    rc = item ? PyList_Append(trace, item) : -1;
-    Py_XDECREF(item);
-    return rc;
 }
 
 /* The number of 8-byte values in b, or -1 with ValueError unless it holds a
@@ -295,7 +286,7 @@ static PyObject *golomb_encode(PyObject *Py_UNUSED(self), PyObject *args)
             if (put_codeword(&w, item_at(&ms, i).i, &code, max_run) < 0)
                 break;
         if (i == n)
-            result = writer_result(&w, NULL);
+            result = writer_result(&w);
     }
     PyMem_Free(w.buf);
     PyBuffer_Release(&ms);
@@ -326,33 +317,31 @@ static PyObject *golomb_decode(PyObject *Py_UNUSED(self), PyObject *args)
 static PyObject *adaptive_encode(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer ms, inc;
-    PyObject *trace = NULL, *result = NULL;
+    PyObject *result = NULL;
     long long tau, max_run, m;
-    int raw, collect;
+    int raw;
     Writer w = {0};
     Code code = {0, 0, 0};
     Est e = {0};
     Py_ssize_t i, n;
-    if (!PyArg_ParseTuple(args, "y*y*pLLp", &ms, &inc, &raw, &tau, &max_run, &collect))
+    if (!PyArg_ParseTuple(args, "y*y*pLL", &ms, &inc, &raw, &tau, &max_run))
         return NULL;
     if ((n = values_in(&ms, 0, "ms")) < 0
             || values_in(&inc, n, "increments") < 0
-            || est_init(&e, tau, raw) < 0
-            || (collect && (trace = PyList_New(0)) == NULL))
+            || est_init(&e, tau, raw) < 0)
         goto done;
     for (i = 0; i < n; i++) {
         m = est_m(&e);
         if ((m != code.m && code_set(&code, m) < 0)
-                || put_codeword(&w, item_at(&ms, i).i, &code, max_run) < 0
-                || est_add(&e, item_at(&inc, i).i, item_at(&inc, i).d, trace, m) < 0)
+                || put_codeword(&w, item_at(&ms, i).i, &code, max_run) < 0)
             goto done;
+        est_add(&e, item_at(&inc, i).i, item_at(&inc, i).d);
     }
-    result = writer_result(&w, trace ? trace : Py_None);
+    result = writer_result(&w);
 done:
     PyMem_Free(w.buf);
     PyBuffer_Release(&ms);
     PyBuffer_Release(&inc);
-    Py_XDECREF(trace);
     return result;
 }
 
@@ -360,22 +349,21 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer payload, pred_n, pred_x;
     Py_ssize_t count, i;
-    PyObject *out = NULL, *trace = NULL, *result = NULL;
+    PyObject *out = NULL, *result = NULL;
     long long tau, lo, hi, max_run, m, v, n, x, d;
     double px;
-    int raw, collect;
+    int raw;
     Code code = {0, 0, 0};
     Est e = {0};
-    if (!PyArg_ParseTuple(args, "y*ny*y*LpLLLp", &payload, &count, &pred_n, &pred_x,
-                          &tau, &raw, &lo, &hi, &max_run, &collect))
+    if (!PyArg_ParseTuple(args, "y*ny*y*LpLLL", &payload, &count, &pred_n, &pred_x,
+                          &tau, &raw, &lo, &hi, &max_run))
         return NULL;
     Reader r = {payload.buf, 0, 8 * payload.len};
     if (est_init(&e, tau, raw) < 0
             || check_max_run(max_run, N_BOUNDS, tau) < 0
             || values_in(&pred_n, count, "pred_n") < 0
             || values_in(&pred_x, count, "pred_x") < 0
-            || (out = new_output(count, r.nbits)) == NULL
-            || (collect && (trace = PyList_New(0)) == NULL))
+            || (out = new_output(count, r.nbits)) == NULL)
         goto done;
     for (i = 0; i < count; i++) {
         m = est_m(&e);
@@ -396,16 +384,15 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
         OUT_VALUES(out)[i] = x;
         d = tau * x - n;  /* |d| < 2**61, see check_max_run */
         px = item_at(&pred_x, i).d;
-        if (est_add(&e, d < 0 ? -d : d, fabs((double)x - px), trace, m) < 0)
-            goto done;
+        est_add(&e, d < 0 ? -d : d, fabs((double)x - px));
     }
-    result = Py_BuildValue("(OO)", out, trace ? trace : Py_None);
+    result = out;
+    out = NULL;
 done:
     PyBuffer_Release(&payload);
     PyBuffer_Release(&pred_n);
     PyBuffer_Release(&pred_x);
     Py_XDECREF(out);
-    Py_XDECREF(trace);
     return result;
 }
 

@@ -8,10 +8,9 @@ Contract (shared by both backends):
 
     golomb_encode(ms, m, max_run) -> (payload, nbits)
     golomb_decode(payload, count, m, max_run) -> mapped residuals
-    adaptive_encode(ms, increments, raw, tau, max_run, collect_trace)
-        -> (payload, nbits, trace | None)
+    adaptive_encode(ms, increments, raw, tau, max_run) -> (payload, nbits)
     adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi,
-                    max_run, collect_trace) -> (symbols, trace | None)
+                    max_run) -> symbols
 
 Arrays pass as buffers of native 8-byte values, C-contiguous: int64, or
 float64 for the raw estimator's ``increments`` and ``pred_x``.  Both
@@ -29,7 +28,8 @@ compiled module copies once, when it is imported.  A quotient above
 ``max_run`` raises ValueError on encode and CorruptStreamError on
 decode, so the encoder writes no codeword the decoder would refuse.
 adaptive_decode raises CorruptStreamError for the first symbol outside
-[lo, hi].  Trace entries are (m_t, t_after, s_after).
+[lo, hi].  No loop reports its m: a stream's m sequence is a function of
+its symbols and predictions, which the codec derives (collect_trace).
 
 Both backends raise ValueError for m > 2**32.  The compiled loops also
 raise ValueError, on decode, for a max_run with (max_run + 1) * m > 2**62
@@ -40,7 +40,7 @@ stay far inside both.
 Here golomb_encode, golomb_decode and adaptive_encode work on whole
 arrays: every codeword of a fixed-m stream depends on its own symbol
 only, and the encoder knows every adaptive m in advance (the running
-sums give them all at once, _estcore.select_m_array).  The encoders take
+sums give them all at once: _estcore.running_sums, select_m_array).  The encoders take
 BLOCK_SYMBOLS symbols at a time and pack at most BLOCK_BITS bits at a
 time; the decoder reads WINDOW_BITS payload bits at a time, growing a
 window only to fit one codeword of at most max_run + ceil(lg m) + 1
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from frgc._estcore import EST_SATURATION as _SAT, select_m, select_m_array
+from frgc._estcore import EST_SATURATION as _SAT, running_sums, select_m, select_m_array
 from frgc.bitcoder import (
     BitSource,
     CorruptStreamError,
@@ -169,41 +169,21 @@ def golomb_encode(ms, m, max_run):
     return packer.finish(), packer.bit_length
 
 
-def _running_sums(before, inc: np.ndarray, raw: bool) -> np.ndarray:
-    """The estimator sum after each symbol, continuing from ``before``.
-
-    A float cumsum adds in order, as the scalar loop does.  The integer
-    sum saturates: before < 2**62 and each increment < 2**63, so the
-    uint64 cumsum is exact up to its first entry >= EST_SATURATION, and
-    every entry from there on is EST_SATURATION.
-    """
-    if raw:
-        return np.cumsum(np.concatenate(([before], inc)))[1:]
-    sums = np.cumsum(inc.astype(np.uint64)) + np.uint64(before)
-    full = sums >= _SAT
-    if full.any():
-        sums[int(np.argmax(full)):] = _SAT
-    return sums.astype(np.int64)
-
-
-def adaptive_encode(ms, increments, raw, tau, max_run, collect_trace):
+def adaptive_encode(ms, increments, raw, tau, max_run):
     ms = _values(ms, np.int64, 0, "ms")
     n = ms.size
     increments = _values(increments, np.float64 if raw else np.int64, n, "increments")
     packer = _Packer()
-    trace = [] if collect_trace else None
     s = 0.0 if raw else 0  # the sum over the symbols before the block
     for lo in range(0, n, BLOCK_SYMBOLS):
         values = ms[lo:lo + BLOCK_SYMBOLS]
         hi = lo + values.size
-        after = _running_sums(s, increments[lo:hi], raw)
+        after = running_sums(s, increments[lo:hi], raw)
         m = select_m_array(np.arange(lo, hi), np.concatenate(([s], after[:-1])),
                            1 if raw else tau)
         packer.write(values, m, max_run)
-        if trace is not None:
-            trace.extend(zip(m.tolist(), range(lo + 1, hi + 1), after.tolist()))
         s = after[-1].item()
-    return packer.finish(), packer.bit_length, trace
+    return packer.finish(), packer.bit_length
 
 
 def golomb_decode(payload, count, m, max_run):
@@ -297,14 +277,12 @@ def _decode_window(data, pos, size, g, want, max_run, final):
     return values, resume
 
 
-def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi,
-                    max_run, collect_trace):
+def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi, max_run):
     # memoryviews index to Python ints and floats, as the loop needs
     pred_n = memoryview(_values(pred_n, np.int64, count, "pred_n"))
     pred_x = memoryview(_values(pred_x, np.float64, count, "pred_x"))
     src = BitSource(payload, max_run)
     params = {}
-    trace = [] if collect_trace else None
     out = _output(count, src.bits_left)
     symbols = memoryview(out).cast("q")
     t = 0
@@ -330,6 +308,4 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi,
             s_int += abs(tau * x - n)
             if s_int > _SAT:
                 s_int = _SAT
-        if trace is not None:
-            trace.append((m, t, s_raw if raw else s_int))
-    return out, trace
+    return out

@@ -101,11 +101,10 @@ def _build_header_and_predictions(args):
     if args.mode == codec.MODE_ADAPTIVE and args.m is not None:
         raise HeaderError("adaptive mode picks m itself; drop --m")
     rho, tau = (1, 1) if args.mode == codec.MODE_RICE else (args.rho, args.tau)
-    header = StreamHeader(
+    header = StreamHeader(  # raises HeaderError unless the fields agree
         mode=args.mode, rho=rho, tau=tau, m=args.m or 0,
         alphabet_q=args.alphabet_q, lpc=lpc,
         raw_error_estimator=args.raw_estimator)
-    header.validate()
     return header, predictions
 
 

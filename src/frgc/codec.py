@@ -75,6 +75,9 @@ class StreamHeader:
     lpc: LpcConfig | None = None
     raw_error_estimator: bool = False
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @property
     def precision(self) -> Precision:
         return Precision(self.rho, self.tau)
@@ -101,7 +104,6 @@ class StreamHeader:
             raise HeaderError("raw estimator flag only applies to adaptive mode")
 
     def pack(self) -> bytes:
-        self.validate()
         flags = _FLAG_RAW_ESTIMATOR if self.raw_error_estimator else 0
         if self.lpc is None:
             pred_kind, order, window, refit = 0, 0, 0, 0
@@ -137,11 +139,9 @@ class StreamHeader:
                 raise HeaderError(str(exc)) from exc
         else:
             raise HeaderError(f"unknown predictor kind {pred_kind}")
-        header = cls(mode=_MODE_NAMES[mode_code], rho=rho, tau=tau, m=m,
-                     alphabet_q=alphabet_q, count=count, lpc=lpc,
-                     raw_error_estimator=bool(flags & _FLAG_RAW_ESTIMATOR))
-        header.validate()
-        return header
+        return cls(mode=_MODE_NAMES[mode_code], rho=rho, tau=tau, m=m,
+                   alphabet_q=alphabet_q, count=count, lpc=lpc,
+                   raw_error_estimator=bool(flags & _FLAG_RAW_ESTIMATOR))
 
 
 def read_header(data: bytes) -> tuple[StreamHeader, int]:
@@ -182,14 +182,14 @@ def _check_decoded(symbols: np.ndarray, alphabet_q: int) -> None:
         raise symbol_out_of_range(t, int(symbols[t]), lo, hi)
 
 
-def _lpc_predictions(xs: list, cfg: LpcConfig) -> list[float]:
+def _lpc_predictions(xs: list, cfg: LpcConfig) -> np.ndarray:
     """Per-symbol predictions from history only, as the decoder re-derives."""
     state = predictor.LpcState(cfg)
     preds = []
     for x in xs:
         preds.append(state.predict())
         state.push(x)
-    return preds
+    return np.array(preds, dtype=np.float64)
 
 
 def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> np.ndarray:
@@ -206,12 +206,16 @@ def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> np.ndarray:
     return k * rho
 
 
-def _prediction_array(predictions, n: int) -> np.ndarray:
+def _prediction_array(predictions, n: int, mismatch=ValueError) -> np.ndarray:
+    """The predictions as float64, all zero if None; a count that is not n
+    raises mismatch."""
     if predictions is None:
         return np.zeros(n, dtype=np.float64)
     pred = np.ascontiguousarray(predictions, dtype=np.float64)
-    if pred.shape != (n,):
-        raise ValueError(f"expected {n} predictions, got shape {pred.shape}")
+    if pred.ndim != 1:
+        raise ValueError(f"expected 1-D predictions, got shape {pred.shape}")
+    if pred.size != n:
+        raise mismatch(f"expected {n} predictions, got {pred.size}")
     return pred
 
 
@@ -236,6 +240,27 @@ def _unmap_vector(values: np.ndarray, numerators: np.ndarray,
     return np.where(s % 2 == 0, s // 2, (c - values - 1) // 2)
 
 
+def _estimator_trace(xs: np.ndarray, pred: np.ndarray, numerators: np.ndarray,
+                     header: StreamHeader, collect_trace: bool = True):
+    """The adaptive estimator's increment for each symbol, and its trace.
+
+    An increment is |tau*x - n|, or |x - xhat| under the raw estimator.
+    The trace, None unless collect_trace, lists (m, t, S) after each
+    symbol: the m it was coded with, then the count and the sum after it.
+    Each m follows from the symbols before it, so the encoder and the
+    decoder derive the same trace here and no stream loop reports one.
+    """
+    raw = header.raw_error_estimator
+    increments = np.abs(xs - pred) if raw else np.abs(header.tau * xs - numerators)
+    if not collect_trace:
+        return increments, None
+    n = increments.size
+    sums = _estcore.running_sums(0.0 if raw else 0, increments, raw)
+    before = np.concatenate(([0], sums))[:-1]
+    ms = _estcore.select_m_array(np.arange(n), before, 1 if raw else header.tau)
+    return increments, list(zip(ms.tolist(), range(1, n + 1), sums.tolist()))
+
+
 def encode_stream(xs, header: StreamHeader, predictions=None,
                   collect_trace: bool = False):
     """Encode symbols into a self-describing byte stream.
@@ -247,7 +272,6 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     unary run over DEFAULT_MAX_RUN bits, which decode_stream refuses,
     raises ValueError.
     """
-    header.validate()
     arr = np.asarray(xs, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D symbol sequence, got shape {arr.shape}")
@@ -258,8 +282,7 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     if header.lpc is not None:
         if predictions is not None:
             raise ValueError("lpc mode computes its own predictions")
-        pred = np.asarray(_lpc_predictions(arr.tolist(), header.lpc),
-                          dtype=np.float64)
+        pred = _lpc_predictions(arr.tolist(), header.lpc)
     else:
         pred = _prediction_array(predictions, n)
 
@@ -268,11 +291,11 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
 
     trace = None
     if header.mode == MODE_ADAPTIVE:
-        raw = header.raw_error_estimator
-        increments = (np.abs(arr - pred) if raw
-                      else np.abs(header.tau * arr - numerators))
-        payload, _, trace = _backend.adaptive_encode(
-            mapped, increments, raw, header.tau, DEFAULT_MAX_RUN, collect_trace)
+        increments, trace = _estimator_trace(arr, pred, numerators, header,
+                                             collect_trace)
+        payload, _ = _backend.adaptive_encode(
+            mapped, increments, header.raw_error_estimator, header.tau,
+            DEFAULT_MAX_RUN)
     else:
         payload, _ = _backend.golomb_encode(mapped, header.m, DEFAULT_MAX_RUN)
 
@@ -282,7 +305,7 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     return data
 
 
-def _decode_lpc(payload: bytes, header: StreamHeader, collect_trace: bool):
+def _decode_lpc(payload: bytes, header: StreamHeader) -> list[int]:
     """Sequential decode for lpc mode: predictions depend on decoded history."""
     cfg = header.lpc
     prec = header.precision
@@ -294,19 +317,17 @@ def _decode_lpc(payload: bytes, header: StreamHeader, collect_trace: bool):
     params: dict[int, GolombParam] = {}
     out: list[int] = []
     state = predictor.LpcState(cfg)
-    t_est = 0
     s_int = 0
     s_raw = 0.0
-    trace = [] if (collect_trace and adaptive) else None
     for t in range(header.count):
         xhat = state.predict()
         n = qmap.round_prediction(xhat, prec)
         if not adaptive:
             m = header.m
         elif raw:
-            m = _estcore.select_m(t_est, s_raw)
+            m = _estcore.select_m(t, s_raw)
         else:
-            m = _estcore.select_m(t_est, s_int, tau)
+            m = _estcore.select_m(t, s_int, tau)
         g = params.get(m)
         if g is None:
             g = params[m] = GolombParam(m)
@@ -315,24 +336,23 @@ def _decode_lpc(payload: bytes, header: StreamHeader, collect_trace: bool):
             raise symbol_out_of_range(t, x, lo, hi)
         state.push(x)
         out.append(x)
-        if adaptive:
-            t_est += 1
-            if raw:
-                s_raw += abs(x - xhat)
-            else:
-                s_int += abs(tau * x - n)
-                if s_int > _estcore.EST_SATURATION:
-                    s_int = _estcore.EST_SATURATION
-            if trace is not None:
-                trace.append((m, t_est, s_raw if raw else s_int))
-    return out, trace
+        if not adaptive:
+            continue
+        if raw:
+            s_raw += abs(x - xhat)
+        else:
+            s_int += abs(tau * x - n)
+            if s_int > _estcore.EST_SATURATION:
+                s_int = _estcore.EST_SATURATION
+    return out
 
 
 def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     """Invert encode_stream.
 
-    External predictions must match the encoder's; lpc streams ignore the
-    argument.  Returns the symbol list, or (symbols, trace) when
+    External predictions must match the encoder's, one per symbol (a
+    header count that disagrees raises HeaderError); lpc streams ignore
+    the argument.  Returns the symbol list, or (symbols, trace) when
     collect_trace is set.
     """
     header, offset = read_header(data)
@@ -345,28 +365,29 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     if header.lpc is not None:
         if predictions is not None:
             raise ValueError("lpc mode recomputes predictions from history")
-        out, trace = _decode_lpc(payload, header, collect_trace)
-        if collect_trace:
-            return out, trace
-        return out
-
-    pred = _prediction_array(predictions, n)
-    numerators = _round_predictions(pred, header.rho, header.tau)
-
-    trace = None
-    if header.mode == MODE_ADAPTIVE:
-        decoded, trace = _backend.adaptive_decode(
-            payload, n, numerators, pred, header.tau,
-            header.raw_error_estimator, *_symbol_range(header.alphabet_q),
-            DEFAULT_MAX_RUN, collect_trace)
-        symbols = np.frombuffer(decoded, np.int64)
+        out = _decode_lpc(payload, header)
+        if not collect_trace:
+            return out
+        symbols = np.array(out, dtype=np.int64)
+        pred = _lpc_predictions(out, header.lpc)
+        numerators = _round_predictions(pred, header.rho, header.tau)
     else:
-        values = _backend.golomb_decode(payload, n, header.m, DEFAULT_MAX_RUN)
-        symbols = _unmap_vector(np.frombuffer(values, np.int64),
-                                numerators, header.tau)
-        _check_decoded(symbols, header.alphabet_q)
-    out = symbols.tolist()
+        pred = _prediction_array(predictions, n, HeaderError)
+        numerators = _round_predictions(pred, header.rho, header.tau)
+        if header.mode == MODE_ADAPTIVE:
+            symbols = np.frombuffer(_backend.adaptive_decode(
+                payload, n, numerators, pred, header.tau,
+                header.raw_error_estimator, *_symbol_range(header.alphabet_q),
+                DEFAULT_MAX_RUN), np.int64)
+        else:
+            values = _backend.golomb_decode(payload, n, header.m, DEFAULT_MAX_RUN)
+            symbols = _unmap_vector(np.frombuffer(values, np.int64),
+                                    numerators, header.tau)
+            _check_decoded(symbols, header.alphabet_q)
+        out = symbols.tolist()
+        if not collect_trace:
+            return out
 
-    if collect_trace:
-        return out, trace
-    return out
+    if header.mode != MODE_ADAPTIVE:
+        return out, None
+    return out, _estimator_trace(symbols, pred, numerators, header)[1]

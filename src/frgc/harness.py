@@ -153,15 +153,15 @@ def run_table2() -> list[tuple]:
     return rows
 
 
-def run_table3(spec: ExperimentSpec | None = None) -> list[tuple]:
-    """Sampled mean code lengths per (theta, precision), plus the analytic
-    length at the looked-up m."""
-    if spec is None:
-        spec = table3_spec()
-    rows = []
+def _sampled_cells(spec: ExperimentSpec, first_stream: int):
+    """(theta, precision, mean bits, analytic bits at lookup_m) per cell.
+
+    Theta i draws from stream first_stream + i; its draw is shared by
+    every precision.
+    """
     for i, theta in enumerate(spec.theta_grid):
         xs, preds = gen_synthetic(theta, spec.n_samples, spec.alphabet_q,
-                                  spec.seed, stream=i)
+                                  spec.seed, stream=first_stream + i)
         analytic = analysis.avg_code_length(analysis.lookup_m(theta), theta,
                                             ASYMPTOTIC)
         for precision in spec.precisions:
@@ -169,8 +169,14 @@ def run_table3(spec: ExperimentSpec | None = None) -> list[tuple]:
                         else precision)
             bits = _cell_bits(mapped_values(xs, preds, concrete), theta,
                               concrete)
-            rows.append((theta, str(precision), bits, analytic))
-    return rows
+            yield theta, precision, bits, analytic
+
+
+def run_table3(spec: ExperimentSpec | None = None) -> list[tuple]:
+    """Sampled mean code lengths per (theta, precision), plus the analytic
+    length at the looked-up m."""
+    return [(theta, str(p), bits, analytic)
+            for theta, p, bits, analytic in _sampled_cells(spec or table3_spec(), 0)]
 
 
 def run_fig6(spec: ExperimentSpec | None = None) -> list[tuple]:
@@ -179,21 +185,8 @@ def run_fig6(spec: ExperimentSpec | None = None) -> list[tuple]:
     Streams are numbered from 1 here so the curves are not paired with
     the table sweep's draws.
     """
-    if spec is None:
-        spec = fig6_spec()
-    rows = []
-    for i, theta in enumerate(spec.theta_grid):
-        xs, preds = gen_synthetic(theta, spec.n_samples, spec.alphabet_q,
-                                  spec.seed, stream=i + 1)
-        base = analysis.avg_code_length(analysis.lookup_m(theta), theta,
-                                        ASYMPTOTIC)
-        for precision in spec.precisions:
-            concrete = (ASYMPTOTIC_SURROGATE if precision.is_asymptotic
-                        else precision)
-            bits = _cell_bits(mapped_values(xs, preds, concrete), theta,
-                              concrete)
-            rows.append((theta, str(precision), 100.0 * (bits - base) / base))
-    return rows
+    return [(theta, str(p), 100.0 * (bits - base) / base)
+            for theta, p, bits, base in _sampled_cells(spec or fig6_spec(), 1)]
 
 
 def write_csv(path, fieldnames, rows) -> None:

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frgc import _backend, _estcore, _pure, codec
-from frgc.bitcoder import CorruptStreamError
+from frgc import _backend, _estcore, _pure, codec, qmap
+from frgc.bitcoder import BitSink, CorruptStreamError, GolombParam
 from frgc.codec import StreamHeader, decode_stream, encode_stream
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
@@ -103,28 +103,20 @@ def adaptive_case(n, tau, seed, spread):
 def test_adaptive_encode_parity(tau, spread, kernels):
     _, _, _, ms, est_int, est_raw = adaptive_case(3000, tau, 7, spread)
     for raw in (False, True):
-        args = (ms, est_raw if raw else est_int, raw, tau, MAX_RUN, True)
-        p_payload, p_bits, p_trace = _pure.adaptive_encode(*args)
-        k_payload, k_bits, k_trace = kernels.adaptive_encode(*args)
-        assert p_payload == k_payload
-        assert p_bits == k_bits
-        assert p_trace == k_trace
-        for a, b in zip(p_trace, k_trace):
-            assert all(type(x) is type(y) for x, y in zip(a, b))
+        args = (ms, est_raw if raw else est_int, raw, tau, MAX_RUN)
+        assert _pure.adaptive_encode(*args) == kernels.adaptive_encode(*args)
 
 
 @pytest.mark.parametrize("tau,spread", [(1, 0.6), (16, 3.0), (64, 40.0)])
 def test_adaptive_decode_parity(tau, spread, kernels):
     xs, pred_n, pred_x, ms, est_int, est_raw = adaptive_case(2500, tau, 13, spread)
     for raw in (False, True):
-        payload, _, _ = _pure.adaptive_encode(ms, est_raw if raw else est_int, raw,
-                                              tau, MAX_RUN, False)
-        args = (payload, len(ms), pred_n, pred_x, tau, raw, *RANGE, MAX_RUN, True)
-        p_out, p_trace = _pure.adaptive_decode(*args)
-        k_out, k_trace = kernels.adaptive_decode(*args)
-        assert p_out == k_out
+        payload, _ = _pure.adaptive_encode(ms, est_raw if raw else est_int, raw,
+                                           tau, MAX_RUN)
+        args = (payload, len(ms), pred_n, pred_x, tau, raw, *RANGE, MAX_RUN)
+        p_out = _pure.adaptive_decode(*args)
+        assert p_out == kernels.adaptive_decode(*args)
         assert decoded(p_out) == xs.tolist()
-        assert p_trace == k_trace
 
 
 def test_decode_corruption_parity(kernels):
@@ -136,14 +128,17 @@ def test_decode_corruption_parity(kernels):
             backend.golomb_decode(b"\xff" * 512, 1, 1, 256)
 
 
+LPC = LpcConfig(order=2, window=16, refit_interval=16)
 STREAM_HEADERS = {
     "fixed": StreamHeader(mode="fixed", rho=1, tau=16, m=5),
     "rice": StreamHeader(mode="rice", rho=1, tau=1, m=2),
     "adaptive": StreamHeader(mode="adaptive", rho=1, tau=16),
     "adaptive+raw": StreamHeader(mode="adaptive", rho=3, tau=16,
                                  raw_error_estimator=True),
-    "lpc": StreamHeader(mode="adaptive", rho=1, tau=8,
-                        lpc=LpcConfig(order=2, window=16, refit_interval=16)),
+    "lpc": StreamHeader(mode="adaptive", rho=1, tau=8, lpc=LPC),
+    "lpc+raw": StreamHeader(mode="adaptive", rho=1, tau=8, lpc=LPC,
+                            raw_error_estimator=True),
+    "lpc+fixed": StreamHeader(mode="fixed", rho=1, tau=8, m=24, lpc=LPC),
 }
 
 
@@ -196,9 +191,9 @@ def test_encode_max_run_parity(kernels):
     assert same_outcome(enc, ints([0, top + 1]), m, limit) == ("raised", ValueError)
     # adaptive mode starts cold at m = 1, so the first quotient is the value
     one = ints([1, 1])
-    assert same_outcome(aenc, ints([limit, 0]), one, False, 1, limit, False)[0] == "ok"
-    assert same_outcome(aenc, ints([limit + 1, 0]), one, False, 1, limit,
-                        False) == ("raised", ValueError)
+    assert same_outcome(aenc, ints([limit, 0]), one, False, 1, limit)[0] == "ok"
+    assert same_outcome(aenc, ints([limit + 1, 0]), one, False, 1,
+                        limit) == ("raised", ValueError)
     payload, _ = kernels.golomb_encode(ints([top, 0]), m, limit)
     assert same_outcome(both(kernels, "golomb_decode"), payload, 2, m,
                         limit) == ("ok", ints([top, 0]).tobytes())
@@ -210,8 +205,8 @@ def test_error_path_parity(kernels):
     raised = ("raised", ValueError)
     # a negative mapped residual
     assert same_outcome(enc, ints([4, -1]), 3, MAX_RUN) == raised
-    assert same_outcome(aenc, ints([4, -1]), ints([1, 1]), False, 16, MAX_RUN,
-                        False) == raised
+    assert same_outcome(aenc, ints([4, -1]), ints([1, 1]), False, 16,
+                        MAX_RUN) == raised
     # m < 1
     for m in (0, -3):
         assert same_outcome(enc, ints([1, 2]), m, MAX_RUN) == raised
@@ -221,10 +216,10 @@ def test_error_path_parity(kernels):
     assert same_outcome(enc, empty, 5, MAX_RUN)[0] == "ok"
     assert same_outcome(dec, b"", 0, 5, MAX_RUN) == ("ok", b"")
     for raw in (False, True):
-        assert same_outcome(aenc, empty, no_floats if raw else empty, raw, 16, MAX_RUN,
-                            True)[0] == "ok"
-        assert same_outcome(adec, b"", 0, empty, no_floats, 16, raw, *RANGE, MAX_RUN,
-                            True) == ("ok", (b"", []))
+        assert same_outcome(aenc, empty, no_floats if raw else empty, raw, 16,
+                            MAX_RUN) == ("ok", (b"", 0))
+        assert same_outcome(adec, b"", 0, empty, no_floats, 16, raw, *RANGE,
+                            MAX_RUN) == ("ok", b"")
 
 
 def test_short_buffer_parity(kernels):
@@ -237,16 +232,15 @@ def test_short_buffer_parity(kernels):
     ragged = ms.tobytes()[:-1]
     assert same_outcome(both(kernels, "golomb_encode"), ragged, 7, MAX_RUN) == raised
     for raw, inc in ((False, est_int), (True, est_raw)):
-        assert same_outcome(aenc, ms, inc[:-1], raw, 16, MAX_RUN, False) == raised
-        assert same_outcome(aenc, ms, inc.tobytes()[:-1], raw, 16, MAX_RUN,
-                            False) == raised
-        payload, _, _ = _pure.adaptive_encode(ms, inc, raw, 16, MAX_RUN, False)
-        args = (payload, len(ms), pred_n, pred_x, 16, raw, *RANGE, MAX_RUN, False)
-        assert decoded(same_outcome(adec, *args)[1][0]) == xs.tolist()
+        assert same_outcome(aenc, ms, inc[:-1], raw, 16, MAX_RUN) == raised
+        assert same_outcome(aenc, ms, inc.tobytes()[:-1], raw, 16, MAX_RUN) == raised
+        payload, _ = _pure.adaptive_encode(ms, inc, raw, 16, MAX_RUN)
+        args = (payload, len(ms), pred_n, pred_x, 16, raw, *RANGE, MAX_RUN)
+        assert decoded(same_outcome(adec, *args)[1]) == xs.tolist()
         assert same_outcome(adec, *args[:2], pred_n[:-1], *args[3:]) == raised
         assert same_outcome(adec, *args[:3], pred_x[:-1], *args[4:]) == raised
-    assert same_outcome(aenc, ms.tolist(), est_int, False, 16, MAX_RUN,
-                        False) == ("raised", TypeError)
+    assert same_outcome(aenc, ms.tolist(), est_int, False, 16,
+                        MAX_RUN) == ("raised", TypeError)
 
 
 @pytest.mark.parametrize("bad", [0, 150, 299])
@@ -260,13 +254,12 @@ def test_adaptive_decode_range_check_parity(bad, kernels, monkeypatch):
     pred_n = np.floor(16 * pred_x + 0.5).astype(np.int64)
     r = 16 * xs - pred_n
     ms = np.where(r >= 0, 2 * r // 16, -(2 * r // 16) - 1)
-    payload, _, _ = _pure.adaptive_encode(ms, np.abs(r), False, 16, MAX_RUN, False)
+    payload, _ = _pure.adaptive_encode(ms, np.abs(r), False, 16, MAX_RUN)
     args = (payload, 300, pred_n, pred_x, 16, False)
     for backend in (_pure, kernels):
-        out, _ = backend.adaptive_decode(*args, 0, 1100, MAX_RUN, False)
-        assert decoded(out) == xs.tolist()
+        assert decoded(backend.adaptive_decode(*args, 0, 1100, MAX_RUN)) == xs.tolist()
         with pytest.raises(CorruptStreamError) as info:
-            backend.adaptive_decode(*args, 0, 999, MAX_RUN, False)
+            backend.adaptive_decode(*args, 0, 999, MAX_RUN)
         assert str(info.value) == f"symbol {bad} decodes to 1100, outside [0, 999]"
     # through decode_stream: a header whose alphabet leaves that symbol out
     header = StreamHeader(mode="adaptive", rho=1, tau=16)
@@ -282,14 +275,14 @@ def test_adaptive_decode_range_check_parity(bad, kernels, monkeypatch):
 
 def test_truncated_adaptive_payload_parity(kernels):
     xs, pred_n, pred_x, ms, est_int, _ = adaptive_case(300, 16, 21, 20.0)
-    payload, _, _ = _pure.adaptive_encode(ms, est_int, False, 16, MAX_RUN, False)
+    payload, _ = _pure.adaptive_encode(ms, est_int, False, 16, MAX_RUN)
     decode = both(kernels, "adaptive_decode")
     for cut in range(len(payload)):
         outcome = same_outcome(decode, payload[:cut], len(ms), pred_n, pred_x, 16,
-                               False, *RANGE, MAX_RUN, False)
+                               False, *RANGE, MAX_RUN)
         assert outcome == ("raised", CorruptStreamError)
     assert same_outcome(decode, payload, len(ms), pred_n, pred_x, 16,
-                        False, *RANGE, MAX_RUN, False) == ("ok", (xs.tobytes(), None))
+                        False, *RANGE, MAX_RUN) == ("ok", xs.tobytes())
 
 
 @pytest.mark.parametrize("tau", [1, 7, 0xFFFF])
@@ -300,7 +293,7 @@ def test_unmap_parity_at_numerator_limit(tau, kernels):
     payload = rng.integers(0, 256, size=4000, dtype=np.uint8).tobytes()
     lim = (1 << 62) - 1
     pred_n = rng.choice(ints([lim, -lim, lim - 12345, 1 - lim, 0]), 600)
-    args = (payload, 600, pred_n, np.zeros(600), tau, False, *WIDEST, MAX_RUN, True)
+    args = (payload, 600, pred_n, np.zeros(600), tau, False, *WIDEST, MAX_RUN)
     assert same_outcome(both(kernels, "adaptive_decode"), *args)[0] == "ok"
 
 
@@ -312,7 +305,7 @@ def test_compiled_range_guards(kernels):
         kernels.golomb_decode(b"\x00", 1, 1, 1 << 62)
     with pytest.raises(ValueError):
         kernels.adaptive_decode(b"\x00", 1, ints([1 << 62]), np.zeros(1), 1, False,
-                                *WIDEST, MAX_RUN, False)
+                                *WIDEST, MAX_RUN)
 
 
 def test_backend_module_exports():
@@ -352,10 +345,23 @@ def test_compiled_import_needs_the_64_entry_table(size, kernels):
     assert proc.stdout == f"refused: LOG_BOUNDARIES must have 64 entries, got {size}\n"
 
 
+def coded(values, ms):
+    """The payload and bit count of values, the i-th coded under ms[i]."""
+    sink = BitSink()
+    for value, m in zip(values, ms):
+        sink.write_unary(value // m)
+        sink.write_minimal_binary(value % m, GolombParam(m))
+    return sink.finish(), sink.bit_length
+
+
 def test_saturation_and_boundary_parity(kernels):
+    # the m each loop picks shows in its payload and in what it decodes:
+    # a last mapped value k codes as quotient 1 under m = k and as
+    # quotient 0 under m = k + 1, so one step off at a boundary changes both
     sat = _estcore.EST_SATURATION
-    args = (ints([3] * 4), ints([sat - 1, 1000, 1000, 7]), False, 16, MAX_RUN, True)
-    assert _pure.adaptive_encode(*args) == kernels.adaptive_encode(*args)
+    args = (ints([3, 3, 3, 64]), ints([sat - 1, 1000, 1000, 7]), False, 16, MAX_RUN)
+    for backend in (_pure, kernels):
+        assert backend.adaptive_encode(*args) == coded([3, 3, 3, 64], [1, 64, 64, 64])
     # raw sums s with ln theta = -1/s exactly on the k-th log-boundary: m = k
     hits = 0
     for k, lb in enumerate(BOUNDS, start=1):
@@ -368,13 +374,19 @@ def test_saturation_and_boundary_parity(kernels):
                 near.append(x)
         for s in [x for x in near if -1.0 / x == lb][:1]:
             hits += 1
-            args = (ints([0, 0]), np.array([s, 0.0]), True, 1, MAX_RUN, True)
-            result = _pure.adaptive_encode(*args)
-            assert result == kernels.adaptive_encode(*args)
-            assert [m for m, _, _ in result[2]] == [1, k]
-            # the same boundary reached from above: -1/(2s) then -2/(2s)
-            args = (ints([0, 0, 0]), np.array([2 * s, 0.0, 0.0]), True, 1, MAX_RUN, True)
-            result = _pure.adaptive_encode(*args)
-            assert result == kernels.adaptive_encode(*args)
-            assert [m for m, _, _ in result[2]][2] == k
+            # the sum s after one symbol; and 2s after one, then two symbols,
+            # so ln theta = -1/(2s) reaches -2/(2s) = -1/s from above.  Each
+            # decoder adds |0 - pred_x| = |0 - (-inc)|, the same sums
+            for inc in (np.array([s, 0.0]), np.array([2 * s, 0.0, 0.0])):
+                n = inc.size
+                ms = [_estcore.select_m(t, float(inc[:t].sum())) for t in range(n)]
+                assert ms[-1] == k
+                values = [0] * (n - 1) + [k]
+                payload, _ = expected = coded(values, ms)
+                for backend in (_pure, kernels):
+                    assert backend.adaptive_encode(ints(values), inc, True, 1,
+                                                   MAX_RUN) == expected
+                    out = backend.adaptive_decode(payload, n, ints([0] * n), -inc, 1,
+                                                  True, *RANGE, MAX_RUN)
+                    assert decoded(out) == [qmap.unmap(v, 0, 1) for v in values]
     assert hits >= 32

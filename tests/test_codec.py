@@ -1,6 +1,7 @@
 """Container format, online estimator, and stream round-trips."""
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgc import _backend, _estcore, analysis, bitcoder, codec, harness, qmap
+from frgc import _estcore, analysis, bitcoder, codec, harness, qmap
 from frgc.bitcoder import BitSink, BitSource, CorruptStreamError, GolombParam
 from frgc.codec import (
     HEADER_SIZE,
@@ -80,8 +81,11 @@ def test_header_precision_property():
     ],
 )
 def test_header_validate_rejects(kwargs):
+    # a StreamHeader is valid by construction, also when made by replace
     with pytest.raises(HeaderError):
-        StreamHeader(**kwargs).validate()
+        StreamHeader(**kwargs)
+    with pytest.raises(HeaderError):
+        replace(StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2), **kwargs)
 
 
 def test_unpack_rejects_mutations():
@@ -154,9 +158,11 @@ def test_select_m_agrees_with_exp_rule():
 
 
 def test_estimator_saturates():
+    # symbols 0 against numerators n: each adds |16*0 - n| to the sum
     sat = _estcore.EST_SATURATION
-    _, _, trace = _backend.adaptive_encode(
-        np.zeros(3, np.int64), np.array([sat - 1, 1000, 1000]), False, 16, 1 << 20, True)
+    h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16)
+    n = np.array([sat - 1, 1000, 1000])
+    _, trace = codec._estimator_trace(np.zeros(3, np.int64), n / 16.0, n, h)
     assert trace == [(1, 1, sat - 1), (64, 2, sat), (64, 3, sat)]
 
 
@@ -315,6 +321,9 @@ def test_adaptive_roundtrip_and_trace_lockstep(xs, tau, raw):
     assert out == xs
     assert enc_trace == dec_trace
     assert len(enc_trace) == len(xs)
+    # the types as well: S is the integer numerator sum, or the raw float sum
+    types = (int, int, float if raw else int)
+    assert all(tuple(map(type, entry)) == types for entry in enc_trace + dec_trace)
     if xs:
         assert enc_trace[0][0] == 1  # cold start codes with m = 1
 
@@ -358,6 +367,28 @@ def test_header_count_beyond_payload_bits_raises():
         bad = replace(header, count=count).pack() + payload
         with pytest.raises(HeaderError, match="payload bits"):
             decode_stream(bad)
+
+
+@pytest.mark.parametrize("mode,m", [(MODE_FIXED, 3), (MODE_ADAPTIVE, 0)])
+def test_count_disagreeing_with_predictions_raises_header_error(mode, m):
+    # a flipped count bit no longer matches the external predictions; the
+    # payload still holds enough bits, so it is the predictions that disagree
+    h = StreamHeader(mode=mode, rho=1, tau=4, m=m)
+    preds = [0.5 * i for i in range(50)]
+    data = encode_stream(list(range(50)), h, predictions=preds)
+    count_at = struct.calcsize("<4sBBBHHHI")  # the fields before the u64 count
+    for bit in (0, 1, 5):
+        bad = bytearray(data)
+        bad[count_at] ^= 1 << bit
+        assert read_header(bytes(bad))[0].count == 50 ^ (1 << bit)
+        with pytest.raises(HeaderError, match="predictions") as info:
+            decode_stream(bytes(bad), predictions=preds)
+        assert not isinstance(info.value, CorruptStreamError)
+    # the encoder's own count comes from the symbols: a mismatch there is the
+    # caller's, a plain ValueError
+    with pytest.raises(ValueError) as info:
+        encode_stream(list(range(50)), h, predictions=preds[:-1])
+    assert not isinstance(info.value, HeaderError)
 
 
 def test_round_predictions_rejects_int64_overflow():
@@ -499,11 +530,15 @@ def test_lpc_stream_roundtrip(mode, kwargs):
 
 def test_lpc_trace_lockstep():
     xs = _wavey(400, seed=13)
-    h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16, lpc=LpcConfig(3, 24, 12))
-    data, enc_trace = encode_stream(xs, h, collect_trace=True)
-    out, dec_trace = decode_stream(data, collect_trace=True)
-    assert out == xs
-    assert enc_trace == dec_trace
+    for raw in (False, True):
+        h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16, lpc=LpcConfig(3, 24, 12),
+                         raw_error_estimator=raw)
+        data, enc_trace = encode_stream(xs, h, collect_trace=True)
+        out, dec_trace = decode_stream(data, collect_trace=True)
+        assert out == xs
+        assert enc_trace == dec_trace
+        assert len(enc_trace) == len(xs)
+        assert all(type(entry[2]) is (float if raw else int) for entry in dec_trace)
 
 
 def test_lpc_beats_no_prediction_on_trend():

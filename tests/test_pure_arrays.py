@@ -55,28 +55,22 @@ def oracle_golomb_decode(payload, count, m, max_run):
                  for _ in range(count)]).tobytes()
 
 
-def oracle_adaptive_encode(ms, increments, raw, tau, max_run, collect_trace):
-    ms, increments = ms.tolist(), increments.tolist()
-    sink = BitSink()
-    trace = [] if collect_trace else None
-    t = 0
-    s_int = 0
-    s_raw = 0.0
-    for i, value in enumerate(ms):
-        m = select_m(t, s_raw) if raw else select_m(t, s_int, tau)
-        j, k = divmod(value, m)
-        if j > max_run:
-            raise _quotient_too_long(j, max_run)
-        sink.write_unary(j)
-        sink.write_minimal_binary(k, GolombParam(m))
-        t += 1
-        if raw:
-            s_raw += increments[i]
-        else:
-            s_int = min(s_int + increments[i], SAT)
-        if trace is not None:
-            trace.append((m, t, s_raw if raw else s_int))
-    return sink.finish(), sink.bit_length, trace
+def oracle_sums(increments, raw):
+    """The estimator sum after each symbol, one addition at a time."""
+    sums = []
+    s = 0.0 if raw else 0
+    for inc in increments.tolist():
+        s = s + inc if raw else min(s + inc, SAT)
+        sums.append(s)
+    return sums
+
+
+def oracle_adaptive_encode(ms, increments, raw, tau, max_run):
+    sums = oracle_sums(increments, raw)
+    before = [0.0 if raw else 0] + sums[:-1]
+    params = [GolombParam(select_m(t, s) if raw else select_m(t, s, tau))
+              for t, s in enumerate(before)]
+    return oracle_write(ms.tolist(), params, max_run)
 
 
 ORACLE = SimpleNamespace(golomb_encode=oracle_golomb_encode,
@@ -107,9 +101,6 @@ def agree(coders, name, *args):
     first, *rest = [outcome(getattr(c, name), *args) for c in coders]
     for other in rest:
         assert other == first
-        if first[0] == "ok" and name == "adaptive_encode" and first[1][2]:
-            for a, b in zip(first[1][2], other[1][2]):
-                assert [type(x) for x in a] == [type(x) for x in b]
     return first
 
 
@@ -159,7 +150,7 @@ def test_lengths_at_the_block_size(n, coders):
     est_int = rng.integers(0, 50, n)
     est_raw = rng.exponential(4.0, n)
     for args in ((est_int, False, 16), (est_raw, True, 1)):
-        assert agree(coders, "adaptive_encode", values, *args, MAX_RUN, True)[0] == "ok"
+        assert agree(coders, "adaptive_encode", values, *args, MAX_RUN)[0] == "ok"
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -235,7 +226,7 @@ def test_encode_error_parity(coders):
     assert agree(coders, "golomb_encode", big, 3, 49) == ("raised", ValueError)
     assert agree(coders, "golomb_encode", big, 3, 50)[0] == "ok"
     assert agree(coders, "adaptive_encode", ints([3, -2, 1]), ints([1, 1, 1]), False, 4,
-                 MAX_RUN, False) == ("raised", ValueError)
+                 MAX_RUN) == ("raised", ValueError)
     assert agree(coders, "golomb_encode", ints([1]), 0, MAX_RUN) == ("raised", ValueError)
     # both backends refuse an m whose quotient times m could leave int64
     for backend in coders[1:]:
@@ -258,12 +249,15 @@ def test_saturation_inside_a_block_and_on_its_edge(at, overshoot, coders):
     for i in range(at + 1, at + 6):
         est[i] = SAT - 1
     values = geometric(np.random.default_rng(at), n, 8)
-    ok, (_, _, trace) = agree(coders, "adaptive_encode", values, est, False, 16,
-                              MAX_RUN, True)
-    assert ok == "ok"
-    assert all(s == SAT for _, _, s in trace[at:])
+    assert agree(coders, "adaptive_encode", values, est, False, 16, MAX_RUN)[0] == "ok"
+    sums = _estcore.running_sums(0, est, False).tolist()
+    assert sums == oracle_sums(est, False)
+    # continued from a block's last sum, as the pure encoder runs it
+    assert (_estcore.running_sums(sums[BLOCK - 1], est[BLOCK:], False).tolist()
+            == sums[BLOCK:])
+    assert all(s == SAT for s in sums[at:])
     if at:
-        assert trace[at - 1][2] == at
+        assert sums[at - 1] == at
 
 
 def test_select_m_array_matches_select_m_on_seeded_triples():
@@ -324,6 +318,5 @@ def test_peak_memory_does_not_grow_with_the_stream():
     # the result's 8 bytes a symbol are the output, not working memory
     assert peak - 8 * n < PEAK_BOUND, peak
     est = np.ones(n, np.int64)
-    (_, _, _), peak = traced_peak(_pure.adaptive_encode, values, est, False, 16,
-                                  MAX_RUN, False)
+    (_, _), peak = traced_peak(_pure.adaptive_encode, values, est, False, 16, MAX_RUN)
     assert peak < PEAK_BOUND, peak
