@@ -9,7 +9,8 @@
  * remainder in minimal binary, as in frgc.bitcoder.  The adaptive m is chosen
  * as in _estcore.select_m, over a copy of its table taken at import, by the
  * same two-cast double expression and no libm call; build with
- * -ffp-contract=off so no float expression is fused.
+ * -ffp-contract=off so no float expression is fused.  The stream limits are
+ * frgc.bitcoder's MAX_RUN, M_MAX and TAU_MAX, read at import (check_limits).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -19,20 +20,28 @@
 
 static PyObject *CorruptStreamError;  /* frgc.bitcoder.CorruptStreamError */
 static long long est_saturation;      /* frgc._estcore.EST_SATURATION */
+static long long max_run, m_max, tau_max;  /* frgc.bitcoder.MAX_RUN, M_MAX, TAU_MAX */
 static double log_bounds[N_BOUNDS];   /* frgc._estcore.LOG_BOUNDARIES: ln b_k, ascending */
 
-#define VALUE_LIMIT (1LL << 62)  /* bounds decoding's numbers: see check_max_run */
+#define VALUE_LIMIT (1LL << 62)  /* bounds decoding's numbers: see check_limits */
+#define FIELD_BITS 32            /* the most bits put_bits appends at once */
 
 /* A Golomb parameter m with b = ceil(lg m): remainders below u = 2**b - m
  * take b-1 bits, the others b. */
 typedef struct { long long m, u; int b; } Code;
 
+static int in_range(const char *name, long long value, long long top)
+{
+    if (value >= 1 && value <= top)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "%s must be in [1, %lld], got %lld", name, top, value);
+    return -1;
+}
+
 static int code_set(Code *c, long long m)
 {
-    if (m < 1 || m > (1LL << 32)) {  /* so every remainder fits in 32 bits */
-        PyErr_Format(PyExc_ValueError, "golomb parameter must be in [1, 2**32], got %lld", m);
+    if (in_range("golomb parameter", m, m_max) < 0)
         return -1;
-    }
     c->m = m;
     for (c->b = 0; (1LL << c->b) < m; c->b++)
         ;
@@ -48,7 +57,7 @@ typedef struct {
     long long nbits;         /* bits written */
 } Writer;
 
-/* Append the low nbits (at most 32) of value. */
+/* Append the low nbits (at most FIELD_BITS) of value. */
 static int put_bits(Writer *w, unsigned long long value, int nbits)
 {
     if (w->len + 5 > w->cap) {
@@ -72,7 +81,7 @@ static int put_bits(Writer *w, unsigned long long value, int nbits)
     return 0;
 }
 
-static int put_codeword(Writer *w, long long v, const Code *c, long long max_run)
+static int put_codeword(Writer *w, long long v, const Code *c)
 {
     long long j, k;
     if (v < 0) {
@@ -118,7 +127,7 @@ static long long end_of_stream(void)
     return -1;
 }
 
-static long long get_unary(Reader *r, long long max_run)
+static long long get_unary(Reader *r)
 {
     long long count = 0;
     while (r->pos < r->nbits) {
@@ -153,9 +162,9 @@ static long long get_bits(Reader *r, int n)
 }
 
 /* The mapped residual of the next codeword, or -1 with an exception set. */
-static long long get_codeword(Reader *r, const Code *c, long long max_run)
+static long long get_codeword(Reader *r, const Code *c)
 {
-    long long j = get_unary(r, max_run), k, bit;
+    long long j = get_unary(r), k, bit;
     if (j < 0)
         return -1;
     if (c->b == 0)
@@ -170,37 +179,12 @@ static long long get_codeword(Reader *r, const Code *c, long long max_run)
     return j * c->m + k;
 }
 
-/* (max_run + 1) * m_max * tau <= 2**62 keeps a decoded mapped value v below
- * 2**62 / tau, and its residual numerator, |r| <= tau * (v + 1) / 2, below
- * 2**61; with |numerator| < 2**62 the unfold then stays within 64 bits. */
-static int check_max_run(long long max_run, long long m_max, long long tau)
-{
-    if (max_run >= VALUE_LIMIT / m_max / tau) {
-        PyErr_Format(PyExc_ValueError,
-                     "max_run %lld too large for m up to %lld and tau %lld",
-                     max_run, m_max, tau);
-        return -1;
-    }
-    return 0;
-}
-
 typedef struct {
     int k;        /* the last index est_m found */
     int raw;      /* sums raw |x - xhat| as a double, else |numerators| */
     long long tau, t, s_int;
     double s_raw;
 } Est;
-
-static int est_init(Est *e, long long tau, int raw)
-{
-    e->raw = raw;
-    e->tau = tau;
-    if (tau < 1) {
-        PyErr_SetString(PyExc_ValueError, "need tau >= 1");
-        return -1;
-    }
-    return 0;
-}
 
 /* m for the next symbol: select_m's bisect_left index, stepped to from the last. */
 static long long est_m(Est *e)
@@ -274,16 +258,16 @@ static long long unfold(long long v, long long n, long long tau)
 static PyObject *golomb_encode(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer ms;
-    long long m, max_run;
+    long long m;
     Writer w = {0};
     Code code;
     Py_ssize_t i, n;
     PyObject *result = NULL;
-    if (!PyArg_ParseTuple(args, "y*LL", &ms, &m, &max_run))
+    if (!PyArg_ParseTuple(args, "y*L", &ms, &m))
         return NULL;
     if (code_set(&code, m) == 0 && (n = values_in(&ms, 0, "ms")) >= 0) {
         for (i = 0; i < n; i++)
-            if (put_codeword(&w, item_at(&ms, i).i, &code, max_run) < 0)
+            if (put_codeword(&w, item_at(&ms, i).i, &code) < 0)
                 break;
         if (i == n)
             result = writer_result(&w);
@@ -297,16 +281,16 @@ static PyObject *golomb_decode(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer payload;
     Py_ssize_t count, i;
-    long long m, max_run, v;
+    long long m, v;
     PyObject *out = NULL;
     Code code;
-    if (!PyArg_ParseTuple(args, "y*nLL", &payload, &count, &m, &max_run))
+    if (!PyArg_ParseTuple(args, "y*nL", &payload, &count, &m))
         return NULL;
     Reader r = {payload.buf, 0, 8 * payload.len};
-    if (code_set(&code, m) == 0 && check_max_run(max_run, m, 1) == 0)
+    if (code_set(&code, m) == 0)
         out = new_output(count, r.nbits);
     for (i = 0; out && i < count; i++)
-        if ((v = get_codeword(&r, &code, max_run)) < 0)
+        if ((v = get_codeword(&r, &code)) < 0)
             Py_CLEAR(out);
         else
             OUT_VALUES(out)[i] = v;
@@ -318,22 +302,22 @@ static PyObject *adaptive_encode(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer ms, inc;
     PyObject *result = NULL;
-    long long tau, max_run, m;
+    long long tau, m;
     int raw;
     Writer w = {0};
     Code code = {0, 0, 0};
-    Est e = {0};
     Py_ssize_t i, n;
-    if (!PyArg_ParseTuple(args, "y*y*pLL", &ms, &inc, &raw, &tau, &max_run))
+    if (!PyArg_ParseTuple(args, "y*y*pL", &ms, &inc, &raw, &tau))
         return NULL;
+    Est e = {0, raw, tau, 0, 0, 0.0};
     if ((n = values_in(&ms, 0, "ms")) < 0
             || values_in(&inc, n, "increments") < 0
-            || est_init(&e, tau, raw) < 0)
+            || in_range("tau", tau, tau_max) < 0)
         goto done;
     for (i = 0; i < n; i++) {
         m = est_m(&e);
         if ((m != code.m && code_set(&code, m) < 0)
-                || put_codeword(&w, item_at(&ms, i).i, &code, max_run) < 0)
+                || put_codeword(&w, item_at(&ms, i).i, &code) < 0)
             goto done;
         est_add(&e, item_at(&inc, i).i, item_at(&inc, i).d);
     }
@@ -350,17 +334,16 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
     Py_buffer payload, pred_n, pred_x;
     Py_ssize_t count, i;
     PyObject *out = NULL, *result = NULL;
-    long long tau, lo, hi, max_run, m, v, n, x, d;
+    long long tau, lo, hi, m, v, n, x, d;
     double px;
     int raw;
     Code code = {0, 0, 0};
-    Est e = {0};
-    if (!PyArg_ParseTuple(args, "y*ny*y*LpLLL", &payload, &count, &pred_n, &pred_x,
-                          &tau, &raw, &lo, &hi, &max_run))
+    if (!PyArg_ParseTuple(args, "y*ny*y*LpLL", &payload, &count, &pred_n, &pred_x,
+                          &tau, &raw, &lo, &hi))
         return NULL;
     Reader r = {payload.buf, 0, 8 * payload.len};
-    if (est_init(&e, tau, raw) < 0
-            || check_max_run(max_run, N_BOUNDS, tau) < 0
+    Est e = {0, raw, tau, 0, 0, 0.0};
+    if (in_range("tau", tau, tau_max) < 0
             || values_in(&pred_n, count, "pred_n") < 0
             || values_in(&pred_x, count, "pred_x") < 0
             || (out = new_output(count, r.nbits)) == NULL)
@@ -368,7 +351,7 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
     for (i = 0; i < count; i++) {
         m = est_m(&e);
         if ((m != code.m && code_set(&code, m) < 0)
-                || (v = get_codeword(&r, &code, max_run)) < 0)
+                || (v = get_codeword(&r, &code)) < 0)
             goto done;
         n = item_at(&pred_n, i).i;
         if (n <= -VALUE_LIMIT || n >= VALUE_LIMIT) {
@@ -382,7 +365,7 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
             goto done;
         }
         OUT_VALUES(out)[i] = x;
-        d = tau * x - n;  /* |d| < 2**61, see check_max_run */
+        d = tau * x - n;  /* |d| < 2**61, see check_limits */
         px = item_at(&pred_x, i).d;
         est_add(&e, d < 0 ? -d : d, fabs((double)x - px));
     }
@@ -438,16 +421,38 @@ static int load_bounds(void)
     return PyErr_Occurred() ? -1 : 0;
 }
 
+/* Set *value to the integer module_name.name; -1 with an exception if it fails. */
+static int import_int(const char *module_name, const char *name, long long *value)
+{
+    PyObject *attr = import_attr(module_name, name);
+    *value = attr == NULL ? -1 : PyLong_AsLongLong(attr);
+    Py_XDECREF(attr);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* (MAX_RUN + 1) * M_MAX * TAU_MAX <= 2**62 keeps a decoded mapped value v below 2**62 / tau
+ * and its residual numerator, |r| <= tau * (v + 1) / 2, below 2**61, so with |numerator| <
+ * 2**62 the unfold stays within 64 bits; and put_bits must write every remainder. */
+static int check_limits(void)
+{
+    if (max_run >= 0 && m_max >= 1 && tau_max >= 1 && (m_max - 1) >> FIELD_BITS == 0
+            && max_run < VALUE_LIMIT / m_max / tau_max)
+        return 0;
+    PyErr_Format(PyExc_ImportError, "stream limits do not fit the 64-bit loops: MAX_RUN=%lld, "
+                 "M_MAX=%lld, TAU_MAX=%lld", max_run, m_max, tau_max);
+    return -1;
+}
+
 PyMODINIT_FUNC PyInit__kernels(void)
 {
-    PyObject *mod, *sat = import_attr("frgc._estcore", "EST_SATURATION");
-    if (sat == NULL)
-        return NULL;
-    est_saturation = PyLong_AsLongLong(sat);
-    Py_DECREF(sat);
-    CorruptStreamError = PyErr_Occurred() || load_bounds() < 0 ? NULL
-                         : import_attr("frgc.bitcoder", "CorruptStreamError");
-    if (CorruptStreamError == NULL || (mod = PyModule_Create(&module)) == NULL)
+    PyObject *mod;
+    if (import_int("frgc._estcore", "EST_SATURATION", &est_saturation) < 0
+            || import_int("frgc.bitcoder", "MAX_RUN", &max_run) < 0
+            || import_int("frgc.bitcoder", "M_MAX", &m_max) < 0
+            || import_int("frgc.bitcoder", "TAU_MAX", &tau_max) < 0
+            || check_limits() < 0 || load_bounds() < 0
+            || (CorruptStreamError = import_attr("frgc.bitcoder", "CorruptStreamError")) == NULL
+            || (mod = PyModule_Create(&module)) == NULL)
         return NULL;
     if (PyModule_AddStringConstant(mod, "BACKEND_NAME", "compiled") < 0)
         Py_CLEAR(mod);

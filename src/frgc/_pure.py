@@ -6,11 +6,10 @@ this module otherwise.
 
 Contract (shared by both backends):
 
-    golomb_encode(ms, m, max_run) -> (payload, nbits)
-    golomb_decode(payload, count, m, max_run) -> mapped residuals
-    adaptive_encode(ms, increments, raw, tau, max_run) -> (payload, nbits)
-    adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi,
-                    max_run) -> symbols
+    golomb_encode(ms, m) -> (payload, nbits)
+    golomb_decode(payload, count, m) -> mapped residuals
+    adaptive_encode(ms, increments, raw, tau) -> (payload, nbits)
+    adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi) -> symbols
 
 Arrays pass as buffers of native 8-byte values, C-contiguous: int64, or
 float64 for the raw estimator's ``increments`` and ``pred_x``.  Both
@@ -24,18 +23,18 @@ the estimator's per-symbol |residual numerator| (int64) or, when
 prediction numerators, below 2**62 in magnitude; ``pred_x`` the
 predictions, read only when ``raw``.  The adaptive m is
 ``_estcore.select_m`` over ``_estcore.LOG_BOUNDARIES``, which the
-compiled module copies once, when it is imported.  A quotient above
-``max_run`` raises ValueError on encode and CorruptStreamError on
-decode, so the encoder writes no codeword the decoder would refuse.
-adaptive_decode raises CorruptStreamError for the first symbol outside
-[lo, hi].  No loop reports its m: a stream's m sequence is a function of
-its symbols and predictions, which the codec derives (collect_trace).
+compiled module copies once, when it is imported.  adaptive_decode
+raises CorruptStreamError for the first symbol outside [lo, hi].  No
+loop reports its m: a stream's m sequence is a function of its symbols
+and predictions, which the codec derives (collect_trace).
 
-Both backends raise ValueError for m > 2**32.  The compiled loops also
-raise ValueError, on decode, for a max_run with (max_run + 1) * m > 2**62
-(in adaptive mode (max_run + 1) * 64 * tau > 2**62), which keeps their
-64-bit arithmetic exact; the codec's header limits and DEFAULT_MAX_RUN
-stay far inside both.
+The limits are bitcoder's format constants, which the compiled module
+reads at import.  A quotient above MAX_RUN raises ValueError on encode
+and CorruptStreamError on decode, so the encoder writes no codeword the
+decoder would refuse; m outside [1, M_MAX] or tau outside [1, TAU_MAX]
+raises ValueError.  The compiled module refuses to import unless
+(MAX_RUN + 1) * M_MAX * TAU_MAX <= 2**62, so its 64-bit decode
+arithmetic stays exact.
 
 Here golomb_encode, golomb_decode and adaptive_encode work on whole
 arrays: every codeword of a fixed-m stream depends on its own symbol
@@ -43,7 +42,7 @@ only, and the encoder knows every adaptive m in advance (the running
 sums give them all at once: _estcore.running_sums, select_m_array).  The encoders take
 BLOCK_SYMBOLS symbols at a time and pack at most BLOCK_BITS bits at a
 time; the decoder reads WINDOW_BITS payload bits at a time, growing a
-window only to fit one codeword of at most max_run + ceil(lg m) + 1
+window only to fit one codeword of at most MAX_RUN + ceil(lg m) + 1
 bits.  So, besides its input and output, a call holds a bounded amount
 of memory, whatever the stream's length.  adaptive_decode stays a loop
 over symbols, because each m depends on the symbols decoded before it.
@@ -55,6 +54,9 @@ import numpy as np
 
 from frgc._estcore import EST_SATURATION as _SAT, running_sums, select_m, select_m_array
 from frgc.bitcoder import (
+    M_MAX,
+    MAX_RUN,
+    TAU_MAX,
     BitSource,
     CorruptStreamError,
     GolombParam,
@@ -68,22 +70,16 @@ BLOCK_SYMBOLS = 1 << 11  # symbols split at a time
 BLOCK_BITS = 1 << 16     # payload bits packed at a time (or one longer codeword)
 WINDOW_BITS = 1 << 15    # payload bits parsed at a time (or one longer codeword)
 
-_M_LIMIT = 1 << 32  # so a quotient times m stays within int64
+
+def _in_range(name, value, top):
+    """value if it is in [1, top], else the compiled loops' ValueError."""
+    if not 1 <= value <= top:
+        raise ValueError(f"{name} must be in [1, {top}], got {value}")
+    return value
 
 
-def _param(m) -> GolombParam:
-    g = GolombParam(m)
-    if m > _M_LIMIT:
-        raise ValueError(f"golomb parameter must be in [1, 2**32], got {m}")
-    return g
-
-
-def _quotient_too_long(j, max_run):
-    return ValueError(f"quotient {j} exceeds the {max_run}-bit unary limit")
-
-
-def _run_too_long(max_run):
-    return CorruptStreamError(f"unary run exceeds {max_run} bits")
+def _run_too_long():
+    return CorruptStreamError(f"unary run exceeds {MAX_RUN} bits")
 
 
 def _end_of_stream():
@@ -111,15 +107,15 @@ class _Packer:
         self._carry = np.zeros(0, np.uint8)  # the last < 8 bits, not yet packed
         self.bit_length = 0
 
-    def write(self, values: np.ndarray, m, max_run: int) -> None:
+    def write(self, values: np.ndarray, m) -> None:
         """Append the codewords of values under m (one, or one per value)."""
         q, field, width = codeword_fields(values, m)
-        bad = (values < 0) | (q > max_run)
+        bad = (values < 0) | (q > MAX_RUN)
         if bad.any():
             i = int(np.argmax(bad))
             if values[i] < 0:
                 raise ValueError(f"mapped residual must be non-negative, got {values[i]}")
-            raise _quotient_too_long(int(q[i]), max_run)
+            raise ValueError(f"quotient {q[i]} exceeds the {MAX_RUN}-bit unary limit")
         ends = np.cumsum(q + 1 + width)
         lo = 0
         while lo < ends.size:
@@ -160,19 +156,20 @@ class _Packer:
         return b"".join(self._chunks)
 
 
-def golomb_encode(ms, m, max_run):
-    _param(m)
+def golomb_encode(ms, m):
+    _in_range("golomb parameter", m, M_MAX)
     ms = _values(ms, np.int64, 0, "ms")
     packer = _Packer()
     for lo in range(0, ms.size, BLOCK_SYMBOLS):
-        packer.write(ms[lo:lo + BLOCK_SYMBOLS], m, max_run)
+        packer.write(ms[lo:lo + BLOCK_SYMBOLS], m)
     return packer.finish(), packer.bit_length
 
 
-def adaptive_encode(ms, increments, raw, tau, max_run):
+def adaptive_encode(ms, increments, raw, tau):
     ms = _values(ms, np.int64, 0, "ms")
     n = ms.size
     increments = _values(increments, np.float64 if raw else np.int64, n, "increments")
+    _in_range("tau", tau, TAU_MAX)
     packer = _Packer()
     s = 0.0 if raw else 0  # the sum over the symbols before the block
     for lo in range(0, n, BLOCK_SYMBOLS):
@@ -181,25 +178,25 @@ def adaptive_encode(ms, increments, raw, tau, max_run):
         after = running_sums(s, increments[lo:hi], raw)
         m = select_m_array(np.arange(lo, hi), np.concatenate(([s], after[:-1])),
                            1 if raw else tau)
-        packer.write(values, m, max_run)
+        packer.write(values, m)
         s = after[-1].item()
     return packer.finish(), packer.bit_length
 
 
-def golomb_decode(payload, count, m, max_run):
-    g = _param(m)
+def golomb_decode(payload, count, m):
+    g = GolombParam(_in_range("golomb parameter", m, M_MAX))
     data = np.frombuffer(payload, dtype=np.uint8)
     out = _output(count, 8 * data.size)
     filled = np.frombuffer(out, np.int64)
     done = pos = 0
     window = WINDOW_BITS
-    longest = max_run + g.bits + 2  # a window this long holds any legal codeword
+    longest = MAX_RUN + g.bits + 2  # a window this long holds any legal codeword
     while done < count:
         left = 8 * data.size - pos
         if left <= 0:
             raise _end_of_stream()
         size = min(window, left)
-        decoded = _decode_window(data, pos, size, g, count - done, max_run, size == left)
+        decoded = _decode_window(data, pos, size, g, count - done, size == left)
         if decoded is None:  # the next codeword is longer than the window
             window = min(2 * window, max(longest, WINDOW_BITS))
             continue
@@ -211,12 +208,12 @@ def golomb_decode(payload, count, m, max_run):
     return out
 
 
-def _decode_window(data, pos, size, g, want, max_run, final):
+def _decode_window(data, pos, size, g, want, final):
     """Up to ``want`` codewords from payload bits [pos, pos + size).
 
     Returns (values, bits they take), or None when not even the first
     codeword fits and more payload follows.  Raises CorruptStreamError as
-    BitSource would: for a unary run over max_run, or, when the window
+    BitSource would: for a unary run over MAX_RUN, or, when the window
     reaches the end of the payload, for a codeword it cuts off.
 
     Every codeword's unary run ends at a zero bit, and that zero fixes
@@ -259,12 +256,12 @@ def _decode_window(data, pos, size, g, want, max_run, final):
     begin = np.concatenate(([0], end[closing[:-1]]))
     resume = int(end[closing[-1]]) if closing.size else 0
     runs = stop - begin
-    if closing.size and int(runs.max()) > max_run:
-        raise _run_too_long(max_run)
+    if closing.size and int(runs.max()) > MAX_RUN:
+        raise _run_too_long()
     if closing.size < want:
         last = int(chain[-1])
-        if (int(zeros[last]) if last < nzero else size) - resume > max_run:
-            raise _run_too_long(max_run)
+        if (int(zeros[last]) if last < nzero else size) - resume > MAX_RUN:
+            raise _run_too_long()
         if final:
             raise _end_of_stream()
         if not closing.size:
@@ -277,11 +274,12 @@ def _decode_window(data, pos, size, g, want, max_run, final):
     return values, resume
 
 
-def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi, max_run):
+def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
+    _in_range("tau", tau, TAU_MAX)
     # memoryviews index to Python ints and floats, as the loop needs
     pred_n = memoryview(_values(pred_n, np.int64, count, "pred_n"))
     pred_x = memoryview(_values(pred_x, np.float64, count, "pred_x"))
-    src = BitSource(payload, max_run)
+    src = BitSource(payload)
     params = {}
     out = _output(count, src.bits_left)
     symbols = memoryview(out).cast("q")

@@ -12,8 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Longest legal unary run while decoding; anything above is corruption.
-DEFAULT_MAX_RUN = 1 << 20
+# Stream limits: format constants of the header and both backends, which
+# refuse a quotient over MAX_RUN (corruption on decode), and m and tau
+# outside [1, M_MAX] and [1, TAU_MAX].
+MAX_RUN = 1 << 20
+M_MAX = 0xFFFF
+TAU_MAX = 0xFFFF
 
 
 class CorruptStreamError(ValueError):
@@ -134,11 +138,10 @@ class BitSink:
 class BitSource:
     """Reads bits MSB-first from a bytes-like payload."""
 
-    def __init__(self, data, max_run: int = DEFAULT_MAX_RUN) -> None:
+    def __init__(self, data) -> None:
         self._data = bytes(data)
         self._pos = 0
         self._nbits = 8 * len(self._data)
-        self._max_run = max_run
 
     @property
     def bits_left(self) -> int:
@@ -163,33 +166,21 @@ class BitSource:
         return result
 
     def read_unary(self) -> int:
-        data = self._data
-        nbits = self._nbits
-        pos = self._pos
-        limit = self._max_run
-        count = 0
-        while True:
-            if pos >= nbits:
-                raise CorruptStreamError("unexpected end of stream")
-            if (pos & 7) == 0:
-                # skip solid 0xff bytes in one step
-                while pos + 8 <= nbits and data[pos >> 3] == 0xFF:
-                    pos += 8
-                    count += 8
-                    if count > limit:
-                        raise CorruptStreamError(f"unary run exceeds {limit} bits")
-                if pos >= nbits:
-                    raise CorruptStreamError("unexpected end of stream")
-            if (data[pos >> 3] >> (7 - (pos & 7))) & 1:
+        data, nbits, pos, count = self._data, self._nbits, self._pos, 0
+        while pos < nbits:
+            byte = data[pos >> 3]
+            if (pos & 7) == 0 and byte == 0xFF:  # a whole byte of ones in one step
+                pos += 8
+                count += 8
+            elif (byte >> (7 - (pos & 7))) & 1:
                 pos += 1
                 count += 1
-                if count > limit:
-                    raise CorruptStreamError(f"unary run exceeds {limit} bits")
             else:
-                pos += 1
-                break
-        self._pos = pos
-        return count
+                self._pos = pos + 1
+                return count
+            if count > MAX_RUN:
+                raise CorruptStreamError(f"unary run exceeds {MAX_RUN} bits")
+        raise CorruptStreamError("unexpected end of stream")
 
     def read_minimal_binary(self, g: GolombParam) -> int:
         if g.bits == 0:

@@ -178,12 +178,17 @@ def _cmd_roundtrip(args) -> int:
 def _cmd_analyze(args) -> int:
     if args.experiment == "table2":
         rows, fields = harness.run_table2(), harness.TABLE2_FIELDS
-    elif args.experiment == "table3":
-        spec = harness.table3_spec(seed=args.seed, n=args.n)
-        rows, fields = harness.run_table3(spec), harness.TABLE3_FIELDS
     else:
-        spec = harness.fig6_spec(seed=args.seed, n=args.n)
-        rows, fields = harness.run_fig6(spec), harness.FIG6_FIELDS
+        make_spec, run, fields = {
+            "table3": (harness.table3_spec, harness.run_table3, harness.TABLE3_FIELDS),
+            "fig6": (harness.fig6_spec, harness.run_fig6, harness.FIG6_FIELDS),
+        }[args.experiment]
+        try:
+            spec = make_spec(seed=args.seed, n=args.n)
+        except ValueError as exc:
+            print(f"frgc analyze: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        rows = run(spec)
     try:
         harness.write_csv(args.out, fields, rows)
     except OSError as exc:

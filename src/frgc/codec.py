@@ -24,7 +24,8 @@ import numpy as np
 
 from frgc import _backend, _estcore, predictor, qmap
 from frgc.bitcoder import (
-    DEFAULT_MAX_RUN,
+    M_MAX,
+    TAU_MAX,
     BitSource,
     CorruptStreamError,
     GolombParam,
@@ -85,7 +86,7 @@ class StreamHeader:
     def validate(self) -> None:
         if self.mode not in _MODE_CODES:
             raise HeaderError(f"unknown mode {self.mode!r}")
-        if not 1 <= self.rho <= 0xFFFF or not 1 <= self.tau <= 0xFFFF:
+        if not 1 <= self.rho <= TAU_MAX or not 1 <= self.tau <= TAU_MAX:
             raise HeaderError(f"rho/tau out of range: {self.rho}/{self.tau}")
         if self.rho > self.tau:
             raise HeaderError(f"rho must not exceed tau: {self.rho}/{self.tau}")
@@ -94,8 +95,8 @@ class StreamHeader:
         if self.mode == MODE_ADAPTIVE:
             if self.m != 0:
                 raise HeaderError("adaptive mode picks m itself; set m=0")
-        elif not 1 <= self.m <= 0xFFFF:
-            raise HeaderError(f"fixed mode needs m in [1, 65535], got {self.m}")
+        elif not 1 <= self.m <= M_MAX:
+            raise HeaderError(f"fixed mode needs m in [1, {M_MAX}], got {self.m}")
         if not 0 <= self.alphabet_q <= 0xFFFFFFFF:
             raise HeaderError(f"alphabet_q out of range: {self.alphabet_q}")
         if not 0 <= self.count <= 0xFFFFFFFFFFFFFFFF:
@@ -269,7 +270,7 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     trace lists (m, t, S) after each symbol in adaptive mode and is None
     otherwise.  predictions must be None in lpc mode and defaults to
     all-zero predictions otherwise.  A symbol whose codeword would need a
-    unary run over DEFAULT_MAX_RUN bits, which decode_stream refuses,
+    unary run over bitcoder.MAX_RUN bits, which decode_stream refuses,
     raises ValueError.
     """
     arr = np.asarray(xs, dtype=np.int64)
@@ -294,10 +295,9 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
         increments, trace = _estimator_trace(arr, pred, numerators, header,
                                              collect_trace)
         payload, _ = _backend.adaptive_encode(
-            mapped, increments, header.raw_error_estimator, header.tau,
-            DEFAULT_MAX_RUN)
+            mapped, increments, header.raw_error_estimator, header.tau)
     else:
-        payload, _ = _backend.golomb_encode(mapped, header.m, DEFAULT_MAX_RUN)
+        payload, _ = _backend.golomb_encode(mapped, header.m)
 
     data = header.pack() + payload
     if collect_trace:
@@ -305,22 +305,24 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     return data
 
 
-def _decode_lpc(payload: bytes, header: StreamHeader) -> list[int]:
-    """Sequential decode for lpc mode: predictions depend on decoded history."""
+def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
+    """Lpc-mode decode, symbol by symbol: the symbols and their predictions."""
     cfg = header.lpc
     prec = header.precision
     tau = header.tau
     adaptive = header.mode == MODE_ADAPTIVE
     raw = header.raw_error_estimator
     lo, hi = _symbol_range(header.alphabet_q)
-    src = BitSource(payload, DEFAULT_MAX_RUN)
+    src = BitSource(payload)
     params: dict[int, GolombParam] = {}
     out: list[int] = []
+    preds: list[float] = []
     state = predictor.LpcState(cfg)
     s_int = 0
     s_raw = 0.0
     for t in range(header.count):
         xhat = state.predict()
+        preds.append(xhat)
         n = qmap.round_prediction(xhat, prec)
         if not adaptive:
             m = header.m
@@ -344,7 +346,7 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list[int]:
             s_int += abs(tau * x - n)
             if s_int > _estcore.EST_SATURATION:
                 s_int = _estcore.EST_SATURATION
-    return out
+    return out, preds
 
 
 def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
@@ -365,22 +367,21 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     if header.lpc is not None:
         if predictions is not None:
             raise ValueError("lpc mode recomputes predictions from history")
-        out = _decode_lpc(payload, header)
+        out, preds = _decode_lpc(payload, header)
         if not collect_trace:
             return out
         symbols = np.array(out, dtype=np.int64)
-        pred = _lpc_predictions(out, header.lpc)
+        pred = np.array(preds, dtype=np.float64)
         numerators = _round_predictions(pred, header.rho, header.tau)
     else:
         pred = _prediction_array(predictions, n, HeaderError)
         numerators = _round_predictions(pred, header.rho, header.tau)
         if header.mode == MODE_ADAPTIVE:
             symbols = np.frombuffer(_backend.adaptive_decode(
-                payload, n, numerators, pred, header.tau,
-                header.raw_error_estimator, *_symbol_range(header.alphabet_q),
-                DEFAULT_MAX_RUN), np.int64)
+                payload, n, numerators, pred, header.tau, header.raw_error_estimator,
+                *_symbol_range(header.alphabet_q)), np.int64)
         else:
-            values = _backend.golomb_decode(payload, n, header.m, DEFAULT_MAX_RUN)
+            values = _backend.golomb_decode(payload, n, header.m)
             symbols = _unmap_vector(np.frombuffer(values, np.int64),
                                     numerators, header.tau)
             _check_decoded(symbols, header.alphabet_q)

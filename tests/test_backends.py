@@ -14,13 +14,19 @@ import numpy as np
 import pytest
 
 from frgc import _backend, _estcore, _pure, codec, qmap
-from frgc.bitcoder import BitSink, CorruptStreamError, GolombParam
+from frgc.bitcoder import (
+    M_MAX,
+    MAX_RUN,
+    TAU_MAX,
+    BitSink,
+    CorruptStreamError,
+    GolombParam,
+)
 from frgc.codec import StreamHeader, decode_stream, encode_stream
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
 BOUNDS = _estcore.LOG_BOUNDARIES
-MAX_RUN = 1 << 20
 RANGE = (SYMBOL_MIN, SYMBOL_MAX)  # the decoded symbols' range with no alphabet
 WIDEST = (-(1 << 63), (1 << 63) - 1)
 ENTRY_POINTS = ("golomb_encode", "golomb_decode", "adaptive_encode", "adaptive_decode")
@@ -70,8 +76,8 @@ def random_streams():
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 21, 64, 1000])
 def test_golomb_encode_parity(m, kernels):
     for ms in random_streams():
-        pure_payload, pure_bits = _pure.golomb_encode(ms, m, MAX_RUN)
-        fast_payload, fast_bits = kernels.golomb_encode(ms, m, MAX_RUN)
+        pure_payload, pure_bits = _pure.golomb_encode(ms, m)
+        fast_payload, fast_bits = kernels.golomb_encode(ms, m)
         assert pure_payload == fast_payload
         assert pure_bits == fast_bits
 
@@ -79,9 +85,9 @@ def test_golomb_encode_parity(m, kernels):
 @pytest.mark.parametrize("m", [1, 3, 8, 64])
 def test_golomb_decode_parity(m, kernels):
     for ms in random_streams():
-        payload, _ = _pure.golomb_encode(ms, m, MAX_RUN)
-        a = _pure.golomb_decode(payload, len(ms), m, MAX_RUN)
-        b = kernels.golomb_decode(payload, len(ms), m, MAX_RUN)
+        payload, _ = _pure.golomb_encode(ms, m)
+        a = _pure.golomb_decode(payload, len(ms), m)
+        b = kernels.golomb_decode(payload, len(ms), m)
         assert a == b
         assert decoded(a) == ms.tolist()
 
@@ -103,7 +109,7 @@ def adaptive_case(n, tau, seed, spread):
 def test_adaptive_encode_parity(tau, spread, kernels):
     _, _, _, ms, est_int, est_raw = adaptive_case(3000, tau, 7, spread)
     for raw in (False, True):
-        args = (ms, est_raw if raw else est_int, raw, tau, MAX_RUN)
+        args = (ms, est_raw if raw else est_int, raw, tau)
         assert _pure.adaptive_encode(*args) == kernels.adaptive_encode(*args)
 
 
@@ -112,20 +118,20 @@ def test_adaptive_decode_parity(tau, spread, kernels):
     xs, pred_n, pred_x, ms, est_int, est_raw = adaptive_case(2500, tau, 13, spread)
     for raw in (False, True):
         payload, _ = _pure.adaptive_encode(ms, est_raw if raw else est_int, raw,
-                                           tau, MAX_RUN)
-        args = (payload, len(ms), pred_n, pred_x, tau, raw, *RANGE, MAX_RUN)
+                                           tau)
+        args = (payload, len(ms), pred_n, pred_x, tau, raw, *RANGE)
         p_out = _pure.adaptive_decode(*args)
         assert p_out == kernels.adaptive_decode(*args)
         assert decoded(p_out) == xs.tolist()
 
 
 def test_decode_corruption_parity(kernels):
-    payload, _ = _pure.golomb_encode(ints([3, 1, 4]), 2, MAX_RUN)
+    payload, _ = _pure.golomb_encode(ints([3, 1, 4]), 2)
     for backend in (_pure, kernels):
         with pytest.raises(CorruptStreamError):
-            backend.golomb_decode(payload[:1], 3, 2, MAX_RUN)
+            backend.golomb_decode(payload[:1], 3, 2)
         with pytest.raises(CorruptStreamError):
-            backend.golomb_decode(b"\xff" * 512, 1, 1, 256)
+            backend.golomb_decode(b"\xff" * 512, 1, 1)
 
 
 LPC = LpcConfig(order=2, window=16, refit_interval=16)
@@ -173,7 +179,7 @@ def test_strided_inputs_round_trip(mode, kernels, monkeypatch):
 
 @pytest.mark.parametrize("mode,xs", [("fixed", [1 << 21]), ("adaptive", [1 << 21, 0])])
 def test_encoder_rejects_what_the_decoder_would(mode, xs, kernels, monkeypatch):
-    # a quotient above DEFAULT_MAX_RUN used to encode into a stream that
+    # a quotient above MAX_RUN used to encode into a stream that
     # decode_stream then refused with "unary run exceeds 1048576 bits"
     header = StreamHeader(mode=mode, rho=1, tau=1, m=1 if mode == "fixed" else 0)
     for module in (_pure, kernels):
@@ -183,20 +189,52 @@ def test_encoder_rejects_what_the_decoder_would(mode, xs, kernels, monkeypatch):
 
 
 def test_encode_max_run_parity(kernels):
-    # a quotient of exactly max_run codes and decodes; one more raises
-    m, limit = 3, 40
-    top = limit * m + m - 1
+    # a quotient of exactly MAX_RUN codes and decodes; one more raises
     enc, aenc = both(kernels, "golomb_encode"), both(kernels, "adaptive_encode")
-    assert same_outcome(enc, ints([top, 0]), m, limit)[0] == "ok"
-    assert same_outcome(enc, ints([0, top + 1]), m, limit) == ("raised", ValueError)
+    for m in (1, 3):
+        top = MAX_RUN * m + m - 1
+        ok, (payload, _) = same_outcome(enc, ints([top, 0]), m)
+        assert ok == "ok"
+        assert same_outcome(both(kernels, "golomb_decode"), payload, 2,
+                            m) == ("ok", ints([top, 0]).tobytes())
+        assert same_outcome(enc, ints([0, top + 1]), m) == ("raised", ValueError)
     # adaptive mode starts cold at m = 1, so the first quotient is the value
     one = ints([1, 1])
-    assert same_outcome(aenc, ints([limit, 0]), one, False, 1, limit)[0] == "ok"
-    assert same_outcome(aenc, ints([limit + 1, 0]), one, False, 1,
-                        limit) == ("raised", ValueError)
-    payload, _ = kernels.golomb_encode(ints([top, 0]), m, limit)
-    assert same_outcome(both(kernels, "golomb_decode"), payload, 2, m,
-                        limit) == ("ok", ints([top, 0]).tobytes())
+    assert same_outcome(aenc, ints([MAX_RUN, 0]), one, False, 1)[0] == "ok"
+    assert same_outcome(aenc, ints([MAX_RUN + 1, 0]), one, False,
+                        1) == ("raised", ValueError)
+
+
+def test_m_and_tau_limit_parity(kernels):
+    # m outside [1, M_MAX] and tau outside [1, TAU_MAX], bitcoder's limits,
+    # raise the same ValueError from both backends, on encode and on decode
+    calls = []
+    for m in (0, M_MAX + 1):
+        message = rf"^golomb parameter must be in \[1, {M_MAX}\], got {m}$"
+        calls += [(message, "golomb_encode", (ints([1]), m)),
+                  (message, "golomb_decode", (b"\x00", 1, m))]
+    for tau in (0, -1, TAU_MAX + 1):
+        message = rf"^tau must be in \[1, {TAU_MAX}\], got {tau}$"
+        for raw in (False, True):
+            inc = np.ones(1) if raw else ints([1])
+            calls += [(message, "adaptive_encode", (ints([1]), inc, raw, tau)),
+                      (message, "adaptive_decode",
+                       (b"\x00", 1, ints([0]), np.zeros(1), tau, raw, *RANGE))]
+    for message, name, args in calls:
+        for backend in (_pure, kernels):
+            with pytest.raises(ValueError, match=message):
+                getattr(backend, name)(*args)
+    # the limits themselves are legal
+    value = ints([3 * M_MAX - 1])
+    ok, (payload, _) = same_outcome(both(kernels, "golomb_encode"), value, M_MAX)
+    assert ok == "ok"
+    assert same_outcome(both(kernels, "golomb_decode"), payload, 1,
+                        M_MAX) == ("ok", value.tobytes())
+    ok, (payload, _) = same_outcome(both(kernels, "adaptive_encode"), value, ints([1]),
+                                    False, TAU_MAX)
+    assert ok == "ok"
+    assert same_outcome(both(kernels, "adaptive_decode"), payload, 1, ints([0]),
+                        np.zeros(1), TAU_MAX, False, *WIDEST)[0] == "ok"
 
 
 def test_error_path_parity(kernels):
@@ -204,22 +242,21 @@ def test_error_path_parity(kernels):
     aenc, adec = both(kernels, "adaptive_encode"), both(kernels, "adaptive_decode")
     raised = ("raised", ValueError)
     # a negative mapped residual
-    assert same_outcome(enc, ints([4, -1]), 3, MAX_RUN) == raised
-    assert same_outcome(aenc, ints([4, -1]), ints([1, 1]), False, 16,
-                        MAX_RUN) == raised
+    assert same_outcome(enc, ints([4, -1]), 3) == raised
+    assert same_outcome(aenc, ints([4, -1]), ints([1, 1]), False, 16) == raised
     # m < 1
     for m in (0, -3):
-        assert same_outcome(enc, ints([1, 2]), m, MAX_RUN) == raised
-        assert same_outcome(dec, b"\x00", 1, m, MAX_RUN) == raised
+        assert same_outcome(enc, ints([1, 2]), m) == raised
+        assert same_outcome(dec, b"\x00", 1, m) == raised
     # empty input
     empty, no_floats = ints([]), np.zeros(0)
-    assert same_outcome(enc, empty, 5, MAX_RUN)[0] == "ok"
-    assert same_outcome(dec, b"", 0, 5, MAX_RUN) == ("ok", b"")
+    assert same_outcome(enc, empty, 5)[0] == "ok"
+    assert same_outcome(dec, b"", 0, 5) == ("ok", b"")
     for raw in (False, True):
-        assert same_outcome(aenc, empty, no_floats if raw else empty, raw, 16,
-                            MAX_RUN) == ("ok", (b"", 0))
-        assert same_outcome(adec, b"", 0, empty, no_floats, 16, raw, *RANGE,
-                            MAX_RUN) == ("ok", b"")
+        assert same_outcome(aenc, empty, no_floats if raw else empty, raw,
+                            16) == ("ok", (b"", 0))
+        assert same_outcome(adec, b"", 0, empty, no_floats, 16, raw,
+                            *RANGE) == ("ok", b"")
 
 
 def test_short_buffer_parity(kernels):
@@ -230,17 +267,16 @@ def test_short_buffer_parity(kernels):
     aenc, adec = both(kernels, "adaptive_encode"), both(kernels, "adaptive_decode")
     raised = ("raised", ValueError)
     ragged = ms.tobytes()[:-1]
-    assert same_outcome(both(kernels, "golomb_encode"), ragged, 7, MAX_RUN) == raised
+    assert same_outcome(both(kernels, "golomb_encode"), ragged, 7) == raised
     for raw, inc in ((False, est_int), (True, est_raw)):
-        assert same_outcome(aenc, ms, inc[:-1], raw, 16, MAX_RUN) == raised
-        assert same_outcome(aenc, ms, inc.tobytes()[:-1], raw, 16, MAX_RUN) == raised
-        payload, _ = _pure.adaptive_encode(ms, inc, raw, 16, MAX_RUN)
-        args = (payload, len(ms), pred_n, pred_x, 16, raw, *RANGE, MAX_RUN)
+        assert same_outcome(aenc, ms, inc[:-1], raw, 16) == raised
+        assert same_outcome(aenc, ms, inc.tobytes()[:-1], raw, 16) == raised
+        payload, _ = _pure.adaptive_encode(ms, inc, raw, 16)
+        args = (payload, len(ms), pred_n, pred_x, 16, raw, *RANGE)
         assert decoded(same_outcome(adec, *args)[1]) == xs.tolist()
         assert same_outcome(adec, *args[:2], pred_n[:-1], *args[3:]) == raised
         assert same_outcome(adec, *args[:3], pred_x[:-1], *args[4:]) == raised
-    assert same_outcome(aenc, ms.tolist(), est_int, False, 16,
-                        MAX_RUN) == ("raised", TypeError)
+    assert same_outcome(aenc, ms.tolist(), est_int, False, 16) == ("raised", TypeError)
 
 
 @pytest.mark.parametrize("bad", [0, 150, 299])
@@ -254,12 +290,12 @@ def test_adaptive_decode_range_check_parity(bad, kernels, monkeypatch):
     pred_n = np.floor(16 * pred_x + 0.5).astype(np.int64)
     r = 16 * xs - pred_n
     ms = np.where(r >= 0, 2 * r // 16, -(2 * r // 16) - 1)
-    payload, _ = _pure.adaptive_encode(ms, np.abs(r), False, 16, MAX_RUN)
+    payload, _ = _pure.adaptive_encode(ms, np.abs(r), False, 16)
     args = (payload, 300, pred_n, pred_x, 16, False)
     for backend in (_pure, kernels):
-        assert decoded(backend.adaptive_decode(*args, 0, 1100, MAX_RUN)) == xs.tolist()
+        assert decoded(backend.adaptive_decode(*args, 0, 1100)) == xs.tolist()
         with pytest.raises(CorruptStreamError) as info:
-            backend.adaptive_decode(*args, 0, 999, MAX_RUN)
+            backend.adaptive_decode(*args, 0, 999)
         assert str(info.value) == f"symbol {bad} decodes to 1100, outside [0, 999]"
     # through decode_stream: a header whose alphabet leaves that symbol out
     header = StreamHeader(mode="adaptive", rho=1, tau=16)
@@ -275,17 +311,17 @@ def test_adaptive_decode_range_check_parity(bad, kernels, monkeypatch):
 
 def test_truncated_adaptive_payload_parity(kernels):
     xs, pred_n, pred_x, ms, est_int, _ = adaptive_case(300, 16, 21, 20.0)
-    payload, _ = _pure.adaptive_encode(ms, est_int, False, 16, MAX_RUN)
+    payload, _ = _pure.adaptive_encode(ms, est_int, False, 16)
     decode = both(kernels, "adaptive_decode")
     for cut in range(len(payload)):
         outcome = same_outcome(decode, payload[:cut], len(ms), pred_n, pred_x, 16,
-                               False, *RANGE, MAX_RUN)
+                               False, *RANGE)
         assert outcome == ("raised", CorruptStreamError)
     assert same_outcome(decode, payload, len(ms), pred_n, pred_x, 16,
-                        False, *RANGE, MAX_RUN) == ("ok", xs.tobytes())
+                        False, *RANGE) == ("ok", xs.tobytes())
 
 
-@pytest.mark.parametrize("tau", [1, 7, 0xFFFF])
+@pytest.mark.parametrize("tau", [1, 7, TAU_MAX])
 def test_unmap_parity_at_numerator_limit(tau, kernels):
     # arbitrary codewords against numerators near +-(2**62 - 1): the unmap
     # and the estimator stay exact in the compiled loop
@@ -293,56 +329,126 @@ def test_unmap_parity_at_numerator_limit(tau, kernels):
     payload = rng.integers(0, 256, size=4000, dtype=np.uint8).tobytes()
     lim = (1 << 62) - 1
     pred_n = rng.choice(ints([lim, -lim, lim - 12345, 1 - lim, 0]), 600)
-    args = (payload, 600, pred_n, np.zeros(600), tau, False, *WIDEST, MAX_RUN)
+    args = (payload, 600, pred_n, np.zeros(600), tau, False, *WIDEST)
     assert same_outcome(both(kernels, "adaptive_decode"), *args)[0] == "ok"
 
 
 def test_compiled_range_guards(kernels):
+    # the largest mapped value the limits allow, quotient MAX_RUN under
+    # m = M_MAX, decodes exactly; so does a symbol of quotient MAX_RUN at
+    # tau = TAU_MAX against numerators at +-(2**62 - 1)
+    top = (MAX_RUN + 1) * M_MAX - 1
+    payload, _ = _pure.golomb_encode(ints([top]), M_MAX)
+    assert same_outcome(both(kernels, "golomb_decode"), payload, 1,
+                        M_MAX) == ("ok", ints([top]).tobytes())
+    payload, _ = _pure.golomb_encode(ints([MAX_RUN]), 1)
+    lim = (1 << 62) - 1
+    for n in (lim, -lim):
+        assert same_outcome(both(kernels, "adaptive_decode"), payload, 1, ints([n]),
+                            np.zeros(1), TAU_MAX, False, *WIDEST)[0] == "ok"
     # inputs outside what the 64-bit loops can hold exactly raise, not wrap
     with pytest.raises(ValueError):
-        kernels.golomb_encode(ints([1]), (1 << 32) + 1, MAX_RUN)
-    with pytest.raises(ValueError):
-        kernels.golomb_decode(b"\x00", 1, 1, 1 << 62)
-    with pytest.raises(ValueError):
         kernels.adaptive_decode(b"\x00", 1, ints([1 << 62]), np.zeros(1), 1, False,
-                                *WIDEST, MAX_RUN)
+                                *WIDEST)
 
 
 def test_backend_module_exports():
     assert _backend.BACKEND_NAME in ("pure", "compiled")
     for name in ENTRY_POINTS:
         assert callable(getattr(_backend, name))
-    assert codec.DEFAULT_MAX_RUN == MAX_RUN
 
 
-def test_estimator_constants_shared():
-    # the compiled kernels read the saturation point and the table from here
-    assert _estcore.EST_SATURATION == 1 << 62
-    assert _estcore.MAX_ADAPTIVE_M == 64
-    assert len(BOUNDS) == 64
-    assert BOUNDS[0] == float.fromhex("-0x1.ecc2caec51608p-1")
-    assert BOUNDS[-1] == float.fromhex("-0x1.6025c8c56db20p-6")
+def import_kernels(kernels, before, after=()):
+    """What a new process prints that runs the lines before, imports
+    frgc._kernels as kernels, and then runs the lines after.
 
-
-@pytest.mark.parametrize("size", [63, 65])
-def test_compiled_import_needs_the_64_entry_table(size, kernels):
-    # the module copies _estcore.LOG_BOUNDARIES once, at import; load the
-    # built package without its __init__ so the table can be cut first
+    The built package is loaded without its __init__, so the lines before
+    can change the constants the module copies when it is imported.
+    """
     script = "\n".join([
         "import sys, types",
         "pkg = types.ModuleType('frgc')",
         f"pkg.__path__ = [{str(Path(kernels.__file__).parent)!r}]",
         "sys.modules['frgc'] = pkg",
-        "import frgc._estcore as e",
-        f"e.LOG_BOUNDARIES = (e.LOG_BOUNDARIES * 2)[:{size}]",
+        *before,
         "try:",
-        "    import frgc._kernels",
+        "    import frgc._kernels as kernels",
         "except ImportError as exc:",
         "    print('refused:', exc)",
+        "    sys.exit()",
+        *after,
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"refused: LOG_BOUNDARIES must have 64 entries, got {size}\n"
+    return proc.stdout
+
+
+def test_estimator_constants_shared(kernels):
+    # the compiled kernels read the saturation point, the table and the
+    # stream limits from here
+    assert _estcore.EST_SATURATION == 1 << 62
+    assert _estcore.MAX_ADAPTIVE_M == 64
+    assert len(BOUNDS) == 64
+    assert BOUNDS[0] == float.fromhex("-0x1.ecc2caec51608p-1")
+    assert BOUNDS[-1] == float.fromhex("-0x1.6025c8c56db20p-6")
+    assert (MAX_RUN, M_MAX, TAU_MAX) == (1 << 20, 0xFFFF, 0xFFFF)
+    # the module enforces whatever limits bitcoder holds when it is imported
+    probes = [
+        ("golomb_encode", "one * 122, 3"),  # quotient 40
+        ("golomb_encode", "one * 123, 3"),
+        ("golomb_decode", r"b'\xff' * 5 + b'\x7f', 1, 1"),  # a run of 40 ones
+        ("golomb_decode", r"b'\xff' * 5 + b'\xbf', 1, 1"),  # and of 41
+        ("golomb_encode", "one, 100"),
+        ("golomb_encode", "one, 101"),
+        ("adaptive_encode", "one, one, False, 50"),
+        ("adaptive_encode", "one, one, False, 51"),
+    ]
+    out = import_kernels(kernels, [
+        "import numpy as np",
+        "import frgc.bitcoder as b",
+        "b.MAX_RUN, b.M_MAX, b.TAU_MAX = 40, 100, 50",
+        "one = np.ones(1, np.int64)",
+        "def outcome(f, *args):",
+        "    try:",
+        "        f(*args)",
+        "    except ValueError as exc:",
+        "        return str(exc)",
+        "    return 'ok'",
+    ], [f"print(outcome(kernels.{name}, {args}))" for name, args in probes])
+    assert out.splitlines() == [
+        "ok", "quotient 41 exceeds the 40-bit unary limit",
+        "ok", "unary run exceeds 40 bits",
+        "ok", "golomb parameter must be in [1, 100], got 101",
+        "ok", "tau must be in [1, 50], got 51",
+    ]
+
+
+@pytest.mark.parametrize("limits,refused", [
+    ((2**20 - 1, 2**32, 2**10), False),  # (MAX_RUN + 1) * M_MAX * TAU_MAX = 2**62
+    ((2**20, 2**32, 2**10), True),       # one more run bit
+    ((0, 2**32 + 1, 1), True),           # a remainder longer than 32 bits
+    ((-1, 1, 1), True),
+    ((1, 0, 1), True),
+    ((1, 1, 0), True),
+])
+def test_compiled_import_checks_the_stream_limits(limits, refused, kernels):
+    # the 64-bit decode arithmetic is exact within the limits; the module
+    # checks that once, at import, instead of on every call
+    out = import_kernels(kernels, ["import frgc.bitcoder as b",
+                                   f"b.MAX_RUN, b.M_MAX, b.TAU_MAX = {limits}"],
+                         ["print('imported')"])
+    assert out == ("refused: stream limits do not fit the 64-bit loops: MAX_RUN={}, "
+                   "M_MAX={}, TAU_MAX={}\n".format(*limits) if refused else "imported\n")
+
+
+@pytest.mark.parametrize("size", [63, 65])
+def test_compiled_import_needs_the_64_entry_table(size, kernels):
+    # the module copies _estcore.LOG_BOUNDARIES once, at import; cut it first
+    out = import_kernels(kernels, [
+        "import frgc._estcore as e",
+        f"e.LOG_BOUNDARIES = (e.LOG_BOUNDARIES * 2)[:{size}]",
+    ])
+    assert out == f"refused: LOG_BOUNDARIES must have 64 entries, got {size}\n"
 
 
 def coded(values, ms):
@@ -359,7 +465,7 @@ def test_saturation_and_boundary_parity(kernels):
     # a last mapped value k codes as quotient 1 under m = k and as
     # quotient 0 under m = k + 1, so one step off at a boundary changes both
     sat = _estcore.EST_SATURATION
-    args = (ints([3, 3, 3, 64]), ints([sat - 1, 1000, 1000, 7]), False, 16, MAX_RUN)
+    args = (ints([3, 3, 3, 64]), ints([sat - 1, 1000, 1000, 7]), False, 16)
     for backend in (_pure, kernels):
         assert backend.adaptive_encode(*args) == coded([3, 3, 3, 64], [1, 64, 64, 64])
     # raw sums s with ln theta = -1/s exactly on the k-th log-boundary: m = k
@@ -384,9 +490,8 @@ def test_saturation_and_boundary_parity(kernels):
                 values = [0] * (n - 1) + [k]
                 payload, _ = expected = coded(values, ms)
                 for backend in (_pure, kernels):
-                    assert backend.adaptive_encode(ints(values), inc, True, 1,
-                                                   MAX_RUN) == expected
+                    assert backend.adaptive_encode(ints(values), inc, True, 1) == expected
                     out = backend.adaptive_decode(payload, n, ints([0] * n), -inc, 1,
-                                                  True, *RANGE, MAX_RUN)
+                                                  True, *RANGE)
                     assert decoded(out) == [qmap.unmap(v, 0, 1) for v in values]
     assert hits >= 32

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frgc.bitcoder import (
+    MAX_RUN,
     BitSink,
     BitSource,
     CorruptStreamError,
@@ -187,10 +188,12 @@ def test_read_past_end_raises():
 
 
 def test_unary_run_overflow_raises():
-    # all-ones payload never terminates; the guard has to fire
-    src = BitSource(b"\xff" * 64, max_run=200)
-    with pytest.raises(CorruptStreamError):
-        src.read_unary()
+    # a run of MAX_RUN ones reads; one more is corruption, closed by its
+    # zero or not, and the guard fires before the end of the payload
+    assert BitSource(b"\xff" * (MAX_RUN // 8) + b"\x7f").read_unary() == MAX_RUN
+    for payload in (b"\xff" * (MAX_RUN // 8) + b"\xbf", b"\xff" * (MAX_RUN // 4)):
+        with pytest.raises(CorruptStreamError, match=f"unary run exceeds {MAX_RUN} bits"):
+            BitSource(payload).read_unary()
 
 
 def test_unary_hits_end_of_stream():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgc import _estcore, analysis, bitcoder, codec, harness, qmap
+from frgc import _estcore, analysis, bitcoder, codec, harness, predictor, qmap
 from frgc.bitcoder import BitSink, BitSource, CorruptStreamError, GolombParam
 from frgc.codec import (
     HEADER_SIZE,
@@ -174,7 +174,7 @@ def test_estimator_saturates():
 def test_estimator_accumulates_abs_numerators(rs, tau):
     # symbol 0 against prediction r/tau leaves residual numerator -r; its
     # mapped value, at most 2*|r|/tau, keeps every quotient within
-    # DEFAULT_MAX_RUN = 2**20, so the encoder accepts the stream
+    # bitcoder.MAX_RUN = 2**20, so the encoder accepts the stream
     h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=tau)
     _, trace = encode_stream([0] * len(rs), h, predictions=[r / tau for r in rs],
                              collect_trace=True)
@@ -467,7 +467,7 @@ def test_vector_twins_match_scalar_elementwise(case, extra):
 def test_unary_bomb_raises():
     h = StreamHeader(mode=MODE_FIXED, rho=1, tau=1, m=1)
     data = encode_stream([0, 0, 0, 0], h, predictions=[0.0] * 4)
-    bomb = data[:HEADER_SIZE] + b"\xff" * (2 * codec.DEFAULT_MAX_RUN // 8 + 16)
+    bomb = data[:HEADER_SIZE] + b"\xff" * (2 * bitcoder.MAX_RUN // 8 + 16)
     with pytest.raises(CorruptStreamError):
         decode_stream(bomb, predictions=[0.0] * 4)
 
@@ -539,6 +539,24 @@ def test_lpc_trace_lockstep():
         assert enc_trace == dec_trace
         assert len(enc_trace) == len(xs)
         assert all(type(entry[2]) is (float if raw else int) for entry in dec_trace)
+
+
+def test_traced_lpc_decode_runs_the_predictor_once(monkeypatch):
+    # the trace reuses the decoder's own predictions
+    xs = _wavey(400, seed=13)
+    fits = []
+    fit = predictor.fit
+    monkeypatch.setattr(predictor, "fit", lambda *args: fits.append(1) or fit(*args))
+    for raw in (False, True):
+        h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16, lpc=LpcConfig(3, 24, 12),
+                         raw_error_estimator=raw)
+        data, enc_trace = encode_stream(xs, h, collect_trace=True)
+        fits.clear()
+        assert decode_stream(data) == xs
+        untraced = len(fits)
+        fits.clear()
+        assert decode_stream(data, collect_trace=True) == (xs, enc_trace)
+        assert len(fits) == untraced > 0
 
 
 def test_lpc_beats_no_prediction_on_trend():

@@ -325,6 +325,20 @@ def test_cli_analyze_table2(tmp_path):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("experiment", ["table3", "fig6"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n", "0", "n_samples must be >= 1, got 0"),
+    ("--seed", "-1", "seed must be a 64-bit integer, got -1"),
+])
+def test_cli_analyze_bad_arguments_are_usage_errors(experiment, flag, value, message,
+                                                    tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(["analyze", experiment, flag, value, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"frgc analyze: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_analyze_small_table3(tmp_path):
     out = tmp_path / "t3.csv"
     assert run_cli(["analyze", "table3", "--n", "2000", "--out", str(out)]) == cli.EXIT_OK

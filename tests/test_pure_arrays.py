@@ -17,40 +17,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frgc import _estcore, _pure
-from frgc.bitcoder import BitSink, BitSource, CorruptStreamError, GolombParam
+from frgc.bitcoder import (
+    M_MAX,
+    MAX_RUN,
+    BitSink,
+    BitSource,
+    CorruptStreamError,
+    GolombParam,
+)
 from frgc._estcore import select_m, select_m_array
 
-MAX_RUN = 1 << 20
 BLOCK = _pure.BLOCK_SYMBOLS
 WINDOW = _pure.WINDOW_BITS
 SAT = _estcore.EST_SATURATION
-FIXED_MS = (1, 2, 3, 13, 64, 65535)
+FIXED_MS = (1, 2, 3, 13, 64, M_MAX)
 
 
-def _quotient_too_long(j, max_run):
-    return ValueError(f"quotient {j} exceeds the {max_run}-bit unary limit")
-
-
-def oracle_write(ms, params, max_run):
+def oracle_write(ms, params):
     """Codewords of ms, the i-th under params[i], one at a time."""
     sink = BitSink()
     for value, g in zip(ms, params):
         j, k = divmod(value, g.m)
-        if j > max_run:
-            raise _quotient_too_long(j, max_run)
+        if j > MAX_RUN:
+            raise ValueError(f"quotient {j} exceeds the {MAX_RUN}-bit unary limit")
         sink.write_unary(j)
         sink.write_minimal_binary(k, g)
     return sink.finish(), sink.bit_length
 
 
-def oracle_golomb_encode(ms, m, max_run):
+def oracle_golomb_encode(ms, m):
     g = GolombParam(m)
-    return oracle_write(ms.tolist(), [g] * len(ms), max_run)
+    return oracle_write(ms.tolist(), [g] * len(ms))
 
 
-def oracle_golomb_decode(payload, count, m, max_run):
+def oracle_golomb_decode(payload, count, m):
     g = GolombParam(m)
-    src = BitSource(payload, max_run)
+    src = BitSource(payload)
     return ints([src.read_unary() * m + src.read_minimal_binary(g)
                  for _ in range(count)]).tobytes()
 
@@ -65,12 +67,12 @@ def oracle_sums(increments, raw):
     return sums
 
 
-def oracle_adaptive_encode(ms, increments, raw, tau, max_run):
+def oracle_adaptive_encode(ms, increments, raw, tau):
     sums = oracle_sums(increments, raw)
     before = [0.0 if raw else 0] + sums[:-1]
     params = [GolombParam(select_m(t, s) if raw else select_m(t, s, tau))
               for t, s in enumerate(before)]
-    return oracle_write(ms.tolist(), params, max_run)
+    return oracle_write(ms.tolist(), params)
 
 
 ORACLE = SimpleNamespace(golomb_encode=oracle_golomb_encode,
@@ -121,10 +123,10 @@ def geometric(rng, n, m, spill=0.01):
 @settings(max_examples=120, deadline=None)
 def test_fixed_m_parity(m, data, coders):
     values = ints(data.draw(st.lists(st.integers(0, 70 * m), max_size=300)))
-    ok, (payload, nbits) = agree(coders, "golomb_encode", values, m, MAX_RUN)
+    ok, (payload, nbits) = agree(coders, "golomb_encode", values, m)
     assert ok == "ok"
-    assert agree(coders, "golomb_decode", payload, len(values), m,
-                 MAX_RUN) == ("ok", values.tobytes())
+    assert agree(coders, "golomb_decode", payload, len(values),
+                 m) == ("ok", values.tobytes())
 
 
 @given(data=st.data())
@@ -135,22 +137,22 @@ def test_per_symbol_m_parity(data):
     values = np.array([v for v, _ in pairs], dtype=np.int64)
     ms = np.array([m for _, m in pairs], dtype=np.int64)
     packer = _pure._Packer()
-    packer.write(values, ms, MAX_RUN)
+    packer.write(values, ms)
     got = packer.finish(), packer.bit_length
-    assert got == oracle_write(values.tolist(), [GolombParam(int(m)) for m in ms], MAX_RUN)
+    assert got == oracle_write(values.tolist(), [GolombParam(int(m)) for m in ms])
 
 
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_lengths_at_the_block_size(n, coders):
     rng = np.random.default_rng(n)
     values = geometric(rng, n, 3)
-    ok, (payload, _) = agree(coders, "golomb_encode", values, 3, MAX_RUN)
+    ok, (payload, _) = agree(coders, "golomb_encode", values, 3)
     assert ok == "ok"
-    assert agree(coders, "golomb_decode", payload, n, 3, MAX_RUN) == ("ok", values.tobytes())
+    assert agree(coders, "golomb_decode", payload, n, 3) == ("ok", values.tobytes())
     est_int = rng.integers(0, 50, n)
     est_raw = rng.exponential(4.0, n)
     for args in ((est_int, False, 16), (est_raw, True, 1)):
-        assert agree(coders, "adaptive_encode", values, *args, MAX_RUN)[0] == "ok"
+        assert agree(coders, "adaptive_encode", values, *args)[0] == "ok"
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -161,24 +163,24 @@ def test_payloads_at_the_window_size(extra, m, coders):
     rng = np.random.default_rng(extra + 5)
     for windows in (1, 3):
         values = geometric(rng, windows * WINDOW // 7, m)
-        payload, nbits = _pure.golomb_encode(values, m, MAX_RUN)
+        payload, nbits = _pure.golomb_encode(values, m)
         target = windows * WINDOW + extra
         if m == 1:  # pad with one-bit codewords up to exactly target bits
             values = np.concatenate((values, np.zeros(target - nbits, np.int64)))
-            payload, nbits = _pure.golomb_encode(values, m, MAX_RUN)
+            payload, nbits = _pure.golomb_encode(values, m)
             assert nbits == target
-        assert agree(coders, "golomb_decode", payload, len(values), m,
-                     MAX_RUN) == ("ok", values.tobytes())
+        assert agree(coders, "golomb_decode", payload, len(values),
+                     m) == ("ok", values.tobytes())
 
 
 @pytest.mark.parametrize("m", [1, 3, 64])
 def test_codewords_longer_than_the_window(m, coders):
     # quotients of one, two and three windows, at odd bit offsets
     values = ints([5, m * (WINDOW + 3) + m - 1, 2, m * (3 * WINDOW), 1, m * (WINDOW - 1), 0])
-    ok, (payload, nbits) = agree(coders, "golomb_encode", values, m, MAX_RUN)
+    ok, (payload, nbits) = agree(coders, "golomb_encode", values, m)
     assert ok == "ok" and nbits > 5 * WINDOW
-    assert agree(coders, "golomb_decode", payload, len(values), m,
-                 MAX_RUN) == ("ok", values.tobytes())
+    assert agree(coders, "golomb_decode", payload, len(values),
+                 m) == ("ok", values.tobytes())
 
 
 def run_payload(j, m, tail=0):
@@ -192,48 +194,48 @@ def run_payload(j, m, tail=0):
     return sink.finish()
 
 
-@pytest.mark.parametrize("max_run", [40, WINDOW + 5, MAX_RUN])
-@pytest.mark.parametrize("m", [1, 13])
-def test_unary_run_of_max_run_decodes_and_one_more_raises(max_run, m, coders):
-    payload = run_payload(max_run, m, tail=3)
-    assert agree(coders, "golomb_decode", payload, 4, m, max_run) == (
-        "ok", ints([max_run * m + m - 1, 0, 0, 0]).tobytes())
-    payload = run_payload(max_run + 1, m, tail=3)
-    assert agree(coders, "golomb_decode", payload, 4, m,
-                 max_run) == ("raised", CorruptStreamError)
-    # the same runs, cut off by the end of the payload
-    for j in (max_run, max_run + 1):
-        cut = b"\xff" * ((j + 7) // 8)
-        assert agree(coders, "golomb_decode", cut, 1, m,
-                     max_run) == ("raised", CorruptStreamError)
+@pytest.mark.parametrize("m", [1, 3, 13])
+def test_unary_run_of_max_run_decodes_and_one_more_raises(m, coders):
+    payload = run_payload(MAX_RUN, m, tail=3)
+    assert agree(coders, "golomb_decode", payload, 4, m) == (
+        "ok", ints([MAX_RUN * m + m - 1, 0, 0, 0]).tobytes())
+    # one more, closed by its zero or cut off by the end of the payload,
+    # and a cut run of MAX_RUN, which only the payload's end stops
+    for payload, message in ((run_payload(MAX_RUN + 1, m, tail=3), "unary run exceeds"),
+                             (b"\xff" * (MAX_RUN // 8 + 1), "unary run exceeds"),
+                             (b"\xff" * (MAX_RUN // 8), "unexpected end of stream")):
+        for coder in coders:
+            with pytest.raises(CorruptStreamError, match=message):
+                coder.golomb_decode(payload, 4, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 13])
 def test_every_truncation_of_a_fixed_payload(m, coders):
     values = geometric(np.random.default_rng(m), 400, m)
-    payload, _ = _pure.golomb_encode(values, m, MAX_RUN)
+    payload, _ = _pure.golomb_encode(values, m)
     for cut in range(len(payload)):
-        assert agree(coders, "golomb_decode", payload[:cut], len(values), m,
-                     MAX_RUN) == ("raised", CorruptStreamError)
-    assert agree(coders, "golomb_decode", payload, len(values), m,
-                 MAX_RUN) == ("ok", values.tobytes())
+        assert agree(coders, "golomb_decode", payload[:cut], len(values),
+                     m) == ("raised", CorruptStreamError)
+    assert agree(coders, "golomb_decode", payload, len(values),
+                 m) == ("ok", values.tobytes())
 
 
 def test_encode_error_parity(coders):
     # the first bad symbol decides, whatever its block
     big = np.zeros(BLOCK + 3, np.int64)
-    big[BLOCK + 1] = 50 * 3
-    assert agree(coders, "golomb_encode", big, 3, 49) == ("raised", ValueError)
-    assert agree(coders, "golomb_encode", big, 3, 50)[0] == "ok"
-    assert agree(coders, "adaptive_encode", ints([3, -2, 1]), ints([1, 1, 1]), False, 4,
-                 MAX_RUN) == ("raised", ValueError)
-    assert agree(coders, "golomb_encode", ints([1]), 0, MAX_RUN) == ("raised", ValueError)
-    # both backends refuse an m whose quotient times m could leave int64
+    big[BLOCK + 1] = MAX_RUN * 3 + 2
+    assert agree(coders, "golomb_encode", big, 3)[0] == "ok"
+    big[BLOCK + 1] += 1
+    assert agree(coders, "golomb_encode", big, 3) == ("raised", ValueError)
+    assert agree(coders, "adaptive_encode", ints([3, -2, 1]), ints([1, 1, 1]), False,
+                 4) == ("raised", ValueError)
+    assert agree(coders, "golomb_encode", ints([1]), 0) == ("raised", ValueError)
+    # both backends refuse an m over the format's M_MAX
     for backend in coders[1:]:
         with pytest.raises(ValueError):
-            backend.golomb_encode(ints([1]), (1 << 32) + 1, MAX_RUN)
+            backend.golomb_encode(ints([1]), M_MAX + 1)
         with pytest.raises(ValueError):
-            backend.golomb_decode(b"\x00", 1, (1 << 32) + 1, MAX_RUN)
+            backend.golomb_decode(b"\x00", 1, M_MAX + 1)
 
 
 # --- adaptive m -----------------------------------------------------------------
@@ -249,7 +251,7 @@ def test_saturation_inside_a_block_and_on_its_edge(at, overshoot, coders):
     for i in range(at + 1, at + 6):
         est[i] = SAT - 1
     values = geometric(np.random.default_rng(at), n, 8)
-    assert agree(coders, "adaptive_encode", values, est, False, 16, MAX_RUN)[0] == "ok"
+    assert agree(coders, "adaptive_encode", values, est, False, 16)[0] == "ok"
     sums = _estcore.running_sums(0, est, False).tolist()
     assert sums == oracle_sums(est, False)
     # continued from a block's last sum, as the pure encoder runs it
@@ -311,12 +313,12 @@ def traced_peak(fn, *args):
 def test_peak_memory_does_not_grow_with_the_stream():
     n = 1_000_000
     values = np.random.default_rng(3).geometric(0.2, n) - 1
-    (payload, _), peak = traced_peak(_pure.golomb_encode, values, 3, MAX_RUN)
+    (payload, _), peak = traced_peak(_pure.golomb_encode, values, 3)
     assert peak < PEAK_BOUND, peak
-    decoded, peak = traced_peak(_pure.golomb_decode, payload, n, 3, MAX_RUN)
+    decoded, peak = traced_peak(_pure.golomb_decode, payload, n, 3)
     assert decoded == values.tobytes()
     # the result's 8 bytes a symbol are the output, not working memory
     assert peak - 8 * n < PEAK_BOUND, peak
     est = np.ones(n, np.int64)
-    (_, _), peak = traced_peak(_pure.adaptive_encode, values, est, False, 16, MAX_RUN)
+    (_, _), peak = traced_peak(_pure.adaptive_encode, values, est, False, 16)
     assert peak < PEAK_BOUND, peak
