@@ -30,23 +30,28 @@ static double log_bounds[N_BOUNDS];   /* frgc._estcore.LOG_BOUNDARIES: ln b_k, a
  * take b-1 bits, the others b. */
 typedef struct { long long m, u; int b; } Code;
 
-static int in_range(const char *name, long long value, long long top)
+/* Set *out to the int value if it is in [1, top]; else ValueError, for any
+ * int, 64-bit or not, with the message frgc._pure gives. */
+static int in_range(const char *name, PyObject *value, long long top, long long *out)
 {
-    if (value >= 1 && value <= top)
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(value, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (!overflow && v >= 1 && v <= top) {
+        *out = v;
         return 0;
-    PyErr_Format(PyExc_ValueError, "%s must be in [1, %lld], got %lld", name, top, value);
+    }
+    PyErr_Format(PyExc_ValueError, "%s must be in [1, %lld], got %S", name, top, value);
     return -1;
 }
 
-static int code_set(Code *c, long long m)
+static void code_set(Code *c, long long m)
 {
-    if (in_range("golomb parameter", m, m_max) < 0)
-        return -1;
     c->m = m;
     for (c->b = 0; (1LL << c->b) < m; c->b++)
         ;
     c->u = (1LL << c->b) - m;
-    return 0;
 }
 
 typedef struct {
@@ -258,14 +263,16 @@ static long long unfold(long long v, long long n, long long tau)
 static PyObject *golomb_encode(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer ms;
+    PyObject *m_arg, *result = NULL;
     long long m;
     Writer w = {0};
     Code code;
     Py_ssize_t i, n;
-    PyObject *result = NULL;
-    if (!PyArg_ParseTuple(args, "y*L", &ms, &m))
+    if (!PyArg_ParseTuple(args, "y*O", &ms, &m_arg))
         return NULL;
-    if (code_set(&code, m) == 0 && (n = values_in(&ms, 0, "ms")) >= 0) {
+    if (in_range("golomb parameter", m_arg, m_max, &m) == 0
+            && (n = values_in(&ms, 0, "ms")) >= 0) {
+        code_set(&code, m);
         for (i = 0; i < n; i++)
             if (put_codeword(&w, item_at(&ms, i).i, &code) < 0)
                 break;
@@ -282,13 +289,15 @@ static PyObject *golomb_decode(PyObject *Py_UNUSED(self), PyObject *args)
     Py_buffer payload;
     Py_ssize_t count, i;
     long long m, v;
-    PyObject *out = NULL;
+    PyObject *m_arg, *out = NULL;
     Code code;
-    if (!PyArg_ParseTuple(args, "y*nL", &payload, &count, &m))
+    if (!PyArg_ParseTuple(args, "y*nO", &payload, &count, &m_arg))
         return NULL;
     Reader r = {payload.buf, 0, 8 * payload.len};
-    if (code_set(&code, m) == 0)
+    if (in_range("golomb parameter", m_arg, m_max, &m) == 0) {
+        code_set(&code, m);
         out = new_output(count, r.nbits);
+    }
     for (i = 0; out && i < count; i++)
         if ((v = get_codeword(&r, &code)) < 0)
             Py_CLEAR(out);
@@ -301,23 +310,23 @@ static PyObject *golomb_decode(PyObject *Py_UNUSED(self), PyObject *args)
 static PyObject *adaptive_encode(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer ms, inc;
-    PyObject *result = NULL;
-    long long tau, m;
+    PyObject *tau_arg, *result = NULL;
+    long long m;
     int raw;
     Writer w = {0};
     Code code = {0, 0, 0};
     Py_ssize_t i, n;
-    if (!PyArg_ParseTuple(args, "y*y*pL", &ms, &inc, &raw, &tau))
+    if (!PyArg_ParseTuple(args, "y*y*pO", &ms, &inc, &raw, &tau_arg))
         return NULL;
-    Est e = {0, raw, tau, 0, 0, 0.0};
+    Est e = {0, raw, 0, 0, 0, 0.0};
     if ((n = values_in(&ms, 0, "ms")) < 0
             || values_in(&inc, n, "increments") < 0
-            || in_range("tau", tau, tau_max) < 0)
+            || in_range("tau", tau_arg, tau_max, &e.tau) < 0)
         goto done;
     for (i = 0; i < n; i++) {
-        m = est_m(&e);
-        if ((m != code.m && code_set(&code, m) < 0)
-                || put_codeword(&w, item_at(&ms, i).i, &code) < 0)
+        if ((m = est_m(&e)) != code.m)
+            code_set(&code, m);
+        if (put_codeword(&w, item_at(&ms, i).i, &code) < 0)
             goto done;
         est_add(&e, item_at(&inc, i).i, item_at(&inc, i).d);
     }
@@ -333,39 +342,39 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer payload, pred_n, pred_x;
     Py_ssize_t count, i;
-    PyObject *out = NULL, *result = NULL;
-    long long tau, lo, hi, m, v, n, x, d;
+    PyObject *tau_arg, *out = NULL, *result = NULL;
+    long long lo, hi, m, v, n, x, d;
     double px;
     int raw;
     Code code = {0, 0, 0};
-    if (!PyArg_ParseTuple(args, "y*ny*y*LpLL", &payload, &count, &pred_n, &pred_x,
-                          &tau, &raw, &lo, &hi))
+    if (!PyArg_ParseTuple(args, "y*ny*y*OpLL", &payload, &count, &pred_n, &pred_x,
+                          &tau_arg, &raw, &lo, &hi))
         return NULL;
     Reader r = {payload.buf, 0, 8 * payload.len};
-    Est e = {0, raw, tau, 0, 0, 0.0};
-    if (in_range("tau", tau, tau_max) < 0
+    Est e = {0, raw, 0, 0, 0, 0.0};
+    if (in_range("tau", tau_arg, tau_max, &e.tau) < 0
             || values_in(&pred_n, count, "pred_n") < 0
             || values_in(&pred_x, count, "pred_x") < 0
             || (out = new_output(count, r.nbits)) == NULL)
         goto done;
     for (i = 0; i < count; i++) {
-        m = est_m(&e);
-        if ((m != code.m && code_set(&code, m) < 0)
-                || (v = get_codeword(&r, &code)) < 0)
+        if ((m = est_m(&e)) != code.m)
+            code_set(&code, m);
+        if ((v = get_codeword(&r, &code)) < 0)
             goto done;
         n = item_at(&pred_n, i).i;
         if (n <= -VALUE_LIMIT || n >= VALUE_LIMIT) {
             PyErr_SetString(PyExc_ValueError, "prediction numerator out of range");
             goto done;
         }
-        x = unfold(v, n, tau);
+        x = unfold(v, n, e.tau);
         if (x < lo || x > hi) {
             PyErr_Format(CorruptStreamError, "symbol %zd decodes to %lld, outside [%lld, %lld]",
                          i, x, lo, hi);
             goto done;
         }
         OUT_VALUES(out)[i] = x;
-        d = tau * x - n;  /* |d| < 2**61, see check_limits */
+        d = e.tau * x - n;  /* |d| < 2**61, see check_limits */
         px = item_at(&pred_x, i).d;
         est_add(&e, d < 0 ? -d : d, fabs((double)x - px));
     }

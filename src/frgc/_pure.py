@@ -41,34 +41,53 @@ arrays: every codeword of a fixed-m stream depends on its own symbol
 only, and the encoder knows every adaptive m in advance (the running
 sums give them all at once: _estcore.running_sums, select_m_array).  The encoders take
 BLOCK_SYMBOLS symbols at a time and pack at most BLOCK_BITS bits at a
-time; the decoder reads WINDOW_BITS payload bits at a time, growing a
+time; the decoders read WINDOW_BITS payload bits at a time, growing a
 window only to fit one codeword of at most MAX_RUN + ceil(lg m) + 1
 bits.  So, besides its input and output, a call holds a bounded amount
-of memory, whatever the stream's length.  adaptive_decode stays a loop
-over symbols, because each m depends on the symbols decoded before it.
+of memory, whatever the stream's length.
+
+adaptive_decode cannot know an m before the symbols ahead of it, but m
+seldom changes, so it guesses: once m has held for SETTLE_SYMBOLS
+symbols, it parses a window of codewords under that m as golomb_decode
+does (at most WINDOW_BITS of them, all a window's bits can hold), runs
+the estimator over the symbols they unmap to, and keeps them up to the
+first whose successor select_m gives another m (_speculate).
+Until then, and for a codeword longer than a window, it reads one
+codeword at a time.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from frgc._estcore import EST_SATURATION as _SAT, running_sums, select_m, select_m_array
+from frgc._estcore import (
+    EST_SATURATION as _SAT,
+    running_sums,
+    select_m,
+    select_m_array,
+)
 from frgc.bitcoder import (
     M_MAX,
     MAX_RUN,
     TAU_MAX,
-    BitSource,
     CorruptStreamError,
     GolombParam,
     codeword_fields,
     symbol_out_of_range,
 )
+from frgc.qmap import unmap_array
 
 BACKEND_NAME = "pure"
 
 BLOCK_SYMBOLS = 1 << 11  # symbols split at a time
 BLOCK_BITS = 1 << 16     # payload bits packed at a time (or one longer codeword)
 WINDOW_BITS = 1 << 15    # payload bits parsed at a time (or one longer codeword)
+SETTLE_SYMBOLS = 64      # adaptive decode parses ahead once m has held this many symbols
+AHEAD_SYMBOLS = 256      # and then parses at least this many symbols at once
+
+_NUMERATOR_LIMIT = 1 << 62  # unmap_array is exact below it
 
 
 def _in_range(name, value, top):
@@ -200,21 +219,31 @@ def golomb_decode(payload, count, m):
         if decoded is None:  # the next codeword is longer than the window
             window = min(2 * window, max(longest, WINDOW_BITS))
             continue
-        values, used = decoded
+        values, ends, error = decoded
+        if error is not None:
+            raise error
         filled[done:done + values.size] = values
         done += values.size
-        pos += used
+        pos += int(ends[-1])
         window = WINDOW_BITS
     return out
+
+
+def _bits(data, pos, size):
+    """Payload bits [pos, pos + size), one uint8 0 or 1 each."""
+    skip = pos & 7
+    return np.unpackbits(data[pos >> 3:(pos + size + 7) >> 3])[skip:skip + size]
 
 
 def _decode_window(data, pos, size, g, want, final):
     """Up to ``want`` codewords from payload bits [pos, pos + size).
 
-    Returns (values, bits they take), or None when not even the first
-    codeword fits and more payload follows.  Raises CorruptStreamError as
-    BitSource would: for a unary run over MAX_RUN, or, when the window
-    reaches the end of the payload, for a codeword it cuts off.
+    Returns (values, ends, error): the codewords that fit, the bit offset
+    (from pos) after each, and None or the CorruptStreamError BitSource
+    would raise for the codeword after them: for a unary run over
+    MAX_RUN, or, when the window reaches the end of the payload, for a
+    codeword it cuts off.  Returns None when not even the first codeword
+    fits and more payload follows.
 
     Every codeword's unary run ends at a zero bit, and that zero fixes
     where the codeword ends.  So the chain of codewords is a chain of
@@ -225,8 +254,7 @@ def _decode_window(data, pos, size, g, want, final):
     its first 2**k entries and ``jump`` skips 2**k codewords.
     """
     m, b, threshold = g.m, g.bits, g.threshold
-    skip = pos & 7
-    bits = np.unpackbits(data[pos >> 3:(pos + size + 7) >> 3])[skip:skip + size]
+    bits = _bits(data, pos, size)
     iszero = bits == 0
     zeros = np.flatnonzero(iszero)
     nzero = zeros.size
@@ -253,57 +281,162 @@ def _decode_window(data, pos, size, g, want, final):
     chain = chain[:min(int(np.searchsorted(chain, sentinel)), want + 1)]
     closing = chain[:-1]  # the zeros closing the codewords that fit
     stop = zeros[closing]
-    begin = np.concatenate(([0], end[closing[:-1]]))
-    resume = int(end[closing[-1]]) if closing.size else 0
-    runs = stop - begin
+    ends = end[closing]
+    runs = stop - np.concatenate(([0], ends[:-1]))
+    error = None
     if closing.size and int(runs.max()) > MAX_RUN:
-        raise _run_too_long()
-    if closing.size < want:
+        error = _run_too_long()
+        first = int(np.argmax(runs > MAX_RUN))
+        closing, stop, ends, runs = (a[:first] for a in (closing, stop, ends, runs))
+    elif closing.size < want:
         last = int(chain[-1])
+        resume = int(ends[-1]) if closing.size else 0
         if (int(zeros[last]) if last < nzero else size) - resume > MAX_RUN:
-            raise _run_too_long()
-        if final:
-            raise _end_of_stream()
-        if not closing.size:
+            error = _run_too_long()
+        elif final:
+            error = _end_of_stream()
+        elif not closing.size:
             return None
     values = runs * m
     if b:
         head = field[closing]
         values += np.where(longer[closing],
                            ((head << 1) | padded[stop + b]) - threshold, head)
-    return values, resume
+    return values, ends, error
+
+
+def _read_codeword(text, p, g, final):
+    """(value, offset after it) of the codeword at offset p of a bit text.
+
+    None when the text cuts the codeword off and more payload follows;
+    CorruptStreamError as BitSource would raise it otherwise.
+    """
+    z = text.find(b"0", p)
+    if (len(text) if z < 0 else z) - p > MAX_RUN:
+        raise _run_too_long()
+    b = g.bits
+    if z < 0 or z + b > len(text):
+        if final:
+            raise _end_of_stream()
+        return None
+    run = (z - p) * g.m
+    if b == 0:
+        return run, z + 1
+    k = int(text[z + 1:z + b], 2) if b > 1 else 0
+    if k < g.threshold:
+        return run + k, z + b
+    if z + b == len(text):
+        if final:
+            raise _end_of_stream()
+        return None
+    return run + ((k << 1) | (text[z + b] & 1)) - g.threshold, z + b + 1
+
+
+_golomb = functools.cache(GolombParam)  # adaptive decode switches among few m
+
+
+def _speculate(data, pos, nbits, g, i, want, rate, pred_n, pred_x, tau, raw, s, lo, hi):
+    """Symbols i, i + 1, ... decoded at once, as long as their m stays g.m.
+
+    Parses up to ``want`` codewords from bit ``pos`` under g, about
+    ``rate`` bits each, as if m held for all of them; unmaps them, runs
+    the estimator from sum ``s`` over them and keeps the prefix up to the
+    first symbol after which select_m leaves g.m.  Every kept symbol was
+    decoded under its own m, so only a kept codeword or symbol raises, and
+    it raises what the loop over symbols would.  Returns (symbols, bits
+    they take, sum after them, m of the next symbol), or None when the
+    window holds no codeword or symbol i's numerator is past unmap_array's
+    range.
+    """
+    n = pred_n[i:i + want]
+    wide = (n <= -_NUMERATOR_LIMIT) | (n >= _NUMERATOR_LIMIT)
+    if wide.any():
+        n = n[:int(np.argmax(wide))]
+        if not n.size:
+            return None
+    # room for n.size codewords a little longer than the run's so far
+    size = min(nbits - pos, WINDOW_BITS, int(1.25 * rate * n.size) + 64)
+    decoded = _decode_window(data, pos, size, g, n.size, size == nbits - pos)
+    if decoded is None:
+        return None
+    values, ends, error = decoded
+    k = values.size
+    xs = unmap_array(values, n[:k], tau)
+    inc = np.abs(xs - pred_x[i:i + k]) if raw else np.abs(tau * xs - n[:k])
+    sums = running_sums(s, inc, raw)
+    ms = select_m_array(np.arange(i + 1, i + k + 1), sums, 1 if raw else tau)
+    switch = np.flatnonzero(ms != g.m)
+    keep = int(switch[0]) + 1 if switch.size else k
+    bad = np.flatnonzero((xs[:keep] < lo) | (xs[:keep] > hi))
+    if bad.size:
+        j = int(bad[0])
+        raise symbol_out_of_range(i + j, int(xs[j]), lo, hi)
+    if keep == k and error is not None:
+        raise error
+    return xs[:keep], int(ends[keep - 1]), sums[keep - 1].item(), int(ms[keep - 1])
 
 
 def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     _in_range("tau", tau, TAU_MAX)
+    n_values = _values(pred_n, np.int64, count, "pred_n")
+    x_values = _values(pred_x, np.float64, count, "pred_x")
     # memoryviews index to Python ints and floats, as the loop needs
-    pred_n = memoryview(_values(pred_n, np.int64, count, "pred_n"))
-    pred_x = memoryview(_values(pred_x, np.float64, count, "pred_x"))
-    src = BitSource(payload)
-    params = {}
-    out = _output(count, src.bits_left)
-    symbols = memoryview(out).cast("q")
-    t = 0
-    s_int = 0
-    s_raw = 0.0
-    for i in range(count):
-        m = select_m(t, s_raw) if raw else select_m(t, s_int, tau)
-        g = params.get(m)
-        if g is None:
-            g = params[m] = GolombParam(m)
-        value = src.read_unary() * m + src.read_minimal_binary(g)
+    pred_n, pred_x = memoryview(n_values), memoryview(x_values)
+    data = np.frombuffer(payload, np.uint8)
+    nbits = 8 * data.size
+    out = _output(count, nbits)
+    filled, symbols = np.frombuffer(out, np.int64), memoryview(out).cast("q")
+    scale = 1 if raw else tau  # select_m's tau
+    s = 0.0 if raw else 0
+    m = 1
+    g = _golomb(m)
+    i = pos = 0
+    held = 0  # symbols decoded under m since it last changed
+    run_pos = 0  # the bit where they began
+    # payload bits [base, base + len(text)) as b"0"/b"1" bytes: bytes.find
+    # reads a unary run, int(..., 2) a remainder field
+    text, base = b"", 0
+    while i < count:
+        if held >= SETTLE_SYMBOLS:
+            # a window of WINDOW_BITS bits holds at most WINDOW_BITS codewords
+            want = min(count - i, max(held, AHEAD_SYMBOLS), WINDOW_BITS)
+            step = _speculate(data, pos, nbits, g, i, want, (pos - run_pos) / held,
+                              n_values, x_values, tau, raw, s, lo, hi)
+            if step is not None:
+                xs, used, s, m2 = step
+                filled[i:i + xs.size] = xs
+                i += xs.size
+                pos += used
+                if m2 == m:
+                    held += xs.size
+                else:
+                    m, held, run_pos, g = m2, 0, pos, _golomb(m2)
+                continue
+        # one codeword
+        read = _read_codeword(text, pos - base, g, base + len(text) == nbits)
+        if read is None:  # the text ends inside the codeword: read on from it
+            size = max(WINDOW_BITS, 2 * len(text)) if base == pos else WINDOW_BITS
+            text = (_bits(data, pos, min(size, nbits - pos)) + ord("0")).tobytes()
+            base = pos
+            continue
+        value, p = read
+        pos = base + p
         n = pred_n[i]
         c = -((-2 * n) // tau)
-        s = value + c
-        x = s // 2 if s % 2 == 0 else (c - value - 1) // 2
+        x = (value + c) >> 1 if (value + c) & 1 == 0 else (c - value - 1) >> 1
         if not lo <= x <= hi:
             raise symbol_out_of_range(i, x, lo, hi)
         symbols[i] = x
-        t += 1
         if raw:
-            s_raw += abs(x - pred_x[i])
+            s += abs(x - pred_x[i])
         else:
-            s_int += abs(tau * x - n)
-            if s_int > _SAT:
-                s_int = _SAT
+            s += abs(tau * x - n)
+            if s > _SAT:
+                s = _SAT
+        i += 1
+        m2 = select_m(i, s, scale)
+        if m2 == m:
+            held += 1
+        else:
+            m, held, run_pos, g = m2, 0, pos, _golomb(m2)
     return out

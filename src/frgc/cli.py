@@ -176,6 +176,11 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    try:  # table2 samples nothing, but a bad flag is an error there too
+        harness.check_sampling(args.n, args.seed)
+    except ValueError as exc:
+        print(f"frgc analyze: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.experiment == "table2":
         rows, fields = harness.run_table2(), harness.TABLE2_FIELDS
     else:
@@ -183,12 +188,7 @@ def _cmd_analyze(args) -> int:
             "table3": (harness.table3_spec, harness.run_table3, harness.TABLE3_FIELDS),
             "fig6": (harness.fig6_spec, harness.run_fig6, harness.FIG6_FIELDS),
         }[args.experiment]
-        try:
-            spec = make_spec(seed=args.seed, n=args.n)
-        except ValueError as exc:
-            print(f"frgc analyze: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        rows = run(spec)
+        rows = run(make_spec(seed=args.seed, n=args.n))
     try:
         harness.write_csv(args.out, fields, rows)
     except OSError as exc:

@@ -67,12 +67,17 @@ class ExperimentSpec:
         for theta in self.theta_grid:
             if not 0.0 < theta < 1.0:
                 raise ValueError(f"theta must be in (0,1), got {theta}")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        check_sampling(self.n_samples, self.seed)
         if self.alphabet_q < 1:
             raise ValueError(f"alphabet_q must be >= 1, got {self.alphabet_q}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be a 64-bit integer, got {self.seed}")
+
+
+def check_sampling(n_samples: int, seed: int) -> None:
+    """ValueError unless n_samples >= 1 and seed is a 64-bit integer."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be a 64-bit integer, got {seed}")
 
 
 def table3_spec(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> ExperimentSpec:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SYMBOL_MIN = -(1 << 31)
 SYMBOL_MAX = (1 << 31) - 1
 
@@ -149,3 +151,16 @@ def unmap(v: int, n: int, tau: int) -> int:
     if s % 2 == 0:
         return s // 2
     return (c - v - 1) // 2
+
+
+def unmap_array(values: np.ndarray, numerators: np.ndarray, tau: int) -> np.ndarray:
+    """unmap over int64 arrays, element by element.
+
+    Exact for 0 <= v < 2**62 and |n| < 2**62, as the compiled unfold:
+    c = ceil(2n/tau) is split as 2h + q, so v + c, which can pass 2**63,
+    is never formed.
+    """
+    c = -((-2 * numerators) // tau)
+    h, q = c >> 1, c & 1
+    return np.where((values + q) & 1 == 0, h + ((values + q) >> 1),
+                    h - ((values + 2 - q) >> 1))

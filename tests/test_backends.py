@@ -208,12 +208,14 @@ def test_encode_max_run_parity(kernels):
 def test_m_and_tau_limit_parity(kernels):
     # m outside [1, M_MAX] and tau outside [1, TAU_MAX], bitcoder's limits,
     # raise the same ValueError from both backends, on encode and on decode
+    # (any int: 2**63 and beyond raise the same ValueError, not OverflowError)
     calls = []
-    for m in (0, M_MAX + 1):
+    past_64_bits = (1 << 63, 1 << 64, -(1 << 63) - 1)
+    for m in (0, M_MAX + 1, *past_64_bits):
         message = rf"^golomb parameter must be in \[1, {M_MAX}\], got {m}$"
         calls += [(message, "golomb_encode", (ints([1]), m)),
                   (message, "golomb_decode", (b"\x00", 1, m))]
-    for tau in (0, -1, TAU_MAX + 1):
+    for tau in (0, -1, TAU_MAX + 1, *past_64_bits):
         message = rf"^tau must be in \[1, {TAU_MAX}\], got {tau}$"
         for raw in (False, True):
             inc = np.ones(1) if raw else ints([1])

@@ -439,9 +439,16 @@ def twin_case(draw):
     return rho, tau, ks, preds, xs
 
 
-@given(case=twin_case(), extra=st.lists(st.integers(0, 2**36), max_size=8))
+NUMERATOR_LIMIT = (1 << 62) - 1  # the largest |numerator| _round_predictions gives
+VALUE_TOP = (bitcoder.MAX_RUN + 1) * bitcoder.M_MAX - 1  # the largest value a decoder gives
+
+
+@given(case=twin_case(), extra=st.lists(st.integers(0, 2**36), max_size=8),
+       edges=st.lists(st.tuples(st.integers(0, VALUE_TOP),
+                                st.sampled_from((NUMERATOR_LIMIT, -NUMERATOR_LIMIT))),
+                      max_size=6))
 @settings(max_examples=300)
-def test_vector_twins_match_scalar_elementwise(case, extra):
+def test_vector_twins_match_scalar_elementwise(case, extra, edges):
     # lpc streams round with _round_predictions on encode and with
     # qmap.round_prediction on decode; each vector twin must agree with
     # its scalar reference on every element, not only in round trips
@@ -462,6 +469,13 @@ def test_vector_twins_match_scalar_elementwise(case, extra):
                               np.array(pred_n, dtype=np.int64), tau)
     assert got.tolist() == [qmap.unmap(v, n, tau) for v, n in zip(values, pred_n)]
     assert got.tolist()[:len(xs)] == xs
+    # any decodable value against numerators at the limit: v + ceil(2n/tau)
+    # passes 2**63 there, which the unmap must never form
+    values = [v for v, _ in edges] + [VALUE_TOP, VALUE_TOP]
+    pred_n = [n for _, n in edges] + [NUMERATOR_LIMIT, -NUMERATOR_LIMIT]
+    got = codec._unmap_vector(np.array(values, dtype=np.int64),
+                              np.array(pred_n, dtype=np.int64), tau)
+    assert got.tolist() == [qmap.unmap(v, n, tau) for v, n in zip(values, pred_n)]
 
 
 def test_unary_bomb_raises():

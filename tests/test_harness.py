@@ -325,7 +325,7 @@ def test_cli_analyze_table2(tmp_path):
     assert len(lines) == 7
 
 
-@pytest.mark.parametrize("experiment", ["table3", "fig6"])
+@pytest.mark.parametrize("experiment", ["table2", "table3", "fig6"])
 @pytest.mark.parametrize("flag,value,message", [
     ("--n", "0", "n_samples must be >= 1, got 0"),
     ("--seed", "-1", "seed must be a 64-bit integer, got -1"),
