@@ -20,8 +20,11 @@ TypeError.  The decoders fill and return a bytearray of ``count`` int64
 values.  ``ms`` are the mapped residuals (non-negative); ``increments``
 the estimator's per-symbol |residual numerator| (int64) or, when
 ``raw``, |x - xhat| (float64), non-negative; ``pred_n`` the rounded
-prediction numerators, below 2**62 in magnitude; ``pred_x`` the
-predictions, read only when ``raw``.  The adaptive m is
+prediction numerators, below 2**62 in magnitude (adaptive_decode raises
+ValueError at the first symbol whose numerator is not, after reading its
+codeword); ``pred_x`` the predictions, read only when ``raw``.  ``count``
+is a Py_ssize_t and ``lo``, ``hi`` are int64: other values raise
+OverflowError before any other check.  The adaptive m is
 ``_estcore.select_m`` over ``_estcore.LOG_BOUNDARIES``, which the
 compiled module copies once, when it is imported.  adaptive_decode
 raises CorruptStreamError for the first symbol outside [lo, hi].  No
@@ -59,6 +62,7 @@ codeword at a time.
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 
@@ -87,7 +91,8 @@ WINDOW_BITS = 1 << 15    # payload bits parsed at a time (or one longer codeword
 SETTLE_SYMBOLS = 64      # adaptive decode parses ahead once m has held this many symbols
 AHEAD_SYMBOLS = 256      # and then parses at least this many symbols at once
 
-_NUMERATOR_LIMIT = 1 << 62  # unmap_array is exact below it
+_NUMERATOR_LIMIT = 1 << 62  # unmap_array is exact below it; adaptive_decode refuses more
+_INT64_MAX = (1 << 63) - 1
 
 
 def _in_range(name, value, top):
@@ -95,6 +100,13 @@ def _in_range(name, value, top):
     if not 1 <= value <= top:
         raise ValueError(f"{name} must be in [1, {top}], got {value}")
     return value
+
+
+def _c_integer(value, top):
+    """The compiled loops' OverflowError unless value is in [-top - 1, top],
+    the range of the C type they parse it as."""
+    if not -top - 1 <= value <= top:
+        raise OverflowError(f"{value} outside [{-top - 1}, {top}]")
 
 
 def _run_too_long():
@@ -119,7 +131,7 @@ def _output(count: int, nbits: int) -> bytearray:
 
 
 class _Packer:
-    """Writes whole arrays of codewords, MSB first, as bitcoder.BitSink does."""
+    """Writes whole arrays of codewords, MSB first, as bitcoder.BitSource reads them."""
 
     def __init__(self) -> None:
         self._chunks: list[bytes] = []
@@ -203,6 +215,7 @@ def adaptive_encode(ms, increments, raw, tau):
 
 
 def golomb_decode(payload, count, m):
+    _c_integer(count, sys.maxsize)
     g = GolombParam(_in_range("golomb parameter", m, M_MAX))
     data = np.frombuffer(payload, dtype=np.uint8)
     out = _output(count, 8 * data.size)
@@ -305,6 +318,21 @@ def _decode_window(data, pos, size, g, want, final):
     return values, ends, error
 
 
+def parse_ahead(data, pos, g, want, rate=None):
+    """_decode_window for up to ``want`` codewords under g from bit pos.
+
+    The window is WINDOW_BITS, or the rest of the payload; given ``rate``,
+    the bits a codeword has taken so far, it is cut to a little more than
+    ``want`` such codewords, so that a guess that m holds parses no more
+    than it is likely to keep.
+    """
+    left = 8 * data.size - pos
+    size = min(left, WINDOW_BITS)
+    if rate is not None:
+        size = min(size, int(1.25 * rate * want) + 64)
+    return _decode_window(data, pos, size, g, want, size == left)
+
+
 def _read_codeword(text, p, g, final):
     """(value, offset after it) of the codeword at offset p of a bit text.
 
@@ -335,7 +363,7 @@ def _read_codeword(text, p, g, final):
 _golomb = functools.cache(GolombParam)  # adaptive decode switches among few m
 
 
-def _speculate(data, pos, nbits, g, i, want, rate, pred_n, pred_x, tau, raw, s, lo, hi):
+def _speculate(data, pos, g, i, want, rate, pred_n, pred_x, tau, raw, s, lo, hi):
     """Symbols i, i + 1, ... decoded at once, as long as their m stays g.m.
 
     Parses up to ``want`` codewords from bit ``pos`` under g, about
@@ -354,9 +382,7 @@ def _speculate(data, pos, nbits, g, i, want, rate, pred_n, pred_x, tau, raw, s, 
         n = n[:int(np.argmax(wide))]
         if not n.size:
             return None
-    # room for n.size codewords a little longer than the run's so far
-    size = min(nbits - pos, WINDOW_BITS, int(1.25 * rate * n.size) + 64)
-    decoded = _decode_window(data, pos, size, g, n.size, size == nbits - pos)
+    decoded = parse_ahead(data, pos, g, n.size, rate)
     if decoded is None:
         return None
     values, ends, error = decoded
@@ -377,6 +403,9 @@ def _speculate(data, pos, nbits, g, i, want, rate, pred_n, pred_x, tau, raw, s, 
 
 
 def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
+    _c_integer(count, sys.maxsize)
+    _c_integer(lo, _INT64_MAX)
+    _c_integer(hi, _INT64_MAX)
     _in_range("tau", tau, TAU_MAX)
     n_values = _values(pred_n, np.int64, count, "pred_n")
     x_values = _values(pred_x, np.float64, count, "pred_x")
@@ -400,7 +429,7 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
         if held >= SETTLE_SYMBOLS:
             # a window of WINDOW_BITS bits holds at most WINDOW_BITS codewords
             want = min(count - i, max(held, AHEAD_SYMBOLS), WINDOW_BITS)
-            step = _speculate(data, pos, nbits, g, i, want, (pos - run_pos) / held,
+            step = _speculate(data, pos, g, i, want, (pos - run_pos) / held,
                               n_values, x_values, tau, raw, s, lo, hi)
             if step is not None:
                 xs, used, s, m2 = step
@@ -422,6 +451,8 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
         value, p = read
         pos = base + p
         n = pred_n[i]
+        if not -_NUMERATOR_LIMIT < n < _NUMERATOR_LIMIT:
+            raise ValueError("prediction numerator out of range")
         c = -((-2 * n) // tau)
         x = (value + c) >> 1 if (value + c) & 1 == 0 else (c - value - 1) >> 1
         if not lo <= x <= hi:

@@ -1,4 +1,4 @@
-"""Bit-level sink/source and Golomb codeword primitives.
+"""Bit-level source and Golomb codeword primitives.
 
 Bits are MSB-first within each byte.  A Golomb codeword for a mapped
 residual M with parameter m is the unary quotient (floor(M/m) ones, then a
@@ -50,7 +50,7 @@ def codeword_fields(values: np.ndarray, m):
     m is one parameter or an array of them, one per value.  Returns
     (quotients, remainder fields, field widths): each codeword is its
     quotient in unary, then the field in ``width`` binary digits, as
-    write_unary and write_minimal_binary write them.  m must be at most
+    BitSource.read_unary and read_minimal_binary read them.  m must be at most
     2**52, so that ceil(lg m) is exact in a double.
     """
     q, field = np.divmod(values, m)
@@ -78,63 +78,6 @@ def code_length(m_value: int, g: GolombParam) -> int:
     return j + 1 + (g.bits - 1 if k < g.threshold else g.bits)
 
 
-class BitSink:
-    """Accumulates bits MSB-first; finish() pads the last byte with zeros."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._acc = 0
-        self._nacc = 0  # bits currently in _acc (0..7 between writes)
-        self.bit_length = 0
-        self._done = False
-
-    def write_bits(self, value: int, nbits: int) -> None:
-        if nbits < 0 or value >> nbits:
-            raise ValueError(f"value {value} does not fit in {nbits} bits")
-        if self._done:
-            raise ValueError("sink already finished")
-        if nbits == 0:
-            return
-        acc = (self._acc << nbits) | value
-        nacc = self._nacc + nbits
-        self.bit_length += nbits
-        buf = self._buf
-        while nacc >= 8:
-            nacc -= 8
-            buf.append((acc >> nacc) & 0xFF)
-        self._acc = acc & ((1 << nacc) - 1)
-        self._nacc = nacc
-
-    def write_unary(self, j: int) -> None:
-        """j ones followed by a terminating zero."""
-        if j < 0:
-            raise ValueError(f"unary value must be non-negative, got {j}")
-        while j >= 32:
-            self.write_bits(0xFFFFFFFF, 32)
-            j -= 32
-        self.write_bits(((1 << j) - 1) << 1, j + 1)
-
-    def write_minimal_binary(self, k: int, g: GolombParam) -> None:
-        if not 0 <= k < g.m:
-            raise ValueError(f"remainder {k} out of range for m={g.m}")
-        if g.bits == 0:
-            return
-        if k < g.threshold:
-            self.write_bits(k, g.bits - 1)
-        else:
-            self.write_bits(k + g.threshold, g.bits)
-
-    def finish(self) -> bytes:
-        """Zero-pad to a whole byte and return the bytes written so far."""
-        if not self._done:
-            if self._nacc:
-                self._buf.append((self._acc << (8 - self._nacc)) & 0xFF)
-                self._acc = 0
-                self._nacc = 0
-            self._done = True
-        return bytes(self._buf)
-
-
 class BitSource:
     """Reads bits MSB-first from a bytes-like payload."""
 
@@ -146,6 +89,17 @@ class BitSource:
     @property
     def bits_left(self) -> int:
         return self._nbits - self._pos
+
+    @property
+    def position(self) -> int:
+        """Offset of the next bit to read, from the start of the payload."""
+        return self._pos
+
+    @position.setter
+    def position(self, pos: int) -> None:
+        if not 0 <= pos <= self._nbits:
+            raise ValueError(f"bit position {pos} outside [0, {self._nbits}]")
+        self._pos = pos
 
     def read_bits(self, nbits: int) -> int:
         if nbits < 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from frgc import _backend, _estcore, predictor, qmap
+from frgc import _backend, _estcore, _pure, predictor, qmap
 from frgc.bitcoder import (
     M_MAX,
     TAU_MAX,
@@ -301,34 +301,72 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
 
 
 def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
-    """Lpc-mode decode, symbol by symbol: the symbols and their predictions."""
+    """Lpc-mode decode: the symbols and their predictions.
+
+    Symbol t's prediction is fit from the symbols before it, so symbols
+    are decoded in order, but their codewords need not be read one at a
+    time.  Where m holds (in fixed mode from the first symbol, in
+    adaptive mode once it has held for _pure.SETTLE_SYMBOLS symbols), a
+    window of codewords is parsed under it (_pure.parse_ahead) and each
+    is unmapped against its own prediction in turn, up to the first
+    symbol after which select_m gives another m; decoding resumes after
+    the last codeword used.  In the cold start, and for a codeword longer
+    than a window, decode_symbol reads one codeword from a BitSource at
+    the same bit offset.  Every symbol is decoded under its own m, and
+    errors are those of a loop over symbols: the window's trailing error
+    is raised only when the symbol whose codeword it could not read comes
+    up under the m it was parsed with.
+    """
     cfg = header.lpc
     prec = header.precision
     tau = header.tau
+    count = header.count
     adaptive = header.mode == MODE_ADAPTIVE
     raw = header.raw_error_estimator
+    scale = 1 if raw else tau  # select_m's tau
     lo, hi = _symbol_range(header.alphabet_q)
+    data = np.frombuffer(payload, np.uint8)
     src = BitSource(payload)
-    params: dict[int, GolombParam] = {}
     out: list[int] = []
     preds: list[float] = []
     state = predictor.LpcState(cfg)
-    s_int = 0
-    s_raw = 0.0
-    for t in range(header.count):
+    s = 0.0 if raw else 0
+    m = 1 if adaptive else header.m
+    g = GolombParam(m)
+    held = 0  # symbols decoded under m since it last changed
+    pos = run_pos = 0  # the next codeword's bit, and the bit where m last changed
+    # the window in use: its codewords, the bit after each, the error
+    # after them, and the index of the next one to use
+    values: list[int] = []
+    ends: list[int] = []
+    error = None
+    k = 0
+    for t in range(count):
         xhat = state.predict()
         preds.append(xhat)
         n = qmap.round_prediction(xhat, prec)
-        if not adaptive:
-            m = header.m
-        elif raw:
-            m = _estcore.select_m(t, s_raw)
+        if k == len(values):
+            if error is not None:
+                raise error
+            values, k, window = [], 0, None
+            if not adaptive:  # a window of WINDOW_BITS holds at most that many codewords
+                want = min(count - t, _pure.WINDOW_BITS)
+                window = _pure.parse_ahead(data, pos, g, want)
+            elif held >= _pure.SETTLE_SYMBOLS:
+                want = min(count - t, max(held, _pure.AHEAD_SYMBOLS), _pure.WINDOW_BITS)
+                window = _pure.parse_ahead(data, pos, g, want, (pos - run_pos) / held)
+            if window is not None:
+                parsed, offsets, error = window
+                values = parsed.tolist()
+                ends = (offsets + pos).tolist()
+        if k < len(values):
+            x = qmap.unmap(values[k], n, tau)
+            pos = ends[k]
+            k += 1
         else:
-            m = _estcore.select_m(t, s_int, tau)
-        g = params.get(m)
-        if g is None:
-            g = params[m] = GolombParam(m)
-        x = decode_symbol(n, tau, g, src)
+            src.position = pos
+            x = decode_symbol(n, tau, g, src)
+            pos = src.position
         if not lo <= x <= hi:
             raise symbol_out_of_range(t, x, lo, hi)
         state.push(x)
@@ -336,11 +374,17 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
         if not adaptive:
             continue
         if raw:
-            s_raw += abs(x - xhat)
+            s += abs(x - xhat)
         else:
-            s_int += abs(tau * x - n)
-            if s_int > _estcore.EST_SATURATION:
-                s_int = _estcore.EST_SATURATION
+            s += abs(tau * x - n)
+            if s > _estcore.EST_SATURATION:
+                s = _estcore.EST_SATURATION
+        m2 = _estcore.select_m(t + 1, s, scale)
+        if m2 == m:
+            held += 1
+        else:
+            m, g, held, run_pos = m2, GolombParam(m2), 0, pos
+            values, error, k = [], None, 0
     return out, preds
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -51,29 +52,44 @@ def identity_coefficients(order: int) -> list[float]:
 
 
 def _solve(a: list[list[float]], b: list[float]) -> list[float] | None:
-    """Gaussian elimination with partial pivoting; None if singular."""
+    """Gaussian elimination with partial pivoting; None if singular.
+
+    The pivot is the first entry of largest magnitude in its column.  The
+    float operations and their order, and so every bit of the result, are
+    part of the stream format: both ends of a stream must fit the same
+    coefficients.  Entries below a pivot are never read once their row is
+    reduced, so they are not updated.
+    """
     n = len(b)
-    scale = max((abs(v) for row in a for v in row), default=0.0)
+    scale = max(map(abs, chain.from_iterable(a)), default=0.0)
     tol = 1e-10 * max(1.0, scale)
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    m = [[*row, rhs] for row, rhs in zip(a, b)]
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[pivot][col]) <= tol:
+        top = m[col]
+        pivot, big = col, abs(top[col])
+        for r in range(col + 1, n):
+            v = abs(m[r][col])
+            if v > big:
+                pivot, big = r, v
+        if big <= tol:
             return None
         if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = 1.0 / m[col][col]
+            top = m[pivot]
+            m[col], m[pivot] = top, m[col]
+        inv = 1.0 / top[col]
         for r in range(col + 1, n):
-            f = m[r][col] * inv
+            row = m[r]
+            f = row[col] * inv
             if f != 0.0:
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
+                for c in range(col + 1, n + 1):
+                    row[c] -= f * top[c]
     out = [0.0] * n
     for col in range(n - 1, -1, -1):
-        s = m[col][n]
+        row = m[col]
+        s = row[n]
         for c in range(col + 1, n):
-            s -= m[col][c] * out[c]
-        out[col] = s / m[col][col]
+            s -= row[c] * out[c]
+        out[col] = s / row[col]
     return out
 
 
@@ -88,11 +104,10 @@ def fit(sums: Sequence[Sequence[int]],
     coefficients, or the identity fallback when there are none.
     """
     order = len(sums) - 1
-    b = [float(v) for v in sums[-1][1:]]
+    b = list(map(float, sums[-1][1:]))
     a: list[list[float]] = []
     for j in range(order):
-        a.append([a[l][j] for l in range(j)]
-                 + [float(v) for v in sums[-2 - j][:order - j]])
+        a.append([row[j] for row in a] + list(map(float, sums[-2 - j][:order - j])))
     coeffs = _solve(a, b)
     if coeffs is None:
         return list(previous) if previous is not None else identity_coefficients(order)

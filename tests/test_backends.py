@@ -18,13 +18,14 @@ from frgc.bitcoder import (
     M_MAX,
     MAX_RUN,
     TAU_MAX,
-    BitSink,
     CorruptStreamError,
     GolombParam,
 )
 from frgc.codec import StreamHeader, decode_stream, encode_stream
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
+
+from bitsink import BitSink
 
 BOUNDS = _estcore.LOG_BOUNDARIES
 RANGE = (SYMBOL_MIN, SYMBOL_MAX)  # the decoded symbols' range with no alphabet

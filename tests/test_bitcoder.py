@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from frgc.bitcoder import (
     MAX_RUN,
-    BitSink,
     BitSource,
     CorruptStreamError,
     GolombParam,
     code_length,
 )
+
+from bitsink import BitSink
 
 
 def bits_of(data: bytes, nbits: int) -> str:
@@ -176,6 +177,20 @@ def test_bits_left_counts_down():
     assert src.bits_left == 16
     src.read_bits(5)
     assert src.bits_left == 11
+
+
+def test_position_moves_the_reader():
+    src = BitSource(b"\x0f\xa0")
+    src.read_bits(3)
+    assert src.position == 3
+    src.position = 4
+    assert src.read_bits(4) == 0xF and src.position == 8
+    src.position = 16
+    assert src.bits_left == 0
+    for bad in (-1, 17):
+        with pytest.raises(ValueError, match="bit position"):
+            src.position = bad
+    assert src.position == 16
 
 
 # --- corruption -------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frgc import _estcore, analysis, bitcoder, codec, harness, predictor, qmap
-from frgc.bitcoder import BitSink, BitSource, CorruptStreamError, GolombParam
+from frgc.bitcoder import BitSource, CorruptStreamError, GolombParam
 from frgc.codec import (
     HEADER_SIZE,
     MODE_ADAPTIVE,
@@ -25,6 +25,8 @@ from frgc.codec import (
 )
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN, Precision, round_prediction
+
+from bitsink import BitSink
 
 
 def payload_of(data: bytes) -> bytes:

@@ -1,0 +1,235 @@
+"""The windowed LPC decoder against the loop over symbols it replaced.
+
+``oracle_decode_lpc`` is codec._decode_lpc as it was before it parsed
+windows of codewords: one BitSource read per symbol.  decode_stream must
+give the same symbols, predictions and trace with either, or raise the
+same exception type and message at the same symbol (the number of
+predictions rounded before the error).
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from frgc import _estcore, _pure, codec, predictor, qmap
+from frgc.bitcoder import (
+    MAX_RUN,
+    BitSource,
+    CorruptStreamError,
+    GolombParam,
+    symbol_out_of_range,
+)
+from frgc.codec import (
+    HEADER_SIZE,
+    MODE_ADAPTIVE,
+    MODE_FIXED,
+    StreamHeader,
+    decode_stream,
+    encode_stream,
+)
+from frgc.predictor import LpcConfig
+
+def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
+    """Lpc-mode decode, symbol by symbol: the symbols and their predictions."""
+    cfg = header.lpc
+    prec = header.precision
+    tau = header.tau
+    adaptive = header.mode == MODE_ADAPTIVE
+    raw = header.raw_error_estimator
+    lo, hi = codec._symbol_range(header.alphabet_q)
+    src = BitSource(payload)
+    out: list[int] = []
+    preds: list[float] = []
+    state = predictor.LpcState(cfg)
+    s_int = 0
+    s_raw = 0.0
+    for t in range(header.count):
+        xhat = state.predict()
+        preds.append(xhat)
+        n = qmap.round_prediction(xhat, prec)
+        if not adaptive:
+            m = header.m
+        elif raw:
+            m = _estcore.select_m(t, s_raw)
+        else:
+            m = _estcore.select_m(t, s_int, tau)
+        x = codec.decode_symbol(n, tau, GolombParam(m), src)
+        if not lo <= x <= hi:
+            raise symbol_out_of_range(t, x, lo, hi)
+        state.push(x)
+        out.append(x)
+        if not adaptive:
+            continue
+        if raw:
+            s_raw += abs(x - xhat)
+        else:
+            s_int += abs(tau * x - n)
+            if s_int > _estcore.EST_SATURATION:
+                s_int = _estcore.EST_SATURATION
+    return out, preds
+
+
+def decoded(data: bytes, decoder) -> tuple:
+    """decode_stream with decoder as its lpc loop: ("ok", symbols, trace,
+    predictions), or ("raised", type, message, symbols reached)."""
+    rounded = []
+    real_round, real_decoder = qmap.round_prediction, codec._decode_lpc
+
+    def counted(xhat, prec):
+        rounded.append(xhat)
+        return real_round(xhat, prec)
+
+    qmap.round_prediction, codec._decode_lpc = counted, decoder
+    try:
+        out, trace = decode_stream(data, collect_trace=True)
+        return "ok", out, trace, rounded
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return "raised", type(exc), str(exc), len(rounded)
+    finally:
+        qmap.round_prediction, codec._decode_lpc = real_round, real_decoder
+
+
+def agree(data: bytes) -> tuple:
+    """The windowed decoder's outcome, which must be the oracle's."""
+    got = decoded(data, codec._decode_lpc)
+    assert got == decoded(data, oracle_decode_lpc)
+    return got
+
+
+@pytest.fixture(params=["settled", "eager"])
+def settle(request, monkeypatch):
+    """Windows from _pure.SETTLE_SYMBOLS held symbols on, or from one, with
+    windows of two symbols or more: most of them then end at an m switch."""
+    if request.param == "eager":
+        monkeypatch.setattr(_pure, "SETTLE_SYMBOLS", 1)
+        monkeypatch.setattr(_pure, "AHEAD_SYMBOLS", 2)
+    return request.param
+
+
+def ar2(seed: int, n: int, scale) -> list[int]:
+    """Integer AR(2) (1.6, -0.7) with Laplace innovations of the given
+    scale (one, or one per symbol), 16-bit."""
+    e = np.random.default_rng(seed).laplace(0.0, scale, n)
+    y, prev1, prev2 = [], 0.0, 0.0
+    for t in range(n):
+        cur = 1.6 * prev1 - 0.7 * prev2 + e[t]
+        y.append(cur)
+        prev2, prev1 = prev1, cur
+    return np.clip(np.rint(y), -(1 << 15), (1 << 15) - 1).astype(np.int64).tolist()
+
+
+def header_for(mode: str, cfg=(2, 16, 16), tau=8, m=64, **kwargs) -> StreamHeader:
+    """An lpc header at precision 1/tau; m applies in fixed mode only."""
+    return StreamHeader(mode=mode, rho=1, tau=tau, m=m if mode == MODE_FIXED else 0,
+                        lpc=LpcConfig(*cfg), **kwargs)
+
+
+HEADERS = {
+    "fixed": header_for(MODE_FIXED),
+    "adaptive-int": header_for(MODE_ADAPTIVE),
+    "adaptive-raw": header_for(MODE_ADAPTIVE, raw_error_estimator=True),
+}
+
+
+def held_switches(trace, start=0):
+    """Symbols from start on coded under another m than the one before,
+    which had held for at least _pure.SETTLE_SYMBOLS symbols."""
+    ms = [m for m, _, _ in trace]
+    found, run = [], 0
+    for t in range(1, len(ms)):
+        if ms[t] == ms[t - 1]:
+            run += 1
+            continue
+        if t >= start and run >= _pure.SETTLE_SYMBOLS:
+            found.append(t)
+        run = 0
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(HEADERS))
+@pytest.mark.parametrize("cfg", [(2, 16, 16), (4, 64, 32), (2, 8, 1)])
+def test_decodes_as_the_loop_over_symbols(name, cfg, settle):
+    xs = ar2(len(name) + cfg[1], 1500, 60.0)
+    data = encode_stream(xs, replace(HEADERS[name], lpc=LpcConfig(*cfg)))
+    assert agree(data)[:2] == ("ok", xs)
+
+
+@pytest.mark.parametrize("raw", [False, True])
+@pytest.mark.parametrize("scales", [(0.5, 6.0, 1.0, 20.0), (2.0, 30.0, 3.0, 60.0)])
+def test_m_switches_inside_windows(raw, scales, settle):
+    # the innovation scale changes each quarter, so m moves long after the
+    # cold start, often after holding for a window's worth of symbols: a
+    # window parsed under it then runs past the symbol after which it changes
+    xs = ar2(int(scales[1]) + raw, 4000, np.repeat(scales, 1000))
+    header = header_for(MODE_ADAPTIVE, raw_error_estimator=raw)
+    data, trace = encode_stream(xs, header, collect_trace=True)
+    assert len(held_switches(trace)) >= 10
+    assert agree(data)[:2] == ("ok", xs)
+
+
+def test_payload_of_several_windows():
+    xs = ar2(3, 6000, 200.0)
+    for header in HEADERS.values():
+        data = encode_stream(xs, header)
+        assert 8 * (len(data) - HEADER_SIZE) > 2 * _pure.WINDOW_BITS
+        assert agree(data)[:2] == ("ok", xs)
+
+
+@pytest.mark.parametrize("mode", [MODE_FIXED, MODE_ADAPTIVE])
+def test_codewords_longer_than_a_window(mode):
+    # zeros but for one spike, whose codeword at m = 1 is a unary run of
+    # almost MAX_RUN bits, as is the next one's in fixed mode (predicted
+    # from the spike)
+    spike = MAX_RUN // 2 - 8
+    xs = [0] * 600
+    xs[300] = spike
+    header = header_for(mode, cfg=(1, 4, 1), tau=1, m=1)
+    data = encode_stream(xs, header)
+    assert 8 * len(data) > (1.9 if mode == MODE_FIXED else 0.9) * MAX_RUN
+    assert agree(data)[:2] == ("ok", xs)
+
+
+SHORT = ar2(9, 160, 20.0)
+
+
+@pytest.mark.parametrize("name", sorted(HEADERS))
+def test_every_truncation_of_a_short_stream(name, settle):
+    data = encode_stream(SHORT, replace(HEADERS[name], lpc=LpcConfig(2, 8, 1)))
+    for cut in range(len(data)):
+        assert agree(data[:cut])[0] == "raised"
+    assert agree(data)[:2] == ("ok", SHORT)
+
+
+@pytest.mark.parametrize("name", sorted(HEADERS))
+def test_single_bit_flips(name, settle):
+    data = encode_stream(SHORT, replace(HEADERS[name], lpc=LpcConfig(2, 8, 1)))
+    nbits = 8 * (len(data) - HEADER_SIZE)
+    rng = np.random.default_rng(len(name))
+    outcomes = set()
+    for pos in rng.choice(nbits, size=120, replace=False):
+        flipped = bytearray(data)
+        flipped[HEADER_SIZE + pos // 8] ^= 0x80 >> (pos % 8)
+        outcomes.add(agree(bytes(flipped))[0])
+    assert outcomes == {"ok", "raised"}
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_out_of_range_symbol_at_an_m_switch(offset, settle):
+    # symbols in [0, 10] but one, just before, at or just after the first
+    # m switch after m has settled; a window parsed under the old m decodes
+    # the symbols past the switch wrongly, and must not raise for them
+    rng = np.random.default_rng(4)
+    n = 900
+    xs = np.concatenate((rng.integers(4, 7, 400), rng.integers(0, 11, n - 400))).tolist()
+    header = header_for(MODE_ADAPTIVE, cfg=(2, 16, 4), alphabet_q=51)
+    _, trace = encode_stream(xs, header, collect_trace=True)
+    switch = held_switches(trace, 400)[0]
+    bad = switch + offset
+    xs[bad] = 50
+    data, trace = encode_stream(xs, header, collect_trace=True)
+    assert held_switches(trace, 400)[0] == switch
+    assert agree(data)[:2] == ("ok", xs)
+    narrow = replace(header, alphabet_q=11, count=n).pack() + data[HEADER_SIZE:]
+    message = f"symbol {bad} decodes to 50, outside [0, 10]"
+    assert agree(narrow)[:4] == ("raised", CorruptStreamError, message, bad + 1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from frgc import codec
-from frgc.bitcoder import BitSink, CorruptStreamError, GolombParam
+from frgc.bitcoder import CorruptStreamError, GolombParam
 from frgc.codec import (
     HEADER_SIZE,
     MODE_ADAPTIVE,
@@ -21,6 +21,8 @@ from frgc.codec import (
 )
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
+
+from bitsink import BitSink
 
 # SHA-256 of each golden stream with its version byte set to 0, recorded
 # from the version 2 encoder, which summed the normal equations in floats.

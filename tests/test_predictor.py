@@ -269,3 +269,92 @@ def test_fit_uses_only_window():
     b = fit_history([0, 0] + tail, cfg)
     assert a == b
     assert a == float_fit([0, 0] + tail, cfg, 26, None)
+
+
+# --- _solve against the elimination it replaced ------------------------------
+
+def oracle_solve(a, b):
+    """predictor._solve before its pivot search and row updates were
+    rewritten; the coefficients of a stream must not change by one bit."""
+    n = len(b)
+    scale = max((abs(v) for row in a for v in row), default=0.0)
+    tol = 1e-10 * max(1.0, scale)
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if abs(m[pivot][col]) <= tol:
+            return None
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+        inv = 1.0 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            if f != 0.0:
+                for c in range(col, n + 1):
+                    m[r][c] -= f * m[col][c]
+    out = [0.0] * n
+    for col in range(n - 1, -1, -1):
+        s = m[col][n]
+        for c in range(col + 1, n):
+            s -= m[col][c] * out[c]
+        out[col] = s / m[col][col]
+    return out
+
+
+def solve_bits(solve, a, b):
+    """solve's result as float.hex strings, or None; the inputs stay as given."""
+    a_before, b_before = [row[:] for row in a], b[:]
+    out = solve(a, b)
+    assert a == a_before and b == b_before
+    return None if out is None else [float.hex(v) for v in out]
+
+
+def assert_solves_alike(a, b):
+    got = solve_bits(predictor._solve, a, b)
+    assert got == solve_bits(oracle_solve, a, b)
+    return got
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_solve_bit_identical_on_random_symmetric_matrices(order):
+    rng = np.random.default_rng(order)
+    for _ in range(60):
+        # normal equations of integer samples, as fit builds them
+        x = rng.integers(-(1 << 15), 1 << 15, (order + 20, order))
+        a = (x.T @ x).astype(float).tolist()
+        b = rng.integers(-(1 << 40), 1 << 40, order).astype(float).tolist()
+        assert assert_solves_alike(a, b) is not None
+        # symmetric but indefinite, so rows are swapped all through
+        g = rng.standard_normal((order, order)) * 10.0 ** rng.integers(-3, 4)
+        a = (g + g.T).tolist()
+        assert_solves_alike(a, rng.standard_normal(order).tolist())
+
+
+def test_solve_bit_identical_on_row_swaps_and_pivot_ties():
+    cases = [
+        ([[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0]),  # swap at the first column
+        ([[4.0, 4.0], [4.0, 7.0]], [-2.0, 5.0]),  # a tie: the first row stays
+        ([[1.0, 2.0, 3.0], [3.0, 1.0, 0.0], [-3.0, 5.0, 1.0]], [1.0, 2.0, 3.0]),
+        ([[0.0, 1.0, 1.0], [2.0, 2.0, 1.0], [2.0, 1.0, 3.0]], [3.0, 1.0, 4.0]),
+        ([[0.0, 4.0], [4.0, 0.0]], [1.0, -1.0]),  # a zero pivot swaps
+        ([[5.0, 5.0, 5.0], [5.0, 6.0, 7.0], [5.0, 7.0, 9.5]], [1.0, 0.0, -1.0]),
+    ]
+    swapped = [assert_solves_alike(a, b) for a, b in cases]
+    assert None not in swapped
+    # pivoting on the second row of the tie would end in another last bit
+    assert swapped[1] == [float.hex(-2.8333333333333335), float.hex(2.3333333333333335)]
+
+
+def test_solve_refuses_singular_and_near_tol_matrices():
+    tol = 1e-10
+    for a, b in [
+        ([[0.0]], [1.0]),
+        ([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]),  # exactly singular
+        ([[1.0, 0.0], [0.0, tol]], [1.0, 1.0]),  # a pivot at tol
+        ([[4.0, 2.0, 2.0], [2.0, 1.0, 1.0], [2.0, 1.0, 1.0]], [1.0, 1.0, 1.0]),
+        ([[3.0e6, 0.0], [0.0, 3.0e6 * tol]], [1.0, 1.0]),  # tol scales with the matrix
+    ]:
+        assert assert_solves_alike(a, b) is None
+    above = np.nextafter(tol, 1.0)
+    assert assert_solves_alike([[1.0, 0.0], [0.0, above]], [1.0, 1.0]) is not None
+    assert assert_solves_alike([], []) == []

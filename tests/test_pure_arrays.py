@@ -1,8 +1,8 @@
 """The whole-array pure coder against the per-symbol loops it replaced.
 
 ``oracle_*`` below are the per-symbol loops frgc._pure ran before it
-coded whole arrays: one codeword at a time through bitcoder.BitSink and
-BitSource, on Python ints.  The numpy coder must agree with them bit for
+coded whole arrays: one codeword at a time through bitsink.BitSink and
+bitcoder.BitSource, on Python ints.  The numpy coder must agree with them bit for
 bit, in its results and in the type of every error, and so must the
 compiled kernels where they build.  The adaptive decoder, which parses
 ahead under an m it has not confirmed yet, must also give the oracle's
@@ -23,7 +23,6 @@ from frgc.bitcoder import (
     M_MAX,
     MAX_RUN,
     TAU_MAX,
-    BitSink,
     BitSource,
     CorruptStreamError,
     GolombParam,
@@ -31,9 +30,12 @@ from frgc.bitcoder import (
 )
 from frgc._estcore import LOG_BOUNDARIES, select_m, select_m_array
 
+from bitsink import BitSink
+
 BLOCK = _pure.BLOCK_SYMBOLS
 WINDOW = _pure.WINDOW_BITS
 SAT = _estcore.EST_SATURATION
+LIMIT = 1 << 62  # the contract's bound on |pred_n|
 FIXED_MS = (1, 2, 3, 13, 64, M_MAX)
 
 
@@ -80,7 +82,8 @@ def oracle_adaptive_encode(ms, increments, raw, tau):
 
 
 def oracle_adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
-    """The loop over symbols frgc._pure ran before it parsed ahead."""
+    """The loop over symbols frgc._pure ran before it parsed ahead, which
+    also refuses a numerator the contract excludes, as both backends do."""
     if not 1 <= tau <= TAU_MAX:
         raise ValueError(f"tau must be in [1, {TAU_MAX}], got {tau}")
     src = BitSource(payload)
@@ -90,6 +93,8 @@ def oracle_adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
         m = select_m(t, s) if raw else select_m(t, s, tau)
         value = src.read_unary() * m + src.read_minimal_binary(GolombParam(m))
         n = int(pred_n[t])
+        if not -LIMIT < n < LIMIT:
+            raise ValueError("prediction numerator out of range")
         x = qmap.unmap(value, n, tau)
         if not lo <= x <= hi:
             raise symbol_out_of_range(t, x, lo, hi)
@@ -366,8 +371,8 @@ SETTLE_RUN = _pure.SETTLE_SYMBOLS + 1  # m has settled from this symbol on
 
 @pytest.fixture(scope="module")
 def pure_decoders(decoders):
-    """The decoders that read EST_SATURATION when they run, and take any int64
-    numerator: all but the compiled one."""
+    """The decoders that read EST_SATURATION when they run: all but the
+    compiled one."""
     return decoders[:3]
 
 
@@ -592,23 +597,48 @@ def test_decode_window_reports_the_first_bad_codeword():
         assert (error and str(error)) == message
 
 
-def test_numerators_past_the_vector_unmap(pure_decoders):
-    # _pure unmaps windows in int64, exact for |n| < 2**62; numerators from
-    # there to the int64 limits (which the compiled loop refuses) are decoded
-    # one symbol at a time, as before
+def test_numerators_past_the_vector_unmap(decoders):
+    # every decoder takes numerators up to 2**62 - 1 in magnitude, and
+    # refuses one from 2**62 on, after reading its codeword: in the cold
+    # start, in a held run and in a window parsed ahead alike
     rng = np.random.default_rng(2)
     n = 2000
     values = geometric(rng, n, 3)
+    values[-1] = 300  # a long last codeword, which a cut payload loses
     pred_n = rng.integers(-1000, 1000, n)
     # odd values unmap below a numerator, even ones above it: all in int64
-    for at, big, value in ((100, 1 << 62, 8), (101, -(1 << 62), 3),
-                           (700, (1 << 63) - 1, 5), (1500, -(1 << 63), 4)):
+    for at, big, value in ((100, LIMIT - 1, 8), (101, 1 - LIMIT, 3), (700, LIMIT - 1, 5)):
         pred_n[at], values[at] = big, value
     inc = np.full(n, 3.0)
     payload, _ = _pure.adaptive_encode(values, inc, True, 1)
     xs = ints([qmap.unmap(int(v), int(p), 1) for v, p in zip(values, pred_n)])
-    assert agree_exactly(pure_decoders, payload, n, pred_n, xs - inc, 1, True,
-                         -(1 << 63), (1 << 63) - 1) == ("ok", xs.tobytes())
+    rest = (xs - inc, 1, True, -(1 << 63), (1 << 63) - 1)
+    assert agree_exactly(decoders, payload, n, pred_n, *rest) == ("ok", xs.tobytes())
+    refused = ("raised", ValueError, "prediction numerator out of range")
+    for at, big in ((3, LIMIT), (700, -LIMIT), (1500, (1 << 63) - 1),
+                    (n - 1, -(1 << 63))):
+        wide = pred_n.copy()
+        wide[at] = big
+        assert agree_exactly(decoders, payload, n, wide, *rest) == refused
+    # the last codeword, cut short, raises before its numerator is read
+    cut = payload[:-8]
+    assert agree_exactly(decoders, cut, n, wide, *rest) == (
+        "raised", CorruptStreamError, "unexpected end of stream")
+
+
+@pytest.mark.parametrize("count, lo, hi", [
+    (1 << 63, 0, 0), (-(1 << 63) - 1, 0, 0),
+    (1, -(1 << 63) - 1, 0), (1, 0, 1 << 63),
+])
+def test_integers_past_the_c_types_overflow(count, lo, hi, coders):
+    # count is a Py_ssize_t and lo, hi int64 in the compiled loops; both
+    # backends refuse wider ones first, even where tau is out of range too
+    for backend in coders[1:]:
+        with pytest.raises(OverflowError):
+            backend.adaptive_decode(b"\x00", count, ints([0]), np.zeros(1), 0, False, lo, hi)
+        if (lo, hi) == (0, 0):
+            with pytest.raises(OverflowError):
+                backend.golomb_decode(b"\x00", count, 0)
 
 
 # --- bounded memory -------------------------------------------------------------
