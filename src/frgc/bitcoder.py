@@ -70,14 +70,6 @@ def symbol_out_of_range(t: int, x: int, lo: int, hi: int) -> CorruptStreamError:
     return CorruptStreamError(f"symbol {t} decodes to {x}, outside [{lo}, {hi}]")
 
 
-def code_length(m_value: int, g: GolombParam) -> int:
-    """Total codeword length in bits for mapped residual m_value."""
-    if m_value < 0:
-        raise ValueError(f"mapped residual must be non-negative, got {m_value}")
-    j, k = divmod(m_value, g.m)
-    return j + 1 + (g.bits - 1 if k < g.threshold else g.bits)
-
-
 class BitSource:
     """Reads bits MSB-first from a bytes-like payload."""
 

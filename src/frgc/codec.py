@@ -183,14 +183,16 @@ def _check_decoded(symbols: np.ndarray, alphabet_q: int) -> None:
         raise symbol_out_of_range(t, int(symbols[t]), lo, hi)
 
 
-def _lpc_predictions(xs: list, cfg: LpcConfig) -> np.ndarray:
-    """Per-symbol predictions from history only, as the decoder re-derives."""
-    state = predictor.LpcState(cfg)
-    preds = []
-    for x in xs:
-        preds.append(state.predict())
-        state.push(x)
-    return np.array(preds, dtype=np.float64)
+def _lpc_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
+    """Per-symbol predictions from history only, as the decoder re-derives.
+
+    Whole arrays at a time where every window sum fits in int64, else one
+    symbol at a time through LpcState, as the decoder runs; both give the
+    same bits.
+    """
+    if predictor.sums_fit_int64(xs, cfg.window):
+        return predictor.batch_predictions(xs, cfg)
+    return predictor.loop_predictions(xs, cfg)
 
 
 def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> np.ndarray:
@@ -278,7 +280,7 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     if header.lpc is not None:
         if predictions is not None:
             raise ValueError("lpc mode computes its own predictions")
-        pred = _lpc_predictions(arr.tolist(), header.lpc)
+        pred = _lpc_predictions(arr, header.lpc)
     else:
         pred = _prediction_array(predictions, n)
 

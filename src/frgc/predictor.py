@@ -14,6 +14,16 @@ solver depends only on the symbols, never on an order of summation;
 encoder and decoder agree bit for bit on every platform with IEEE 754
 doubles, for any 32-bit input (window sums of 32-bit products reach
 2**78, past where float sums are exact).
+
+``batch_predictions`` is ``LpcState``'s whole-array twin for an encoder,
+which knows every symbol in advance.  It takes the window sums of a
+block of positions from int64 products and a running sum, solves the
+block's normal equations together in ``_solve_stacked``, which does
+``_solve``'s float operations in ``_solve``'s order, and forms the
+predictions in ``predict_at``'s order: the same bits as the loop.  int64
+sums wrap, so it applies only when every window sum fits in int64,
+window * max|x|**2 < 2**63 (``sums_fit_int64``), which covers 16- and
+24-bit samples at any window; other input takes the loop.
 """
 
 from __future__ import annotations
@@ -23,6 +33,9 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 from typing import Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -91,6 +104,45 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float] | None:
             s -= row[c] * out[c]
         out[col] = s / row[col]
     return out
+
+
+def _solve_stacked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_solve`` on a stack of systems: (solutions, singular).
+
+    a is (count, n, n) and b (count, n), float64.  Each system gets
+    ``_solve``'s float operations in ``_solve``'s order: the same tol,
+    the first largest pivot, the row swap, no update where the factor is
+    0.0 (so signed zeros match) and the same back-substitution.  A row
+    of the solutions equals ``_solve``'s result bit for bit where
+    singular is False; where it is True ``_solve`` returns None and the
+    row holds garbage.
+    """
+    count, n = b.shape
+    m = np.concatenate((a, b[:, :, None]), axis=2)
+    tol = 1e-10 * np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+    singular = np.zeros(count, dtype=bool)
+    stack = np.arange(count)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(n):
+            column = np.abs(m[:, col:, col])
+            pivot = col + np.argmax(column, axis=1)
+            singular |= column[stack, pivot - col] <= tol
+            top = m[stack, pivot]
+            m[stack, pivot] = m[:, col]
+            m[:, col] = top
+            f = m[:, col + 1:, col] * (1.0 / top[:, col])[:, None]
+            below = m[:, col + 1:, col + 1:]
+            np.copyto(below, below - f[:, :, None] * top[:, None, col + 1:],
+                      where=(f != 0.0)[:, :, None])
+        # s = row[n] - row[col+1]*out[col+1] - ... - row[n-1]*out[n-1],
+        # subtracted in that order: subtract.reduce folds axis 0 left to right.
+        out = np.empty((n, count))
+        for col in range(n - 1, -1, -1):
+            terms = np.empty((n - col, count))
+            terms[0] = m[:, col, n]
+            np.multiply(m[:, col, col + 1:n].T, out[col + 1:], out=terms[1:])
+            out[col] = np.subtract.reduce(terms, axis=0) / m[:, col, col]
+    return out.T, singular
 
 
 def fit(sums: Sequence[Sequence[int]],
@@ -198,3 +250,111 @@ class LpcState:
                            - sum(map(mul, h[a - w:b - w], h[a - w - k:b - w - k]))
                            for k, v in enumerate(self._sums[-1])])
         self._pos = s
+
+
+def loop_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
+    """LpcState's prediction of every symbol of xs, one symbol at a time."""
+    state = LpcState(cfg)
+    preds = []
+    for x in xs.tolist():
+        preds.append(state.predict())
+        state.push(x)
+    return np.array(preds, dtype=np.float64)
+
+
+# Working memory of one block of batch_predictions, about: each of its
+# two window-sum buffers, and its stack of normal equations, holds at
+# most this many bytes whatever the stream length and window.
+_BLOCK_BYTES = 1 << 20
+
+
+def sums_fit_int64(xs: np.ndarray, window: int) -> bool:
+    """Whether every window sum of int64 xs fits in int64, so that
+    batch_predictions applies: window * max|x|**2 < 2**63."""
+    if not xs.size:
+        return True
+    peak = max(-int(xs.min()), int(xs.max()))
+    return window * peak * peak < 1 << 63
+
+
+def _segment(xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """x_u for u in [lo, hi), with x_u = 0 for u < 0."""
+    if lo >= 0:
+        return xs[lo:hi]
+    seg = np.zeros(hi - lo, dtype=np.int64)
+    if hi > 0:
+        seg[-lo:] = xs[:hi]
+    return seg
+
+
+def _block_span(cfg: LpcConfig) -> int:
+    """Positions per block of batch_predictions: as many as keep the
+    window sums of the block, and its at most ceil(span / refit) normal
+    equations, within _BLOCK_BYTES each."""
+    order = cfg.order
+    fits = max(1, _BLOCK_BYTES // (8 * order * (order + 1)))
+    return max(1, min(_BLOCK_BYTES // (8 * (order + 1)), fits * cfg.refit_interval))
+
+
+def batch_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
+    """LpcState's prediction of every symbol of int64 xs, as float64.
+
+    Requires sums_fit_int64(xs, cfg.window).  Positions go in blocks of
+    ``span``.  A block takes S_k(s) for every s its fits read from
+    int64 products x_s*x_{s-k} - x_{s-W}*x_{s-W-k} and a running sum
+    from the sums carried out of the block before it: the sums wrap
+    modulo 2**64 on the way, and come out exact because each fits in
+    int64.  It converts the normal equations of its fits to float64 as
+    ``fit`` does, solves them together, lets a singular fit keep the
+    coefficients before it (the identity before any), and predicts each
+    position as ``predict_at`` would from the coefficients in force.
+    """
+    n = xs.size
+    order, window, refit, warmup = (cfg.order, cfg.window, cfg.refit_interval,
+                                    cfg.warmup)
+    out = np.zeros(n)
+    out[1:warmup] = xs[:min(n, warmup) - 1]
+    if n <= warmup:
+        return out
+    span = min(n, _block_span(cfg))
+    # Row i of a block's sums is s = a - 1 - order + i, for positions
+    # t in [a, b): a fit at t reads s in [t - 1 - order, t - 1].
+    sums = np.empty((order + 1, span + order), dtype=np.int64)
+    dropped = np.empty_like(sums)
+    carry = np.zeros(order + 1, dtype=np.int64)  # S(a - 2 - order)
+    coeffs = np.array(identity_coefficients(order))
+    lag = abs(np.subtract.outer(np.arange(order), np.arange(order)))
+    back = 1 + np.minimum.outer(np.arange(order), np.arange(order))
+    for a in range(0, n, span):
+        b = min(n, a + span)
+        rows = b - a + order
+        s0 = a - 1 - order
+        block, gone = sums[:, :rows], dropped[:, :rows]
+        for buf, lo in ((block, s0), (gone, s0 - window)):
+            seg = _segment(xs, lo - order, lo + rows)
+            np.multiply(seg[order:], sliding_window_view(seg, rows)[::-1], out=buf)
+        np.subtract(block, gone, out=block)
+        block[:, 0] += carry
+        np.cumsum(block, axis=1, out=block)
+        carry = block[:, b - a - 1].copy()
+        first = max(a, warmup)
+        if first >= b:
+            continue
+        i0 = -(-(first - warmup) // refit)
+        at = np.arange(warmup + i0 * refit, b, refit) - 1 - s0  # row of t - 1
+        if at.size:
+            normal = block[lag, at[:, None, None] - back].astype(np.float64)
+            solved, singular = _solve_stacked(normal, block[1:, at].T.astype(np.float64))
+            keep = np.where(singular, 0, np.arange(1, at.size + 1))
+            table = np.vstack((coeffs, solved))[
+                np.concatenate(([0], np.maximum.accumulate(keep)))]
+            coeffs = table[-1]
+        else:
+            table = coeffs[None]
+        t = np.arange(first, b)
+        in_force = table[(t - warmup) // refit - i0 + 1]
+        history = xs[first - order:b - 1].astype(np.float64)
+        pred = out[first:b]
+        for j in range(order):
+            pred += in_force[:, j] * history[order - 1 - j:order - 1 - j + b - first]
+    return out

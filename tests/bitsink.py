@@ -3,10 +3,20 @@
 The codec writes whole arrays of codewords with numpy (frgc._pure._Packer,
 or the compiled loops); this writer appends one field at a time on Python
 ints, so the tests can build streams, and corrupt ones, codeword by
-codeword and check the array coders against it.
+codeword and check the array coders against it.  ``code_length`` is the
+length of one such codeword, which the sweeps compute for whole arrays
+in frgc.harness.symbol_code_lengths.
 """
 
 from frgc.bitcoder import GolombParam
+
+
+def code_length(m_value: int, g: GolombParam) -> int:
+    """Total codeword length in bits for mapped residual m_value."""
+    if m_value < 0:
+        raise ValueError(f"mapped residual must be non-negative, got {m_value}")
+    j, k = divmod(m_value, g.m)
+    return j + 1 + (g.bits - 1 if k < g.threshold else g.bits)
 
 
 class BitSink:

@@ -21,9 +21,11 @@ from frgc.analysis import (
     lookup_m,
     phi_root,
 )
-from frgc.bitcoder import GolombParam, code_length
+from frgc.bitcoder import GolombParam
 from frgc.codec import StreamHeader, decode_stream, encode_stream
 from frgc.qmap import Precision
+
+from bitsink import code_length
 
 
 @contextmanager

@@ -25,6 +25,8 @@ from frgc.analysis import (
     redundancy_percent,
 )
 
+from bitsink import code_length
+
 
 # --- density ----------------------------------------------------------------
 
@@ -105,7 +107,7 @@ def bit_level_length(eps: float, m: int, tau: int) -> int:
     assert abs(r - eps * tau) < 1e-9, "oracle needs lattice-aligned eps"
     value = qmap.map_by_cases(*divmod(r, tau), tau)
     assert value == qmap.map_residual(r, tau)
-    return bitcoder.code_length(value, bitcoder.GolombParam(m))
+    return code_length(value, bitcoder.GolombParam(m))
 
 
 def test_interval_examples_against_bit_oracle():
@@ -275,7 +277,7 @@ def test_golomb_mstar_minimizes_expected_length():
         for m in range(1, 65):
             g = bitcoder.GolombParam(m)
             expected = float(
-                np.dot(probs, [bitcoder.code_length(n, g) for n in range(horizon)])
+                np.dot(probs, [code_length(n, g) for n in range(horizon)])
             )
             lengths[m] = expected
             if best is None or expected < lengths[best] - 1e-12:

@@ -9,10 +9,9 @@ from frgc.bitcoder import (
     BitSource,
     CorruptStreamError,
     GolombParam,
-    code_length,
 )
 
-from bitsink import BitSink
+from bitsink import BitSink, code_length
 
 
 def bits_of(data: bytes, nbits: int) -> str:

@@ -26,7 +26,7 @@ from frgc.codec import (
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN, Precision, round_prediction
 
-from bitsink import BitSink
+from bitsink import BitSink, code_length
 
 
 def payload_of(data: bytes) -> bytes:
@@ -276,7 +276,7 @@ def test_payload_length_matches_code_lengths_fixed():
         total = 0
         for x, p in zip(xs, preds):
             n = round_prediction(p, Precision(rho, tau))
-            total += bitcoder.code_length(
+            total += code_length(
                 qmap.map_residual(qmap.residual(x, n, tau), tau), g)
         assert len(payload_of(data)) == (total + 7) // 8
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frgc import codec
+from frgc import codec, predictor
 from frgc.bitcoder import CorruptStreamError, GolombParam
 from frgc.codec import (
     HEADER_SIZE,
@@ -77,6 +77,21 @@ def test_lpc_streams_match_golden_bytes():
         data = encode_stream(xs, header)
         assert normalised_digest(data) == want[name], name
         assert decode_stream(data) == xs, name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batch_encoder_writes_the_loops_bytes(mode, monkeypatch):
+    # the golden pool, and 24-bit signals at refit intervals from every
+    # symbol to never
+    streams = [v for k, v in golden_streams().items() if k.startswith(mode + " ")]
+    rng = np.random.default_rng(8)
+    for cfg in ((3, 200, 1), (6, 1000, 4096), (1, 1, 1), (16, 40, 7)):
+        xs = np.cumsum(rng.integers(-20000, 20001, 5000)).clip(-(1 << 23), 1 << 23)
+        streams.append((xs.tolist(), StreamHeader(rho=1, tau=8, lpc=LpcConfig(*cfg),
+                                                  **MODES[mode])))
+    batch = [encode_stream(xs, header) for xs, header in streams]
+    monkeypatch.setattr(codec, "_lpc_predictions", predictor.loop_predictions)
+    assert batch == [encode_stream(xs, header) for xs, header in streams]
 
 
 def test_v2_lpc_stream_rejected():

@@ -1,11 +1,13 @@
 """Windowed least-squares predictor: sliding exact sums against oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgc import predictor
+from frgc import codec, predictor
 from frgc.predictor import (
     LpcConfig,
     LpcState,
@@ -309,25 +311,53 @@ def solve_bits(solve, a, b):
     return None if out is None else [float.hex(v) for v in out]
 
 
+def stacked_bits(systems):
+    """predictor._solve_stacked on every (a, b) of systems in one stack, as
+    solve_bits gives each: None where the stack says singular."""
+    count, n = len(systems), len(systems[0][1])
+    a = np.array([a for a, _ in systems], dtype=np.float64).reshape(count, n, n)
+    b = np.array([b for _, b in systems], dtype=np.float64).reshape(count, n)
+    out, singular = predictor._solve_stacked(a, b)
+    return [None if bad else [float.hex(v) for v in row]
+            for row, bad in zip(out.tolist(), singular)]
+
+
+def stacked_solve(a, b):
+    """predictor._solve_stacked on a stack of one, None where singular."""
+    got = stacked_bits([(a, b)])[0]
+    return None if got is None else [float.fromhex(v) for v in got]
+
+
 def assert_solves_alike(a, b):
     got = solve_bits(predictor._solve, a, b)
     assert got == solve_bits(oracle_solve, a, b)
+    assert got == solve_bits(stacked_solve, a, b)
     return got
 
 
 @pytest.mark.parametrize("order", range(1, 9))
 def test_solve_bit_identical_on_random_symmetric_matrices(order):
     rng = np.random.default_rng(order)
+    systems, want = [], []
     for _ in range(60):
         # normal equations of integer samples, as fit builds them
         x = rng.integers(-(1 << 15), 1 << 15, (order + 20, order))
         a = (x.T @ x).astype(float).tolist()
         b = rng.integers(-(1 << 40), 1 << 40, order).astype(float).tolist()
-        assert assert_solves_alike(a, b) is not None
+        systems.append((a, b))
+        want.append(assert_solves_alike(a, b))
+        assert want[-1] is not None
         # symmetric but indefinite, so rows are swapped all through
         g = rng.standard_normal((order, order)) * 10.0 ** rng.integers(-3, 4)
         a = (g + g.T).tolist()
-        assert_solves_alike(a, rng.standard_normal(order).tolist())
+        systems.append((a, rng.standard_normal(order).tolist()))
+        want.append(assert_solves_alike(*systems[-1]))
+    # singular systems among them, each pivoting on its own rows
+    systems[5:5] = [([[0.0] * order] * order, [1.0] * order),
+                    ([[1.0] * order] * order, [2.0] * order)]
+    want[5:5] = [solve_bits(predictor._solve, a, b) for a, b in systems[5:7]]
+    assert want[5] is None and (want[6] is None) == (order > 1)
+    assert stacked_bits(systems) == want
 
 
 def test_solve_bit_identical_on_row_swaps_and_pivot_ties():
@@ -338,11 +368,14 @@ def test_solve_bit_identical_on_row_swaps_and_pivot_ties():
         ([[0.0, 1.0, 1.0], [2.0, 2.0, 1.0], [2.0, 1.0, 3.0]], [3.0, 1.0, 4.0]),
         ([[0.0, 4.0], [4.0, 0.0]], [1.0, -1.0]),  # a zero pivot swaps
         ([[5.0, 5.0, 5.0], [5.0, 6.0, 7.0], [5.0, 7.0, 9.5]], [1.0, 0.0, -1.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [-1.0, -0.0]),  # a zero factor updates nothing
     ]
     swapped = [assert_solves_alike(a, b) for a, b in cases]
     assert None not in swapped
     # pivoting on the second row of the tie would end in another last bit
     assert swapped[1] == [float.hex(-2.8333333333333335), float.hex(2.3333333333333335)]
+    # -0.0 - 0.0 * -1.0 would be +0.0
+    assert swapped[-1] == [float.hex(-1.0), float.hex(-0.0)]
 
 
 def test_solve_refuses_singular_and_near_tol_matrices():
@@ -357,4 +390,135 @@ def test_solve_refuses_singular_and_near_tol_matrices():
         assert assert_solves_alike(a, b) is None
     above = np.nextafter(tol, 1.0)
     assert assert_solves_alike([[1.0, 0.0], [0.0, above]], [1.0, 1.0]) is not None
+    # tol scales with the matrix, not with b
+    assert assert_solves_alike([[1.0, 0.0], [0.0, 1e-9]], [1e3, 1.0]) is not None
     assert assert_solves_alike([], []) == []
+
+
+# --- batch_predictions against the LpcState loop ------------------------------
+
+def assert_batch_matches_loop(xs, cfg):
+    xs = np.asarray(xs, dtype=np.int64)
+    assert predictor.sums_fit_int64(xs, cfg.window)
+    got = predictor.batch_predictions(xs, cfg)
+    want = predictor.loop_predictions(xs, cfg)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def walk(seed, n, step=900):
+    rng = np.random.default_rng(seed)
+    return np.clip(np.cumsum(rng.integers(-step, step + 1, n)), -(1 << 15), 1 << 15)
+
+
+@pytest.fixture(params=["default", "one fit"])
+def blocks(request, monkeypatch):
+    """Blocks as batch_predictions sizes them, or of a single fit each."""
+    if request.param == "one fit":
+        monkeypatch.setattr(predictor, "_BLOCK_BYTES", 1)
+    return request.param
+
+
+@pytest.mark.parametrize("order", range(1, 33))
+def test_batch_matches_loop_at_window_1(order, blocks):
+    n = order + 70
+    for refit in (1, 3, n + 7):  # one-fit blocks are shorter than 3
+        cfg = LpcConfig(order, 1, refit)
+        assert (predictor._block_span(cfg) < refit) == (blocks == "one fit" and refit > 1)
+        assert_batch_matches_loop(walk(order, n), cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    LpcConfig(1, 1, 1), LpcConfig(2, 16, 16), LpcConfig(4, 64, 32),
+    LpcConfig(8, 3, 5), LpcConfig(3, 40, 1000),
+], ids=str)
+def test_batch_matches_loop_around_warmup(cfg, blocks):
+    for n in (0, 1, cfg.warmup - 1, cfg.warmup, cfg.warmup + 1, cfg.warmup + 40):
+        assert_batch_matches_loop(walk(n, n), cfg)
+
+
+def test_batch_fits_on_a_blocks_last_position(monkeypatch):
+    monkeypatch.setattr(predictor, "_BLOCK_BYTES", 48)  # one 2x2 system
+    cfg = LpcConfig(2, 3, 2)
+    span = predictor._block_span(cfg)
+    assert span == 2  # blocks [0, 2), [2, 4), ...: fits at 5, 7, ... end one
+    assert all((t + 1) % span == 0 for t in range(cfg.warmup, 60, cfg.refit_interval))
+    assert_batch_matches_loop(walk(5, 60), cfg)
+
+
+def test_batch_keeps_coefficients_through_all_zero_windows(blocks):
+    # zeros before the first fit (the identity), then a signal (good fits),
+    # then zeros for many windows and blocks (singular: the last good fit)
+    cfg = LpcConfig(3, 8, 2)
+    xs = np.concatenate((np.zeros(30, dtype=np.int64), walk(9, 40),
+                         np.zeros(700, dtype=np.int64), walk(10, 30)))
+    assert_batch_matches_loop(xs, cfg)
+    state = LpcState(cfg)
+    for x in xs[:cfg.warmup].tolist():
+        state.push(x)
+    assert state.refit() == identity_coefficients(3)
+
+
+@given(order=st.integers(1, 10), window=st.integers(1, 40),
+       refit=st.integers(1, 60), n=st.integers(0, 400), bits=st.sampled_from([3, 16, 24]),
+       seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2048, 1 << 20]))
+@settings(max_examples=120, deadline=None)
+def test_batch_matches_loop_on_random_configs(order, window, refit, n, bits, seed, block):
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), n)
+    xs[rng.random(n) < 0.3] = 0
+    old = predictor._BLOCK_BYTES
+    predictor._BLOCK_BYTES = block
+    try:
+        assert_batch_matches_loop(xs, LpcConfig(order, window, refit))
+    finally:
+        predictor._BLOCK_BYTES = old
+
+
+def test_int64_rule_at_its_edge():
+    top = 3037000499  # the largest x with x*x < 2**63
+    assert top * top < 1 << 63 <= (top + 1) ** 2
+    assert predictor.sums_fit_int64(np.array([top, -top]), 1)
+    assert not predictor.sums_fit_int64(np.array([top + 1]), 1)
+    assert not predictor.sums_fit_int64(np.array([-top - 1]), 1)
+    assert predictor.sums_fit_int64(np.array([(1 << 31) - 1]), 2)
+    assert not predictor.sums_fit_int64(np.array([-(1 << 31)]), 2)
+    assert predictor.sums_fit_int64(np.array([1 << 23]), 65535)
+    assert predictor.sums_fit_int64(np.array([], dtype=np.int64), 65535)
+    # just inside the rule, products and their differences wrap int64 on
+    # the way, and the sums still come out exact
+    rng = np.random.default_rng(4)
+    assert_batch_matches_loop(rng.choice([-top, top, 0, 1], 300), LpcConfig(3, 1, 1))
+    assert_batch_matches_loop(rng.integers(-top, top + 1, 300), LpcConfig(5, 1, 3))
+    assert_batch_matches_loop(rng.integers(-(1 << 31) + 1, 1 << 31, 300),
+                              LpcConfig(2, 2, 1))
+
+
+def test_32_bit_input_past_the_rule_takes_the_loop(monkeypatch):
+    def refuse(xs, cfg):
+        raise AssertionError("batch_predictions ran past the int64 rule")
+
+    monkeypatch.setattr(predictor, "batch_predictions", refuse)
+    rng = np.random.default_rng(6)
+    xs = rng.choice([-(1 << 31), (1 << 31) - 1, 0, 5], 200)
+    for cfg in (LpcConfig(2, 2, 1), LpcConfig(3, 16, 4)):
+        assert not predictor.sums_fit_int64(xs, cfg.window)
+        got = codec._lpc_predictions(xs, cfg)
+        want = np.array(oracle_run(xs.tolist(), cfg, exact_fit)[0])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("nblocks, window", [(8, 1024), (16, 1024), (8, 2048), (16, 2048)])
+def test_batch_memory_does_not_grow_with_length_or_window(nblocks, window):
+    # An unblocked stack of order-32 normal equations takes 8.4 KB per fit,
+    # 8 to 17 MB at these lengths.
+    cfg = LpcConfig(32, window, 1)
+    n = cfg.warmup + nblocks * predictor._block_span(cfg)
+    xs = walk(window, n).astype(np.int64)
+    tracemalloc.start()
+    try:
+        out = codec._lpc_predictions(xs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 6 << 20
