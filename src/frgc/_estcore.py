@@ -8,6 +8,9 @@ int->float conversion and division are correctly rounded under IEEE 754,
 so encoder and decoder pick the same m on every platform.  The compiled
 kernel copies LOG_BOUNDARIES when it is imported and mirrors the same
 two-cast expression in C.
+
+run steps the estimator over an array of symbols at once; the whole-array
+encoder, the speculative decoder and the codec's trace all call it.
 """
 
 from __future__ import annotations
@@ -97,3 +100,17 @@ def running_sums(before, inc: np.ndarray, raw: bool) -> np.ndarray:
     if full.any():
         sums[int(np.argmax(full)):] = EST_SATURATION
     return sums.astype(np.int64)
+
+
+def run(t: int, s, inc: np.ndarray, tau: int, raw: bool):
+    """The estimator over symbols t, t + 1, ... whose increments are inc,
+    from the sum s before symbol t.
+
+    Returns (sums, ms): the sum after each symbol, and the m of each
+    symbol followed by the m after the last, len(inc) + 1 values.  raw
+    selects the float |x - xhat| sum, which select_m reads with tau=1.
+    """
+    sums = running_sums(s, inc, raw)
+    ms = select_m_array(np.arange(t, t + sums.size + 1),
+                        np.concatenate(([s], sums)), 1 if raw else tau)
+    return sums, ms

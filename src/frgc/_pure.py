@@ -42,9 +42,10 @@ arithmetic stays exact.
 Here golomb_encode, golomb_decode and adaptive_encode work on whole
 arrays: every codeword of a fixed-m stream depends on its own symbol
 only, and the encoder knows every adaptive m in advance (the running
-sums give them all at once: _estcore.running_sums, select_m_array).  The encoders take
+sums give them all at once: _estcore.run).  The encoders take
 BLOCK_SYMBOLS symbols at a time and pack at most BLOCK_BITS bits at a
-time; the decoders read WINDOW_BITS payload bits at a time, growing a
+time.  Every decoder that parses ahead does so through parse_ahead,
+which reads at most WINDOW_BITS payload bits at a time and widens a
 window only to fit one codeword of at most MAX_RUN + ceil(lg m) + 1
 bits.  So, besides its input and output, a call holds a bounded amount
 of memory, whatever the stream's length.
@@ -52,11 +53,9 @@ of memory, whatever the stream's length.
 adaptive_decode cannot know an m before the symbols ahead of it, but m
 seldom changes, so it guesses: once m has held for SETTLE_SYMBOLS
 symbols, it parses a window of codewords under that m as golomb_decode
-does (at most WINDOW_BITS of them, all a window's bits can hold), runs
-the estimator over the symbols they unmap to, and keeps them up to the
-first whose successor select_m gives another m (_speculate).
-Until then, and for a codeword longer than a window, it reads one
-codeword at a time.
+does, runs the estimator over the symbols they unmap to, and keeps them
+up to the first whose successor select_m gives another m (_speculate).
+Until then it reads one codeword at a time.
 """
 
 from __future__ import annotations
@@ -66,12 +65,7 @@ import sys
 
 import numpy as np
 
-from frgc._estcore import (
-    EST_SATURATION as _SAT,
-    running_sums,
-    select_m,
-    select_m_array,
-)
+from frgc._estcore import EST_SATURATION as _SAT, run, select_m
 from frgc.bitcoder import (
     M_MAX,
     MAX_RUN,
@@ -202,15 +196,12 @@ def adaptive_encode(ms, increments, raw, tau):
     increments = _values(increments, np.float64 if raw else np.int64, n, "increments")
     _in_range("tau", tau, TAU_MAX)
     packer = _Packer()
-    s = 0.0 if raw else 0  # the sum over the symbols before the block
+    s = 0  # the sum over the symbols before the block
     for lo in range(0, n, BLOCK_SYMBOLS):
         values = ms[lo:lo + BLOCK_SYMBOLS]
-        hi = lo + values.size
-        after = running_sums(s, increments[lo:hi], raw)
-        m = select_m_array(np.arange(lo, hi), np.concatenate(([s], after[:-1])),
-                           1 if raw else tau)
-        packer.write(values, m)
-        s = after[-1].item()
+        sums, m = run(lo, s, increments[lo:lo + values.size], tau, raw)
+        packer.write(values, m[:-1])
+        s = sums[-1].item()
     return packer.finish(), packer.bit_length
 
 
@@ -221,24 +212,13 @@ def golomb_decode(payload, count, m):
     out = _output(count, 8 * data.size)
     filled = np.frombuffer(out, np.int64)
     done = pos = 0
-    window = WINDOW_BITS
-    longest = MAX_RUN + g.bits + 2  # a window this long holds any legal codeword
     while done < count:
-        left = 8 * data.size - pos
-        if left <= 0:
-            raise _end_of_stream()
-        size = min(window, left)
-        decoded = _decode_window(data, pos, size, g, count - done, size == left)
-        if decoded is None:  # the next codeword is longer than the window
-            window = min(2 * window, max(longest, WINDOW_BITS))
-            continue
-        values, ends, error = decoded
+        values, ends, error = parse_ahead(data, pos, g, count - done)
         if error is not None:
             raise error
         filled[done:done + values.size] = values
         done += values.size
         pos += int(ends[-1])
-        window = WINDOW_BITS
     return out
 
 
@@ -318,19 +298,32 @@ def _decode_window(data, pos, size, g, want, final):
     return values, ends, error
 
 
-def parse_ahead(data, pos, g, want, rate=None):
-    """_decode_window for up to ``want`` codewords under g from bit pos.
+def parse_ahead(data, pos, g, left, held=0, held_bits=0):
+    """_decode_window's (values, ends, error) for the codewords under g
+    from bit pos, of which ``left`` remain in the stream.
 
-    The window is WINDOW_BITS, or the rest of the payload; given ``rate``,
-    the bits a codeword has taken so far, it is cut to a little more than
-    ``want`` such codewords, so that a guess that m holds parses no more
-    than it is likely to keep.
+    For a fixed m (held = 0) it parses up to ``left`` codewords in a
+    window of WINDOW_BITS bits.  For an adaptive m that has held for
+    ``held`` symbols, which took ``held_bits`` bits, it guesses that m
+    holds for max(held, AHEAD_SYMBOLS) more, and cuts the window to a
+    little more than that many codewords at the rate so far, so that a
+    guess parses no more than it is likely to keep.  A window holds at
+    most one codeword per bit, so no count exceeds WINDOW_BITS.  While
+    the first codeword runs past the window, and more payload follows,
+    the window doubles, up to one that holds any legal codeword.  So
+    the result holds a codeword or the error that ends the codewords.
     """
-    left = 8 * data.size - pos
-    size = min(left, WINDOW_BITS)
-    if rate is not None:
-        size = min(size, int(1.25 * rate * want) + 64)
-    return _decode_window(data, pos, size, g, want, size == left)
+    want, size = min(left, WINDOW_BITS), WINDOW_BITS
+    if held:
+        want = min(want, max(held, AHEAD_SYMBOLS))
+        size = min(size, int(1.25 * held_bits / held * want) + 64)
+    rest = 8 * data.size - pos
+    while True:
+        size = min(size, rest)
+        decoded = _decode_window(data, pos, size, g, want, size == rest)
+        if decoded is not None:
+            return decoded
+        size = min(2 * size, max(MAX_RUN + g.bits + 2, WINDOW_BITS))
 
 
 def _read_codeword(text, p, g, final):
@@ -363,35 +356,30 @@ def _read_codeword(text, p, g, final):
 _golomb = functools.cache(GolombParam)  # adaptive decode switches among few m
 
 
-def _speculate(data, pos, g, i, want, rate, pred_n, pred_x, tau, raw, s, lo, hi):
-    """Symbols i, i + 1, ... decoded at once, as long as their m stays g.m.
+def _speculate(window, m, i, pred_n, pred_x, tau, raw, s, lo, hi):
+    """Symbols i, i + 1, ... decoded at once, as long as their m stays m.
 
-    Parses up to ``want`` codewords from bit ``pos`` under g, about
-    ``rate`` bits each, as if m held for all of them; unmaps them, runs
-    the estimator from sum ``s`` over them and keeps the prefix up to the
-    first symbol after which select_m leaves g.m.  Every kept symbol was
-    decoded under its own m, so only a kept codeword or symbol raises, and
-    it raises what the loop over symbols would.  Returns (symbols, bits
-    they take, sum after them, m of the next symbol), or None when the
-    window holds no codeword or symbol i's numerator is past unmap_array's
-    range.
+    ``window`` is parse_ahead's parse from symbol i's codeword on under
+    m, as if m held for all of them.  Unmaps its codewords, runs the
+    estimator from sum ``s`` over them and keeps the prefix up to the
+    first symbol after which select_m leaves m.  Every kept symbol was
+    decoded under its own m, so only a kept codeword or symbol, or the
+    one after them under m, raises, and it raises what the loop over
+    symbols would.  Returns (symbols, bits they take, sum after them, m
+    of the next symbol).
     """
-    n = pred_n[i:i + want]
+    values, ends, error = window
+    n = pred_n[i:i + values.size]
     wide = (n <= -_NUMERATOR_LIMIT) | (n >= _NUMERATOR_LIMIT)
-    if wide.any():
-        n = n[:int(np.argmax(wide))]
-        if not n.size:
-            return None
-    decoded = parse_ahead(data, pos, g, n.size, rate)
-    if decoded is None:
-        return None
-    values, ends, error = decoded
+    if wide.any():  # the loop over symbols reads its codeword, then refuses it
+        k = int(np.argmax(wide))
+        values, n = values[:k], n[:k]
+        error = ValueError("prediction numerator out of range")
     k = values.size
-    xs = unmap_array(values, n[:k], tau)
-    inc = np.abs(xs - pred_x[i:i + k]) if raw else np.abs(tau * xs - n[:k])
-    sums = running_sums(s, inc, raw)
-    ms = select_m_array(np.arange(i + 1, i + k + 1), sums, 1 if raw else tau)
-    switch = np.flatnonzero(ms != g.m)
+    xs = unmap_array(values, n, tau)
+    inc = np.abs(xs - pred_x[i:i + k]) if raw else np.abs(tau * xs - n)
+    sums, ms = run(i, s, inc, tau, raw)
+    switch = np.flatnonzero(ms[1:] != m)
     keep = int(switch[0]) + 1 if switch.size else k
     bad = np.flatnonzero((xs[:keep] < lo) | (xs[:keep] > hi))
     if bad.size:
@@ -399,7 +387,7 @@ def _speculate(data, pos, g, i, want, rate, pred_n, pred_x, tau, raw, s, lo, hi)
         raise symbol_out_of_range(i + j, int(xs[j]), lo, hi)
     if keep == k and error is not None:
         raise error
-    return xs[:keep], int(ends[keep - 1]), sums[keep - 1].item(), int(ms[keep - 1])
+    return xs[:keep], int(ends[keep - 1]), sums[keep - 1].item(), int(ms[keep])
 
 
 def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
@@ -427,20 +415,17 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     text, base = b"", 0
     while i < count:
         if held >= SETTLE_SYMBOLS:
-            # a window of WINDOW_BITS bits holds at most WINDOW_BITS codewords
-            want = min(count - i, max(held, AHEAD_SYMBOLS), WINDOW_BITS)
-            step = _speculate(data, pos, g, i, want, (pos - run_pos) / held,
-                              n_values, x_values, tau, raw, s, lo, hi)
-            if step is not None:
-                xs, used, s, m2 = step
-                filled[i:i + xs.size] = xs
-                i += xs.size
-                pos += used
-                if m2 == m:
-                    held += xs.size
-                else:
-                    m, held, run_pos, g = m2, 0, pos, _golomb(m2)
-                continue
+            window = parse_ahead(data, pos, g, count - i, held, pos - run_pos)
+            xs, used, s, m2 = _speculate(window, m, i, n_values, x_values,
+                                         tau, raw, s, lo, hi)
+            filled[i:i + xs.size] = xs
+            i += xs.size
+            pos += used
+            if m2 == m:
+                held += xs.size
+            else:
+                m, held, run_pos, g = m2, 0, pos, _golomb(m2)
+            continue
         # one codeword
         read = _read_codeword(text, pos - base, g, base + len(text) == nbits)
         if read is None:  # the text ends inside the codeword: read on from it

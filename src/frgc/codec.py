@@ -252,11 +252,9 @@ def _estimator_trace(xs: np.ndarray, pred: np.ndarray, numerators: np.ndarray,
     increments = np.abs(xs - pred) if raw else np.abs(header.tau * xs - numerators)
     if not collect_trace:
         return increments, None
-    n = increments.size
-    sums = _estcore.running_sums(0.0 if raw else 0, increments, raw)
-    before = np.concatenate(([0], sums))[:-1]
-    ms = _estcore.select_m_array(np.arange(n), before, 1 if raw else header.tau)
-    return increments, list(zip(ms.tolist(), range(1, n + 1), sums.tolist()))
+    sums, ms = _estcore.run(0, 0, increments, header.tau, raw)
+    return increments, list(zip(ms[:-1].tolist(), range(1, sums.size + 1),
+                                sums.tolist()))
 
 
 def encode_stream(xs, header: StreamHeader, predictions=None,
@@ -270,11 +268,14 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     unary run over bitcoder.MAX_RUN bits, which decode_stream refuses,
     raises ValueError.
     """
-    arr = np.asarray(xs, dtype=np.int64)
+    arr = np.asarray(xs)
+    if arr.size and arr.dtype.kind not in "biu":  # a cast would change the symbols
+        raise ValueError(f"expected integer symbols, got dtype {arr.dtype}")
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D symbol sequence, got shape {arr.shape}")
+    _check_symbols(arr, header.alphabet_q)  # before the cast, which would wrap uint64
+    arr = arr.astype(np.int64, copy=False)
     n = int(arr.size)
-    _check_symbols(arr, header.alphabet_q)
     header = replace(header, count=n)
 
     if header.lpc is not None:
@@ -312,12 +313,12 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
     window of codewords is parsed under it (_pure.parse_ahead) and each
     is unmapped against its own prediction in turn, up to the first
     symbol after which select_m gives another m; decoding resumes after
-    the last codeword used.  In the cold start, and for a codeword longer
-    than a window, decode_symbol reads one codeword from a BitSource at
-    the same bit offset.  Every symbol is decoded under its own m, and
-    errors are those of a loop over symbols: the window's trailing error
-    is raised only when the symbol whose codeword it could not read comes
-    up under the m it was parsed with.
+    the last codeword used.  In the cold start decode_symbol reads one
+    codeword from a BitSource at the same bit offset.  Every symbol is
+    decoded under its own m, and errors are those of a loop over
+    symbols: the window's trailing error is raised only when the symbol
+    whose codeword it could not read comes up under the m it was parsed
+    with.
     """
     cfg = header.lpc
     prec = header.precision
@@ -347,24 +348,18 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
         xhat = state.predict()
         preds.append(xhat)
         n = qmap.round_prediction(xhat, prec)
-        if k == len(values):
-            if error is not None:
-                raise error
-            values, k, window = [], 0, None
-            if not adaptive:  # a window of WINDOW_BITS holds at most that many codewords
-                want = min(count - t, _pure.WINDOW_BITS)
-                window = _pure.parse_ahead(data, pos, g, want)
-            elif held >= _pure.SETTLE_SYMBOLS:
-                want = min(count - t, max(held, _pure.AHEAD_SYMBOLS), _pure.WINDOW_BITS)
-                window = _pure.parse_ahead(data, pos, g, want, (pos - run_pos) / held)
-            if window is not None:
-                parsed, offsets, error = window
-                values = parsed.tolist()
-                ends = (offsets + pos).tolist()
+        if (k == len(values) and error is None
+                and (not adaptive or held >= _pure.SETTLE_SYMBOLS)):
+            # held stays 0 in fixed mode, which parse_ahead reads as a fixed m
+            parsed, offsets, error = _pure.parse_ahead(data, pos, g, count - t,
+                                                       held, pos - run_pos)
+            values, ends, k = parsed.tolist(), (offsets + pos).tolist(), 0
         if k < len(values):
             x = qmap.unmap(values[k], n, tau)
             pos = ends[k]
             k += 1
+        elif error is not None:
+            raise error
         else:
             src.position = pos
             x = decode_symbol(n, tau, g, src)

@@ -613,6 +613,17 @@ def test_encode_rejects_bad_shapes():
         encode_stream([1, 2], h, predictions=[0.0])
     with pytest.raises(ValueError):
         encode_stream([1], h, predictions=[float("nan")])
+    # only integer and bool symbols: a cast would change any other kind
+    for xs, dtype in (([1.5, 2.7], "float64"), (np.array([1.9, -0.5]), "float64"),
+                      (["3", "4"], "<U1"), (np.array([2.0], np.float32), "float32")):
+        with pytest.raises(ValueError, match=f"dtype {dtype}"):
+            encode_stream(xs, h, predictions=[0.0] * len(xs))
+    # a uint64 past int64 is out of range, not wrapped to a small negative
+    with pytest.raises(ValueError):
+        encode_stream(np.array([2**64 - 5], np.uint64), h, predictions=[0.0])
+    for xs in ([], np.array([True, False]), np.array([3, 4], np.uint8)):
+        data = encode_stream(xs, h, predictions=[0.0] * len(xs))
+        assert decode_stream(data, predictions=[0.0] * len(xs)) == [int(x) for x in xs]
 
 
 def test_encode_rejects_out_of_range_symbols():

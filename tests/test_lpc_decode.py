@@ -190,6 +190,21 @@ def test_codewords_longer_than_a_window(mode):
     assert agree(data)[:2] == ("ok", xs)
 
 
+@pytest.mark.parametrize("length", [_pure.WINDOW_BITS + 1, 4 * _pure.WINDOW_BITS,
+                                    MAX_RUN - 15])
+def test_a_codeword_longer_than_a_window_inside_a_held_run(length, settle):
+    # zeros, coded at m = 1 from the first symbol on, but for one spike
+    # whose codeword of `length` bits (a mapped value of length - 1) is
+    # the first of a window parsed under that held m
+    xs = [0] * 600
+    xs[300] = length // 2 if length % 2 else -(length // 2)
+    data, trace = encode_stream(xs, header_for(MODE_ADAPTIVE, cfg=(1, 4, 1), tau=1),
+                                collect_trace=True)
+    assert {m for m, _, _ in trace[:301]} == {1}
+    assert 8 * (len(data) - HEADER_SIZE) > length
+    assert agree(data)[:2] == ("ok", xs)
+
+
 SHORT = ar2(9, 160, 20.0)
 
 
@@ -199,6 +214,20 @@ def test_every_truncation_of_a_short_stream(name, settle):
     for cut in range(len(data)):
         assert agree(data[:cut])[0] == "raised"
     assert agree(data)[:2] == ("ok", SHORT)
+
+
+def test_fixed_mode_reads_no_codeword_with_bitsource(monkeypatch):
+    # windows cover every symbol whose m is known, and raise their own
+    # errors: a fixed-mode decode, whole or cut short, never falls back
+    # to the per-symbol reader, which only the adaptive cold start uses
+    calls = []
+    real = codec.decode_symbol
+    monkeypatch.setattr(codec, "decode_symbol", lambda *a: calls.append(a) or real(*a))
+    data = encode_stream(SHORT, replace(HEADERS["fixed"], lpc=LpcConfig(2, 8, 1)))
+    assert decode_stream(data) == SHORT
+    with pytest.raises(CorruptStreamError, match="unexpected end of stream"):
+        decode_stream(data[:-3])
+    assert not calls
 
 
 @pytest.mark.parametrize("name", sorted(HEADERS))

@@ -30,7 +30,7 @@ from frgc.bitcoder import (
 )
 from frgc._estcore import LOG_BOUNDARIES, select_m, select_m_array
 
-from bitsink import BitSink
+from bitsink import BitSink, code_length
 
 BLOCK = _pure.BLOCK_SYMBOLS
 WINDOW = _pure.WINDOW_BITS
@@ -466,11 +466,13 @@ def test_adaptive_decode_with_m_flickering_on_a_log_boundary(k, raw, decoders):
 @pytest.mark.parametrize("m", [1, 3, 13])
 def test_adaptive_decode_across_windows_and_longer_codewords(m, decoders):
     # one m held over several WINDOW_BITS, with codewords longer than a
-    # window (quotients of one, two and three windows) inside the run
+    # window (quotients of one, two and three windows, and of MAX_RUN)
+    # inside the run
     rng = np.random.default_rng(m)
     n = 3 * WINDOW // (m.bit_length() + 2)
     values = geometric(rng, n, m)
-    for at, q in ((n // 5, WINDOW + 3), (n // 2, 3 * WINDOW), (n // 2 + 1, WINDOW - 1)):
+    for at, q in ((n // 5, WINDOW + 3), (n // 2, 3 * WINDOW), (n // 2 + 1, WINDOW - 1),
+                  (4 * n // 5, MAX_RUN)):
         values[at] = q * m + m - 1
     sums = sums_for([m] * n, True)
     assert set(m_trace(sums, True)[1:]) == {m}
@@ -595,6 +597,30 @@ def test_decode_window_reports_the_first_bad_codeword():
         values, ends, error = _pure._decode_window(payload, 0, first + 100, g, 4, final)
         assert values.tolist() == [5, 0] and ends[-1] == first
         assert (error and str(error)) == message
+
+
+@pytest.mark.parametrize("m", [1, 13])
+def test_parse_ahead_returns_a_codeword_or_its_error(m):
+    # a first codeword longer than the window comes back from one call,
+    # whether the window is WINDOW_BITS (a fixed m) or sized from the
+    # rate of a held m, whose 2-bit codewords make it 74 bits for 4 of
+    # them; one the per-symbol reader cannot read comes back as its error
+    g = GolombParam(m)
+    extra = code_length(m - 1, g)  # the bits of a codeword past its unary run
+    for held, held_bits in ((0, 0), (300, 600)):
+        for length in (WINDOW + 1, 4 * WINDOW, MAX_RUN + extra):
+            j = length - extra
+            payload = np.frombuffer(run_payload(j, m, tail=3), np.uint8)
+            values, ends, error = _pure.parse_ahead(payload, 0, g, 4, held, held_bits)
+            assert values.tolist() == [j * m + m - 1, 0, 0, 0][:values.size]
+            assert ends[0] == length and error is None
+        cut = run_payload(4 * WINDOW, m)
+        for payload in (run_payload(MAX_RUN + 1, m, tail=3), cut[:WINDOW // 8], cut[:-1]):
+            with pytest.raises(CorruptStreamError) as expected:
+                oracle_golomb_decode(payload, 1, m)
+            values, ends, error = _pure.parse_ahead(
+                np.frombuffer(payload, np.uint8), 0, g, 4, held, held_bits)
+            assert values.size == 0 and str(error) == str(expected.value)
 
 
 def test_numerators_past_the_vector_unmap(decoders):
