@@ -211,10 +211,14 @@ def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> np.ndarray:
 
 def _prediction_array(predictions, n: int, mismatch=ValueError) -> np.ndarray:
     """The predictions as float64, all zero if None; a count that is not n
-    raises mismatch."""
+    raises mismatch.  Only bool, integer and float predictions are taken:
+    the cast would parse strings and fail on complex numbers."""
     if predictions is None:
         return np.zeros(n, dtype=np.float64)
-    pred = np.ascontiguousarray(predictions, dtype=np.float64)
+    pred = np.asarray(predictions)
+    if pred.dtype.kind not in "biuf":
+        raise ValueError(f"expected real predictions, got dtype {pred.dtype}")
+    pred = np.ascontiguousarray(pred, dtype=np.float64)
     if pred.ndim != 1:
         raise ValueError(f"expected 1-D predictions, got shape {pred.shape}")
     if pred.size != n:
@@ -307,32 +311,37 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
     """Lpc-mode decode: the symbols and their predictions.
 
     Symbol t's prediction is fit from the symbols before it, so symbols
-    are decoded in order, but their codewords need not be read one at a
-    time.  Where m holds (in fixed mode from the first symbol, in
-    adaptive mode once it has held for _pure.SETTLE_SYMBOLS symbols), a
-    window of codewords is parsed under it (_pure.parse_ahead) and each
-    is unmapped against its own prediction in turn, up to the first
-    symbol after which select_m gives another m; decoding resumes after
-    the last codeword used.  In the cold start decode_symbol reads one
-    codeword from a BitSource at the same bit offset.  Every symbol is
-    decoded under its own m, and errors are those of a loop over
-    symbols: the window's trailing error is raised only when the symbol
-    whose codeword it could not read comes up under the m it was parsed
-    with.
+    are decoded in order, one refit span at a time: LpcState.span gives
+    the coefficients in force and the position of the next refit, and
+    until then one loop predicts in predict_at's order over the state's
+    history, rounds, takes the codeword, unmaps, checks the range, appends
+    the symbol to the history and steps the estimator.  The codewords need
+    not be read one at a time.  Where m holds (in fixed mode from the
+    first symbol, in adaptive mode once it has held for
+    _pure.SETTLE_SYMBOLS symbols), a window of codewords is parsed under
+    it (_pure.parse_ahead) and each is unmapped against its own
+    prediction in turn, up to the first symbol after which select_m gives
+    another m; decoding resumes after the last codeword used.  In the cold
+    start decode_symbol reads one codeword from a BitSource at the same
+    bit offset.  Every symbol is decoded under its own m, and errors are
+    those of a loop over symbols: the window's trailing error is raised
+    only when the symbol whose codeword it could not read comes up under
+    the m it was parsed with.
     """
-    cfg = header.lpc
     prec = header.precision
     tau = header.tau
     count = header.count
     adaptive = header.mode == MODE_ADAPTIVE
     raw = header.raw_error_estimator
     scale = 1 if raw else tau  # select_m's tau
+    select_m, saturation = _estcore.select_m, _estcore.EST_SATURATION
+    settle = _pure.SETTLE_SYMBOLS
     lo, hi = _symbol_range(header.alphabet_q)
     data = np.frombuffer(payload, np.uint8)
     src = BitSource(payload)
-    out: list[int] = []
     preds: list[float] = []
-    state = predictor.LpcState(cfg)
+    state = predictor.LpcState(header.lpc)
+    history = state.history
     s = 0.0 if raw else 0
     m = 1 if adaptive else header.m
     g = GolombParam(m)
@@ -344,45 +353,53 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
     ends: list[int] = []
     error = None
     k = 0
-    for t in range(count):
-        xhat = state.predict()
-        preds.append(xhat)
-        n = qmap.round_prediction(xhat, prec)
-        if (k == len(values) and error is None
-                and (not adaptive or held >= _pure.SETTLE_SYMBOLS)):
-            # held stays 0 in fixed mode, which parse_ahead reads as a fixed m
-            parsed, offsets, error = _pure.parse_ahead(data, pos, g, count - t,
-                                                       held, pos - run_pos)
-            values, ends, k = parsed.tolist(), (offsets + pos).tolist(), 0
-        if k < len(values):
-            x = qmap.unmap(values[k], n, tau)
-            pos = ends[k]
-            k += 1
-        elif error is not None:
-            raise error
-        else:
-            src.position = pos
-            x = decode_symbol(n, tau, g, src)
-            pos = src.position
-        if not lo <= x <= hi:
-            raise symbol_out_of_range(t, x, lo, hi)
-        state.push(x)
-        out.append(x)
-        if not adaptive:
-            continue
-        if raw:
-            s += abs(x - xhat)
-        else:
-            s += abs(tau * x - n)
-            if s > _estcore.EST_SATURATION:
-                s = _estcore.EST_SATURATION
-        m2 = _estcore.select_m(t + 1, s, scale)
-        if m2 == m:
-            held += 1
-        else:
-            m, g, held, run_pos = m2, GolombParam(m2), 0, pos
-            values, error, k = [], None, 0
-    return out, preds
+    t = 0
+    while t < count:
+        coeffs, refit_at = state.span()
+        stop = min(refit_at, count)
+        for t in range(t, stop):
+            xhat = 0.0
+            i = len(history)
+            for c in coeffs:
+                i -= 1
+                xhat += c * history[i]
+            preds.append(xhat)
+            n = qmap.round_prediction(xhat, prec)
+            if (k == len(values) and error is None
+                    and (not adaptive or held >= settle)):
+                # held stays 0 in fixed mode, which parse_ahead reads as a fixed m
+                parsed, offsets, error = _pure.parse_ahead(data, pos, g, count - t,
+                                                           held, pos - run_pos)
+                values, ends, k = parsed.tolist(), (offsets + pos).tolist(), 0
+            if k < len(values):
+                x = qmap.unmap(values[k], n, tau)
+                pos = ends[k]
+                k += 1
+            elif error is not None:
+                raise error
+            else:
+                src.position = pos
+                x = decode_symbol(n, tau, g, src)
+                pos = src.position
+            if not lo <= x <= hi:
+                raise symbol_out_of_range(t, x, lo, hi)
+            history.append(x)
+            if not adaptive:
+                continue
+            if raw:
+                s += abs(x - xhat)
+            else:
+                s += abs(tau * x - n)
+                if s > saturation:
+                    s = saturation
+            m2 = select_m(t + 1, s, scale)
+            if m2 == m:
+                held += 1
+            else:
+                m, g, held, run_pos = m2, GolombParam(m2), 0, pos
+                values, error, k = [], None, 0
+        t = stop
+    return history[len(history) - count:], preds
 
 
 def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):

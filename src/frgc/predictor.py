@@ -13,7 +13,13 @@ exact and ``float(int)`` rounds correctly, so the matrix handed to the
 solver depends only on the symbols, never on an order of summation;
 encoder and decoder agree bit for bit on every platform with IEEE 754
 doubles, for any 32-bit input (window sums of 32-bit products reach
-2**78, past where float sums are exact).
+2**78, past where float sums are exact).  ``_solve`` is Gaussian
+elimination with partial pivoting; ``fit`` hands order-2 systems to
+``_solve2``, the same float operations unrolled for 2x2.
+
+A decoder predicts one refit span at a time: ``LpcState.span`` gives the
+coefficients in force from the next position on and where the next refit
+falls, so nothing is checked per symbol in between.
 
 ``batch_predictions`` is ``LpcState``'s whole-array twin for an encoder,
 which knows every symbol in advance.  It takes the window sums of a
@@ -106,6 +112,32 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float] | None:
     return out
 
 
+def _solve2(a00: float, a01: float, a10: float, a11: float,
+            b0: float, b1: float) -> list[float] | None:
+    """``_solve`` on [[a00, a01], [a10, a11]] x = [b0, b1], unrolled.
+
+    The same float operations in the same order, so the same bits: the
+    same tol, the second row as pivot only where strictly larger, no
+    update where the factor is 0.0, and the same back-substitution.
+    """
+    big, below = abs(a00), abs(a10)
+    scale = max(big, abs(a01), below, abs(a11))
+    tol = 1e-10 * scale if scale > 1.0 else 1e-10  # 1e-10 * max(1.0, scale)
+    if below > big:
+        a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
+        big = below
+    if big <= tol:
+        return None
+    f = a10 * (1.0 / a00)
+    if f != 0.0:
+        a11 -= f * a01
+        b1 -= f * b0
+    if abs(a11) <= tol:
+        return None
+    x1 = b1 / a11
+    return [(b0 - a01 * x1) / a00, x1]
+
+
 def _solve_stacked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_solve`` on a stack of systems: (solutions, singular).
 
@@ -153,14 +185,21 @@ def fit(sums: Sequence[Sequence[int]],
     each indexed by lag 0..order.  The normal equations are
     b_j = S_{j+1}(t-1) and A_jl = A_lj = S_{l-j}(t-2-j) for j <= l.  A
     singular window (constant zeros, say) keeps the previous
-    coefficients, or the identity fallback when there are none.
+    coefficients, or the identity fallback when there are none.  Order 2
+    goes to ``_solve2``, ``_solve`` unrolled.
     """
     order = len(sums) - 1
-    b = list(map(float, sums[-1][1:]))
-    a: list[list[float]] = []
-    for j in range(order):
-        a.append([row[j] for row in a] + list(map(float, sums[-2 - j][:order - j])))
-    coeffs = _solve(a, b)
+    if order == 2:
+        _, b0, b1 = sums[-1]
+        a00, a01, _ = sums[-2]
+        a01 = float(a01)
+        coeffs = _solve2(float(a00), a01, a01, float(sums[-3][0]), float(b0), float(b1))
+    else:
+        b = list(map(float, sums[-1][1:]))
+        a: list[list[float]] = []
+        for j in range(order):
+            a.append([row[j] for row in a] + list(map(float, sums[-2 - j][:order - j])))
+        coeffs = _solve(a, b)
     if coeffs is None:
         return list(previous) if previous is not None else identity_coefficients(order)
     return coeffs
@@ -176,13 +215,20 @@ def predict_at(history: Sequence[int], coeffs: Sequence[float], t: int) -> float
     return s
 
 
+_PREVIOUS = (1.0,)  # coefficients that repeat the previous sample
+
+
 class LpcState:
     """The predictor of one stream, shared by its encoder and decoder.
 
-    Call ``predict()`` for the next symbol, then ``push()`` that symbol.
     Position 0 predicts 0.0 and positions before the first full window
     repeat the previous sample; from ``cfg.warmup`` on, the coefficients
-    are refit every ``cfg.refit_interval`` symbols by ``fit``.
+    are refit every ``cfg.refit_interval`` symbols by ``fit``.  ``span()``
+    is the one definition of that schedule: it gives the coefficients that
+    predict a run of positions, in ``predict_at``'s order over
+    ``history``, and where the run ends.  A decoder predicts and appends
+    symbols to ``history`` itself until then; ``predict()`` and ``push()``
+    do the same one symbol at a time.
 
     The window sums are brought up to date only when a refit reads them:
     a gap of more than order+1 positions is crossed in one jump of exact
@@ -195,32 +241,41 @@ class LpcState:
         self.coeffs: list[float] | None = None
         self._next_fit = cfg.warmup
         # x_u sits at index u + pad; the zeros stand in for x_u, u < 0,
-        # so no window or lag reaches below index 0.
+        # so no window or lag reaches below index 0, and _PREVIOUS over
+        # them predicts 0.0 at position 0.
         self._pad = cfg.window + cfg.order + 1
-        self._history = [0] * self._pad
+        self._window, self._lags = cfg.window, cfg.order + 1
+        self.history = [0] * self._pad
         # S(s) by lag for up to order+1 positions s, newest (s = _pos)
         # last; a jump leaves older entries stale until steps push them out.
         self._pos = -1
         self._sums = deque([[0] * (cfg.order + 1)], maxlen=cfg.order + 1)
 
-    def predict(self) -> float:
-        """Prediction of the next symbol, refitting first when one is due."""
-        h = self._history
-        t = len(h) - self._pad
+    def span(self) -> tuple[Sequence[float], int]:
+        """(coeffs, end): the coefficients that predict positions t to
+        end - 1, t the next position, refitting first when one is due at t.
+
+        Before the first full window they are _PREVIOUS, which repeats the
+        previous sample.
+        """
+        t = len(self.history) - self._pad
         if t == self._next_fit:
             self.refit()
             self._next_fit += self.cfg.refit_interval
-        elif self.coeffs is None:  # before the first full window
-            return float(h[-1]) if t else 0.0
-        return predict_at(h, self.coeffs, len(h))
+        return self.coeffs or _PREVIOUS, self._next_fit
+
+    def predict(self) -> float:
+        """Prediction of the next symbol, refitting first when one is due."""
+        h = self.history
+        return predict_at(h, self.span()[0], len(h))
 
     def push(self, x: int) -> None:
         """Append the symbol just coded."""
-        self._history.append(x)
+        self.history.append(x)
 
     def refit(self) -> list[float]:
         """Fit the coefficients for the next symbol now and keep them."""
-        t = len(self._history) - self._pad
+        t = len(self.history) - self._pad
         if t < self.cfg.warmup:
             raise ValueError(f"need at least {self.cfg.warmup} samples, have {t}")
         order = self.cfg.order
@@ -234,16 +289,18 @@ class LpcState:
     def _step(self) -> None:
         """S(s) from S(s-1): add x_s*x_{s-k}, drop x_{s-W}*x_{s-W-k}."""
         self._pos += 1
-        h = self._history
+        h = self.history
         i = self._pos + self._pad
-        w, order = self.cfg.window, self.cfg.order
-        x, y = h[i], h[i - w]
-        self._sums.append([v + x * r - y * g for v, r, g in zip(
-            self._sums[-1], h[i:i - order - 1:-1], h[i - w:i - w - order - 1:-1])])
+        j = i - self._window
+        x, y = h[i], h[j]
+        lags = self._lags
+        sums = self._sums
+        sums.append([v + x * r - y * g for v, r, g in zip(
+            sums[-1], h[i:i - lags:-1], h[j:j - lags:-1])])
 
     def _jump(self, s: int) -> None:
         """S(s) from S(_pos) in one exact dot product per lag and end."""
-        h = self._history
+        h = self.history
         w = self.cfg.window
         a, b = self._pos + 1 + self._pad, s + 1 + self._pad  # add x_u, u in (_pos, s]
         self._sums.append([v + sum(map(mul, h[a:b], h[a - k:b - k]))

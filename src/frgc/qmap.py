@@ -84,7 +84,7 @@ def round_prediction(xhat: float, precision: Precision) -> int:
     >>> round_prediction(-0.625, Precision(1, 4))
     -2
     """
-    if precision.is_asymptotic:
+    if precision.rho == 0:  # is_asymptotic, without a property call per symbol
         raise ValueError("a finite precision is required to quantize")
     if not math.isfinite(xhat):
         raise ValueError(f"prediction must be finite, got {xhat!r}")

@@ -626,6 +626,22 @@ def test_encode_rejects_bad_shapes():
         assert decode_stream(data, predictions=[0.0] * len(xs)) == [int(x) for x in xs]
 
 
+def test_predictions_must_be_real_numbers():
+    # a float64 cast would parse the string and fail on the complex number
+    # with a TypeError; both ends refuse every kind but bool, int and float
+    h = StreamHeader(mode=MODE_FIXED, rho=1, tau=1, m=2)
+    data = encode_stream([1, 2], h, predictions=[0.5, 1.0])
+    for pred, dtype in ((["0.5", True], "<U"), ([0.5, 1j], "complex128"),
+                        (np.array([0.5, 1.0], object), "object")):
+        with pytest.raises(ValueError, match=f"dtype {dtype}"):
+            encode_stream([1, 2], h, predictions=pred)
+        with pytest.raises(ValueError, match=f"dtype {dtype}"):
+            decode_stream(data, predictions=pred)
+    for pred in ([True, 1], np.array([0.5, 1.0], np.float32), np.array([0, 1], np.uint8)):
+        assert decode_stream(encode_stream([1, 2], h, predictions=pred),
+                             predictions=pred) == [1, 2]
+
+
 def test_encode_rejects_out_of_range_symbols():
     h = StreamHeader(mode=MODE_FIXED, rho=1, tau=1, m=1)
     with pytest.raises((ValueError, OverflowError)):

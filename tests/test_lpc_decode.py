@@ -148,7 +148,8 @@ def held_switches(trace, start=0):
 
 
 @pytest.mark.parametrize("name", sorted(HEADERS))
-@pytest.mark.parametrize("cfg", [(2, 16, 16), (4, 64, 32), (2, 8, 1)])
+@pytest.mark.parametrize("cfg", [(2, 16, 16), (4, 64, 32), (2, 8, 1),
+                                 (1, 4, 1), (3, 8, 1), (2, 1, 1)])
 def test_decodes_as_the_loop_over_symbols(name, cfg, settle):
     xs = ar2(len(name) + cfg[1], 1500, 60.0)
     data = encode_stream(xs, replace(HEADERS[name], lpc=LpcConfig(*cfg)))

@@ -328,10 +328,18 @@ def stacked_solve(a, b):
     return None if got is None else [float.fromhex(v) for v in got]
 
 
+def unrolled_solve(a, b):
+    """predictor._solve2, the unrolled 2x2 solve that fit uses at order 2."""
+    (a00, a01), (a10, a11) = a
+    return predictor._solve2(a00, a01, a10, a11, *b)
+
+
 def assert_solves_alike(a, b):
     got = solve_bits(predictor._solve, a, b)
     assert got == solve_bits(oracle_solve, a, b)
     assert got == solve_bits(stacked_solve, a, b)
+    if len(b) == 2:
+        assert got == solve_bits(unrolled_solve, a, b)
     return got
 
 
@@ -355,7 +363,7 @@ def test_solve_bit_identical_on_random_symmetric_matrices(order):
     # singular systems among them, each pivoting on its own rows
     systems[5:5] = [([[0.0] * order] * order, [1.0] * order),
                     ([[1.0] * order] * order, [2.0] * order)]
-    want[5:5] = [solve_bits(predictor._solve, a, b) for a, b in systems[5:7]]
+    want[5:5] = [assert_solves_alike(a, b) for a, b in systems[5:7]]
     assert want[5] is None and (want[6] is None) == (order > 1)
     assert stacked_bits(systems) == want
 
@@ -386,6 +394,7 @@ def test_solve_refuses_singular_and_near_tol_matrices():
         ([[1.0, 0.0], [0.0, tol]], [1.0, 1.0]),  # a pivot at tol
         ([[4.0, 2.0, 2.0], [2.0, 1.0, 1.0], [2.0, 1.0, 1.0]], [1.0, 1.0, 1.0]),
         ([[3.0e6, 0.0], [0.0, 3.0e6 * tol]], [1.0, 1.0]),  # tol scales with the matrix
+        ([[1e-11, 0.0], [0.0, 1e-11]], [1.0, 1.0]),  # but is never below 1e-10
     ]:
         assert assert_solves_alike(a, b) is None
     above = np.nextafter(tol, 1.0)
