@@ -183,16 +183,9 @@ def _check_decoded(symbols: np.ndarray, alphabet_q: int) -> None:
         raise symbol_out_of_range(t, int(symbols[t]), lo, hi)
 
 
-def _lpc_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
-    """Per-symbol predictions from history only, as the decoder re-derives.
-
-    Whole arrays at a time where every window sum fits in int64, else one
-    symbol at a time through LpcState, as the decoder runs; both give the
-    same bits.
-    """
-    if predictor.sums_fit_int64(xs, cfg.window):
-        return predictor.batch_predictions(xs, cfg)
-    return predictor.loop_predictions(xs, cfg)
+# Per-symbol predictions from history only, as the decoder re-derives
+# them, a whole array at a time; the name perfbench traces.
+_lpc_predictions = predictor.batch_predictions
 
 
 def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> np.ndarray:
@@ -274,7 +267,10 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     """
     arr = np.asarray(xs)
     if arr.size and arr.dtype.kind not in "biu":  # a cast would change the symbols
-        raise ValueError(f"expected integer symbols, got dtype {arr.dtype}")
+        ints = np.array(xs, dtype=object)  # Python ints past int64 fail the range check
+        if not all(isinstance(x, (int, np.integer)) for x in ints.flat):
+            raise ValueError(f"expected integer symbols, got dtype {arr.dtype}")
+        arr = ints
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D symbol sequence, got shape {arr.shape}")
     _check_symbols(arr, header.alphabet_q)  # before the cast, which would wrap uint64
@@ -307,8 +303,9 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     return data
 
 
-def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
-    """Lpc-mode decode: the symbols and their predictions.
+def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
+    """Lpc-mode decode: the symbols, with no list of their predictions
+    (a traced decode takes those from _lpc_predictions).
 
     Symbol t's prediction is fit from the symbols before it, so symbols
     are decoded in order, one refit span at a time: LpcState.span gives
@@ -339,7 +336,6 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
     lo, hi = _symbol_range(header.alphabet_q)
     data = np.frombuffer(payload, np.uint8)
     src = BitSource(payload)
-    preds: list[float] = []
     state = predictor.LpcState(header.lpc)
     history = state.history
     s = 0.0 if raw else 0
@@ -363,7 +359,6 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
             for c in coeffs:
                 i -= 1
                 xhat += c * history[i]
-            preds.append(xhat)
             n = qmap.round_prediction(xhat, prec)
             if (k == len(values) and error is None
                     and (not adaptive or held >= settle)):
@@ -399,7 +394,7 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
                 m, g, held, run_pos = m2, GolombParam(m2), 0, pos
                 values, error, k = [], None, 0
         t = stop
-    return history[len(history) - count:], preds
+    return history[len(history) - count:]
 
 
 def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
@@ -408,7 +403,8 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     External predictions must match the encoder's, one per symbol (a
     header count that disagrees raises HeaderError); lpc streams ignore
     the argument.  Returns the symbol list, or (symbols, trace) when
-    collect_trace is set.
+    collect_trace is set.  A traced adaptive lpc decode predicts the
+    decoded symbols again with _lpc_predictions, as the encoder does.
     """
     header, offset = read_header(data)
     payload = bytes(data[offset:])
@@ -420,12 +416,7 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     if header.lpc is not None:
         if predictions is not None:
             raise ValueError("lpc mode recomputes predictions from history")
-        out, preds = _decode_lpc(payload, header)
-        if not collect_trace:
-            return out
-        symbols = np.array(out, dtype=np.int64)
-        pred = np.array(preds, dtype=np.float64)
-        numerators = _round_predictions(pred, header.rho, header.tau)
+        out = _decode_lpc(payload, header)
     else:
         pred = _prediction_array(predictions, n, HeaderError)
         numerators = _round_predictions(pred, header.rho, header.tau)
@@ -439,9 +430,13 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
                                     numerators, header.tau)
             _check_decoded(symbols, header.alphabet_q)
         out = symbols.tolist()
-        if not collect_trace:
-            return out
 
+    if not collect_trace:
+        return out
     if header.mode != MODE_ADAPTIVE:
         return out, None
+    if header.lpc is not None:
+        symbols = np.array(out, dtype=np.int64)
+        pred = _lpc_predictions(symbols, header.lpc)
+        numerators = _round_predictions(pred, header.rho, header.tau)
     return out, _estimator_trace(symbols, pred, numerators, header)[1]

@@ -21,15 +21,15 @@ A decoder predicts one refit span at a time: ``LpcState.span`` gives the
 coefficients in force from the next position on and where the next refit
 falls, so nothing is checked per symbol in between.
 
-``batch_predictions`` is ``LpcState``'s whole-array twin for an encoder,
-which knows every symbol in advance.  It takes the window sums of a
-block of positions from int64 products and a running sum, solves the
-block's normal equations together in ``_solve_stacked``, which does
-``_solve``'s float operations in ``_solve``'s order, and forms the
-predictions in ``predict_at``'s order: the same bits as the loop.  int64
-sums wrap, so it applies only when every window sum fits in int64,
-window * max|x|**2 < 2**63 (``sums_fit_int64``), which covers 16- and
-24-bit samples at any window; other input takes the loop.
+``batch_predictions`` is ``LpcState``'s whole-array twin, for an encoder
+or a traced decode, which know every symbol in advance.  It takes the
+window sums of a block of positions from lag products and a running
+sum, solves the block's normal equations together in ``_solve_stacked``,
+which does ``_solve``'s float operations in ``_solve``'s order, and
+forms the predictions in ``predict_at``'s order: the same bits as the
+loop.  The sums are int64 where window * max|x|**2 < 2**63
+(``sums_fit_int64``: 16- and 24-bit samples at any window), else Python
+integers.  ``loop_predictions``, the loop, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ _PREVIOUS = (1.0,)  # coefficients that repeat the previous sample
 
 
 class LpcState:
-    """The predictor of one stream, shared by its encoder and decoder.
+    """The decoder's predictor of one stream; batch_predictions's twin.
 
     Position 0 predicts 0.0 and positions before the first full window
     repeat the previous sample; from ``cfg.warmup`` on, the coefficients
@@ -227,8 +227,8 @@ class LpcState:
     is the one definition of that schedule: it gives the coefficients that
     predict a run of positions, in ``predict_at``'s order over
     ``history``, and where the run ends.  A decoder predicts and appends
-    symbols to ``history`` itself until then; ``predict()`` and ``push()``
-    do the same one symbol at a time.
+    symbols to ``history`` itself until then; ``predict()`` and ``push()``,
+    which no codec path calls, do the same one symbol at a time.
 
     The window sums are brought up to date only when a refit reads them:
     a gap of more than order+1 positions is crossed in one jump of exact
@@ -310,7 +310,7 @@ class LpcState:
 
 
 def loop_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
-    """LpcState's prediction of every symbol of xs, one symbol at a time."""
+    """LpcState's prediction of every symbol of xs, one at a time, for tests."""
     state = LpcState(cfg)
     preds = []
     for x in xs.tolist():
@@ -327,7 +327,7 @@ _BLOCK_BYTES = 1 << 20
 
 def sums_fit_int64(xs: np.ndarray, window: int) -> bool:
     """Whether every window sum of int64 xs fits in int64, so that
-    batch_predictions applies: window * max|x|**2 < 2**63."""
+    batch_predictions can sum in int64: window * max|x|**2 < 2**63."""
     if not xs.size:
         return True
     peak = max(-int(xs.min()), int(xs.max()))
@@ -338,7 +338,7 @@ def _segment(xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """x_u for u in [lo, hi), with x_u = 0 for u < 0."""
     if lo >= 0:
         return xs[lo:hi]
-    seg = np.zeros(hi - lo, dtype=np.int64)
+    seg = np.zeros(hi - lo, dtype=xs.dtype)
     if hi > 0:
         seg[-lo:] = xs[:hi]
     return seg
@@ -356,16 +356,18 @@ def _block_span(cfg: LpcConfig) -> int:
 def batch_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
     """LpcState's prediction of every symbol of int64 xs, as float64.
 
-    Requires sums_fit_int64(xs, cfg.window).  Positions go in blocks of
-    ``span``.  A block takes S_k(s) for every s its fits read from
-    int64 products x_s*x_{s-k} - x_{s-W}*x_{s-W-k} and a running sum
-    from the sums carried out of the block before it: the sums wrap
-    modulo 2**64 on the way, and come out exact because each fits in
-    int64.  It converts the normal equations of its fits to float64 as
-    ``fit`` does, solves them together, lets a singular fit keep the
-    coefficients before it (the identity before any), and predicts each
-    position as ``predict_at`` would from the coefficients in force.
+    Positions go in blocks of ``span``.  A block takes S_k(s) for every
+    s its fits read from products x_s*x_{s-k} - x_{s-W}*x_{s-W-k} and a
+    running sum from the sums carried out of the block before it: int64
+    where sums_fit_int64, which wrap modulo 2**64 on the way and come out
+    exact because each fits, and Python integers elsewhere.  It converts
+    the normal equations of its fits to float64 as ``fit`` does, solves
+    them together, lets a singular fit keep the coefficients before it
+    (the identity before any), and predicts each position as
+    ``predict_at`` would from the coefficients in force.
     """
+    if not sums_fit_int64(xs, cfg.window):
+        xs = xs.astype(object)
     n = xs.size
     order, window, refit, warmup = (cfg.order, cfg.window, cfg.refit_interval,
                                     cfg.warmup)
@@ -376,9 +378,9 @@ def batch_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
     span = min(n, _block_span(cfg))
     # Row i of a block's sums is s = a - 1 - order + i, for positions
     # t in [a, b): a fit at t reads s in [t - 1 - order, t - 1].
-    sums = np.empty((order + 1, span + order), dtype=np.int64)
+    sums = np.empty((order + 1, span + order), dtype=xs.dtype)
     dropped = np.empty_like(sums)
-    carry = np.zeros(order + 1, dtype=np.int64)  # S(a - 2 - order)
+    carry = np.zeros(order + 1, dtype=xs.dtype)  # S(a - 2 - order)
     coeffs = np.array(identity_coefficients(order))
     lag = abs(np.subtract.outer(np.arange(order), np.arange(order)))
     back = 1 + np.minimum.outer(np.arange(order), np.arange(order))

@@ -621,6 +621,15 @@ def test_encode_rejects_bad_shapes():
     # a uint64 past int64 is out of range, not wrapped to a small negative
     with pytest.raises(ValueError):
         encode_stream(np.array([2**64 - 5], np.uint64), h, predictions=[0.0])
+    # Python ints past int64 make an object or float64 array, but they are
+    # integers: out of range, not of the wrong kind
+    for xs in ([1 << 70], [1, 1 << 63, -1], [-(1 << 64), 0], np.array([1 << 65], object)):
+        with pytest.raises(ValueError, match="symbols outside"):
+            encode_stream(xs, h, predictions=[0.0] * len(xs))
+    # and integers of mixed kinds in range, such as a uint64 beside a negative
+    # int, which asarray makes float64, are coded as they are
+    data = encode_stream([np.uint64(5), -1, 7], h, predictions=[0.0] * 3)
+    assert decode_stream(data, predictions=[0.0] * 3) == [5, -1, 7]
     for xs in ([], np.array([True, False]), np.array([3, 4], np.uint8)):
         data = encode_stream(xs, h, predictions=[0.0] * len(xs))
         assert decode_stream(data, predictions=[0.0] * len(xs)) == [int(x) for x in xs]

@@ -285,7 +285,7 @@ def test_cli_usage_errors(tmp_path, intfile):
     )
 
 
-def test_cli_data_errors(tmp_path, intfile):
+def test_cli_data_errors(tmp_path, intfile, capsys):
     path, _ = intfile
     missing = tmp_path / "nothere.txt"
     out = tmp_path / "o"
@@ -303,6 +303,12 @@ def test_cli_data_errors(tmp_path, intfile):
     alpha = tmp_path / "alpha.txt"
     alpha.write_text("12\nbanana\n")
     assert run_cli(["encode", "--in", str(alpha), "--out", str(out)]) == cli.EXIT_DATA
+    # a symbol past int64 is out of range, not of the wrong dtype
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"12\n{1 << 70}\n")
+    capsys.readouterr()
+    assert run_cli(["encode", "--in", str(huge), "--out", str(out)]) == cli.EXIT_DATA
+    assert "symbols outside" in capsys.readouterr().err
 
 
 def test_cli_mismatch_exit(intfile, monkeypatch):

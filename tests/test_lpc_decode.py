@@ -30,8 +30,8 @@ from frgc.codec import (
 )
 from frgc.predictor import LpcConfig
 
-def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]:
-    """Lpc-mode decode, symbol by symbol: the symbols and their predictions."""
+def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
+    """Lpc-mode decode, symbol by symbol: the symbols."""
     cfg = header.lpc
     prec = header.precision
     tau = header.tau
@@ -40,13 +40,11 @@ def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]
     lo, hi = codec._symbol_range(header.alphabet_q)
     src = BitSource(payload)
     out: list[int] = []
-    preds: list[float] = []
     state = predictor.LpcState(cfg)
     s_int = 0
     s_raw = 0.0
     for t in range(header.count):
         xhat = state.predict()
-        preds.append(xhat)
         n = qmap.round_prediction(xhat, prec)
         if not adaptive:
             m = header.m
@@ -67,7 +65,7 @@ def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> tuple[list, list]
             s_int += abs(tau * x - n)
             if s_int > _estcore.EST_SATURATION:
                 s_int = _estcore.EST_SATURATION
-    return out, preds
+    return out
 
 
 def decoded(data: bytes, decoder) -> tuple:

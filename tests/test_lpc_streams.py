@@ -52,6 +52,31 @@ def ar2_signal(seed: int, n: int, scale: float = 50.0) -> list[int]:
     return np.clip(np.rint(y), -(1 << 15), (1 << 15) - 1).astype(np.int64).tolist()
 
 
+def wide_signal(seed: int, n: int) -> list[int]:
+    """A 32-bit signal: a slow sinusoid clipped at both ends of the range,
+    plus noise, under an envelope that grows over the first 1,800 symbols
+    so that the cold start's codewords stay short."""
+    t = np.arange(n)
+    envelope = np.minimum(1.0, 2.0 ** ((t - 1800) / 150))
+    noise = np.random.default_rng(seed).integers(-(1 << 18), 1 << 18, n)
+    y = envelope * (1.01 * 2.0 ** 31 * np.sin(2 * np.pi * t / 2500) + noise)
+    return np.rint(y).clip(-(1 << 31), (1 << 31) - 1).astype(np.int64).tolist()
+
+
+WIDE_CONFIGS = ((1, 2, 1), (2, 16, 16), (4, 64, 32), (3, 200, 1))
+
+
+def wide_streams(mode: str):
+    """[(symbols, header)] of 32-bit signals past the int64 sum rule."""
+    streams = []
+    for k, cfg in enumerate(WIDE_CONFIGS):
+        xs = wide_signal(k, 5000)
+        assert not predictor.sums_fit_int64(np.array(xs), cfg[1])
+        streams.append((xs, StreamHeader(rho=1, tau=8, lpc=LpcConfig(*cfg),
+                                         **MODES[mode])))
+    return streams
+
+
 def golden_streams():
     """{name: (symbols, header)} of the frozen pool."""
     pool = {}
@@ -61,6 +86,11 @@ def golden_streams():
             header = StreamHeader(rho=1, tau=8, lpc=LpcConfig(*cfg), **kwargs)
             pool[f"{mode} {cfg}"] = (xs, header)
     return pool
+
+
+def golden_of(mode: str):
+    """[(symbols, header)] of the golden pool's streams in one mode."""
+    return [v for k, v in golden_streams().items() if k.startswith(mode + " ")]
 
 
 def normalised_digest(data: bytes) -> str:
@@ -81,9 +111,9 @@ def test_lpc_streams_match_golden_bytes():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_batch_encoder_writes_the_loops_bytes(mode, monkeypatch):
-    # the golden pool, and 24-bit signals at refit intervals from every
-    # symbol to never
-    streams = [v for k, v in golden_streams().items() if k.startswith(mode + " ")]
+    # the golden pool, 24-bit signals at refit intervals from every
+    # symbol to never, and 32-bit signals past the int64 sum rule
+    streams = golden_of(mode) + wide_streams(mode)
     rng = np.random.default_rng(8)
     for cfg in ((3, 200, 1), (6, 1000, 4096), (1, 1, 1), (16, 40, 7)):
         xs = np.cumsum(rng.integers(-20000, 20001, 5000)).clip(-(1 << 23), 1 << 23)
@@ -92,6 +122,22 @@ def test_batch_encoder_writes_the_loops_bytes(mode, monkeypatch):
     batch = [encode_stream(xs, header) for xs, header in streams]
     monkeypatch.setattr(codec, "_lpc_predictions", predictor.loop_predictions)
     assert batch == [encode_stream(xs, header) for xs, header in streams]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_traced_decode_gives_the_encoders_trace(mode, monkeypatch):
+    # a traced adaptive decode predicts the decoded symbols again, once;
+    # a fixed-mode trace is None and predicts nothing
+    calls = []
+    real = codec._lpc_predictions
+    monkeypatch.setattr(codec, "_lpc_predictions",
+                        lambda xs, cfg: calls.append(cfg) or real(xs, cfg))
+    for xs, header in golden_of(mode) + wide_streams(mode):
+        data, trace = encode_stream(xs, header, collect_trace=True)
+        assert (trace is None) == (mode == "fixed")
+        calls.clear()
+        assert decode_stream(data, collect_trace=True) == (xs, trace)
+        assert calls == ([] if mode == "fixed" else [header.lpc])
 
 
 def test_v2_lpc_stream_rejected():

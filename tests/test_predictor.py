@@ -408,7 +408,6 @@ def test_solve_refuses_singular_and_near_tol_matrices():
 
 def assert_batch_matches_loop(xs, cfg):
     xs = np.asarray(xs, dtype=np.int64)
-    assert predictor.sums_fit_int64(xs, cfg.window)
     got = predictor.batch_predictions(xs, cfg)
     want = predictor.loop_predictions(xs, cfg)
     assert got.dtype == np.float64 and got.shape == want.shape
@@ -469,7 +468,8 @@ def test_batch_keeps_coefficients_through_all_zero_windows(blocks):
 
 
 @given(order=st.integers(1, 10), window=st.integers(1, 40),
-       refit=st.integers(1, 60), n=st.integers(0, 400), bits=st.sampled_from([3, 16, 24]),
+       refit=st.integers(1, 60), n=st.integers(0, 400),
+       bits=st.sampled_from([3, 16, 24, 32, 40]),
        seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2048, 1 << 20]))
 @settings(max_examples=120, deadline=None)
 def test_batch_matches_loop_on_random_configs(order, window, refit, n, bits, seed, block):
@@ -503,11 +503,9 @@ def test_int64_rule_at_its_edge():
                               LpcConfig(2, 2, 1))
 
 
-def test_32_bit_input_past_the_rule_takes_the_loop(monkeypatch):
-    def refuse(xs, cfg):
-        raise AssertionError("batch_predictions ran past the int64 rule")
-
-    monkeypatch.setattr(predictor, "batch_predictions", refuse)
+def test_32_bit_input_past_the_int64_rule_matches_exact_sums():
+    # past the rule the window sums are Python integers; the predictions
+    # are still those of the normal equations summed from scratch
     rng = np.random.default_rng(6)
     xs = rng.choice([-(1 << 31), (1 << 31) - 1, 0, 5], 200)
     for cfg in (LpcConfig(2, 2, 1), LpcConfig(3, 16, 4)):
@@ -515,6 +513,18 @@ def test_32_bit_input_past_the_rule_takes_the_loop(monkeypatch):
         got = codec._lpc_predictions(xs, cfg)
         want = np.array(oracle_run(xs.tolist(), cfg, exact_fit)[0])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert_batch_matches_loop(xs, cfg)
+
+
+def peak_beyond_output(xs, cfg):
+    """tracemalloc peak of _lpc_predictions, less its output array."""
+    tracemalloc.start()
+    try:
+        out = codec._lpc_predictions(xs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
 
 
 @pytest.mark.parametrize("nblocks, window", [(8, 1024), (16, 1024), (8, 2048), (16, 2048)])
@@ -523,11 +533,13 @@ def test_batch_memory_does_not_grow_with_length_or_window(nblocks, window):
     # 8 to 17 MB at these lengths.
     cfg = LpcConfig(32, window, 1)
     n = cfg.warmup + nblocks * predictor._block_span(cfg)
-    xs = walk(window, n).astype(np.int64)
-    tracemalloc.start()
-    try:
-        out = codec._lpc_predictions(xs, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - out.nbytes < 6 << 20
+    assert peak_beyond_output(walk(window, n).astype(np.int64), cfg) < 6 << 20
+
+
+def test_batch_memory_on_32_bit_input_past_the_int64_rule():
+    # the same bound where the window sums are Python integers
+    cfg = LpcConfig(32, 2048, 1)
+    n = cfg.warmup + 8 * predictor._block_span(cfg)
+    xs = np.random.default_rng(7).integers(-(1 << 31), 1 << 31, n)
+    assert not predictor.sums_fit_int64(xs, cfg.window)
+    assert peak_beyond_output(xs, cfg) < 6 << 20
