@@ -48,7 +48,12 @@ time.  Every decoder that parses ahead does so through parse_ahead,
 which reads at most WINDOW_BITS payload bits at a time and widens a
 window only to fit one codeword of at most MAX_RUN + ceil(lg m) + 1
 bits.  So, besides its input and output, a call holds a bounded amount
-of memory, whatever the stream's length.
+of memory, whatever the stream's length.  A window's codewords are a
+chain of the zeros that end their unary runs (_decode_window): the b =
+ceil(lg m) bits after each zero say which zero closes the next
+codeword, and _chain follows that table with CHAIN_LEVELS rounds of
+doubling, a walk of every 2**CHAIN_LEVELS-th codeword and one gather
+per round; at m = 1 every zero closes a codeword.
 
 adaptive_decode cannot know an m before the symbols ahead of it, but m
 seldom changes, so it guesses: once m has held for SETTLE_SYMBOLS
@@ -82,6 +87,7 @@ BACKEND_NAME = "pure"
 BLOCK_SYMBOLS = 1 << 11  # symbols split at a time
 BLOCK_BITS = 1 << 16     # payload bits packed at a time (or one longer codeword)
 WINDOW_BITS = 1 << 15    # payload bits parsed at a time (or one longer codeword)
+CHAIN_LEVELS = 5         # a window's chain of codewords is walked 2**5 at a step
 SETTLE_SYMBOLS = 64      # adaptive decode parses ahead once m has held this many symbols
 AHEAD_SYMBOLS = 256      # and then parses at least this many symbols at once
 
@@ -228,6 +234,39 @@ def _bits(data, pos, size):
     return np.unpackbits(data[pos >> 3:(pos + size + 7) >> 3])[skip:skip + size]
 
 
+def _chain(jump, nzero, want):
+    """Ranks of the zeros that close a window's codewords, from rank 0.
+
+    jump[r] is the rank of the zero closing the codeword after the one
+    the r-th zero closes: ``nzero`` if the window holds no such zero, and
+    the sentinel, jump's last index, if the r-th zero's own codeword does
+    not fit.  Every rank from nzero on maps to the sentinel.  Returns the
+    chain's first want + 1 ranks, cut before the first sentinel.
+
+    jump is doubled into tables that skip 2**k codewords, k up to
+    CHAIN_LEVELS.  A walk in Python along the last table finds every
+    2**k-th rank in at most (want >> k) + 1 steps, and a gather from
+    each table below it fills in the ranks halfway between those found.
+    """
+    levels = min(CHAIN_LEVELS, want.bit_length() - 1)
+    tables = [jump]
+    for _ in range(levels):
+        jump = jump[jump]
+        tables.append(jump)
+    step, walk, r = memoryview(jump), [0], 0
+    for _ in range(want >> levels):
+        r = step[r]
+        walk.append(r)
+        if r >= nzero:
+            break
+    chain = np.empty(len(walk) << levels, np.intp)
+    chain[::1 << levels] = walk
+    for k in range(levels - 1, -1, -1):
+        chain[1 << k::2 << k] = tables[k][chain[::2 << k]]
+    chain = chain[:want + 1]
+    return chain[:int(np.searchsorted(chain, tables[0].size - 1))]
+
+
 def _decode_window(data, pos, size, g, want, final):
     """Up to ``want`` codewords from payload bits [pos, pos + size).
 
@@ -239,63 +278,68 @@ def _decode_window(data, pos, size, g, want, final):
     fits and more payload follows.
 
     Every codeword's unary run ends at a zero bit, and that zero fixes
-    where the codeword ends.  So the chain of codewords is a chain of
-    zeros: ``jump[r]`` is the rank of the zero closing the codeword after
-    the one the r-th zero closes (``nzero`` if the window holds no such
-    zero, ``nzero + 1`` if that codeword does not fit).  Pointer doubling
-    finds the chain from the first zero: after k rounds ``chain`` holds
-    its first 2**k entries and ``jump`` skips 2**k codewords.
+    where the codeword ends.  So the codewords are a chain of zeros from
+    the window's first.  At m = 1 every zero closes a codeword.  Else the
+    b = ceil(lg m) bits after the r-th zero hold the remainder field of
+    the codeword it would close, so they give that codeword's end and
+    the zeros inside it, and the next codeword's zero is jump[r] = r + 1
+    + those zeros, which _chain follows.  A codeword holds at most b + 1
+    zeros, so the at most want + 2**CHAIN_LEVELS codewords that _chain
+    reads lie in the first ``cap`` zeros, and the rest are dropped.  A
+    zero near the cap may point past it, to a rank up to nzero + b, which
+    jump maps to the sentinel like nzero itself.
     """
-    m, b, threshold = g.m, g.bits, g.threshold
+    m, b = g.m, g.bits
     bits = _bits(data, pos, size)
-    iszero = bits == 0
-    zeros = np.flatnonzero(iszero)
-    nzero = zeros.size
+    zeros = np.flatnonzero(bits == 0)
     if b == 0:
-        end = zeros + 1
+        stop = zeros[:want]  # the zeros closing the codewords that fit
+        ends = stop + 1
+        after = size  # if they are fewer than want, no zero stops the next run
     else:
-        padded = np.zeros(size + b, np.uint8)  # zero bits past the window
-        padded[:size] = bits
-        field = np.zeros(nzero, np.intp)  # the b - 1 bits after each zero
-        for t in range(1, b):
-            field = (field << 1) | padded[zeros + t]
-        longer = field >= threshold
-        end = zeros + b + longer
-    sentinel = nzero + 1
-    jump = np.full(nzero + 2, sentinel, np.intp)
-    fits = end <= size
-    jump[:nzero][fits] = np.cumsum(iszero)[end[fits] - 1]  # zeros before end
-    chain = np.zeros(1, np.intp)
-    while True:
-        chain = np.concatenate((chain, jump[chain]))
-        if chain.size > want or chain[-1] == sentinel:
-            break
-        jump = jump[jump]
-    chain = chain[:min(int(np.searchsorted(chain, sentinel)), want + 1)]
-    closing = chain[:-1]  # the zeros closing the codewords that fit
-    stop = zeros[closing]
-    ends = end[closing]
-    runs = stop - np.concatenate(([0], ends[:-1]))
+        cap = (want + (1 << CHAIN_LEVELS) + 1) * (b + 1) + b
+        if zeros.size > cap:
+            zeros = zeros[:cap].copy()
+        nzero = zeros.size
+        dtype = np.uint8 if b <= 8 else np.uint16
+        ahead = np.zeros(size, dtype)  # the b bits after each bit, zero past the window
+        for t in range(1, b + 1):
+            ahead += ahead
+            ahead[:max(size - t, 0)] += bits[t:]
+        ahead = ahead[zeros]
+        longer = (ahead >= 2 * g.threshold).astype(dtype)  # the field takes all b bits
+        field = ahead >> (1 - longer)  # its first b - 1 bits, or all b
+        span = longer + dtype(b)  # a codeword ends span bits after its zero
+        jump = np.empty(nzero + b + 2, np.intp)
+        np.add(np.arange(nzero), span - np.bitwise_count(field), out=jump[:nzero])
+        jump[nzero:] = sentinel = jump.size - 1
+        # a zero with b zeros after it ends its codeword inside the window
+        lo = max(nzero - b, 0)
+        jump[lo:nzero][zeros[lo:] + span[lo:] > size] = sentinel
+        chain = _chain(jump, nzero, want)
+        closing, last = chain[:-1], int(chain[-1])
+        stop = zeros[closing]
+        ends = stop + span[closing]
+        rem = (field - longer * g.threshold)[closing]
+        after = int(zeros[last]) if last < nzero else size
+    runs = stop.copy()
+    runs[1:] -= ends[:-1]
     error = None
-    if closing.size and int(runs.max()) > MAX_RUN:
+    if runs.size and int(runs.max()) > MAX_RUN:
         error = _run_too_long()
         first = int(np.argmax(runs > MAX_RUN))
-        closing, stop, ends, runs = (a[:first] for a in (closing, stop, ends, runs))
-    elif closing.size < want:
-        last = int(chain[-1])
-        resume = int(ends[-1]) if closing.size else 0
-        if (int(zeros[last]) if last < nzero else size) - resume > MAX_RUN:
+        runs, ends = runs[:first], ends[:first]
+    elif runs.size < want:
+        if after - (int(ends[-1]) if runs.size else 0) > MAX_RUN:
             error = _run_too_long()
         elif final:
             error = _end_of_stream()
-        elif not closing.size:
+        elif not runs.size:
             return None
-    values = runs * m
     if b:
-        head = field[closing]
-        values += np.where(longer[closing],
-                           ((head << 1) | padded[stop + b]) - threshold, head)
-    return values, ends, error
+        runs *= m
+        runs += rem[:runs.size]
+    return runs, ends, error
 
 
 def parse_ahead(data, pos, g, left, held=0, held_bits=0):

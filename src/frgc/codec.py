@@ -227,9 +227,11 @@ def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int) -> np.ndarray:
     if xs.size and (tau * max(-int(xs.min()), int(xs.max()))
                     + int(np.abs(numerators).max())) >= 1 << 62:
         raise ValueError("prediction magnitude overflows the residual range")
-    r = tau * xs - numerators
-    two_r = 2 * r
-    return np.where(r >= 0, two_r // tau, -(two_r // tau) - 1)
+    # q = floor(2r / tau), r = tau*x - n, is negative exactly where r is,
+    # and there the fold is -q - 1 = q ^ -1; q >> 63 is -1 there, else 0
+    q = 2 * (tau * xs - numerators) // tau
+    q ^= q >> 63
+    return q
 
 
 _unmap_vector = qmap.unmap_array  # the name the fixed path calls, which perfbench traces

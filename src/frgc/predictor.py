@@ -323,6 +323,10 @@ def loop_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
 # two window-sum buffers, and its stack of normal equations, holds at
 # most this many bytes whatever the stream length and window.
 _BLOCK_BYTES = 1 << 20
+# What a window sum takes on Python integers: a pointer, and the int it
+# points to (a product of 32-bit samples, or a sum of them, is a 36- to
+# 40-byte object, which the allocator rounds to 40).
+_OBJECT_ENTRY_BYTES = 8 + 40
 
 
 def sums_fit_int64(xs: np.ndarray, window: int) -> bool:
@@ -344,13 +348,15 @@ def _segment(xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return seg
 
 
-def _block_span(cfg: LpcConfig) -> int:
+def _block_span(cfg: LpcConfig, entry_bytes: int = 8) -> int:
     """Positions per block of batch_predictions: as many as keep the
-    window sums of the block, and its at most ceil(span / refit) normal
-    equations, within _BLOCK_BYTES each."""
+    window sums of the block, at ``entry_bytes`` each, and its at most
+    ceil(span / refit) normal equations, float64 and the pointers or
+    int64 they are gathered from, within _BLOCK_BYTES each."""
     order = cfg.order
     fits = max(1, _BLOCK_BYTES // (8 * order * (order + 1)))
-    return max(1, min(_BLOCK_BYTES // (8 * (order + 1)), fits * cfg.refit_interval))
+    return max(1, min(_BLOCK_BYTES // (entry_bytes * (order + 1)),
+                      fits * cfg.refit_interval))
 
 
 def batch_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
@@ -375,7 +381,7 @@ def batch_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
     out[1:warmup] = xs[:min(n, warmup) - 1]
     if n <= warmup:
         return out
-    span = min(n, _block_span(cfg))
+    span = min(n, _block_span(cfg, _OBJECT_ENTRY_BYTES if xs.dtype == object else 8))
     # Row i of a block's sums is s = a - 1 - order + i, for positions
     # t in [a, b): a fit at t reads s in [t - 1 - order, t - 1].
     sums = np.empty((order + 1, span + order), dtype=xs.dtype)

@@ -543,3 +543,17 @@ def test_batch_memory_on_32_bit_input_past_the_int64_rule():
     xs = np.random.default_rng(7).integers(-(1 << 31), 1 << 31, n)
     assert not predictor.sums_fit_int64(xs, cfg.window)
     assert peak_beyond_output(xs, cfg) < 6 << 20
+
+
+def test_batch_memory_on_python_ints_stays_near_the_int64_paths():
+    # the Python-int path sizes its blocks by what an entry takes there,
+    # the int object beside its pointer; at 8 bytes an entry it peaks at
+    # 3.5x the int64 path's working memory at this config
+    cfg = LpcConfig(32, 2048, 4096)
+    n = cfg.warmup + predictor._block_span(cfg)
+    rng = np.random.default_rng(7)
+    narrow = rng.integers(-(1 << 15), 1 << 15, n)
+    wide = rng.integers(-(1 << 31), 1 << 31, n)
+    assert predictor.sums_fit_int64(narrow, cfg.window)
+    assert not predictor.sums_fit_int64(wide, cfg.window)
+    assert peak_beyond_output(wide, cfg) < 1.5 * peak_beyond_output(narrow, cfg)

@@ -575,6 +575,77 @@ def test_a_window_under_the_outgoing_m_may_run_off_the_payload(decoders):
     assert agree_exactly(decoders, *args, *RANGE) == ("ok", xs.tobytes())
 
 
+def oracle_window(data, pos, size, g, want, final):
+    """_decode_window's result, read one codeword at a time by BitSource
+    from the window's bits alone (zero-padded to a whole byte, so a
+    codeword that reads a pad bit does not fit)."""
+    bits = np.unpackbits(data)[pos:pos + size]
+    src = BitSource(np.packbits(bits).tobytes())
+    values, ends = [], []
+    while len(values) < want:
+        try:
+            value = src.read_unary() * g.m + src.read_minimal_binary(g)
+        except CorruptStreamError as exc:
+            if str(exc) != "unexpected end of stream":
+                return values, ends, exc  # a run over MAX_RUN
+            value = None
+        if value is None or src.position > size:  # the window cuts it
+            if final:
+                return values, ends, CorruptStreamError("unexpected end of stream")
+            return (values, ends, None) if values else None
+        values.append(value)
+        ends.append(src.position)
+    return values, ends, None
+
+
+def window_outcome(decoded):
+    if decoded is None:
+        return None
+    values, ends, error = decoded
+    return (list(map(int, values)), list(map(int, ends)),
+            error and (type(error), str(error)))
+
+
+CHAIN = 1 << _pure.CHAIN_LEVELS
+PATTERNS = {"zeros": 0x00, "ones": 0xFF, "0xAA": 0xAA, "0x92": 0x92}
+
+
+@given(m=st.sampled_from(FIXED_MS), offset=st.integers(0, 7), final=st.booleans(),
+       kind=st.sampled_from(["random", *PATTERNS]), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_decode_window_matches_a_codeword_reader_on_any_bits(m, offset, final, kind, data):
+    # any bits, not only an encoder's: runs closed inside a remainder
+    # field, zeros at most b bits apart (0x92), windows of one zero per
+    # bit (zeros) or none (ones), and counts around the chain's stride
+    if kind == "random":
+        payload = np.frombuffer(data.draw(st.binary(max_size=300)), np.uint8)
+    else:
+        length = data.draw(st.integers(0, 300))
+        payload = np.full(length, PATTERNS[kind], np.uint8)
+    size = data.draw(st.integers(0, max(8 * payload.size - offset, 0)))
+    pos = offset
+    want = data.draw(st.sampled_from([1, CHAIN - 1, CHAIN, CHAIN + 1, size + 1]))
+    g = GolombParam(m)
+    assert (window_outcome(_pure._decode_window(payload, pos, size, g, want, final))
+            == window_outcome(oracle_window(payload, pos, size, g, want, final)))
+
+
+@pytest.mark.parametrize("m", [1, 13])
+@pytest.mark.parametrize("run", [MAX_RUN, MAX_RUN + 1])
+def test_decode_window_on_a_run_at_max_run(m, run):
+    # a unary run of MAX_RUN, which decodes, or of one more, which does
+    # not, from bit 3, then dense zero codewords
+    g = GolombParam(m)
+    bits = np.zeros(3 + run + 4096, np.uint8)
+    bits[:3 + run] = 1
+    payload = np.packbits(bits)
+    size = bits.size - 3
+    for want, final in ((1, False), (CHAIN + 1, True), (size, False)):
+        expect = window_outcome(oracle_window(payload, 3, size, g, want, final))
+        assert (expect[2] is None) == (run == MAX_RUN)
+        assert window_outcome(_pure._decode_window(payload, 3, size, g, want, final)) == expect
+
+
 def test_decode_window_reports_the_first_bad_codeword():
     # a window holds every codeword it can, up to the first it cannot read,
     # and names what is wrong with that one
@@ -715,3 +786,18 @@ def test_adaptive_decode_peak_memory_does_not_grow_with_the_stream():
     assert short < PEAK_BOUND, short
     long = adaptive_decode_working_peak(4_000_000)
     assert long - short < 1 << 19, (short, long)
+
+
+@pytest.mark.parametrize("m", [1, 13, 64])
+def test_peak_memory_of_a_long_codeword_before_dense_ones(m):
+    # a quotient of 2**19 + 10 widens the window to 2**20 bits, whose
+    # other half is codewords of value 0, all zeros; the parse keeps only
+    # the zeros its codewords can reach (keeping them all takes 31 MiB)
+    g = GolombParam(m)
+    tail = (MAX_RUN + 1000) // (g.bits + 1)
+    values = np.zeros(tail + 1, np.int64)
+    values[0] = ((1 << 19) + 10) * m + m - 1
+    payload, _ = _pure.golomb_encode(values, m)
+    decoded, peak = traced_peak(_pure.golomb_decode, payload, values.size, m)
+    assert decoded == values.tobytes()
+    assert peak - len(decoded) < 20 << 20, peak
