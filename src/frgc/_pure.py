@@ -94,6 +94,12 @@ AHEAD_SYMBOLS = 256      # and then parses at least this many symbols at once
 _NUMERATOR_LIMIT = 1 << 62  # unmap_array is exact below it; adaptive_decode refuses more
 _INT64_MAX = (1 << 63) - 1
 
+# _ONES[v]: the one bits in v, for any remainder field (M_MAX < 2**16)
+_ONES = np.zeros(1 << 16, np.uint8)
+for _k in range(16):
+    _ONES[1 << _k:2 << _k] = _ONES[:1 << _k] + 1
+del _k
+
 
 def _in_range(name, value, top):
     """value if it is in [1, top], else the compiled loops' ValueError."""
@@ -311,7 +317,7 @@ def _decode_window(data, pos, size, g, want, final):
         field = ahead >> (1 - longer)  # its first b - 1 bits, or all b
         span = longer + dtype(b)  # a codeword ends span bits after its zero
         jump = np.empty(nzero + b + 2, np.intp)
-        np.add(np.arange(nzero), span - np.bitwise_count(field), out=jump[:nzero])
+        np.add(np.arange(nzero), span - _ONES.take(field), out=jump[:nzero])
         jump[nzero:] = sentinel = jump.size - 1
         # a zero with b zeros after it ends its codeword inside the window
         lo = max(nzero - b, 0)

@@ -348,12 +348,14 @@ def _segment(xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return seg
 
 
-def _block_span(cfg: LpcConfig, entry_bytes: int = 8) -> int:
-    """Positions per block of batch_predictions: as many as keep the
-    window sums of the block, at ``entry_bytes`` each, and its at most
+def _block_span(cfg: LpcConfig, dtype) -> int:
+    """Positions per block of batch_predictions on window sums of
+    ``dtype``, int64 or object: as many as keep the window sums of the
+    block, at 8 or _OBJECT_ENTRY_BYTES each, and its at most
     ceil(span / refit) normal equations, float64 and the pointers or
     int64 they are gathered from, within _BLOCK_BYTES each."""
     order = cfg.order
+    entry_bytes = _OBJECT_ENTRY_BYTES if dtype == object else 8
     fits = max(1, _BLOCK_BYTES // (8 * order * (order + 1)))
     return max(1, min(_BLOCK_BYTES // (entry_bytes * (order + 1)),
                       fits * cfg.refit_interval))
@@ -381,7 +383,7 @@ def batch_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
     out[1:warmup] = xs[:min(n, warmup) - 1]
     if n <= warmup:
         return out
-    span = min(n, _block_span(cfg, _OBJECT_ENTRY_BYTES if xs.dtype == object else 8))
+    span = min(n, _block_span(cfg, xs.dtype))
     # Row i of a block's sums is s = a - 1 - order + i, for positions
     # t in [a, b): a fit at t reads s in [t - 1 - order, t - 1].
     sums = np.empty((order + 1, span + order), dtype=xs.dtype)

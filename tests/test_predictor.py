@@ -432,7 +432,7 @@ def test_batch_matches_loop_at_window_1(order, blocks):
     n = order + 70
     for refit in (1, 3, n + 7):  # one-fit blocks are shorter than 3
         cfg = LpcConfig(order, 1, refit)
-        assert (predictor._block_span(cfg) < refit) == (blocks == "one fit" and refit > 1)
+        assert (predictor._block_span(cfg, np.int64) < refit) == (blocks == "one fit" and refit > 1)
         assert_batch_matches_loop(walk(order, n), cfg)
 
 
@@ -448,7 +448,7 @@ def test_batch_matches_loop_around_warmup(cfg, blocks):
 def test_batch_fits_on_a_blocks_last_position(monkeypatch):
     monkeypatch.setattr(predictor, "_BLOCK_BYTES", 48)  # one 2x2 system
     cfg = LpcConfig(2, 3, 2)
-    span = predictor._block_span(cfg)
+    span = predictor._block_span(cfg, np.int64)
     assert span == 2  # blocks [0, 2), [2, 4), ...: fits at 5, 7, ... end one
     assert all((t + 1) % span == 0 for t in range(cfg.warmup, 60, cfg.refit_interval))
     assert_batch_matches_loop(walk(5, 60), cfg)
@@ -532,14 +532,14 @@ def test_batch_memory_does_not_grow_with_length_or_window(nblocks, window):
     # An unblocked stack of order-32 normal equations takes 8.4 KB per fit,
     # 8 to 17 MB at these lengths.
     cfg = LpcConfig(32, window, 1)
-    n = cfg.warmup + nblocks * predictor._block_span(cfg)
+    n = cfg.warmup + nblocks * predictor._block_span(cfg, np.int64)
     assert peak_beyond_output(walk(window, n).astype(np.int64), cfg) < 6 << 20
 
 
 def test_batch_memory_on_32_bit_input_past_the_int64_rule():
     # the same bound where the window sums are Python integers
     cfg = LpcConfig(32, 2048, 1)
-    n = cfg.warmup + 8 * predictor._block_span(cfg)
+    n = cfg.warmup + 8 * predictor._block_span(cfg, np.int64)
     xs = np.random.default_rng(7).integers(-(1 << 31), 1 << 31, n)
     assert not predictor.sums_fit_int64(xs, cfg.window)
     assert peak_beyond_output(xs, cfg) < 6 << 20
@@ -550,7 +550,7 @@ def test_batch_memory_on_python_ints_stays_near_the_int64_paths():
     # the int object beside its pointer; at 8 bytes an entry it peaks at
     # 3.5x the int64 path's working memory at this config
     cfg = LpcConfig(32, 2048, 4096)
-    n = cfg.warmup + predictor._block_span(cfg)
+    n = cfg.warmup + predictor._block_span(cfg, np.int64)
     rng = np.random.default_rng(7)
     narrow = rng.integers(-(1 << 15), 1 << 15, n)
     wide = rng.integers(-(1 << 31), 1 << 31, n)

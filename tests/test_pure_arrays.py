@@ -630,6 +630,13 @@ def test_decode_window_matches_a_codeword_reader_on_any_bits(m, offset, final, k
             == window_outcome(oracle_window(payload, pos, size, g, want, final)))
 
 
+def test_the_window_parser_counts_the_ones_of_every_field():
+    # the table that counts a remainder field's one bits covers every
+    # field of every m, with no numpy 2 popcount
+    assert _pure._ONES.size > M_MAX
+    assert _pure._ONES.tolist() == [bin(v).count("1") for v in range(_pure._ONES.size)]
+
+
 @pytest.mark.parametrize("m", [1, 13])
 @pytest.mark.parametrize("run", [MAX_RUN, MAX_RUN + 1])
 def test_decode_window_on_a_run_at_max_run(m, run):
