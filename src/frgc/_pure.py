@@ -44,10 +44,11 @@ arrays: every codeword of a fixed-m stream depends on its own symbol
 only, and the encoder knows every adaptive m in advance (the running
 sums give them all at once: _estcore.run).  The encoders take
 BLOCK_SYMBOLS symbols at a time and pack at most BLOCK_BITS bits at a
-time.  Every decoder that parses ahead does so through parse_ahead,
-which reads at most WINDOW_BITS payload bits at a time and widens a
-window only to fit one codeword of at most MAX_RUN + ceil(lg m) + 1
-bits.  So, besides its input and output, a call holds a bounded amount
+time: a bit image of ones, over which each codeword's closing zero and
+field bits are written (_Packer._pack).  Every decoder that parses
+ahead does so through parse_ahead, which reads at most WINDOW_BITS
+payload bits at a time and widens a window only to fit one codeword of
+at most MAX_RUN + ceil(lg m) + 1 bits.  So, besides its input and output, a call holds a bounded amount
 of memory, whatever the stream's length.  A window's codewords are a
 chain of the zeros that end their unary runs (_decode_window): the b =
 ceil(lg m) bits after each zero say which zero closes the next
@@ -84,7 +85,7 @@ from frgc.qmap import unmap_array
 
 BACKEND_NAME = "pure"
 
-BLOCK_SYMBOLS = 1 << 11  # symbols split at a time
+BLOCK_SYMBOLS = 1 << 14  # symbols split at a time
 BLOCK_BITS = 1 << 16     # payload bits packed at a time (or one longer codeword)
 WINDOW_BITS = 1 << 15    # payload bits parsed at a time (or one longer codeword)
 CHAIN_LEVELS = 5         # a window's chain of codewords is walked 2**5 at a step
@@ -137,7 +138,12 @@ def _output(count: int, nbits: int) -> bytearray:
 
 
 class _Packer:
-    """Writes whole arrays of codewords, MSB first, as bitcoder.BitSource reads them."""
+    """Writes whole arrays of codewords, MSB first, as bitcoder.BitSource reads them.
+
+    write splits each array into packs of at most BLOCK_BITS bits (or one
+    longer codeword); _pack draws a pack's bits at codeword cost and packs
+    all but the last < 8, which it carries into the next pack.
+    """
 
     def __init__(self) -> None:
         self._chunks: list[bytes] = []
@@ -147,9 +153,8 @@ class _Packer:
     def write(self, values: np.ndarray, m) -> None:
         """Append the codewords of values under m (one, or one per value)."""
         q, field, width = codeword_fields(values, m)
-        bad = (values < 0) | (q > MAX_RUN)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if values.size and (values.min() < 0 or q.max() > MAX_RUN):
+            i = int(np.argmax((values < 0) | (q > MAX_RUN)))
             if values[i] < 0:
                 raise ValueError(f"mapped residual must be non-negative, got {values[i]}")
             raise ValueError(f"quotient {q[i]} exceeds the {MAX_RUN}-bit unary limit")
@@ -158,29 +163,34 @@ class _Packer:
         while lo < ends.size:
             base = int(ends[lo - 1]) if lo else 0
             hi = max(int(np.searchsorted(ends, base + BLOCK_BITS, "right")), lo + 1)
-            self._pack(q[lo:hi], field[lo:hi], width[lo:hi], ends[lo:hi] - base)
+            self._pack(field[lo:hi], width[lo:hi], ends[lo:hi] - base)
             lo = hi
 
-    def _pack(self, q, field, width, ends) -> None:
-        """Pack codewords ending at bit offsets ends after the carried bits."""
+    def _pack(self, field, width, ends) -> None:
+        """Pack codewords ending at bit offsets ends after the carried bits.
+
+        The bit image starts as all ones, which the unary runs are.  Over
+        it go each codeword's closing zero and then its field's bits, 0 or
+        1, one plane at a time (plane 0 is the field's last bit): a bit
+        assigned per codeword, so no pass runs over every bit.  Planes
+        below the narrowest width belong to every codeword.  So does that
+        width's own plane: a field of that width has its closing zero
+        there, and its bit in that plane is 0.  Only the wider planes
+        select their codewords.
+        """
         carry = self._carry
-        size = carry.size + int(ends[-1])
-        stop = ends - width  # the zero closing each unary run
-        stop += carry.size - 1
-        # the unary runs: +1 where a run starts, -1 at its closing zero
-        steps = np.zeros(size, np.int8)
-        runs = np.flatnonzero(q)
-        steps[stop[runs] - q[runs]] = 1
-        steps[stop[runs]] = -1
-        bits = np.cumsum(steps, dtype=np.int8).view(np.uint8)
-        del steps, runs  # a block's arrays are most of a call's working memory
-        # the remainder fields, one bit plane at a time (plane 0 is last);
-        # a field is below 2**width, so its planes from width up are zero
-        last = stop + width
-        for plane in range(int(width.max())):
-            bits[last[((field >> plane) & 1).astype(bool)] - plane] = 1
+        bits = np.ones(carry.size + int(ends[-1]), np.uint8)
+        last = ends + (carry.size - 1)  # each codeword's last bit
+        bits[last - width] = 0
+        narrow, widest = int(width.min()), int(width.max())
+        # a uint8 source scatters faster than the int64 field
+        for plane in range(min(narrow + 1, widest)):
+            bits[last - plane] = ((field >> plane) & 1).astype(np.uint8)
+        for plane in range(narrow + 1, widest):
+            wide = width > plane
+            bits[last[wide] - plane] = ((field[wide] >> plane) & 1).astype(np.uint8)
         bits[:carry.size] = carry
-        whole = size & ~7
+        whole = bits.size & ~7
         self._chunks.append(np.packbits(bits[:whole]).tobytes())
         self._carry = bits[whole:].copy()
         self.bit_length += int(ends[-1])

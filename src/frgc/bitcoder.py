@@ -53,16 +53,17 @@ def codeword_fields(values: np.ndarray, m):
     BitSource.read_unary and read_minimal_binary read them.  m must be at most
     2**52, so that ceil(lg m) is exact in a double.
     """
-    q, field = np.divmod(values, m)
+    q = values // m
+    field = values - q * m  # np.divmod takes twice as long
     if np.ndim(m) == 0:
         g = GolombParam(int(m))
         b, threshold = g.bits, g.threshold
     else:
         b = np.frexp(m - 1)[1].astype(np.int64)  # the bit length of m - 1
         threshold = np.left_shift(1, b) - m
-    short = field < threshold
-    np.add(field, threshold, out=field, where=~short)
-    return q, field, b - short
+    wide = field >= threshold  # the field takes all b bits, offset by threshold
+    field += wide * threshold
+    return q, field, wide + (b - 1)
 
 
 def symbol_out_of_range(t: int, x: int, lo: int, hi: int) -> CorruptStreamError:

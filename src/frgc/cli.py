@@ -121,7 +121,7 @@ def _cmd_encode(args) -> int:
         print(f"frgc encode: {exc}", file=sys.stderr)
         return EXIT_DATA
     _write_file(args.out, data)
-    bits = 8 * (len(data) - codec.HEADER_SIZE)
+    bits = 8 * (len(data) - codec.read_header(data)[1])
     per = bits / len(xs) if xs else 0.0
     print(f"{len(xs)} symbols -> {len(data)} bytes "
           f"({header.mode}, {header.rho}/{header.tau}, {per:.3f} bits/symbol)")
@@ -168,7 +168,7 @@ def _cmd_roundtrip(args) -> int:
         print(f"frgc roundtrip: MISMATCH ({bad} symbols differ)",
               file=sys.stderr)
         return EXIT_MISMATCH
-    bits = 8 * (len(data) - codec.HEADER_SIZE)
+    bits = 8 * (len(data) - codec.read_header(data)[1])
     per = bits / len(xs) if xs else 0.0
     print(f"roundtrip ok: {len(xs)} symbols, {len(data)} bytes, "
           f"{per:.3f} bits/symbol")

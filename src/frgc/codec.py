@@ -189,17 +189,25 @@ _lpc_predictions = predictor.batch_predictions
 
 
 def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> np.ndarray:
-    """Vectorized twin of qmap.round_prediction; returns numerators."""
-    scaled = tau * pred / rho + 0.5
-    if not np.all(np.isfinite(scaled)):
-        raise ValueError("predictions must be finite")
-    floored = np.floor(scaled)
-    if np.any(np.abs(floored) >= 2.0 ** 62):
+    """Vectorized twin of qmap.round_prediction over float64 predictions;
+    returns numerators."""
+    scaled = tau * pred
+    if rho != 1:
+        scaled /= rho
+    scaled += 0.5
+    floored = np.floor(scaled, out=scaled)
+    # NaN and inf fail the bound as an overflow does; only then is the
+    # failure told apart
+    if not (np.abs(floored) < 2.0 ** 62).all():
+        if not np.isfinite(floored).all():
+            raise ValueError("predictions must be finite")
         raise ValueError("prediction magnitude overflows the residual range")
     k = floored.astype(np.int64)
-    if np.any(np.abs(k) > ((1 << 62) - 1) // rho):  # so |rho*k| < 2**62
-        raise ValueError("prediction magnitude overflows the residual range")
-    return k * rho
+    if rho != 1:
+        if (np.abs(k) > ((1 << 62) - 1) // rho).any():  # so |rho*k| < 2**62
+            raise ValueError("prediction magnitude overflows the residual range")
+        k *= rho
+    return k
 
 
 def _prediction_array(predictions, n: int, mismatch=ValueError) -> np.ndarray:

@@ -158,9 +158,21 @@ def unmap_array(values: np.ndarray, numerators: np.ndarray, tau: int) -> np.ndar
 
     Exact for 0 <= v < 2**62 and |n| < 2**62, as the compiled unfold:
     c = ceil(2n/tau) is split as 2h + q, so v + c, which can pass 2**63,
-    is never formed.
+    is never formed.  With d = v + q and p = d & 1, the even case is
+    h + (d >> 1) and the odd one h - (d >> 1) - 1 + q, so one expression
+    takes both: h + ((d >> 1) ^ -p) + (p & q), with no branch.
     """
-    c = -((-2 * numerators) // tau)
-    h, q = c >> 1, c & 1
-    return np.where((values + q) & 1 == 0, h + ((values + q) >> 1),
-                    h - ((values + 2 - q) >> 1))
+    c = numerators * -2
+    c //= tau
+    np.negative(c, out=c)  # ceil(2n/tau); the steps below work in place
+    q = c & 1
+    d = values + q
+    p = d & 1
+    d >>= 1
+    np.negative(p, out=p)
+    d ^= p
+    p &= q  # -p & q is p & q
+    c >>= 1
+    d += c
+    d += p
+    return d

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgc import _estcore, _pure, qmap
+from frgc import _estcore, _pure, bitcoder, codec, qmap
 from frgc.bitcoder import (
     M_MAX,
     MAX_RUN,
@@ -302,6 +302,161 @@ def test_encode_error_parity(coders):
             backend.golomb_encode(ints([1]), M_MAX + 1)
         with pytest.raises(ValueError):
             backend.golomb_decode(b"\x00", 1, M_MAX + 1)
+
+
+# --- the writer and the vector arithmetic around it ---------------------------------
+
+PACK = _pure.BLOCK_BITS
+
+
+def filling(rng, g, total, last):
+    """Values whose codewords under g take exactly ``total`` bits; the
+    last has remainder ``last`` and a quotient that takes up the rest."""
+    values, left = [], total
+    tail = code_length(last, g)
+    while left > tail + 8 + g.bits:  # room for any draw, then the last codeword
+        v = int(rng.integers(0, 8 * g.m))
+        values.append(v)
+        left -= code_length(v, g)
+    return values + [(left - tail) * g.m + last]
+
+
+def packed(chunks):
+    """_Packer's (payload, bit length) after one write per (values, m) chunk."""
+    packer = _pure._Packer()
+    for values, m in chunks:
+        packer.write(ints(values), m)
+    return packer.finish(), packer.bit_length
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 13, 64])
+def test_packer_at_the_edges_of_its_packs(m, coders):
+    # packs of exactly PACK bits, each after `carry` bits left over from
+    # the last: the last codeword of a pack ends on its last bit (a field
+    # bit, or at m = 1 the closing zero), and the next, of quotient 0,
+    # has its closing zero on the first bit after the carry
+    g = GolombParam(m)
+    rng = np.random.default_rng(m)
+    values = []
+    for last in (0, m - 1, m // 2):
+        values += filling(rng, g, PACK, last)
+        values += [last] + filling(rng, g, PACK - code_length(last, g), m - 1)
+    assert sum(code_length(v, g) for v in values) == 6 * PACK
+    values += [int(v) for v in geometric(rng, 500, m)]
+    for carry in range(8):
+        assert packed([([0] * carry, 1), (values, m)]) == oracle_write(
+            [0] * carry + values, [GolombParam(1)] * carry + [g] * len(values))
+    ok, (payload, _) = agree(coders, "golomb_encode", ints(values), m)
+    assert ok == "ok"
+    assert agree(coders, "golomb_decode", payload, len(values),
+                 m) == ("ok", ints(values).tobytes())
+
+
+def test_packer_with_per_symbol_m_from_1_to_64():
+    # m = 1 makes the narrowest field 0 bits wide, so every plane of the
+    # m = 64 fields is selected; the mix also spans packs and carries
+    rng = np.random.default_rng(4)
+    for n, carry in ((40, 0), (3000, 5), (30000, 3)):
+        ms = rng.choice([1, 64, 2, 3, 33, 1, 17], n)
+        ms[::5] = 1
+        values = (rng.random(n) * 6 * ms).astype(np.int64)
+        got = packed([([0] * carry, 1), (values.tolist(), ms)])
+        params = [GolombParam(1)] * carry + [GolombParam(int(m)) for m in ms]
+        assert got == oracle_write([0] * carry + values.tolist(), params)
+
+
+@pytest.mark.parametrize("m", [1, 3, 64])
+def test_codewords_longer_than_a_pack_and_of_max_run(m, coders):
+    # a codeword over PACK bits is packed alone; a quotient of exactly
+    # MAX_RUN is the longest one the format takes
+    values = [3, MAX_RUN * m + m - 1, 1, (PACK + 5) * m, 0, (PACK - 1) * m + m // 2, 2]
+    g = GolombParam(m)
+    for carry in (0, 1, 7):
+        assert packed([([0] * carry, 1), (values, m)]) == oracle_write(
+            [0] * carry + values, [GolombParam(1)] * carry + [g] * len(values))
+    ok, (payload, nbits) = agree(coders, "golomb_encode", ints(values), m)
+    assert ok == "ok" and (payload, nbits) == oracle_golomb_encode(ints(values), m)
+    assert agree(coders, "golomb_decode", payload, len(values),
+                 m) == ("ok", ints(values).tobytes())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, M_MAX])
+def test_codeword_fields_near_the_top_of_int64(m):
+    top = (1 << 63) - 1
+    values = [v for c in (1 << 62, top - 200) for v in range(c - 200, c + 200)]
+    values += [0, 1, m - 1, m, top]
+    g = GolombParam(m)
+    expected = []
+    for v in values:
+        q, k = divmod(v, m)
+        field, width = (k, g.bits - 1) if k < g.threshold else (k + g.threshold, g.bits)
+        expected.append((q, field, width))
+    for param in (m, np.full(len(values), m)):
+        q, field, width = bitcoder.codeword_fields(ints(values), param)
+        assert list(zip(q.tolist(), field.tolist(), width.tolist())) == expected
+
+
+def rounded(preds, rho, tau):
+    """codec._round_predictions' numerators, or its ValueError's message."""
+    try:
+        return codec._round_predictions(np.array(preds, np.float64), rho, tau).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_round_predictions_against_the_scalar_rounding():
+    for rho, tau in ((1, 1), (1, 4), (3, 16), (5, 5), (2, 0xFFFF)):
+        p = qmap.Precision(rho, tau)
+        ties = [(k + 0.5) * rho / tau for k in range(-40, 40)]
+        preds = ties + [0.0, -0.0, 1e-300, 2.5e9, -7.75e12]
+        assert rounded(preds, rho, tau) == [qmap.round_prediction(x, p) for x in preds]
+    finite = "predictions must be finite"
+    for bad in (math.inf, -math.inf, math.nan):
+        assert rounded([1.0, bad, 2.0], 1, 4) == finite
+        with pytest.raises(ValueError, match="must be finite"):
+            qmap.round_prediction(bad, qmap.Precision(1, 4))
+    # a NaN is reported as such even beside an overflowing entry
+    assert rounded([1e30, math.nan], 1, 1) == finite
+    assert rounded([math.nan, -1e30], 3, 16) == finite
+    assert rounded([1e30, 2.0], 1, 1) == "prediction magnitude overflows the residual range"
+
+
+@pytest.mark.parametrize("rho", [1, 3, 4096])
+def test_round_predictions_at_the_numerator_limit(rho):
+    # k = (2**62 - 1) // rho is the widest quotient whose numerator rho*k
+    # stays below 2**62: of the two adjacent floats around it, the one
+    # the scalar rule rounds to k at most is taken, the next refused
+    p = qmap.Precision(rho, rho)
+    k_max = ((1 << 62) - 1) // rho
+
+    def quotient(x):
+        return qmap.round_prediction(x, p) // rho
+
+    for sign in (1, -1):
+        out = sign * math.inf
+        x = sign * float(k_max)
+        while abs(quotient(x)) > k_max:
+            x = np.nextafter(x, 0.0)
+        while abs(quotient(np.nextafter(x, out))) <= k_max:
+            x = np.nextafter(x, out)
+        past = np.nextafter(x, out)
+        assert abs(quotient(x)) == k_max or rho != 4096  # 2**50 - 1 is a float
+        assert rounded([x], rho, rho) == [qmap.round_prediction(x, p)]
+        assert rounded([past], rho, rho) == (
+            "prediction magnitude overflows the residual range")
+
+
+@pytest.mark.parametrize("tau", [1, 4, 16])
+def test_unmap_array_matches_unmap_to_the_edges(tau):
+    rng = np.random.default_rng(tau)
+    n = 4000
+    values = np.concatenate((rng.integers(0, 1 << 62, n), rng.integers(0, 64, n)))
+    nums = np.concatenate((rng.integers(1 - LIMIT, LIMIT, n), rng.integers(-99, 99, n)))
+    edges = ints([0, 1, LIMIT - 1, LIMIT - 2])
+    values = np.concatenate((values, np.repeat(edges, 4)))
+    nums = np.concatenate((nums, np.tile(ints([LIMIT - 1, 1 - LIMIT, 0, -1]), 4)))
+    got = qmap.unmap_array(values, nums, tau).tolist()
+    assert got == [qmap.unmap(v, p, tau) for v, p in zip(values.tolist(), nums.tolist())]
 
 
 # --- adaptive m -----------------------------------------------------------------
