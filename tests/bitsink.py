@@ -1,11 +1,13 @@
 """The bit-at-a-time Golomb writer the tests use as an oracle.
 
-The codec writes whole arrays of codewords with numpy (frgc._pure._Packer,
-or the compiled loops); this writer appends one field at a time on Python
-ints, so the tests can build streams, and corrupt ones, codeword by
-codeword and check the array coders against it.  ``code_length`` is the
-length of one such codeword, which the sweeps compute for whole arrays
-in frgc.harness.symbol_code_lengths.
+The codec writes whole arrays of codewords: frgc._pure._Packer draws
+each pack of codewords over a bit image of ones with numpy, a closing
+zero and one field bit plane at a time, and the compiled loops shift
+bits through a 64-bit accumulator.  This writer appends one field at a
+time on Python ints, so the tests can build streams, and corrupt ones,
+codeword by codeword and check the array coders against it.
+``code_length`` is the length of one such codeword, which the sweeps
+compute for whole arrays in frgc.harness.symbol_code_lengths.
 """
 
 from frgc.bitcoder import GolombParam

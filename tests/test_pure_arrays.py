@@ -183,6 +183,14 @@ def geometric(rng, n, m, spill=0.01):
     return values
 
 
+def packed(chunks):
+    """_Packer's (payload, bit length) after one write per (values, m) chunk."""
+    packer = _pure._Packer()
+    for values, m in chunks:
+        packer.write(ints(values), m)
+    return packer.finish(), packer.bit_length
+
+
 # --- fixed m -------------------------------------------------------------------
 
 @given(m=st.sampled_from(FIXED_MS), data=st.data())
@@ -241,10 +249,17 @@ def test_payloads_at_the_window_size(extra, m, coders):
 
 @pytest.mark.parametrize("m", [1, 3, 64])
 def test_codewords_longer_than_the_window(m, coders):
-    # quotients of one, two and three windows, at odd bit offsets
-    values = ints([5, m * (WINDOW + 3) + m - 1, 2, m * (3 * WINDOW), 1, m * (WINDOW - 1), 0])
+    # quotients of one, two and three windows, at odd bit offsets; three
+    # windows are more than a pack, which the writer then packs alone,
+    # and MAX_RUN is the longest quotient the format takes
+    values = ints([5, m * (WINDOW + 3) + m - 1, 2, m * (3 * WINDOW), 1, m * (WINDOW - 1), 0,
+                   MAX_RUN * m + m - 1, 3])
     ok, (payload, nbits) = agree(coders, "golomb_encode", values, m)
     assert ok == "ok" and nbits > 5 * WINDOW
+    g = GolombParam(m)
+    for carry in (1, 7):
+        assert packed([([0] * carry, 1), (values.tolist(), m)]) == oracle_write(
+            [0] * carry + values.tolist(), [GolombParam(1)] * carry + [g] * len(values))
     assert agree(coders, "golomb_decode", payload, len(values),
                  m) == ("ok", values.tobytes())
 
@@ -321,14 +336,6 @@ def filling(rng, g, total, last):
     return values + [(left - tail) * g.m + last]
 
 
-def packed(chunks):
-    """_Packer's (payload, bit length) after one write per (values, m) chunk."""
-    packer = _pure._Packer()
-    for values, m in chunks:
-        packer.write(ints(values), m)
-    return packer.finish(), packer.bit_length
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 13, 64])
 def test_packer_at_the_edges_of_its_packs(m, coders):
     # packs of exactly PACK bits, each after `carry` bits left over from
@@ -363,21 +370,6 @@ def test_packer_with_per_symbol_m_from_1_to_64():
         got = packed([([0] * carry, 1), (values.tolist(), ms)])
         params = [GolombParam(1)] * carry + [GolombParam(int(m)) for m in ms]
         assert got == oracle_write([0] * carry + values.tolist(), params)
-
-
-@pytest.mark.parametrize("m", [1, 3, 64])
-def test_codewords_longer_than_a_pack_and_of_max_run(m, coders):
-    # a codeword over PACK bits is packed alone; a quotient of exactly
-    # MAX_RUN is the longest one the format takes
-    values = [3, MAX_RUN * m + m - 1, 1, (PACK + 5) * m, 0, (PACK - 1) * m + m // 2, 2]
-    g = GolombParam(m)
-    for carry in (0, 1, 7):
-        assert packed([([0] * carry, 1), (values, m)]) == oracle_write(
-            [0] * carry + values, [GolombParam(1)] * carry + [g] * len(values))
-    ok, (payload, nbits) = agree(coders, "golomb_encode", ints(values), m)
-    assert ok == "ok" and (payload, nbits) == oracle_golomb_encode(ints(values), m)
-    assert agree(coders, "golomb_decode", payload, len(values),
-                 m) == ("ok", ints(values).tobytes())
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, M_MAX])
