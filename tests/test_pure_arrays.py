@@ -319,7 +319,7 @@ def test_encode_error_parity(coders):
             backend.golomb_decode(b"\x00", 1, M_MAX + 1)
 
 
-# --- the writer and the vector arithmetic around it ---------------------------------
+# --- the writer and the vector arithmetic around it ----------------------------
 
 PACK = _pure.BLOCK_BITS
 
