@@ -33,6 +33,7 @@ from frgc._estcore import LOG_BOUNDARIES, select_m, select_m_array
 from bitsink import BitSink, code_length
 
 BLOCK = _pure.BLOCK_SYMBOLS
+SMALL_BLOCK = 1 << 11  # a shorter split, which the encoders must make exactly as well
 WINDOW = _pure.WINDOW_BITS
 SAT = _estcore.EST_SATURATION
 LIMIT = 1 << 62  # the contract's bound on |pred_n|
@@ -216,8 +217,12 @@ def test_per_symbol_m_parity(data):
     assert got == oracle_write(values.tolist(), [GolombParam(int(m)) for m in ms])
 
 
-@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-def test_lengths_at_the_block_size(n, coders):
+@pytest.mark.parametrize("block, n", [
+    pytest.param(block, n, id=str(n))
+    for block in (SMALL_BLOCK, BLOCK)
+    for n in (block - 1, block, block + 1, 2 * block + 1)])
+def test_lengths_at_the_block_size(block, n, coders, monkeypatch):
+    monkeypatch.setattr(_pure, "BLOCK_SYMBOLS", block)
     rng = np.random.default_rng(n)
     values = geometric(rng, n, 3)
     ok, (payload, _) = agree(coders, "golomb_encode", values, 3)
@@ -453,12 +458,16 @@ def test_unmap_array_matches_unmap_to_the_edges(tau):
 
 # --- adaptive m -----------------------------------------------------------------
 
-@pytest.mark.parametrize("at", [0, 100, BLOCK - 1, BLOCK, BLOCK + 1])
-@pytest.mark.parametrize("overshoot", [0, 5])
-def test_saturation_inside_a_block_and_on_its_edge(at, overshoot, coders):
+@pytest.mark.parametrize("block, at, overshoot", [
+    pytest.param(block, at, overshoot, id=f"{overshoot}-{at}")
+    for block, ats in ((SMALL_BLOCK, (SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1)),
+                       (BLOCK, (0, 100, BLOCK - 1, BLOCK, BLOCK + 1)))
+    for overshoot in (0, 5) for at in ats])
+def test_saturation_inside_a_block_and_on_its_edge(block, at, overshoot, coders, monkeypatch):
     # the sum reaches EST_SATURATION (exactly, or past it) at symbol `at`,
     # then takes increments that would wrap a 64-bit sum
-    n = BLOCK + 40
+    monkeypatch.setattr(_pure, "BLOCK_SYMBOLS", block)
+    n = block + 40
     est = np.ones(n, np.int64)
     est[at] = SAT - at + overshoot
     for i in range(at + 1, at + 6):
@@ -468,8 +477,8 @@ def test_saturation_inside_a_block_and_on_its_edge(at, overshoot, coders):
     sums = _estcore.running_sums(0, est, False).tolist()
     assert sums == oracle_sums(est, False)
     # continued from a block's last sum, as the pure encoder runs it
-    assert (_estcore.running_sums(sums[BLOCK - 1], est[BLOCK:], False).tolist()
-            == sums[BLOCK:])
+    assert (_estcore.running_sums(sums[block - 1], est[block:], False).tolist()
+            == sums[block:])
     assert all(s == SAT for s in sums[at:])
     if at:
         assert sums[at - 1] == at
