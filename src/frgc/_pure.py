@@ -61,7 +61,8 @@ seldom changes, so it guesses: once m has held for SETTLE_SYMBOLS
 symbols, it parses a window of codewords under that m as golomb_decode
 does, runs the estimator over the symbols they unmap to, and keeps them
 up to the first whose successor select_m gives another m (_speculate).
-Until then it reads one codeword at a time.
+Until then it reads one codeword at a time (CodewordReader), as
+codec._decode_lpc's cold start does too.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _output(count: int, nbits: int) -> bytearray:
 
 
 class _Packer:
-    """Writes whole arrays of codewords, MSB first, as bitcoder.BitSource reads them.
+    """Writes whole arrays of codewords, MSB first, as the decoders read them.
 
     write splits each array into packs of at most BLOCK_BITS bits (or one
     longer codeword); _pack draws a pack's bits at codeword cost and packs
@@ -287,11 +288,11 @@ def _decode_window(data, pos, size, g, want, final):
     """Up to ``want`` codewords from payload bits [pos, pos + size).
 
     Returns (values, ends, error): the codewords that fit, the bit offset
-    (from pos) after each, and None or the CorruptStreamError BitSource
-    would raise for the codeword after them: for a unary run over
-    MAX_RUN, or, when the window reaches the end of the payload, for a
-    codeword it cuts off.  Returns None when not even the first codeword
-    fits and more payload follows.
+    (from pos) after each, and None or the CorruptStreamError that
+    CodewordReader.read raises for the codeword after them: for a unary
+    run over MAX_RUN, or, when the window reaches the end of the payload,
+    for a codeword it cuts off.  Returns None when not even the first
+    codeword fits and more payload follows.
 
     Every codeword's unary run ends at a zero bit, and that zero fixes
     where the codeword ends.  So the codewords are a chain of zeros from
@@ -386,31 +387,52 @@ def parse_ahead(data, pos, g, left, held=0, held_bits=0):
         size = min(2 * size, max(MAX_RUN + g.bits + 2, WINDOW_BITS))
 
 
-def _read_codeword(text, p, g, final):
-    """(value, offset after it) of the codeword at offset p of a bit text.
+class CodewordReader:
+    """A payload's codewords one at a time, for the decoders' cold starts.
 
-    None when the text cuts the codeword off and more payload follows;
-    CorruptStreamError as BitSource would raise it otherwise.
+    It holds payload bits [base, base + len(text)) as b"0"/b"1" bytes:
+    bytes.find reads a unary run, int(..., 2) a remainder field.  When a
+    codeword runs past the text, read refills it from that codeword's
+    first bit: WINDOW_BITS bits, doubled while the codeword does not fit.
     """
-    z = text.find(b"0", p)
-    if (len(text) if z < 0 else z) - p > MAX_RUN:
-        raise _run_too_long()
-    b = g.bits
-    if z < 0 or z + b > len(text):
-        if final:
-            raise _end_of_stream()
-        return None
-    run = (z - p) * g.m
-    if b == 0:
-        return run, z + 1
-    k = int(text[z + 1:z + b], 2) if b > 1 else 0
-    if k < g.threshold:
-        return run + k, z + b
-    if z + b == len(text):
-        if final:
-            raise _end_of_stream()
-        return None
-    return run + ((k << 1) | (text[z + b] & 1)) - g.threshold, z + b + 1
+
+    def __init__(self, payload) -> None:
+        self._data = np.frombuffer(payload, np.uint8)
+        self._nbits = 8 * self._data.size
+        self._text, self._base = b"", 0
+
+    def read(self, pos, g):
+        """(value, end) of the codeword at bit pos under g: its mapped
+        residual and the bit after it.
+
+        pos is at or after the previous read's, so a decoder may skip the
+        codewords a window parsed.  Raises CorruptStreamError for a unary
+        run over MAX_RUN and for a codeword the payload cuts off.
+        """
+        b = g.bits
+        while True:
+            text, base = self._text, self._base
+            p = pos - base
+            z = text.find(b"0", p)
+            if (len(text) if z < 0 else z) - p > MAX_RUN:
+                raise _run_too_long()
+            if 0 <= z <= len(text) - b:
+                run = (z - p) * g.m
+                if b == 0:
+                    return run, base + z + 1
+                k = int(text[z + 1:z + b], 2) if b > 1 else 0
+                if k < g.threshold:
+                    return run + k, base + z + b
+                if z + b < len(text):
+                    return (run + ((k << 1) | (text[z + b] & 1)) - g.threshold,
+                            base + z + b + 1)
+            # the text ends inside the codeword: read on from its first bit
+            if base + len(text) == self._nbits:
+                raise _end_of_stream()
+            size = max(WINDOW_BITS, 2 * len(text)) if base == pos else WINDOW_BITS
+            self._text = (_bits(self._data, pos, min(size, self._nbits - pos))
+                          + ord("0")).tobytes()
+            self._base = pos
 
 
 _golomb = functools.cache(GolombParam)  # adaptive decode switches among few m
@@ -460,8 +482,7 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     # memoryviews index to Python ints and floats, as the loop needs
     pred_n, pred_x = memoryview(n_values), memoryview(x_values)
     data = np.frombuffer(payload, np.uint8)
-    nbits = 8 * data.size
-    out = _output(count, nbits)
+    out = _output(count, 8 * data.size)
     filled, symbols = np.frombuffer(out, np.int64), memoryview(out).cast("q")
     scale = 1 if raw else tau  # select_m's tau
     s = 0.0 if raw else 0
@@ -470,9 +491,7 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     i = pos = 0
     held = 0  # symbols decoded under m since it last changed
     run_pos = 0  # the bit where they began
-    # payload bits [base, base + len(text)) as b"0"/b"1" bytes: bytes.find
-    # reads a unary run, int(..., 2) a remainder field
-    text, base = b"", 0
+    read = CodewordReader(data).read
     while i < count:
         if held >= SETTLE_SYMBOLS:
             window = parse_ahead(data, pos, g, count - i, held, pos - run_pos)
@@ -486,15 +505,7 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
             else:
                 m, held, run_pos, g = m2, 0, pos, _golomb(m2)
             continue
-        # one codeword
-        read = _read_codeword(text, pos - base, g, base + len(text) == nbits)
-        if read is None:  # the text ends inside the codeword: read on from it
-            size = max(WINDOW_BITS, 2 * len(text)) if base == pos else WINDOW_BITS
-            text = (_bits(data, pos, min(size, nbits - pos)) + ord("0")).tobytes()
-            base = pos
-            continue
-        value, p = read
-        pos = base + p
+        value, pos = read(pos, g)  # one codeword
         n = pred_n[i]
         if not -_NUMERATOR_LIMIT < n < _NUMERATOR_LIMIT:
             raise ValueError("prediction numerator out of range")

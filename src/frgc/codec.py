@@ -26,7 +26,6 @@ from frgc import _backend, _estcore, _pure, predictor, qmap
 from frgc.bitcoder import (
     M_MAX,
     TAU_MAX,
-    BitSource,
     CorruptStreamError,
     GolombParam,
     symbol_out_of_range,
@@ -150,10 +149,12 @@ def read_header(data: bytes) -> tuple[StreamHeader, int]:
     return StreamHeader.unpack(data), HEADER_SIZE
 
 
-def decode_symbol(n: int, tau: int, g: GolombParam, src: BitSource) -> int:
-    """Read one codeword and invert the mapping against the prediction n/tau."""
-    value = src.read_unary() * g.m + src.read_minimal_binary(g)
-    return qmap.unmap(value, n, tau)
+def decode_symbol(n: int, tau: int, g: GolombParam,
+                  reader: _pure.CodewordReader, pos: int) -> tuple[int, int]:
+    """Read the codeword at bit pos and invert the mapping against the
+    prediction n/tau: (symbol, the bit after the codeword)."""
+    value, end = reader.read(pos, g)
+    return qmap.unmap(value, n, tau), end
 
 
 def _symbol_range(alphabet_q: int) -> tuple[int, int]:
@@ -328,12 +329,13 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
     _pure.SETTLE_SYMBOLS symbols), a window of codewords is parsed under
     it (_pure.parse_ahead) and each is unmapped against its own
     prediction in turn, up to the first symbol after which select_m gives
-    another m; decoding resumes after the last codeword used.  In the cold
-    start decode_symbol reads one codeword from a BitSource at the same
-    bit offset.  Every symbol is decoded under its own m, and errors are
-    those of a loop over symbols: the window's trailing error is raised
-    only when the symbol whose codeword it could not read comes up under
-    the m it was parsed with.
+    another m; decoding resumes after the last codeword used.  Until m
+    has held that long, decode_symbol reads one codeword at a time through
+    a _pure.CodewordReader, the reader of _pure.adaptive_decode's cold
+    start.  Every symbol is decoded under its own m, and errors are those
+    of a loop over symbols: the window's trailing error is raised only
+    when the symbol whose codeword it could not read comes up under the m
+    it was parsed with.
     """
     prec = header.precision
     tau = header.tau
@@ -345,12 +347,12 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
     settle = _pure.SETTLE_SYMBOLS
     lo, hi = _symbol_range(header.alphabet_q)
     data = np.frombuffer(payload, np.uint8)
-    src = BitSource(payload)
+    reader = _pure.CodewordReader(data)
     state = predictor.LpcState(header.lpc)
     history = state.history
     s = 0.0 if raw else 0
     m = 1 if adaptive else header.m
-    g = GolombParam(m)
+    g = _pure._golomb(m)
     held = 0  # symbols decoded under m since it last changed
     pos = run_pos = 0  # the next codeword's bit, and the bit where m last changed
     # the window in use: its codewords, the bit after each, the error
@@ -383,9 +385,7 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
             elif error is not None:
                 raise error
             else:
-                src.position = pos
-                x = decode_symbol(n, tau, g, src)
-                pos = src.position
+                x, pos = decode_symbol(n, tau, g, reader, pos)
             if not lo <= x <= hi:
                 raise symbol_out_of_range(t, x, lo, hi)
             history.append(x)
@@ -401,7 +401,7 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
             if m2 == m:
                 held += 1
             else:
-                m, g, held, run_pos = m2, GolombParam(m2), 0, pos
+                m, g, held, run_pos = m2, _pure._golomb(m2), 0, pos
                 values, error, k = [], None, 0
         t = stop
     return history[len(history) - count:]

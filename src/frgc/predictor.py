@@ -29,7 +29,7 @@ which does ``_solve``'s float operations in ``_solve``'s order, and
 forms the predictions in ``predict_at``'s order: the same bits as the
 loop.  The sums are int64 where window * max|x|**2 < 2**63
 (``sums_fit_int64``: 16- and 24-bit samples at any window), else Python
-integers.  ``loop_predictions``, the loop, is the tests' reference.
+integers.  The tests check it against a loop over ``LpcState``.
 """
 
 from __future__ import annotations
@@ -227,8 +227,7 @@ class LpcState:
     is the one definition of that schedule: it gives the coefficients that
     predict a run of positions, in ``predict_at``'s order over
     ``history``, and where the run ends.  A decoder predicts and appends
-    symbols to ``history`` itself until then; ``predict()`` and ``push()``,
-    which no codec path calls, do the same one symbol at a time.
+    symbols to ``history`` itself until then.
 
     The window sums are brought up to date only when a refit reads them:
     a gap of more than order+1 positions is crossed in one jump of exact
@@ -264,15 +263,6 @@ class LpcState:
             self._next_fit += self.cfg.refit_interval
         return self.coeffs or _PREVIOUS, self._next_fit
 
-    def predict(self) -> float:
-        """Prediction of the next symbol, refitting first when one is due."""
-        h = self.history
-        return predict_at(h, self.span()[0], len(h))
-
-    def push(self, x: int) -> None:
-        """Append the symbol just coded."""
-        self.history.append(x)
-
     def refit(self) -> list[float]:
         """Fit the coefficients for the next symbol now and keep them."""
         t = len(self.history) - self._pad
@@ -307,16 +297,6 @@ class LpcState:
                            - sum(map(mul, h[a - w:b - w], h[a - w - k:b - w - k]))
                            for k, v in enumerate(self._sums[-1])])
         self._pos = s
-
-
-def loop_predictions(xs: np.ndarray, cfg: LpcConfig) -> np.ndarray:
-    """LpcState's prediction of every symbol of xs, one at a time, for tests."""
-    state = LpcState(cfg)
-    preds = []
-    for x in xs.tolist():
-        preds.append(state.predict())
-        state.push(x)
-    return np.array(preds, dtype=np.float64)
 
 
 # Working memory of one block of batch_predictions, about: each of its

@@ -1,16 +1,20 @@
-"""The bit-at-a-time Golomb writer the tests use as an oracle.
+"""The bit-at-a-time Golomb writer and reader the tests use as oracles.
 
 The codec writes whole arrays of codewords: frgc._pure._Packer draws
 each pack of codewords over a bit image of ones with numpy, a closing
 zero and one field bit plane at a time, and the compiled loops shift
-bits through a 64-bit accumulator.  This writer appends one field at a
-time on Python ints, so the tests can build streams, and corrupt ones,
-codeword by codeword and check the array coders against it.
+bits through a 64-bit accumulator.  It reads them a window at a time
+(frgc._pure._decode_window) or, where m is not yet known ahead, one at
+a time from a text of b"0"/b"1" bytes (frgc._pure.CodewordReader).
+``BitSink`` appends one field at a time on Python ints, so the tests can
+build streams, and corrupt ones, codeword by codeword and check the
+array coders against it; ``BitSource`` reads one bit at a time and is
+the reference for every decoder's values and errors.
 ``code_length`` is the length of one such codeword, which the sweeps
 compute for whole arrays in frgc.harness.symbol_code_lengths.
 """
 
-from frgc.bitcoder import GolombParam
+from frgc.bitcoder import MAX_RUN, CorruptStreamError, GolombParam
 
 
 def code_length(m_value: int, g: GolombParam) -> int:
@@ -76,3 +80,70 @@ class BitSink:
                 self._nacc = 0
             self._done = True
         return bytes(self._buf)
+
+
+class BitSource:
+    """Reads bits MSB-first from a bytes-like payload."""
+
+    def __init__(self, data) -> None:
+        self._data = bytes(data)
+        self._pos = 0
+        self._nbits = 8 * len(self._data)
+
+    @property
+    def bits_left(self) -> int:
+        return self._nbits - self._pos
+
+    @property
+    def position(self) -> int:
+        """Offset of the next bit to read, from the start of the payload."""
+        return self._pos
+
+    @position.setter
+    def position(self, pos: int) -> None:
+        if not 0 <= pos <= self._nbits:
+            raise ValueError(f"bit position {pos} outside [0, {self._nbits}]")
+        self._pos = pos
+
+    def read_bits(self, nbits: int) -> int:
+        if nbits < 0:
+            raise ValueError("cannot read a negative number of bits")
+        pos = self._pos
+        if pos + nbits > self._nbits:
+            raise CorruptStreamError("unexpected end of stream")
+        data = self._data
+        result = 0
+        while nbits > 0:
+            avail = 8 - (pos & 7)
+            take = avail if avail < nbits else nbits
+            chunk = (data[pos >> 3] >> (avail - take)) & ((1 << take) - 1)
+            result = (result << take) | chunk
+            pos += take
+            nbits -= take
+        self._pos = pos
+        return result
+
+    def read_unary(self) -> int:
+        data, nbits, pos, count = self._data, self._nbits, self._pos, 0
+        while pos < nbits:
+            byte = data[pos >> 3]
+            if (pos & 7) == 0 and byte == 0xFF:  # a whole byte of ones in one step
+                pos += 8
+                count += 8
+            elif (byte >> (7 - (pos & 7))) & 1:
+                pos += 1
+                count += 1
+            else:
+                self._pos = pos + 1
+                return count
+            if count > MAX_RUN:
+                raise CorruptStreamError(f"unary run exceeds {MAX_RUN} bits")
+        raise CorruptStreamError("unexpected end of stream")
+
+    def read_minimal_binary(self, g: GolombParam) -> int:
+        if g.bits == 0:
+            return 0
+        v = self.read_bits(g.bits - 1)
+        if v < g.threshold:
+            return v
+        return ((v << 1) | self.read_bits(1)) - g.threshold

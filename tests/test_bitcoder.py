@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from frgc.bitcoder import (
     MAX_RUN,
-    BitSource,
     CorruptStreamError,
     GolombParam,
 )
 
-from bitsink import BitSink, code_length
+from bitsink import BitSink, BitSource, code_length
 
 
 def bits_of(data: bytes, nbits: int) -> str:

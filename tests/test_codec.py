@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frgc import _estcore, analysis, bitcoder, codec, harness, predictor, qmap
-from frgc.bitcoder import BitSource, CorruptStreamError, GolombParam
+from frgc._pure import CodewordReader
+from frgc.bitcoder import CorruptStreamError, GolombParam
 from frgc.codec import (
     HEADER_SIZE,
     MODE_ADAPTIVE,
@@ -209,7 +210,7 @@ def test_encode_symbol_example():
     sink = BitSink()
     write_symbol(2, n, 4, GolombParam(2), sink)
     assert bits_of(sink.finish(), sink.bit_length) == "100"
-    assert decode_symbol(n, 4, GolombParam(2), BitSource(b"\x80")) == 2
+    assert decode_symbol(n, 4, GolombParam(2), CodewordReader(b"\x80"), 0) == (2, 3)
 
 
 def test_symbol_roundtrip_sequence():
@@ -219,8 +220,12 @@ def test_symbol_roundtrip_sequence():
     sink = BitSink()
     for x in xs:
         write_symbol(x, n, 8, g, sink)
-    src = BitSource(sink.finish())
-    assert [decode_symbol(n, 8, g, src) for _ in xs] == xs
+    reader = CodewordReader(sink.finish())
+    got, pos = [], 0
+    for _ in xs:
+        x, pos = decode_symbol(n, 8, g, reader, pos)
+        got.append(x)
+    assert got == xs and pos == sink.bit_length
 
 
 # --- streams: fixed and rice --------------------------------------------------

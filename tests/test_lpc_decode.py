@@ -1,7 +1,9 @@
 """The windowed LPC decoder against the loop over symbols it replaced.
 
 ``oracle_decode_lpc`` is codec._decode_lpc as it was before it parsed
-windows of codewords: one BitSource read per symbol.  decode_stream must
+windows of codewords: one read per symbol, here by the bit-at-a-time
+bitsink.BitSource, which shares no code with the codec's readers, and a
+per-symbol predictor, lpcloop.LoopState.  decode_stream must
 give the same symbols, predictions and trace with either, or raise the
 same exception type and message at the same symbol (the number of
 predictions rounded before the error).
@@ -12,10 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from frgc import _estcore, _pure, codec, predictor, qmap
+from frgc import _estcore, _pure, codec, qmap
 from frgc.bitcoder import (
     MAX_RUN,
-    BitSource,
     CorruptStreamError,
     GolombParam,
     symbol_out_of_range,
@@ -30,6 +31,10 @@ from frgc.codec import (
 )
 from frgc.predictor import LpcConfig
 
+from bitsink import BitSource
+from lpcloop import LoopState
+
+
 def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
     """Lpc-mode decode, symbol by symbol: the symbols."""
     cfg = header.lpc
@@ -40,7 +45,7 @@ def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
     lo, hi = codec._symbol_range(header.alphabet_q)
     src = BitSource(payload)
     out: list[int] = []
-    state = predictor.LpcState(cfg)
+    state = LoopState(cfg)
     s_int = 0
     s_raw = 0.0
     for t in range(header.count):
@@ -52,7 +57,8 @@ def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
             m = _estcore.select_m(t, s_raw)
         else:
             m = _estcore.select_m(t, s_int, tau)
-        x = codec.decode_symbol(n, tau, GolombParam(m), src)
+        g = GolombParam(m)
+        x = qmap.unmap(src.read_unary() * m + src.read_minimal_binary(g), n, tau)
         if not lo <= x <= hi:
             raise symbol_out_of_range(t, x, lo, hi)
         state.push(x)
@@ -215,18 +221,63 @@ def test_every_truncation_of_a_short_stream(name, settle):
     assert agree(data)[:2] == ("ok", SHORT)
 
 
-def test_fixed_mode_reads_no_codeword_with_bitsource(monkeypatch):
-    # windows cover every symbol whose m is known, and raise their own
-    # errors: a fixed-mode decode, whole or cut short, never falls back
-    # to the per-symbol reader, which only the adaptive cold start uses
+def counted_decode_symbol(monkeypatch) -> list:
+    """The arguments of every codec.decode_symbol call from now on."""
     calls = []
     real = codec.decode_symbol
     monkeypatch.setattr(codec, "decode_symbol", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_fixed_mode_reads_no_codeword_one_at_a_time(monkeypatch):
+    # windows cover every symbol whose m is known, and raise their own
+    # errors: a fixed-mode decode, whole or cut short, never falls back
+    # to the per-symbol reader, which only the adaptive cold start uses
+    calls = counted_decode_symbol(monkeypatch)
     data = encode_stream(SHORT, replace(HEADERS["fixed"], lpc=LpcConfig(2, 8, 1)))
     assert decode_stream(data) == SHORT
     with pytest.raises(CorruptStreamError, match="unexpected end of stream"):
         decode_stream(data[:-3])
     assert not calls
+
+
+def unsettled_ms(trace) -> list:
+    """The m of each symbol coded before its m had held for
+    _pure.SETTLE_SYMBOLS symbols: symbol 0 at the cold start's m = 1, and
+    the symbols after each m switch until the new m has held that long."""
+    ms = [m for m, _, _ in trace]
+    found, held = [], 0
+    for t, m in enumerate(ms):
+        held = held + 1 if t and m == ms[t - 1] else 0
+        if held < _pure.SETTLE_SYMBOLS:
+            found.append(m)
+    return found
+
+
+@pytest.mark.parametrize("name", ["adaptive-int", "adaptive-raw"])
+def test_adaptive_mode_reads_one_codeword_at_a_time_until_m_settles(name, settle,
+                                                                    monkeypatch):
+    # decode_symbol reads exactly the codewords of the symbols whose m has
+    # not held for SETTLE_SYMBOLS symbols, each under its own m: 65 reads
+    # by default where m leaves 1 after symbol 0 and never moves again
+    calls = counted_decode_symbol(monkeypatch)
+    header = HEADERS[name]
+    once = ar2(5, 600, 200.0)
+    once[0] = 20000
+    data, trace = encode_stream(once, header, collect_trace=True)
+    ms = [m for m, _, _ in trace]
+    assert ms[0] == 1 and set(ms[1:]) == {64}
+    assert decode_stream(data) == once
+    assert len(calls) == _pure.SETTLE_SYMBOLS + 1 == (65 if settle == "settled" else 2)
+    read_ms = [g.m for _, _, g, _, _ in calls]
+    assert read_ms == unsettled_ms(trace) == [1] + [64] * _pure.SETTLE_SYMBOLS
+    # and where m moves all through the stream
+    xs = ar2(7, 2000, np.repeat((0.5, 6.0, 1.0, 20.0), 500))
+    data, trace = encode_stream(xs, header, collect_trace=True)
+    assert len(held_switches(trace)) >= 3
+    calls.clear()
+    assert decode_stream(data) == xs
+    assert [g.m for _, _, g, _, _ in calls] == unsettled_ms(trace)
 
 
 @pytest.mark.parametrize("name", sorted(HEADERS))

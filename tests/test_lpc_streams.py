@@ -23,6 +23,7 @@ from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
 from bitsink import BitSink
+from lpcloop import loop_predictions
 
 # SHA-256 of each golden stream with its version byte set to 0, recorded
 # from the version 2 encoder, which summed the normal equations in floats.
@@ -120,7 +121,7 @@ def test_batch_encoder_writes_the_loops_bytes(mode, monkeypatch):
         streams.append((xs.tolist(), StreamHeader(rho=1, tau=8, lpc=LpcConfig(*cfg),
                                                   **MODES[mode])))
     batch = [encode_stream(xs, header) for xs, header in streams]
-    monkeypatch.setattr(codec, "_lpc_predictions", predictor.loop_predictions)
+    monkeypatch.setattr(codec, "_lpc_predictions", loop_predictions)
     assert batch == [encode_stream(xs, header) for xs, header in streams]
 
 

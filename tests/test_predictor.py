@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from frgc import codec, predictor
 from frgc.predictor import (
     LpcConfig,
-    LpcState,
     identity_coefficients,
     predict_at,
 )
+
+from lpcloop import LoopState, loop_predictions
 
 
 def sse(history, coeffs, cfg, t):
@@ -26,7 +27,7 @@ def sse(history, coeffs, cfg, t):
 
 def fit_history(history, cfg, previous=None):
     """Coefficients LpcState fits after pushing all of history."""
-    state = LpcState(cfg)
+    state = LoopState(cfg)
     for x in history:
         state.push(x)
     state.coeffs = previous
@@ -97,7 +98,7 @@ def oracle_run(xs, cfg, fit_fn):
 
 
 def state_run(xs, cfg):
-    preds, fits, state = [], [], LpcState(cfg)
+    preds, fits, state = [], [], LoopState(cfg)
     for t, x in enumerate(xs):
         before = state.coeffs
         preds.append(state.predict())
@@ -183,7 +184,7 @@ def test_predict_at_indexes_history():
 
 
 def test_state_warms_up_on_the_previous_sample():
-    state = LpcState(LpcConfig(2, 3, 4))
+    state = LoopState(LpcConfig(2, 3, 4))
     assert state.predict() == 0.0
     for x in (7, -2, 5, 9):
         state.push(x)
@@ -409,7 +410,7 @@ def test_solve_refuses_singular_and_near_tol_matrices():
 def assert_batch_matches_loop(xs, cfg):
     xs = np.asarray(xs, dtype=np.int64)
     got = predictor.batch_predictions(xs, cfg)
-    want = predictor.loop_predictions(xs, cfg)
+    want = loop_predictions(xs, cfg)
     assert got.dtype == np.float64 and got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -461,7 +462,7 @@ def test_batch_keeps_coefficients_through_all_zero_windows(blocks):
     xs = np.concatenate((np.zeros(30, dtype=np.int64), walk(9, 40),
                          np.zeros(700, dtype=np.int64), walk(10, 30)))
     assert_batch_matches_loop(xs, cfg)
-    state = LpcState(cfg)
+    state = LoopState(cfg)
     for x in xs[:cfg.warmup].tolist():
         state.push(x)
     assert state.refit() == identity_coefficients(3)

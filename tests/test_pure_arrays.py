@@ -2,7 +2,7 @@
 
 ``oracle_*`` below are the per-symbol loops frgc._pure ran before it
 coded whole arrays: one codeword at a time through bitsink.BitSink and
-bitcoder.BitSource, on Python ints.  The numpy coder must agree with them bit for
+bitsink.BitSource, on Python ints.  The numpy coder must agree with them bit for
 bit, in its results and in the type of every error, and so must the
 compiled kernels where they build.  The adaptive decoder, which parses
 ahead under an m it has not confirmed yet, must also give the oracle's
@@ -23,14 +23,13 @@ from frgc.bitcoder import (
     M_MAX,
     MAX_RUN,
     TAU_MAX,
-    BitSource,
     CorruptStreamError,
     GolombParam,
     symbol_out_of_range,
 )
 from frgc._estcore import LOG_BOUNDARIES, select_m, select_m_array
 
-from bitsink import BitSink, code_length
+from bitsink import BitSink, BitSource, code_length
 
 BLOCK = _pure.BLOCK_SYMBOLS
 SMALL_BLOCK = 1 << 11  # a shorter split, which the encoders must make exactly as well
@@ -855,6 +854,76 @@ def test_parse_ahead_returns_a_codeword_or_its_error(m):
             values, ends, error = _pure.parse_ahead(
                 np.frombuffer(payload, np.uint8), 0, g, 4, held, held_bits)
             assert values.size == 0 and str(error) == str(expected.value)
+
+
+def oracle_reads(payload, pos, g):
+    """Every codeword from bit pos, read by BitSource up to the first it
+    cannot read: [(value, bit after it)] and the error for that one."""
+    src = BitSource(payload)
+    src.position = pos
+    reads = []
+    while True:
+        try:
+            value = src.read_unary() * g.m + src.read_minimal_binary(g)
+        except CorruptStreamError as exc:
+            return reads, exc
+        reads.append((value, src.position))
+
+
+def reader_outcome(reader, pos, g):
+    try:
+        return reader.read(pos, g)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+@given(m=st.sampled_from(FIXED_MS), offset=st.integers(0, 7), final=st.booleans(),
+       kind=st.sampled_from(["random", *PATTERNS]), text=st.sampled_from([1, 5, 8, 64]),
+       skip=st.sampled_from([0.0, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_codeword_reader_matches_a_bit_reader_on_any_bits(m, offset, final, kind, text,
+                                                          skip, seed, data):
+    # the window parser's inputs, read one codeword at a time from a text
+    # that reaches the payload's end (final) or holds `text` bits from the
+    # codeword that needs a refill, so that most texts end inside a
+    # codeword; reads skip codewords as a decoder skips a window's
+    if kind == "random":
+        payload = data.draw(st.binary(max_size=300))
+    else:
+        payload = bytes([PATTERNS[kind]]) * data.draw(st.integers(0, 300))
+    g = GolombParam(m)
+    pos = min(offset, 8 * len(payload))
+    reads, error = oracle_reads(payload, pos, g)
+    expect = [*reads, (type(error), str(error))]
+    starts = [pos] + [end for _, end in reads]
+    skipped = np.random.default_rng(seed).random(len(starts)) < skip
+    saved = _pure.WINDOW_BITS
+    _pure.WINDOW_BITS = WINDOW if final else text
+    try:
+        reader = _pure.CodewordReader(payload)
+        for start, want, passed in zip(starts, expect, skipped):
+            if not passed:
+                assert reader_outcome(reader, start, g) == want
+    finally:
+        _pure.WINDOW_BITS = saved
+
+
+@pytest.mark.parametrize("m", [1, 13])
+@pytest.mark.parametrize("run", [MAX_RUN, MAX_RUN + 1])
+@pytest.mark.parametrize("text", [1, WINDOW])
+def test_codeword_reader_on_a_run_at_max_run(m, run, text, monkeypatch):
+    # a unary run of MAX_RUN, which reads, or of one more, which does not,
+    # through texts that double from `text` bits until the run fits
+    monkeypatch.setattr(_pure, "WINDOW_BITS", text)
+    g = GolombParam(m)
+    payload = run_payload(run, m, tail=3)
+    reads, error = oracle_reads(payload, 0, g)
+    assert (len(reads) >= 4) == (run == MAX_RUN)
+    reader = _pure.CodewordReader(payload)
+    starts = [0] + [end for _, end in reads]
+    expect = [*reads, (type(error), str(error))]
+    assert [reader_outcome(reader, start, g) for start in starts] == expect
 
 
 def test_numerators_past_the_vector_unmap(decoders):
