@@ -9,12 +9,18 @@ so encoder and decoder pick the same m on every platform.  The compiled
 kernel copies LOG_BOUNDARIES when it is imported and mirrors the same
 two-cast expression in C.
 
+So select_m gives m exactly while ln theta_hat lies in m's interval
+(m_interval): a decoder that holds m tests that interval after each
+symbol, two compares, and calls select_m only when the test fails.
+
 run steps the estimator over an array of symbols at once; the whole-array
-encoder, the speculative decoder and the codec's trace all call it.
+encoder and the codec's trace call it.  The speculative decoder takes its
+running_sums and tests them against m's interval.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -67,6 +73,23 @@ def select_m(t: int, s, tau: int = 1) -> int:
     return i + 1 if i < MAX_ADAPTIVE_M else MAX_ADAPTIVE_M
 
 
+def m_interval(m: int) -> tuple[float, float]:
+    """(lo, hi): select_m(t, s, tau) is m exactly when s > 0 and
+    lo < -float(t * tau) / float(s) <= hi, for 1 <= m <= MAX_ADAPTIVE_M.
+
+    The interval is (L_{m-1}, L_m] of LOG_BOUNDARIES, L_k its k-th entry,
+    with L_0 = -inf, and open above at the cap m = MAX_ADAPTIVE_M.  Two
+    cases lie outside it, and both give m = 1: s <= 0, which a decoder's
+    sum is only before its first nonzero increment, while m is still 1;
+    and a quotient of -inf, from a raw sum so small that it overflows,
+    which fails lo < x at m = 1.  So a decoder holds m while the test
+    passes, and calls select_m when it fails.
+    """
+    lo = LOG_BOUNDARIES[m - 2] if m > 1 else -math.inf
+    hi = LOG_BOUNDARIES[m - 1] if m < MAX_ADAPTIVE_M else math.inf
+    return lo, hi
+
+
 _LOG_BOUNDARY_ARRAY = np.array(LOG_BOUNDARIES)
 
 
@@ -91,10 +114,16 @@ def running_sums(before, inc: np.ndarray, raw: bool) -> np.ndarray:
     A float cumsum adds in order, as the scalar loops do.  The integer
     sum saturates: before < 2**62 and each increment < 2**63, so the
     uint64 cumsum is exact up to its first entry >= EST_SATURATION, and
-    every entry from there on is EST_SATURATION.
+    every entry from there on is EST_SATURATION.  When even the largest
+    increment at every symbol stays below it, the int64 cumsum is that
+    sum.
     """
     if raw:
         return np.cumsum(np.concatenate(([before], inc)))[1:]
+    if not inc.size or before + int(inc.max()) * inc.size < EST_SATURATION:
+        sums = np.cumsum(inc)
+        sums += before
+        return sums
     sums = np.cumsum(inc.astype(np.uint64)) + np.uint64(before)
     full = sums >= EST_SATURATION
     if full.any():

@@ -59,10 +59,12 @@ per round; at m = 1 every zero closes a codeword.
 adaptive_decode cannot know an m before the symbols ahead of it, but m
 seldom changes, so it guesses: once m has held for SETTLE_SYMBOLS
 symbols, it parses a window of codewords under that m as golomb_decode
-does, runs the estimator over the symbols they unmap to, and keeps them
-up to the first whose successor select_m gives another m (_speculate).
-Until then it reads one codeword at a time (CodewordReader), as
-codec._decode_lpc's cold start does too.
+does, takes the estimator's running sums over the symbols they unmap
+to, and keeps them up to the first after which ln theta_hat leaves m's
+interval (_estcore.m_interval; _speculate).  Until then it reads one
+codeword at a time (CodewordReader), as codec._decode_lpc's cold start
+does too, and tests the interval after each symbol.  Either way
+select_m runs only where the test fails, once per switch of m.
 """
 
 from __future__ import annotations
@@ -72,7 +74,14 @@ import sys
 
 import numpy as np
 
-from frgc._estcore import EST_SATURATION as _SAT, run, select_m
+from frgc._estcore import (
+    EST_SATURATION as _SAT,
+    MAX_ADAPTIVE_M,
+    m_interval,
+    run,
+    running_sums,
+    select_m,
+)
 from frgc.bitcoder import (
     M_MAX,
     MAX_RUN,
@@ -366,17 +375,20 @@ def parse_ahead(data, pos, g, left, held=0, held_bits=0):
     For a fixed m (held = 0) it parses up to ``left`` codewords in a
     window of WINDOW_BITS bits.  For an adaptive m that has held for
     ``held`` symbols, which took ``held_bits`` bits, it guesses that m
-    holds for max(held, AHEAD_SYMBOLS) more, and cuts the window to a
+    holds for max(2 * held, AHEAD_SYMBOLS) more, and cuts the window to a
     little more than that many codewords at the rate so far, so that a
-    guess parses no more than it is likely to keep.  A window holds at
-    most one codeword per bit, so no count exceeds WINDOW_BITS.  While
-    the first codeword runs past the window, and more payload follows,
-    the window doubles, up to one that holds any legal codeword.  So
-    the result holds a codeword or the error that ends the codewords.
+    guess parses little more than it is likely to keep.  Testing a
+    window's symbols costs less than parsing them, so a guess of held
+    more parses too many short windows; 4 * held measured no faster than
+    2 * held.  A window holds at most one codeword per bit, so no count
+    exceeds WINDOW_BITS.  While the first codeword runs past the window,
+    and more payload follows, the window doubles, up to one that holds
+    any legal codeword.  So the result holds a codeword or the error that
+    ends the codewords.
     """
     want, size = min(left, WINDOW_BITS), WINDOW_BITS
     if held:
-        want = min(want, max(held, AHEAD_SYMBOLS))
+        want = min(want, max(2 * held, AHEAD_SYMBOLS))
         size = min(size, int(1.25 * held_bits / held * want) + 64)
     rest = 8 * data.size - pos
     while True:
@@ -442,34 +454,64 @@ def _speculate(window, m, i, pred_n, pred_x, tau, raw, s, lo, hi):
     """Symbols i, i + 1, ... decoded at once, as long as their m stays m.
 
     ``window`` is parse_ahead's parse from symbol i's codeword on under
-    m, as if m held for all of them.  Unmaps its codewords, runs the
-    estimator from sum ``s`` over them and keeps the prefix up to the
-    first symbol after which select_m leaves m.  Every kept symbol was
-    decoded under its own m, so only a kept codeword or symbol, or the
-    one after them under m, raises, and it raises what the loop over
-    symbols would.  Returns (symbols, bits they take, sum after them, m
-    of the next symbol).
+    m, as if m held for all of them.  Unmaps its codewords, takes the
+    estimator's running sums from ``s`` over them, and keeps the prefix up
+    to the first symbol after which ln theta_hat leaves m's interval
+    (m_interval): the quotient q = t * tau / S after each symbol, formed
+    as select_m forms it, is -ln theta_hat, so two compares against the
+    interval's negated ends find that symbol, and select_m runs once, for
+    the symbol after it.  Sums still 0 at the window's start give m = 1.
+    Every kept symbol was decoded under its own m, so only a kept codeword
+    or symbol, or the one after them while m holds, raises, and it raises
+    what the loop over symbols would.  Returns (symbols, bits they take,
+    sum after them, m of the next symbol).
     """
     values, ends, error = window
     n = pred_n[i:i + values.size]
-    wide = (n <= -_NUMERATOR_LIMIT) | (n >= _NUMERATOR_LIMIT)
-    if wide.any():  # the loop over symbols reads its codeword, then refuses it
-        k = int(np.argmax(wide))
+    if n.size and (n.min() <= -_NUMERATOR_LIMIT or n.max() >= _NUMERATOR_LIMIT):
+        # the loop over symbols reads its codeword, then refuses it
+        k = int(np.argmax((n <= -_NUMERATOR_LIMIT) | (n >= _NUMERATOR_LIMIT)))
         values, n = values[:k], n[:k]
         error = ValueError("prediction numerator out of range")
     k = values.size
     xs = unmap_array(values, n, tau)
-    inc = np.abs(xs - pred_x[i:i + k]) if raw else np.abs(tau * xs - n)
-    sums, ms = run(i, s, inc, tau, raw)
-    switch = np.flatnonzero(ms[1:] != m)
-    keep = int(switch[0]) + 1 if switch.size else k
-    bad = np.flatnonzero((xs[:keep] < lo) | (xs[:keep] > hi))
-    if bad.size:
-        j = int(bad[0])
+    if raw:
+        inc = xs - pred_x[i:i + k]
+    else:
+        inc = tau * xs
+        inc -= n
+    sums = running_sums(s, np.abs(inc, out=inc), raw)
+    scale = 1 if raw else tau  # select_m's tau
+    # sums never fall, so those still 0 are a prefix; m is 1 there, as
+    # it is at the sum 0 before them
+    z = 0 if s > 0 else int(np.searchsorted(sums, 0, "right"))
+    switch = None  # the symbol after which m changes
+    if z < k:
+        # the int64 products, then the casts and the division, as select_m
+        q = np.arange((i + z + 1) * scale, (i + k + 1) * scale, scale) / sums[z:]
+        low, high = m_interval(m)
+        # x = -q leaves (low, high] where q < -high or q >= -low; the
+        # first test is vacuous at the cap, the second at m = 1, where it
+        # would flag q = inf
+        if m == MAX_ADAPTIVE_M:
+            out = q >= -low
+        else:
+            out = q < -high
+            if m > 1:
+                out |= q >= -low
+        j = int(np.argmax(out))
+        if out[j]:
+            switch = z + j
+    kept = xs if switch is None else xs[:switch + 1]
+    if kept.size and (kept.min() < lo or kept.max() > hi):
+        j = int(np.argmax((kept < lo) | (kept > hi)))
         raise symbol_out_of_range(i + j, int(xs[j]), lo, hi)
-    if keep == k and error is not None:
-        raise error
-    return xs[:keep], int(ends[keep - 1]), sums[keep - 1].item(), int(ms[keep])
+    if switch is None:
+        if error is not None:
+            raise error
+        return xs, int(ends[-1]), sums[-1].item(), m
+    after = sums[switch].item()
+    return kept, int(ends[switch]), after, select_m(i + switch + 1, after, scale)
 
 
 def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
@@ -488,6 +530,7 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     s = 0.0 if raw else 0
     m = 1
     g = _golomb(m)
+    low, high = m_interval(m)
     i = pos = 0
     held = 0  # symbols decoded under m since it last changed
     run_pos = 0  # the bit where they began
@@ -504,6 +547,7 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
                 held += xs.size
             else:
                 m, held, run_pos, g = m2, 0, pos, _golomb(m2)
+                low, high = m_interval(m2)
             continue
         value, pos = read(pos, g)  # one codeword
         n = pred_n[i]
@@ -521,9 +565,12 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
             if s > _SAT:
                 s = _SAT
         i += 1
-        m2 = select_m(i, s, scale)
-        if m2 == m:
-            held += 1
-        else:
-            m, held, run_pos, g = m2, 0, pos, _golomb(m2)
+        # m holds while ln theta_hat stays in its interval (s is 0 only at m = 1)
+        if s > 0 and not low < -(i * scale) / float(s) <= high:
+            m2 = select_m(i, s, scale)
+            if m2 != m:
+                m, held, run_pos, g = m2, 0, pos, _golomb(m2)
+                low, high = m_interval(m2)
+                continue
+        held += 1
     return out

@@ -173,15 +173,16 @@ def _check_symbols(xs: np.ndarray, alphabet_q: int) -> None:
         raise ValueError(f"symbols outside [{lo}, {hi}]: saw [{smallest}, {largest}]")
 
 
-def _check_decoded(symbols: np.ndarray, alphabet_q: int) -> None:
+def _check_decoded(symbols: np.ndarray, alphabet_q: int, start: int) -> None:
     """Refuse a decode holding a symbol encode_stream would have refused.
 
-    The error names the first bad symbol.
+    symbols are the stream's from index start on; the error names the
+    first bad one.
     """
     lo, hi = _symbol_range(alphabet_q)
     if symbols.size and (symbols.min() < lo or symbols.max() > hi):
         t = int(np.argmax((symbols < lo) | (symbols > hi)))
-        raise symbol_out_of_range(t, int(symbols[t]), lo, hi)
+        raise symbol_out_of_range(start + t, int(symbols[t]), lo, hi)
 
 
 # Per-symbol predictions from history only, as the decoder re-derives
@@ -328,14 +329,15 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
     first symbol, in adaptive mode once it has held for
     _pure.SETTLE_SYMBOLS symbols), a window of codewords is parsed under
     it (_pure.parse_ahead) and each is unmapped against its own
-    prediction in turn, up to the first symbol after which select_m gives
-    another m; decoding resumes after the last codeword used.  Until m
-    has held that long, decode_symbol reads one codeword at a time through
-    a _pure.CodewordReader, the reader of _pure.adaptive_decode's cold
-    start.  Every symbol is decoded under its own m, and errors are those
-    of a loop over symbols: the window's trailing error is raised only
-    when the symbol whose codeword it could not read comes up under the m
-    it was parsed with.
+    prediction in turn, up to the first symbol after which ln theta_hat
+    leaves m's interval (_estcore.m_interval, tested after every symbol;
+    select_m runs only where the test fails); decoding resumes after the
+    last codeword used.  Until m has held that long, decode_symbol reads
+    one codeword at a time through a _pure.CodewordReader, the reader of
+    _pure.adaptive_decode's cold start.  Every symbol is decoded under
+    its own m, and errors are those of a loop over symbols: the window's
+    trailing error is raised only when the symbol whose codeword it could
+    not read comes up under the m it was parsed with.
     """
     prec = header.precision
     tau = header.tau
@@ -343,7 +345,8 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
     adaptive = header.mode == MODE_ADAPTIVE
     raw = header.raw_error_estimator
     scale = 1 if raw else tau  # select_m's tau
-    select_m, saturation = _estcore.select_m, _estcore.EST_SATURATION
+    select_m, m_interval = _estcore.select_m, _estcore.m_interval
+    saturation = _estcore.EST_SATURATION
     settle = _pure.SETTLE_SYMBOLS
     lo, hi = _symbol_range(header.alphabet_q)
     data = np.frombuffer(payload, np.uint8)
@@ -353,6 +356,7 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
     s = 0.0 if raw else 0
     m = 1 if adaptive else header.m
     g = _pure._golomb(m)
+    low, high = m_interval(1)  # of adaptive mode's first m
     held = 0  # symbols decoded under m since it last changed
     pos = run_pos = 0  # the next codeword's bit, and the bit where m last changed
     # the window in use: its codewords, the bit after each, the error
@@ -397,12 +401,15 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
                 s += abs(tau * x - n)
                 if s > saturation:
                     s = saturation
-            m2 = select_m(t + 1, s, scale)
-            if m2 == m:
-                held += 1
-            else:
-                m, g, held, run_pos = m2, _pure._golomb(m2), 0, pos
-                values, error, k = [], None, 0
+            # m holds while ln theta_hat stays in its interval (s is 0 only at m = 1)
+            if s > 0 and not low < -((t + 1) * scale) / float(s) <= high:
+                m2 = select_m(t + 1, s, scale)
+                if m2 != m:
+                    m, g, held, run_pos = m2, _pure._golomb(m2), 0, pos
+                    low, high = m_interval(m2)
+                    values, error, k = [], None, 0
+                    continue
+            held += 1
         t = stop
     return history[len(history) - count:]
 
@@ -415,6 +422,12 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     the argument.  Returns the symbol list, or (symbols, trace) when
     collect_trace is set.  A traced adaptive lpc decode predicts the
     decoded symbols again with _lpc_predictions, as the encoder does.
+
+    The predictions are rounded _pure.BLOCK_SYMBOLS at a time, all of
+    them before any codeword is read, so a bad prediction raises before
+    any payload error.  A fixed-m stream's codewords are then unmapped
+    and range-checked a block at a time, in place in the backend's
+    output; no pass allocates a temporary the length of the stream.
     """
     header, offset = read_header(data)
     payload = bytes(data[offset:])
@@ -429,16 +442,25 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
         out = _decode_lpc(payload, header)
     else:
         pred = _prediction_array(predictions, n, HeaderError)
-        numerators = _round_predictions(pred, header.rho, header.tau)
+        block = _pure.BLOCK_SYMBOLS
+        # every prediction is rounded, and checked, before any codeword is read
+        numerators = np.empty(n, np.int64)
+        for lo in range(0, n, block):
+            numerators[lo:lo + block] = _round_predictions(
+                pred[lo:lo + block], header.rho, header.tau)
         if header.mode == MODE_ADAPTIVE:
             symbols = np.frombuffer(_backend.adaptive_decode(
                 payload, n, numerators, pred, header.tau, header.raw_error_estimator,
                 *_symbol_range(header.alphabet_q)), np.int64)
         else:
-            values = _backend.golomb_decode(payload, n, header.m)
-            symbols = _unmap_vector(np.frombuffer(values, np.int64),
-                                    numerators, header.tau)
-            _check_decoded(symbols, header.alphabet_q)
+            # the decoder's bytearray is writable: unmap into it
+            symbols = np.frombuffer(_backend.golomb_decode(payload, n, header.m),
+                                    np.int64)
+            for lo in range(0, n, block):
+                values = symbols[lo:lo + block]
+                values[:] = _unmap_vector(values, numerators[lo:lo + block],
+                                          header.tau)
+                _check_decoded(values, header.alphabet_q, lo)
         out = symbols.tolist()
 
     if not collect_trace:

@@ -26,6 +26,7 @@ from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
 from bitsink import BitSink
+from steer import held_schedule, m_runs, steered_symbols
 
 BOUNDS = _estcore.LOG_BOUNDARIES
 RANGE = (SYMBOL_MIN, SYMBOL_MAX)  # the decoded symbols' range with no alphabet
@@ -163,6 +164,28 @@ def test_codec_streams_match_across_backends(mode, kernels, monkeypatch):
         assert out == xs.tolist()
         results.append((data, trace, dtrace))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("tau,raw,top", [(1, False, 8), (16, False, 64), (3, True, 24)])
+def test_streams_whose_m_holds_65_to_300_symbols(tau, raw, top, kernels, monkeypatch):
+    # every run of one m between switches lasts 65-300 symbols: longer
+    # than the cold start, so each run ends inside a window parsed ahead
+    ms = held_schedule(20_000, (65, 300), seed=tau, top=top)
+    xs = steered_symbols(ms, tau=tau, raw=raw, seed=top)
+    header = StreamHeader(mode="adaptive", rho=1, tau=tau, raw_error_estimator=raw)
+    results = []
+    for module in (_pure, kernels):
+        use_backend(monkeypatch, module)
+        data, trace = encode_stream(xs, header, collect_trace=True)
+        out, dtrace = decode_stream(data, collect_trace=True)
+        assert out == xs.tolist()
+        results.append((data, trace, dtrace))
+    assert results[0] == results[1]
+    traced = [m for m, _, _ in results[0][1]]
+    assert traced == ms
+    runs = m_runs(traced)
+    assert len(runs) > 60
+    assert all(65 <= length <= 300 for _, length in runs[1:-1])
 
 
 @pytest.mark.parametrize("mode", ["fixed", "adaptive+raw"])

@@ -35,6 +35,7 @@ BLOCK = _pure.BLOCK_SYMBOLS
 SMALL_BLOCK = 1 << 11  # a shorter split, which the encoders must make exactly as well
 WINDOW = _pure.WINDOW_BITS
 SAT = _estcore.EST_SATURATION
+MAX_M = _estcore.MAX_ADAPTIVE_M
 LIMIT = 1 << 62  # the contract's bound on |pred_n|
 FIXED_MS = (1, 2, 3, 13, 64, M_MAX)
 
@@ -231,6 +232,35 @@ def test_lengths_at_the_block_size(block, n, coders, monkeypatch):
     est_raw = rng.exponential(4.0, n)
     for args in ((est_int, False, 16), (est_raw, True, 1)):
         assert agree(coders, "adaptive_encode", values, *args)[0] == "ok"
+
+
+@pytest.mark.parametrize("block", [SMALL_BLOCK, BLOCK])
+def test_decode_stream_rounds_and_unmaps_a_block_at_a_time(block, monkeypatch):
+    # decode_stream rounds every prediction, block by block, before it
+    # reads a codeword, and unmaps and range-checks a fixed-m stream's
+    # codewords a block at a time; errors name the stream's index
+    monkeypatch.setattr(_pure, "BLOCK_SYMBOLS", block)
+    rng = np.random.default_rng(block)
+    n = 3 * block + 5
+    xs = rng.integers(0, 100, n)
+    pred = xs + rng.laplace(0.0, 4.0, n)
+    for header in (codec.StreamHeader(mode="fixed", rho=3, tau=16, m=9, alphabet_q=100),
+                   codec.StreamHeader(mode="adaptive", rho=1, tau=16, alphabet_q=100)):
+        data = codec.encode_stream(xs, header, predictions=pred)
+        assert codec.decode_stream(data, predictions=pred) == xs.tolist()
+        # predictions 200 higher from symbol 2 * block + 7 on decode above the alphabet
+        bad = 2 * block + 7
+        shifted = pred.copy()
+        shifted[bad:] += 200
+        with pytest.raises(CorruptStreamError, match=f"symbol {bad} "):
+            codec.decode_stream(data, predictions=shifted)
+        # a bad prediction in the last block raises before the cut payload
+        cut = data[:len(data) // 2]
+        shifted[-1] = math.nan
+        with pytest.raises(CorruptStreamError):
+            codec.decode_stream(cut, predictions=pred)
+        with pytest.raises(ValueError, match="must be finite"):
+            codec.decode_stream(cut, predictions=shifted)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -517,6 +547,65 @@ def test_select_m_array_on_log_boundary_ties_and_extremes():
     assert select_m_array(t, s, 16).tolist() == [1, 1, 1, 64, 64]
 
 
+def ulps_around(x, ulps=2):
+    """x and the floats up to ulps steps below and above it."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def intervals_holding(t, s, tau=1):
+    """The m whose interval (m_interval) holds -float(t * tau) / float(s)."""
+    x = -float(t * tau) / float(s)
+    held = []
+    for m in range(1, MAX_M + 1):
+        lo, hi = _estcore.m_interval(m)
+        if lo < x <= hi:
+            held.append(m)
+    return held
+
+
+def test_m_interval_is_select_m_within_two_ulps_of_every_boundary():
+    # ln theta_hat on each log-boundary and 1 or 2 ulps to either side:
+    # exactly one interval holds it, select_m's.  Raw float sums reach
+    # every target from t = 1 .. 13; integer sums s = 2**60 reach it as
+    # the exact quotient t / 2**60, and the sums 1 apart round around it
+    assert _estcore.m_interval(1)[0] == -math.inf
+    assert _estcore.m_interval(MAX_M)[1] == math.inf
+    for m in range(1, MAX_M):
+        assert _estcore.m_interval(m)[1] == _estcore.m_interval(m + 1)[0]
+    raw_hits = int_hits = 0
+    for lb in LOG_BOUNDARIES:
+        for x in ulps_around(lb):
+            for t in (1, 3, 5, 7, 11, 13):
+                for s in ulps_around(-t / x, 3):
+                    assert intervals_holding(t, s) == [select_m(t, s)]
+                    raw_hits += -t / s == x
+            t = int(-x * 2.0 ** 60)
+            int_hits += -float(t) / float(1 << 60) == x
+            for s in ((1 << 60) - 1, 1 << 60, (1 << 60) + 1):
+                for tau in (1, 3):
+                    assert intervals_holding(t, s, tau) == [select_m(t, s, tau)]
+    assert int_hits == 5 * MAX_M and raw_hits >= 5 * MAX_M
+
+
+def test_m_interval_at_a_zero_sum_and_past_the_cap():
+    # s <= 0 gives m = 1 whatever t is: the interval test is not asked
+    for t in (0, 1, 10**6):
+        assert select_m(t, 0, 16) == select_m(t, 0.0) == 1
+    # past the last boundary, and at t = 0 (ln theta_hat = -0.0), m = 64
+    for t, s, tau in ((1, 10**18, 1), (1, 1e300, 1), (0, 5, 16), (3, SAT, 16)):
+        assert select_m(t, s, tau) == MAX_M
+        assert intervals_holding(t, s, tau) == [MAX_M]
+    # a raw sum so small that the quotient overflows to -inf gives m = 1,
+    # which the test of m = 1's interval leaves to select_m
+    assert select_m(2, 5e-324) == 1 and intervals_holding(2, 5e-324) == []
+
+
 # --- adaptive decode, parsing ahead ----------------------------------------------
 
 RANGE = (qmap.SYMBOL_MIN, qmap.SYMBOL_MAX)
@@ -582,6 +671,123 @@ def m_trace(sums, raw):
 def held_ms(runs):
     """Target m per symbol: each (m, length) of runs in turn."""
     return [m for m, length in runs for _ in range(length)]
+
+
+def reference_speculate(window, m, i, pred_n, pred_x, tau, raw, s):
+    """_speculate's (symbols, bits, sum, next m) from the estimator run
+    over the whole window: select_m_array's m after every symbol."""
+    values, ends, _ = window
+    n = pred_n[i:i + values.size]
+    xs = qmap.unmap_array(values, n, tau)
+    inc = np.abs(xs - pred_x[i:i + xs.size]) if raw else np.abs(tau * xs - n)
+    sums, ms = _estcore.run(i, s, inc, tau, raw)
+    switch = np.flatnonzero(ms[1:] != m)
+    keep = int(switch[0]) + 1 if switch.size else xs.size
+    return xs[:keep].tolist(), int(ends[keep - 1]), sums[keep - 1].item(), int(ms[keep])
+
+
+def speculation_case(rng, kind, raw, tau, k):
+    """A window of k codewords from symbol i, the sum before it, and i.
+
+    "any" starts on the edge of a random m's interval, at log-uniform i,
+    and draws each increment around a multiple of the mean so far, so
+    ln theta_hat drifts across boundaries.  "zero" starts at sum 0 with
+    increments of 0 past SETTLE_SYMBOLS; "saturating" brings the integer
+    sum to EST_SATURATION inside the window, where m is 64."""
+    scale = 1 if raw else tau  # select_m's tau
+    i = int(np.exp(rng.uniform(np.log(SETTLE_RUN), np.log(10**6))))
+    if kind == "zero":
+        i = int(rng.integers(SETTLE_RUN, 300))
+        s, mean = 0, float(rng.uniform(0.5, 20.0))
+    elif kind == "saturating":
+        s = SAT - int(rng.integers(1, 1 << 50)) * int(rng.integers(1, 2000))
+        mean = float(2 ** 58 // tau)
+    else:
+        lo, hi = _estcore.m_interval(int(rng.integers(1, MAX_M + 1)))
+        edge = lo if hi == math.inf or (lo > -math.inf and rng.random() < 0.5) else hi
+        s = max(1, math.ceil(-i * scale / edge))
+        mean = s / (i * scale)
+    factor = rng.choice([0.0, 0.5, 0.98, 1.02, 3.0], size=k)
+    inc = np.floor(factor * mean * rng.uniform(0.0, 2.0, k) * scale)
+    if kind == "zero":
+        inc[:int(rng.integers(0, k + 1))] = 0
+    xs = rng.integers(-1000, 1000, k)
+    if raw:
+        s = float(s)
+        pred_x = xs - inc * rng.choice([-1.0, 1.0], size=k)
+        pred_n = np.floor(tau * pred_x + 0.5).astype(np.int64)
+    else:
+        pred_n = tau * xs - inc.astype(np.int64) * rng.choice([-1, 1], size=k)
+        pred_x = np.zeros(k)
+    r = tau * xs - pred_n
+    values = np.where(r >= 0, 2 * r // tau, -(2 * r // tau) - 1)
+    ends = np.cumsum(rng.integers(1, 40, k))
+    pad = np.zeros(i, np.int64)  # the symbols before the window
+    return ((values, ends, None), np.concatenate((pad, pred_n)),
+            np.concatenate((pad.astype(np.float64), pred_x)), s, i)
+
+
+@pytest.mark.parametrize("raw", [False, True])
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["any", "zero", "saturating"]),
+       tau=st.sampled_from([1, 3, 16]), k=st.integers(1, 600), cut=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_speculate_matches_the_estimator_run(raw, seed, kind, tau, k, cut):
+    # kept symbols, their bits, the sum after them and the next m, against
+    # select_m_array's m after every symbol of the window; cut ends the
+    # window on the symbol after which m switches
+    if raw and kind == "saturating":
+        kind = "any"
+    rng = np.random.default_rng(seed)
+    window, pred_n, pred_x, s, i = speculation_case(rng, kind, raw, tau, k)
+    m = select_m(i, s, 1 if raw else tau)
+    expect = reference_speculate(window, m, i, pred_n, pred_x, tau, raw, s)
+    if cut and len(expect[0]) < k:
+        k = len(expect[0])
+        window = (window[0][:k], window[1][:k], None)
+    got = _pure._speculate(window, m, i, pred_n, pred_x, tau, raw, s, *RANGE)
+    assert (got[0].tolist(), *got[1:]) == expect
+    assert type(got[2]) is type(expect[2])
+
+
+def tied_sum(lb, start):
+    """(t, s): a count t >= start and a raw sum s with -t / s exactly lb."""
+    for t in range(start, start + 5000):
+        for s in ulps_around(-t / lb, 3):
+            if -t / s == lb:
+                return t, s
+    raise AssertionError(lb)
+
+
+def zero_symbols_window(i, inc):
+    """_speculate's arguments for symbols 0 from symbol i on, the raw
+    estimator at tau = 1 with increments inc: pred_x = -inc."""
+    inc = np.asarray(inc, np.float64)
+    pred_x = np.concatenate((np.zeros(i), -inc))
+    pred_n = np.floor(pred_x + 0.5).astype(np.int64)
+    n = pred_n[i:]
+    values = np.where(n <= 0, -2 * n, 2 * n - 1)  # the residual -n, folded
+    return (values, np.arange(1, inc.size + 1), None), pred_n, pred_x
+
+
+@pytest.mark.parametrize("k", range(2, MAX_M))
+def test_speculate_on_a_log_boundary_tie(k):
+    # ln theta_hat lands exactly on a boundary inside a window, which the
+    # interval holds at its upper end and not at its lower one: rising to
+    # L_k keeps m = k for one more symbol; falling to L_{k-1} leaves it
+    lb = LOG_BOUNDARIES[k - 1]
+    t, tie = tied_sum(lb, 100 * k)
+    below = -(t - 1) / ((lb + 3 * LOG_BOUNDARIES[k - 2]) / 4)  # m = k, 3/4 down
+    window, pred_n, pred_x = zero_symbols_window(t - 2, [0.0, tie - below, tie])
+    expect = reference_speculate(window, k, t - 2, pred_n, pred_x, 1, True, below)
+    assert select_m(t - 2, below) == k and len(expect[0]) == 3 and expect[3] > k
+    got = _pure._speculate(window, k, t - 2, pred_n, pred_x, 1, True, below, *RANGE)
+    assert (got[0].tolist(), *got[1:]) == expect
+    t, tie = tied_sum(LOG_BOUNDARIES[k - 2], 100 * k)
+    window, pred_n, pred_x = zero_symbols_window(t - 2, [0.0, 0.0, 0.0])
+    expect = reference_speculate(window, k, t - 2, pred_n, pred_x, 1, True, tie)
+    assert select_m(t - 2, tie) == k and len(expect[0]) == 2 and expect[3] == k - 1
+    got = _pure._speculate(window, k, t - 2, pred_n, pred_x, 1, True, tie, *RANGE)
+    assert (got[0].tolist(), *got[1:]) == expect
 
 
 @pytest.mark.parametrize("raw", [False, True])
@@ -727,6 +933,28 @@ def test_a_window_under_the_outgoing_m_may_run_off_the_payload(decoders):
     xs = rng.integers(-9, 9, n)
     args = case_for(xs, values, sums[:n], True)
     assert set(ms[SETTLE_RUN:n - 20]) == {2} and set(ms[n - 20:n]) == {1}
+    assert agree_exactly(decoders, *args, *RANGE) == ("ok", xs.tobytes())
+
+
+def test_a_switch_on_a_windows_last_codeword_before_the_payload_ends(decoders):
+    # m holds at 2 and falls to 1 for the last symbol, a 0: the 1-bit
+    # codeword "0", which ends the payload on a byte boundary.  The window
+    # parsed ahead under m = 2 reads every codeword up to the switch and
+    # then runs off the payload, so its trailing error belongs to an m
+    # that the last symbol is not coded under, and must not be raised
+    rng = np.random.default_rng(21)
+    sums = sums_for([2] * 100, True)
+    sums += [sums[-1]] * 100
+    ms = m_trace(sums, True)
+    n = ms.index(1, 100) + 1
+    assert set(ms[SETTLE_RUN:n - 1]) == {2} and ms[n - 1] == 1
+    values = geometric(rng, n, 2)
+    values[-1] = 0
+    bits = sum(code_length(int(v), GolombParam(m)) for v, m in zip(values, ms))
+    values[SETTLE_RUN] += 2 * (-bits % 8)  # each 2 adds one bit at m = 2
+    xs = rng.integers(-9, 9, n)
+    args = case_for(xs, values, sums[:n], True)
+    assert 8 * len(args[0]) == bits + (-bits % 8)
     assert agree_exactly(decoders, *args, *RANGE) == ("ok", xs.tobytes())
 
 
