@@ -62,15 +62,18 @@ symbols, it parses a window of codewords under that m as golomb_decode
 does, takes the estimator's running sums over the symbols they unmap
 to, and keeps them up to the first after which ln theta_hat leaves m's
 interval (_estcore.m_interval; _speculate).  Until then it reads one
-codeword at a time (CodewordReader), as codec._decode_lpc's cold start
-does too, and tests the interval after each symbol.  Either way
-select_m runs only where the test fails, once per switch of m.
+codeword at a time, as codec._decode_lpc's cold start does too, and
+tests the interval after each symbol.  CodewordReader looks most of those
+codewords up in a table of m by the next TABLE_BITS bits, which
+adaptive_decode indexes in its own loop, and scans the rest.  Either
+way select_m runs only where the test fails, once per switch of m.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
+from array import array
 
 import numpy as np
 
@@ -101,6 +104,10 @@ WINDOW_BITS = 1 << 15    # payload bits parsed at a time (or one longer codeword
 CHAIN_LEVELS = 5         # a window's chain of codewords is walked 2**5 at a step
 SETTLE_SYMBOLS = 64      # adaptive decode parses ahead once m has held this many symbols
 AHEAD_SYMBOLS = 256      # and then parses at least this many symbols at once
+TABLE_BITS = 12          # a cold-start read looks its codeword up by the next 12 bits
+READ_BYTES = 128         # payload bytes a cold-start reader takes into its windows at a time
+_SHIFT = 32 - TABLE_BITS           # a window's 32 bits, less the looked-up ones
+_MASK = (1 << TABLE_BITS) - 1
 
 _NUMERATOR_LIMIT = 1 << 62  # unmap_array is exact below it; adaptive_decode refuses more
 _INT64_MAX = (1 << 63) - 1
@@ -402,16 +409,49 @@ def parse_ahead(data, pos, g, left, held=0, held_bits=0):
 class CodewordReader:
     """A payload's codewords one at a time, for the decoders' cold starts.
 
-    It holds payload bits [base, base + len(text)) as b"0"/b"1" bytes:
-    bytes.find reads a unary run, int(..., 2) a remainder field.  When a
-    codeword runs past the text, read refills it from that codeword's
-    first bit: WINDOW_BITS bits, doubled while the codeword does not fit.
+    A read looks its codeword up by the TABLE_BITS bits at pos in m's
+    table (_table), for m up to MAX_ADAPTIVE_M.  It takes those bits from
+    its windows: words[k] holds the 32 bits from payload byte base + k
+    on, so the bits at pos are ``words[(pos >> 3) - base] >> (_SHIFT - (pos
+    & 7)) & _MASK``.  The windows are refilled from pos's byte, READ_BYTES
+    bytes at a time: a cold start reads at most SETTLE_SYMBOLS codewords
+    before its decoder parses ahead, and 64 hits span at most 96 bytes,
+    so a refill passes over little more of the payload than the reads
+    take.  Lookups are made only at bits before ``stop``, from which
+    TABLE_BITS bits lie in the payload, so a hit never reads the zero pad
+    past it.
+
+    A miss, a codeword that starts fewer than TABLE_BITS bits before the
+    payload's end, and an m without a table are scanned (scan): the
+    reader holds payload bits [start, start + len(text)) as b"0"/b"1"
+    bytes, bytes.find reads a unary run and int(..., 2) a remainder
+    field.  When a codeword runs past the text, scan refills it from that
+    codeword's first bit: WINDOW_BITS bits, doubled while the codeword
+    does not fit.
     """
 
     def __init__(self, payload) -> None:
         self._data = np.frombuffer(payload, np.uint8)
         self._nbits = 8 * self._data.size
-        self._text, self._base = b"", 0
+        self._text, self._start = b"", 0
+        self._words, self._base, self._stop = [], 0, 0
+
+    def windows(self, pos):
+        """(words, base, stop) with the bits at pos in them, unless fewer
+        than TABLE_BITS payload bits follow pos, where stop <= pos.
+
+        The windows are refilled from pos's byte when pos lies outside
+        them.  A decoder that keeps them must read at bits that never go
+        back, and ask again from stop on."""
+        if not 8 * self._base <= pos < self._stop and pos <= self._nbits - TABLE_BITS:
+            base = pos >> 3
+            size = min(READ_BYTES, self._data.size - base)
+            chunk = self._data[base:base + size + 3].tobytes() + bytes(3)  # zero past the payload
+            # a big-endian uint32 at every byte: one strided view
+            self._words = np.ndarray(size, ">u4", chunk, 0, (1,)).tolist()
+            self._base = base
+            self._stop = min(8 * (base + size), self._nbits - TABLE_BITS + 1)
+        return self._words, self._base, self._stop
 
     def read(self, pos, g):
         """(value, end) of the codeword at bit pos under g: its mapped
@@ -421,30 +461,70 @@ class CodewordReader:
         codewords a window parsed.  Raises CorruptStreamError for a unary
         run over MAX_RUN and for a codeword the payload cuts off.
         """
+        table = _table(g.m)
+        if table is not None:
+            words, base, stop = self.windows(pos)
+            if pos < stop:
+                entry = table[words[(pos >> 3) - base] >> (_SHIFT - (pos & 7)) & _MASK]
+                if entry:  # (value << 4) | length
+                    return entry >> 4, pos + (entry & 15)
+        return self.scan(pos, g)
+
+    def scan(self, pos, g):
+        """read for any codeword, from the b"0"/b"1" text."""
         b = g.bits
         while True:
-            text, base = self._text, self._base
-            p = pos - base
+            text, start = self._text, self._start
+            p = pos - start
             z = text.find(b"0", p)
             if (len(text) if z < 0 else z) - p > MAX_RUN:
                 raise _run_too_long()
             if 0 <= z <= len(text) - b:
                 run = (z - p) * g.m
                 if b == 0:
-                    return run, base + z + 1
+                    return run, start + z + 1
                 k = int(text[z + 1:z + b], 2) if b > 1 else 0
                 if k < g.threshold:
-                    return run + k, base + z + b
+                    return run + k, start + z + b
                 if z + b < len(text):
                     return (run + ((k << 1) | (text[z + b] & 1)) - g.threshold,
-                            base + z + b + 1)
+                            start + z + b + 1)
             # the text ends inside the codeword: read on from its first bit
-            if base + len(text) == self._nbits:
+            if start + len(text) == self._nbits:
                 raise _end_of_stream()
-            size = max(WINDOW_BITS, 2 * len(text)) if base == pos else WINDOW_BITS
+            size = max(WINDOW_BITS, 2 * len(text)) if start == pos else WINDOW_BITS
             self._text = (_bits(self._data, pos, min(size, self._nbits - pos))
                           + ord("0")).tobytes()
-            self._base = pos
+            self._start = pos
+
+
+_TABLES: dict[int, array] = {}  # _table's, by m
+
+
+def _table(m):
+    """CodewordReader's lookup table for m, or None past MAX_ADAPTIVE_M.
+
+    Entry w, for each TABLE_BITS-bit window w (MSB first), is (value <<
+    4) | length of the codeword that begins the window when all of its
+    bits lie in it, and 0, a miss, when they do not.  A codeword of
+    length l is the first l bits of 2**(TABLE_BITS - l) windows, a row
+    of the table seen as 2**l rows.  Built in numpy from codeword_fields,
+    the fields the encoders write, the first time m is read; the adaptive
+    m never exceeds MAX_ADAPTIVE_M, so the cache holds at most that many
+    tables of 2 * 2**TABLE_BITS bytes.
+    """
+    table = _TABLES.get(m)
+    if table is None and m <= MAX_ADAPTIVE_M:
+        values = np.arange(TABLE_BITS * m)  # every quotient below TABLE_BITS
+        q, field, width = codeword_fields(values, m)
+        length = q + 1 + width
+        code = (((1 << q) - 1) << (width + 1)) | field  # the run, its zero, the field
+        entries = np.zeros(1 << TABLE_BITS, np.uint16)
+        for size in range(1, TABLE_BITS + 1):
+            fits = length == size
+            entries.reshape(1 << size, -1)[code[fits]] = ((values[fits] << 4) | size)[:, None]
+        table = _TABLES[m] = array("H", entries.tobytes())
+    return table
 
 
 _golomb = functools.cache(GolombParam)  # adaptive decode switches among few m
@@ -534,7 +614,10 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     i = pos = 0
     held = 0  # symbols decoded under m since it last changed
     run_pos = 0  # the bit where they began
-    read = CodewordReader(data).read
+    reader = CodewordReader(data)
+    # the reader's table for m and its windows, whose hits are read here
+    table, words, base, stop = _table(m), [], 0, 0
+    shift, mask = _SHIFT, _MASK
     while i < count:
         if held >= SETTLE_SYMBOLS:
             window = parse_ahead(data, pos, g, count - i, held, pos - run_pos)
@@ -546,10 +629,16 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
             if m2 == m:
                 held += xs.size
             else:
-                m, held, run_pos, g = m2, 0, pos, _golomb(m2)
+                m, held, run_pos, g, table = m2, 0, pos, _golomb(m2), _table(m2)
                 low, high = m_interval(m2)
             continue
-        value, pos = read(pos, g)  # one codeword
+        # one codeword: CodewordReader.read, with its hit taken here
+        if pos >= stop:
+            words, base, stop = reader.windows(pos)
+        if pos < stop and (entry := table[words[(pos >> 3) - base] >> (shift - (pos & 7)) & mask]):
+            value, pos = entry >> 4, pos + (entry & 15)
+        else:
+            value, pos = reader.scan(pos, g)
         n = pred_n[i]
         if not -_NUMERATOR_LIMIT < n < _NUMERATOR_LIMIT:
             raise ValueError("prediction numerator out of range")
@@ -569,7 +658,7 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
         if s > 0 and not low < -(i * scale) / float(s) <= high:
             m2 = select_m(i, s, scale)
             if m2 != m:
-                m, held, run_pos, g = m2, 0, pos, _golomb(m2)
+                m, held, run_pos, g, table = m2, 0, pos, _golomb(m2), _table(m2)
                 low, high = m_interval(m2)
                 continue
         held += 1

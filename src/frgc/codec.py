@@ -164,13 +164,16 @@ def _symbol_range(alphabet_q: int) -> tuple[int, int]:
     return SYMBOL_MIN, SYMBOL_MAX
 
 
-def _check_symbols(xs: np.ndarray, alphabet_q: int) -> None:
+def _check_symbols(xs: np.ndarray, alphabet_q: int) -> tuple[int, int] | None:
+    """The smallest and largest symbol, as Python ints (None if there are
+    none); raises ValueError if either lies outside the alphabet."""
     if xs.size == 0:
-        return
+        return None
     lo, hi = _symbol_range(alphabet_q)
     smallest, largest = int(xs.min()), int(xs.max())
     if smallest < lo or largest > hi:
         raise ValueError(f"symbols outside [{lo}, {hi}]: saw [{smallest}, {largest}]")
+    return smallest, largest
 
 
 def _check_decoded(symbols: np.ndarray, alphabet_q: int, start: int) -> None:
@@ -229,14 +232,19 @@ def _prediction_array(predictions, n: int, mismatch=ValueError) -> np.ndarray:
     return pred
 
 
-def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int) -> np.ndarray:
-    """Vectorized twin of qmap.map_residual over residual numerators."""
+def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int,
+                extremes: tuple[int, int] | None = None) -> np.ndarray:
+    """Vectorized twin of qmap.map_residual over residual numerators.
+
+    extremes are xs's smallest and largest value when the caller has
+    them already (_check_symbols), so that no second pass finds them."""
     # |tau*x| + |n| < 2**62 keeps tau*x - n and 2*(tau*x - n) in int64;
     # the maxima are compared as Python integers, so exactly (np.abs
     # would wrap x = -2**63 to itself).
-    if xs.size and (tau * max(-int(xs.min()), int(xs.max()))
-                    + int(np.abs(numerators).max())) >= 1 << 62:
-        raise ValueError("prediction magnitude overflows the residual range")
+    if xs.size:
+        smallest, largest = extremes or (int(xs.min()), int(xs.max()))
+        if tau * max(-smallest, largest) + int(np.abs(numerators).max()) >= 1 << 62:
+            raise ValueError("prediction magnitude overflows the residual range")
     # q = floor(2r / tau), r = tau*x - n, is negative exactly where r is,
     # and there the fold is -q - 1 = q ^ -1; q >> 63 is -1 there, else 0
     q = 2 * (tau * xs - numerators) // tau
@@ -285,7 +293,7 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
         arr = ints
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D symbol sequence, got shape {arr.shape}")
-    _check_symbols(arr, header.alphabet_q)  # before the cast, which would wrap uint64
+    extremes = _check_symbols(arr, header.alphabet_q)  # before the cast, which would wrap uint64
     arr = arr.astype(np.int64, copy=False)
     n = int(arr.size)
     header = replace(header, count=n)
@@ -298,7 +306,7 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
         pred = _prediction_array(predictions, n)
 
     numerators = _round_predictions(pred, header.rho, header.tau)
-    mapped = _map_vector(arr, numerators, header.tau)
+    mapped = _map_vector(arr, numerators, header.tau, extremes)
 
     trace = None
     if header.mode == MODE_ADAPTIVE:
@@ -334,7 +342,9 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
     select_m runs only where the test fails); decoding resumes after the
     last codeword used.  Until m has held that long, decode_symbol reads
     one codeword at a time through a _pure.CodewordReader, the reader of
-    _pure.adaptive_decode's cold start.  Every symbol is decoded under
+    _pure.adaptive_decode's cold start: a table lookup by the next
+    _pure.TABLE_BITS bits where the codeword fits in them and m has a
+    table, else a scan of the bits.  Every symbol is decoded under
     its own m, and errors are those of a loop over symbols: the window's
     trailing error is raised only when the symbol whose codeword it could
     not read comes up under the m it was parsed with.

@@ -411,6 +411,24 @@ def test_map_vector_rejects_int64_overflow():
         codec._map_vector(np.array([SYMBOL_MAX], dtype=np.int64), n, 1)
 
 
+def test_encode_stream_takes_the_symbol_extremes_once(monkeypatch):
+    # the range check's smallest and largest symbol go on to the mapping's
+    # overflow bound, which stays exact: tau*max|x| + max|n| < 2**62
+    seen = []
+    real = codec._map_vector
+    monkeypatch.setattr(codec, "_map_vector", lambda *a: seen.append(a[3:]) or real(*a))
+    encode_stream(np.array([5, -3, 7]), StreamHeader(mode=MODE_FIXED, m=2))
+    assert seen == [((-3, 7),)]
+    header = StreamHeader(mode=MODE_RICE, rho=1, tau=1, m=1)
+    pred = [-(2.0 ** 62 - 1024)]  # n = -(2**62 - 1024)
+    for x in (1024, -1024):
+        with pytest.raises(ValueError, match="overflows the residual range"):
+            encode_stream([x], header, pred)
+    # one less maps, to a codeword longer than the format allows
+    with pytest.raises(ValueError, match="unary limit"):
+        encode_stream([1023], header, pred)
+
+
 @pytest.mark.parametrize("rho,tau", [(1, 1), (3, 16), (0xFFFF, 0xFFFF)])
 def test_map_vector_exact_at_prediction_limit(rho, tau):
     # |n| just under the accepted limit still maps like the scalar qmap

@@ -28,6 +28,7 @@ from frgc.bitcoder import (
     symbol_out_of_range,
 )
 from frgc._estcore import LOG_BOUNDARIES, select_m, select_m_array
+from frgc.predictor import LpcConfig
 
 from bitsink import BitSink, BitSource, code_length
 
@@ -1105,15 +1106,19 @@ def reader_outcome(reader, pos, g):
         return type(exc), str(exc)
 
 
-@given(m=st.sampled_from(FIXED_MS), offset=st.integers(0, 7), final=st.booleans(),
+@given(m=st.one_of(st.sampled_from(FIXED_MS), st.integers(1, MAX_M)),
+       offset=st.integers(0, 7), final=st.booleans(),
        kind=st.sampled_from(["random", *PATTERNS]), text=st.sampled_from([1, 5, 8, 64]),
+       read=st.sampled_from([1, 2, 16, _pure.READ_BYTES]),
        skip=st.sampled_from([0.0, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 @settings(max_examples=400, deadline=None)
 def test_codeword_reader_matches_a_bit_reader_on_any_bits(m, offset, final, kind, text,
-                                                          skip, seed, data):
-    # the window parser's inputs, read one codeword at a time from a text
-    # that reaches the payload's end (final) or holds `text` bits from the
+                                                          read, skip, seed, data):
+    # the window parser's inputs, read one codeword at a time, at every m
+    # that has a lookup table and at fixed ones past it: a hit from
+    # windows refilled `read` bytes at a time, or a scan of a text that
+    # reaches the payload's end (final) or holds `text` bits from the
     # codeword that needs a refill, so that most texts end inside a
     # codeword; reads skip codewords as a decoder skips a window's
     if kind == "random":
@@ -1126,15 +1131,15 @@ def test_codeword_reader_matches_a_bit_reader_on_any_bits(m, offset, final, kind
     expect = [*reads, (type(error), str(error))]
     starts = [pos] + [end for _, end in reads]
     skipped = np.random.default_rng(seed).random(len(starts)) < skip
-    saved = _pure.WINDOW_BITS
-    _pure.WINDOW_BITS = WINDOW if final else text
+    saved = _pure.WINDOW_BITS, _pure.READ_BYTES
+    _pure.WINDOW_BITS, _pure.READ_BYTES = WINDOW if final else text, read
     try:
         reader = _pure.CodewordReader(payload)
         for start, want, passed in zip(starts, expect, skipped):
             if not passed:
                 assert reader_outcome(reader, start, g) == want
     finally:
-        _pure.WINDOW_BITS = saved
+        _pure.WINDOW_BITS, _pure.READ_BYTES = saved
 
 
 @pytest.mark.parametrize("m", [1, 13])
@@ -1152,6 +1157,118 @@ def test_codeword_reader_on_a_run_at_max_run(m, run, text, monkeypatch):
     starts = [0] + [end for _, end in reads]
     expect = [*reads, (type(error), str(error))]
     assert [reader_outcome(reader, start, g) for start in starts] == expect
+
+
+TABLE_BITS = _pure.TABLE_BITS
+
+
+def table_entry(table, window):
+    """A lookup table's entry for a window: (value, length), or None for a miss."""
+    entry = table[window]
+    return (entry >> 4, entry & 15) if entry else None
+
+
+def test_lookup_tables_match_a_bit_reader_on_every_window():
+    # every entry of the table of every m the adaptive coder uses: the
+    # codeword a bit reader reads from the window's bits where it ends
+    # inside them, and a miss where it does not; the ones after the
+    # window make any codeword that needs more bits end past it, or run
+    # off the payload
+    pad = 8 - TABLE_BITS % 8
+    for m in range(1, MAX_M + 1):
+        g = GolombParam(m)
+        table = _pure._table(m)
+        assert len(table) == 1 << TABLE_BITS
+        for window in range(1 << TABLE_BITS):
+            src = BitSource((((window + 1) << pad) - 1).to_bytes((TABLE_BITS + pad) // 8, "big"))
+            try:
+                want = (src.read_unary() * m + src.read_minimal_binary(g), src.position)
+            except CorruptStreamError:
+                want = None
+            if want is not None and want[1] > TABLE_BITS:
+                want = None
+            assert table_entry(table, window) == want, (m, window)
+
+
+def payload_ending(m, codewords, tail):
+    """Whole bytes: the codewords under m, then ``tail`` one bits to the
+    end, after a first codeword whose length makes them whole.  Returns
+    the payload and the bit where the codewords begin."""
+    g = GolombParam(m)
+    used = sum(code_length(v, g) for v in codewords) + tail
+    first = 0
+    while (code_length(first, g) + used) % 8:
+        first += 1
+    sink = BitSink()
+    for value in (first, *codewords):
+        sink.write_unary(value // m)
+        sink.write_minimal_binary(value % m, g)
+    for _ in range(tail // 32):
+        sink.write_bits(0xFFFFFFFF, 32)
+    sink.write_bits((1 << tail % 32) - 1, tail % 32)
+    assert sink.bit_length % 8 == 0
+    return sink.finish(), code_length(first, g)
+
+
+@pytest.mark.parametrize("m", range(1, MAX_M + 1))
+def test_codeword_reader_at_the_end_of_the_payload(m):
+    # codewords that end 0 to TABLE_BITS + 8 bits before the payload does,
+    # of every length from one bit to longer than a window, then a run of
+    # ones the payload cuts off: each reads as a bit reader reads it, from
+    # the table or from a scan, and the cut run raises the bit reader's
+    # error; a hit read from the zero pad past the payload would not
+    g = GolombParam(m)
+    codewords = [0, m - 1, m, 3 * m + m // 2, (TABLE_BITS + 2) * m]
+    for tail in range(TABLE_BITS + 9):
+        for last in range(len(codewords)):
+            payload, start = payload_ending(m, codewords[last:], tail)
+            reads, error = oracle_reads(payload, start, g)
+            assert str(error) == "unexpected end of stream"
+            expect = [*reads, (type(error), str(error))]
+            starts = [start] + [end for _, end in reads]
+            for read in (1, 2, _pure.READ_BYTES):
+                saved = _pure.READ_BYTES
+                _pure.READ_BYTES = read
+                try:
+                    reader = _pure.CodewordReader(payload)
+                    assert [reader_outcome(reader, s, g) for s in starts] == expect
+                finally:
+                    _pure.READ_BYTES = saved
+
+
+@pytest.mark.parametrize("m", [1, 2, 13, MAX_M])
+@pytest.mark.parametrize("tail", [MAX_RUN, MAX_RUN + 1])
+def test_codeword_reader_on_a_run_the_payload_cuts(m, tail):
+    # a codeword, then a run of ones to the payload's end: MAX_RUN of them
+    # are a cut codeword, one more a run too long
+    g = GolombParam(m)
+    payload, start = payload_ending(m, [m - 1], tail)
+    reads, error = oracle_reads(payload, start, g)
+    expect = [*reads, (type(error), str(error))]
+    reader = _pure.CodewordReader(payload)
+    assert [reader_outcome(reader, s, g) for s in (start, reads[0][1])] == expect
+
+
+def test_lookup_tables_stay_one_per_m_up_to_the_cap():
+    # the cache holds at most one table per m <= MAX_ADAPTIVE_M, in at
+    # most 2.5 MB, and builds none past it, where the reader scans: a
+    # fixed-mode lpc stream at m = 1000 round-trips and leaves it as it was
+    tables = [_pure._table(m) for m in range(1, MAX_M + 1)]
+    assert all(a is b for a, b in zip(tables, map(_pure._table, range(1, MAX_M + 1))))
+    assert sorted(_pure._TABLES) == list(range(1, MAX_M + 1))
+    assert sum(len(t) * t.itemsize for t in tables) <= 2.5 * 2**20
+    before = dict(_pure._TABLES)
+    assert _pure._table(MAX_M + 1) is None and _pure._table(1000) is None
+    xs = np.random.default_rng(4).integers(-5000, 5000, 600)
+    header = codec.StreamHeader(mode="fixed", m=1000, lpc=LpcConfig(2, 16, 16))
+    assert codec.decode_stream(codec.encode_stream(xs, header)) == xs.tolist()
+    g = GolombParam(1000)
+    payload = oracle_golomb_encode(xs + 5000, 1000)[0]
+    reads, _ = oracle_reads(payload, 0, g)
+    reader = _pure.CodewordReader(payload)
+    assert [reader.read(pos, g) for pos in [0] + [end for _, end in reads[:-1]]] == reads
+    assert _pure._TABLES == before
+    assert all(_pure._TABLES[m] is table for m, table in before.items())
 
 
 def test_numerators_past_the_vector_unmap(decoders):
