@@ -17,6 +17,7 @@ call is involved.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -131,6 +132,9 @@ class StreamHeader:
         if flags & ~_FLAG_RAW_ESTIMATOR:
             raise HeaderError(f"unknown flag bits 0x{flags:02x}")
         if pred_kind == 0:
+            if order or window or refit:  # pack writes zeros there
+                raise HeaderError("predictor fields set with no predictor: "
+                                  f"order {order}, window {window}, refit {refit}")
             lpc = None
         elif pred_kind == 1:
             try:
@@ -328,29 +332,30 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
     (a traced decode takes those from _lpc_predictions).
 
     Symbol t's prediction is fit from the symbols before it, so symbols
-    are decoded in order, one refit span at a time: LpcState.span gives
-    the coefficients in force and the position of the next refit, and
-    until then one loop predicts in predict_at's order over the state's
-    history, rounds, takes the codeword, unmaps, checks the range, appends
-    the symbol to the history and steps the estimator.  The codewords need
-    not be read one at a time.  Where m holds (in fixed mode from the
-    first symbol, in adaptive mode once it has held for
+    are decoded in order: LpcState.span gives the coefficients in force
+    and the position of the next refit, where it is called again.  The
+    codewords need not be read one at a time.  Where m holds (in fixed
+    mode from the first symbol, in adaptive mode once it has held for
     _pure.SETTLE_SYMBOLS symbols), a window of codewords is parsed under
-    it (_pure.parse_ahead) and each is unmapped against its own
-    prediction in turn, up to the first symbol after which ln theta_hat
-    leaves m's interval (_estcore.m_interval, tested after every symbol;
-    select_m runs only where the test fails); decoding resumes after the
-    last codeword used.  Until m has held that long, decode_symbol reads
-    one codeword at a time through a _pure.CodewordReader, the reader of
-    _pure.adaptive_decode's cold start: a table lookup by the next
-    _pure.TABLE_BITS bits where the codeword fits in them and m has a
-    table, else a scan of the bits.  Every symbol is decoded under
+    it (_pure.parse_ahead), and one inner loop decodes the window's
+    symbols: it predicts in predict_at's order over the state's history
+    (a float sum left to right from 0.0, never sum(), which compensates),
+    rounds and unmaps with qmap.round_prediction's and qmap.unmap's
+    operations written out, checks the range, appends the symbol to the
+    history and steps the estimator.  The loop runs to the window's end or
+    to the first symbol after which ln theta_hat leaves m's interval
+    (_estcore.m_interval, tested after every symbol; select_m runs only
+    where the test fails), and only then takes the bit after the last
+    codeword used from the window's offsets.  Until m has held that long,
+    a symbol is decoded alone: rounded by qmap.round_prediction, and read
+    by decode_symbol through a _pure.CodewordReader, the reader of
+    _pure.adaptive_decode's cold start.  Every symbol is decoded under
     its own m, and errors are those of a loop over symbols: the window's
     trailing error is raised only when the symbol whose codeword it could
     not read comes up under the m it was parsed with.
     """
     prec = header.precision
-    tau = header.tau
+    rho, tau = header.rho, header.tau
     count = header.count
     adaptive = header.mode == MODE_ADAPTIVE
     raw = header.raw_error_estimator
@@ -358,11 +363,14 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
     select_m, m_interval = _estcore.select_m, _estcore.m_interval
     saturation = _estcore.EST_SATURATION
     settle = _pure.SETTLE_SYMBOLS
+    isfinite, floor = math.isfinite, math.floor
     lo, hi = _symbol_range(header.alphabet_q)
     data = np.frombuffer(payload, np.uint8)
     reader = _pure.CodewordReader(data)
     state = predictor.LpcState(header.lpc)
     history = state.history
+    append = history.append
+    span = state.span
     s = 0.0 if raw else 0
     m = 1 if adaptive else header.m
     g = _pure._golomb(m)
@@ -375,34 +383,44 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
     ends: list[int] = []
     error = None
     k = 0
+    coeffs, stop = span()
     t = 0
     while t < count:
-        coeffs, refit_at = state.span()
-        stop = min(refit_at, count)
-        for t in range(t, stop):
+        if (k == len(values) and error is None
+                and (not adaptive or held >= settle)):
+            # held stays 0 in fixed mode, which parse_ahead reads as a fixed m
+            parsed, offsets, error = _pure.parse_ahead(data, pos, g, count - t,
+                                                       held, pos - run_pos)
+            values, ends, k = parsed.tolist(), (offsets + pos).tolist(), 0
+        # with no window, one symbol alone: a cold start, or the window's error
+        alone = k == len(values)
+        switched = False
+        for t in range(t, t + 1 if alone else min(count, t + len(values) - k)):
+            if t == stop:
+                coeffs, stop = span()
             xhat = 0.0
-            i = len(history)
+            i = 0
             for c in coeffs:
                 i -= 1
                 xhat += c * history[i]
-            n = qmap.round_prediction(xhat, prec)
-            if (k == len(values) and error is None
-                    and (not adaptive or held >= settle)):
-                # held stays 0 in fixed mode, which parse_ahead reads as a fixed m
-                parsed, offsets, error = _pure.parse_ahead(data, pos, g, count - t,
-                                                           held, pos - run_pos)
-                values, ends, k = parsed.tolist(), (offsets + pos).tolist(), 0
-            if k < len(values):
-                x = qmap.unmap(values[k], n, tau)
-                pos = ends[k]
-                k += 1
-            elif error is not None:
-                raise error
-            else:
+            if alone:
+                n = qmap.round_prediction(xhat, prec)
+                if error is not None:
+                    raise error
                 x, pos = decode_symbol(n, tau, g, reader, pos)
+            else:
+                if not isfinite(xhat):
+                    raise ValueError(f"prediction must be finite, got {xhat!r}")
+                n = rho * floor(tau * xhat / rho + 0.5)
+                v = values[k]
+                k += 1
+                # the parity of v + ceil(2n/tau) gives the side of n/tau
+                q = -(-2 * n // tau)
+                x = v + q
+                x = (q - v - 1) >> 1 if x & 1 else x >> 1
             if not lo <= x <= hi:
                 raise symbol_out_of_range(t, x, lo, hi)
-            history.append(x)
+            append(x)
             if not adaptive:
                 continue
             if raw:
@@ -415,12 +433,16 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
             if s > 0 and not low < -((t + 1) * scale) / float(s) <= high:
                 m2 = select_m(t + 1, s, scale)
                 if m2 != m:
-                    m, g, held, run_pos = m2, _pure._golomb(m2), 0, pos
-                    low, high = m_interval(m2)
-                    values, error, k = [], None, 0
-                    continue
+                    switched = True
+                    break
             held += 1
-        t = stop
+        if not alone:
+            pos = ends[k - 1]
+        t += 1
+        if switched:
+            m, g, held, run_pos = m2, _pure._golomb(m2), 0, pos
+            low, high = m_interval(m2)
+            values, error, k = [], None, 0
     return history[len(history) - count:]
 
 

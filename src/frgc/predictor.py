@@ -6,11 +6,15 @@ samples and are refit every ``refit_interval`` symbols.
 
 The normal equations are read off lag-product window sums
 S_k(s) = sum_{u=s-W+1..s} x_u * x_{u-k}, k = 0..order (x_u = 0 for
-u < 0), which ``LpcState`` slides along the stream in Python integers:
-O(order) work per symbol however often it refits, where summing the
-window afresh at each refit cost O(window * order**2).  The sums are
-exact and ``float(int)`` rounds correctly, so the matrix handed to the
-solver depends only on the symbols, never on an order of summation;
+u < 0), which ``LpcState`` brings up to date at each refit, in exact
+integers: the positions since the last refit but the final order+1 in
+one numpy correlation per window end (int64 where no sum can wrap,
+Python integers elsewhere), then those order+1 one at a time in Python
+integers.  That is O(order) work per symbol however often it refits,
+where summing the window afresh at each refit cost O(window * order**2).
+The sums are exact and ``float(int)`` rounds correctly, so the matrix
+handed to the solver depends only on the symbols, never on an order of
+summation;
 encoder and decoder agree bit for bit on every platform with IEEE 754
 doubles, for any 32-bit input (window sums of 32-bit products reach
 2**78, past where float sums are exact).  ``_solve`` is Gaussian
@@ -19,7 +23,7 @@ elimination with partial pivoting; ``fit`` hands order-2 systems to
 
 A decoder predicts one refit span at a time: ``LpcState.span`` gives the
 coefficients in force from the next position on and where the next refit
-falls, so nothing is checked per symbol in between.
+falls, so all it checks per symbol is whether that position has come.
 
 ``batch_predictions`` is ``LpcState``'s whole-array twin, for an encoder
 or a traced decode, which know every symbol in advance.  It takes the
@@ -34,10 +38,8 @@ integers.  The tests check it against a loop over ``LpcState``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -229,10 +231,10 @@ class LpcState:
     ``history``, and where the run ends.  A decoder predicts and appends
     symbols to ``history`` itself until then.
 
-    The window sums are brought up to date only when a refit reads them:
-    a gap of more than order+1 positions is crossed in one jump of exact
-    dot products, and the last order+1 positions, whose sums the normal
-    equations read, one position at a time.
+    The window sums are brought up to date only when a refit reads them,
+    inside ``span()``: a gap of more than order+1 positions is crossed in
+    one jump (``_jump``), and the last order+1 positions, whose sums the
+    normal equations read, one indexed comprehension each.
     """
 
     def __init__(self, cfg: LpcConfig) -> None:
@@ -243,12 +245,12 @@ class LpcState:
         # so no window or lag reaches below index 0, and _PREVIOUS over
         # them predicts 0.0 at position 0.
         self._pad = cfg.window + cfg.order + 1
-        self._window, self._lags = cfg.window, cfg.order + 1
+        self._window, self._lags = cfg.window, range(cfg.order + 1)
         self.history = [0] * self._pad
-        # S(s) by lag for up to order+1 positions s, newest (s = _pos)
-        # last; a jump leaves older entries stale until steps push them out.
+        # S(s) by lag for the order+1 positions s up to _pos, newest last
+        # (at the start only S(-1), all zero).
         self._pos = -1
-        self._sums = deque([[0] * (cfg.order + 1)], maxlen=cfg.order + 1)
+        self._sums = [[0] * (cfg.order + 1)]
 
     def span(self) -> tuple[Sequence[float], int]:
         """(coeffs, end): the coefficients that predict positions t to
@@ -257,46 +259,57 @@ class LpcState:
         Before the first full window they are _PREVIOUS, which repeats the
         previous sample.
         """
-        t = len(self.history) - self._pad
+        h = self.history
+        pad = self._pad
+        t = len(h) - pad
         if t == self._next_fit:
-            self.refit()
-            self._next_fit += self.cfg.refit_interval
+            self._next_fit = t + self.cfg.refit_interval
+            # S(s) for s in (_pos, t - 1], the last order+1 of them kept;
+            # x_s sits at index s + pad
+            lags = self._lags
+            first, end = self._pos + 1 + pad, t + pad
+            if end - first > len(lags):
+                first = end - len(lags)
+                row = self._jump(first)
+                sums = []
+            else:
+                row = self._sums[-1]
+                sums = self._sums[end - first:]
+            w = self._window
+            for i in range(first, end):
+                j = i - w
+                x, y = h[i], h[j]
+                row = [row[k] + x * h[i - k] - y * h[j - k] for k in lags]
+                sums.append(row)
+            self._sums = sums
+            self._pos = t - 1
+            self.coeffs = fit(sums, self.coeffs)
         return self.coeffs or _PREVIOUS, self._next_fit
 
-    def refit(self) -> list[float]:
-        """Fit the coefficients for the next symbol now and keep them."""
-        t = len(self.history) - self._pad
-        if t < self.cfg.warmup:
-            raise ValueError(f"need at least {self.cfg.warmup} samples, have {t}")
-        order = self.cfg.order
-        if t - 1 - self._pos > order + 1:
-            self._jump(t - 2 - order)
-        while self._pos < t - 1:
-            self._step()
-        self.coeffs = fit(self._sums, self.coeffs)
-        return self.coeffs
+    def _jump(self, end: int) -> list[int]:
+        """S(s), s = end - 1 - pad, from S(_pos): for each lag k, the sum
+        of x_u*x_{u-k} over u in (_pos, s] added and that of
+        x_{u-W}*x_{u-W-k} dropped.
 
-    def _step(self) -> None:
-        """S(s) from S(s-1): add x_s*x_{s-k}, drop x_{s-W}*x_{s-W-k}."""
-        self._pos += 1
+        Each window end is one numpy correlation over its stretch of the
+        history: in int64 where gap * peak**2 < 2**62 (gap the number of
+        terms, peak the largest |x| the stretches hold), so that no sum
+        can wrap, else on Python integers in an object array.  Either way
+        the sums are exact, and they come back as Python integers.
+        """
         h = self.history
-        i = self._pos + self._pad
-        j = i - self._window
-        x, y = h[i], h[j]
-        lags = self._lags
-        sums = self._sums
-        sums.append([v + x * r - y * g for v, r, g in zip(
-            sums[-1], h[i:i - lags:-1], h[j:j - lags:-1])])
-
-    def _jump(self, s: int) -> None:
-        """S(s) from S(_pos) in one exact dot product per lag and end."""
-        h = self.history
-        w = self.cfg.window
-        a, b = self._pos + 1 + self._pad, s + 1 + self._pad  # add x_u, u in (_pos, s]
-        self._sums.append([v + sum(map(mul, h[a:b], h[a - k:b - k]))
-                           - sum(map(mul, h[a - w:b - w], h[a - w - k:b - w - k]))
-                           for k, v in enumerate(self._sums[-1])])
-        self._pos = s
+        order, w = self.cfg.order, self._window
+        first = self._pos + 1 + self._pad
+        gap = end - first
+        tails = np.array(h[first - order:end] + h[first - w - order:end - w])
+        peak = int(np.abs(tails).max())
+        if gap * peak * peak >= 1 << 62:
+            tails = tails.astype(object)
+        added, dropped = tails[:gap + order], tails[gap + order:]
+        # correlate(a, a[order:])[i] is the sum over u of x_u*x_{u-order+i}
+        delta = (np.correlate(added, added[order:])
+                 - np.correlate(dropped, dropped[order:])).tolist()
+        return [v + d for v, d in zip(self._sums[-1], reversed(delta))]
 
 
 # Working memory of one block of batch_predictions, about: each of its

@@ -94,8 +94,8 @@ def test_header_validate_rejects(kwargs):
 def test_unpack_rejects_mutations():
     good = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2).pack()
 
-    def mutated(offset, value):
-        buf = bytearray(good)
+    def mutated(offset, value, data=good):
+        buf = bytearray(data)
         buf[offset] = value
         return bytes(buf)
 
@@ -111,6 +111,17 @@ def test_unpack_rejects_mutations():
         read_header(mutated(6, 0x80))  # unknown flag bit
     with pytest.raises(HeaderError):
         read_header(mutated(25, 7))  # unknown predictor kind
+    # bytes 26-30 hold the lpc order, window and refit interval, which a
+    # stream with no predictor leaves zero
+    xs = [3, -1, 4, -1, 5]
+    for header in (StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2),
+                   StreamHeader(mode=MODE_ADAPTIVE, rho=3, tau=16),
+                   StreamHeader(mode=MODE_RICE, rho=1, tau=1, m=1)):
+        data = encode_stream(xs, header)
+        assert decode_stream(data) == xs
+        for offset in range(26, 31):
+            with pytest.raises(HeaderError, match="no predictor"):
+                decode_stream(mutated(offset, 7, data))
 
 
 # --- estimator --------------------------------------------------------------

@@ -4,9 +4,9 @@
 windows of codewords: one read per symbol, here by the bit-at-a-time
 bitsink.BitSource, which shares no code with the codec's readers, and a
 per-symbol predictor, lpcloop.LoopState.  decode_stream must
-give the same symbols, predictions and trace with either, or raise the
-same exception type and message at the same symbol (the number of
-predictions rounded before the error).
+give the same symbols and trace with either, or raise the same exception
+type and message at the same symbol (the number of symbols the
+decoder's predictor state holds when it raises).
 """
 
 from dataclasses import replace
@@ -17,6 +17,7 @@ import pytest
 from frgc import _estcore, _pure, codec, qmap
 from frgc.bitcoder import (
     MAX_RUN,
+    TAU_MAX,
     CorruptStreamError,
     GolombParam,
     symbol_out_of_range,
@@ -29,7 +30,7 @@ from frgc.codec import (
     decode_stream,
     encode_stream,
 )
-from frgc.predictor import LpcConfig
+from frgc.predictor import LpcConfig, LpcState
 
 from bitsink import BitSource
 from lpcloop import LoopState
@@ -75,23 +76,28 @@ def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
 
 
 def decoded(data: bytes, decoder) -> tuple:
-    """decode_stream with decoder as its lpc loop: ("ok", symbols, trace,
-    predictions), or ("raised", type, message, symbols reached)."""
-    rounded = []
-    real_round, real_decoder = qmap.round_prediction, codec._decode_lpc
+    """decode_stream with decoder as its lpc loop: ("ok", symbols, trace),
+    or ("raised", type, message, symbols decoded before the error).
 
-    def counted(xhat, prec):
-        rounded.append(xhat)
-        return real_round(xhat, prec)
+    The symbols decoded are read off the history of the LpcState the
+    decoder made (the codec's, or the oracle's LoopState); 0 where it
+    raised before making one."""
+    states = []
+    real_init, real_decoder = LpcState.__init__, codec._decode_lpc
 
-    qmap.round_prediction, codec._decode_lpc = counted, decoder
+    def recorded(self, cfg):
+        real_init(self, cfg)
+        states.append(self)
+
+    LpcState.__init__, codec._decode_lpc = recorded, decoder
     try:
         out, trace = decode_stream(data, collect_trace=True)
-        return "ok", out, trace, rounded
+        return "ok", out, trace
     except Exception as exc:  # noqa: BLE001 - the type and message are compared
-        return "raised", type(exc), str(exc), len(rounded)
+        reached = sum(len(st.history) - st._pad for st in states)
+        return "raised", type(exc), str(exc), reached
     finally:
-        qmap.round_prediction, codec._decode_lpc = real_round, real_decoder
+        LpcState.__init__, codec._decode_lpc = real_init, real_decoder
 
 
 def agree(data: bytes) -> tuple:
@@ -134,6 +140,13 @@ HEADERS = {
     "adaptive-int": header_for(MODE_ADAPTIVE),
     "adaptive-raw": header_for(MODE_ADAPTIVE, raw_error_estimator=True),
 }
+# The same modes where the rounding divides by rho (3/16, and 7/7, whose
+# grid is the integers) and where numerators reach TAU_MAX * 2**15.
+ORACLE_HEADERS = HEADERS | {
+    f"{name}-{rho}/{tau}": replace(header, rho=rho, tau=tau)
+    for rho, tau in ((3, 16), (7, 7), (1, TAU_MAX))
+    for name, header in HEADERS.items()
+}
 
 
 def held_switches(trace, start=0):
@@ -151,12 +164,12 @@ def held_switches(trace, start=0):
     return found
 
 
-@pytest.mark.parametrize("name", sorted(HEADERS))
+@pytest.mark.parametrize("name", sorted(ORACLE_HEADERS))
 @pytest.mark.parametrize("cfg", [(2, 16, 16), (4, 64, 32), (2, 8, 1),
                                  (1, 4, 1), (3, 8, 1), (2, 1, 1)])
 def test_decodes_as_the_loop_over_symbols(name, cfg, settle):
     xs = ar2(len(name) + cfg[1], 1500, 60.0)
-    data = encode_stream(xs, replace(HEADERS[name], lpc=LpcConfig(*cfg)))
+    data = encode_stream(xs, replace(ORACLE_HEADERS[name], lpc=LpcConfig(*cfg)))
     assert agree(data)[:2] == ("ok", xs)
 
 
@@ -213,9 +226,9 @@ def test_a_codeword_longer_than_a_window_inside_a_held_run(length, settle):
 SHORT = ar2(9, 160, 20.0)
 
 
-@pytest.mark.parametrize("name", sorted(HEADERS))
+@pytest.mark.parametrize("name", sorted(ORACLE_HEADERS))
 def test_every_truncation_of_a_short_stream(name, settle):
-    data = encode_stream(SHORT, replace(HEADERS[name], lpc=LpcConfig(2, 8, 1)))
+    data = encode_stream(SHORT, replace(ORACLE_HEADERS[name], lpc=LpcConfig(2, 8, 1)))
     for cut in range(len(data)):
         assert agree(data[:cut])[0] == "raised"
     assert agree(data)[:2] == ("ok", SHORT)
@@ -280,9 +293,9 @@ def test_adaptive_mode_reads_one_codeword_at_a_time_until_m_settles(name, settle
     assert [g.m for _, _, g, _, _ in calls] == unsettled_ms(trace)
 
 
-@pytest.mark.parametrize("name", sorted(HEADERS))
+@pytest.mark.parametrize("name", sorted(ORACLE_HEADERS))
 def test_single_bit_flips(name, settle):
-    data = encode_stream(SHORT, replace(HEADERS[name], lpc=LpcConfig(2, 8, 1)))
+    data = encode_stream(SHORT, replace(ORACLE_HEADERS[name], lpc=LpcConfig(2, 8, 1)))
     nbits = 8 * (len(data) - HEADER_SIZE)
     rng = np.random.default_rng(len(name))
     outcomes = set()
@@ -311,4 +324,4 @@ def test_out_of_range_symbol_at_an_m_switch(offset, settle):
     assert agree(data)[:2] == ("ok", xs)
     narrow = replace(header, alphabet_q=11, count=n).pack() + data[HEADER_SIZE:]
     message = f"symbol {bad} decodes to 50, outside [0, 10]"
-    assert agree(narrow)[:4] == ("raised", CorruptStreamError, message, bad + 1)
+    assert agree(narrow)[:4] == ("raised", CorruptStreamError, message, bad)

@@ -86,6 +86,9 @@ def golden_streams():
         for mode, kwargs in MODES.items():
             header = StreamHeader(rho=1, tau=8, lpc=LpcConfig(*cfg), **kwargs)
             pool[f"{mode} {cfg}"] = (xs, header)
+    # and one at a precision whose grid step is not 1/tau
+    xs, header = pool["adaptive-int (2, 16, 16)"]
+    pool["adaptive-int (2, 16, 16) 3/16"] = (xs, replace(header, rho=3, tau=16))
     return pool
 
 

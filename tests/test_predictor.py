@@ -1,5 +1,6 @@
 """Windowed least-squares predictor: sliding exact sums against oracles."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,12 +27,14 @@ def sse(history, coeffs, cfg, t):
 
 
 def fit_history(history, cfg, previous=None):
-    """Coefficients LpcState fits after pushing all of history."""
+    """Coefficients LpcState fits after pushing all of history, where a
+    refit falls after it and the coefficients before were previous."""
     state = LoopState(cfg)
     for x in history:
         state.push(x)
     state.coeffs = previous
-    return state.refit()
+    state._next_fit = len(history)
+    return state.span()[0]
 
 
 # --- oracles: the normal equations summed from scratch at every refit -------
@@ -147,6 +150,56 @@ def test_sliding_sums_match_exact_oracle_on_32_bit_input(order, window, refit, d
     assert got_preds == want_preds
 
 
+# --- LpcState._jump on both sides of its int64 rule ------------------------
+
+def edge_histories(gap, n, seed):
+    """{name: n symbols} whose largest |x| puts gap * peak**2 at the
+    largest product below 2**62 that gap allows (_jump sums in int64), and
+    at the smallest one from 2**62 on (on Python integers; 2**62 itself
+    where gap is a power of 4), and 32-bit noise.  Half the symbols are
+    +-peak, so each stretch a jump reads holds it."""
+    rng = np.random.default_rng(seed)
+    below = math.isqrt(((1 << 62) - 1) // gap)
+    out = {}
+    for name, peak in (("int64", below), ("object", below + 1)):
+        xs = rng.integers(-peak, peak + 1, n)
+        edge = rng.random(n) < 0.5
+        xs[edge] = rng.choice([-peak, peak], int(edge.sum()))
+        out[name] = xs.tolist()
+    out["noise"] = rng.integers(-(1 << 31), 1 << 31, n).tolist()
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    LpcConfig(2, 16, 16), LpcConfig(4, 64, 32), LpcConfig(8, 256, 256),
+    LpcConfig(2, 32, 1), LpcConfig(32, 300, 1), LpcConfig(255, 4, 60),
+], ids=str)
+def test_jumps_match_exact_sums_across_the_int64_rule(cfg, monkeypatch):
+    # a refit that follows the one before by gap + order + 1 positions
+    # crosses gap of them in one jump; the coefficients must be those of
+    # the normal equations summed from scratch, whichever dtype it took
+    dtypes = []
+    correlate = np.correlate
+    monkeypatch.setattr(np, "correlate", lambda a, v: dtypes.append(a.dtype) or correlate(a, v))
+    order = cfg.order
+    gaps = [order + 2, cfg.window + 5]
+    if cfg.refit_interval > order + 1:
+        gaps.append(cfg.refit_interval - order - 1)  # the gap of the schedule
+    for gap in gaps:
+        at = [cfg.warmup, cfg.warmup + gap + order + 1]
+        for name, xs in edge_histories(gap, at[-1], gap).items():
+            state = LoopState(cfg)
+            for t in at:
+                while len(state.history) - state._pad < t:
+                    state.push(xs[len(state.history) - state._pad])
+                want = exact_fit(xs, cfg, t, state.coeffs)
+                state._next_fit = t
+                dtypes.clear()
+                assert state.span()[0] == want, (gap, name, t)
+            dtype = np.dtype(np.int64 if name == "int64" else object)
+            assert dtypes == [dtype, dtype], (gap, name)
+
+
 # --- config -----------------------------------------------------------------
 
 def test_config_validation():
@@ -222,10 +275,16 @@ def test_all_zero_window_is_singular():
 
 
 def test_fit_requires_enough_history():
+    # the first fit waits for a full window: order + window samples
     cfg = LpcConfig(2, 8, 8)
-    with pytest.raises(ValueError):
-        fit_history([1] * 9, cfg)
-    assert fit_history([1] * 10, cfg) == pytest.approx([1.0, 0.0], abs=1e-9)
+    state = LoopState(cfg)
+    for x in [1] * 9:
+        state.push(x)
+    assert state.predict() == 1.0 and state.coeffs is None
+    state.push(1)
+    state.predict()
+    assert state.coeffs == pytest.approx([1.0, 0.0], abs=1e-9)
+    assert fit_history([1] * 10, cfg) == state.coeffs
 
 
 def test_exact_recurrence_recovered():
@@ -465,7 +524,7 @@ def test_batch_keeps_coefficients_through_all_zero_windows(blocks):
     state = LoopState(cfg)
     for x in xs[:cfg.warmup].tolist():
         state.push(x)
-    assert state.refit() == identity_coefficients(3)
+    assert state.span()[0] == identity_coefficients(3)
 
 
 @given(order=st.integers(1, 10), window=st.integers(1, 40),
