@@ -333,28 +333,27 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
 
     Symbol t's prediction is fit from the symbols before it, so symbols
     are decoded in order: LpcState.span gives the coefficients in force
-    and the position of the next refit, where it is called again.  The
+    and the position of the next refit, where it is called again.  Every
+    symbol is predicted in predict_at's order over the state's history
+    (a float sum left to right from 0.0, never sum(), which compensates)
+    and rounded with qmap.round_prediction's operations written out.  The
     codewords need not be read one at a time.  Where m holds (in fixed
     mode from the first symbol, in adaptive mode once it has held for
     _pure.SETTLE_SYMBOLS symbols), a window of codewords is parsed under
     it (_pure.parse_ahead), and one inner loop decodes the window's
-    symbols: it predicts in predict_at's order over the state's history
-    (a float sum left to right from 0.0, never sum(), which compensates),
-    rounds and unmaps with qmap.round_prediction's and qmap.unmap's
-    operations written out, checks the range, appends the symbol to the
-    history and steps the estimator.  The loop runs to the window's end or
-    to the first symbol after which ln theta_hat leaves m's interval
-    (_estcore.m_interval, tested after every symbol; select_m runs only
-    where the test fails), and only then takes the bit after the last
-    codeword used from the window's offsets.  Until m has held that long,
-    a symbol is decoded alone: rounded by qmap.round_prediction, and read
-    by decode_symbol through a _pure.CodewordReader, the reader of
-    _pure.adaptive_decode's cold start.  Every symbol is decoded under
-    its own m, and errors are those of a loop over symbols: the window's
+    symbols: it unmaps with qmap.unmap's operations written out, checks
+    the range, appends the symbol to the history and steps the estimator.
+    The loop runs to the window's end or to the first symbol after which
+    ln theta_hat leaves m's interval (_estcore.m_interval, tested after
+    every symbol; select_m runs only where the test fails), and only then
+    takes the bit after the last codeword used from the window's offsets.
+    Until m has held that long, a symbol is decoded alone: read by
+    decode_symbol through a _pure.CodewordReader, the reader of
+    _pure.adaptive_decode's cold start.  Every symbol is decoded under its
+    own m, and errors are those of a loop over symbols: the window's
     trailing error is raised only when the symbol whose codeword it could
     not read comes up under the m it was parsed with.
     """
-    prec = header.precision
     rho, tau = header.rho, header.tau
     count = header.count
     adaptive = header.mode == MODE_ADAPTIVE
@@ -403,15 +402,14 @@ def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
             for c in coeffs:
                 i -= 1
                 xhat += c * history[i]
+            if not isfinite(xhat):
+                raise ValueError(f"prediction must be finite, got {xhat!r}")
+            n = rho * floor(tau * xhat / rho + 0.5)
             if alone:
-                n = qmap.round_prediction(xhat, prec)
                 if error is not None:
                     raise error
                 x, pos = decode_symbol(n, tau, g, reader, pos)
             else:
-                if not isfinite(xhat):
-                    raise ValueError(f"prediction must be finite, got {xhat!r}")
-                n = rho * floor(tau * xhat / rho + 0.5)
                 v = values[k]
                 k += 1
                 # the parity of v + ceil(2n/tau) gives the side of n/tau

@@ -293,17 +293,18 @@ class LpcState:
 
         Each window end is one numpy correlation over its stretch of the
         history: in int64 where gap * peak**2 < 2**62 (gap the number of
-        terms, peak the largest |x| the stretches hold), so that no sum
-        can wrap, else on Python integers in an object array.  Either way
-        the sums are exact, and they come back as Python integers.
+        terms, peak the largest |x| the stretches hold; sums_fit_int64 at
+        twice the gap), so that neither sum nor their difference can wrap,
+        else on Python integers in an object array.  Either way the sums
+        are exact, and they come back as Python integers.
         """
         h = self.history
         order, w = self.cfg.order, self._window
         first = self._pos + 1 + self._pad
         gap = end - first
-        tails = np.array(h[first - order:end] + h[first - w - order:end - w])
-        peak = int(np.abs(tails).max())
-        if gap * peak * peak >= 1 << 62:
+        tails = np.array(h[first - order:end] + h[first - w - order:end - w],
+                         dtype=np.int64)
+        if not sums_fit_int64(tails, 2 * gap):
             tails = tails.astype(object)
         added, dropped = tails[:gap + order], tails[gap + order:]
         # correlate(a, a[order:])[i] is the sum over u of x_u*x_{u-order+i}

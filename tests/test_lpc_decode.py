@@ -9,6 +9,7 @@ type and message at the same symbol (the number of symbols the
 decoder's predictor state holds when it raises).
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -76,28 +77,37 @@ def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
 
 
 def decoded(data: bytes, decoder) -> tuple:
-    """decode_stream with decoder as its lpc loop: ("ok", symbols, trace),
-    or ("raised", type, message, symbols decoded before the error).
+    """decode_stream with decoder as its lpc loop: ("ok", symbols, trace,
+    rounded), or ("raised", type, message, symbols decoded before the
+    error).
 
-    The symbols decoded are read off the history of the LpcState the
-    decoder made (the codec's, or the oracle's LoopState); 0 where it
-    raised before making one."""
-    states = []
-    real_init, real_decoder = LpcState.__init__, codec._decode_lpc
+    rounded is every argument math.floor was given, tau*xhat/rho + 0.5 for
+    each symbol's prediction xhat: the codec rounds inline with the
+    math.floor it looks up at each call, the oracle through
+    qmap.round_prediction, so the two agree bit for bit only where their
+    predictions do.  The symbols decoded are read off the history of the
+    LpcState the decoder made (the codec's, or the oracle's LoopState); 0
+    where it raised before making one."""
+    states, rounded = [], []
+    real_init, real_decoder, real_floor = LpcState.__init__, codec._decode_lpc, math.floor
 
     def recorded(self, cfg):
         real_init(self, cfg)
         states.append(self)
 
-    LpcState.__init__, codec._decode_lpc = recorded, decoder
+    def floor(v):
+        rounded.append(v)
+        return real_floor(v)
+
+    LpcState.__init__, codec._decode_lpc, math.floor = recorded, decoder, floor
     try:
         out, trace = decode_stream(data, collect_trace=True)
-        return "ok", out, trace
+        return "ok", out, trace, rounded
     except Exception as exc:  # noqa: BLE001 - the type and message are compared
         reached = sum(len(st.history) - st._pad for st in states)
         return "raised", type(exc), str(exc), reached
     finally:
-        LpcState.__init__, codec._decode_lpc = real_init, real_decoder
+        LpcState.__init__, codec._decode_lpc, math.floor = real_init, real_decoder, real_floor
 
 
 def agree(data: bytes) -> tuple:
