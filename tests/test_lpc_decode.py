@@ -3,10 +3,10 @@
 ``oracle_decode_lpc`` is codec._decode_lpc as it was before it parsed
 windows of codewords: one read per symbol, here by the bit-at-a-time
 bitsink.BitSource, which shares no code with the codec's readers, and a
-per-symbol predictor, lpcloop.LoopState.  decode_stream must
-give the same symbols and trace with either, or raise the same exception
-type and message at the same symbol (the number of symbols the
-decoder's predictor state holds when it raises).
+per-symbol predictor, lpcloop.LoopState.  decode_stream must give the
+same symbols, trace and rounding input for every symbol with either, or
+raise the same exception type and message at the same symbol (the
+number of symbols the decoder's predictor state holds when it raises).
 """
 
 import math
