@@ -168,38 +168,49 @@ class _Packer:
         self.bit_length = 0
 
     def write(self, values: np.ndarray, m) -> None:
-        """Append the codewords of values under m (one, or one per value)."""
+        """Append the codewords of values under m: one GolombParam (the
+        cached _golomb), or an int64 array of parameters, one per value.
+
+        A write that fits in one pack is packed by one _pack call; a
+        longer one is cut where each pack's bits run out.  Under one m
+        every field is b - 1 or b bits wide, so _pack takes those widths
+        from the parameter instead of finding them in the array.
+        """
         q, field, width = codeword_fields(values, m)
         if values.size and (values.min() < 0 or q.max() > MAX_RUN):
             i = int(np.argmax((values < 0) | (q > MAX_RUN)))
             if values[i] < 0:
                 raise ValueError(f"mapped residual must be non-negative, got {values[i]}")
             raise ValueError(f"quotient {q[i]} exceeds the {MAX_RUN}-bit unary limit")
+        widths = (m.bits - 1, m.bits) if isinstance(m, GolombParam) else None
         ends = np.cumsum(q + 1 + width)
-        lo = 0
+        lo = base = 0
         while lo < ends.size:
-            base = int(ends[lo - 1]) if lo else 0
-            hi = max(int(np.searchsorted(ends, base + BLOCK_BITS, "right")), lo + 1)
-            self._pack(field[lo:hi], width[lo:hi], ends[lo:hi] - base)
-            lo = hi
+            if ends[-1] - base <= BLOCK_BITS:  # the rest fits in one pack
+                hi = ends.size
+            else:
+                hi = max(int(np.searchsorted(ends, base + BLOCK_BITS, "right")), lo + 1)
+            self._pack(field[lo:hi], width[lo:hi], ends[lo:hi] - base, widths)
+            lo, base = hi, int(ends[hi - 1])
 
-    def _pack(self, field, width, ends) -> None:
+    def _pack(self, field, width, ends, widths=None) -> None:
         """Pack codewords ending at bit offsets ends after the carried bits.
 
-        The bit image starts as all ones, which the unary runs are.  Over
-        it go each codeword's closing zero and then its field's bits, 0 or
-        1, one plane at a time (plane 0 is the field's last bit): a bit
-        assigned per codeword, so no pass runs over every bit.  Planes
-        below the narrowest width belong to every codeword.  So does that
-        width's own plane: a field of that width has its closing zero
-        there, and its bit in that plane is 0.  Only the wider planes
-        select their codewords.
+        widths is (narrow, widest), a lower and an upper bound on the
+        field widths, found in width when None.  The bit image starts as
+        all ones, which the unary runs are.  Over it go each codeword's
+        closing zero and then its field's bits, 0 or 1, one plane at a
+        time (plane 0 is the field's last bit): a bit assigned per
+        codeword, so no pass runs over every bit.  Planes below narrow
+        belong to every codeword.  So does plane narrow: a field of that
+        width has its closing zero there, and its bit in that plane is 0.
+        Only the wider planes select their codewords.
         """
         carry = self._carry
         bits = np.ones(carry.size + int(ends[-1]), np.uint8)
         last = ends + (carry.size - 1)  # each codeword's last bit
         bits[last - width] = 0
-        narrow, widest = int(width.min()), int(width.max())
+        narrow, widest = widths or (int(width.min()), int(width.max()))
         # a uint8 source scatters faster than the int64 field
         for plane in range(min(narrow + 1, widest)):
             bits[last - plane] = ((field >> plane) & 1).astype(np.uint8)
@@ -221,11 +232,11 @@ class _Packer:
 
 
 def golomb_encode(ms, m):
-    _in_range("golomb parameter", m, M_MAX)
+    g = _golomb(_in_range("golomb parameter", m, M_MAX))
     ms = _values(ms, np.int64, 0, "ms")
     packer = _Packer()
     for lo in range(0, ms.size, BLOCK_SYMBOLS):
-        packer.write(ms[lo:lo + BLOCK_SYMBOLS], m)
+        packer.write(ms[lo:lo + BLOCK_SYMBOLS], g)
     return packer.finish(), packer.bit_length
 
 
@@ -516,7 +527,7 @@ def _table(m):
     table = _TABLES.get(m)
     if table is None and m <= MAX_ADAPTIVE_M:
         values = np.arange(TABLE_BITS * m)  # every quotient below TABLE_BITS
-        q, field, width = codeword_fields(values, m)
+        q, field, width = codeword_fields(values, _golomb(m))
         length = q + 1 + width
         code = (((1 << q) - 1) << (width + 1)) | field  # the run, its zero, the field
         entries = np.zeros(1 << TABLE_BITS, np.uint16)
@@ -527,7 +538,9 @@ def _table(m):
     return table
 
 
-_golomb = functools.cache(GolombParam)  # adaptive decode switches among few m
+# one parameter per m, built once: the encoders' fixed m and the few that
+# an adaptive decode switches among
+_golomb = functools.cache(GolombParam)
 
 
 def _speculate(window, m, i, pred_n, pred_x, tau, raw, s, lo, hi):

@@ -50,20 +50,20 @@ class GolombParam:
 def codeword_fields(values: np.ndarray, m):
     """The codeword split of int64 mapped residuals, for a whole array.
 
-    m is one parameter or an array of them, one per value.  Returns
+    m is one GolombParam (the writer's is cached per m, so that no call
+    builds one) or an int64 array of parameters, one per value.  Returns
     (quotients, remainder fields, field widths): each codeword is its
     quotient in unary, then the field in ``width`` binary digits, as the
-    decoders read them.  m must be at most 2**52, so that ceil(lg m) is
-    exact in a double.
+    decoders read them.  An array's parameters must be at most 2**52, so
+    that ceil(lg m) is exact in a double.
     """
-    q = values // m
-    field = values - q * m  # np.divmod takes twice as long
-    if np.ndim(m) == 0:
-        g = GolombParam(int(m))
-        b, threshold = g.bits, g.threshold
+    if isinstance(m, GolombParam):
+        b, threshold, m = m.bits, m.threshold, m.m
     else:
         b = np.frexp(m - 1)[1].astype(np.int64)  # the bit length of m - 1
         threshold = np.left_shift(1, b) - m
+    q = values // m
+    field = values - q * m  # np.divmod takes twice as long
     wide = field >= threshold  # the field takes all b bits, offset by threshold
     field += wide * threshold
     return q, field, wide + (b - 1)

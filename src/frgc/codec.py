@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,9 @@ class StreamHeader:
         if self.raw_error_estimator and self.mode != MODE_ADAPTIVE:
             raise HeaderError("raw estimator flag only applies to adaptive mode")
 
-    def pack(self) -> bytes:
+    def pack(self, count: int | None = None) -> bytes:
+        """The header's bytes; count, if given, is written in place of
+        the header's own (encode_stream writes the symbols' count)."""
         flags = _FLAG_RAW_ESTIMATOR if self.raw_error_estimator else 0
         if self.lpc is None:
             pred_kind, order, window, refit = 0, 0, 0, 0
@@ -113,9 +115,11 @@ class StreamHeader:
             order = self.lpc.order
             window = self.lpc.window
             refit = self.lpc.refit_interval
+        if count is None:
+            count = self.count
         return _HEADER.pack(MAGIC, VERSION, _MODE_CODES[self.mode], flags,
                             self.rho, self.tau, self.m, self.alphabet_q,
-                            self.count, pred_kind, order, window, refit)
+                            count, pred_kind, order, window, refit)
 
     @classmethod
     def unpack(cls, data: bytes) -> "StreamHeader":
@@ -197,26 +201,33 @@ def _check_decoded(symbols: np.ndarray, alphabet_q: int, start: int) -> None:
 _lpc_predictions = predictor.batch_predictions
 
 
-def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> np.ndarray:
-    """Vectorized twin of qmap.round_prediction over float64 predictions;
-    returns numerators."""
+def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> tuple[np.ndarray, int]:
+    """Vectorized twin of qmap.round_prediction over float64 predictions.
+
+    Returns the numerators and the largest of their magnitudes (0 if
+    there are none), which _map_vector's overflow bound takes as well:
+    one reduction bounds both.
+    """
     scaled = tau * pred
     if rho != 1:
         scaled /= rho
     scaled += 0.5
     floored = np.floor(scaled, out=scaled)
-    # NaN and inf fail the bound as an overflow does; only then is the
+    # the floors are whole floats, so the largest magnitude is exact; NaN
+    # and inf fail the bound as an overflow does, and only then is the
     # failure told apart
-    if not (np.abs(floored) < 2.0 ** 62).all():
+    peak = np.abs(floored).max(initial=0.0)
+    if not peak < 2.0 ** 62:
         if not np.isfinite(floored).all():
             raise ValueError("predictions must be finite")
         raise ValueError("prediction magnitude overflows the residual range")
+    peak = int(peak)
+    if peak > ((1 << 62) - 1) // rho:  # so |rho*k| < 2**62
+        raise ValueError("prediction magnitude overflows the residual range")
     k = floored.astype(np.int64)
     if rho != 1:
-        if (np.abs(k) > ((1 << 62) - 1) // rho).any():  # so |rho*k| < 2**62
-            raise ValueError("prediction magnitude overflows the residual range")
         k *= rho
-    return k
+    return k, rho * peak
 
 
 def _prediction_array(predictions, n: int, mismatch=ValueError) -> np.ndarray:
@@ -237,40 +248,54 @@ def _prediction_array(predictions, n: int, mismatch=ValueError) -> np.ndarray:
 
 
 def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int,
-                extremes: tuple[int, int] | None = None) -> np.ndarray:
+                extremes: tuple[int, int] | None = None,
+                peak: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized twin of qmap.map_residual over residual numerators.
 
-    extremes are xs's smallest and largest value when the caller has
-    them already (_check_symbols), so that no second pass finds them."""
+    Returns the mapped values and the magnitudes |tau*x - n| of the
+    residual numerators they fold, which are the integer estimator's
+    increments.  extremes are xs's smallest and largest value, and peak
+    the largest |numerator|, when the caller has them already
+    (_check_symbols, _round_predictions), so that no second pass finds
+    them.
+    """
     # |tau*x| + |n| < 2**62 keeps tau*x - n and 2*(tau*x - n) in int64;
     # the maxima are compared as Python integers, so exactly (np.abs
     # would wrap x = -2**63 to itself).
     if xs.size:
         smallest, largest = extremes or (int(xs.min()), int(xs.max()))
-        if tau * max(-smallest, largest) + int(np.abs(numerators).max()) >= 1 << 62:
+        if peak is None:
+            peak = int(np.abs(numerators).max())
+        if tau * max(-smallest, largest) + peak >= 1 << 62:
             raise ValueError("prediction magnitude overflows the residual range")
-    # q = floor(2r / tau), r = tau*x - n, is negative exactly where r is,
-    # and there the fold is -q - 1 = q ^ -1; q >> 63 is -1 there, else 0
-    q = 2 * (tau * xs - numerators) // tau
-    q ^= q >> 63
-    return q
+    # r = tau*x - n is formed once.  The fold is floor(2r/tau) where r >= 0
+    # and -floor(2r/tau) - 1 = floor((2|r| - 1)/tau) where r < 0, so with
+    # s = r >> 63 (-1 where r < 0, else 0) it is (2|r| + s) // tau
+    magnitudes = tau * xs - numerators
+    q = magnitudes >> 63
+    np.abs(magnitudes, out=magnitudes)
+    q += magnitudes
+    q += magnitudes
+    q //= tau
+    return q, magnitudes
 
 
 _unmap_vector = qmap.unmap_array  # the name the fixed path calls, which perfbench traces
 
 
-def _estimator_trace(xs: np.ndarray, pred: np.ndarray, numerators: np.ndarray,
+def _estimator_trace(xs: np.ndarray, pred: np.ndarray, magnitudes: np.ndarray,
                      header: StreamHeader, collect_trace: bool = True):
     """The adaptive estimator's increment for each symbol, and its trace.
 
-    An increment is |tau*x - n|, or |x - xhat| under the raw estimator.
-    The trace, None unless collect_trace, lists (m, t, S) after each
-    symbol: the m it was coded with, then the count and the sum after it.
-    Each m follows from the symbols before it, so the encoder and the
-    decoder derive the same trace here and no stream loop reports one.
+    An increment is |tau*x - n|, given as magnitudes (which _map_vector
+    returns), or |x - xhat| under the raw estimator.  The trace, None
+    unless collect_trace, lists (m, t, S) after each symbol: the m it was
+    coded with, then the count and the sum after it.  Each m follows from
+    the symbols before it, so the encoder and the decoder derive the same
+    trace here and no stream loop reports one.
     """
     raw = header.raw_error_estimator
-    increments = np.abs(xs - pred) if raw else np.abs(header.tau * xs - numerators)
+    increments = np.abs(xs - pred) if raw else magnitudes
     if not collect_trace:
         return increments, None
     sums, ms = _estcore.run(0, 0, increments, header.tau, raw)
@@ -288,6 +313,13 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     all-zero predictions otherwise.  A symbol whose codeword would need a
     unary run over bitcoder.MAX_RUN bits, which decode_stream refuses,
     raises ValueError.
+
+    The header was validated when it was built, and its count is written
+    as the symbols' (StreamHeader.pack), so no header is built here.  The
+    symbols' extremes (from the range check) and the numerators' largest
+    magnitude (from the rounding) bound the mapping, which forms each
+    residual numerator tau*x - n once: the mapped values and the integer
+    estimator's increments both come from it.
     """
     arr = np.asarray(xs)
     if arr.size and arr.dtype.kind not in "biu":  # a cast would change the symbols
@@ -300,7 +332,6 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     extremes = _check_symbols(arr, header.alphabet_q)  # before the cast, which would wrap uint64
     arr = arr.astype(np.int64, copy=False)
     n = int(arr.size)
-    header = replace(header, count=n)
 
     if header.lpc is not None:
         if predictions is not None:
@@ -309,25 +340,25 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     else:
         pred = _prediction_array(predictions, n)
 
-    numerators = _round_predictions(pred, header.rho, header.tau)
-    mapped = _map_vector(arr, numerators, header.tau, extremes)
+    numerators, peak = _round_predictions(pred, header.rho, header.tau)
+    mapped, magnitudes = _map_vector(arr, numerators, header.tau, extremes, peak)
 
     trace = None
     if header.mode == MODE_ADAPTIVE:
-        increments, trace = _estimator_trace(arr, pred, numerators, header,
+        increments, trace = _estimator_trace(arr, pred, magnitudes, header,
                                              collect_trace)
         payload, _ = _backend.adaptive_encode(
             mapped, increments, header.raw_error_estimator, header.tau)
     else:
         payload, _ = _backend.golomb_encode(mapped, header.m)
 
-    data = header.pack() + payload
+    data = header.pack(n) + payload
     if collect_trace:
         return data, trace
     return data
 
 
-def _decode_lpc(payload: bytes, header: StreamHeader) -> list:
+def _decode_lpc(payload, header: StreamHeader) -> list:
     """Lpc-mode decode: the symbols, with no list of their predictions
     (a traced decode takes those from _lpc_predictions).
 
@@ -453,14 +484,19 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     collect_trace is set.  A traced adaptive lpc decode predicts the
     decoded symbols again with _lpc_predictions, as the encoder does.
 
-    The predictions are rounded _pure.BLOCK_SYMBOLS at a time, all of
-    them before any codeword is read, so a bad prediction raises before
-    any payload error.  A fixed-m stream's codewords are then unmapped
-    and range-checked a block at a time, in place in the backend's
-    output; no pass allocates a temporary the length of the stream.
+    The payload is read in place, as a memoryview of data when data is
+    bytes (other buffers are copied once).  The predictions are rounded
+    _pure.BLOCK_SYMBOLS at a time (a stream of at most that many in one
+    call, with no array to gather the blocks), all of them before any
+    codeword is read, so a bad prediction raises before any payload
+    error.  A fixed-m stream's codewords are then unmapped and
+    range-checked a block at a time, in place in the backend's output; no
+    pass allocates a temporary the length of the stream.
     """
     header, offset = read_header(data)
-    payload = bytes(data[offset:])
+    # bytes(data) is data itself when data is bytes; any other buffer is
+    # copied, so that no view holds it (a bytearray could not be resized)
+    payload = memoryview(bytes(data))[offset:]
     n = header.count
     if n > 8 * len(payload):  # every codeword is at least one bit
         raise TruncatedStreamError(
@@ -474,10 +510,13 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
         pred = _prediction_array(predictions, n, HeaderError)
         block = _pure.BLOCK_SYMBOLS
         # every prediction is rounded, and checked, before any codeword is read
-        numerators = np.empty(n, np.int64)
-        for lo in range(0, n, block):
-            numerators[lo:lo + block] = _round_predictions(
-                pred[lo:lo + block], header.rho, header.tau)
+        if n <= block:
+            numerators = _round_predictions(pred, header.rho, header.tau)[0]
+        else:
+            numerators = np.empty(n, np.int64)
+            for lo in range(0, n, block):
+                numerators[lo:lo + block] = _round_predictions(
+                    pred[lo:lo + block], header.rho, header.tau)[0]
         if header.mode == MODE_ADAPTIVE:
             symbols = np.frombuffer(_backend.adaptive_decode(
                 payload, n, numerators, pred, header.tau, header.raw_error_estimator,
@@ -500,5 +539,6 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     if header.lpc is not None:
         symbols = np.array(out, dtype=np.int64)
         pred = _lpc_predictions(symbols, header.lpc)
-        numerators = _round_predictions(pred, header.rho, header.tau)
-    return out, _estimator_trace(symbols, pred, numerators, header)[1]
+        numerators = _round_predictions(pred, header.rho, header.tau)[0]
+    magnitudes = np.abs(header.tau * symbols - numerators)
+    return out, _estimator_trace(symbols, pred, magnitudes, header)[1]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from frgc import analysis
-from frgc.bitcoder import codeword_fields
+from frgc.bitcoder import GolombParam, codeword_fields
 from frgc.codec import _map_vector, _round_predictions
 from frgc.qmap import ASYMPTOTIC, Precision
 
@@ -109,13 +109,15 @@ def mapped_values(xs, predictions, precision: Precision) -> np.ndarray:
         raise ValueError("sampled sweeps need a concrete precision; "
                          "use ASYMPTOTIC_SURROGATE")
     pred = np.asarray(predictions, dtype=np.float64)
-    numerators = _round_predictions(pred, precision.rho, precision.tau)
-    return _map_vector(np.asarray(xs, dtype=np.int64), numerators, precision.tau)
+    numerators, peak = _round_predictions(pred, precision.rho, precision.tau)
+    return _map_vector(np.asarray(xs, dtype=np.int64), numerators, precision.tau,
+                       peak=peak)[0]
 
 
 def symbol_code_lengths(values, m: int) -> np.ndarray:
     """Golomb codeword length of each mapped residual."""
-    q, _, width = codeword_fields(np.asarray(values, dtype=np.int64), m)
+    q, _, width = codeword_fields(np.asarray(values, dtype=np.int64),
+                                 GolombParam(int(m)))
     return q + 1 + width
 
 

@@ -4,6 +4,7 @@ The ``kernels`` fixture (conftest.py) builds the shipped ``_kernels.c``
 once per run.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
 from bitsink import BitSink
+from golden import EXTERNAL_GOLDEN, external_streams, normalised_digest
 from steer import held_schedule, m_runs, steered_symbols
 
 BOUNDS = _estcore.LOG_BOUNDARIES
@@ -164,6 +166,20 @@ def test_codec_streams_match_across_backends(mode, kernels, monkeypatch):
         assert out == xs.tolist()
         results.append((data, trace, dtrace))
     assert results[0] == results[1]
+
+
+def test_streams_match_their_golden_digests(kernels, monkeypatch):
+    # the pinned streams of every mode but lpc (tests/golden.py): each
+    # backend writes every stream's recorded bytes and decodes it back
+    want = json.loads(EXTERNAL_GOLDEN.read_text())
+    pool = external_streams()
+    assert sorted(want) == sorted(pool)
+    for module in (_pure, kernels):
+        use_backend(monkeypatch, module)
+        for name, (xs, pred, header) in pool.items():
+            data = encode_stream(xs, header, pred)
+            assert normalised_digest(data) == want[name], (module.BACKEND_NAME, name)
+            assert decode_stream(data, pred) == xs.tolist(), (module.BACKEND_NAME, name)
 
 
 @pytest.mark.parametrize("tau,raw,top", [(1, False, 8), (16, False, 64), (3, True, 24)])

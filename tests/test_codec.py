@@ -417,27 +417,70 @@ def test_round_predictions_rejects_int64_overflow():
 
 def test_map_vector_rejects_int64_overflow():
     # n fits, but 2*(tau*x - n) would wrap for x = SYMBOL_MAX
-    n = codec._round_predictions(np.array([-(2.0 ** 62 - 1024)]), 1, 1)
+    n, _ = codec._round_predictions(np.array([-(2.0 ** 62 - 1024)]), 1, 1)
     with pytest.raises(ValueError, match="overflows"):
         codec._map_vector(np.array([SYMBOL_MAX], dtype=np.int64), n, 1)
 
 
 def test_encode_stream_takes_the_symbol_extremes_once(monkeypatch):
-    # the range check's smallest and largest symbol go on to the mapping's
-    # overflow bound, which stays exact: tau*max|x| + max|n| < 2**62
+    # the range check's smallest and largest symbol, and the rounding's
+    # largest |numerator|, go on to the mapping's overflow bound
     seen = []
     real = codec._map_vector
     monkeypatch.setattr(codec, "_map_vector", lambda *a: seen.append(a[3:]) or real(*a))
     encode_stream(np.array([5, -3, 7]), StreamHeader(mode=MODE_FIXED, m=2))
-    assert seen == [((-3, 7),)]
-    header = StreamHeader(mode=MODE_RICE, rho=1, tau=1, m=1)
-    pred = [-(2.0 ** 62 - 1024)]  # n = -(2**62 - 1024)
-    for x in (1024, -1024):
-        with pytest.raises(ValueError, match="overflows the residual range"):
-            encode_stream([x], header, pred)
-    # one less maps, to a codeword longer than the format allows
-    with pytest.raises(ValueError, match="unary limit"):
-        encode_stream([1023], header, pred)
+    assert seen == [((-3, 7), 0)]
+    seen.clear()
+    encode_stream(np.array([5, -3, 7]), StreamHeader(mode=MODE_FIXED, rho=3, m=2),
+                  [0.0, -2.0, 1.0])
+    assert seen == [((-3, 7), 3 * 11)]  # -2.0 rounds to -11 * 3/16
+
+
+def test_decode_stream_holds_no_view_of_a_bytearray():
+    # a caller that reads a stream into a bytearray can grow it and decode
+    # again while it handles the error for the part it had
+    xs = list(range(100))
+    data = encode_stream(xs, StreamHeader(mode=MODE_FIXED, m=3))
+    buf = bytearray(data[:40])
+    with pytest.raises(CorruptStreamError):
+        try:
+            decode_stream(buf)
+        except CorruptStreamError:
+            buf.extend(data[40:])
+            raise
+    assert decode_stream(buf) == decode_stream(memoryview(data)) == xs
+
+
+@pytest.mark.parametrize("rho,tau", [(1, 1), (3, 16), (0xFFFF, 0xFFFF)])
+def test_encode_stream_bounds_the_mapping_exactly(rho, tau):
+    # tau*max|x| + max|n| < 2**62, exactly: for each sign of the symbol and
+    # of the numerator, with a small numerator of the other sign beside it,
+    # the least |x| that reaches 2**62 raises and one less is mapped (to a
+    # codeword longer than the format allows: the writer refuses it)
+    header = StreamHeader(mode=MODE_FIXED, rho=rho, tau=tau, m=1)
+    p = Precision(rho, tau)
+    for sn in (1, -1):
+        pred = [sn * ((1 << 62) - 1000 * tau) / tau, -sn * 8.0]
+        n = round_prediction(pred[0], p)
+        assert n * sn > 0 and abs(round_prediction(pred[1], p)) < abs(n)
+        edge = -(-((1 << 62) - abs(n)) // tau)  # the least |x| reaching 2**62
+        # reached exactly, but at 0xFFFF/0xFFFF, where every sum is a multiple of 0xFFFF
+        assert tau * edge + abs(n) == 1 << 62 or rho == tau == 0xFFFF
+        for sx in (1, -1):
+            with pytest.raises(ValueError, match="overflows the residual range"):
+                encode_stream([sx * edge, 0], header, pred)
+            with pytest.raises(ValueError, match="unary limit"):
+                encode_stream([sx * (edge - 1), 0], header, pred)
+    # a NaN beside an overflowing prediction is told apart, in either order
+    for pred in ([math.nan, 1e30], [-1e30, math.nan]):
+        with pytest.raises(ValueError, match="predictions must be finite"):
+            encode_stream([0, 0], header, pred)
+    # an empty stream has no extremes and no numerators to bound
+    for h in (header, StreamHeader(mode=MODE_ADAPTIVE, rho=rho, tau=tau)):
+        data, trace = encode_stream([], h, [], collect_trace=True)
+        assert data == replace(h, count=0).pack()
+        assert trace == ([] if h.mode == MODE_ADAPTIVE else None)
+        assert decode_stream(data, []) == []
 
 
 @pytest.mark.parametrize("rho,tau", [(1, 1), (3, 16), (0xFFFF, 0xFFFF)])
@@ -445,9 +488,9 @@ def test_map_vector_exact_at_prediction_limit(rho, tau):
     # |n| just under the accepted limit still maps like the scalar qmap
     k = ((1 << 62) - 1 - tau * (SYMBOL_MAX + 1)) // rho - 4096
     preds = np.array([k, -k], dtype=np.float64) * rho / tau
-    n = codec._round_predictions(preds, rho, tau)
+    n, _ = codec._round_predictions(preds, rho, tau)
     xs = np.array([-SYMBOL_MAX - 1, SYMBOL_MAX], dtype=np.int64)
-    mapped = codec._map_vector(xs, n, tau).tolist()
+    mapped = codec._map_vector(xs, n, tau)[0].tolist()
     for x, ni, got in zip(xs.tolist(), n.tolist(), mapped):
         assert got == qmap.map_residual(qmap.residual(x, ni, tau), tau)
 
@@ -490,13 +533,16 @@ def test_vector_twins_match_scalar_elementwise(case, extra, edges):
     # its scalar reference on every element, not only in round trips
     rho, tau, ks, preds, xs = case
     p = Precision(rho, tau)
-    ns = codec._round_predictions(np.array(preds), rho, tau)
+    ns, peak = codec._round_predictions(np.array(preds), rho, tau)
     assert ns.tolist() == [round_prediction(x, p) for x in preds]
+    assert peak == max(abs(n) for n in ns.tolist())
     if tau & (tau - 1) == 0:  # exact ties round toward +inf
         assert ns[:len(ks)].tolist() == [(k + 1) * rho for k in ks]
-    mapped = codec._map_vector(np.array(xs, dtype=np.int64), ns, tau)
+    mapped, magnitudes = codec._map_vector(np.array(xs, dtype=np.int64), ns, tau)
     assert mapped.tolist() == [qmap.map_residual(qmap.residual(x, n, tau), tau)
                                for x, n in zip(xs, ns.tolist())]
+    assert magnitudes.tolist() == [abs(qmap.residual(x, n, tau))
+                                   for x, n in zip(xs, ns.tolist())]
     # codeword values beyond the mapped ones, as golomb_decode can return
     values = mapped.tolist() + extra
     pred_n = ns.tolist() + ns.tolist()[:len(extra)]

@@ -1,9 +1,7 @@
 """LPC streams: frozen bytes, version, and corrupt-stream behaviour."""
 
-import hashlib
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,34 +21,8 @@ from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
 from bitsink import BitSink
+from golden import LPC_GOLDEN, MODES, ar2_signal, lpc_streams, normalised_digest
 from lpcloop import loop_predictions
-
-# SHA-256 of each golden stream with its version byte set to 0, recorded
-# from the version 2 encoder, which summed the normal equations in floats.
-# Every product and sum of these 16-bit signals is exact in a double, so
-# the exact integer sums must give the same bytes.
-GOLDEN = Path(__file__).with_name("data") / "lpc_golden_sha256.json"
-
-# The LpcConfig (order, window, refit interval) of each benchmark LPC frame.
-CONFIGS = ((2, 16, 16), (4, 64, 32), (8, 256, 256), (2, 32, 1))
-MODES = {
-    "adaptive-int": dict(mode=MODE_ADAPTIVE),
-    "adaptive-raw": dict(mode=MODE_ADAPTIVE, raw_error_estimator=True),
-    "fixed": dict(mode=MODE_FIXED, m=64),
-}
-GOLDEN_LENGTH = 700
-
-
-def ar2_signal(seed: int, n: int, scale: float = 50.0) -> list[int]:
-    """Integer AR(2) signal (1.6, -0.7) with Laplace innovations, 16-bit."""
-    e = np.random.default_rng(seed).laplace(0.0, scale, n)
-    y = []
-    prev1 = prev2 = 0.0
-    for t in range(n):
-        cur = 1.6 * prev1 - 0.7 * prev2 + e[t]
-        y.append(cur)
-        prev2, prev1 = prev1, cur
-    return np.clip(np.rint(y), -(1 << 15), (1 << 15) - 1).astype(np.int64).tolist()
 
 
 def wide_signal(seed: int, n: int) -> list[int]:
@@ -78,34 +50,14 @@ def wide_streams(mode: str):
     return streams
 
 
-def golden_streams():
-    """{name: (symbols, header)} of the frozen pool."""
-    pool = {}
-    for k, cfg in enumerate(CONFIGS):
-        xs = ar2_signal(100 + k, GOLDEN_LENGTH)
-        for mode, kwargs in MODES.items():
-            header = StreamHeader(rho=1, tau=8, lpc=LpcConfig(*cfg), **kwargs)
-            pool[f"{mode} {cfg}"] = (xs, header)
-    # and one at a precision whose grid step is not 1/tau
-    xs, header = pool["adaptive-int (2, 16, 16)"]
-    pool["adaptive-int (2, 16, 16) 3/16"] = (xs, replace(header, rho=3, tau=16))
-    return pool
-
-
 def golden_of(mode: str):
     """[(symbols, header)] of the golden pool's streams in one mode."""
-    return [v for k, v in golden_streams().items() if k.startswith(mode + " ")]
-
-
-def normalised_digest(data: bytes) -> str:
-    data = bytearray(data)
-    data[4] = 0
-    return hashlib.sha256(bytes(data)).hexdigest()
+    return [v for k, v in lpc_streams().items() if k.startswith(mode + " ")]
 
 
 def test_lpc_streams_match_golden_bytes():
-    want = json.loads(GOLDEN.read_text())
-    pool = golden_streams()
+    want = json.loads(LPC_GOLDEN.read_text())
+    pool = lpc_streams()
     assert sorted(want) == sorted(pool)
     for name, (xs, header) in pool.items():
         data = encode_stream(xs, header)
@@ -145,7 +97,7 @@ def test_traced_decode_gives_the_encoders_trace(mode, monkeypatch):
 
 
 def test_v2_lpc_stream_rejected():
-    xs, header = golden_streams()["adaptive-int (2, 32, 1)"]
+    xs, header = lpc_streams()["adaptive-int (2, 32, 1)"]
     data = bytearray(encode_stream(xs, header))
     assert data[4] == codec.VERSION == 3
     data[4] = 2

@@ -186,10 +186,12 @@ def geometric(rng, n, m, spill=0.01):
 
 
 def packed(chunks):
-    """_Packer's (payload, bit length) after one write per (values, m) chunk."""
+    """_Packer's (payload, bit length) after one write per (values, m)
+    chunk, m passed as the encoders pass it: one cached GolombParam, or an
+    array of parameters."""
     packer = _pure._Packer()
     for values, m in chunks:
-        packer.write(ints(values), m)
+        packer.write(ints(values), _pure._golomb(int(m)) if np.ndim(m) == 0 else m)
     return packer.finish(), packer.bit_length
 
 
@@ -262,6 +264,20 @@ def test_decode_stream_rounds_and_unmaps_a_block_at_a_time(block, monkeypatch):
             codec.decode_stream(cut, predictions=pred)
         with pytest.raises(ValueError, match="must be finite"):
             codec.decode_stream(cut, predictions=shifted)
+    # no more than a block of predictions is rounded at once, and a stream
+    # of at most one block in one call
+    sizes = []
+    real = codec._round_predictions
+    monkeypatch.setattr(codec, "_round_predictions",
+                        lambda p, *a: sizes.append(p.size) or real(p, *a))
+    for count, calls in ((block, [block]), (block + 1, [block, 1]),
+                         (n, [block] * 3 + [5])):
+        for header in (codec.StreamHeader(mode="fixed", rho=3, tau=16, m=9),
+                       codec.StreamHeader(mode="adaptive", rho=1, tau=16)):
+            data = codec.encode_stream(xs[:count], header, predictions=pred[:count])
+            sizes.clear()
+            assert codec.decode_stream(data, predictions=pred[:count]) == xs[:count].tolist()
+            assert sizes == calls
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -418,7 +434,7 @@ def test_codeword_fields_near_the_top_of_int64(m):
         q, k = divmod(v, m)
         field, width = (k, g.bits - 1) if k < g.threshold else (k + g.threshold, g.bits)
         expected.append((q, field, width))
-    for param in (m, np.full(len(values), m)):
+    for param in (g, np.full(len(values), m)):
         q, field, width = bitcoder.codeword_fields(ints(values), param)
         assert list(zip(q.tolist(), field.tolist(), width.tolist())) == expected
 
@@ -426,9 +442,11 @@ def test_codeword_fields_near_the_top_of_int64(m):
 def rounded(preds, rho, tau):
     """codec._round_predictions' numerators, or its ValueError's message."""
     try:
-        return codec._round_predictions(np.array(preds, np.float64), rho, tau).tolist()
+        numerators, peak = codec._round_predictions(np.array(preds, np.float64), rho, tau)
     except ValueError as exc:
         return str(exc)
+    assert peak == max((abs(n) for n in numerators.tolist()), default=0)
+    return numerators.tolist()
 
 
 def test_round_predictions_against_the_scalar_rounding():
