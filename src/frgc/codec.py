@@ -106,7 +106,8 @@ class StreamHeader:
 
     def pack(self, count: int | None = None) -> bytes:
         """The header's bytes; count, if given, is written in place of
-        the header's own (encode_stream writes the symbols' count)."""
+        the header's own (encode_stream writes the symbols' count) and
+        checked as validate checks the header's."""
         flags = _FLAG_RAW_ESTIMATOR if self.raw_error_estimator else 0
         if self.lpc is None:
             pred_kind, order, window, refit = 0, 0, 0, 0
@@ -117,6 +118,8 @@ class StreamHeader:
             refit = self.lpc.refit_interval
         if count is None:
             count = self.count
+        elif not 0 <= count <= 0xFFFFFFFFFFFFFFFF:
+            raise HeaderError(f"count out of range: {count}")
         return _HEADER.pack(MAGIC, VERSION, _MODE_CODES[self.mode], flags,
                             self.rho, self.tau, self.m, self.alphabet_q,
                             count, pred_kind, order, window, refit)
@@ -247,25 +250,22 @@ def _prediction_array(predictions, n: int, mismatch=ValueError) -> np.ndarray:
     return pred
 
 
-def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int,
-                extremes: tuple[int, int] | None = None,
-                peak: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int, peak: int,
+                extremes: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized twin of qmap.map_residual over residual numerators.
 
     Returns the mapped values and the magnitudes |tau*x - n| of the
     residual numerators they fold, which are the integer estimator's
-    increments.  extremes are xs's smallest and largest value, and peak
-    the largest |numerator|, when the caller has them already
-    (_check_symbols, _round_predictions), so that no second pass finds
-    them.
+    increments.  peak is the numerators' largest magnitude, which
+    _round_predictions returns with them, and extremes are xs's smallest
+    and largest value when the caller has them already (_check_symbols),
+    so that no second pass finds them.
     """
     # |tau*x| + |n| < 2**62 keeps tau*x - n and 2*(tau*x - n) in int64;
     # the maxima are compared as Python integers, so exactly (np.abs
     # would wrap x = -2**63 to itself).
     if xs.size:
         smallest, largest = extremes or (int(xs.min()), int(xs.max()))
-        if peak is None:
-            peak = int(np.abs(numerators).max())
         if tau * max(-smallest, largest) + peak >= 1 << 62:
             raise ValueError("prediction magnitude overflows the residual range")
     # r = tau*x - n is formed once.  The fold is floor(2r/tau) where r >= 0
@@ -283,12 +283,13 @@ def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int,
 _unmap_vector = qmap.unmap_array  # the name the fixed path calls, which perfbench traces
 
 
-def _estimator_trace(xs: np.ndarray, pred: np.ndarray, magnitudes: np.ndarray,
+def _estimator_trace(xs: np.ndarray, pred: np.ndarray, magnitudes: np.ndarray | None,
                      header: StreamHeader, collect_trace: bool = True):
     """The adaptive estimator's increment for each symbol, and its trace.
 
     An increment is |tau*x - n|, given as magnitudes (which _map_vector
-    returns), or |x - xhat| under the raw estimator.  The trace, None
+    returns), or |x - xhat| under the raw estimator, which takes no
+    magnitudes (they may be None).  The trace, None
     unless collect_trace, lists (m, t, S) after each symbol: the m it was
     coded with, then the count and the sum after it.  Each m follows from
     the symbols before it, so the encoder and the decoder derive the same
@@ -341,7 +342,7 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
         pred = _prediction_array(predictions, n)
 
     numerators, peak = _round_predictions(pred, header.rho, header.tau)
-    mapped, magnitudes = _map_vector(arr, numerators, header.tau, extremes, peak)
+    mapped, magnitudes = _map_vector(arr, numerators, header.tau, peak, extremes)
 
     trace = None
     if header.mode == MODE_ADAPTIVE:
@@ -486,12 +487,11 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
 
     The payload is read in place, as a memoryview of data when data is
     bytes (other buffers are copied once).  The predictions are rounded
-    _pure.BLOCK_SYMBOLS at a time (a stream of at most that many in one
-    call, with no array to gather the blocks), all of them before any
-    codeword is read, so a bad prediction raises before any payload
-    error.  A fixed-m stream's codewords are then unmapped and
-    range-checked a block at a time, in place in the backend's output; no
-    pass allocates a temporary the length of the stream.
+    _pure.BLOCK_SYMBOLS at a time, all of them before any codeword is
+    read, so a bad prediction raises before any payload error.  A
+    fixed-m stream's codewords are then unmapped and range-checked a
+    block at a time, in place in the backend's output; no pass allocates
+    a temporary the length of the stream.
     """
     header, offset = read_header(data)
     # bytes(data) is data itself when data is bytes; any other buffer is
@@ -510,13 +510,10 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
         pred = _prediction_array(predictions, n, HeaderError)
         block = _pure.BLOCK_SYMBOLS
         # every prediction is rounded, and checked, before any codeword is read
-        if n <= block:
-            numerators = _round_predictions(pred, header.rho, header.tau)[0]
-        else:
-            numerators = np.empty(n, np.int64)
-            for lo in range(0, n, block):
-                numerators[lo:lo + block] = _round_predictions(
-                    pred[lo:lo + block], header.rho, header.tau)[0]
+        numerators = np.empty(n, np.int64)
+        for lo in range(0, n, block):
+            numerators[lo:lo + block] = _round_predictions(
+                pred[lo:lo + block], header.rho, header.tau)[0]
         if header.mode == MODE_ADAPTIVE:
             symbols = np.frombuffer(_backend.adaptive_decode(
                 payload, n, numerators, pred, header.tau, header.raw_error_estimator,
@@ -540,5 +537,6 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
         symbols = np.array(out, dtype=np.int64)
         pred = _lpc_predictions(symbols, header.lpc)
         numerators = _round_predictions(pred, header.rho, header.tau)[0]
-    magnitudes = np.abs(header.tau * symbols - numerators)
+    magnitudes = (None if header.raw_error_estimator
+                  else np.abs(header.tau * symbols - numerators))
     return out, _estimator_trace(symbols, pred, magnitudes, header)[1]

@@ -111,7 +111,7 @@ def mapped_values(xs, predictions, precision: Precision) -> np.ndarray:
     pred = np.asarray(predictions, dtype=np.float64)
     numerators, peak = _round_predictions(pred, precision.rho, precision.tau)
     return _map_vector(np.asarray(xs, dtype=np.int64), numerators, precision.tau,
-                       peak=peak)[0]
+                       peak)[0]
 
 
 def symbol_code_lengths(values, m: int) -> np.ndarray:

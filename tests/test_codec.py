@@ -65,6 +65,16 @@ def test_header_roundtrip(header):
     assert back == header
 
 
+def test_header_pack_writes_a_count_in_range():
+    h = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2, count=5)
+    top = 0xFFFFFFFFFFFFFFFF
+    for count in (0, 9, top):
+        assert h.pack(count) == replace(h, count=count).pack()
+    for count in (-1, top + 1):
+        with pytest.raises(HeaderError, match=f"count out of range: {count}"):
+            h.pack(count)
+
+
 def test_header_precision_property():
     h = StreamHeader(mode=MODE_FIXED, rho=4, tau=5, m=2)
     assert h.precision == Precision(4, 5)
@@ -417,9 +427,9 @@ def test_round_predictions_rejects_int64_overflow():
 
 def test_map_vector_rejects_int64_overflow():
     # n fits, but 2*(tau*x - n) would wrap for x = SYMBOL_MAX
-    n, _ = codec._round_predictions(np.array([-(2.0 ** 62 - 1024)]), 1, 1)
+    n, peak = codec._round_predictions(np.array([-(2.0 ** 62 - 1024)]), 1, 1)
     with pytest.raises(ValueError, match="overflows"):
-        codec._map_vector(np.array([SYMBOL_MAX], dtype=np.int64), n, 1)
+        codec._map_vector(np.array([SYMBOL_MAX], dtype=np.int64), n, 1, peak)
 
 
 def test_encode_stream_takes_the_symbol_extremes_once(monkeypatch):
@@ -429,11 +439,11 @@ def test_encode_stream_takes_the_symbol_extremes_once(monkeypatch):
     real = codec._map_vector
     monkeypatch.setattr(codec, "_map_vector", lambda *a: seen.append(a[3:]) or real(*a))
     encode_stream(np.array([5, -3, 7]), StreamHeader(mode=MODE_FIXED, m=2))
-    assert seen == [((-3, 7), 0)]
+    assert seen == [(0, (-3, 7))]
     seen.clear()
     encode_stream(np.array([5, -3, 7]), StreamHeader(mode=MODE_FIXED, rho=3, m=2),
                   [0.0, -2.0, 1.0])
-    assert seen == [((-3, 7), 3 * 11)]  # -2.0 rounds to -11 * 3/16
+    assert seen == [(3 * 11, (-3, 7))]  # -2.0 rounds to -11 * 3/16
 
 
 def test_decode_stream_holds_no_view_of_a_bytearray():
@@ -488,9 +498,9 @@ def test_map_vector_exact_at_prediction_limit(rho, tau):
     # |n| just under the accepted limit still maps like the scalar qmap
     k = ((1 << 62) - 1 - tau * (SYMBOL_MAX + 1)) // rho - 4096
     preds = np.array([k, -k], dtype=np.float64) * rho / tau
-    n, _ = codec._round_predictions(preds, rho, tau)
+    n, peak = codec._round_predictions(preds, rho, tau)
     xs = np.array([-SYMBOL_MAX - 1, SYMBOL_MAX], dtype=np.int64)
-    mapped = codec._map_vector(xs, n, tau)[0].tolist()
+    mapped = codec._map_vector(xs, n, tau, peak)[0].tolist()
     for x, ni, got in zip(xs.tolist(), n.tolist(), mapped):
         assert got == qmap.map_residual(qmap.residual(x, ni, tau), tau)
 
@@ -538,7 +548,7 @@ def test_vector_twins_match_scalar_elementwise(case, extra, edges):
     assert peak == max(abs(n) for n in ns.tolist())
     if tau & (tau - 1) == 0:  # exact ties round toward +inf
         assert ns[:len(ks)].tolist() == [(k + 1) * rho for k in ks]
-    mapped, magnitudes = codec._map_vector(np.array(xs, dtype=np.int64), ns, tau)
+    mapped, magnitudes = codec._map_vector(np.array(xs, dtype=np.int64), ns, tau, peak)
     assert mapped.tolist() == [qmap.map_residual(qmap.residual(x, n, tau), tau)
                                for x, n in zip(xs, ns.tolist())]
     assert magnitudes.tolist() == [abs(qmap.residual(x, n, tau))
