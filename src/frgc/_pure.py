@@ -57,16 +57,18 @@ doubling, a walk of every 2**CHAIN_LEVELS-th codeword and one gather
 per round; at m = 1 every zero closes a codeword.
 
 adaptive_decode cannot know an m before the symbols ahead of it, but m
-seldom changes, so it guesses: once m has held for SETTLE_SYMBOLS
-symbols, it parses a window of codewords under that m as golomb_decode
-does, takes the estimator's running sums over the symbols they unmap
-to, and keeps them up to the first after which ln theta_hat leaves m's
-interval (_estcore.m_interval; _speculate).  Until then it reads one
-codeword at a time, as codec._decode_lpc's cold start does too, and
-tests the interval after each symbol.  CodewordReader looks most of those
-codewords up in a table of m by the next TABLE_BITS bits, which
-adaptive_decode indexes in its own loop, and scans the rest.  Either
-way select_m runs only where the test fails, once per switch of m.
+seldom changes, so it guesses.  Each step of its loop decodes a window
+or one symbol.  Once m has held for SETTLE_SYMBOLS symbols, the step
+parses a window of codewords under that m as golomb_decode does, takes
+the estimator's running sums over the symbols they unmap to, and keeps
+them up to the first after which ln theta_hat leaves m's interval
+(_estcore.m_interval; _speculate).  Until then the step reads one
+codeword, as codec._decode_lpc's cold start does too, and tests the
+interval after its symbol.  Either way select_m runs only where the test
+fails, and the step ends in the loop's one switch of m.  CodewordReader
+looks most of the single codewords up in a table of m by the next
+TABLE_BITS bits, which adaptive_decode indexes in its own loop, and
+scans the rest.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ from frgc.bitcoder import (
     TAU_MAX,
     CorruptStreamError,
     GolombParam,
+    check_symbol_range,
     codeword_fields,
     symbol_out_of_range,
 )
@@ -257,7 +260,7 @@ def adaptive_encode(ms, increments, raw, tau):
 
 def golomb_decode(payload, count, m):
     _c_integer(count, sys.maxsize)
-    g = GolombParam(_in_range("golomb parameter", m, M_MAX))
+    g = _golomb(_in_range("golomb parameter", m, M_MAX))
     data = np.frombuffer(payload, dtype=np.uint8)
     out = _output(count, 8 * data.size)
     filled = np.frombuffer(out, np.int64)
@@ -596,9 +599,7 @@ def _speculate(window, m, i, pred_n, pred_x, tau, raw, s, lo, hi):
         if out[j]:
             switch = z + j
     kept = xs if switch is None else xs[:switch + 1]
-    if kept.size and (kept.min() < lo or kept.max() > hi):
-        j = int(np.argmax((kept < lo) | (kept > hi)))
-        raise symbol_out_of_range(i + j, int(xs[j]), lo, hi)
+    check_symbol_range(kept, i, lo, hi)
     if switch is None:
         if error is not None:
             raise error
@@ -639,40 +640,37 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
             filled[i:i + xs.size] = xs
             i += xs.size
             pos += used
-            if m2 == m:
-                held += xs.size
+            held += xs.size
+        else:
+            # one codeword: CodewordReader.read, with its hit taken here
+            if pos >= stop:
+                words, base, stop = reader.windows(pos)
+            if pos < stop and (entry := table[words[(pos >> 3) - base]
+                                              >> (shift - (pos & 7)) & mask]):
+                value, pos = entry >> 4, pos + (entry & 15)
             else:
-                m, held, run_pos, g, table = m2, 0, pos, _golomb(m2), _table(m2)
-                low, high = m_interval(m2)
-            continue
-        # one codeword: CodewordReader.read, with its hit taken here
-        if pos >= stop:
-            words, base, stop = reader.windows(pos)
-        if pos < stop and (entry := table[words[(pos >> 3) - base] >> (shift - (pos & 7)) & mask]):
-            value, pos = entry >> 4, pos + (entry & 15)
-        else:
-            value, pos = reader.scan(pos, g)
-        n = pred_n[i]
-        if not -_NUMERATOR_LIMIT < n < _NUMERATOR_LIMIT:
-            raise ValueError("prediction numerator out of range")
-        c = -((-2 * n) // tau)
-        x = (value + c) >> 1 if (value + c) & 1 == 0 else (c - value - 1) >> 1
-        if not lo <= x <= hi:
-            raise symbol_out_of_range(i, x, lo, hi)
-        symbols[i] = x
-        if raw:
-            s += abs(x - pred_x[i])
-        else:
-            s += abs(tau * x - n)
-            if s > _SAT:
-                s = _SAT
-        i += 1
-        # m holds while ln theta_hat stays in its interval (s is 0 only at m = 1)
-        if s > 0 and not low < -(i * scale) / float(s) <= high:
-            m2 = select_m(i, s, scale)
-            if m2 != m:
-                m, held, run_pos, g, table = m2, 0, pos, _golomb(m2), _table(m2)
-                low, high = m_interval(m2)
+                value, pos = reader.scan(pos, g)
+            n = pred_n[i]
+            if not -_NUMERATOR_LIMIT < n < _NUMERATOR_LIMIT:
+                raise ValueError("prediction numerator out of range")
+            c = -((-2 * n) // tau)
+            x = (value + c) >> 1 if (value + c) & 1 == 0 else (c - value - 1) >> 1
+            if not lo <= x <= hi:
+                raise symbol_out_of_range(i, x, lo, hi)
+            symbols[i] = x
+            if raw:
+                s += abs(x - pred_x[i])
+            else:
+                s += abs(tau * x - n)
+                if s > _SAT:
+                    s = _SAT
+            i += 1
+            held += 1
+            # m holds while ln theta_hat stays in its interval (s is 0 only at m = 1)
+            if not s > 0 or low < -(i * scale) / float(s) <= high:
                 continue
-        held += 1
+            m2 = select_m(i, s, scale)
+        if m2 != m:
+            m, held, run_pos, g, table = m2, 0, pos, _golomb(m2), _table(m2)
+            low, high = m_interval(m2)
     return out

@@ -72,3 +72,11 @@ def codeword_fields(values: np.ndarray, m):
 def symbol_out_of_range(t: int, x: int, lo: int, hi: int) -> CorruptStreamError:
     """The error for decoded symbol t, x, outside the stream's [lo, hi]."""
     return CorruptStreamError(f"symbol {t} decodes to {x}, outside [{lo}, {hi}]")
+
+
+def check_symbol_range(symbols: np.ndarray, start: int, lo: int, hi: int) -> None:
+    """symbol_out_of_range for the first of symbols, a stream's from index
+    start on, outside [lo, hi]."""
+    if symbols.size and (symbols.min() < lo or symbols.max() > hi):
+        t = int(np.argmax((symbols < lo) | (symbols > hi)))
+        raise symbol_out_of_range(start + t, int(symbols[t]), lo, hi)

@@ -51,20 +51,11 @@ def _predictor_arg(text: str):
         f"expected lpc:order,window,refit or ext:<file>, got {text!r}")
 
 
-def _read_ints(path: str) -> list[int]:
+def _read_numbers(path: str, parse) -> list:
+    """One number per non-blank line, each read by parse (int or float)."""
     try:
         with open(path) as fh:
-            return [int(line) for line in fh if line.strip()]
-    except OSError as exc:
-        raise _DataError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise _DataError(f"{path}: {exc}") from exc
-
-
-def _read_floats(path: str) -> list[float]:
-    try:
-        with open(path) as fh:
-            return [float(line) for line in fh if line.strip()]
+            return [parse(line) for line in fh if line.strip()]
     except OSError as exc:
         raise _DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -91,11 +82,17 @@ def _write_file(path: str, data) -> None:
         raise _DataError(f"cannot write {path}: {exc}") from exc
 
 
+def _bits_per_symbol(data: bytes, count: int) -> str:
+    """The payload's bits per symbol, as the summary lines print it."""
+    bits = 8 * (len(data) - codec.read_header(data)[1])
+    return f"{bits / count if count else 0.0:.3f} bits/symbol"
+
+
 def _build_header_and_predictions(args):
     """Shared by encode and roundtrip; raises for inconsistent options."""
     kind, value = args.predictor
     lpc = value if kind == "lpc" else None
-    predictions = _read_floats(value) if kind == "ext" else None
+    predictions = _read_numbers(value, float) if kind == "ext" else None
     if args.mode in (codec.MODE_FIXED, codec.MODE_RICE) and args.m is None:
         raise HeaderError(f"{args.mode} mode requires --m")
     if args.mode == codec.MODE_ADAPTIVE and args.m is not None:
@@ -114,17 +111,15 @@ def _cmd_encode(args) -> int:
     except HeaderError as exc:
         print(f"frgc encode: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    xs = _read_ints(args.infile)
+    xs = _read_numbers(args.infile, int)
     try:
         data = codec.encode_stream(xs, header, predictions)
     except (ValueError, OverflowError) as exc:
         print(f"frgc encode: {exc}", file=sys.stderr)
         return EXIT_DATA
     _write_file(args.out, data)
-    bits = 8 * (len(data) - codec.read_header(data)[1])
-    per = bits / len(xs) if xs else 0.0
-    print(f"{len(xs)} symbols -> {len(data)} bytes "
-          f"({header.mode}, {header.rho}/{header.tau}, {per:.3f} bits/symbol)")
+    print(f"{len(xs)} symbols -> {len(data)} bytes ({header.mode}, "
+          f"{header.rho}/{header.tau}, {_bits_per_symbol(data, len(xs))})")
     return EXIT_OK
 
 
@@ -138,7 +133,7 @@ def _cmd_decode(args) -> int:
                   "header; --predictor only takes ext:<file> here",
                   file=sys.stderr)
             return EXIT_USAGE
-        predictions = _read_floats(value)
+        predictions = _read_numbers(value, float)
     try:
         xs = codec.decode_stream(data, predictions)
     except (HeaderError, CorruptStreamError, ValueError, OverflowError) as exc:
@@ -155,7 +150,7 @@ def _cmd_roundtrip(args) -> int:
     except HeaderError as exc:
         print(f"frgc roundtrip: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    xs = _read_ints(args.infile)
+    xs = _read_numbers(args.infile, int)
     try:
         data = codec.encode_stream(xs, header, predictions)
         decoded = codec.decode_stream(data, predictions)
@@ -168,10 +163,8 @@ def _cmd_roundtrip(args) -> int:
         print(f"frgc roundtrip: MISMATCH ({bad} symbols differ)",
               file=sys.stderr)
         return EXIT_MISMATCH
-    bits = 8 * (len(data) - codec.read_header(data)[1])
-    per = bits / len(xs) if xs else 0.0
     print(f"roundtrip ok: {len(xs)} symbols, {len(data)} bytes, "
-          f"{per:.3f} bits/symbol")
+          f"{_bits_per_symbol(data, len(xs))}")
     return EXIT_OK
 
 

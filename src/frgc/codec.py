@@ -29,6 +29,7 @@ from frgc.bitcoder import (
     TAU_MAX,
     CorruptStreamError,
     GolombParam,
+    check_symbol_range,
     symbol_out_of_range,
 )
 from frgc.predictor import LpcConfig
@@ -185,18 +186,6 @@ def _check_symbols(xs: np.ndarray, alphabet_q: int) -> tuple[int, int] | None:
     if smallest < lo or largest > hi:
         raise ValueError(f"symbols outside [{lo}, {hi}]: saw [{smallest}, {largest}]")
     return smallest, largest
-
-
-def _check_decoded(symbols: np.ndarray, alphabet_q: int, start: int) -> None:
-    """Refuse a decode holding a symbol encode_stream would have refused.
-
-    symbols are the stream's from index start on; the error names the
-    first bad one.
-    """
-    lo, hi = _symbol_range(alphabet_q)
-    if symbols.size and (symbols.min() < lo or symbols.max() > hi):
-        t = int(np.argmax((symbols < lo) | (symbols > hi)))
-        raise symbol_out_of_range(start + t, int(symbols[t]), lo, hi)
 
 
 # Per-symbol predictions from history only, as the decoder re-derives
@@ -364,27 +353,22 @@ def _decode_lpc(payload, header: StreamHeader) -> list:
     (a traced decode takes those from _lpc_predictions).
 
     Symbol t's prediction is fit from the symbols before it, so symbols
-    are decoded in order: LpcState.span gives the coefficients in force
-    and the position of the next refit, where it is called again.  Every
-    symbol is predicted in predict_at's order over the state's history
-    (a float sum left to right from 0.0, never sum(), which compensates)
-    and rounded with qmap.round_prediction's operations written out.  The
-    codewords need not be read one at a time.  Where m holds (in fixed
-    mode from the first symbol, in adaptive mode once it has held for
-    _pure.SETTLE_SYMBOLS symbols), a window of codewords is parsed under
-    it (_pure.parse_ahead), and one inner loop decodes the window's
-    symbols: it unmaps with qmap.unmap's operations written out, checks
-    the range, appends the symbol to the history and steps the estimator.
-    The loop runs to the window's end or to the first symbol after which
-    ln theta_hat leaves m's interval (_estcore.m_interval, tested after
-    every symbol; select_m runs only where the test fails), and only then
-    takes the bit after the last codeword used from the window's offsets.
-    Until m has held that long, a symbol is decoded alone: read by
-    decode_symbol through a _pure.CodewordReader, the reader of
-    _pure.adaptive_decode's cold start.  Every symbol is decoded under its
-    own m, and errors are those of a loop over symbols: the window's
-    trailing error is raised only when the symbol whose codeword it could
-    not read comes up under the m it was parsed with.
+    are decoded in order, one loop step each: LpcState.span gives the
+    coefficients in force and the position of the next refit.  A symbol
+    is predicted in predict_at's order (a float sum left to right from
+    0.0, never sum(), which compensates) and rounded and unmapped with
+    qmap's operations written out.  Its codeword comes from the window
+    in use, a run of codewords parsed under m (_pure.parse_ahead), or,
+    past the window's end, is the window's trailing error, raised under
+    the m the window was parsed with; or else decode_symbol reads it
+    alone through a _pure.CodewordReader, as _pure.adaptive_decode's
+    cold start does.  A window is parsed once the last is used up and m
+    has held for ``settle`` symbols: _pure.SETTLE_SYMBOLS in adaptive
+    mode, 0 in fixed mode, where held stays 0 and parse_ahead reads a
+    fixed m.  m switches where ln theta_hat leaves m's interval
+    (_estcore.m_interval; select_m runs only there), and the window is
+    dropped.  The bit position is taken from the window's offsets only
+    where the loop leaves a window.
     """
     rho, tau = header.rho, header.tau
     count = header.count
@@ -393,7 +377,7 @@ def _decode_lpc(payload, header: StreamHeader) -> list:
     scale = 1 if raw else tau  # select_m's tau
     select_m, m_interval = _estcore.select_m, _estcore.m_interval
     saturation = _estcore.EST_SATURATION
-    settle = _pure.SETTLE_SYMBOLS
+    settle = _pure.SETTLE_SYMBOLS if adaptive else 0
     isfinite, floor = math.isfinite, math.floor
     lo, hi = _symbol_range(header.alphabet_q)
     data = np.frombuffer(payload, np.uint8)
@@ -408,71 +392,64 @@ def _decode_lpc(payload, header: StreamHeader) -> list:
     low, high = m_interval(1)  # of adaptive mode's first m
     held = 0  # symbols decoded under m since it last changed
     pos = run_pos = 0  # the next codeword's bit, and the bit where m last changed
-    # the window in use: its codewords, the bit after each, the error
-    # after them, and the index of the next one to use
+    # the window in use: its codewords, the bit after each, their number,
+    # the error after them, and the index of the next one to use
     values: list[int] = []
     ends: list[int] = []
+    size = k = 0
     error = None
-    k = 0
     coeffs, stop = span()
-    t = 0
-    while t < count:
-        if (k == len(values) and error is None
-                and (not adaptive or held >= settle)):
-            # held stays 0 in fixed mode, which parse_ahead reads as a fixed m
+    for t in range(count):
+        if t == stop:
+            coeffs, stop = span()
+        xhat = 0.0
+        i = 0
+        for c in coeffs:
+            i -= 1
+            xhat += c * history[i]
+        if not isfinite(xhat):
+            raise ValueError(f"prediction must be finite, got {xhat!r}")
+        n = rho * floor(tau * xhat / rho + 0.5)
+        if k == size and error is None and held >= settle:
+            if k:
+                pos = ends[-1]
             parsed, offsets, error = _pure.parse_ahead(data, pos, g, count - t,
                                                        held, pos - run_pos)
-            values, ends, k = parsed.tolist(), (offsets + pos).tolist(), 0
-        # with no window, one symbol alone: a cold start, or the window's error
-        alone = k == len(values)
-        switched = False
-        for t in range(t, t + 1 if alone else min(count, t + len(values) - k)):
-            if t == stop:
-                coeffs, stop = span()
-            xhat = 0.0
-            i = 0
-            for c in coeffs:
-                i -= 1
-                xhat += c * history[i]
-            if not isfinite(xhat):
-                raise ValueError(f"prediction must be finite, got {xhat!r}")
-            n = rho * floor(tau * xhat / rho + 0.5)
-            if alone:
-                if error is not None:
-                    raise error
-                x, pos = decode_symbol(n, tau, g, reader, pos)
-            else:
-                v = values[k]
-                k += 1
-                # the parity of v + ceil(2n/tau) gives the side of n/tau
-                q = -(-2 * n // tau)
-                x = v + q
-                x = (q - v - 1) >> 1 if x & 1 else x >> 1
-            if not lo <= x <= hi:
-                raise symbol_out_of_range(t, x, lo, hi)
-            append(x)
-            if not adaptive:
+            values, ends = parsed.tolist(), (offsets + pos).tolist()
+            size, k = len(values), 0
+        if k < size:
+            v = values[k]
+            k += 1
+            # the parity of v + ceil(2n/tau) gives the side of n/tau
+            q = -(-2 * n // tau)
+            x = v + q
+            x = (q - v - 1) >> 1 if x & 1 else x >> 1
+        elif error is not None:
+            raise error
+        else:
+            x, pos = decode_symbol(n, tau, g, reader, pos)
+        if not lo <= x <= hi:
+            raise symbol_out_of_range(t, x, lo, hi)
+        append(x)
+        if not adaptive:
+            continue
+        if raw:
+            s += abs(x - xhat)
+        else:
+            s += abs(tau * x - n)
+            if s > saturation:
+                s = saturation
+        # m holds while ln theta_hat stays in its interval (s is 0 only at m = 1)
+        if s > 0 and not low < -((t + 1) * scale) / float(s) <= high:
+            m2 = select_m(t + 1, s, scale)
+            if m2 != m:
+                if k:
+                    pos = ends[k - 1]
+                m, g, held, run_pos = m2, _pure._golomb(m2), 0, pos
+                low, high = m_interval(m2)
+                size, k, error = 0, 0, None
                 continue
-            if raw:
-                s += abs(x - xhat)
-            else:
-                s += abs(tau * x - n)
-                if s > saturation:
-                    s = saturation
-            # m holds while ln theta_hat stays in its interval (s is 0 only at m = 1)
-            if s > 0 and not low < -((t + 1) * scale) / float(s) <= high:
-                m2 = select_m(t + 1, s, scale)
-                if m2 != m:
-                    switched = True
-                    break
-            held += 1
-        if not alone:
-            pos = ends[k - 1]
-        t += 1
-        if switched:
-            m, g, held, run_pos = m2, _pure._golomb(m2), 0, pos
-            low, high = m_interval(m2)
-            values, error, k = [], None, 0
+        held += 1
     return history[len(history) - count:]
 
 
@@ -485,18 +462,20 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     collect_trace is set.  A traced adaptive lpc decode predicts the
     decoded symbols again with _lpc_predictions, as the encoder does.
 
-    The payload is read in place, as a memoryview of data when data is
-    bytes (other buffers are copied once).  The predictions are rounded
+    data is any buffer (a str or a list raises TypeError), read as bytes,
+    whatever its items: the header and the payload both come from data
+    itself when it is bytes, and from one copy of any other buffer, so
+    no view of the caller's buffer is kept.  The predictions are rounded
     _pure.BLOCK_SYMBOLS at a time, all of them before any codeword is
     read, so a bad prediction raises before any payload error.  A
     fixed-m stream's codewords are then unmapped and range-checked a
     block at a time, in place in the backend's output; no pass allocates
     a temporary the length of the stream.
     """
-    header, offset = read_header(data)
-    # bytes(data) is data itself when data is bytes; any other buffer is
-    # copied, so that no view holds it (a bytearray could not be resized)
-    payload = memoryview(bytes(data))[offset:]
+    # a view of a bytearray would keep it from being resized
+    stream = data if isinstance(data, bytes) else memoryview(data).tobytes()
+    header, offset = read_header(stream)
+    payload = memoryview(stream)[offset:]
     n = header.count
     if n > 8 * len(payload):  # every codeword is at least one bit
         raise TruncatedStreamError(
@@ -522,11 +501,12 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
             # the decoder's bytearray is writable: unmap into it
             symbols = np.frombuffer(_backend.golomb_decode(payload, n, header.m),
                                     np.int64)
-            for lo in range(0, n, block):
-                values = symbols[lo:lo + block]
-                values[:] = _unmap_vector(values, numerators[lo:lo + block],
+            lo, hi = _symbol_range(header.alphabet_q)
+            for start in range(0, n, block):
+                values = symbols[start:start + block]
+                values[:] = _unmap_vector(values, numerators[start:start + block],
                                           header.tau)
-                _check_decoded(values, header.alphabet_q, lo)
+                check_symbol_range(values, start, lo, hi)
         out = symbols.tolist()
 
     if not collect_trace:

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frgc import _backend, _estcore, _pure, codec, qmap
 from frgc.bitcoder import (
@@ -22,7 +24,7 @@ from frgc.bitcoder import (
     CorruptStreamError,
     GolombParam,
 )
-from frgc.codec import StreamHeader, decode_stream, encode_stream
+from frgc.codec import HEADER_SIZE, HeaderError, StreamHeader, decode_stream, encode_stream
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
@@ -166,6 +168,52 @@ def test_codec_streams_match_across_backends(mode, kernels, monkeypatch):
         assert out == xs.tolist()
         results.append((data, trace, dtrace))
     assert results[0] == results[1]
+
+
+def mutation_stream(mode):
+    """A 400-symbol stream of STREAM_HEADERS[mode] and its predictions."""
+    header = STREAM_HEADERS[mode]
+    rng = np.random.default_rng(17)
+    xs = np.cumsum(rng.integers(-40, 41, size=400))
+    preds = None if header.lpc else xs + rng.laplace(0.0, 6.0, size=xs.size)
+    return encode_stream(xs, header, predictions=preds), preds
+
+
+MUTATION_STREAMS = {mode: mutation_stream(mode) for mode in STREAM_HEADERS}
+
+
+def mutations(data):
+    """1-3 payload bit flips, or a new value for one of header bytes 0-25.
+
+    Bytes 26-30, the lpc order, window and refit interval, are left alone:
+    a large window or a short refit interval makes an lpc decode take
+    unbounded time (ROADMAP item 12)."""
+    nbits = 8 * (len(data) - HEADER_SIZE)
+    flips = st.lists(st.integers(0, nbits - 1), min_size=1, max_size=3).map(
+        lambda bits: [(HEADER_SIZE + bit // 8, 0x80 >> bit % 8) for bit in bits])
+    header_byte = st.tuples(st.integers(0, 25), st.integers(1, 255)).map(lambda f: [f])
+    return st.one_of(flips, header_byte)
+
+
+@pytest.mark.parametrize("mode", sorted(STREAM_HEADERS))
+@given(edit=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_streams_decode_alike_on_both_backends(mode, edit, kernels):
+    # the same symbols, or the same HeaderError or CorruptStreamError
+    # with the same message, from either backend
+    data, preds = MUTATION_STREAMS[mode]
+    mutated = bytearray(data)
+    for i, bits in edit.draw(mutations(data)):
+        mutated[i] ^= bits
+    outcomes = []
+    for module in (_pure, kernels):
+        with pytest.MonkeyPatch.context() as patch:
+            use_backend(patch, module)
+            try:
+                outcomes.append(("ok", decode_stream(bytes(mutated), preds)))
+            except (HeaderError, CorruptStreamError) as exc:
+                outcomes.append(("raised", type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_streams_match_their_golden_digests(kernels, monkeypatch):

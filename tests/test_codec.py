@@ -461,6 +461,24 @@ def test_decode_stream_holds_no_view_of_a_bytearray():
     assert decode_stream(buf) == decode_stream(memoryview(data)) == xs
 
 
+@pytest.mark.parametrize("view", [lambda b: memoryview(b).cast("Q"),
+                                  lambda b: np.frombuffer(b, np.int64)],
+                         ids=["memoryview-Q", "numpy-int64"])
+def test_decode_stream_reads_a_buffer_of_wide_items_as_bytes(view):
+    # the header and the payload are read from the same bytes, whatever
+    # the size of the buffer's items
+    xs = list(range(-50, 50))
+    for header in (StreamHeader(mode=MODE_FIXED, m=3), StreamHeader(mode=MODE_ADAPTIVE)):
+        data = encode_stream(xs, header)
+        data += bytes(-len(data) % 8)  # the pad is past the count's codewords
+        assert decode_stream(view(data)) == xs
+    with pytest.raises(HeaderError, match="bad magic"):
+        decode_stream(np.arange(40))
+    for wrong in ("FRGC" * 10, list(data)):
+        with pytest.raises(TypeError):
+            decode_stream(wrong)
+
+
 @pytest.mark.parametrize("rho,tau", [(1, 1), (3, 16), (0xFFFF, 0xFFFF)])
 def test_encode_stream_bounds_the_mapping_exactly(rho, tau):
     # tau*max|x| + max|n| < 2**62, exactly: for each sign of the symbol and
