@@ -24,7 +24,13 @@ from frgc.bitcoder import (
     CorruptStreamError,
     GolombParam,
 )
-from frgc.codec import HEADER_SIZE, HeaderError, StreamHeader, decode_stream, encode_stream
+from frgc.codec import (
+    HEADER_SIZE,
+    HeaderError,
+    StreamHeader,
+    decode_stream,
+    encode_stream,
+)
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
@@ -186,10 +192,10 @@ def mutations(data):
     """1-3 payload bit flips, or a new value for one of header bytes 0-25.
 
     Bytes 26-30, the lpc order, window and refit interval, are left alone:
-    a large window or a short refit interval makes an lpc decode take
-    unbounded time (ROADMAP item 12)."""
+    a large order or window, or a short refit interval, makes an lpc
+    decode's time unbounded by the stream's length (ROADMAP item 12)."""
     nbits = 8 * (len(data) - HEADER_SIZE)
-    flips = st.lists(st.integers(0, nbits - 1), min_size=1, max_size=3).map(
+    flips = st.lists(st.integers(0, nbits - 1), min_size=1, max_size=3, unique=True).map(
         lambda bits: [(HEADER_SIZE + bit // 8, 0x80 >> bit % 8) for bit in bits])
     header_byte = st.tuples(st.integers(0, 25), st.integers(1, 255)).map(lambda f: [f])
     return st.one_of(flips, header_byte)
