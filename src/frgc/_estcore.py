@@ -14,8 +14,9 @@ So select_m gives m exactly while ln theta_hat lies in m's interval
 symbol, two compares, and calls select_m only when the test fails.
 
 run steps the estimator over an array of symbols at once; the whole-array
-encoder and the codec's trace call it.  The speculative decoder takes its
-running_sums and tests them against m's interval.
+encoder and the codec's trace call it.  hold steps it over a window that
+a decoder parsed under one m, and tests the window's sums against m's
+interval: the one array form of that test.
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ def select_m_array(t: np.ndarray, s: np.ndarray, tau: int = 1) -> np.ndarray:
     the left is bisect_left, so each entry equals select_m's choice.
     """
     positive = s > 0
-    log_theta = (-(np.asarray(t, dtype=np.int64) * tau).astype(np.float64)
-                 / np.where(positive, s, 1).astype(np.float64))
+    with np.errstate(over="ignore"):  # a raw sum near 0 gives -inf: m = 1
+        log_theta = (-(np.asarray(t, dtype=np.int64) * tau).astype(np.float64)
+                     / np.where(positive, s, 1).astype(np.float64))
     m = np.searchsorted(_LOG_BOUNDARY_ARRAY, log_theta) + 1
     return np.where(positive, np.minimum(m, MAX_ADAPTIVE_M), 1)
 
@@ -143,3 +145,30 @@ def run(t: int, s, inc: np.ndarray, tau: int, raw: bool):
     ms = select_m_array(np.arange(t, t + sums.size + 1),
                         np.concatenate(([s], sums)), 1 if raw else tau)
     return sums, ms
+
+
+def hold(t: int, s, inc: np.ndarray, m: int, tau: int, raw: bool):
+    """run's sums for a decoder that holds m from symbol t on: (sums, j,
+    m_next), j the first symbol (from 0) after which m changes and m_next
+    select_m's m after it, or None, None where m holds throughout.
+
+    The quotient q = t * tau / S after each symbol, formed as select_m
+    forms it, is -ln theta_hat, so m holds while -q lies in m_interval(m):
+    two compares.  Sums still 0 are a prefix, as sums never fall, and m
+    is 1 there.  At m = 1 the lower test is left out: a raw sum so small
+    that q overflows to +inf gives m = 1 too.  At the cap, -hi = -inf.
+    """
+    sums = running_sums(s, inc, raw)
+    scale = 1 if raw else tau  # select_m's tau
+    z = 0 if s > 0 else int(np.searchsorted(sums, 0, "right"))
+    if z < sums.size:
+        lo, hi = m_interval(m)
+        with np.errstate(over="ignore"):
+            q = np.arange((t + z + 1) * scale, (t + sums.size + 1) * scale, scale) / sums[z:]
+        out = q < -hi
+        if m > 1:
+            out |= q >= -lo
+        j = z + int(np.argmax(out))
+        if out[j - z]:
+            return sums, j, select_m(t + j + 1, sums[j].item(), scale)
+    return sums, None, None

@@ -159,7 +159,8 @@ static long long get_bits(Reader *r, int n)
     while (n > 0) {
         int avail = 8 - (int)(r->pos & 7);
         int take = avail < n ? avail : n;
-        v = (v << take) | ((r->data[r->pos >> 3] >> (avail - take)) & ((1u << take) - 1));
+        v = (v << take)
+            | (((unsigned)r->data[r->pos >> 3] >> (avail - take)) & ((1u << take) - 1));
         r->pos += take;
         n -= take;
     }
@@ -357,16 +358,17 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
             || values_in(&pred_x, count, "pred_x") < 0
             || (out = new_output(count, r.nbits)) == NULL)
         goto done;
+    for (i = 0; i < count; i++)  /* every numerator before any codeword: unfold needs them */
+        if ((n = item_at(&pred_n, i).i) <= -VALUE_LIMIT || n >= VALUE_LIMIT) {
+            PyErr_SetString(PyExc_ValueError, "prediction numerator out of range");
+            goto done;
+        }
     for (i = 0; i < count; i++) {
         if ((m = est_m(&e)) != code.m)
             code_set(&code, m);
         if ((v = get_codeword(&r, &code)) < 0)
             goto done;
         n = item_at(&pred_n, i).i;
-        if (n <= -VALUE_LIMIT || n >= VALUE_LIMIT) {
-            PyErr_SetString(PyExc_ValueError, "prediction numerator out of range");
-            goto done;
-        }
         x = unfold(v, n, e.tau);
         if (x < lo || x > hi) {
             PyErr_Format(CorruptStreamError, "symbol %zd decodes to %lld, outside [%lld, %lld]",

@@ -21,7 +21,7 @@ values.  ``ms`` are the mapped residuals (non-negative); ``increments``
 the estimator's per-symbol |residual numerator| (int64) or, when
 ``raw``, |x - xhat| (float64), non-negative; ``pred_n`` the rounded
 prediction numerators, below 2**62 in magnitude (adaptive_decode raises
-ValueError at the first symbol whose numerator is not, after reading its
+ValueError if one of the first ``count`` is not, before it reads a
 codeword); ``pred_x`` the predictions, read only when ``raw``.  ``count``
 is a Py_ssize_t and ``lo``, ``hi`` are int64: other values raise
 OverflowError before any other check.  The adaptive m is
@@ -59,16 +59,15 @@ per round; at m = 1 every zero closes a codeword.
 adaptive_decode cannot know an m before the symbols ahead of it, but m
 seldom changes, so it guesses.  Each step of its loop decodes a window
 or one symbol.  Once m has held for SETTLE_SYMBOLS symbols, the step
-parses a window of codewords under that m as golomb_decode does, takes
-the estimator's running sums over the symbols they unmap to, and keeps
-them up to the first after which ln theta_hat leaves m's interval
-(_estcore.m_interval; _speculate).  Until then the step reads one
-codeword, as codec._decode_lpc's cold start does too, and tests the
-interval after its symbol.  Either way select_m runs only where the test
-fails, and the step ends in the loop's one switch of m.  CodewordReader
-looks most of the single codewords up in a table of m by the next
-TABLE_BITS bits, which adaptive_decode indexes in its own loop, and
-scans the rest.
+parses a window of codewords under that m as golomb_decode does,
+unmaps them, and keeps the symbols up to the first after which ln
+theta_hat leaves m's interval (_estcore.hold).  Until then the step
+reads one codeword, as codec._decode_lpc's cold start does too, and
+tests the interval (_estcore.m_interval) after its symbol.  Either way
+select_m runs only where the test fails, and the step ends in the
+loop's one switch of m.  CodewordReader looks most of the single
+codewords up in a table of m by the next TABLE_BITS bits, which
+adaptive_decode indexes in its own loop, and scans the rest.
 """
 
 from __future__ import annotations
@@ -82,9 +81,9 @@ import numpy as np
 from frgc._estcore import (
     EST_SATURATION as _SAT,
     MAX_ADAPTIVE_M,
+    hold,
     m_interval,
     run,
-    running_sums,
     select_m,
 )
 from frgc.bitcoder import (
@@ -546,68 +545,6 @@ def _table(m):
 _golomb = functools.cache(GolombParam)
 
 
-def _speculate(window, m, i, pred_n, pred_x, tau, raw, s, lo, hi):
-    """Symbols i, i + 1, ... decoded at once, as long as their m stays m.
-
-    ``window`` is parse_ahead's parse from symbol i's codeword on under
-    m, as if m held for all of them.  Unmaps its codewords, takes the
-    estimator's running sums from ``s`` over them, and keeps the prefix up
-    to the first symbol after which ln theta_hat leaves m's interval
-    (m_interval): the quotient q = t * tau / S after each symbol, formed
-    as select_m forms it, is -ln theta_hat, so two compares against the
-    interval's negated ends find that symbol, and select_m runs once, for
-    the symbol after it.  Sums still 0 at the window's start give m = 1.
-    Every kept symbol was decoded under its own m, so only a kept codeword
-    or symbol, or the one after them while m holds, raises, and it raises
-    what the loop over symbols would.  Returns (symbols, bits they take,
-    sum after them, m of the next symbol).
-    """
-    values, ends, error = window
-    n = pred_n[i:i + values.size]
-    if n.size and (n.min() <= -_NUMERATOR_LIMIT or n.max() >= _NUMERATOR_LIMIT):
-        # the loop over symbols reads its codeword, then refuses it
-        k = int(np.argmax((n <= -_NUMERATOR_LIMIT) | (n >= _NUMERATOR_LIMIT)))
-        values, n = values[:k], n[:k]
-        error = ValueError("prediction numerator out of range")
-    k = values.size
-    xs = unmap_array(values, n, tau)
-    if raw:
-        inc = xs - pred_x[i:i + k]
-    else:
-        inc = tau * xs
-        inc -= n
-    sums = running_sums(s, np.abs(inc, out=inc), raw)
-    scale = 1 if raw else tau  # select_m's tau
-    # sums never fall, so those still 0 are a prefix; m is 1 there, as
-    # it is at the sum 0 before them
-    z = 0 if s > 0 else int(np.searchsorted(sums, 0, "right"))
-    switch = None  # the symbol after which m changes
-    if z < k:
-        # the int64 products, then the casts and the division, as select_m
-        q = np.arange((i + z + 1) * scale, (i + k + 1) * scale, scale) / sums[z:]
-        low, high = m_interval(m)
-        # x = -q leaves (low, high] where q < -high or q >= -low; the
-        # first test is vacuous at the cap, the second at m = 1, where it
-        # would flag q = inf
-        if m == MAX_ADAPTIVE_M:
-            out = q >= -low
-        else:
-            out = q < -high
-            if m > 1:
-                out |= q >= -low
-        j = int(np.argmax(out))
-        if out[j]:
-            switch = z + j
-    kept = xs if switch is None else xs[:switch + 1]
-    check_symbol_range(kept, i, lo, hi)
-    if switch is None:
-        if error is not None:
-            raise error
-        return xs, int(ends[-1]), sums[-1].item(), m
-    after = sums[switch].item()
-    return kept, int(ends[switch]), after, select_m(i + switch + 1, after, scale)
-
-
 def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     _c_integer(count, sys.maxsize)
     _c_integer(lo, _INT64_MAX)
@@ -615,6 +552,9 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     _in_range("tau", tau, TAU_MAX)
     n_values = _values(pred_n, np.int64, count, "pred_n")
     x_values = _values(pred_x, np.float64, count, "pred_x")
+    head = n_values[:count]  # every numerator before any codeword: unmap_array needs them
+    if head.size and not -_NUMERATOR_LIMIT < head.min() <= head.max() < _NUMERATOR_LIMIT:
+        raise ValueError("prediction numerator out of range")
     # memoryviews index to Python ints and floats, as the loop needs
     pred_n, pred_x = memoryview(n_values), memoryview(x_values)
     data = np.frombuffer(payload, np.uint8)
@@ -634,13 +574,29 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     shift, mask = _SHIFT, _MASK
     while i < count:
         if held >= SETTLE_SYMBOLS:
-            window = parse_ahead(data, pos, g, count - i, held, pos - run_pos)
-            xs, used, s, m2 = _speculate(window, m, i, n_values, x_values,
-                                         tau, raw, s, lo, hi)
-            filled[i:i + xs.size] = xs
-            i += xs.size
-            pos += used
-            held += xs.size
+            # the symbols of a window parsed under m, up to the first after which m changes
+            values, ends, error = parse_ahead(data, pos, g, count - i, held, pos - run_pos)
+            k = values.size
+            n = n_values[i:i + k]
+            xs = unmap_array(values, n, tau)
+            if raw:
+                inc = xs - x_values[i:i + k]
+            else:
+                inc = tau * xs
+                inc -= n
+            sums, j, m2 = hold(i, s, np.abs(inc, out=inc), m, tau, raw)
+            if j is not None:
+                k, error = j + 1, None
+            check_symbol_range(xs[:k], i, lo, hi)
+            if error is not None:
+                raise error
+            filled[i:i + k] = xs[:k]
+            s = sums[k - 1].item()
+            pos += int(ends[k - 1])
+            i += k
+            held += k
+            if j is None:
+                continue
         else:
             # one codeword: CodewordReader.read, with its hit taken here
             if pos >= stop:
@@ -651,8 +607,6 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
             else:
                 value, pos = reader.scan(pos, g)
             n = pred_n[i]
-            if not -_NUMERATOR_LIMIT < n < _NUMERATOR_LIMIT:
-                raise ValueError("prediction numerator out of range")
             c = -((-2 * n) // tau)
             x = (value + c) >> 1 if (value + c) & 1 == 0 else (c - value - 1) >> 1
             if not lo <= x <= hi:

@@ -97,7 +97,11 @@ def _build_header_and_predictions(args):
         raise HeaderError(f"{args.mode} mode requires --m")
     if args.mode == codec.MODE_ADAPTIVE and args.m is not None:
         raise HeaderError("adaptive mode picks m itself; drop --m")
-    rho, tau = (1, 1) if args.mode == codec.MODE_RICE else (args.rho, args.tau)
+    rice = args.mode == codec.MODE_RICE
+    if rice and {args.rho, args.tau} - {None, 1}:  # refused, not dropped
+        raise HeaderError("rice mode requires rho=tau=1")
+    rho = 1 if rice or args.rho is None else args.rho
+    tau = 1 if rice else 16 if args.tau is None else args.tau
     header = StreamHeader(  # raises HeaderError unless the fields agree
         mode=args.mode, rho=rho, tau=tau, m=args.m or 0,
         alphabet_q=args.alphabet_q, lpc=lpc,
@@ -191,8 +195,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _add_encode_options(sub) -> None:
-    sub.add_argument("--rho", type=int, default=1, help="precision numerator")
-    sub.add_argument("--tau", type=int, default=16, help="precision denominator")
+    sub.add_argument("--rho", type=int, help="precision numerator (default 1)")
+    sub.add_argument("--tau", type=int, help="precision denominator (default 16; rice 1)")
     sub.add_argument("--mode", choices=(codec.MODE_FIXED, codec.MODE_ADAPTIVE,
                                         codec.MODE_RICE),
                      default=codec.MODE_ADAPTIVE)

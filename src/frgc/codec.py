@@ -161,12 +161,10 @@ def read_header(data: bytes) -> tuple[StreamHeader, int]:
     return StreamHeader.unpack(data), HEADER_SIZE
 
 
-def decode_symbol(n: int, tau: int, g: GolombParam,
-                  reader: _pure.CodewordReader, pos: int) -> tuple[int, int]:
-    """Read the codeword at bit pos and invert the mapping against the
-    prediction n/tau: (symbol, the bit after the codeword)."""
-    value, end = reader.read(pos, g)
-    return qmap.unmap(value, n, tau), end
+def decode_symbol(g: GolombParam, reader: _pure.CodewordReader,
+                  pos: int) -> tuple[int, int]:
+    """(mapped value, the bit after it) of the codeword at bit pos under g."""
+    return reader.read(pos, g)
 
 
 def _symbol_range(alphabet_q: int) -> tuple[int, int]:
@@ -420,14 +418,14 @@ def _decode_lpc(payload, header: StreamHeader) -> list:
         if k < size:
             v = values[k]
             k += 1
-            # the parity of v + ceil(2n/tau) gives the side of n/tau
-            q = -(-2 * n // tau)
-            x = v + q
-            x = (q - v - 1) >> 1 if x & 1 else x >> 1
         elif error is not None:
             raise error
         else:
-            x, pos = decode_symbol(n, tau, g, reader, pos)
+            v, pos = decode_symbol(g, reader, pos)
+        # the parity of v + ceil(2n/tau) gives the side of n/tau
+        q = -(-2 * n // tau)
+        x = v + q
+        x = (q - v - 1) >> 1 if x & 1 else x >> 1
         if not lo <= x <= hi:
             raise symbol_out_of_range(t, x, lo, hi)
         append(x)

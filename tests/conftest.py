@@ -5,6 +5,12 @@ shipped ``_kernels.c``, once per run, in a temporary copy of the project,
 so the compile flags come from ``setup.py`` alone; the build must print
 no compiler warning under ``WARNINGS``.  Tests using it skip only where
 there is no C compiler or no ``Python.h``.
+
+With FRGC_SANITIZE set to a sanitizer (``undefined``), the build adds
+``-fsanitize=`` and ``-fno-sanitize-recover=`` that sanitizer, and
+``-fno-wrapv``: Python's own CFLAGS carry ``-fwrapv``, under which a
+signed overflow is defined and goes unchecked.  Only the tests that run
+the kernels are then collected: test_sanitized.py runs them so.
 """
 
 import importlib.util
@@ -20,6 +26,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WARNINGS = "-Wall -Wextra -Wpedantic -Wshadow -Wsign-conversion"
+SANITIZE = os.environ.get("FRGC_SANITIZE")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Under FRGC_SANITIZE, deselect the tests that never reach the kernels."""
+    if SANITIZE:
+        compiled = [item for item in items
+                    if {"kernels", "coders"} & set(getattr(item, "fixturenames", ()))]
+        config.hook.pytest_deselected(items=[item for item in items if item not in compiled])
+        items[:] = compiled
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +55,10 @@ def kernels(tmp_path_factory):
         "__pycache__", "*.so", "*.pyd"))
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--inplace"], cwd=root,
-        env=dict(os.environ, CFLAGS=WARNINGS), capture_output=True, text=True)
+        env=dict(os.environ, CFLAGS=WARNINGS + (
+            f" -fsanitize={SANITIZE} -fno-sanitize-recover={SANITIZE} -fno-wrapv"
+            if SANITIZE else "")),
+        capture_output=True, text=True)
     log = proc.stdout + proc.stderr
     assert proc.returncode == 0, log
     assert "warning:" not in log, log

@@ -176,6 +176,23 @@ def test_codec_streams_match_across_backends(mode, kernels, monkeypatch):
     assert results[0] == results[1]
 
 
+def test_denormal_predictions_round_trip_on_both_backends(kernels, monkeypatch):
+    # raw sums of 5e-324 steps overflow every quotient to -inf, which is
+    # m = 1 and no RuntimeWarning; both backends code the stream alike
+    xs = np.zeros(2000, np.int64)
+    preds = np.resize([5e-324, -5e-324], xs.size)
+    header = StreamHeader("adaptive", tau=16, raw_error_estimator=True)
+    results = []
+    for module in (_pure, kernels):
+        use_backend(monkeypatch, module)
+        data, trace = encode_stream(xs, header, preds, collect_trace=True)
+        out, dtrace = decode_stream(data, preds, collect_trace=True)
+        assert out == xs.tolist()
+        results.append((data, trace, dtrace))
+    assert results[0] == results[1]
+    assert {m for m, _, _ in results[0][1]} == {1}
+
+
 def mutation_stream(mode):
     """A 400-symbol stream of STREAM_HEADERS[mode] and its predictions."""
     header = STREAM_HEADERS[mode]

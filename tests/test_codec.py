@@ -231,7 +231,8 @@ def test_encode_symbol_example():
     sink = BitSink()
     write_symbol(2, n, 4, GolombParam(2), sink)
     assert bits_of(sink.finish(), sink.bit_length) == "100"
-    assert decode_symbol(n, 4, GolombParam(2), CodewordReader(b"\x80"), 0) == (2, 3)
+    assert decode_symbol(GolombParam(2), CodewordReader(b"\x80"), 0) == (2, 3)
+    assert qmap.unmap(2, n, 4) == 2
 
 
 def test_symbol_roundtrip_sequence():
@@ -244,8 +245,8 @@ def test_symbol_roundtrip_sequence():
     reader = CodewordReader(sink.finish())
     got, pos = [], 0
     for _ in xs:
-        x, pos = decode_symbol(n, 8, g, reader, pos)
-        got.append(x)
+        v, pos = decode_symbol(g, reader, pos)
+        got.append(qmap.unmap(v, n, 8))
     assert got == xs and pos == sink.bit_length
 
 

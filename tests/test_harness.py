@@ -256,6 +256,22 @@ def test_cli_roundtrip_command(intfile):
     assert run_cli(["roundtrip", "--in", str(path), "--mode", "rice", "--m", "1"]) == cli.EXIT_OK
 
 
+def test_cli_rice_refuses_a_precision_other_than_one(tmp_path, intfile, capsys):
+    # rice codes at 1/1: an explicit --rho or --tau of 1 is accepted, any
+    # other value is a usage error rather than silently dropped
+    path, _ = intfile
+    enc = ["encode", "--in", str(path), "--out", str(tmp_path / "o.frgc"),
+           "--mode", "rice", "--m", "2"]
+    for flags in (["--rho", "3", "--tau", "5"], ["--tau", "16"], ["--rho", "2"]):
+        assert run_cli(enc + flags) == cli.EXIT_USAGE
+        assert "rice mode requires rho=tau=1" in capsys.readouterr().err
+    for flags in ([], ["--rho", "1", "--tau", "1"]):
+        assert run_cli(enc + flags) == cli.EXIT_OK
+        assert "(rice, 1/1," in capsys.readouterr().out
+    assert run_cli(["roundtrip", "--in", str(path), "--mode", "rice", "--m", "1",
+                    "--tau", "4"]) == cli.EXIT_USAGE
+
+
 def test_cli_usage_errors(tmp_path, intfile):
     path, _ = intfile
     out = tmp_path / "o.frgc"

@@ -292,7 +292,7 @@ def test_adaptive_mode_reads_one_codeword_at_a_time_until_m_settles(name, settle
     assert ms[0] == 1 and set(ms[1:]) == {64}
     assert decode_stream(data) == once
     assert len(calls) == _pure.SETTLE_SYMBOLS + 1 == (65 if settle == "settled" else 2)
-    read_ms = [g.m for _, _, g, _, _ in calls]
+    read_ms = [g.m for g, _, _ in calls]
     assert read_ms == unsettled_ms(trace) == [1] + [64] * _pure.SETTLE_SYMBOLS
     # and where m moves all through the stream
     xs = ar2(7, 2000, np.repeat((0.5, 6.0, 1.0, 20.0), 500))
@@ -300,7 +300,7 @@ def test_adaptive_mode_reads_one_codeword_at_a_time_until_m_settles(name, settle
     assert len(held_switches(trace)) >= 3
     calls.clear()
     assert decode_stream(data) == xs
-    assert [g.m for _, _, g, _, _ in calls] == unsettled_ms(trace)
+    assert [g.m for g, _, _ in calls] == unsettled_ms(trace)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_HEADERS))

@@ -84,10 +84,12 @@ def oracle_adaptive_encode(ms, increments, raw, tau):
 
 
 def oracle_adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
-    """The loop over symbols frgc._pure ran before it parsed ahead, which
-    also refuses a numerator the contract excludes, as both backends do."""
+    """The loop over symbols frgc._pure ran before it parsed ahead, after
+    refusing any numerator the contract excludes, as both backends do."""
     if not 1 <= tau <= TAU_MAX:
         raise ValueError(f"tau must be in [1, {TAU_MAX}], got {tau}")
+    if any(not -LIMIT < int(n) < LIMIT for n in pred_n[:count]):
+        raise ValueError("prediction numerator out of range")
     src = BitSource(payload)
     out = []
     s = 0.0 if raw else 0
@@ -95,8 +97,6 @@ def oracle_adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
         m = select_m(t, s) if raw else select_m(t, s, tau)
         value = src.read_unary() * m + src.read_minimal_binary(GolombParam(m))
         n = int(pred_n[t])
-        if not -LIMIT < n < LIMIT:
-            raise ValueError("prediction numerator out of range")
         x = qmap.unmap(value, n, tau)
         if not lo <= x <= hi:
             raise symbol_out_of_range(t, x, lo, hi)
@@ -692,21 +692,19 @@ def held_ms(runs):
     return [m for m, length in runs for _ in range(length)]
 
 
-def reference_speculate(window, m, i, pred_n, pred_x, tau, raw, s):
-    """_speculate's (symbols, bits, sum, next m) from the estimator run
-    over the whole window: select_m_array's m after every symbol."""
-    values, ends, _ = window
-    n = pred_n[i:i + values.size]
-    xs = qmap.unmap_array(values, n, tau)
-    inc = np.abs(xs - pred_x[i:i + xs.size]) if raw else np.abs(tau * xs - n)
-    sums, ms = _estcore.run(i, s, inc, tau, raw)
+def reference_hold(t, s, inc, m, tau, raw):
+    """hold's (sums, j, m_next) from the estimator run over every symbol:
+    select_m_array's m after each."""
+    sums, ms = _estcore.run(t, s, inc, tau, raw)
     switch = np.flatnonzero(ms[1:] != m)
-    keep = int(switch[0]) + 1 if switch.size else xs.size
-    return xs[:keep].tolist(), int(ends[keep - 1]), sums[keep - 1].item(), int(ms[keep])
+    if not switch.size:
+        return sums.tolist(), None, None
+    j = int(switch[0])
+    return sums.tolist(), j, int(ms[j + 1])
 
 
-def speculation_case(rng, kind, raw, tau, k):
-    """A window of k codewords from symbol i, the sum before it, and i.
+def hold_case(rng, kind, raw, tau, k):
+    """k increments from symbol i on, the sum s before them, and i.
 
     "any" starts on the edge of a random m's interval, at log-uniform i,
     and draws each increment around a multiple of the mean so far, so
@@ -730,20 +728,9 @@ def speculation_case(rng, kind, raw, tau, k):
     inc = np.floor(factor * mean * rng.uniform(0.0, 2.0, k) * scale)
     if kind == "zero":
         inc[:int(rng.integers(0, k + 1))] = 0
-    xs = rng.integers(-1000, 1000, k)
     if raw:
-        s = float(s)
-        pred_x = xs - inc * rng.choice([-1.0, 1.0], size=k)
-        pred_n = np.floor(tau * pred_x + 0.5).astype(np.int64)
-    else:
-        pred_n = tau * xs - inc.astype(np.int64) * rng.choice([-1, 1], size=k)
-        pred_x = np.zeros(k)
-    r = tau * xs - pred_n
-    values = np.where(r >= 0, 2 * r // tau, -(2 * r // tau) - 1)
-    ends = np.cumsum(rng.integers(1, 40, k))
-    pad = np.zeros(i, np.int64)  # the symbols before the window
-    return ((values, ends, None), np.concatenate((pad, pred_n)),
-            np.concatenate((pad.astype(np.float64), pred_x)), s, i)
+        return inc, float(s), i
+    return inc.astype(np.int64), s, i
 
 
 @pytest.mark.parametrize("raw", [False, True])
@@ -751,21 +738,21 @@ def speculation_case(rng, kind, raw, tau, k):
        tau=st.sampled_from([1, 3, 16]), k=st.integers(1, 600), cut=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_speculate_matches_the_estimator_run(raw, seed, kind, tau, k, cut):
-    # kept symbols, their bits, the sum after them and the next m, against
-    # select_m_array's m after every symbol of the window; cut ends the
-    # window on the symbol after which m switches
+    # _estcore.hold's sums, first switch and next m, against select_m_array's
+    # m after every symbol of the window; cut ends the window on the
+    # symbol after which m switches
     if raw and kind == "saturating":
         kind = "any"
     rng = np.random.default_rng(seed)
-    window, pred_n, pred_x, s, i = speculation_case(rng, kind, raw, tau, k)
+    inc, s, i = hold_case(rng, kind, raw, tau, k)
     m = select_m(i, s, 1 if raw else tau)
-    expect = reference_speculate(window, m, i, pred_n, pred_x, tau, raw, s)
-    if cut and len(expect[0]) < k:
-        k = len(expect[0])
-        window = (window[0][:k], window[1][:k], None)
-    got = _pure._speculate(window, m, i, pred_n, pred_x, tau, raw, s, *RANGE)
+    expect = reference_hold(i, s, inc, m, tau, raw)
+    if cut and expect[1] is not None:
+        inc = inc[:expect[1] + 1]
+        expect = (expect[0][:inc.size], *expect[1:])
+    got = _estcore.hold(i, s, inc, m, tau, raw)
     assert (got[0].tolist(), *got[1:]) == expect
-    assert type(got[2]) is type(expect[2])
+    assert got[1] is None or type(got[2]) is int
 
 
 def tied_sum(lb, start):
@@ -777,17 +764,6 @@ def tied_sum(lb, start):
     raise AssertionError(lb)
 
 
-def zero_symbols_window(i, inc):
-    """_speculate's arguments for symbols 0 from symbol i on, the raw
-    estimator at tau = 1 with increments inc: pred_x = -inc."""
-    inc = np.asarray(inc, np.float64)
-    pred_x = np.concatenate((np.zeros(i), -inc))
-    pred_n = np.floor(pred_x + 0.5).astype(np.int64)
-    n = pred_n[i:]
-    values = np.where(n <= 0, -2 * n, 2 * n - 1)  # the residual -n, folded
-    return (values, np.arange(1, inc.size + 1), None), pred_n, pred_x
-
-
 @pytest.mark.parametrize("k", range(2, MAX_M))
 def test_speculate_on_a_log_boundary_tie(k):
     # ln theta_hat lands exactly on a boundary inside a window, which the
@@ -796,17 +772,42 @@ def test_speculate_on_a_log_boundary_tie(k):
     lb = LOG_BOUNDARIES[k - 1]
     t, tie = tied_sum(lb, 100 * k)
     below = -(t - 1) / ((lb + 3 * LOG_BOUNDARIES[k - 2]) / 4)  # m = k, 3/4 down
-    window, pred_n, pred_x = zero_symbols_window(t - 2, [0.0, tie - below, tie])
-    expect = reference_speculate(window, k, t - 2, pred_n, pred_x, 1, True, below)
-    assert select_m(t - 2, below) == k and len(expect[0]) == 3 and expect[3] > k
-    got = _pure._speculate(window, k, t - 2, pred_n, pred_x, 1, True, below, *RANGE)
-    assert (got[0].tolist(), *got[1:]) == expect
+    inc = np.array([0.0, tie - below, tie])
+    expect = reference_hold(t - 2, below, inc, k, 1, True)
+    assert select_m(t - 2, below) == k and expect[1] == 2 and expect[2] > k
+    assert _estcore.hold(t - 2, below, inc, k, 1, True)[1:] == expect[1:]
     t, tie = tied_sum(LOG_BOUNDARIES[k - 2], 100 * k)
-    window, pred_n, pred_x = zero_symbols_window(t - 2, [0.0, 0.0, 0.0])
-    expect = reference_speculate(window, k, t - 2, pred_n, pred_x, 1, True, tie)
-    assert select_m(t - 2, tie) == k and len(expect[0]) == 2 and expect[3] == k - 1
-    got = _pure._speculate(window, k, t - 2, pred_n, pred_x, 1, True, tie, *RANGE)
-    assert (got[0].tolist(), *got[1:]) == expect
+    inc = np.zeros(3)
+    expect = reference_hold(t - 2, tie, inc, k, 1, True)
+    assert select_m(t - 2, tie) == k and expect[1:] == (1, k - 1)
+    assert _estcore.hold(t - 2, tie, inc, k, 1, True)[1:] == expect[1:]
+
+
+def held_at_one_streams(n=20_000):
+    """Two streams whose m stays 1 throughout, with their predictions: exact
+    predictions at tau = 1, where every sum is 0, and symbols 0 against
+    predictions of +-5e-324 under the raw estimator, where every quotient
+    overflows to +inf."""
+    xs = np.cumsum(np.random.default_rng(3).integers(-9, 10, n))
+    denormal = np.resize([5e-324, -5e-324], n)
+    return [(xs, xs.astype(np.float64), codec.StreamHeader("adaptive", tau=1)),
+            (np.zeros(n, np.int64), denormal,
+             codec.StreamHeader("adaptive", tau=16, raw_error_estimator=True))]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_a_held_m_is_parsed_ahead_in_few_windows(case, monkeypatch):
+    # m = 1 holds through the zero sums and the infinite quotients, so the
+    # pure decoder parses a few long windows, not one per symbol
+    xs, pred, header = held_at_one_streams()[case]
+    data, trace = codec.encode_stream(xs, header, pred, collect_trace=True)
+    assert {m for m, _, _ in trace} == {1}
+    calls = []
+    real = _pure.parse_ahead
+    monkeypatch.setattr(_pure, "parse_ahead", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(codec._backend, "adaptive_decode", _pure.adaptive_decode)
+    assert codec.decode_stream(data, pred) == xs.tolist()
+    assert len(calls) < 10
 
 
 @pytest.mark.parametrize("raw", [False, True])
@@ -1291,8 +1292,8 @@ def test_lookup_tables_stay_one_per_m_up_to_the_cap():
 
 def test_numerators_past_the_vector_unmap(decoders):
     # every decoder takes numerators up to 2**62 - 1 in magnitude, and
-    # refuses one from 2**62 on, after reading its codeword: in the cold
-    # start, in a held run and in a window parsed ahead alike
+    # refuses one from 2**62 on before it reads any codeword, wherever
+    # its symbol falls: in the cold start, in a held run or in a window
     rng = np.random.default_rng(2)
     n = 2000
     values = geometric(rng, n, 3)
@@ -1312,10 +1313,14 @@ def test_numerators_past_the_vector_unmap(decoders):
         wide = pred_n.copy()
         wide[at] = big
         assert agree_exactly(decoders, payload, n, wide, *rest) == refused
-    # the last codeword, cut short, raises before its numerator is read
+    # a payload cut short anywhere raises only once the numerators pass,
+    # and numerators past count are not read
     cut = payload[:-8]
-    assert agree_exactly(decoders, cut, n, wide, *rest) == (
+    assert agree_exactly(decoders, cut, n, wide, *rest) == refused
+    assert agree_exactly(decoders, cut, n, pred_n, *rest) == (
         "raised", CorruptStreamError, "unexpected end of stream")
+    assert agree_exactly(decoders, payload, n - 1, wide, *rest) == (
+        "ok", xs[:-1].tobytes())
 
 
 @pytest.mark.parametrize("count, lo, hi", [
