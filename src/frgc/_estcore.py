@@ -13,6 +13,12 @@ So select_m gives m exactly while ln theta_hat lies in m's interval
 (m_interval): a decoder that holds m tests that interval after each
 symbol, two compares, and calls select_m only when the test fails.
 
+The array form needs no search.  -ln phi_k ~ ln 2 / (k + 1/2) (Gallager
+and Van Voorhis 1975), so ln b_k ~ -C / (k + 1/2) with C = 2 ln 2, and
+guess_m's closed form ceil(-C / ln theta_hat - 1/2) is m or m - 1.  One
+compare against the top of the guess's interval, the bound hold tests,
+settles which: the boundaries decide, the closed form only points at them.
+
 run steps the estimator over an array of symbols at once; the whole-array
 encoder and the codec's trace call it.  hold steps it over a window that
 a decoder parsed under one m, and tests the window's sums against m's
@@ -91,23 +97,57 @@ def m_interval(m: int) -> tuple[float, float]:
     return lo, hi
 
 
-_LOG_BOUNDARY_ARRAY = np.array(LOG_BOUNDARIES)
+# 2 ln 2, the C of guess_m's closed form.
+_GUESS_C = float.fromhex("0x1.62e42fefa39efp+0")
+# guess_m clamps ln theta_hat to this range, at whose ends its expression
+# gives 1 and MAX_ADAPTIVE_M already (ceil(0.19...) and ceil(63.98...)).
+_GUESS_LO, _GUESS_HI = -2.0, -0.0215
+# The top of m's interval at index m: L_m, and +inf at the cap.  Index 0,
+# below every guess, is never read.
+_INTERVAL_TOPS = np.array([math.nan] + [m_interval(m)[1]
+                                          for m in range(1, MAX_ADAPTIVE_M + 1)])
+
+
+def guess_m(lt: np.ndarray) -> np.ndarray:
+    """clip(ceil(-C / lt - 1/2), 1, MAX_ADAPTIVE_M) for float64 quotients
+    lt <= 0, C = 2 ln 2, with NaN read as -inf: select_m's m, or one less.
+
+    At both ends of every interval (L_{k-1}, L_k] of LOG_BOUNDARIES the
+    guess is k - 1 or k, and it never falls as lt rises, so it is one of
+    the two inside the interval as well.  lt is clamped to [_GUESS_LO,
+    _GUESS_HI] before the division, which changes no guess and leaves
+    none to make of -0.0, -inf or NaN.
+    """
+    y = np.fmax(lt, _GUESS_LO)  # fmax takes the bound over a NaN
+    np.minimum(y, _GUESS_HI, out=y)
+    np.divide(-_GUESS_C, y, out=y)
+    y -= 0.5
+    np.ceil(y, out=y)
+    return y.astype(np.int64)
 
 
 def select_m_array(t: np.ndarray, s: np.ndarray, tau: int = 1) -> np.ndarray:
     """select_m for many symbols at once: t, s are arrays of the same shape.
 
     s holds integer numerator sums (at most EST_SATURATION) or raw float
-    sums with tau=1.  The int64 -> float64 casts and the division are the
-    correctly rounded IEEE operations select_m does, and searchsorted on
-    the left is bisect_left, so each entry equals select_m's choice.
+    sums with tau=1.  The quotient lt = -float(t * tau) / float(s) is
+    formed with the correctly rounded IEEE operations select_m uses.
+    guess_m gives m or m - 1 from it, and m = guess + (lt > L_guess)
+    settles which, L_guess the top of the guess's interval (m_interval),
+    so each entry equals select_m's choice.  A sum s <= 0 is left out of
+    the division: its quotient stays NaN, which guess_m reads as m = 1 and
+    the compare keeps.
     """
     positive = s > 0
-    with np.errstate(over="ignore"):  # a raw sum near 0 gives -inf: m = 1
-        log_theta = (-(np.asarray(t, dtype=np.int64) * tau).astype(np.float64)
-                     / np.where(positive, s, 1).astype(np.float64))
-    m = np.searchsorted(_LOG_BOUNDARY_ARRAY, log_theta) + 1
-    return np.where(positive, np.minimum(m, MAX_ADAPTIVE_M), 1)
+    lt = np.where(positive, np.multiply(t, -tau, dtype=np.int64), np.nan)
+    if s.dtype.kind == "f":  # a raw sum near 0 gives -inf: m = 1
+        with np.errstate(over="ignore"):
+            lt /= s
+    else:  # an integer sum is at least 1, so |lt| <= 2**63
+        lt /= s
+    m = guess_m(lt)
+    m += lt > _INTERVAL_TOPS[m]
+    return m
 
 
 def running_sums(before, inc: np.ndarray, raw: bool) -> np.ndarray:

@@ -55,14 +55,25 @@ def codeword_fields(values: np.ndarray, m):
     (quotients, remainder fields, field widths): each codeword is its
     quotient in unary, then the field in ``width`` binary digits, as the
     decoders read them.  An array's parameters must be at most 2**52, so
-    that ceil(lg m) is exact in a double.
+    that ceil(lg m) is exact in a double.  Under an array, each quotient
+    is floor(v / m) in doubles, exact for v < 2**52: a quotient that is
+    not whole lies at least 1/m from the next integer, more than half an
+    ulp of v / m < 2**52 / m, so it cannot round up to it.  A legal
+    codeword has v <= MAX_RUN * M_MAX + M_MAX - 1 < 2**37; an array that
+    holds a value >= 2**52 is divided as integers, so that the unary
+    limit names its exact quotient.
     """
     if isinstance(m, GolombParam):
         b, threshold, m = m.bits, m.threshold, m.m
+        q = values // m  # one int64 divisor, which numpy divides fast
     else:
         b = np.frexp(m - 1)[1].astype(np.int64)  # the bit length of m - 1
         threshold = np.left_shift(1, b) - m
-    q = values // m
+        if values.size and values.max() >= 1 << 52:
+            q = values // m
+        else:
+            q = values / m
+            q = np.floor(q, out=q).astype(np.int64)
     field = values - q * m  # np.divmod takes twice as long
     wide = field >= threshold  # the field takes all b bits, offset by threshold
     field += wide * threshold

@@ -195,26 +195,28 @@ def _round_predictions(pred: np.ndarray, rho: int, tau: int) -> tuple[np.ndarray
     """Vectorized twin of qmap.round_prediction over float64 predictions.
 
     Returns the numerators and the largest of their magnitudes (0 if
-    there are none), which _map_vector's overflow bound takes as well:
-    one reduction bounds both.
+    there are none), which _map_vector's overflow bound takes as well.
+    The rounding floor(tau * xhat / rho + 1/2) never falls as xhat rises,
+    so the smallest and the largest prediction give the extreme
+    numerators: both bounds are checked on those two before any
+    prediction is scaled, in Python floats, which round as float64 does
+    and overflow to inf without a warning.
     """
+    lo, hi = float(pred.min(initial=0.0)), float(pred.max(initial=0.0))
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN or +-inf
+        raise ValueError("predictions must be finite")
+    lo, hi = tau * lo / rho + 0.5, tau * hi / rho + 0.5
+    # lo <= 1/2 <= hi, so the peak is -floor(lo) or floor(hi)
+    if not (-2.0 ** 62 < lo and hi < 2.0 ** 62):
+        raise ValueError("prediction magnitude overflows the residual range")
+    peak = max(-math.floor(lo), math.floor(hi))
+    if peak > ((1 << 62) - 1) // rho:  # so |rho*k| < 2**62
+        raise ValueError("prediction magnitude overflows the residual range")
     scaled = tau * pred
     if rho != 1:
         scaled /= rho
     scaled += 0.5
-    floored = np.floor(scaled, out=scaled)
-    # the floors are whole floats, so the largest magnitude is exact; NaN
-    # and inf fail the bound as an overflow does, and only then is the
-    # failure told apart
-    peak = np.abs(floored).max(initial=0.0)
-    if not peak < 2.0 ** 62:
-        if not np.isfinite(floored).all():
-            raise ValueError("predictions must be finite")
-        raise ValueError("prediction magnitude overflows the residual range")
-    peak = int(peak)
-    if peak > ((1 << 62) - 1) // rho:  # so |rho*k| < 2**62
-        raise ValueError("prediction magnitude overflows the residual range")
-    k = floored.astype(np.int64)
+    k = np.floor(scaled, out=scaled).astype(np.int64)
     if rho != 1:
         k *= rho
     return k, rho * peak

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -418,6 +419,31 @@ def test_count_disagreeing_with_predictions_raises_header_error(mode, m):
     with pytest.raises(ValueError) as info:
         encode_stream(list(range(50)), h, predictions=preds[:-1])
     assert not isinstance(info.value, HeaderError)
+
+
+def test_finite_predictions_past_the_range_overflow_without_a_warning():
+    # tau * 1e308 is past the float limit: the rounding bounds the extreme
+    # predictions before it scales any, so encode and decode name the
+    # range, and no RuntimeWarning is raised on the way; NaN and +-inf are
+    # still told apart as not finite
+    header = StreamHeader(mode=MODE_ADAPTIVE, tau=16, raw_error_estimator=True)
+    xs = np.zeros(300, np.int64)
+    data = encode_stream(xs, header)
+    pred = np.resize([1e308, -1e308], 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (pred, pred[:1], -pred[:1]):
+            with pytest.raises(ValueError, match="overflows the residual range"):
+                encode_stream(xs[:p.size], header, p)
+        with pytest.raises(ValueError, match="overflows the residual range"):
+            decode_stream(data, pred)
+        for bad in (math.nan, math.inf, -math.inf):
+            p = pred.copy()
+            p[7] = bad
+            with pytest.raises(ValueError, match="predictions must be finite"):
+                encode_stream(xs, header, p)
+            with pytest.raises(ValueError, match="predictions must be finite"):
+                decode_stream(data, p)
 
 
 def test_round_predictions_rejects_int64_overflow():

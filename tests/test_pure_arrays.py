@@ -10,7 +10,9 @@ error messages, which name the symbol that failed.
 """
 
 import math
+import sys
 import tracemalloc
+from bisect import bisect_left
 from types import SimpleNamespace
 
 import numpy as np
@@ -575,6 +577,96 @@ def ulps_around(x, ulps=2):
             y = math.nextafter(y, toward)
             out.append(y)
     return out
+
+
+# every boundary and the two floats on each side of it, then -inf (a raw
+# sum that overflows the quotient), -0.0 (t = 0) and the most negative
+# finite quotients: t * tau = 2**63 - 1 over s = 1, and the float limit
+GUESS_QUOTIENTS = [x for lb in LOG_BOUNDARIES for x in ulps_around(lb)] + [
+    -math.inf, -0.0, -float(1 << 63), -sys.float_info.max]
+
+
+def m_of_quotient(x):
+    """select_m's m for the quotient x = -float(t * tau) / float(s), s > 0."""
+    return min(bisect_left(LOG_BOUNDARIES, x) + 1, MAX_M)
+
+
+def test_guess_m_is_m_or_one_less():
+    # what makes select_m_array's one compare exact: the guess is never
+    # above m and never below m - 1; it is the closed form, clipped
+    c = 2 * math.log(2)
+    guess = _estcore.guess_m(np.array(GUESS_QUOTIENTS))
+    assert guess.dtype == np.int64
+    for x, g in zip(GUESS_QUOTIENTS, guess.tolist()):
+        m = m_of_quotient(x)
+        assert m - 1 <= g <= m, (x.hex(), g, m)
+        form = math.ceil(-c / x - 0.5) if x else MAX_M  # -c / -0.0 is +inf
+        assert g == min(max(form, 1), MAX_M), x.hex()
+    # the guess is one below m on some boundary of every interval but m = 1,
+    # so the compare is needed at each
+    low = {m_of_quotient(x) for x, g in zip(GUESS_QUOTIENTS, guess.tolist())
+           if g < m_of_quotient(x)}
+    assert low == set(range(2, MAX_M + 1))
+
+
+def test_select_m_array_on_the_guess_quotients():
+    # the same quotients as sums: a raw sum s = -1 / x at t = 1, which
+    # reaches most of them; -inf from a sum that overflows, -0.0 from t = 0
+    finite = [x for x in GUESS_QUOTIENTS if math.isfinite(x) and x]
+    t = [1] * len(finite) + [2, 0, 7]
+    s = [-1.0 / x for x in finite] + [5e-324, 3.0, 0.0]
+    got = select_m_array(np.array(t), np.array(s)).tolist()
+    assert got == [select_m(a, b) for a, b in zip(t, s)]
+    assert got[-3:] == [1, MAX_M, 1]
+    # the most negative integer quotient, and a zero sum past t = 0
+    t, s = ints([(1 << 63) - 1, 1, 5]), ints([1, 0, 0])
+    assert select_m_array(t, s).tolist() == [select_m(a, b) for a, b in zip(t, s)]
+
+
+@pytest.mark.parametrize("raw", [False, True])
+@pytest.mark.parametrize("tau", [1, 16, TAU_MAX])
+def test_select_m_array_matches_select_m_on_seeded_sums(tau, raw):
+    # quotients log-uniform over every m's interval and past both ends,
+    # with zero sums among them (m = 1 there, wherever they fall)
+    rng = np.random.default_rng(tau + raw)
+    n = 4000
+    t = rng.integers(0, 1 << 30, n)
+    target = np.exp(rng.uniform(math.log(1e-3), math.log(4.0), n))
+    s = t * tau / target
+    s = s if raw else s.astype(np.int64)
+    s[::17] = 0
+    if raw:
+        s[5::31] = 5e-324  # the quotient overflows to -inf
+    got = select_m_array(t, s, tau).tolist()
+    assert got == [select_m(a, b, tau) for a, b in zip(t.tolist(), s.tolist())]
+    assert set(got) == set(range(1, MAX_M + 1))
+
+
+@pytest.mark.parametrize("m", [1, 3, 64, M_MAX])
+def test_codeword_fields_split_in_floats_to_their_exact_edge(m):
+    # an array of m splits values below 2**52 in doubles and the others
+    # as integers: on each side of 2**52, and at the largest legal value
+    # under m, q, field and width are divmod's and the minimal-binary split
+    g = GolombParam(m)
+    top = MAX_RUN * m + m - 1
+    edge = [(1 << 52) + d for d in range(-2, 3)]
+    for values in ([top, 0, m - 1, m, top - 1], edge[:2] + [top], edge):
+        q, field, width = bitcoder.codeword_fields(ints(values), np.full(len(values), m))
+        expected = []
+        for v in values:
+            j, k = divmod(v, m)
+            expected.append((j, *((k, g.bits - 1) if k < g.threshold
+                                  else (k + g.threshold, g.bits))))
+        assert list(zip(q.tolist(), field.tolist(), width.tolist())) == expected
+    # the legal values are written as the oracle writes them and read back
+    legal = [top, 0, m - 1, m, top - 1]
+    payload, nbits = packed([(legal, np.full(len(legal), m))])
+    assert (payload, nbits) == oracle_write(legal, [g] * len(legal))
+    assert np.frombuffer(oracle_golomb_decode(payload, len(legal), m),
+                         np.int64).tolist() == legal
+    # one past the legal top is refused with its exact quotient
+    with pytest.raises(ValueError, match=f"quotient {MAX_RUN + 1} exceeds"):
+        packed([([top + 1], np.full(1, m))])
 
 
 def intervals_holding(t, s, tau=1):
