@@ -5,30 +5,31 @@ phi_k is the root of phi**(k+1) + phi**k = 1.  exp is monotone, so that is
 the smallest k with ln theta_hat <= ln b_k, and ln theta_hat = -t*tau/S is
 computed before any exp would be.  Deciding on the log avoids libm:
 int->float conversion and division are correctly rounded under IEEE 754,
-so encoder and decoder pick the same m on every platform.  The compiled
-kernel copies LOG_BOUNDARIES when it is imported and mirrors the same
-two-cast expression in C.
+so encoder and decoder pick the same m on every platform.
 
-So select_m gives m exactly while ln theta_hat lies in m's interval
-(m_interval): a decoder that holds m tests that interval after each
-symbol, two compares, and calls select_m only when the test fails.
+One rule finds that m, here and in the compiled kernel.  -ln phi_k ~
+ln 2 / (k + 1/2) (Gallager and Van Voorhis 1975), so ln b_k ~ -C / (k +
+1/2) with C = GUESS_C = 2 ln 2, and the closed form ceil(-C / lt - 1/2)
+of ln theta_hat = lt, with lt clamped to [GUESS_LO, GUESS_HI], is m or m
+- 1.  One compare against the top of the guess's interval in BOUNDS
+settles which: the boundaries decide, the closed form only points at
+them.  select_m takes that step for one quotient and select_m_array for
+an array; _kernels.c reads GUESS_C, GUESS_LO, GUESS_HI and
+LOG_BOUNDARIES when it is imported and takes the same step in C, with
+the same two-cast quotient and no libm call.
 
-The array form needs no search.  -ln phi_k ~ ln 2 / (k + 1/2) (Gallager
-and Van Voorhis 1975), so ln b_k ~ -C / (k + 1/2) with C = 2 ln 2, and
-guess_m's closed form ceil(-C / ln theta_hat - 1/2) is m or m - 1.  One
-compare against the top of the guess's interval, the bound hold tests,
-settles which: the boundaries decide, the closed form only points at them.
+m holds exactly while ln theta_hat lies in m's interval (m_interval), so
+a decoder that holds m tests that interval after each symbol, two
+compares, and chooses afresh only when the test fails.
 
 run steps the estimator over an array of symbols at once; the whole-array
 encoder and the codec's trace call it.  hold steps it over a window that
 a decoder parsed under one m, and tests the window's sums against m's
 interval: the one array form of that test.
 """
-
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 
@@ -68,21 +69,39 @@ LOG_BOUNDARIES = tuple(map(float.fromhex, (
 )))
 
 
+# 2 ln 2, the C of the closed-form guess.
+GUESS_C = float.fromhex("0x1.62e42fefa39efp+0")
+# The guess clamps ln theta_hat to this range, at whose ends its expression
+# gives 1 and MAX_ADAPTIVE_M already (ceil(0.19...) and ceil(63.98...)).
+GUESS_LO, GUESS_HI = -2.0, -0.0215
+# BOUNDS[m - 1], BOUNDS[m] are the ends of m's interval: LOG_BOUNDARIES
+# below the cap, padded with -inf at m = 1 and +inf at the cap.
+BOUNDS = (-math.inf, *LOG_BOUNDARIES[:MAX_ADAPTIVE_M - 1], math.inf)
+_BOUNDS = np.array(BOUNDS)
+
+
 def select_m(t: int, s, tau: int = 1) -> int:
     """Golomb parameter after t symbols whose |residual| sum is s/tau.
 
     s is the integer numerator sum, or the raw float sum with tau=1.
-    s <= 0 (which covers the cold start t=0) gives m=1.
+    s <= 0 (which covers the cold start t=0) gives m=1.  Else the
+    quotient lt = ln theta_hat = -float(t * tau) / float(s) gives the
+    guess g (guess_m) and m = g + (lt > BOUNDS[g]).
     """
     if s <= 0:
         return 1
-    i = bisect_left(LOG_BOUNDARIES, -float(t * tau) / float(s))
-    return i + 1 if i < MAX_ADAPTIVE_M else MAX_ADAPTIVE_M
+    lt = -float(t * tau) / float(s)
+    y = lt if lt > GUESS_LO else GUESS_LO  # -inf and NaN take the bound
+    if y > GUESS_HI:
+        y = GUESS_HI
+    g = math.ceil(-GUESS_C / y - 0.5)
+    return g + (lt > BOUNDS[g])
 
 
 def m_interval(m: int) -> tuple[float, float]:
-    """(lo, hi): select_m(t, s, tau) is m exactly when s > 0 and
-    lo < -float(t * tau) / float(s) <= hi, for 1 <= m <= MAX_ADAPTIVE_M.
+    """(lo, hi) = (BOUNDS[m - 1], BOUNDS[m]): select_m(t, s, tau) is m
+    exactly when s > 0 and lo < -float(t * tau) / float(s) <= hi, for
+    1 <= m <= MAX_ADAPTIVE_M.
 
     The interval is (L_{m-1}, L_m] of LOG_BOUNDARIES, L_k its k-th entry,
     with L_0 = -inf, and open above at the cap m = MAX_ADAPTIVE_M.  Two
@@ -92,35 +111,22 @@ def m_interval(m: int) -> tuple[float, float]:
     which fails lo < x at m = 1.  So a decoder holds m while the test
     passes, and calls select_m when it fails.
     """
-    lo = LOG_BOUNDARIES[m - 2] if m > 1 else -math.inf
-    hi = LOG_BOUNDARIES[m - 1] if m < MAX_ADAPTIVE_M else math.inf
-    return lo, hi
-
-
-# 2 ln 2, the C of guess_m's closed form.
-_GUESS_C = float.fromhex("0x1.62e42fefa39efp+0")
-# guess_m clamps ln theta_hat to this range, at whose ends its expression
-# gives 1 and MAX_ADAPTIVE_M already (ceil(0.19...) and ceil(63.98...)).
-_GUESS_LO, _GUESS_HI = -2.0, -0.0215
-# The top of m's interval at index m: L_m, and +inf at the cap.  Index 0,
-# below every guess, is never read.
-_INTERVAL_TOPS = np.array([math.nan] + [m_interval(m)[1]
-                                          for m in range(1, MAX_ADAPTIVE_M + 1)])
+    return BOUNDS[m - 1], BOUNDS[m]
 
 
 def guess_m(lt: np.ndarray) -> np.ndarray:
     """clip(ceil(-C / lt - 1/2), 1, MAX_ADAPTIVE_M) for float64 quotients
-    lt <= 0, C = 2 ln 2, with NaN read as -inf: select_m's m, or one less.
+    lt <= 0, C = GUESS_C, with NaN read as -inf: select_m's m, or one less.
 
     At both ends of every interval (L_{k-1}, L_k] of LOG_BOUNDARIES the
     guess is k - 1 or k, and it never falls as lt rises, so it is one of
-    the two inside the interval as well.  lt is clamped to [_GUESS_LO,
-    _GUESS_HI] before the division, which changes no guess and leaves
-    none to make of -0.0, -inf or NaN.
+    the two inside the interval as well.  lt is clamped to [GUESS_LO,
+    GUESS_HI] before the division, which makes the clip and leaves no
+    guess to make of -0.0, -inf or NaN.
     """
-    y = np.fmax(lt, _GUESS_LO)  # fmax takes the bound over a NaN
-    np.minimum(y, _GUESS_HI, out=y)
-    np.divide(-_GUESS_C, y, out=y)
+    y = np.fmax(lt, GUESS_LO)  # fmax takes the bound over a NaN
+    np.minimum(y, GUESS_HI, out=y)
+    np.divide(-GUESS_C, y, out=y)
     y -= 0.5
     np.ceil(y, out=y)
     return y.astype(np.int64)
@@ -131,12 +137,10 @@ def select_m_array(t: np.ndarray, s: np.ndarray, tau: int = 1) -> np.ndarray:
 
     s holds integer numerator sums (at most EST_SATURATION) or raw float
     sums with tau=1.  The quotient lt = -float(t * tau) / float(s) is
-    formed with the correctly rounded IEEE operations select_m uses.
-    guess_m gives m or m - 1 from it, and m = guess + (lt > L_guess)
-    settles which, L_guess the top of the guess's interval (m_interval),
-    so each entry equals select_m's choice.  A sum s <= 0 is left out of
-    the division: its quotient stays NaN, which guess_m reads as m = 1 and
-    the compare keeps.
+    formed with the correctly rounded IEEE operations select_m uses, and
+    m = guess + (lt > BOUNDS[guess]), select_m's step.  A sum s <= 0 is
+    left out of the division: its quotient stays NaN, which guess_m
+    reads as m = 1 and the compare keeps.
     """
     positive = s > 0
     lt = np.where(positive, np.multiply(t, -tau, dtype=np.int64), np.nan)
@@ -146,7 +150,7 @@ def select_m_array(t: np.ndarray, s: np.ndarray, tau: int = 1) -> np.ndarray:
     else:  # an integer sum is at least 1, so |lt| <= 2**63
         lt /= s
     m = guess_m(lt)
-    m += lt > _INTERVAL_TOPS[m]
+    m += lt > _BOUNDS[m]
     return m
 
 

@@ -6,11 +6,13 @@
  *
  * Bits are MSB-first.  A codeword for a mapped residual v under parameter m
  * is the unary quotient v / m (that many ones, then a zero) followed by the
- * remainder in minimal binary, as in frgc.bitcoder.  The adaptive m is chosen
- * as in _estcore.select_m, over a copy of its table taken at import, by the
- * same two-cast double expression and no libm call; build with
- * -ffp-contract=off so no float expression is fused.  The stream limits are
- * frgc.bitcoder's MAX_RUN, M_MAX and TAU_MAX, read at import (check_limits).
+ * remainder in minimal binary, as in frgc.bitcoder.  The adaptive m follows
+ * frgc._estcore's one rule: it holds while ln theta_hat, the same two-cast
+ * double quotient, stays in m's interval, and elsewhere select_m's closed-form
+ * guess and one compare choose it, with the constants and the boundary table
+ * read from _estcore at import and no libm call; build with -ffp-contract=off
+ * so no float expression is fused.  The stream limits are frgc.bitcoder's
+ * MAX_RUN, M_MAX and TAU_MAX, read at import (check_limits).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -21,7 +23,10 @@
 static PyObject *CorruptStreamError;  /* frgc.bitcoder.CorruptStreamError */
 static long long est_saturation;      /* frgc._estcore.EST_SATURATION */
 static long long max_run, m_max, tau_max;  /* frgc.bitcoder.MAX_RUN, M_MAX, TAU_MAX */
-static double log_bounds[N_BOUNDS];   /* frgc._estcore.LOG_BOUNDARIES: ln b_k, ascending */
+static double guess_c, guess_lo, guess_hi;  /* frgc._estcore.GUESS_C, GUESS_LO, GUESS_HI */
+/* frgc._estcore.BOUNDS: m's interval is (bounds[m - 1], bounds[m]], from
+ * LOG_BOUNDARIES between -inf and +inf */
+static double bounds[N_BOUNDS + 1];
 
 #define VALUE_LIMIT (1LL << 62)  /* bounds decoding's numbers: see check_limits */
 #define FIELD_BITS 32            /* the most bits put_bits appends at once */
@@ -186,25 +191,35 @@ static long long get_codeword(Reader *r, const Code *c)
 }
 
 typedef struct {
-    int k;        /* the last index est_m found */
-    int raw;      /* sums raw |x - xhat| as a double, else |numerators| */
+    long long m;     /* the m in force, which holds while lo < ln theta_hat <= hi */
+    double lo, hi;
+    int raw;         /* sums raw |x - xhat| as a double, else |numerators| */
     long long tau, t, s_int;
     double s_raw;
 } Est;
 
-/* m for the next symbol: select_m's bisect_left index, stepped to from the last. */
+/* m for the next symbol: the m held, or select_m's guess and compare. */
 static long long est_m(Est *e)
 {
-    double log_theta;
+    double lt, y, z;
+    long long g;
     if (e->raw ? e->s_raw <= 0.0 : e->s_int <= 0)
-        return 1;
-    log_theta = e->raw ? -((double)e->t) / e->s_raw
-                       : -((double)(e->t * e->tau)) / ((double)e->s_int);
-    while (e->k > 0 && !(log_bounds[e->k - 1] < log_theta))
-        e->k--;
-    while (e->k < N_BOUNDS && log_bounds[e->k] < log_theta)
-        e->k++;
-    return e->k < N_BOUNDS ? e->k + 1 : N_BOUNDS;
+        return 1;  /* only before the first nonzero increment, while m is 1 */
+    lt = e->raw ? -((double)e->t) / e->s_raw
+                : -((double)(e->t * e->tau)) / ((double)e->s_int);
+    if (e->lo < lt && lt <= e->hi)
+        return e->m;
+    y = lt > guess_lo ? lt : guess_lo;  /* -inf and NaN take the bound */
+    if (y > guess_hi)
+        y = guess_hi;
+    z = -guess_c / y - 0.5;  /* in (0, N_BOUNDS]: check_guess */
+    g = (long long)z;
+    g += g < z;              /* ceil */
+    g += lt > bounds[g];
+    e->m = g;
+    e->lo = bounds[g - 1];
+    e->hi = bounds[g];
+    return g;
 }
 
 /* Count a symbol by its |residual numerator| a >= 0 (the sum saturates), or
@@ -319,7 +334,7 @@ static PyObject *adaptive_encode(PyObject *Py_UNUSED(self), PyObject *args)
     Py_ssize_t i, n;
     if (!PyArg_ParseTuple(args, "y*y*pO", &ms, &inc, &raw, &tau_arg))
         return NULL;
-    Est e = {0, raw, 0, 0, 0, 0.0};
+    Est e = {1, bounds[0], bounds[1], raw, 0, 0, 0, 0.0};
     if ((n = values_in(&ms, 0, "ms")) < 0
             || values_in(&inc, n, "increments") < 0
             || in_range("tau", tau_arg, tau_max, &e.tau) < 0)
@@ -345,14 +360,14 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
     Py_ssize_t count, i;
     PyObject *tau_arg, *out = NULL, *result = NULL;
     long long lo, hi, m, v, n, x, d;
-    double px;
+    double dx;
     int raw;
     Code code = {0, 0, 0};
     if (!PyArg_ParseTuple(args, "y*ny*y*OpLL", &payload, &count, &pred_n, &pred_x,
                           &tau_arg, &raw, &lo, &hi))
         return NULL;
     Reader r = {payload.buf, 0, 8 * payload.len};
-    Est e = {0, raw, 0, 0, 0, 0.0};
+    Est e = {1, bounds[0], bounds[1], raw, 0, 0, 0, 0.0};
     if (in_range("tau", tau_arg, tau_max, &e.tau) < 0
             || values_in(&pred_n, count, "pred_n") < 0
             || values_in(&pred_x, count, "pred_x") < 0
@@ -377,8 +392,8 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
         }
         OUT_VALUES(out)[i] = x;
         d = e.tau * x - n;  /* |d| < 2**61, see check_limits */
-        px = item_at(&pred_x, i).d;
-        est_add(&e, d < 0 ? -d : d, fabs((double)x - px));
+        dx = (double)x - item_at(&pred_x, i).d;
+        est_add(&e, d < 0 ? -d : d, dx < 0 ? -dx : dx);
     }
     result = out;
     out = NULL;
@@ -412,7 +427,9 @@ static PyObject *import_attr(const char *module_name, const char *name)
     return attr;
 }
 
-/* Copy frgc._estcore.LOG_BOUNDARIES into log_bounds; it must have N_BOUNDS entries. */
+/* Copy frgc._estcore.LOG_BOUNDARIES into bounds[1..N_BOUNDS - 1], between
+ * -inf and +inf, as _estcore.BOUNDS; it must have N_BOUNDS entries, the last of
+ * which the cap leaves unread. */
 static int load_bounds(void)
 {
     PyObject *table = import_attr("frgc._estcore", "LOG_BOUNDARIES"), *item;
@@ -422,13 +439,24 @@ static int load_bounds(void)
     if ((size = PySequence_Size(table)) != N_BOUNDS && !PyErr_Occurred())
         PyErr_Format(PyExc_ImportError, "LOG_BOUNDARIES must have %d entries, got %zd",
                      N_BOUNDS, size);
-    for (i = 0; i < N_BOUNDS && !PyErr_Occurred(); i++) {
-        if ((item = PySequence_GetItem(table, i)) == NULL)
+    for (i = 1; i < N_BOUNDS && !PyErr_Occurred(); i++) {
+        if ((item = PySequence_GetItem(table, i - 1)) == NULL)
             break;
-        log_bounds[i] = PyFloat_AsDouble(item);
+        bounds[i] = PyFloat_AsDouble(item);
         Py_DECREF(item);
     }
     Py_DECREF(table);
+    bounds[0] = -HUGE_VAL;
+    bounds[N_BOUNDS] = HUGE_VAL;
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* Set *value to the float module_name.name; -1 with an exception if it fails. */
+static int import_double(const char *module_name, const char *name, double *value)
+{
+    PyObject *attr = import_attr(module_name, name);
+    *value = attr == NULL ? -1.0 : PyFloat_AsDouble(attr);
+    Py_XDECREF(attr);
     return PyErr_Occurred() ? -1 : 0;
 }
 
@@ -439,6 +467,20 @@ static int import_int(const char *module_name, const char *name, long long *valu
     *value = attr == NULL ? -1 : PyLong_AsLongLong(attr);
     Py_XDECREF(attr);
     return PyErr_Occurred() ? -1 : 0;
+}
+
+/* est_m's guess, ceil(-guess_c / y - 1/2) for y in [guess_lo, guess_hi], must lie
+ * in [1, N_BOUNDS]: z = -guess_c / y - 1/2 rises with y, so it is checked at the
+ * two ends, where it must lie in (0, N_BOUNDS], which also keeps the cast of z to
+ * long long defined. */
+static int check_guess(void)
+{
+    if (guess_c > 0 && guess_lo <= guess_hi && guess_hi < 0
+            && -guess_c / guess_lo - 0.5 > 0 && -guess_c / guess_hi - 0.5 <= N_BOUNDS)
+        return 0;
+    PyErr_Format(PyExc_ImportError, "GUESS_C, GUESS_LO and GUESS_HI must keep the guess "
+                 "of m in [1, %d]", N_BOUNDS);
+    return -1;
 }
 
 /* (MAX_RUN + 1) * M_MAX * TAU_MAX <= 2**62 keeps a decoded mapped value v below 2**62 / tau
@@ -462,6 +504,10 @@ PyMODINIT_FUNC PyInit__kernels(void)
             || import_int("frgc.bitcoder", "M_MAX", &m_max) < 0
             || import_int("frgc.bitcoder", "TAU_MAX", &tau_max) < 0
             || check_limits() < 0 || load_bounds() < 0
+            || import_double("frgc._estcore", "GUESS_C", &guess_c) < 0
+            || import_double("frgc._estcore", "GUESS_LO", &guess_lo) < 0
+            || import_double("frgc._estcore", "GUESS_HI", &guess_hi) < 0
+            || check_guess() < 0
             || (CorruptStreamError = import_attr("frgc.bitcoder", "CorruptStreamError")) == NULL
             || (mod = PyModule_Create(&module)) == NULL)
         return NULL;

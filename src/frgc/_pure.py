@@ -25,8 +25,9 @@ ValueError if one of the first ``count`` is not, before it reads a
 codeword); ``pred_x`` the predictions, read only when ``raw``.  ``count``
 is a Py_ssize_t and ``lo``, ``hi`` are int64: other values raise
 OverflowError before any other check.  The adaptive m is
-``_estcore.select_m`` over ``_estcore.LOG_BOUNDARIES``, which the
-compiled module copies once, when it is imported.  adaptive_decode
+``_estcore.select_m``: the closed-form guess and one compare against
+``_estcore.BOUNDS``, whose constants and table the compiled module
+copies once, when it is imported.  adaptive_decode
 raises CorruptStreamError for the first symbol outside [lo, hi].  No
 loop reports its m: a stream's m sequence is a function of its symbols
 and predictions, which the codec derives (collect_trace).

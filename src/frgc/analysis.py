@@ -159,7 +159,11 @@ def lookup_m(theta: float) -> int:
     """Smallest m whose boundary covers theta; 64 past the table's end.
 
     A theta exactly on a boundary belongs to the smaller m (both are
-    optimal there).
+    optimal there).  The search is over M_BOUNDARIES, in the theta
+    domain, not the codec's guess and compare on ln theta: exp and log
+    do not round-trip, so math.log(M_BOUNDARIES[k]) differs from
+    LOG_BOUNDARIES[k] for 55 of the 64 k, and a theta on a boundary here
+    is not on one there.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0,1), got {theta}")

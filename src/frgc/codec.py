@@ -11,8 +11,8 @@ choice without side information.  The estimate is theta = e^(-t/S_t)
 with S_t the running sum of absolute residuals; by default the rounded
 residual |r|/tau is accumulated exactly as an integer numerator, and a
 header flag switches to the raw float |x - xhat| sum.  The choice compares
-ln theta with a table of log-boundaries (_estcore.select_m), so no libm
-call is involved.
+ln theta with a table of log-boundaries, found from a closed-form guess
+(_estcore.select_m), so no libm call is involved.
 """
 
 from __future__ import annotations

@@ -75,7 +75,9 @@ def round_prediction(xhat: float, precision: Precision) -> int:
 
     Ties round toward +inf.  The one floating-point operation in the
     pipeline; everything downstream is exact.  The numerator is always a
-    multiple of rho.
+    multiple of rho.  A prediction so large that tau * xhat / rho
+    overflows to inf raises the ValueError that codec's vector twin
+    raises for any numerator of 2**62 or more.
 
     >>> round_prediction(0.70, Precision(1, 4))
     3
@@ -88,8 +90,10 @@ def round_prediction(xhat: float, precision: Precision) -> int:
         raise ValueError("a finite precision is required to quantize")
     if not math.isfinite(xhat):
         raise ValueError(f"prediction must be finite, got {xhat!r}")
-    k = math.floor(precision.tau * xhat / precision.rho + 0.5)
-    return precision.rho * k
+    k = precision.tau * xhat / precision.rho + 0.5
+    if math.isinf(k):
+        raise ValueError("prediction magnitude overflows the residual range")
+    return precision.rho * math.floor(k)
 
 
 def residual(x: int, n: int, tau: int) -> int:

@@ -12,7 +12,8 @@ interval, from which m falls again only after about t/m more zeros.  The predict
 import numpy as np
 
 from frgc import _estcore
-from frgc._estcore import select_m
+
+from mtable import table_m
 
 
 def steered_symbols(ms, tau=1, raw=False, seed=0):
@@ -21,16 +22,16 @@ def steered_symbols(ms, tau=1, raw=False, seed=0):
     1, the cold start's m.  Each symbol's sign is random."""
     assert ms[0] == 1
     rng = np.random.default_rng(seed)
-    scale = 1 if raw else tau  # select_m's tau
+    scale = 1 if raw else tau  # table_m's tau
     unit = 1 if raw else tau   # what |x| = 1 adds to the sum
     s, xs = 0, []
     for t, want in enumerate([*ms[1:], ms[-1]], start=1):
         # the smallest magnitude whose sum gives want or more
         lo = _estcore.m_interval(want)[0]
         a = 0 if want == 1 else max(0, int((-t * scale / lo - s) / unit))
-        while select_m(t, s + unit * a, scale) < want:
+        while table_m(t, s + unit * a, scale) < want:
             a += 1
-        while a and select_m(t, s + unit * (a - 1), scale) >= want:
+        while a and table_m(t, s + unit * (a - 1), scale) >= want:
             a -= 1
         s += unit * a
         xs.append(a if rng.random() < 0.5 else -a)

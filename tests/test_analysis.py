@@ -229,6 +229,13 @@ def test_lookup_boundary_prefers_smaller_m():
         assert lookup_m(M_BOUNDARIES[m - 1]) == m
 
 
+def test_lookup_boundaries_do_not_round_trip_through_log():
+    # why lookup_m searches M_BOUNDARIES in the theta domain instead of
+    # taking the codec's guess and compare on log(theta)
+    log_boundaries = analysis.LOG_BOUNDARIES
+    assert sum(math.log(b) != lb for b, lb in zip(M_BOUNDARIES, log_boundaries)) == 55
+
+
 def test_lookup_monotone_in_theta():
     prev = 0
     for k in range(1, 1000):

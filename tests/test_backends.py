@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frgc import _backend, _estcore, _pure, codec, qmap
+from frgc._estcore import select_m
 from frgc.bitcoder import (
     M_MAX,
     MAX_RUN,
@@ -35,7 +36,14 @@ from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
 from bitsink import BitSink
-from golden import EXTERNAL_GOLDEN, external_streams, normalised_digest
+from golden import (
+    EXTERNAL_GOLDEN,
+    STEERED_GOLDEN,
+    external_streams,
+    normalised_digest,
+    steered_streams,
+)
+from mtable import table_m
 from steer import held_schedule, m_runs, steered_symbols
 
 BOUNDS = _estcore.LOG_BOUNDARIES
@@ -240,17 +248,38 @@ def test_mutated_streams_decode_alike_on_both_backends(mode, edit, kernels):
 
 
 def test_streams_match_their_golden_digests(kernels, monkeypatch):
-    # the pinned streams of every mode but lpc (tests/golden.py): each
-    # backend writes every stream's recorded bytes and decodes it back
+    # the pinned streams of every mode but lpc, and the steered adaptive
+    # ones (tests/golden.py): each backend writes every stream's recorded
+    # bytes and decodes it back
     want = json.loads(EXTERNAL_GOLDEN.read_text())
     pool = external_streams()
     assert sorted(want) == sorted(pool)
+    steered = steered_streams()
+    want_steered = json.loads(STEERED_GOLDEN.read_text())
+    assert sorted(want_steered) == sorted(steered)
+    want.update(want_steered)
+    pool.update({name: (xs, None, header) for name, (xs, _, header) in steered.items()})
     for module in (_pure, kernels):
         use_backend(monkeypatch, module)
         for name, (xs, pred, header) in pool.items():
             data = encode_stream(xs, header, pred)
             assert normalised_digest(data) == want[name], (module.BACKEND_NAME, name)
             assert decode_stream(data, pred) == xs.tolist(), (module.BACKEND_NAME, name)
+
+
+def test_steered_streams_take_every_m():
+    # the steered pool holds each m from 1 to 64 for longer than the cold
+    # start, steps down as well as up, and its traced m is the schedule
+    runs, steps = [], []
+    for name, (xs, ms, header) in steered_streams().items():
+        _, trace = encode_stream(xs, header, collect_trace=True)
+        assert [m for m, _, _ in trace] == ms, name
+        held = m_runs(ms)
+        runs += held
+        steps += [b - a for (a, _), (b, _) in zip(held, held[1:])]
+    assert {m for m, _ in runs} == set(range(1, _estcore.MAX_ADAPTIVE_M + 1))
+    assert all(length > _pure.SETTLE_SYMBOLS for _, length in runs)
+    assert min(steps) < 0 < max(steps)
 
 
 @pytest.mark.parametrize("tau,raw,top", [(1, False, 8), (16, False, 64), (3, True, 24)])
@@ -497,13 +526,16 @@ def import_kernels(kernels, before, after=()):
 
 
 def test_estimator_constants_shared(kernels):
-    # the compiled kernels read the saturation point, the table and the
-    # stream limits from here
+    # the compiled kernels read the saturation point, the table, the
+    # guess's constants and the stream limits from here
     assert _estcore.EST_SATURATION == 1 << 62
     assert _estcore.MAX_ADAPTIVE_M == 64
     assert len(BOUNDS) == 64
     assert BOUNDS[0] == float.fromhex("-0x1.ecc2caec51608p-1")
     assert BOUNDS[-1] == float.fromhex("-0x1.6025c8c56db20p-6")
+    assert _estcore.GUESS_C == 2 * math.log(2)
+    assert (_estcore.GUESS_LO, _estcore.GUESS_HI) == (-2.0, -0.0215)
+    assert _estcore.BOUNDS == (-math.inf, *BOUNDS[:-1], math.inf)
     assert (MAX_RUN, M_MAX, TAU_MAX) == (1 << 20, 0xFFFF, 0xFFFF)
     # the module enforces whatever limits bitcoder holds when it is imported
     probes = [
@@ -564,6 +596,25 @@ def test_compiled_import_needs_the_64_entry_table(size, kernels):
     assert out == f"refused: LOG_BOUNDARIES must have 64 entries, got {size}\n"
 
 
+@pytest.mark.parametrize("name,value,refused", [
+    ("GUESS_HI", "-0.0216", False),       # guesses 64 at most, as -0.0215 does
+    ("GUESS_C", "2 * e.GUESS_C", True),   # guesses past 64 at the top of the clamp
+    ("GUESS_HI", "-0.02", True),          # the same
+    ("GUESS_LO", "-10.0", True),          # a guess of 0 at the bottom
+    ("GUESS_HI", "-0.0", True),
+    ("GUESS_LO", "float('nan')", True),
+])
+def test_compiled_import_needs_guess_constants_that_keep_m_in_range(name, value, refused,
+                                                                    kernels):
+    # the module reads the closed form's constants once, at import, and
+    # indexes its table with the guess they give: it refuses any that
+    # could guess outside [1, 64]
+    out = import_kernels(kernels, ["import frgc._estcore as e", f"e.{name} = {value}"],
+                         ["print('imported')"])
+    assert out == ("refused: GUESS_C, GUESS_LO and GUESS_HI must keep the guess of m in "
+                   "[1, 64]\n" if refused else "imported\n")
+
+
 def coded(values, ms):
     """The payload and bit count of values, the i-th coded under ms[i]."""
     sink = BitSink()
@@ -598,7 +649,7 @@ def test_saturation_and_boundary_parity(kernels):
             # decoder adds |0 - pred_x| = |0 - (-inc)|, the same sums
             for inc in (np.array([s, 0.0]), np.array([2 * s, 0.0, 0.0])):
                 n = inc.size
-                ms = [_estcore.select_m(t, float(inc[:t].sum())) for t in range(n)]
+                ms = [table_m(t, float(inc[:t].sum())) for t in range(n)]
                 assert ms[-1] == k
                 values = [0] * (n - 1) + [k]
                 payload, _ = expected = coded(values, ms)
@@ -608,3 +659,60 @@ def test_saturation_and_boundary_parity(kernels):
                                                   True, *RANGE)
                     assert decoded(out) == [qmap.unmap(v, 0, 1) for v in values]
     assert hits >= 32
+
+
+def ulps_around(x, ulps):
+    """x and the floats up to ulps steps below and above it."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+# Where the closed-form guess ceil(-C / lt - 1/2) steps from j to j + 1,
+# lt = -C / (j + 1/2), and two floats on each side; the ends of its clamp;
+# and -inf and -0.0, which the clamp takes to its ends
+JUMP_QUOTIENTS = [x for j in range(1, _estcore.MAX_ADAPTIVE_M)
+                  for x in ulps_around(-_estcore.GUESS_C / (j + 0.5), 2)] + [
+    _estcore.GUESS_LO, _estcore.GUESS_HI, -math.inf, -0.0]
+
+
+def raw_sum_for(x):
+    """(t, s): a count t and a raw sum s with -float(t) / s exactly x."""
+    if x == -math.inf:
+        return 2, 5e-324  # the quotient overflows
+    if x == 0:
+        return 1, math.inf
+    for t in range(1, 1000):
+        for s in ulps_around(-t / x, 3):
+            if -t / s == x:
+                return t, s
+    raise AssertionError(x)
+
+
+def test_every_chooser_at_the_guess_jump_points(kernels):
+    # each chooser takes the closed-form guess and one compare: the scalar
+    # and the array form, and the compiled loops, reached through a raw
+    # sum s after t symbols.  The symbols before carry no increment, so
+    # m is 1 until symbol t, whose value k codes under the m that (t, s)
+    # gives; the encoders must write the payload of table_m's m and the
+    # decoders read it back
+    pairs = [raw_sum_for(x) for x in JUMP_QUOTIENTS]
+    expect = [table_m(t, s) for t, s in pairs]
+    assert [select_m(t, s) for t, s in pairs] == expect
+    t, s = np.array(pairs).T
+    assert _estcore.select_m_array(t.astype(np.int64), s).tolist() == expect
+    assert set(expect) == set(range(1, _estcore.MAX_ADAPTIVE_M + 1))
+    for (t, s), k in zip(pairs, expect):
+        inc = np.zeros(t + 1)
+        inc[t - 1] = s
+        values = [0] * t + [k]
+        payload, _ = want = coded(values, [1] * t + [k])
+        for backend in (_pure, kernels):
+            assert backend.adaptive_encode(ints(values), inc, True, 1) == want, (t, s)
+            out = backend.adaptive_decode(payload, t + 1, ints([0] * (t + 1)), -inc, 1,
+                                          True, *RANGE)
+            assert decoded(out) == [qmap.unmap(v, 0, 1) for v in values], (t, s)

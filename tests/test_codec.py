@@ -613,6 +613,13 @@ def test_vector_twins_match_scalar_elementwise(case, extra, edges):
     got = codec._unmap_vector(np.array(values, dtype=np.int64),
                               np.array(pred_n, dtype=np.int64), tau)
     assert got.tolist() == [qmap.unmap(v, n, tau) for v, n in zip(values, pred_n)]
+    # past the residual range both twins raise the same ValueError, also
+    # where the scalar's tau * xhat overflows to inf
+    for xhat in (1e308, -1e308):
+        with pytest.raises(ValueError, match="overflows the residual range"):
+            round_prediction(xhat, Precision(1, 16))
+        with pytest.raises(ValueError, match="overflows the residual range"):
+            codec._round_predictions(np.array([xhat]), 1, 16)
 
 
 def test_unary_bomb_raises():

@@ -35,6 +35,7 @@ from frgc.predictor import LpcConfig, LpcState
 
 from bitsink import BitSource
 from lpcloop import LoopState
+from mtable import table_m
 
 
 def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
@@ -56,9 +57,9 @@ def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
         if not adaptive:
             m = header.m
         elif raw:
-            m = _estcore.select_m(t, s_raw)
+            m = table_m(t, s_raw)
         else:
-            m = _estcore.select_m(t, s_int, tau)
+            m = table_m(t, s_int, tau)
         g = GolombParam(m)
         x = qmap.unmap(src.read_unary() * m + src.read_minimal_binary(g), n, tau)
         if not lo <= x <= hi:

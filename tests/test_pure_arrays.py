@@ -12,7 +12,6 @@ error messages, which name the symbol that failed.
 import math
 import sys
 import tracemalloc
-from bisect import bisect_left
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +32,7 @@ from frgc._estcore import LOG_BOUNDARIES, select_m, select_m_array
 from frgc.predictor import LpcConfig
 
 from bitsink import BitSink, BitSource, code_length
+from mtable import m_of_quotient, table_m
 
 BLOCK = _pure.BLOCK_SYMBOLS
 SMALL_BLOCK = 1 << 11  # a shorter split, which the encoders must make exactly as well
@@ -80,7 +80,7 @@ def oracle_sums(increments, raw):
 def oracle_adaptive_encode(ms, increments, raw, tau):
     sums = oracle_sums(increments, raw)
     before = [0.0 if raw else 0] + sums[:-1]
-    params = [GolombParam(select_m(t, s) if raw else select_m(t, s, tau))
+    params = [GolombParam(table_m(t, s) if raw else table_m(t, s, tau))
               for t, s in enumerate(before)]
     return oracle_write(ms.tolist(), params)
 
@@ -96,7 +96,7 @@ def oracle_adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     out = []
     s = 0.0 if raw else 0
     for t in range(count):
-        m = select_m(t, s) if raw else select_m(t, s, tau)
+        m = table_m(t, s) if raw else table_m(t, s, tau)
         value = src.read_unary() * m + src.read_minimal_binary(GolombParam(m))
         n = int(pred_n[t])
         x = qmap.unmap(value, n, tau)
@@ -543,12 +543,14 @@ def test_select_m_array_matches_select_m_on_seeded_triples():
         tau = int(rng.integers(1, 0x10000))
         s = int(rng.integers(1, t * tau * 200))
         triples.append((t, s, tau))
-    for t, s, tau in triples[:500]:
-        assert select_m_array(np.array([t]), np.array([s]), tau)[0] == select_m(t, s, tau)
-    # select_m reads t and tau only as float(t * tau), exact in int64 here
+    expect = [table_m(t, s, tau) for t, s, tau in triples]
+    assert [select_m(t, s, tau) for t, s, tau in triples] == expect
+    for (t, s, tau), m in zip(triples[:500], expect):
+        assert select_m_array(np.array([t]), np.array([s]), tau)[0] == m
+    # the quotient reads t and tau only as float(t * tau), exact in int64 here
     t = np.array([t * tau for t, _, tau in triples], dtype=np.int64)
     s = np.array([s for _, s, _ in triples], dtype=np.int64)
-    assert select_m_array(t, s).tolist() == [select_m(a, b, c) for a, b, c in triples]
+    assert select_m_array(t, s).tolist() == expect
 
 
 def test_select_m_array_on_log_boundary_ties_and_extremes():
@@ -557,14 +559,14 @@ def test_select_m_array_on_log_boundary_ties_and_extremes():
         s = -1.0 / lb
         for x in (s, math.nextafter(s, 0.0), math.nextafter(s, math.inf)):
             sums.append(x)
-            expect.append(select_m(1, x))
+            expect.append(table_m(1, x))
             if -1.0 / x == lb:
                 assert expect[-1] == k
     got = select_m_array(np.ones(len(sums), dtype=np.int64), np.array(sums))
-    assert got.tolist() == expect
+    assert got.tolist() == expect == [select_m(1, x) for x in sums]
     t = np.array([0, 5, 100, 1, 1], dtype=np.int64)
     s = np.array([0, 0, 1, 10**15, SAT], dtype=np.int64)
-    assert select_m_array(t, s, 16).tolist() == [select_m(a, b, 16) for a, b in zip(t, s)]
+    assert select_m_array(t, s, 16).tolist() == [table_m(a, b, 16) for a, b in zip(t, s)]
     assert select_m_array(t, s, 16).tolist() == [1, 1, 1, 64, 64]
 
 
@@ -584,11 +586,6 @@ def ulps_around(x, ulps=2):
 # finite quotients: t * tau = 2**63 - 1 over s = 1, and the float limit
 GUESS_QUOTIENTS = [x for lb in LOG_BOUNDARIES for x in ulps_around(lb)] + [
     -math.inf, -0.0, -float(1 << 63), -sys.float_info.max]
-
-
-def m_of_quotient(x):
-    """select_m's m for the quotient x = -float(t * tau) / float(s), s > 0."""
-    return min(bisect_left(LOG_BOUNDARIES, x) + 1, MAX_M)
 
 
 def test_guess_m_is_m_or_one_less():
@@ -616,11 +613,11 @@ def test_select_m_array_on_the_guess_quotients():
     t = [1] * len(finite) + [2, 0, 7]
     s = [-1.0 / x for x in finite] + [5e-324, 3.0, 0.0]
     got = select_m_array(np.array(t), np.array(s)).tolist()
-    assert got == [select_m(a, b) for a, b in zip(t, s)]
+    assert got == [table_m(a, b) for a, b in zip(t, s)] == [select_m(a, b) for a, b in zip(t, s)]
     assert got[-3:] == [1, MAX_M, 1]
     # the most negative integer quotient, and a zero sum past t = 0
     t, s = ints([(1 << 63) - 1, 1, 5]), ints([1, 0, 0])
-    assert select_m_array(t, s).tolist() == [select_m(a, b) for a, b in zip(t, s)]
+    assert select_m_array(t, s).tolist() == [table_m(a, b) for a, b in zip(t, s)]
 
 
 @pytest.mark.parametrize("raw", [False, True])
@@ -638,7 +635,8 @@ def test_select_m_array_matches_select_m_on_seeded_sums(tau, raw):
     if raw:
         s[5::31] = 5e-324  # the quotient overflows to -inf
     got = select_m_array(t, s, tau).tolist()
-    assert got == [select_m(a, b, tau) for a, b in zip(t.tolist(), s.tolist())]
+    pairs = list(zip(t.tolist(), s.tolist()))
+    assert got == [table_m(a, b, tau) for a, b in pairs] == [select_m(a, b, tau) for a, b in pairs]
     assert set(got) == set(range(1, MAX_M + 1))
 
 
@@ -694,13 +692,13 @@ def test_m_interval_is_select_m_within_two_ulps_of_every_boundary():
         for x in ulps_around(lb):
             for t in (1, 3, 5, 7, 11, 13):
                 for s in ulps_around(-t / x, 3):
-                    assert intervals_holding(t, s) == [select_m(t, s)]
+                    assert intervals_holding(t, s) == [table_m(t, s)]
                     raw_hits += -t / s == x
             t = int(-x * 2.0 ** 60)
             int_hits += -float(t) / float(1 << 60) == x
             for s in ((1 << 60) - 1, 1 << 60, (1 << 60) + 1):
                 for tau in (1, 3):
-                    assert intervals_holding(t, s, tau) == [select_m(t, s, tau)]
+                    assert intervals_holding(t, s, tau) == [table_m(t, s, tau)]
     assert int_hits == 5 * MAX_M and raw_hits >= 5 * MAX_M
 
 
@@ -775,7 +773,7 @@ def sums_for(ms, raw):
 
 def m_trace(sums, raw):
     """The m of each symbol, from the sums after each."""
-    return [select_m(t, s) if raw else select_m(t, s, 1)
+    return [table_m(t, s) if raw else table_m(t, s, 1)
             for t, s in enumerate([0.0 if raw else 0, *sums[:-1]])]
 
 
@@ -786,13 +784,14 @@ def held_ms(runs):
 
 def reference_hold(t, s, inc, m, tau, raw):
     """hold's (sums, j, m_next) from the estimator run over every symbol:
-    select_m_array's m after each."""
-    sums, ms = _estcore.run(t, s, inc, tau, raw)
-    switch = np.flatnonzero(ms[1:] != m)
-    if not switch.size:
-        return sums.tolist(), None, None
-    j = int(switch[0])
-    return sums.tolist(), j, int(ms[j + 1])
+    table_m's m after each."""
+    sums = _estcore.running_sums(s, inc, raw).tolist()
+    scale = 1 if raw else tau  # table_m's tau
+    for j, x in enumerate(sums):
+        m_next = table_m(t + j + 1, x, scale)
+        if m_next != m:
+            return sums, j, m_next
+    return sums, None, None
 
 
 def hold_case(rng, kind, raw, tau, k):
@@ -830,14 +829,14 @@ def hold_case(rng, kind, raw, tau, k):
        tau=st.sampled_from([1, 3, 16]), k=st.integers(1, 600), cut=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_speculate_matches_the_estimator_run(raw, seed, kind, tau, k, cut):
-    # _estcore.hold's sums, first switch and next m, against select_m_array's
-    # m after every symbol of the window; cut ends the window on the
+    # _estcore.hold's sums, first switch and next m, against table_m's m
+    # after every symbol of the window; cut ends the window on the
     # symbol after which m switches
     if raw and kind == "saturating":
         kind = "any"
     rng = np.random.default_rng(seed)
     inc, s, i = hold_case(rng, kind, raw, tau, k)
-    m = select_m(i, s, 1 if raw else tau)
+    m = table_m(i, s, 1 if raw else tau)
     expect = reference_hold(i, s, inc, m, tau, raw)
     if cut and expect[1] is not None:
         inc = inc[:expect[1] + 1]
@@ -866,12 +865,12 @@ def test_speculate_on_a_log_boundary_tie(k):
     below = -(t - 1) / ((lb + 3 * LOG_BOUNDARIES[k - 2]) / 4)  # m = k, 3/4 down
     inc = np.array([0.0, tie - below, tie])
     expect = reference_hold(t - 2, below, inc, k, 1, True)
-    assert select_m(t - 2, below) == k and expect[1] == 2 and expect[2] > k
+    assert table_m(t - 2, below) == k and expect[1] == 2 and expect[2] > k
     assert _estcore.hold(t - 2, below, inc, k, 1, True)[1:] == expect[1:]
     t, tie = tied_sum(LOG_BOUNDARIES[k - 2], 100 * k)
     inc = np.zeros(3)
     expect = reference_hold(t - 2, tie, inc, k, 1, True)
-    assert select_m(t - 2, tie) == k and expect[1:] == (1, k - 1)
+    assert table_m(t - 2, tie) == k and expect[1:] == (1, k - 1)
     assert _estcore.hold(t - 2, tie, inc, k, 1, True)[1:] == expect[1:]
 
 
