@@ -5,9 +5,11 @@ guess with one compare against the table; the compiled kernels do the
 same in C.  ``table_m`` finds the same m the way the paper states the
 rule, as the smallest k with ln theta_hat <= ln b_k: a binary search
 (bisect_left) over LOG_BOUNDARIES, capped at MAX_ADAPTIVE_M, with no
-guess to get wrong.
+guess to get wrong.  ``ulps_around`` and ``tied_sum`` aim quotients
+at a boundary, or at any other float, to the last bit.
 """
 
+import math
 from bisect import bisect_left
 
 from frgc._estcore import LOG_BOUNDARIES, MAX_ADAPTIVE_M
@@ -24,3 +26,23 @@ def table_m(t: int, s, tau: int = 1) -> int:
     if s <= 0:
         return 1
     return m_of_quotient(-float(t * tau) / float(s))
+
+
+def ulps_around(x: float, ulps: int = 2) -> list[float]:
+    """x and the floats up to ulps steps below and above it."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def tied_sum(x: float, start: int = 1) -> tuple[int, float]:
+    """(t, s): a count t >= start and a raw sum s with -t / s exactly x < 0."""
+    for t in range(start, start + 5000):
+        for s in ulps_around(-t / x, 3):
+            if -t / s == x:
+                return t, s
+    raise AssertionError(x)

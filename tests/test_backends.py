@@ -43,7 +43,7 @@ from golden import (
     normalised_digest,
     steered_streams,
 )
-from mtable import table_m
+from mtable import table_m, tied_sum, ulps_around
 from steer import held_schedule, m_runs, steered_symbols
 
 BOUNDS = _estcore.LOG_BOUNDARIES
@@ -661,17 +661,6 @@ def test_saturation_and_boundary_parity(kernels):
     assert hits >= 32
 
 
-def ulps_around(x, ulps):
-    """x and the floats up to ulps steps below and above it."""
-    out = [x]
-    for toward in (-math.inf, math.inf):
-        y = x
-        for _ in range(ulps):
-            y = math.nextafter(y, toward)
-            out.append(y)
-    return out
-
-
 # Where the closed-form guess ceil(-C / lt - 1/2) steps from j to j + 1,
 # lt = -C / (j + 1/2), and two floats on each side; the ends of its clamp;
 # and -inf and -0.0, which the clamp takes to its ends
@@ -686,11 +675,7 @@ def raw_sum_for(x):
         return 2, 5e-324  # the quotient overflows
     if x == 0:
         return 1, math.inf
-    for t in range(1, 1000):
-        for s in ulps_around(-t / x, 3):
-            if -t / s == x:
-                return t, s
-    raise AssertionError(x)
+    return tied_sum(x)
 
 
 def test_every_chooser_at_the_guess_jump_points(kernels):

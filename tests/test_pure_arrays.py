@@ -32,7 +32,7 @@ from frgc._estcore import LOG_BOUNDARIES, select_m, select_m_array
 from frgc.predictor import LpcConfig
 
 from bitsink import BitSink, BitSource, code_length
-from mtable import m_of_quotient, table_m
+from mtable import m_of_quotient, table_m, tied_sum, ulps_around
 
 BLOCK = _pure.BLOCK_SYMBOLS
 SMALL_BLOCK = 1 << 11  # a shorter split, which the encoders must make exactly as well
@@ -570,17 +570,6 @@ def test_select_m_array_on_log_boundary_ties_and_extremes():
     assert select_m_array(t, s, 16).tolist() == [1, 1, 1, 64, 64]
 
 
-def ulps_around(x, ulps=2):
-    """x and the floats up to ulps steps below and above it."""
-    out = [x]
-    for toward in (-math.inf, math.inf):
-        y = x
-        for _ in range(ulps):
-            y = math.nextafter(y, toward)
-            out.append(y)
-    return out
-
-
 # every boundary and the two floats on each side of it, then -inf (a raw
 # sum that overflows the quotient), -0.0 (t = 0) and the most negative
 # finite quotients: t * tau = 2**63 - 1 over s = 1, and the float limit
@@ -844,15 +833,6 @@ def test_speculate_matches_the_estimator_run(raw, seed, kind, tau, k, cut):
     got = _estcore.hold(i, s, inc, m, tau, raw)
     assert (got[0].tolist(), *got[1:]) == expect
     assert got[1] is None or type(got[2]) is int
-
-
-def tied_sum(lb, start):
-    """(t, s): a count t >= start and a raw sum s with -t / s exactly lb."""
-    for t in range(start, start + 5000):
-        for s in ulps_around(-t / lb, 3):
-            if -t / s == lb:
-                return t, s
-    raise AssertionError(lb)
 
 
 @pytest.mark.parametrize("k", range(2, MAX_M))
