@@ -27,6 +27,7 @@ encoder and the codec's trace call it.  hold steps it over a window that
 a decoder parsed under one m, and tests the window's sums against m's
 interval: the one array form of that test.
 """
+
 from __future__ import annotations
 
 import math

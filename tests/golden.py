@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from frgc import _backend, _pure
+from frgc import _backend
 from frgc._estcore import MAX_ADAPTIVE_M
 from frgc.codec import MODE_ADAPTIVE, MODE_FIXED, MODE_RICE, StreamHeader, encode_stream
 from frgc.predictor import LpcConfig
@@ -58,12 +58,13 @@ LONG_HEADERS = ("fixed m=13 3/16", "adaptive-int 1/4")
 
 # The steered pool: each adaptive estimator (tau, raw) steered up to each
 # top m, holding every m for a number of symbols drawn from STEER_HOLD,
-# all longer than the pure decoder's cold start.  The streams that reach
+# all longer than the pure decoder's cold start (_pure.SETTLE_SYMBOLS = 64
+# when the pool was recorded; the inputs stay fixed).  The streams that reach
 # MAX_ADAPTIVE_M end in PAST_CAP symbols of magnitude PAST_CAP_SIZE, which
 # take ln theta_hat past the last boundary, where the cap holds m at 64.
 STEERED = {"int 1/1": (1, False), "int 1/16": (16, False), "raw 1/1": (1, True)}
 STEERED_TOPS = (16, MAX_ADAPTIVE_M)
-STEER_HOLD = (_pure.SETTLE_SYMBOLS + 1, 2 * _pure.SETTLE_SYMBOLS)
+STEER_HOLD = (65, 128)
 PAST_CAP, PAST_CAP_SIZE = 300, 400
 
 

@@ -251,14 +251,10 @@ def test_streams_match_their_golden_digests(kernels, monkeypatch):
     # the pinned streams of every mode but lpc, and the steered adaptive
     # ones (tests/golden.py): each backend writes every stream's recorded
     # bytes and decodes it back
-    want = json.loads(EXTERNAL_GOLDEN.read_text())
-    pool = external_streams()
+    want = json.loads(EXTERNAL_GOLDEN.read_text()) | json.loads(STEERED_GOLDEN.read_text())
+    pool = external_streams() | {name: (xs, None, header)
+                                 for name, (xs, _, header) in steered_streams().items()}
     assert sorted(want) == sorted(pool)
-    steered = steered_streams()
-    want_steered = json.loads(STEERED_GOLDEN.read_text())
-    assert sorted(want_steered) == sorted(steered)
-    want.update(want_steered)
-    pool.update({name: (xs, None, header) for name, (xs, _, header) in steered.items()})
     for module in (_pure, kernels):
         use_backend(monkeypatch, module)
         for name, (xs, pred, header) in pool.items():
