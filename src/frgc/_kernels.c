@@ -17,6 +17,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 
 #define N_BOUNDS 64  /* entries of the m table, so the largest adaptive m */
 
@@ -339,6 +340,11 @@ static PyObject *adaptive_encode(PyObject *Py_UNUSED(self), PyObject *args)
             || values_in(&inc, n, "increments") < 0
             || in_range("tau", tau_arg, tau_max, &e.tau) < 0)
         goto done;
+    for (i = 0; raw && i < n; i++)  /* a NaN sum would hold no m both backends agree on */
+        if (!isfinite(item_at(&inc, i).d)) {
+            PyErr_SetString(PyExc_ValueError, "raw increments must be finite");
+            goto done;
+        }
     for (i = 0; i < n; i++) {
         if ((m = est_m(&e)) != code.m)
             code_set(&code, m);
@@ -376,6 +382,11 @@ static PyObject *adaptive_decode(PyObject *Py_UNUSED(self), PyObject *args)
     for (i = 0; i < count; i++)  /* every numerator before any codeword: unfold needs them */
         if ((n = item_at(&pred_n, i).i) <= -VALUE_LIMIT || n >= VALUE_LIMIT) {
             PyErr_SetString(PyExc_ValueError, "prediction numerator out of range");
+            goto done;
+        }
+    for (i = 0; raw && i < count; i++)
+        if (!isfinite(item_at(&pred_x, i).d)) {
+            PyErr_SetString(PyExc_ValueError, "predictions must be finite");
             goto done;
         }
     for (i = 0; i < count; i++) {

@@ -19,10 +19,11 @@ buffer that is not C-contiguous, not whole values, or shorter than
 TypeError.  The decoders fill and return a bytearray of ``count`` int64
 values.  ``ms`` are the mapped residuals (non-negative); ``increments``
 the estimator's per-symbol |residual numerator| (int64) or, when
-``raw``, |x - xhat| (float64), non-negative; ``pred_n`` the rounded
-prediction numerators, below 2**62 in magnitude (adaptive_decode raises
-ValueError if one of the first ``count`` is not, before it reads a
-codeword); ``pred_x`` the predictions, read only when ``raw``.  ``count``
+``raw``, |x - xhat| (float64), non-negative and finite; ``pred_n`` the
+rounded prediction numerators, below 2**62 in magnitude; ``pred_x`` the
+predictions, read only when ``raw``, finite.  A raw increment, numerator
+or prediction outside these raises ValueError before any codeword is
+written or read (the first ``count`` on decode).  ``count``
 is a Py_ssize_t and ``lo``, ``hi`` are int64: other values raise
 OverflowError before any other check.  The adaptive m is
 ``_estcore.select_m``: the closed-form guess and one compare against
@@ -248,6 +249,8 @@ def adaptive_encode(ms, increments, raw, tau):
     n = ms.size
     increments = _values(increments, np.float64 if raw else np.int64, n, "increments")
     _in_range("tau", tau, TAU_MAX)
+    if raw and not np.isfinite(increments[:n]).all():  # a NaN sum would hold no agreed m
+        raise ValueError("raw increments must be finite")
     packer = _Packer()
     s = 0  # the sum over the symbols before the block
     for lo in range(0, n, BLOCK_SYMBOLS):
@@ -556,6 +559,8 @@ def adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     head = n_values[:count]  # every numerator before any codeword: unmap_array needs them
     if head.size and not -_NUMERATOR_LIMIT < head.min() <= head.max() < _NUMERATOR_LIMIT:
         raise ValueError("prediction numerator out of range")
+    if raw and not np.isfinite(x_values[:count]).all():
+        raise ValueError("predictions must be finite")
     # memoryviews index to Python ints and floats, as the loop needs
     pred_n, pred_x = memoryview(n_values), memoryview(x_values)
     data = np.frombuffer(payload, np.uint8)

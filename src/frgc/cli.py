@@ -83,8 +83,9 @@ def _write_file(path: str, data) -> None:
 
 
 def _bits_per_symbol(data: bytes, count: int) -> str:
-    """The payload's bits per symbol, as the summary lines print it."""
-    bits = 8 * (len(data) - codec.read_header(data)[1])
+    """The payload's bits per symbol, as the summary lines print it: the
+    header and the CRC are left out."""
+    bits = 8 * len(codec.read_container(data)[1])
     return f"{bits / count if count else 0.0:.3f} bits/symbol"
 
 

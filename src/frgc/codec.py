@@ -1,9 +1,14 @@
 """Stream encoder/decoder with fixed, adaptive, and rice modes.
 
-A stream is [header][bit payload][flush padding].  The header carries
-everything the decoder needs except external predictions, which both
-sides must supply out of band; in lpc mode predictions are recomputed
-from decoded history instead.
+A stream is [header][payload][CRC]: write_container writes it and
+read_container reads it.  The header carries everything the decoder
+needs except external predictions, which both sides must supply out of
+band; in lpc mode predictions are recomputed from decoded history
+instead.  It is the magic, the version, one kind byte (the mode code and
+three flags) and LEB128 varints, each only where the kind uses it, with
+the symbol count and the payload's byte length last.  The payload is the
+Golomb codewords, padded with zero bits to a byte boundary; the CRC is
+zlib's CRC-32 over the header and the payload, little-endian.
 
 Adaptive mode picks the Golomb parameter for symbol t from the scale
 estimate after symbol t-1 (cold start: m=1), so the decoder mirrors the
@@ -17,8 +22,9 @@ ln theta with a table of log-boundaries, found from a closed-form guess
 
 from __future__ import annotations
 
+import functools
 import math
-import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +42,7 @@ from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN, Precision
 
 MAGIC = b"FRGC"
-VERSION = 3
+VERSION = 4
 
 MODE_FIXED = "fixed"
 MODE_ADAPTIVE = "adaptive"
@@ -45,12 +51,28 @@ MODE_RICE = "rice"
 _MODE_CODES = {MODE_FIXED: 0, MODE_ADAPTIVE: 1, MODE_RICE: 2}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 
-_FLAG_RAW_ESTIMATOR = 0x01
+# The kind byte after the version: the mode code in bits 0-1, then flags
+# for the raw estimator, an lpc predictor and a written alphabet_q.
+_KIND_MODE = 0x03
+_KIND_RAW_ESTIMATOR = 0x04
+_KIND_LPC = 0x08
+_KIND_ALPHABET = 0x10
 
-# magic, version, mode, flags, rho, tau, m, alphabet_q, count,
-# pred_kind, lpc order, lpc window, lpc refit interval
-_HEADER = struct.Struct("<4sBBBHHHIQBBHH")
-HEADER_SIZE = _HEADER.size
+_COUNT_MAX = 0xFFFFFFFFFFFFFFFF
+_CRC_BYTES = 4
+
+
+def _field(name: str, top: int) -> tuple[str, int, int]:
+    """A varint field: its name, its largest value, and the most bytes it
+    takes, 7 value bits a byte."""
+    return name, top, -(-top.bit_length() // 7)
+
+
+_RHO, _TAU, _M = _field("rho", TAU_MAX), _field("tau", TAU_MAX), _field("m", M_MAX)
+_ALPHABET = _field("alphabet_q", 0xFFFFFFFF)
+_ORDER, _WINDOW, _REFIT = (_field(name, top) for name, top in zip(
+    ("lpc order", "lpc window", "lpc refit interval"), LpcConfig.LIMITS))
+_COUNT, _LENGTH = _field("count", _COUNT_MAX), _field("payload length", _COUNT_MAX)
 
 
 class HeaderError(ValueError):
@@ -58,7 +80,8 @@ class HeaderError(ValueError):
 
 
 class TruncatedStreamError(HeaderError, CorruptStreamError):
-    """The header's count needs more payload bits than the stream holds.
+    """The stream is shorter than its header says, or the header's count
+    needs more payload bits than its payload length gives.
 
     Both a bad header and a short payload look like this, so it is both.
     """
@@ -100,65 +123,173 @@ class StreamHeader:
             raise HeaderError(f"fixed mode needs m in [1, {M_MAX}], got {self.m}")
         if not 0 <= self.alphabet_q <= 0xFFFFFFFF:
             raise HeaderError(f"alphabet_q out of range: {self.alphabet_q}")
-        if not 0 <= self.count <= 0xFFFFFFFFFFFFFFFF:
+        if not 0 <= self.count <= _COUNT_MAX:
             raise HeaderError(f"count out of range: {self.count}")
         if self.raw_error_estimator and self.mode != MODE_ADAPTIVE:
             raise HeaderError("raw estimator flag only applies to adaptive mode")
 
-    def pack(self, count: int | None = None) -> bytes:
-        """The header's bytes; count, if given, is written in place of
-        the header's own (encode_stream writes the symbols' count) and
-        checked as validate checks the header's."""
-        flags = _FLAG_RAW_ESTIMATOR if self.raw_error_estimator else 0
-        if self.lpc is None:
-            pred_kind, order, window, refit = 0, 0, 0, 0
+    @functools.cached_property
+    def _prefix(self) -> bytes:
+        """The header's bytes before its count, which no count changes:
+        write_container builds them once per header."""
+        kind = _MODE_CODES[self.mode]
+        fields = [self.rho, self.tau]
+        if self.mode != MODE_ADAPTIVE:
+            fields.append(self.m)
+        if self.raw_error_estimator:
+            kind |= _KIND_RAW_ESTIMATOR
+        if self.alphabet_q:
+            kind |= _KIND_ALPHABET
+            fields.append(self.alphabet_q)
+        if self.lpc is not None:
+            kind |= _KIND_LPC
+            fields += (self.lpc.order, self.lpc.window, self.lpc.refit_interval)
+        return MAGIC + bytes((VERSION, kind)) + b"".join(map(_varint, fields))
+
+
+def _varint(value: int) -> bytes:
+    """value >= 0 in unsigned LEB128: 7 bits a byte, the lowest first, and
+    the top bit set on every byte but the last."""
+    if value < 0x80:
+        return _ONE_BYTE[value]
+    out = bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+_ONE_BYTE = [bytes((value,)) for value in range(0x80)]
+
+
+def _read_varint(data: bytes, pos: int, field: tuple[str, int, int]) -> tuple[int, int]:
+    """(value, position after it) of field's varint at pos.  A varint that
+    runs past the field's bytes or past the data, that ends in a zero byte
+    after its first (an overlong form), or whose value passes the field's
+    bound raises HeaderError."""
+    name, top, size = field
+    value = shift = 0
+    for pos in range(pos, pos + size):
+        try:
+            byte = data[pos]
+        except IndexError:
+            raise HeaderError(f"truncated header: {len(data)} bytes end inside "
+                              f"the {name}") from None
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if byte == 0 and shift:
+                raise HeaderError(f"overlong varint for the {name}")
+            if value > top:
+                raise HeaderError(f"{name} out of range: {value}")
+            return value, pos + 1
+        shift += 7
+    raise HeaderError(f"the {name} runs past its {size} bytes")
+
+
+def _kind_fields(kind: int) -> tuple:
+    """The varint fields a header of this kind byte holds, in order."""
+    fields = [_RHO, _TAU]
+    if kind & _KIND_MODE != _MODE_CODES[MODE_ADAPTIVE]:
+        fields.append(_M)
+    if kind & _KIND_ALPHABET:
+        fields.append(_ALPHABET)
+    if kind & _KIND_LPC:
+        fields += (_ORDER, _WINDOW, _REFIT)
+    return (*fields, _COUNT, _LENGTH)
+
+
+# every kind byte with a mode code: the others raise HeaderError
+_KINDS = {kind: _kind_fields(kind) for kind in range(_KIND_ALPHABET << 1)
+          if kind & _KIND_MODE in _MODE_NAMES}
+
+
+@functools.lru_cache(maxsize=1024)
+def _header(kind: int, values: tuple) -> StreamHeader:
+    """The header of a kind byte and its fields' values but the payload
+    length; frozen, so one is shared by every stream that has it."""
+    mode = _MODE_NAMES[kind & _KIND_MODE]
+    rho, tau, *rest, count = values
+    m = 0 if mode == MODE_ADAPTIVE else rest.pop(0)
+    alphabet_q = 0
+    if kind & _KIND_ALPHABET:
+        alphabet_q = rest.pop(0)
+        if not alphabet_q:  # write_container clears the flag instead
+            raise HeaderError("alphabet_q flagged but 0")
+    lpc = None
+    if rest:
+        try:
+            lpc = LpcConfig(*rest)
+        except ValueError as exc:
+            raise HeaderError(str(exc)) from exc
+    return StreamHeader(mode=mode, rho=rho, tau=tau, m=m, alphabet_q=alphabet_q,
+                        count=count, lpc=lpc,
+                        raw_error_estimator=bool(kind & _KIND_RAW_ESTIMATOR))
+
+
+def write_container(header: StreamHeader, payload: bytes, count: int | None = None) -> bytes:
+    """The stream [header][payload][CRC] of header and payload.
+
+    count, if given, is written in place of the header's own (encode_stream
+    writes the symbols' count) and checked as validate checks the
+    header's.  The header's bytes before the count are built once per
+    header (StreamHeader._prefix), and the CRC-32 runs over the header's
+    bytes and then the payload's, so neither is copied but into the result.
+    """
+    if count is None:
+        count = header.count
+    elif not 0 <= count <= _COUNT_MAX:
+        raise HeaderError(f"count out of range: {count}")
+    head = header._prefix + _varint(count) + _varint(len(payload))
+    crc = zlib.crc32(payload, zlib.crc32(head))
+    return b"".join((head, payload, crc.to_bytes(_CRC_BYTES, "little")))
+
+
+def read_container(data: bytes) -> tuple[StreamHeader, memoryview]:
+    """The header of the stream data and a view of its payload.
+
+    The checks run in order: the magic and the version, then the header's
+    fields (a count over the payload's bits raises TruncatedStreamError),
+    then the payload length against the bytes present
+    (TruncatedStreamError), then the CRC (CorruptStreamError), so no
+    codeword is read from a stream that fails any of them.  Bytes after
+    the CRC are ignored.
+    """
+    if data[:4] != MAGIC:
+        raise HeaderError(f"bad magic {bytes(data[:4])!r}")
+    if len(data) < 6:
+        raise HeaderError(f"truncated header: {len(data)} bytes end before its kind byte")
+    if data[4] != VERSION:
+        raise HeaderError(f"unsupported version {data[4]}")
+    kind = data[5]
+    fields = _KINDS.get(kind)
+    if fields is None:
+        if kind & _KIND_MODE in _MODE_NAMES:
+            raise HeaderError(f"unknown kind bits 0x{kind:02x}")
+        raise HeaderError(f"unknown mode code {kind & _KIND_MODE}")
+    values = []
+    pos, size = 6, len(data)
+    for field in fields:
+        if pos < size and data[pos] < 0x80:  # one byte, within every field's bound
+            values.append(data[pos])
+            pos += 1
         else:
-            pred_kind = 1
-            order = self.lpc.order
-            window = self.lpc.window
-            refit = self.lpc.refit_interval
-        if count is None:
-            count = self.count
-        elif not 0 <= count <= 0xFFFFFFFFFFFFFFFF:
-            raise HeaderError(f"count out of range: {count}")
-        return _HEADER.pack(MAGIC, VERSION, _MODE_CODES[self.mode], flags,
-                            self.rho, self.tau, self.m, self.alphabet_q,
-                            count, pred_kind, order, window, refit)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "StreamHeader":
-        if len(data) < HEADER_SIZE:
-            raise HeaderError(f"truncated header: {len(data)} < {HEADER_SIZE} bytes")
-        (magic, version, mode_code, flags, rho, tau, m, alphabet_q, count,
-         pred_kind, order, window, refit) = _HEADER.unpack(data[:HEADER_SIZE])
-        if magic != MAGIC:
-            raise HeaderError(f"bad magic {magic!r}")
-        if version != VERSION:
-            raise HeaderError(f"unsupported version {version}")
-        if mode_code not in _MODE_NAMES:
-            raise HeaderError(f"unknown mode code {mode_code}")
-        if flags & ~_FLAG_RAW_ESTIMATOR:
-            raise HeaderError(f"unknown flag bits 0x{flags:02x}")
-        if pred_kind == 0:
-            if order or window or refit:  # pack writes zeros there
-                raise HeaderError("predictor fields set with no predictor: "
-                                  f"order {order}, window {window}, refit {refit}")
-            lpc = None
-        elif pred_kind == 1:
-            try:
-                lpc = LpcConfig(order, window, refit)
-            except ValueError as exc:
-                raise HeaderError(str(exc)) from exc
-        else:
-            raise HeaderError(f"unknown predictor kind {pred_kind}")
-        return cls(mode=_MODE_NAMES[mode_code], rho=rho, tau=tau, m=m,
-                   alphabet_q=alphabet_q, count=count, lpc=lpc,
-                   raw_error_estimator=bool(flags & _FLAG_RAW_ESTIMATOR))
-
-
-def read_header(data: bytes) -> tuple[StreamHeader, int]:
-    """Parse the header; returns it with the payload offset."""
-    return StreamHeader.unpack(data), HEADER_SIZE
+            value, pos = _read_varint(data, pos, field)
+            values.append(value)
+    length = values.pop()
+    header = _header(kind, tuple(values))
+    count = header.count
+    if count > 8 * length:  # every codeword is at least one bit
+        raise TruncatedStreamError(f"count {count} exceeds the {8 * length} payload bits")
+    end = pos + length
+    if len(data) < end + _CRC_BYTES:
+        raise TruncatedStreamError(
+            f"a {length}-byte payload and its CRC need {end + _CRC_BYTES} bytes, "
+            f"the stream holds {len(data)}")
+    view = memoryview(data)
+    if zlib.crc32(view[:end]) != int.from_bytes(data[end:end + _CRC_BYTES], "little"):
+        raise CorruptStreamError("CRC-32 mismatch: the stream is corrupt")
+    return header, view[pos:end]
 
 
 def decode_symbol(g: GolombParam, reader: _pure.CodewordReader,
@@ -305,7 +436,7 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     raises ValueError.
 
     The header was validated when it was built, and its count is written
-    as the symbols' (StreamHeader.pack), so no header is built here.  The
+    as the symbols' (write_container), so no header is built here.  The
     symbols' extremes (from the range check) and the numerators' largest
     magnitude (from the rounding) bound the mapping, which forms each
     residual numerator tau*x - n once: the mapped values and the integer
@@ -342,7 +473,7 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     else:
         payload, _ = _backend.golomb_encode(mapped, header.m)
 
-    data = header.pack(n) + payload
+    data = write_container(header, payload, n)
     if collect_trace:
         return data, trace
     return data
@@ -465,7 +596,8 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     data is any buffer (a str or a list raises TypeError), read as bytes,
     whatever its items: the header and the payload both come from data
     itself when it is bytes, and from one copy of any other buffer, so
-    no view of the caller's buffer is kept.  The predictions are rounded
+    no view of the caller's buffer is kept.  read_container checks the
+    header, the payload length and the CRC first.  The predictions are rounded
     _pure.BLOCK_SYMBOLS at a time, all of them before any codeword is
     read, so a bad prediction raises before any payload error.  A
     fixed-m stream's codewords are then unmapped and range-checked a
@@ -474,12 +606,8 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     """
     # a view of a bytearray would keep it from being resized
     stream = data if isinstance(data, bytes) else memoryview(data).tobytes()
-    header, offset = read_header(stream)
-    payload = memoryview(stream)[offset:]
+    header, payload = read_container(stream)
     n = header.count
-    if n > 8 * len(payload):  # every codeword is at least one bit
-        raise TruncatedStreamError(
-            f"count {n} exceeds the {8 * len(payload)} payload bits")
 
     if header.lpc is not None:
         if predictions is not None:

@@ -52,14 +52,16 @@ class LpcConfig:
     window: int
     refit_interval: int
 
+    # the largest order, window and refit interval, format constants that
+    # bound the stream header's fields
+    LIMITS = (255, 65535, 65535)
+
     def __post_init__(self) -> None:
-        if not 1 <= self.order <= 255:
-            raise ValueError(f"order must be in [1, 255], got {self.order}")
-        if not 1 <= self.window <= 65535:
-            raise ValueError(f"window must be in [1, 65535], got {self.window}")
-        if not 1 <= self.refit_interval <= 65535:
-            raise ValueError(
-                f"refit interval must be in [1, 65535], got {self.refit_interval}")
+        names = ("order", "window", "refit interval")
+        for name, value, top in zip(names, (self.order, self.window, self.refit_interval),
+                                    self.LIMITS):
+            if not 1 <= value <= top:
+                raise ValueError(f"{name} must be in [1, {top}], got {value}")
 
     @property
     def warmup(self) -> int:
