@@ -158,7 +158,8 @@ def select_m_array(t: np.ndarray, s: np.ndarray, tau: int = 1) -> np.ndarray:
 def running_sums(before, inc: np.ndarray, raw: bool) -> np.ndarray:
     """The estimator sum after each symbol, continuing from ``before``.
 
-    A float cumsum adds in order, as the scalar loops do.  The integer
+    A float cumsum adds in order, as the scalar loops do, and overflows
+    to +inf as they do, with no warning: finite raw increments can.  The integer
     sum saturates: before < 2**62 and each increment < 2**63, so the
     uint64 cumsum is exact up to its first entry >= EST_SATURATION, and
     every entry from there on is EST_SATURATION.  When even the largest
@@ -166,7 +167,8 @@ def running_sums(before, inc: np.ndarray, raw: bool) -> np.ndarray:
     sum.
     """
     if raw:
-        return np.cumsum(np.concatenate(([before], inc)))[1:]
+        with np.errstate(over="ignore"):
+            return np.cumsum(np.concatenate(([before], inc)))[1:]
     if not inc.size or before + int(inc.max()) * inc.size < EST_SATURATION:
         sums = np.cumsum(inc)
         sums += before

@@ -152,6 +152,8 @@ def _varint(value: int) -> bytes:
     the top bit set on every byte but the last."""
     if value < 0x80:
         return _ONE_BYTE[value]
+    if value < 0x4000:  # a frame's count or length
+        return bytes((value & 0x7F | 0x80, value >> 7))
     out = bytearray()
     while value > 0x7F:
         out.append(value & 0x7F | 0x80)
@@ -234,7 +236,7 @@ def write_container(header: StreamHeader, payload: bytes, count: int | None = No
     writes the symbols' count) and checked as validate checks the
     header's.  The header's bytes before the count are built once per
     header (StreamHeader._prefix), and the CRC-32 runs over the header's
-    bytes and then the payload's, so neither is copied but into the result.
+    bytes and then the payload's, so neither is copied to compute it.
     """
     if count is None:
         count = header.count
@@ -242,7 +244,7 @@ def write_container(header: StreamHeader, payload: bytes, count: int | None = No
         raise HeaderError(f"count out of range: {count}")
     head = header._prefix + _varint(count) + _varint(len(payload))
     crc = zlib.crc32(payload, zlib.crc32(head))
-    return b"".join((head, payload, crc.to_bytes(_CRC_BYTES, "little")))
+    return head + payload + crc.to_bytes(_CRC_BYTES, "little")
 
 
 def read_container(data: bytes) -> tuple[StreamHeader, memoryview]:

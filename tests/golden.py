@@ -1,7 +1,8 @@
 """The golden streams: seeded pools whose bytes tier-1 pins by digest.
 
-A digest is the SHA-256 of a stream with its version byte set to 0
-(normalised_digest), so a version bump alone moves none.  There are three
+A digest is the SHA-256 of a stream with its version byte set to 0 and
+its CRC-32, which covers that byte, left out (normalised_digest), so a
+version bump alone moves none; decoding a stream checks its CRC.  There are three
 pools: backward-LPC streams (lpc_streams, pinned since format 2 in
 LPC_GOLDEN), streams of every other mode against external predictions
 (external_streams, in EXTERNAL_GOLDEN), and adaptive streams whose
@@ -69,7 +70,7 @@ PAST_CAP, PAST_CAP_SIZE = 300, 400
 
 
 def normalised_digest(data: bytes) -> str:
-    data = bytearray(data)
+    data = bytearray(data[:-4])
     data[4] = 0
     return hashlib.sha256(bytes(data)).hexdigest()
 

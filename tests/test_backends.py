@@ -26,7 +26,6 @@ from frgc.bitcoder import (
     GolombParam,
 )
 from frgc.codec import (
-    HEADER_SIZE,
     HeaderError,
     StreamHeader,
     decode_stream,
@@ -36,6 +35,7 @@ from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
 from bitsink import BitSink
+from container import leb128, payload_of, payload_span, reseal
 from golden import (
     EXTERNAL_GOLDEN,
     STEERED_GOLDEN,
@@ -213,16 +213,23 @@ def mutation_stream(mode):
 MUTATION_STREAMS = {mode: mutation_stream(mode) for mode in STREAM_HEADERS}
 
 
-def mutations(data):
-    """1-3 payload bit flips, or a new value for one of header bytes 0-25.
+def mutations(data, header):
+    """1-3 payload bit flips, or a new value for one header byte.
 
-    Bytes 26-30, the lpc order, window and refit interval, are left alone:
-    a large order or window, or a short refit interval, makes an lpc
-    decode's time unbounded by the stream's length (ROADMAP item 12)."""
-    nbits = 8 * (len(data) - HEADER_SIZE)
+    The lpc order, window and refit interval, the fields before the count
+    and the payload length, are left alone: a large order or window, or a
+    short refit interval, makes an lpc decode's time unbounded by the
+    stream's length (ROADMAP item 12)."""
+    start, end = payload_span(data)
+    nbits = 8 * (end - start)
+    lpc_end = start - len(leb128(end - start)) - len(leb128(header.count))
+    lpc = header.lpc
+    lpc_bytes = sum(len(leb128(v)) for v in (lpc.order, lpc.window, lpc.refit_interval)) \
+        if lpc else 0
+    offsets = [i for i in range(start) if not lpc_end - lpc_bytes <= i < lpc_end]
     flips = st.lists(st.integers(0, nbits - 1), min_size=1, max_size=3, unique=True).map(
-        lambda bits: [(HEADER_SIZE + bit // 8, 0x80 >> bit % 8) for bit in bits])
-    header_byte = st.tuples(st.integers(0, 25), st.integers(1, 255)).map(lambda f: [f])
+        lambda bits: [(start + bit // 8, 0x80 >> bit % 8) for bit in bits])
+    header_byte = st.tuples(st.sampled_from(offsets), st.integers(1, 255)).map(lambda f: [f])
     return st.one_of(flips, header_byte)
 
 
@@ -231,17 +238,19 @@ def mutations(data):
 @settings(max_examples=300, deadline=None)
 def test_mutated_streams_decode_alike_on_both_backends(mode, edit, kernels):
     # the same symbols, or the same HeaderError or CorruptStreamError
-    # with the same message, from either backend
+    # with the same message, from either backend; the mutated stream is
+    # resealed, so that the decoders' own checks see it
     data, preds = MUTATION_STREAMS[mode]
     mutated = bytearray(data)
-    for i, bits in edit.draw(mutations(data)):
+    for i, bits in edit.draw(mutations(data, replace(STREAM_HEADERS[mode], count=400))):
         mutated[i] ^= bits
+    mutated = reseal(bytes(mutated))
     outcomes = []
     for module in (_pure, kernels):
         with pytest.MonkeyPatch.context() as patch:
             use_backend(patch, module)
             try:
-                outcomes.append(("ok", decode_stream(bytes(mutated), preds)))
+                outcomes.append(("ok", decode_stream(mutated, preds)))
             except (HeaderError, CorruptStreamError) as exc:
                 outcomes.append(("raised", type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
@@ -438,7 +447,8 @@ def test_adaptive_decode_range_check_parity(bad, kernels, monkeypatch):
     # through decode_stream: a header whose alphabet leaves that symbol out
     header = StreamHeader(mode="adaptive", rho=1, tau=16)
     data = encode_stream(xs, header, predictions=pred_x)
-    narrow = replace(header, count=300, alphabet_q=1000).pack() + data[codec.HEADER_SIZE:]
+    narrow = codec.write_container(replace(header, count=300, alphabet_q=1000),
+                                   payload_of(data))
     for backend in (_pure, kernels):
         use_backend(monkeypatch, backend)
         assert decode_stream(data, predictions=pred_x) == xs.tolist()
@@ -670,7 +680,7 @@ def raw_sum_for(x):
     if x == -math.inf:
         return 2, 5e-324  # the quotient overflows
     if x == 0:
-        return 1, math.inf
+        return 2, math.inf  # two of the largest finite increments overflow it
     return tied_sum(x)
 
 
@@ -680,7 +690,9 @@ def test_every_chooser_at_the_guess_jump_points(kernels):
     # sum s after t symbols.  The symbols before carry no increment, so
     # m is 1 until symbol t, whose value k codes under the m that (t, s)
     # gives; the encoders must write the payload of table_m's m and the
-    # decoders read it back
+    # decoders read it back.  A raw increment is finite, so an infinite s
+    # is the sum of two of the largest, and the symbol between them codes
+    # under the m of the first alone
     pairs = [raw_sum_for(x) for x in JUMP_QUOTIENTS]
     expect = [table_m(t, s) for t, s in pairs]
     assert [select_m(t, s) for t, s in pairs] == expect
@@ -689,9 +701,17 @@ def test_every_chooser_at_the_guess_jump_points(kernels):
     assert set(expect) == set(range(1, _estcore.MAX_ADAPTIVE_M + 1))
     for (t, s), k in zip(pairs, expect):
         inc = np.zeros(t + 1)
-        inc[t - 1] = s
+        if math.isinf(s):
+            inc[t - 2:t] = sys.float_info.max
+        else:
+            inc[t - 1] = s
+        before = [0.0]
+        for v in inc[:-1].tolist():
+            before.append(before[-1] + v)
+        ms = [table_m(i, b) for i, b in enumerate(before)]
+        assert ms[-1] == k and before[-1] == s
         values = [0] * t + [k]
-        payload, _ = want = coded(values, [1] * t + [k])
+        payload, _ = want = coded(values, ms)
         for backend in (_pure, kernels):
             assert backend.adaptive_encode(ints(values), inc, True, 1) == want, (t, s)
             out = backend.adaptive_decode(payload, t + 1, ints([0] * (t + 1)), -inc, 1,

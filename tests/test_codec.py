@@ -1,8 +1,8 @@
 """Container format, online estimator, and stream round-trips."""
 
 import math
-import struct
 import warnings
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +14,6 @@ from frgc import _estcore, analysis, bitcoder, codec, harness, predictor, qmap
 from frgc._pure import CodewordReader
 from frgc.bitcoder import CorruptStreamError, GolombParam
 from frgc.codec import (
-    HEADER_SIZE,
     MODE_ADAPTIVE,
     MODE_FIXED,
     MODE_RICE,
@@ -23,16 +22,14 @@ from frgc.codec import (
     decode_stream,
     decode_symbol,
     encode_stream,
-    read_header,
+    read_container,
+    write_container,
 )
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN, Precision, round_prediction
 
 from bitsink import BitSink, code_length
-
-
-def payload_of(data: bytes) -> bytes:
-    return data[HEADER_SIZE:]
+from container import CRC_BYTES, leb128, payload_of, payload_span, reseal, with_payload
 
 
 def bits_of(data: bytes, nbits: int) -> str:
@@ -42,8 +39,31 @@ def bits_of(data: bytes, nbits: int) -> str:
 # --- header -----------------------------------------------------------------
 
 def test_header_size():
+    # magic, version, kind, then one byte each for rho, tau, m, count and
+    # length; the CRC-32 follows the payload
     h = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2)
-    assert len(h.pack()) == HEADER_SIZE == 31
+    data = write_container(h, b"\xab\xcd", 9)
+    head = b"FRGC" + bytes((4, 0, 1, 4, 2, 9, 2))
+    crc = zlib.crc32(head + b"\xab\xcd").to_bytes(CRC_BYTES, "little")
+    assert data == head + b"\xab\xcd" + crc
+    assert len(write_container(h, b"")) == 11 + CRC_BYTES
+    # adaptive mode writes no m
+    assert len(write_container(StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16), b"")) == 14
+    # every flag: kind 1 | raw 4 | lpc 8 | alphabet 16, and two-byte varints
+    h = StreamHeader(mode=MODE_ADAPTIVE, rho=3, tau=200, alphabet_q=300,
+                     lpc=LpcConfig(2, 200, 16), raw_error_estimator=True)
+    assert write_container(h, b"\x00", 5)[:-CRC_BYTES] == (
+        b"FRGC" + bytes((4, 0x1D, 3, 0xC8, 0x01, 0xAC, 0x02, 2, 0xC8, 0x01, 16, 5, 1, 0)))
+    # each field at its bound takes the most bytes its range needs: 3 for
+    # rho, tau and m, 5 for alphabet_q, 2, 3 and 3 for the lpc fields, 10
+    # for the count
+    top = StreamHeader(mode=MODE_FIXED, rho=0xFFFF, tau=0xFFFF, m=0xFFFF,
+                       alphabet_q=0xFFFFFFFF, count=2**64 - 1,
+                       lpc=LpcConfig(255, 65535, 65535))
+    data = write_container(top, b"")
+    assert len(data) == 6 + 3 * 3 + 5 + 2 + 3 + 3 + 10 + 1 + CRC_BYTES
+    with pytest.raises(codec.TruncatedStreamError, match="payload bits"):
+        read_container(data)
 
 
 @pytest.mark.parametrize(
@@ -55,25 +75,27 @@ def test_header_size():
         StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16, raw_error_estimator=True),
         StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=9, lpc=LpcConfig(2, 16, 16)),
         StreamHeader(
-            mode=MODE_ADAPTIVE, rho=1, tau=64, count=2**40, lpc=LpcConfig(8, 255, 32)
+            mode=MODE_ADAPTIVE, rho=1, tau=64, count=2**13, lpc=LpcConfig(8, 255, 32)
         ),
     ],
 )
 def test_header_roundtrip(header):
-    packed = header.pack()
-    back, offset = read_header(packed + b"payload follows")
-    assert offset == HEADER_SIZE
+    payload = b"payload follows".ljust(header.count // 8, b"-")
+    data = write_container(header, payload)
+    back, view = read_container(data + b"trailing bytes")
     assert back == header
+    assert bytes(view) == payload
+    assert payload_span(data) == (len(data) - CRC_BYTES - len(payload), len(data) - CRC_BYTES)
 
 
 def test_header_pack_writes_a_count_in_range():
     h = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2, count=5)
     top = 0xFFFFFFFFFFFFFFFF
     for count in (0, 9, top):
-        assert h.pack(count) == replace(h, count=count).pack()
+        assert write_container(h, b"", count) == write_container(replace(h, count=count), b"")
     for count in (-1, top + 1):
         with pytest.raises(HeaderError, match=f"count out of range: {count}"):
-            h.pack(count)
+            write_container(h, b"", count)
 
 
 def test_header_precision_property():
@@ -102,37 +124,77 @@ def test_header_validate_rejects(kwargs):
         replace(StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2), **kwargs)
 
 
+def container(*fields: bytes, kind: int = 0, payload: bytes = b"\x00") -> bytes:
+    """A stream of version 4, kind and fields written byte by byte, and payload,
+    with its CRC."""
+    return reseal(b"FRGC" + bytes((4, kind)) + b"".join(fields) + payload + bytes(CRC_BYTES))
+
+
 def test_unpack_rejects_mutations():
-    good = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2).pack()
+    # fixed mode at 1/4, m = 2, count 3, a one-byte payload: every stream
+    # below is resealed, so it is the header's checks that raise
+    one = leb128
+    good = container(one(1), one(4), one(2), one(3), one(1))
+    assert decode_stream(good) == [0, 0, 0]
+    assert good == write_container(StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2),
+                                   b"\x00", 3)
+    for cut in range(len(good)):
+        with pytest.raises(HeaderError):
+            read_container(good[:cut])
 
     def mutated(offset, value, data=good):
         buf = bytearray(data)
         buf[offset] = value
-        return bytes(buf)
+        return reseal(bytes(buf))
 
-    with pytest.raises(HeaderError):
-        read_header(good[: HEADER_SIZE - 1])  # truncated
-    with pytest.raises(HeaderError):
-        read_header(mutated(0, ord("X")))  # magic
-    with pytest.raises(HeaderError):
-        read_header(mutated(4, 99))  # version
-    with pytest.raises(HeaderError):
-        read_header(mutated(5, 9))  # unknown mode code
-    with pytest.raises(HeaderError):
-        read_header(mutated(6, 0x80))  # unknown flag bit
-    with pytest.raises(HeaderError):
-        read_header(mutated(25, 7))  # unknown predictor kind
-    # bytes 26-30 hold the lpc order, window and refit interval, which a
-    # stream with no predictor leaves zero
-    xs = [3, -1, 4, -1, 5]
-    for header in (StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2),
-                   StreamHeader(mode=MODE_ADAPTIVE, rho=3, tau=16),
-                   StreamHeader(mode=MODE_RICE, rho=1, tau=1, m=1)):
-        data = encode_stream(xs, header)
-        assert decode_stream(data) == xs
-        for offset in range(26, 31):
-            with pytest.raises(HeaderError, match="no predictor"):
-                decode_stream(mutated(offset, 7, data))
+    cases = [
+        (mutated(0, ord("X")), "bad magic"),
+        (mutated(4, 99), "unsupported version 99"),
+        (mutated(4, 3), "unsupported version 3"),
+        (mutated(5, 3), "unknown mode code 3"),
+        (mutated(5, 0x20), "unknown kind bits 0x20"),
+        (mutated(5, 0x80), "unknown kind bits 0x80"),
+        (mutated(5, 0x04), "raw estimator flag only applies to adaptive mode"),
+        (mutated(5, 0x02), "rice mode requires rho=tau=1"),
+        (mutated(6, 0), "rho/tau out of range"),
+        (mutated(6, 5), "rho must not exceed tau"),
+        (mutated(8, 0), "fixed mode needs m in"),
+        # an overlong form, a varint past its field's bytes, a value past its bound
+        (container(b"\x81\x00", one(4), one(2), one(3), one(1)), "overlong varint for the rho"),
+        (container(one(1), b"\x84\x80\x00", one(2), one(3), one(1)), "overlong varint for the tau"),
+        (container(b"\x81\x80\x80\x00", one(4), one(2), one(3), one(1)),
+         "the rho runs past its 3 bytes"),
+        (container(one(1), one(0x10000), one(2), one(3), one(1)), "tau out of range: 65536"),
+        (container(one(1), one(4), one(0x10000), one(3), one(1)), "m out of range: 65536"),
+        (container(one(1), one(4), one(2), one(2**64), one(1)), "count out of range"),
+        (container(one(1), one(4), one(2), one(3), one(2**64)), "payload length out of range"),
+        (container(one(1), one(4), one(2), one(0), one(1), kind=0x10), "alphabet_q flagged but 0"),
+        (container(one(1), one(4), one(2), one(2**32), one(3), one(1), kind=0x10),
+         "alphabet_q out of range"),
+        (container(one(1), one(4), one(2), one(0), one(4), one(4), one(3), one(1), kind=0x08),
+         "order must be in"),
+        (container(one(1), one(4), one(2), one(256), one(4), one(4), one(3), one(1), kind=0x08),
+         "lpc order out of range: 256"),
+        (container(one(1), one(4), one(2), one(2), one(65536), one(4), one(3), one(1), kind=0x08),
+         "lpc window out of range"),
+        (container(one(1), one(4), one(2), one(2), one(4), one(0), one(3), one(1), kind=0x08),
+         "refit interval must be in"),
+        # the header's count against its payload length, and that length
+        # against the bytes present
+        (container(one(1), one(4), one(2), one(9), one(1)), "count 9 exceeds the 8 payload bits"),
+        (container(one(1), one(4), one(2), one(3), one(2)), "need 17 bytes, the stream holds 16"),
+    ]
+    for data, message in cases:
+        with pytest.raises(HeaderError, match=message):
+            decode_stream(data)
+    # the CRC is checked last, and only it sees a changed payload byte
+    bad = bytearray(good)
+    bad[-1] ^= 1
+    with pytest.raises(CorruptStreamError, match="CRC-32 mismatch") as info:
+        decode_stream(bytes(bad))
+    assert not isinstance(info.value, HeaderError)
+    with pytest.raises(CorruptStreamError, match="CRC-32 mismatch"):
+        decode_stream(mutated(11, 0x80)[:-CRC_BYTES] + good[-CRC_BYTES:])
 
 
 # --- estimator --------------------------------------------------------------
@@ -212,7 +274,7 @@ def test_estimator_accumulates_abs_numerators(rs, tau):
 def test_v1_stream_rejected():
     h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16)
     data = bytearray(encode_stream([3, 1, 4], h, predictions=[0.0] * 3))
-    assert data[4] == codec.VERSION == 3
+    assert data[4] == codec.VERSION == 4
     data[4] = 1
     with pytest.raises(HeaderError, match="version"):
         decode_stream(bytes(data), predictions=[0.0] * 3)
@@ -263,7 +325,7 @@ def test_zero_stream_is_one_zero_byte():
 def test_fixed_stream_count_in_header():
     h = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2)
     data = encode_stream([1, 2, 3], h, predictions=[0.0, 0.0, 0.0])
-    back, _ = read_header(data)
+    back, _ = read_container(data)
     assert back.count == 3
 
 
@@ -283,7 +345,8 @@ def test_empty_stream_roundtrips():
         StreamHeader(mode=MODE_RICE, rho=1, tau=1, m=1),
     ):
         data = encode_stream([], h)
-        assert len(data) == HEADER_SIZE
+        assert payload_of(data) == b""
+        assert len(data) == (10 if h.mode == MODE_ADAPTIVE else 11) + CRC_BYTES
         assert decode_stream(data) == []
 
 
@@ -383,8 +446,10 @@ def test_truncated_payload_raises():
     h = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=3)
     xs = list(range(50))
     data = encode_stream(xs, h, predictions=[0.0] * 50)
-    with pytest.raises(CorruptStreamError):
-        decode_stream(data[:-3], predictions=[0.0] * 50)
+    start, end = payload_span(data)
+    for cut in (end - 3, start + 1, end + 1):  # in the payload, and in the CRC
+        with pytest.raises(CorruptStreamError, match="need .* bytes, the stream holds"):
+            decode_stream(data[:cut], predictions=[0.0] * 50)
 
 
 def test_header_count_beyond_payload_bits_raises():
@@ -392,9 +457,9 @@ def test_header_count_beyond_payload_bits_raises():
     h = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=3)
     data = encode_stream(list(range(50)), h, predictions=[0.0] * 50)
     payload = payload_of(data)
-    header = read_header(data)[0]
+    header = read_container(data)[0]
     for count in (8 * len(payload) + 1, 1 << 50):
-        bad = replace(header, count=count).pack() + payload
+        bad = write_container(replace(header, count=count), payload)
         with pytest.raises(HeaderError, match="payload bits"):
             decode_stream(bad)
 
@@ -406,13 +471,18 @@ def test_count_disagreeing_with_predictions_raises_header_error(mode, m):
     h = StreamHeader(mode=mode, rho=1, tau=4, m=m)
     preds = [0.5 * i for i in range(50)]
     data = encode_stream(list(range(50)), h, predictions=preds)
-    count_at = struct.calcsize("<4sBBBHHHI")  # the fields before the u64 count
+    # the one-byte count comes just before the payload's length, and the
+    # stream is resealed so that its CRC holds
+    start, end = payload_span(data)
+    count_at = start - len(leb128(end - start)) - 1
+    assert data[count_at] == 50
     for bit in (0, 1, 5):
         bad = bytearray(data)
         bad[count_at] ^= 1 << bit
-        assert read_header(bytes(bad))[0].count == 50 ^ (1 << bit)
+        bad = reseal(bytes(bad))
+        assert read_container(bad)[0].count == 50 ^ (1 << bit)
         with pytest.raises(HeaderError, match="predictions") as info:
-            decode_stream(bytes(bad), predictions=preds)
+            decode_stream(bad, predictions=preds)
         assert not isinstance(info.value, CorruptStreamError)
     # the encoder's own count comes from the symbols: a mismatch there is the
     # caller's, a plain ValueError
@@ -533,7 +603,7 @@ def test_encode_stream_bounds_the_mapping_exactly(rho, tau):
     # an empty stream has no extremes and no numerators to bound
     for h in (header, StreamHeader(mode=MODE_ADAPTIVE, rho=rho, tau=tau)):
         data, trace = encode_stream([], h, [], collect_trace=True)
-        assert data == replace(h, count=0).pack()
+        assert data == write_container(replace(h, count=0), b"")
         assert trace == ([] if h.mode == MODE_ADAPTIVE else None)
         assert decode_stream(data, []) == []
 
@@ -625,8 +695,8 @@ def test_vector_twins_match_scalar_elementwise(case, extra, edges):
 def test_unary_bomb_raises():
     h = StreamHeader(mode=MODE_FIXED, rho=1, tau=1, m=1)
     data = encode_stream([0, 0, 0, 0], h, predictions=[0.0] * 4)
-    bomb = data[:HEADER_SIZE] + b"\xff" * (2 * bitcoder.MAX_RUN // 8 + 16)
-    with pytest.raises(CorruptStreamError):
+    bomb = with_payload(data, b"\xff" * (2 * bitcoder.MAX_RUN // 8 + 16))
+    with pytest.raises(CorruptStreamError, match="unary run"):
         decode_stream(bomb, predictions=[0.0] * 4)
 
 
@@ -636,7 +706,7 @@ def test_adaptive_truncation_raises():
     h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16)
     data = encode_stream(xs, h, predictions=[0.0] * 200)
     with pytest.raises(CorruptStreamError):
-        decode_stream(data[: HEADER_SIZE + 10], predictions=[0.0] * 200)
+        decode_stream(with_payload(data, payload_of(data)[:10]), predictions=[0.0] * 200)
 
 
 # --- streams: rate spot checks -------------------------------------------------
@@ -682,7 +752,7 @@ def test_lpc_stream_roundtrip(mode, kwargs):
     h = StreamHeader(mode=mode, rho=rho, tau=tau, lpc=LpcConfig(2, 16, 16), **kwargs)
     data = encode_stream(xs, h)
     assert decode_stream(data) == xs
-    back, _ = read_header(data)
+    back, _ = read_container(data)
     assert back.lpc == LpcConfig(2, 16, 16)
 
 

@@ -24,7 +24,6 @@ from frgc.bitcoder import (
     symbol_out_of_range,
 )
 from frgc.codec import (
-    HEADER_SIZE,
     MODE_ADAPTIVE,
     MODE_FIXED,
     StreamHeader,
@@ -34,6 +33,7 @@ from frgc.codec import (
 from frgc.predictor import LpcConfig, LpcState
 
 from bitsink import BitSource
+from container import flip_bits, payload_of, payload_span, reseal, with_payload
 from lpcloop import LoopState
 from mtable import table_m
 
@@ -201,7 +201,7 @@ def test_payload_of_several_windows():
     xs = ar2(3, 6000, 200.0)
     for header in HEADERS.values():
         data = encode_stream(xs, header)
-        assert 8 * (len(data) - HEADER_SIZE) > 2 * _pure.WINDOW_BITS
+        assert 8 * len(payload_of(data)) > 2 * _pure.WINDOW_BITS
         assert agree(data)[:2] == ("ok", xs)
 
 
@@ -230,7 +230,7 @@ def test_a_codeword_longer_than_a_window_inside_a_held_run(length, settle):
     data, trace = encode_stream(xs, header_for(MODE_ADAPTIVE, cfg=(1, 4, 1), tau=1),
                                 collect_trace=True)
     assert {m for m, _, _ in trace[:301]} == {1}
-    assert 8 * (len(data) - HEADER_SIZE) > length
+    assert 8 * len(payload_of(data)) > length
     assert agree(data)[:2] == ("ok", xs)
 
 
@@ -239,9 +239,19 @@ SHORT = ar2(9, 160, 20.0)
 
 @pytest.mark.parametrize("name", sorted(ORACLE_HEADERS))
 def test_every_truncation_of_a_short_stream(name, settle):
+    # the stream cut anywhere fails the container's checks; its payload cut
+    # anywhere and resealed reaches the decoders, which must raise alike
     data = encode_stream(SHORT, replace(ORACLE_HEADERS[name], lpc=LpcConfig(2, 8, 1)))
     for cut in range(len(data)):
-        assert agree(data[:cut])[0] == "raised"
+        outcome = agree(data[:cut])
+        assert outcome[0] == "raised" and issubclass(outcome[1], codec.HeaderError)
+    payload = payload_of(data)
+    reached = set()
+    for cut in range(len(payload)):
+        outcome = agree(with_payload(data, payload[:cut]))
+        assert outcome[0] == "raised"
+        reached.add(outcome[1])
+    assert reached == {codec.TruncatedStreamError, CorruptStreamError}
     assert agree(data)[:2] == ("ok", SHORT)
 
 
@@ -261,7 +271,7 @@ def test_fixed_mode_reads_no_codeword_one_at_a_time(monkeypatch):
     data = encode_stream(SHORT, replace(HEADERS["fixed"], lpc=LpcConfig(2, 8, 1)))
     assert decode_stream(data) == SHORT
     with pytest.raises(CorruptStreamError, match="unexpected end of stream"):
-        decode_stream(data[:-3])
+        decode_stream(with_payload(data, payload_of(data)[:-3]))
     assert not calls
 
 
@@ -307,13 +317,12 @@ def test_adaptive_mode_reads_one_codeword_at_a_time_until_m_settles(name, settle
 @pytest.mark.parametrize("name", sorted(ORACLE_HEADERS))
 def test_single_bit_flips(name, settle):
     data = encode_stream(SHORT, replace(ORACLE_HEADERS[name], lpc=LpcConfig(2, 8, 1)))
-    nbits = 8 * (len(data) - HEADER_SIZE)
+    start, end = payload_span(data)
     rng = np.random.default_rng(len(name))
     outcomes = set()
-    for pos in rng.choice(nbits, size=120, replace=False):
-        flipped = bytearray(data)
-        flipped[HEADER_SIZE + pos // 8] ^= 0x80 >> (pos % 8)
-        outcomes.add(agree(bytes(flipped))[0])
+    for pos in rng.choice(8 * (end - start), size=120, replace=False):
+        # resealed, so that the decoders' own checks see the flip
+        outcomes.add(agree(reseal(flip_bits(data, [8 * start + pos])))[0])
     assert outcomes == {"ok", "raised"}
 
 
@@ -333,6 +342,6 @@ def test_out_of_range_symbol_at_an_m_switch(offset, settle):
     data, trace = encode_stream(xs, header, collect_trace=True)
     assert held_switches(trace, 400)[0] == switch
     assert agree(data)[:2] == ("ok", xs)
-    narrow = replace(header, alphabet_q=11, count=n).pack() + data[HEADER_SIZE:]
+    narrow = codec.write_container(replace(header, alphabet_q=11, count=n), payload_of(data))
     message = f"symbol {bad} decodes to 50, outside [0, 10]"
     assert agree(narrow)[:4] == ("raised", CorruptStreamError, message, bad)

@@ -9,7 +9,6 @@ import pytest
 from frgc import codec, predictor
 from frgc.bitcoder import CorruptStreamError, GolombParam
 from frgc.codec import (
-    HEADER_SIZE,
     MODE_ADAPTIVE,
     MODE_FIXED,
     HeaderError,
@@ -21,6 +20,7 @@ from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
 from bitsink import BitSink
+from container import flip_bits, payload_span, reseal
 from golden import LPC_GOLDEN, MODES, ar2_signal, lpc_streams, normalised_digest
 from lpcloop import loop_predictions
 
@@ -99,19 +99,19 @@ def test_traced_decode_gives_the_encoders_trace(mode, monkeypatch):
 def test_v2_lpc_stream_rejected():
     xs, header = lpc_streams()["adaptive-int (2, 32, 1)"]
     data = bytearray(encode_stream(xs, header))
-    assert data[4] == codec.VERSION == 3
+    assert data[4] == codec.VERSION == 4
     data[4] = 2
     with pytest.raises(HeaderError, match="version"):
         decode_stream(bytes(data))
 
 
 def flipped(data: bytes, rng: np.random.Generator) -> bytes:
-    """data with 1-4 random payload bits inverted."""
-    out = bytearray(data)
-    nbits = 8 * (len(data) - HEADER_SIZE)
-    for pos in rng.choice(nbits, size=int(rng.integers(1, 5)), replace=False):
-        out[HEADER_SIZE + pos // 8] ^= 0x80 >> (pos % 8)
-    return bytes(out)
+    """data with 1-4 random payload bits inverted, resealed so that the
+    decoder's own checks see them."""
+    start, end = payload_span(data)
+    bits = 8 * start + rng.choice(8 * (end - start), size=int(rng.integers(1, 5)),
+                                  replace=False)
+    return reseal(flip_bits(data, bits))
 
 
 @pytest.mark.parametrize("header", [
@@ -143,7 +143,7 @@ def crafted(header: StreamHeader, values: list[int], m: int) -> bytes:
     for v in values:
         sink.write_unary(v // m)
         sink.write_minimal_binary(v % m, g)
-    return replace(header, count=len(values)).pack() + sink.finish()
+    return codec.write_container(replace(header, count=len(values)), sink.finish())
 
 
 @pytest.mark.parametrize("lpc", [None, LpcConfig(1, 1, 1)], ids=["external", "lpc"])

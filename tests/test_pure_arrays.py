@@ -32,6 +32,7 @@ from frgc._estcore import LOG_BOUNDARIES, select_m, select_m_array
 from frgc.predictor import LpcConfig
 
 from bitsink import BitSink, BitSource, code_length
+from container import payload_of, with_payload
 from mtable import m_of_quotient, table_m, tied_sum, ulps_around
 
 BLOCK = _pure.BLOCK_SYMBOLS
@@ -78,6 +79,8 @@ def oracle_sums(increments, raw):
 
 
 def oracle_adaptive_encode(ms, increments, raw, tau):
+    if raw and not all(map(math.isfinite, increments.tolist())):
+        raise ValueError("raw increments must be finite")
     sums = oracle_sums(increments, raw)
     before = [0.0 if raw else 0] + sums[:-1]
     params = [GolombParam(table_m(t, s) if raw else table_m(t, s, tau))
@@ -87,11 +90,14 @@ def oracle_adaptive_encode(ms, increments, raw, tau):
 
 def oracle_adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
     """The loop over symbols frgc._pure ran before it parsed ahead, after
-    refusing any numerator the contract excludes, as both backends do."""
+    refusing any numerator, or raw prediction, the contract excludes, as
+    both backends do."""
     if not 1 <= tau <= TAU_MAX:
         raise ValueError(f"tau must be in [1, {TAU_MAX}], got {tau}")
     if any(not -LIMIT < int(n) < LIMIT for n in pred_n[:count]):
         raise ValueError("prediction numerator out of range")
+    if raw and not all(map(math.isfinite, pred_x[:count].tolist())):
+        raise ValueError("predictions must be finite")
     src = BitSource(payload)
     out = []
     s = 0.0 if raw else 0
@@ -259,8 +265,10 @@ def test_decode_stream_rounds_and_unmaps_a_block_at_a_time(block, monkeypatch):
         shifted[bad:] += 200
         with pytest.raises(CorruptStreamError, match=f"symbol {bad} "):
             codec.decode_stream(data, predictions=shifted)
-        # a bad prediction in the last block raises before the cut payload
-        cut = data[:len(data) // 2]
+        # a bad prediction in the last block raises before the cut payload,
+        # resealed so that the decoder, not the container, finds it short
+        payload = payload_of(data)
+        cut = with_payload(data, payload[:len(payload) // 2])
         shifted[-1] = math.nan
         with pytest.raises(CorruptStreamError):
             codec.decode_stream(cut, predictions=pred)
@@ -1392,6 +1400,43 @@ def test_numerators_past_the_vector_unmap(decoders):
         "raised", CorruptStreamError, "unexpected end of stream")
     assert agree_exactly(decoders, payload, n - 1, wide, *rest) == (
         "ok", xs[:-1].tobytes())
+
+
+def test_non_finite_raw_values_are_refused_before_any_codeword(coders, decoders):
+    # a NaN raw sum holds no m that every decoder agrees on, so every coder
+    # refuses a non-finite raw increment, and every decoder a non-finite
+    # raw prediction, before any codeword, as they refuse a numerator out
+    # of range; the integer estimator reads no float, and no decoder reads
+    # a prediction past count
+    rng = np.random.default_rng(9)
+    n = 600
+    values = geometric(rng, n, 3)
+    pred_x = rng.normal(0.0, 50.0, n)
+    pred_n = np.floor(pred_x + 0.5).astype(np.int64)
+    xs = ints([qmap.unmap(int(v), int(p), 1) for v, p in zip(values, pred_n)])
+    inc = np.abs(xs - pred_x)
+    payload, _ = _pure.adaptive_encode(values, inc, True, 1)
+    int_payload, _ = _pure.adaptive_encode(values, np.abs(xs - pred_n), False, 1)
+    wide = (-(1 << 63), (1 << 63) - 1)
+    assert agree_exactly(decoders, payload, n, pred_n, pred_x, 1, True, *wide) == (
+        "ok", xs.tobytes())
+    refused = ("raised", ValueError, "predictions must be finite")
+    for bad in (math.nan, math.inf, -math.inf):
+        for at in (0, 5, 300, n - 1):
+            increments, preds = inc.copy(), pred_x.copy()
+            increments[at] = preds[at] = bad
+            assert agree(coders, "adaptive_encode", values, increments, True, 1) == (
+                "raised", ValueError)
+            for coder in coders[1:]:
+                with pytest.raises(ValueError, match="raw increments must be finite"):
+                    coder.adaptive_encode(values, increments, True, 1)
+            for data in (payload, b""):
+                assert agree_exactly(decoders, data, n, pred_n, preds, 1, True,
+                                     *wide) == refused
+            assert agree_exactly(decoders, int_payload, n, pred_n, preds, 1, False,
+                                 *wide) == ("ok", xs.tobytes())
+        assert agree_exactly(decoders, payload, n - 1, pred_n, preds, 1, True, *wide) == (
+            "ok", xs[:-1].tobytes())
 
 
 @pytest.mark.parametrize("count, lo, hi", [
