@@ -34,6 +34,7 @@ from frgc.codec import StreamHeader, encode_stream
 from frgc.predictor import LpcConfig
 
 from container import leb128, payload_of, reseal
+from golden import ar2_signal
 
 DIR = Path(__file__).with_name("data") / "conformance"
 INDEX = DIR / "index.json"
@@ -48,14 +49,6 @@ def _walk(seed: int, n: int, step: int = 6, start: int = 0) -> np.ndarray:
 def _near(xs: np.ndarray, seed: int, scale: float = 2.0) -> np.ndarray:
     """Predictions of xs, off by Laplace noise, with fractional parts."""
     return xs + np.random.default_rng(seed).laplace(0.0, scale, xs.size)
-
-
-def _ar2(seed: int, n: int, scale: float) -> np.ndarray:
-    e = np.random.default_rng(seed).laplace(0.0, scale, n)
-    y = np.zeros(n + 2)
-    for t in range(n):
-        y[t + 2] = 1.6 * y[t + 1] - 0.7 * y[t] + e[t]
-    return np.rint(y[2:]).astype(np.int64)
 
 
 def valid_streams() -> dict:
@@ -76,14 +69,14 @@ def valid_streams() -> dict:
         "adaptive-alphabet-1000": (letters, _near(letters, 8, 40.0),
                                    StreamHeader(mode="adaptive", rho=1, tau=4,
                                                 alphabet_q=1000)),
-        "lpc-adaptive-2-16-16": (_ar2(9, 300, 20.0), None,
+        "lpc-adaptive-2-16-16": (np.array(ar2_signal(9, 300, 20.0)), None,
                                      StreamHeader(mode="adaptive", rho=1, tau=8,
                                                   lpc=LpcConfig(2, 16, 16))),
-        "lpc-adaptive-raw-4-32-8": (_ar2(10, 300, 20.0), None,
+        "lpc-adaptive-raw-4-32-8": (np.array(ar2_signal(10, 300, 20.0)), None,
                                         StreamHeader(mode="adaptive", rho=1, tau=8,
                                                      lpc=LpcConfig(4, 32, 8),
                                                      raw_error_estimator=True)),
-        "lpc-fixed-1-4-1": (_ar2(11, 200, 5.0), None,
+        "lpc-fixed-1-4-1": (np.array(ar2_signal(11, 200, 5.0)), None,
                                 StreamHeader(mode="fixed", rho=1, tau=4, m=24,
                                              lpc=LpcConfig(1, 4, 1))),
         "count-0": (walk[:0], None, StreamHeader(mode="adaptive", rho=1, tau=16)),

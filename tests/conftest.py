@@ -6,6 +6,9 @@ so the compile flags come from ``setup.py`` alone; the build must print
 no compiler warning under ``WARNINGS``.  Tests using it skip only where
 there is no C compiler or no ``Python.h``.
 
+``backend`` routes the codec's backend calls to ``_pure``, then to the
+kernels: a test that takes it runs once on each backend.
+
 With FRGC_SANITIZE set to a sanitizer (``undefined``), the build adds
 ``-fsanitize=`` and ``-fno-sanitize-recover=`` that sanitizer, and
 ``-fno-wrapv``: Python's own CFLAGS carry ``-fwrapv``, under which a
@@ -24,9 +27,12 @@ from pathlib import Path
 
 import pytest
 
+from frgc import _backend, _pure
+
 ROOT = Path(__file__).resolve().parents[1]
 WARNINGS = "-Wall -Wextra -Wpedantic -Wshadow -Wsign-conversion"
 SANITIZE = os.environ.get("FRGC_SANITIZE")
+ENTRY_POINTS = ("golomb_encode", "golomb_decode", "adaptive_encode", "adaptive_decode")
 
 
 def pytest_collection_modifyitems(config, items):
@@ -67,4 +73,13 @@ def kernels(tmp_path_factory):
     spec = importlib.util.spec_from_file_location("frgc._kernels", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request, monkeypatch):
+    """Route the codec's backend calls to _pure, or to the compiled kernels."""
+    module = _pure if request.param == "pure" else request.getfixturevalue("kernels")
+    for name in ENTRY_POINTS:
+        monkeypatch.setattr(_backend, name, getattr(module, name))
     return module

@@ -10,25 +10,15 @@ import json
 import numpy as np
 import pytest
 
-from frgc import _backend, _pure, codec
+from frgc import codec
 from frgc.bitcoder import M_MAX, TAU_MAX, CorruptStreamError
 from frgc.codec import decode_stream, encode_stream, read_container
 
 from conformance import DIR, INDEX, SUFFIX, build
 
-ENTRY_POINTS = ("golomb_encode", "golomb_decode", "adaptive_encode", "adaptive_decode")
 TABLE = json.loads(INDEX.read_text())
 RAISES = {"HeaderError": codec.HeaderError, "CorruptStreamError": CorruptStreamError,
           "TruncatedStreamError": codec.TruncatedStreamError}
-
-
-@pytest.fixture(params=["pure", "compiled"])
-def backend(request, monkeypatch):
-    """Route the codec's backend calls to _pure, or to the compiled kernels."""
-    module = _pure if request.param == "pure" else request.getfixturevalue("kernels")
-    for name in ENTRY_POINTS:
-        monkeypatch.setattr(_backend, name, getattr(module, name))
-    return module
 
 
 def stream(name: str) -> bytes:

@@ -30,19 +30,10 @@ from frgc.codec import (
 )
 from frgc.predictor import LpcConfig
 
+from conftest import ENTRY_POINTS
 from container import CRC_BYTES, flip_bits, leb128, payload_span, reseal
 
-ENTRY_POINTS = ("golomb_encode", "golomb_decode", "adaptive_encode", "adaptive_decode")
 DETECTED = (HeaderError, CorruptStreamError)
-
-
-@pytest.fixture(params=["pure", "compiled"])
-def backend(request, monkeypatch):
-    """Route the codec's backend calls to _pure, or to the compiled kernels."""
-    module = _pure if request.param == "pure" else request.getfixturevalue("kernels")
-    for name in ENTRY_POINTS:
-        monkeypatch.setattr(_backend, name, getattr(module, name))
-    return module
 
 
 HEADERS = {
