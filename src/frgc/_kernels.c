@@ -267,7 +267,8 @@ static PyObject *new_output(Py_ssize_t count, Py_ssize_t nbits)
 
 #define OUT_VALUES(out) ((long long *)PyByteArray_AS_STRING(out))
 
-/* The symbol whose residual numerator against n folds to v, as qmap.unmap:
+/* The symbol whose residual numerator against n folds to v, inverting the
+ * fold floor(2e) for e >= 0, -floor(2e) - 1 otherwise, of e = x - n/tau:
  * with c = ceil(2n / tau) and s = v + c it is s / 2 for even s, else
  * (c - v - 1) / 2, floored.  Needs 0 <= v < 2**62, |n| < 2**62 and tau >= 1;
  * c is split as 2h + q so that no intermediate leaves 64 bits. */

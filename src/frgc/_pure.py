@@ -31,7 +31,7 @@ OverflowError before any other check.  The adaptive m is
 copies once, when it is imported.  adaptive_decode
 raises CorruptStreamError for the first symbol outside [lo, hi].  No
 loop reports its m: a stream's m sequence is a function of its symbols
-and predictions, which the codec derives (collect_trace).
+and predictions, which encode_stream derives (collect_trace).
 
 The limits are bitcoder's format constants, which the compiled module
 reads at import.  A quotient above MAX_RUN raises ValueError on encode

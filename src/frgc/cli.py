@@ -85,7 +85,7 @@ def _write_file(path: str, data) -> None:
 def _bits_per_symbol(data: bytes, count: int) -> str:
     """The payload's bits per symbol, as the summary lines print it: the
     header and the CRC are left out."""
-    bits = 8 * len(codec.read_container(data)[1])
+    bits = 8 * len(codec.read_container(data)[2])
     return f"{bits / count if count else 0.0:.3f} bits/symbol"
 
 
@@ -98,11 +98,9 @@ def _build_header_and_predictions(args):
         raise HeaderError(f"{args.mode} mode requires --m")
     if args.mode == codec.MODE_ADAPTIVE and args.m is not None:
         raise HeaderError("adaptive mode picks m itself; drop --m")
-    rice = args.mode == codec.MODE_RICE
-    if rice and {args.rho, args.tau} - {None, 1}:  # refused, not dropped
-        raise HeaderError("rice mode requires rho=tau=1")
-    rho = 1 if rice or args.rho is None else args.rho
-    tau = 1 if rice else 16 if args.tau is None else args.tau
+    rho = 1 if args.rho is None else args.rho
+    default_tau = 1 if args.mode == codec.MODE_RICE else 16
+    tau = default_tau if args.tau is None else args.tau
     header = StreamHeader(  # raises HeaderError unless the fields agree
         mode=args.mode, rho=rho, tau=tau, m=args.m or 0,
         alphabet_q=args.alphabet_q, lpc=lpc,

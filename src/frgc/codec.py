@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import zlib
 from dataclasses import dataclass
 
@@ -89,14 +90,14 @@ class TruncatedStreamError(HeaderError, CorruptStreamError):
 
 @dataclass(frozen=True)
 class StreamHeader:
-    """Everything a decoder needs to mirror the encoder, minus predictions."""
+    """Everything a decoder needs to mirror the encoder, minus predictions
+    and the symbol count, which belong to one stream (write_container)."""
 
     mode: str
     rho: int = 1
     tau: int = 16
     m: int = 0
     alphabet_q: int = 0
-    count: int = 0
     lpc: LpcConfig | None = None
     raw_error_estimator: bool = False
 
@@ -108,14 +109,24 @@ class StreamHeader:
         return Precision(self.rho, self.tau)
 
     def validate(self) -> None:
+        """Raise HeaderError unless the fields agree.  The integer fields
+        are stored as Python ints (operator.index), so a numpy integer
+        codes as its value on either backend and a float is refused here,
+        before any codeword is written."""
         if self.mode not in _MODE_CODES:
             raise HeaderError(f"unknown mode {self.mode!r}")
+        for name in ("rho", "tau", "m", "alphabet_q"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise HeaderError(f"{name} must be an integer, got {value!r}") from None
         if not 1 <= self.rho <= TAU_MAX or not 1 <= self.tau <= TAU_MAX:
             raise HeaderError(f"rho/tau out of range: {self.rho}/{self.tau}")
-        if self.rho > self.tau:
-            raise HeaderError(f"rho must not exceed tau: {self.rho}/{self.tau}")
         if self.mode == MODE_RICE and (self.rho, self.tau) != (1, 1):
             raise HeaderError("rice mode requires rho=tau=1")
+        if self.rho > self.tau:
+            raise HeaderError(f"rho must not exceed tau: {self.rho}/{self.tau}")
         if self.mode == MODE_ADAPTIVE:
             if self.m != 0:
                 raise HeaderError("adaptive mode picks m itself; set m=0")
@@ -123,15 +134,13 @@ class StreamHeader:
             raise HeaderError(f"fixed mode needs m in [1, {M_MAX}], got {self.m}")
         if not 0 <= self.alphabet_q <= 0xFFFFFFFF:
             raise HeaderError(f"alphabet_q out of range: {self.alphabet_q}")
-        if not 0 <= self.count <= _COUNT_MAX:
-            raise HeaderError(f"count out of range: {self.count}")
         if self.raw_error_estimator and self.mode != MODE_ADAPTIVE:
             raise HeaderError("raw estimator flag only applies to adaptive mode")
 
     @functools.cached_property
     def _prefix(self) -> bytes:
-        """The header's bytes before its count, which no count changes:
-        write_container builds them once per header."""
+        """The header's bytes before the stream's count: write_container
+        builds them once per header."""
         kind = _MODE_CODES[self.mode]
         fields = [self.rho, self.tau]
         if self.mode != MODE_ADAPTIVE:
@@ -208,10 +217,11 @@ _KINDS = {kind: _kind_fields(kind) for kind in range(_KIND_ALPHABET << 1)
 
 @functools.lru_cache(maxsize=1024)
 def _header(kind: int, values: tuple) -> StreamHeader:
-    """The header of a kind byte and its fields' values but the payload
-    length; frozen, so one is shared by every stream that has it."""
+    """The header of a kind byte and its fields' values but the count and
+    the payload length; frozen, so one is shared by every stream that has
+    it."""
     mode = _MODE_NAMES[kind & _KIND_MODE]
-    rho, tau, *rest, count = values
+    rho, tau, *rest = values
     m = 0 if mode == MODE_ADAPTIVE else rest.pop(0)
     alphabet_q = 0
     if kind & _KIND_ALPHABET:
@@ -225,30 +235,28 @@ def _header(kind: int, values: tuple) -> StreamHeader:
         except ValueError as exc:
             raise HeaderError(str(exc)) from exc
     return StreamHeader(mode=mode, rho=rho, tau=tau, m=m, alphabet_q=alphabet_q,
-                        count=count, lpc=lpc,
-                        raw_error_estimator=bool(kind & _KIND_RAW_ESTIMATOR))
+                        lpc=lpc, raw_error_estimator=bool(kind & _KIND_RAW_ESTIMATOR))
 
 
-def write_container(header: StreamHeader, payload: bytes, count: int | None = None) -> bytes:
-    """The stream [header][payload][CRC] of header and payload.
+def write_container(header: StreamHeader, payload: bytes, count: int) -> bytes:
+    """The stream [header][payload][CRC] of header, payload and the count
+    of symbols the payload holds.
 
-    count, if given, is written in place of the header's own (encode_stream
-    writes the symbols' count) and checked as validate checks the
-    header's.  The header's bytes before the count are built once per
-    header (StreamHeader._prefix), and the CRC-32 runs over the header's
-    bytes and then the payload's, so neither is copied to compute it.
+    A count outside [0, 2**64) raises HeaderError.  The header's bytes
+    before the count are built once per header (StreamHeader._prefix),
+    and the CRC-32 runs over the header's bytes and then the payload's,
+    so neither is copied to compute it.
     """
-    if count is None:
-        count = header.count
-    elif not 0 <= count <= _COUNT_MAX:
+    if not 0 <= count <= _COUNT_MAX:
         raise HeaderError(f"count out of range: {count}")
     head = header._prefix + _varint(count) + _varint(len(payload))
     crc = zlib.crc32(payload, zlib.crc32(head))
     return head + payload + crc.to_bytes(_CRC_BYTES, "little")
 
 
-def read_container(data: bytes) -> tuple[StreamHeader, memoryview]:
-    """The header of the stream data and a view of its payload.
+def read_container(data: bytes) -> tuple[StreamHeader, int, memoryview]:
+    """The header of the stream data, its symbol count and a view of its
+    payload.
 
     The checks run in order: the magic and the version, then the header's
     fields (a count over the payload's bits raises TruncatedStreamError),
@@ -279,8 +287,8 @@ def read_container(data: bytes) -> tuple[StreamHeader, memoryview]:
             value, pos = _read_varint(data, pos, field)
             values.append(value)
     length = values.pop()
+    count = values.pop()
     header = _header(kind, tuple(values))
-    count = header.count
     if count > 8 * length:  # every codeword is at least one bit
         raise TruncatedStreamError(f"count {count} exceeds the {8 * length} payload bits")
     end = pos + length
@@ -291,7 +299,7 @@ def read_container(data: bytes) -> tuple[StreamHeader, memoryview]:
     view = memoryview(data)
     if zlib.crc32(view[:end]) != int.from_bytes(data[end:end + _CRC_BYTES], "little"):
         raise CorruptStreamError("CRC-32 mismatch: the stream is corrupt")
-    return header, view[pos:end]
+    return header, count, view[pos:end]
 
 
 def decode_symbol(g: GolombParam, reader: _pure.CodewordReader,
@@ -319,8 +327,8 @@ def _check_symbols(xs: np.ndarray, alphabet_q: int) -> tuple[int, int] | None:
     return smallest, largest
 
 
-# Per-symbol predictions from history only, as the decoder re-derives
-# them, a whole array at a time; the name perfbench traces.
+# Per-symbol predictions from history only, the ones _decode_lpc makes
+# one at a time, for a whole array at once; the name perfbench traces.
 _lpc_predictions = predictor.batch_predictions
 
 
@@ -374,7 +382,9 @@ def _prediction_array(predictions, n: int, mismatch=ValueError) -> np.ndarray:
 
 def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int, peak: int,
                 extremes: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized twin of qmap.map_residual over residual numerators.
+    """The fold of the residuals e = x - n/tau onto 0, 1, 2, ...:
+    floor(2e) where e >= 0 and -floor(2e) - 1 where e < 0, over residual
+    numerators r = tau*e, so that it stays in the integers.
 
     Returns the mapped values and the magnitudes |tau*x - n| of the
     residual numerators they fold, which are the integer estimator's
@@ -405,44 +415,26 @@ def _map_vector(xs: np.ndarray, numerators: np.ndarray, tau: int, peak: int,
 _unmap_vector = qmap.unmap_array  # the name the fixed path calls, which perfbench traces
 
 
-def _estimator_trace(xs: np.ndarray, pred: np.ndarray, magnitudes: np.ndarray | None,
-                     header: StreamHeader, collect_trace: bool = True):
-    """The adaptive estimator's increment for each symbol, and its trace.
-
-    An increment is |tau*x - n|, given as magnitudes (which _map_vector
-    returns), or |x - xhat| under the raw estimator, which takes no
-    magnitudes (they may be None).  The trace, None
-    unless collect_trace, lists (m, t, S) after each symbol: the m it was
-    coded with, then the count and the sum after it.  Each m follows from
-    the symbols before it, so the encoder and the decoder derive the same
-    trace here and no stream loop reports one.
-    """
-    raw = header.raw_error_estimator
-    increments = np.abs(xs - pred) if raw else magnitudes
-    if not collect_trace:
-        return increments, None
-    sums, ms = _estcore.run(0, 0, increments, header.tau, raw)
-    return increments, list(zip(ms[:-1].tolist(), range(1, sums.size + 1),
-                                sums.tolist()))
-
-
 def encode_stream(xs, header: StreamHeader, predictions=None,
                   collect_trace: bool = False):
     """Encode symbols into a self-describing byte stream.
 
     Returns the bytes, or (bytes, trace) when collect_trace is set; the
-    trace lists (m, t, S) after each symbol in adaptive mode and is None
-    otherwise.  predictions must be None in lpc mode and defaults to
-    all-zero predictions otherwise.  A symbol whose codeword would need a
-    unary run over bitcoder.MAX_RUN bits, which decode_stream refuses,
-    raises ValueError.
+    trace lists (m, t, S) after each symbol in adaptive mode, the m it was
+    coded with, then the count and the estimator's sum after it, and is
+    None otherwise.  Each m follows from the symbols before it, so a
+    decoder that returns the same symbols used the same m sequence, and
+    no stream loop reports one.  predictions must be None in lpc mode and
+    defaults to all-zero predictions otherwise.  A symbol whose codeword
+    would need a unary run over bitcoder.MAX_RUN bits, which
+    decode_stream refuses, raises ValueError.
 
-    The header was validated when it was built, and its count is written
-    as the symbols' (write_container), so no header is built here.  The
-    symbols' extremes (from the range check) and the numerators' largest
+    The header was validated when it was built, so no header is built
+    here.  The symbols' extremes (from the range check) and the numerators' largest
     magnitude (from the rounding) bound the mapping, which forms each
     residual numerator tau*x - n once: the mapped values and the integer
-    estimator's increments both come from it.
+    estimator's increments both come from it: an increment is
+    |tau*x - n|, or |x - xhat| under the raw estimator.
     """
     arr = np.asarray(xs)
     if arr.size and arr.dtype.kind not in "biu":  # a cast would change the symbols
@@ -468,10 +460,12 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
 
     trace = None
     if header.mode == MODE_ADAPTIVE:
-        increments, trace = _estimator_trace(arr, pred, magnitudes, header,
-                                             collect_trace)
-        payload, _ = _backend.adaptive_encode(
-            mapped, increments, header.raw_error_estimator, header.tau)
+        raw = header.raw_error_estimator
+        increments = np.abs(arr - pred) if raw else magnitudes
+        if collect_trace:
+            sums, ms = _estcore.run(0, 0, increments, header.tau, raw)
+            trace = list(zip(ms[:-1].tolist(), range(1, sums.size + 1), sums.tolist()))
+        payload, _ = _backend.adaptive_encode(mapped, increments, raw, header.tau)
     else:
         payload, _ = _backend.golomb_encode(mapped, header.m)
 
@@ -481,16 +475,17 @@ def encode_stream(xs, header: StreamHeader, predictions=None,
     return data
 
 
-def _decode_lpc(payload, header: StreamHeader) -> list:
-    """Lpc-mode decode: the symbols, with no list of their predictions
-    (a traced decode takes those from _lpc_predictions).
+def _decode_lpc(payload, header: StreamHeader, count: int) -> list:
+    """Lpc-mode decode: the count symbols, with no list of their
+    predictions.
 
     Symbol t's prediction is fit from the symbols before it, so symbols
     are decoded in order, one loop step each: LpcState.span gives the
     coefficients in force and the position of the next refit.  A symbol
     is predicted in predict_at's order (a float sum left to right from
-    0.0, never sum(), which compensates) and rounded and unmapped with
-    qmap's operations written out.  Its codeword comes from the window
+    0.0, never sum(), which compensates), rounded as qmap.round_prediction
+    rounds and unfolded: with c = ceil(2n/tau) and s = v + c, the symbol
+    is s/2 for even s and (c - v - 1)/2 otherwise.  Its codeword comes from the window
     in use, a run of codewords parsed under m (_pure.parse_ahead), or,
     past the window's end, is the window's trailing error, raised under
     the m the window was parsed with; or else decode_symbol reads it
@@ -504,7 +499,6 @@ def _decode_lpc(payload, header: StreamHeader) -> list:
     where the loop leaves a window.
     """
     rho, tau = header.rho, header.tau
-    count = header.count
     adaptive = header.mode == MODE_ADAPTIVE
     raw = header.raw_error_estimator
     scale = 1 if raw else tau  # select_m's tau
@@ -586,14 +580,12 @@ def _decode_lpc(payload, header: StreamHeader) -> list:
     return history[len(history) - count:]
 
 
-def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
-    """Invert encode_stream.
+def decode_stream(data: bytes, predictions=None) -> list:
+    """Invert encode_stream: the symbol list.
 
     External predictions must match the encoder's, one per symbol (a
-    header count that disagrees raises HeaderError); lpc streams ignore
-    the argument.  Returns the symbol list, or (symbols, trace) when
-    collect_trace is set.  A traced adaptive lpc decode predicts the
-    decoded symbols again with _lpc_predictions, as the encoder does.
+    stream count that disagrees raises HeaderError); lpc streams refuse
+    them.
 
     data is any buffer (a str or a list raises TypeError), read as bytes,
     whatever its items: the header and the payload both come from data
@@ -608,45 +600,31 @@ def decode_stream(data: bytes, predictions=None, collect_trace: bool = False):
     """
     # a view of a bytearray would keep it from being resized
     stream = data if isinstance(data, bytes) else memoryview(data).tobytes()
-    header, payload = read_container(stream)
-    n = header.count
+    header, n, payload = read_container(stream)
 
     if header.lpc is not None:
         if predictions is not None:
             raise ValueError("lpc mode recomputes predictions from history")
-        out = _decode_lpc(payload, header)
+        return _decode_lpc(payload, header, n)
+    pred = _prediction_array(predictions, n, HeaderError)
+    block = _pure.BLOCK_SYMBOLS
+    # every prediction is rounded, and checked, before any codeword is read
+    numerators = np.empty(n, np.int64)
+    for lo in range(0, n, block):
+        numerators[lo:lo + block] = _round_predictions(
+            pred[lo:lo + block], header.rho, header.tau)[0]
+    if header.mode == MODE_ADAPTIVE:
+        symbols = np.frombuffer(_backend.adaptive_decode(
+            payload, n, numerators, pred, header.tau, header.raw_error_estimator,
+            *_symbol_range(header.alphabet_q)), np.int64)
     else:
-        pred = _prediction_array(predictions, n, HeaderError)
-        block = _pure.BLOCK_SYMBOLS
-        # every prediction is rounded, and checked, before any codeword is read
-        numerators = np.empty(n, np.int64)
-        for lo in range(0, n, block):
-            numerators[lo:lo + block] = _round_predictions(
-                pred[lo:lo + block], header.rho, header.tau)[0]
-        if header.mode == MODE_ADAPTIVE:
-            symbols = np.frombuffer(_backend.adaptive_decode(
-                payload, n, numerators, pred, header.tau, header.raw_error_estimator,
-                *_symbol_range(header.alphabet_q)), np.int64)
-        else:
-            # the decoder's bytearray is writable: unmap into it
-            symbols = np.frombuffer(_backend.golomb_decode(payload, n, header.m),
-                                    np.int64)
-            lo, hi = _symbol_range(header.alphabet_q)
-            for start in range(0, n, block):
-                values = symbols[start:start + block]
-                values[:] = _unmap_vector(values, numerators[start:start + block],
-                                          header.tau)
-                check_symbol_range(values, start, lo, hi)
-        out = symbols.tolist()
-
-    if not collect_trace:
-        return out
-    if header.mode != MODE_ADAPTIVE:
-        return out, None
-    if header.lpc is not None:
-        symbols = np.array(out, dtype=np.int64)
-        pred = _lpc_predictions(symbols, header.lpc)
-        numerators = _round_predictions(pred, header.rho, header.tau)[0]
-    magnitudes = (None if header.raw_error_estimator
-                  else np.abs(header.tau * symbols - numerators))
-    return out, _estimator_trace(symbols, pred, magnitudes, header)[1]
+        # the decoder's bytearray is writable: unmap into it
+        symbols = np.frombuffer(_backend.golomb_decode(payload, n, header.m),
+                                np.int64)
+        lo, hi = _symbol_range(header.alphabet_q)
+        for start in range(0, n, block):
+            values = symbols[start:start + block]
+            values[:] = _unmap_vector(values, numerators[start:start + block],
+                                      header.tau)
+            check_symbol_range(values, start, lo, hi)
+    return symbols.tolist()

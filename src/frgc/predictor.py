@@ -25,8 +25,8 @@ A decoder predicts one refit span at a time: ``LpcState.span`` gives the
 coefficients in force from the next position on and where the next refit
 falls, so all it checks per symbol is whether that position has come.
 
-``batch_predictions`` is ``LpcState``'s whole-array twin, for an encoder
-or a traced decode, which know every symbol in advance.  It takes the
+``batch_predictions`` is ``LpcState``'s whole-array twin, for the
+encoder, which knows every symbol in advance.  It takes the
 window sums of a block of positions from lag products and a running
 sum, solves the block's normal equations together in ``_solve_stacked``,
 which does ``_solve``'s float operations in ``_solve``'s order, and
@@ -38,6 +38,7 @@ integers.  The tests check it against a loop over ``LpcState``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -57,11 +58,18 @@ class LpcConfig:
     LIMITS = (255, 65535, 65535)
 
     def __post_init__(self) -> None:
-        names = ("order", "window", "refit interval")
-        for name, value, top in zip(names, (self.order, self.window, self.refit_interval),
-                                    self.LIMITS):
+        """Store each field as a Python int (operator.index): a float, or
+        anything else that is not an integer, raises ValueError, as does
+        a value outside [1, LIMITS]."""
+        for field, top in zip(("order", "window", "refit_interval"), self.LIMITS):
+            name, value = field.replace("_", " "), getattr(self, field)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
             if not 1 <= value <= top:
                 raise ValueError(f"{name} must be in [1, {top}], got {value}")
+            object.__setattr__(self, field, value)
 
     @property
     def warmup(self) -> int:

@@ -2,10 +2,12 @@
 
 A real-valued prediction ``xhat`` is rounded to the nearest point of the
 grid ``(rho/tau) * Z`` (ties round up), giving a quantized prediction held
-as an integer numerator ``n`` over ``tau``.  The residual ``x - n/tau``
-then lives on a shifted ``1/tau`` lattice; its numerator ``tau*x - n`` is
-folded onto the non-negative integers by ``map_residual`` so a Golomb
-coder can handle it.  Everything past the single rounding step takes and
+as an integer numerator ``n`` over ``tau``.  The residual ``e = x - n/tau``
+then lives on a shifted ``1/tau`` lattice, and the paper's fold maps it
+onto the non-negative integers by magnitude, ``floor(2e)`` for ``e >= 0``
+and ``-floor(2e) - 1`` otherwise, so a Golomb coder can handle it
+(codec._map_vector, on the numerators ``tau*x - n``).  ``unmap_array``
+inverts the fold.  Everything past the single rounding step takes and
 returns plain integers, with ``tau`` passed alongside: floor/ceil
 divisions are mathematical (toward minus/plus infinity), never
 truncations.
@@ -20,15 +22,6 @@ import numpy as np
 
 SYMBOL_MIN = -(1 << 31)
 SYMBOL_MAX = (1 << 31) - 1
-
-
-def ceildiv(a: int, b: int) -> int:
-    """Quotient rounded toward plus infinity.
-
-    >>> ceildiv(6, 4), ceildiv(-6, 4), ceildiv(8, 4)
-    (2, -1, 2)
-    """
-    return -((-a) // b)
 
 
 @dataclass(frozen=True)
@@ -96,73 +89,15 @@ def round_prediction(xhat: float, precision: Precision) -> int:
     return precision.rho * math.floor(k)
 
 
-def residual(x: int, n: int, tau: int) -> int:
-    """Exact residual of symbol ``x`` against the prediction ``n/tau``,
-    scaled by tau: tau*x - n.
-
-    >>> residual(1, 3, 4), residual(0, 3, 4)
-    (1, -3)
-    """
-    if not SYMBOL_MIN <= x <= SYMBOL_MAX:
-        raise OverflowError(f"symbol {x} outside signed 32-bit range")
-    return tau * x - n
-
-
-def map_residual(r: int, tau: int) -> int:
-    """Fold the lattice residual ``r/tau`` onto 0, 1, 2, ... by magnitude.
-
-    With ebar = r/tau this is floor(2*ebar) for ebar >= 0 and
-    -floor(2*ebar) - 1 otherwise, computed without leaving the integers.
-
-    >>> [map_residual(r, 4) for r in (1, -3, 5, -7)]
-    [0, 1, 2, 3]
-    >>> [map_residual(r, 1) for r in (0, -1, 1, -2)]
-    [0, 1, 2, 3]
-    """
-    if r >= 0:
-        return 2 * r // tau
-    return -(2 * r // tau) - 1
-
-
-def map_by_cases(gamma: int, delta: int, tau: int) -> int:
-    """Case-split form of the fold; independent route used as a test oracle.
-
-    (gamma, delta) = divmod(r, tau).  Lattice points closer than half a
-    unit to their integer part (delta below tau/2) land on even/odd codes
-    2g / -2g-1; the far half lands one slot later.
-    """
-    if not 0 <= delta < tau:
-        raise ValueError(f"need 0 <= delta < tau, got delta={delta}, tau={tau}")
-    if 2 * delta < tau:
-        return 2 * gamma if gamma >= 0 else -2 * gamma - 1
-    return 2 * gamma + 1 if gamma >= 0 else -2 * gamma - 2
-
-
-def unmap(v: int, n: int, tau: int) -> int:
-    """Invert map_residual given the same prediction ``n/tau``.
-
-    The fold leaves exactly one integer consistent with each code: the
-    parity of ``v + ceil(2n/tau)`` says which side of the prediction the
-    symbol sat on.
-
-    >>> [unmap(v, 3, 4) for v in (0, 1, 2, 3)]
-    [1, 0, 2, -1]
-    """
-    if v < 0:
-        raise ValueError(f"mapped residual must be non-negative, got {v}")
-    c = ceildiv(2 * n, tau)
-    s = v + c
-    if s % 2 == 0:
-        return s // 2
-    return (c - v - 1) // 2
-
-
 def unmap_array(values: np.ndarray, numerators: np.ndarray, tau: int) -> np.ndarray:
-    """unmap over int64 arrays, element by element.
+    """The symbols whose residual numerators against numerators fold to
+    values, element by element over int64 arrays.
 
-    Exact for 0 <= v < 2**62 and |n| < 2**62, as the compiled unfold:
-    c = ceil(2n/tau) is split as 2h + q, so v + c, which can pass 2**63,
-    is never formed.  With d = v + q and p = d & 1, the even case is
+    With c = ceil(2n/tau) and s = v + c, the parity of s says which side
+    of the prediction n/tau the symbol sat on: it is s/2 for even s and
+    (c - v - 1)/2 otherwise.  Exact for 0 <= v < 2**62 and |n| < 2**62,
+    as the compiled unfold: c is split as 2h + q, so v + c, which can
+    pass 2**63, is never formed.  With d = v + q and p = d & 1, the even case is
     h + (d >> 1) and the odd one h - (d >> 1) - 1 + q, so one expression
     takes both: h + ((d >> 1) ^ -p) + (p & q), with no branch.
     """

@@ -6,7 +6,8 @@ and of its decoded symbols (int64, little-endian), its count, and the
 external predictions it was coded against (float.hex strings; null for
 lpc streams, which predict for themselves).  The set covers every mode,
 the raw-estimator flag, lpc, alphabet_q set and unset, count 0 and 1,
-m = M_MAX and tau = TAU_MAX.  A malformed stream's entry holds the
+m = 1 and m = M_MAX, tau = TAU_MAX, rho = tau at and below TAU_MAX, and
+an lpc stream that ends inside its warm-up.  A malformed stream's entry holds the
 SHA-256 of its bytes and the exception class decode_stream raises on it.
 The malformed streams are built byte by byte, with zlib's CRC-32 where
 they carry a good one.  Run
@@ -87,6 +88,13 @@ def valid_streams() -> dict:
                           StreamHeader(mode="adaptive", rho=1, tau=TAU_MAX)),
         "fixed-rho-tau-max": (walk[:40], _near(walk[:40], 13),
                                 StreamHeader(mode="fixed", rho=TAU_MAX, tau=TAU_MAX, m=4)),
+        "fixed-3-3": (walk[:80], _near(walk[:80], 14),
+                      StreamHeader(mode="fixed", rho=3, tau=3, m=2)),
+        "fixed-m1": (walk[:60], _near(walk[:60], 15, 1.0),
+                     StreamHeader(mode="fixed", rho=1, tau=2, m=1)),
+        "lpc-count-inside-the-warm-up": (np.array(ar2_signal(16, 20, 5.0)), None,
+                                         StreamHeader(mode="adaptive", rho=1, tau=8,
+                                                      lpc=LpcConfig(4, 32, 8))),
     }
     return {name: (xs.astype(np.int64), None if pred is None else pred.astype(np.float64),
                    header)

@@ -33,7 +33,7 @@ def leb128(value: int) -> bytes:
 def payload_span(data: bytes) -> tuple[int, int]:
     """The offsets of the first payload byte and of the CRC in data."""
     end = len(data) - CRC_BYTES
-    return end - len(codec.read_container(data)[1]), end
+    return end - len(codec.read_container(data)[2]), end
 
 
 def payload_of(data: bytes) -> bytes:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgc import analysis, bitcoder, qmap
+from frgc import analysis, bitcoder
 from frgc.analysis import (
     ASYMPTOTIC,
     LaplaceModel,
@@ -25,6 +25,7 @@ from frgc.analysis import (
     redundancy_percent,
 )
 
+import scalarfold
 from bitsink import code_length
 
 
@@ -105,8 +106,8 @@ def bit_level_length(eps: float, m: int, tau: int) -> int:
     # numerator is exactly round(eps * tau)
     r = round(eps * tau)
     assert abs(r - eps * tau) < 1e-9, "oracle needs lattice-aligned eps"
-    value = qmap.map_by_cases(*divmod(r, tau), tau)
-    assert value == qmap.map_residual(r, tau)
+    value = scalarfold.map_by_cases(*divmod(r, tau), tau)
+    assert value == scalarfold.map_residual(r, tau)
     return code_length(value, bitcoder.GolombParam(m))
 
 

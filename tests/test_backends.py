@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgc import _backend, _estcore, _pure, codec, qmap
+from frgc import _backend, _estcore, _pure, codec
 from frgc._estcore import select_m
 from frgc.bitcoder import (
     M_MAX,
@@ -34,6 +34,7 @@ from frgc.codec import (
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN
 
+import scalarfold
 from bitsink import BitSink
 from container import leb128, payload_of, payload_span, reseal
 from golden import (
@@ -178,9 +179,8 @@ def test_codec_streams_match_across_backends(mode, kernels, monkeypatch):
     for module in (_pure, kernels):
         use_backend(monkeypatch, module)
         data, trace = encode_stream(xs, header, predictions=preds, collect_trace=True)
-        out, dtrace = decode_stream(data, predictions=preds, collect_trace=True)
-        assert out == xs.tolist()
-        results.append((data, trace, dtrace))
+        assert decode_stream(data, predictions=preds) == xs.tolist()
+        results.append((data, trace))
     assert results[0] == results[1]
 
 
@@ -194,9 +194,8 @@ def test_denormal_predictions_round_trip_on_both_backends(kernels, monkeypatch):
     for module in (_pure, kernels):
         use_backend(monkeypatch, module)
         data, trace = encode_stream(xs, header, preds, collect_trace=True)
-        out, dtrace = decode_stream(data, preds, collect_trace=True)
-        assert out == xs.tolist()
-        results.append((data, trace, dtrace))
+        assert decode_stream(data, preds) == xs.tolist()
+        results.append((data, trace))
     assert results[0] == results[1]
     assert {m for m, _, _ in results[0][1]} == {1}
 
@@ -213,16 +212,17 @@ def mutation_stream(mode):
 MUTATION_STREAMS = {mode: mutation_stream(mode) for mode in STREAM_HEADERS}
 
 
-def mutations(data, header):
+def mutations(data):
     """1-3 payload bit flips, or a new value for one header byte.
 
     The lpc order, window and refit interval, the fields before the count
     and the payload length, are left alone: a large order or window, or a
     short refit interval, makes an lpc decode's time unbounded by the
     stream's length (ROADMAP item 12)."""
+    header, count, _ = codec.read_container(data)
     start, end = payload_span(data)
     nbits = 8 * (end - start)
-    lpc_end = start - len(leb128(end - start)) - len(leb128(header.count))
+    lpc_end = start - len(leb128(end - start)) - len(leb128(count))
     lpc = header.lpc
     lpc_bytes = sum(len(leb128(v)) for v in (lpc.order, lpc.window, lpc.refit_interval)) \
         if lpc else 0
@@ -242,7 +242,7 @@ def test_mutated_streams_decode_alike_on_both_backends(mode, edit, kernels):
     # resealed, so that the decoders' own checks see it
     data, preds = MUTATION_STREAMS[mode]
     mutated = bytearray(data)
-    for i, bits in edit.draw(mutations(data, replace(STREAM_HEADERS[mode], count=400))):
+    for i, bits in edit.draw(mutations(data)):
         mutated[i] ^= bits
     mutated = reseal(bytes(mutated))
     outcomes = []
@@ -298,9 +298,8 @@ def test_streams_whose_m_holds_65_to_300_symbols(tau, raw, top, kernels, monkeyp
     for module in (_pure, kernels):
         use_backend(monkeypatch, module)
         data, trace = encode_stream(xs, header, collect_trace=True)
-        out, dtrace = decode_stream(data, collect_trace=True)
-        assert out == xs.tolist()
-        results.append((data, trace, dtrace))
+        assert decode_stream(data) == xs.tolist()
+        results.append((data, trace))
     assert results[0] == results[1]
     traced = [m for m, _, _ in results[0][1]]
     assert traced == ms
@@ -447,8 +446,7 @@ def test_adaptive_decode_range_check_parity(bad, kernels, monkeypatch):
     # through decode_stream: a header whose alphabet leaves that symbol out
     header = StreamHeader(mode="adaptive", rho=1, tau=16)
     data = encode_stream(xs, header, predictions=pred_x)
-    narrow = codec.write_container(replace(header, count=300, alphabet_q=1000),
-                                   payload_of(data))
+    narrow = codec.write_container(replace(header, alphabet_q=1000), payload_of(data), 300)
     for backend in (_pure, kernels):
         use_backend(monkeypatch, backend)
         assert decode_stream(data, predictions=pred_x) == xs.tolist()
@@ -663,7 +661,7 @@ def test_saturation_and_boundary_parity(kernels):
                     assert backend.adaptive_encode(ints(values), inc, True, 1) == expected
                     out = backend.adaptive_decode(payload, n, ints([0] * n), -inc, 1,
                                                   True, *RANGE)
-                    assert decoded(out) == [qmap.unmap(v, 0, 1) for v in values]
+                    assert decoded(out) == [scalarfold.unmap(v, 0, 1) for v in values]
     assert hits >= 32
 
 
@@ -716,4 +714,4 @@ def test_every_chooser_at_the_guess_jump_points(kernels):
             assert backend.adaptive_encode(ints(values), inc, True, 1) == want, (t, s)
             out = backend.adaptive_decode(payload, t + 1, ints([0] * (t + 1)), -inc, 1,
                                           True, *RANGE)
-            assert decoded(out) == [qmap.unmap(v, 0, 1) for v in values], (t, s)
+            assert decoded(out) == [scalarfold.unmap(v, 0, 1) for v in values], (t, s)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgc import _estcore, analysis, bitcoder, codec, harness, predictor, qmap
+from frgc import _estcore, analysis, bitcoder, codec, harness, predictor
 from frgc._pure import CodewordReader
 from frgc.bitcoder import CorruptStreamError, GolombParam
 from frgc.codec import (
@@ -28,8 +28,10 @@ from frgc.codec import (
 from frgc.predictor import LpcConfig
 from frgc.qmap import SYMBOL_MAX, SYMBOL_MIN, Precision, round_prediction
 
+import scalarfold
 from bitsink import BitSink, code_length
 from container import CRC_BYTES, leb128, payload_of, payload_span, reseal, with_payload
+from lpcloop import loop_predictions
 
 
 def bits_of(data: bytes, nbits: int) -> str:
@@ -46,9 +48,9 @@ def test_header_size():
     head = b"FRGC" + bytes((4, 0, 1, 4, 2, 9, 2))
     crc = zlib.crc32(head + b"\xab\xcd").to_bytes(CRC_BYTES, "little")
     assert data == head + b"\xab\xcd" + crc
-    assert len(write_container(h, b"")) == 11 + CRC_BYTES
+    assert len(write_container(h, b"", 0)) == 11 + CRC_BYTES
     # adaptive mode writes no m
-    assert len(write_container(StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16), b"")) == 14
+    assert len(write_container(StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16), b"", 0)) == 14
     # every flag: kind 1 | raw 4 | lpc 8 | alphabet 16, and two-byte varints
     h = StreamHeader(mode=MODE_ADAPTIVE, rho=3, tau=200, alphabet_q=300,
                      lpc=LpcConfig(2, 200, 16), raw_error_estimator=True)
@@ -58,41 +60,41 @@ def test_header_size():
     # rho, tau and m, 5 for alphabet_q, 2, 3 and 3 for the lpc fields, 10
     # for the count
     top = StreamHeader(mode=MODE_FIXED, rho=0xFFFF, tau=0xFFFF, m=0xFFFF,
-                       alphabet_q=0xFFFFFFFF, count=2**64 - 1,
-                       lpc=LpcConfig(255, 65535, 65535))
-    data = write_container(top, b"")
+                       alphabet_q=0xFFFFFFFF, lpc=LpcConfig(255, 65535, 65535))
+    data = write_container(top, b"", 2**64 - 1)
     assert len(data) == 6 + 3 * 3 + 5 + 2 + 3 + 3 + 10 + 1 + CRC_BYTES
     with pytest.raises(codec.TruncatedStreamError, match="payload bits"):
         read_container(data)
 
 
 @pytest.mark.parametrize(
-    "header",
+    "header,count",
     [
-        StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2),
-        StreamHeader(mode=MODE_RICE, rho=1, tau=1, m=1, count=77),
-        StreamHeader(mode=MODE_ADAPTIVE, rho=4, tau=5, alphabet_q=128),
-        StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16, raw_error_estimator=True),
-        StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=9, lpc=LpcConfig(2, 16, 16)),
-        StreamHeader(
-            mode=MODE_ADAPTIVE, rho=1, tau=64, count=2**13, lpc=LpcConfig(8, 255, 32)
-        ),
+        (StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2), 0),
+        (StreamHeader(mode=MODE_RICE, rho=1, tau=1, m=1), 77),
+        (StreamHeader(mode=MODE_ADAPTIVE, rho=4, tau=5, alphabet_q=128), 0),
+        (StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16, raw_error_estimator=True), 0),
+        (StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=9, lpc=LpcConfig(2, 16, 16)), 0),
+        (StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=64, lpc=LpcConfig(8, 255, 32)), 2**13),
     ],
+    ids=[f"header{i}" for i in range(6)],
 )
-def test_header_roundtrip(header):
-    payload = b"payload follows".ljust(header.count // 8, b"-")
-    data = write_container(header, payload)
-    back, view = read_container(data + b"trailing bytes")
+def test_header_roundtrip(header, count):
+    payload = b"payload follows".ljust(count // 8, b"-")
+    data = write_container(header, payload, count)
+    back, back_count, view = read_container(data + b"trailing bytes")
     assert back == header
+    assert back_count == count
     assert bytes(view) == payload
     assert payload_span(data) == (len(data) - CRC_BYTES - len(payload), len(data) - CRC_BYTES)
 
 
 def test_header_pack_writes_a_count_in_range():
-    h = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2, count=5)
+    h = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2)
     top = 0xFFFFFFFFFFFFFFFF
     for count in (0, 9, top):
-        assert write_container(h, b"", count) == write_container(replace(h, count=count), b"")
+        assert write_container(h, b"", count)[:-CRC_BYTES] == (
+            b"FRGC" + bytes((4, 0, 1, 4, 2)) + leb128(count) + b"\x00")
     for count in (-1, top + 1):
         with pytest.raises(HeaderError, match=f"count out of range: {count}"):
             write_container(h, b"", count)
@@ -114,6 +116,12 @@ def test_header_precision_property():
         dict(mode=MODE_RICE, rho=1, tau=2, m=1),
         dict(mode=MODE_RICE, rho=1, tau=1, m=1, raw_error_estimator=True),
         dict(mode=MODE_ADAPTIVE, rho=1, tau=16, m=3),
+        # an integer field that is not an integer
+        dict(mode=MODE_FIXED, rho=1, tau=4, m=2.5),
+        dict(mode=MODE_FIXED, rho=1.0, tau=4, m=2),
+        dict(mode=MODE_FIXED, rho=1, tau=np.float64(4), m=2),
+        dict(mode=MODE_FIXED, rho=1, tau=4, m=2, alphabet_q=10.5),
+        dict(mode=MODE_FIXED, rho=1, tau=4, m="2"),
     ],
 )
 def test_header_validate_rejects(kwargs):
@@ -122,6 +130,28 @@ def test_header_validate_rejects(kwargs):
         StreamHeader(**kwargs)
     with pytest.raises(HeaderError):
         replace(StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2), **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(mode=MODE_FIXED, rho=1, tau=4, m=np.uint8(3)),
+    dict(mode=MODE_FIXED, rho=np.int64(1), tau=np.uint16(4), m=3, alphabet_q=np.int32(100)),
+    dict(mode=MODE_RICE, rho=np.uint8(1), tau=np.int8(1), m=np.int16(3)),
+    dict(mode=MODE_ADAPTIVE, rho=np.uint32(3), tau=np.int64(16), m=np.int64(0)),
+    dict(mode=MODE_ADAPTIVE, rho=1, tau=16,
+         lpc=LpcConfig(np.int64(2), np.uint16(16), np.uint8(16))),
+])
+def test_numpy_integer_header_fields_code_as_their_values(backend, kwargs):
+    # each integer field is stored as a Python int, so both backends take it
+    h = StreamHeader(**kwargs)
+    plain = StreamHeader(**{name: int(value) if isinstance(value, np.integer) else value
+                            for name, value in kwargs.items()})
+    assert h == plain
+    assert all(type(getattr(h, name)) is int for name in ("rho", "tau", "m", "alphabet_q"))
+    xs = [0, 5, 17, 99, 3, 42]
+    preds = None if h.lpc else [0.5 * x for x in xs]
+    data = encode_stream(xs, h, preds)
+    assert data == encode_stream(xs, plain, preds)
+    assert decode_stream(data, preds) == xs
 
 
 def container(*fields: bytes, kind: int = 0, payload: bytes = b"\x00") -> bytes:
@@ -247,10 +277,10 @@ def test_select_m_agrees_with_exp_rule():
 def test_estimator_saturates():
     # symbols 0 against numerators n: each adds |16*0 - n| to the sum
     sat = _estcore.EST_SATURATION
-    h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16)
     n = np.array([sat - 1, 1000, 1000])
-    _, trace = codec._estimator_trace(np.zeros(3, np.int64), n / 16.0, n, h)
-    assert trace == [(1, 1, sat - 1), (64, 2, sat), (64, 3, sat)]
+    sums, ms = _estcore.run(0, 0, n, 16, False)
+    assert sums.tolist() == [sat - 1, sat, sat]
+    assert ms.tolist() == [1, 64, 64, 64]  # each symbol's m, then the next one's
 
 
 @given(
@@ -283,7 +313,7 @@ def test_v1_stream_rejected():
 # --- symbol coding ----------------------------------------------------------
 
 def write_symbol(x: int, n: int, tau: int, g: GolombParam, sink: BitSink) -> None:
-    value = qmap.map_residual(qmap.residual(x, n, tau), tau)
+    value = scalarfold.map_residual(scalarfold.residual(x, n, tau), tau)
     sink.write_unary(value // g.m)
     sink.write_minimal_binary(value % g.m, g)
 
@@ -295,7 +325,7 @@ def test_encode_symbol_example():
     write_symbol(2, n, 4, GolombParam(2), sink)
     assert bits_of(sink.finish(), sink.bit_length) == "100"
     assert decode_symbol(GolombParam(2), CodewordReader(b"\x80"), 0) == (2, 3)
-    assert qmap.unmap(2, n, 4) == 2
+    assert scalarfold.unmap(2, n, 4) == 2
 
 
 def test_symbol_roundtrip_sequence():
@@ -309,7 +339,7 @@ def test_symbol_roundtrip_sequence():
     got, pos = [], 0
     for _ in xs:
         v, pos = decode_symbol(g, reader, pos)
-        got.append(qmap.unmap(v, n, 8))
+        got.append(scalarfold.unmap(v, n, 8))
     assert got == xs and pos == sink.bit_length
 
 
@@ -325,8 +355,7 @@ def test_zero_stream_is_one_zero_byte():
 def test_fixed_stream_count_in_header():
     h = StreamHeader(mode=MODE_FIXED, rho=1, tau=4, m=2)
     data = encode_stream([1, 2, 3], h, predictions=[0.0, 0.0, 0.0])
-    back, _ = read_container(data)
-    assert back.count == 3
+    assert read_container(data)[1] == 3
 
 
 def test_rice_equals_unit_fixed():
@@ -368,7 +397,7 @@ def test_payload_length_matches_code_lengths_fixed():
         for x, p in zip(xs, preds):
             n = round_prediction(p, Precision(rho, tau))
             total += code_length(
-                qmap.map_residual(qmap.residual(x, n, tau), tau), g)
+                scalarfold.map_residual(scalarfold.residual(x, n, tau), tau), g)
         assert len(payload_of(data)) == (total + 7) // 8
 
 
@@ -410,8 +439,10 @@ def test_adaptive_roundtrip_and_trace_lockstep(xs, tau, raw):
     preds = [0.0] + [float(x) for x in xs[:-1]]
     h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=tau, raw_error_estimator=raw)
     data, enc_trace = encode_stream(xs, h, predictions=preds, collect_trace=True)
-    out, dec_trace = decode_stream(data, predictions=preds, collect_trace=True)
+    out = decode_stream(data, predictions=preds)
     assert out == xs
+    # derived again from the decoded symbols
+    dec_trace = encode_stream(out, h, predictions=preds, collect_trace=True)[1]
     assert enc_trace == dec_trace
     assert len(enc_trace) == len(xs)
     # the types as well: S is the integer numerator sum, or the raw float sum
@@ -436,7 +467,7 @@ def test_adaptive_m_choices_follow_public_estimator():
         assert m_used == expected
         n = round_prediction(p, Precision(1, tau))
         t += 1
-        s += abs(qmap.residual(x, n, tau))
+        s += abs(scalarfold.residual(x, n, tau))
         assert (t_seen, s_seen) == (t, s)
 
 
@@ -459,7 +490,7 @@ def test_header_count_beyond_payload_bits_raises():
     payload = payload_of(data)
     header = read_container(data)[0]
     for count in (8 * len(payload) + 1, 1 << 50):
-        bad = write_container(replace(header, count=count), payload)
+        bad = write_container(header, payload, count)
         with pytest.raises(HeaderError, match="payload bits"):
             decode_stream(bad)
 
@@ -480,7 +511,7 @@ def test_count_disagreeing_with_predictions_raises_header_error(mode, m):
         bad = bytearray(data)
         bad[count_at] ^= 1 << bit
         bad = reseal(bytes(bad))
-        assert read_container(bad)[0].count == 50 ^ (1 << bit)
+        assert read_container(bad)[1] == 50 ^ (1 << bit)
         with pytest.raises(HeaderError, match="predictions") as info:
             decode_stream(bad, predictions=preds)
         assert not isinstance(info.value, CorruptStreamError)
@@ -603,7 +634,7 @@ def test_encode_stream_bounds_the_mapping_exactly(rho, tau):
     # an empty stream has no extremes and no numerators to bound
     for h in (header, StreamHeader(mode=MODE_ADAPTIVE, rho=rho, tau=tau)):
         data, trace = encode_stream([], h, [], collect_trace=True)
-        assert data == write_container(replace(h, count=0), b"")
+        assert data == write_container(h, b"", 0)
         assert trace == ([] if h.mode == MODE_ADAPTIVE else None)
         assert decode_stream(data, []) == []
 
@@ -617,7 +648,7 @@ def test_map_vector_exact_at_prediction_limit(rho, tau):
     xs = np.array([-SYMBOL_MAX - 1, SYMBOL_MAX], dtype=np.int64)
     mapped = codec._map_vector(xs, n, tau, peak)[0].tolist()
     for x, ni, got in zip(xs.tolist(), n.tolist(), mapped):
-        assert got == qmap.map_residual(qmap.residual(x, ni, tau), tau)
+        assert got == scalarfold.map_residual(scalarfold.residual(x, ni, tau), tau)
 
 
 @st.composite
@@ -664,9 +695,9 @@ def test_vector_twins_match_scalar_elementwise(case, extra, edges):
     if tau & (tau - 1) == 0:  # exact ties round toward +inf
         assert ns[:len(ks)].tolist() == [(k + 1) * rho for k in ks]
     mapped, magnitudes = codec._map_vector(np.array(xs, dtype=np.int64), ns, tau, peak)
-    assert mapped.tolist() == [qmap.map_residual(qmap.residual(x, n, tau), tau)
+    assert mapped.tolist() == [scalarfold.map_residual(scalarfold.residual(x, n, tau), tau)
                                for x, n in zip(xs, ns.tolist())]
-    assert magnitudes.tolist() == [abs(qmap.residual(x, n, tau))
+    assert magnitudes.tolist() == [abs(scalarfold.residual(x, n, tau))
                                    for x, n in zip(xs, ns.tolist())]
     # codeword values beyond the mapped ones, as golomb_decode can return
     values = mapped.tolist() + extra
@@ -674,7 +705,7 @@ def test_vector_twins_match_scalar_elementwise(case, extra, edges):
     values = values[:len(pred_n)]
     got = codec._unmap_vector(np.array(values, dtype=np.int64),
                               np.array(pred_n, dtype=np.int64), tau)
-    assert got.tolist() == [qmap.unmap(v, n, tau) for v, n in zip(values, pred_n)]
+    assert got.tolist() == [scalarfold.unmap(v, n, tau) for v, n in zip(values, pred_n)]
     assert got.tolist()[:len(xs)] == xs
     # any decodable value against numerators at the limit: v + ceil(2n/tau)
     # passes 2**63 there, which the unmap must never form
@@ -682,7 +713,7 @@ def test_vector_twins_match_scalar_elementwise(case, extra, edges):
     pred_n = [n for _, n in edges] + [NUMERATOR_LIMIT, -NUMERATOR_LIMIT]
     got = codec._unmap_vector(np.array(values, dtype=np.int64),
                               np.array(pred_n, dtype=np.int64), tau)
-    assert got.tolist() == [qmap.unmap(v, n, tau) for v, n in zip(values, pred_n)]
+    assert got.tolist() == [scalarfold.unmap(v, n, tau) for v, n in zip(values, pred_n)]
     # past the residual range both twins raise the same ValueError, also
     # where the scalar's tau * xhat overflows to inf
     for xhat in (1e308, -1e308):
@@ -752,8 +783,7 @@ def test_lpc_stream_roundtrip(mode, kwargs):
     h = StreamHeader(mode=mode, rho=rho, tau=tau, lpc=LpcConfig(2, 16, 16), **kwargs)
     data = encode_stream(xs, h)
     assert decode_stream(data) == xs
-    back, _ = read_container(data)
-    assert back.lpc == LpcConfig(2, 16, 16)
+    assert read_container(data)[0].lpc == LpcConfig(2, 16, 16)
 
 
 def test_lpc_trace_lockstep():
@@ -762,29 +792,32 @@ def test_lpc_trace_lockstep():
         h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16, lpc=LpcConfig(3, 24, 12),
                          raw_error_estimator=raw)
         data, enc_trace = encode_stream(xs, h, collect_trace=True)
-        out, dec_trace = decode_stream(data, collect_trace=True)
+        out = decode_stream(data)
         assert out == xs
-        assert enc_trace == dec_trace
+        assert encode_stream(out, h, collect_trace=True)[1] == enc_trace
         assert len(enc_trace) == len(xs)
-        assert all(type(entry[2]) is (float if raw else int) for entry in dec_trace)
+        assert all(type(entry[2]) is (float if raw else int) for entry in enc_trace)
 
 
 def test_traced_lpc_decode_runs_the_predictor_once(monkeypatch):
-    # the trace reuses the decoder's own predictions
+    # the decoder fits once per refit, as the per-symbol reference loop
+    # does, and the trace of its symbols fits no more
     xs = _wavey(400, seed=13)
+    cfg = LpcConfig(3, 24, 12)
     fits = []
     fit = predictor.fit
     monkeypatch.setattr(predictor, "fit", lambda *args: fits.append(1) or fit(*args))
+    loop_predictions(np.array(xs, np.int64), cfg)
+    once = len(fits)
     for raw in (False, True):
-        h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16, lpc=LpcConfig(3, 24, 12),
+        h = StreamHeader(mode=MODE_ADAPTIVE, rho=1, tau=16, lpc=cfg,
                          raw_error_estimator=raw)
         data, enc_trace = encode_stream(xs, h, collect_trace=True)
         fits.clear()
-        assert decode_stream(data) == xs
-        untraced = len(fits)
-        fits.clear()
-        assert decode_stream(data, collect_trace=True) == (xs, enc_trace)
-        assert len(fits) == untraced > 0
+        out = decode_stream(data)
+        assert out == xs
+        assert encode_stream(out, h, collect_trace=True)[1] == enc_trace
+        assert len(fits) == once > 0
 
 
 def test_lpc_beats_no_prediction_on_trend():

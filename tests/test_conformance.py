@@ -45,14 +45,17 @@ def test_files_are_the_index_and_the_generators():
 
 
 def test_the_valid_set_covers_every_mode_flag_and_edge():
-    headers = [read_container(stream(name))[0] for name in TABLE["valid"]]
+    containers = [read_container(stream(name)) for name in TABLE["valid"]]
+    headers = [header for header, _, _ in containers]
     assert {h.mode for h in headers} == {"fixed", "adaptive", "rice"}
     assert any(h.raw_error_estimator for h in headers)
     assert {h.lpc is None for h in headers} == {True, False}
     assert {h.alphabet_q == 0 for h in headers} == {True, False}
-    assert {0, 1} <= {h.count for h in headers}
-    assert any(h.m == M_MAX for h in headers)
+    assert {0, 1} <= {count for _, count, _ in containers}
+    assert {1, M_MAX} <= {h.m for h in headers if h.mode == "fixed"}
     assert any(h.tau == TAU_MAX for h in headers)
+    assert any(1 < h.rho == h.tau < TAU_MAX for h in headers)
+    assert any(h.lpc and 1 < count < h.lpc.warmup for h, count, _ in containers)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE["valid"]))

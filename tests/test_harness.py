@@ -21,6 +21,7 @@ from frgc.harness import (
     write_csv,
 )
 
+import scalarfold
 from bitsink import code_length
 
 
@@ -65,8 +66,8 @@ def test_mapped_values_match_scalar_path():
         vec = mapped_values(xs, preds, p)
         for i in range(0, 400, 17):
             n = qmap.round_prediction(float(preds[i]), p)
-            r = qmap.residual(int(xs[i]), n, p.tau)
-            assert vec[i] == qmap.map_residual(r, p.tau)
+            r = scalarfold.residual(int(xs[i]), n, p.tau)
+            assert vec[i] == scalarfold.map_residual(r, p.tau)
 
 
 def test_mapped_values_reject_asymptotic():
@@ -332,8 +333,8 @@ def test_cli_mismatch_exit(intfile, monkeypatch):
 
     real = codec.decode_stream
 
-    def corrupted(data, predictions=None, collect_trace=False):
-        out = real(data, predictions=predictions, collect_trace=collect_trace)
+    def corrupted(data, predictions=None):
+        out = real(data, predictions=predictions)
         out[0] ^= 1
         return out
 

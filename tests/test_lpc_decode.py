@@ -4,7 +4,7 @@
 windows of codewords: one read per symbol, here by the bit-at-a-time
 bitsink.BitSource, which shares no code with the codec's readers, and a
 per-symbol predictor, lpcloop.LoopState.  decode_stream must give the
-same symbols, trace and rounding input for every symbol with either, or
+same symbols and rounding input for every symbol with either, or
 raise the same exception type and message at the same symbol (the
 number of symbols the decoder's predictor state holds when it raises).
 """
@@ -32,14 +32,15 @@ from frgc.codec import (
 )
 from frgc.predictor import LpcConfig, LpcState
 
+import scalarfold
 from bitsink import BitSource
 from container import flip_bits, payload_of, payload_span, reseal, with_payload
 from lpcloop import LoopState
 from mtable import table_m
 
 
-def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
-    """Lpc-mode decode, symbol by symbol: the symbols."""
+def oracle_decode_lpc(payload: bytes, header: StreamHeader, count: int) -> list:
+    """Lpc-mode decode, symbol by symbol: the count symbols."""
     cfg = header.lpc
     prec = header.precision
     tau = header.tau
@@ -51,7 +52,7 @@ def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
     state = LoopState(cfg)
     s_int = 0
     s_raw = 0.0
-    for t in range(header.count):
+    for t in range(count):
         xhat = state.predict()
         n = qmap.round_prediction(xhat, prec)
         if not adaptive:
@@ -61,7 +62,7 @@ def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
         else:
             m = table_m(t, s_int, tau)
         g = GolombParam(m)
-        x = qmap.unmap(src.read_unary() * m + src.read_minimal_binary(g), n, tau)
+        x = scalarfold.unmap(src.read_unary() * m + src.read_minimal_binary(g), n, tau)
         if not lo <= x <= hi:
             raise symbol_out_of_range(t, x, lo, hi)
         state.push(x)
@@ -78,7 +79,7 @@ def oracle_decode_lpc(payload: bytes, header: StreamHeader) -> list:
 
 
 def decoded(data: bytes, decoder) -> tuple:
-    """decode_stream with decoder as its lpc loop: ("ok", symbols, trace,
+    """decode_stream with decoder as its lpc loop: ("ok", symbols,
     rounded), or ("raised", type, message, symbols decoded before the
     error).
 
@@ -102,8 +103,7 @@ def decoded(data: bytes, decoder) -> tuple:
 
     LpcState.__init__, codec._decode_lpc, math.floor = recorded, decoder, floor
     try:
-        out, trace = decode_stream(data, collect_trace=True)
-        return "ok", out, trace, rounded
+        return "ok", decode_stream(data), rounded
     except Exception as exc:  # noqa: BLE001 - the type and message are compared
         reached = sum(len(st.history) - st._pad for st in states)
         return "raised", type(exc), str(exc), reached
@@ -342,6 +342,6 @@ def test_out_of_range_symbol_at_an_m_switch(offset, settle):
     data, trace = encode_stream(xs, header, collect_trace=True)
     assert held_switches(trace, 400)[0] == switch
     assert agree(data)[:2] == ("ok", xs)
-    narrow = codec.write_container(replace(header, alphabet_q=11, count=n), payload_of(data))
+    narrow = codec.write_container(replace(header, alphabet_q=11), payload_of(data), n)
     message = f"symbol {bad} decodes to 50, outside [0, 10]"
     assert agree(narrow)[:4] == ("raised", CorruptStreamError, message, bad)

@@ -1,7 +1,6 @@
 """LPC streams: frozen bytes, version, and corrupt-stream behaviour."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,8 +81,9 @@ def test_batch_encoder_writes_the_loops_bytes(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_traced_decode_gives_the_encoders_trace(mode, monkeypatch):
-    # a traced adaptive decode predicts the decoded symbols again, once;
-    # a fixed-mode trace is None and predicts nothing
+    # the decoder predicts in its loop, with no batch prediction; tracing
+    # the decoded symbols predicts them again, once, and gives the
+    # encoder's trace, which is None in fixed mode
     calls = []
     real = codec._lpc_predictions
     monkeypatch.setattr(codec, "_lpc_predictions",
@@ -92,8 +92,11 @@ def test_traced_decode_gives_the_encoders_trace(mode, monkeypatch):
         data, trace = encode_stream(xs, header, collect_trace=True)
         assert (trace is None) == (mode == "fixed")
         calls.clear()
-        assert decode_stream(data, collect_trace=True) == (xs, trace)
-        assert calls == ([] if mode == "fixed" else [header.lpc])
+        out = decode_stream(data)
+        assert out == xs
+        assert calls == []
+        assert encode_stream(out, header, collect_trace=True)[1] == trace
+        assert calls == [header.lpc]
 
 
 def test_v2_lpc_stream_rejected():
@@ -143,7 +146,7 @@ def crafted(header: StreamHeader, values: list[int], m: int) -> bytes:
     for v in values:
         sink.write_unary(v // m)
         sink.write_minimal_binary(v % m, g)
-    return codec.write_container(replace(header, count=len(values)), sink.finish())
+    return codec.write_container(header, sink.finish(), len(values))
 
 
 @pytest.mark.parametrize("lpc", [None, LpcConfig(1, 1, 1)], ids=["external", "lpc"])

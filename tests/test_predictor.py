@@ -224,9 +224,14 @@ def test_jumps_match_exact_sums_across_the_int64_rule(cfg, default_integer, monk
 def test_config_validation():
     LpcConfig(1, 1, 1)
     LpcConfig(255, 65535, 65535)
-    for bad in ((0, 8, 8), (256, 8, 8), (2, 0, 8), (2, 8, 0), (2, 65536, 8)):
+    for bad in ((0, 8, 8), (256, 8, 8), (2, 0, 8), (2, 8, 0), (2, 65536, 8),
+                (2.0, 16, 16), (2, 16.5, 16), (2, 16, "16")):
         with pytest.raises(ValueError):
             LpcConfig(*bad)
+    # numpy integers are stored as the Python ints they hold
+    cfg = LpcConfig(np.int64(2), np.uint16(16), np.uint8(16))
+    assert cfg == LpcConfig(2, 16, 16)
+    assert {type(value) for value in (cfg.order, cfg.window, cfg.refit_interval)} == {int}
 
 
 def test_warmup():

@@ -31,6 +31,7 @@ from frgc.bitcoder import (
 from frgc._estcore import LOG_BOUNDARIES, select_m, select_m_array
 from frgc.predictor import LpcConfig
 
+import scalarfold
 from bitsink import BitSink, BitSource, code_length
 from container import payload_of, with_payload
 from mtable import m_of_quotient, table_m, tied_sum, ulps_around
@@ -105,7 +106,7 @@ def oracle_adaptive_decode(payload, count, pred_n, pred_x, tau, raw, lo, hi):
         m = table_m(t, s) if raw else table_m(t, s, tau)
         value = src.read_unary() * m + src.read_minimal_binary(GolombParam(m))
         n = int(pred_n[t])
-        x = qmap.unmap(value, n, tau)
+        x = scalarfold.unmap(value, n, tau)
         if not lo <= x <= hi:
             raise symbol_out_of_range(t, x, lo, hi)
         out.append(x)
@@ -511,7 +512,7 @@ def test_unmap_array_matches_unmap_to_the_edges(tau):
     values = np.concatenate((values, np.repeat(edges, 4)))
     nums = np.concatenate((nums, np.tile(ints([LIMIT - 1, 1 - LIMIT, 0, -1]), 4)))
     got = qmap.unmap_array(values, nums, tau).tolist()
-    assert got == [qmap.unmap(v, p, tau) for v, p in zip(values.tolist(), nums.tolist())]
+    assert got == [scalarfold.unmap(v, p, tau) for v, p in zip(values.tolist(), nums.tolist())]
 
 
 # --- adaptive m -----------------------------------------------------------------
@@ -1383,7 +1384,7 @@ def test_numerators_past_the_vector_unmap(decoders):
         pred_n[at], values[at] = big, value
     inc = np.full(n, 3.0)
     payload, _ = _pure.adaptive_encode(values, inc, True, 1)
-    xs = ints([qmap.unmap(int(v), int(p), 1) for v, p in zip(values, pred_n)])
+    xs = ints([scalarfold.unmap(int(v), int(p), 1) for v, p in zip(values, pred_n)])
     rest = (xs - inc, 1, True, -(1 << 63), (1 << 63) - 1)
     assert agree_exactly(decoders, payload, n, pred_n, *rest) == ("ok", xs.tobytes())
     refused = ("raised", ValueError, "prediction numerator out of range")
@@ -1413,7 +1414,7 @@ def test_non_finite_raw_values_are_refused_before_any_codeword(coders, decoders)
     values = geometric(rng, n, 3)
     pred_x = rng.normal(0.0, 50.0, n)
     pred_n = np.floor(pred_x + 0.5).astype(np.int64)
-    xs = ints([qmap.unmap(int(v), int(p), 1) for v, p in zip(values, pred_n)])
+    xs = ints([scalarfold.unmap(int(v), int(p), 1) for v, p in zip(values, pred_n)])
     inc = np.abs(xs - pred_x)
     payload, _ = _pure.adaptive_encode(values, inc, True, 1)
     int_payload, _ = _pure.adaptive_encode(values, np.abs(xs - pred_n), False, 1)

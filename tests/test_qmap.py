@@ -1,4 +1,6 @@
-"""Exact-integer residual quantization and fold mapping."""
+"""Exact-integer residual quantization and fold mapping: qmap's rounding,
+and the scalar equations of tests/scalarfold.py that the codec's vector
+fold and unfold are held against."""
 
 import doctest
 
@@ -8,23 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frgc import qmap
-from frgc.qmap import (
-    ASYMPTOTIC,
-    SYMBOL_MAX,
-    SYMBOL_MIN,
-    Precision,
-    map_by_cases,
-    map_residual,
-    residual,
-    round_prediction,
-    unmap,
-)
+from frgc.qmap import ASYMPTOTIC, SYMBOL_MAX, SYMBOL_MIN, Precision, round_prediction
+
+import scalarfold
+from scalarfold import map_by_cases, map_residual, residual, unmap
 
 
 def test_doctests():
-    result = doctest.testmod(qmap)
-    assert result.failed == 0
-    assert result.attempted > 0
+    for module in (qmap, scalarfold):
+        result = doctest.testmod(module)
+        assert result.failed == 0
+        assert result.attempted > 0
 
 
 # --- Precision -------------------------------------------------------------
@@ -236,7 +232,7 @@ def test_parity_selects_branch():
         n = int(rng.integers(-(2**20), 2**20))
         x = int(rng.integers(-(2**20), 2**20))
         r = residual(x, n, tau)
-        c = qmap.ceildiv(2 * n, tau)
+        c = scalarfold.ceildiv(2 * n, tau)
         assert ((map_residual(r, tau) + c) % 2 == 0) == (r >= 0)
 
 
@@ -264,6 +260,6 @@ def test_rice_fold_with_integer_prediction(x, shift):
 
 @given(a=st.integers(-(2**50), 2**50), b=st.integers(1, 2**20))
 def test_floor_ceil_div(a, b):
-    q = qmap.ceildiv(a, b)
+    q = scalarfold.ceildiv(a, b)
     assert q == -((-a) // b)
     assert (q - 1) * b < a <= q * b
